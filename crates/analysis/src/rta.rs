@@ -51,6 +51,18 @@ impl InterferenceModel {
 /// task set, small enough to terminate quickly on pathological input.
 const MAX_ITERATIONS: usize = 100_000;
 
+/// Work `Σ_{j<n} N_j(t)·C_j` of the `n` highest-priority tasks released
+/// in `[0, t)`, or `None` if it overflows [`Time`] (the window is then
+/// unbounded for every practical purpose).
+fn interfering_work(ts: &TaskSet, n: usize, model: InterferenceModel, t: Time) -> Option<Time> {
+    ts.ids().take(n).try_fold(Time::ZERO, |acc, j| {
+        ts.task(j)
+            .wcet()
+            .checked_mul(model.interfering_jobs(ts, j, t))?
+            .checked_add(acc)
+    })
+}
+
 /// Worst-case response time of the **first** job of `task_id` released at
 /// the synchronous critical instant, under the given interference model,
 /// or `None` if the fixed point exceeds the deadline-search horizon (the
@@ -98,12 +110,7 @@ fn response_time_at(
 ) -> Option<Time> {
     let mut r = demand;
     for _ in 0..MAX_ITERATIONS {
-        let interference: Time = ts
-            .ids()
-            .take(task_id.0)
-            .map(|hp| ts.task(hp).wcet() * model.interfering_jobs(ts, hp, r))
-            .sum();
-        let next = demand + interference;
+        let next = demand.checked_add(interfering_work(ts, task_id.0, model, r)?)?;
         if next == r {
             return Some(r);
         }
@@ -175,37 +182,70 @@ impl SchedulabilityReport {
 /// # }
 /// ```
 pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
+    let hyperperiod = ts.hyperperiod();
     let tasks = ts
         .ids()
         .map(|id| TaskResponse {
             task: id,
-            response_time: busy_window_response(ts, id, model),
+            response_time: busy_window_response(ts, id, model, hyperperiod),
         })
         .collect();
     SchedulabilityReport { model, tasks }
 }
 
-/// Convenience wrapper: is `ts` schedulable under the deeply-red pattern
-/// (the premise of Theorem 1)?
+/// Is `ts` schedulable under the deeply-red pattern (the premise of
+/// Theorem 1)?
+///
+/// Verdict-only: walks the same per-task busy windows as [`analyze`] in
+/// priority order but stops at the first task that misses and builds no
+/// report, so rejecting a set (the common case when the workload
+/// generator fills high-utilization buckets) costs only the tasks up to
+/// the first miss. Always equal to
+/// `analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()`.
+///
+/// ```
+/// use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
+/// use mkss_core::prelude::*;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // τ1 leaves τ2 too little room for its mandatory jobs.
+/// let ts = TaskSet::new(vec![
+///     Task::from_ms(4, 4, 3, 2, 3)?,
+///     Task::from_ms(6, 6, 3, 2, 3)?,
+/// ])?;
+/// let report = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+/// assert!(!is_schedulable_r_pattern(&ts));
+/// assert_eq!(is_schedulable_r_pattern(&ts), report.schedulable());
+/// # Ok(())
+/// # }
+/// ```
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
-    analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()
+    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    let hyperperiod = ts.hyperperiod();
+    ts.ids()
+        .all(|id| busy_window_response(ts, id, model, hyperperiod).is_some())
 }
 
 /// Walks the level-i busy window started at the synchronous release and
 /// returns the worst response time over all own (interfering) jobs in it,
-/// or `None` on a deadline miss.
-fn busy_window_response(ts: &TaskSet, task_id: TaskId, model: InterferenceModel) -> Option<Time> {
+/// or `None` on a deadline miss. `hyperperiod` is `ts.hyperperiod()`,
+/// computed once per set by the caller.
+fn busy_window_response(
+    ts: &TaskSet,
+    task_id: TaskId,
+    model: InterferenceModel,
+    hyperperiod: Time,
+) -> Option<Time> {
     let task = ts.task(task_id);
     // Length of the level-i busy window: L = Σ_{j<=i} N_j(L)·C_j.
     let busy_len = {
         let mut l = task.wcet();
         let mut iterations = 0;
         loop {
-            let next: Time = ts
-                .ids()
-                .take(task_id.0 + 1)
-                .map(|j| ts.task(j).wcet() * model.interfering_jobs(ts, j, l))
-                .sum();
+            // A sum that overflows `Time` is an unbounded busy window:
+            // the hyperperiod saturates at `Time::MAX` for large sets,
+            // so the cut-off below alone cannot stop the growth.
+            let next = interfering_work(ts, task_id.0 + 1, model, l)?;
             if next == l {
                 break l;
             }
@@ -213,7 +253,7 @@ fn busy_window_response(ts: &TaskSet, task_id: TaskId, model: InterferenceModel)
             // Utilization ≥ 1 at this level → unbounded busy window. The
             // horizon `hyperperiod` is a safe cut-off: a busy window that
             // long necessarily contains a deadline miss for D ≤ P.
-            if iterations > MAX_ITERATIONS || next > ts.hyperperiod() {
+            if iterations > MAX_ITERATIONS || next > hyperperiod {
                 return None;
             }
             l = next;

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mkss_analysis::exact::exact_sweep;
 use mkss_analysis::postpone::{job_postponement, postponement_intervals, PostponeConfig};
 use mkss_analysis::rotation::{find_rotation, RotationConfig};
-use mkss_analysis::rta::{analyze, InterferenceModel};
+use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
 use mkss_core::history::{JobOutcome, MkHistory};
 use mkss_core::mk::{MkConstraint, Pattern};
 use mkss_core::task::TaskSet;
@@ -24,8 +24,28 @@ fn sample_set() -> TaskSet {
         .expect("0.5 utilization is generatable")
 }
 
+/// Draws per iteration of `workload/top_bucket_attempts`.
+const TOP_BUCKET_ATTEMPTS: usize = 100;
+
+/// A raw set from the top Fig. 6 bucket that fails the R-pattern test:
+/// the generator's common case while filling high-utilization buckets.
+fn rejected_set() -> TaskSet {
+    let mut g = Generator::new(WorkloadConfig::paper(), 12345);
+    loop {
+        if let Some(ts) = g.raw_set_in(0.8, 0.9) {
+            if !is_schedulable_r_pattern(&ts) {
+                return ts;
+            }
+        }
+    }
+}
+
 fn bench_analysis(c: &mut Criterion) {
     let ts = sample_set();
+    let rejected = rejected_set();
+    c.bench_function("rta/r_pattern_verdict", |b| {
+        b.iter(|| black_box(is_schedulable_r_pattern(black_box(&rejected))))
+    });
     c.bench_function("rta/mandatory_only", |b| {
         b.iter(|| {
             black_box(analyze(
@@ -133,6 +153,16 @@ fn bench_workload(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             black_box(Generator::new(WorkloadConfig::paper(), seed).schedulable_set(0.4))
+        })
+    });
+    group.bench_function("top_bucket_attempts", |b| {
+        b.iter(|| {
+            let mut g = Generator::new(WorkloadConfig::paper(), 7);
+            let accepted = (0..TOP_BUCKET_ATTEMPTS)
+                .filter_map(|_| g.raw_set_in(0.8, 0.9))
+                .filter(is_schedulable_r_pattern)
+                .count();
+            black_box(accepted)
         })
     });
     group.finish();

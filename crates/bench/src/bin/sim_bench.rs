@@ -1,6 +1,7 @@
-//! Engine-throughput snapshot: times the fresh (`simulate`) and
-//! reused-workspace (`simulate_in`) entry paths on Section-V-sized task
-//! sets and writes the `BENCH_sim.json` tracked in the repo root.
+//! Throughput snapshot: times the fresh (`simulate`) and
+//! reused-workspace (`simulate_in`) engine entry paths on Section-V-sized
+//! task sets, plus the workload generator filling a Fig. 6 bucket plan,
+//! and writes the `BENCH_sim.json` tracked in the repo root.
 //!
 //! ```text
 //! sim_bench [--sets N] [--reps N] [--horizon-ms MS] [--seed S]
@@ -66,6 +67,10 @@ fn main() -> ExitCode {
         report.reuse.sims_per_second,
         report.reuse.jobs_per_second,
         report.reuse_speedup()
+    ));
+    reporter.line(&format!(
+        "generate: {:8.1} ms  {:8.0} attempts/s  ({} attempts)",
+        report.generate.wall_ms, report.generate.attempts_per_second, report.generate.attempts
     ));
     let json = match serde_json::to_string_pretty(&report) {
         Ok(json) => json,

@@ -10,6 +10,10 @@
 //! * **reuse** — [`mkss_sim::engine::simulate_in`] against one
 //!   [`mkss_sim::engine::SimWorkspace`] reused across all runs, the way
 //!   the harness drives it per worker thread.
+//!
+//! A third path, **generate**, times the Section-V workload generator
+//! filling a Fig. 6 bucket plan: the top buckets reject thousands of raw
+//! draws, so this is the R-pattern test's rejection path.
 
 use std::time::Instant;
 
@@ -17,7 +21,7 @@ use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate, simulate_in, SimConfig, SimWorkspace};
-use mkss_workload::{Generator, WorkloadConfig};
+use mkss_workload::{generate_buckets_jobs, BucketPlan, Generator, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one [`measure`] call.
@@ -36,6 +40,11 @@ pub struct SimBenchConfig {
     /// Policies simulated per set.
     pub policies: Vec<PolicyKind>,
 }
+
+/// Schedulable sets per bucket on the generate path: the Fig. 6 plan at
+/// a fifth of the paper's 20, where the top bucket still spends its whole
+/// 5000-draw cap on rejects.
+const GENERATE_SETS_PER_BUCKET: usize = 4;
 
 impl Default for SimBenchConfig {
     /// Section-V-sized sets (5–10 tasks, the paper's generator), the
@@ -64,6 +73,19 @@ pub struct PathStats {
     pub jobs_per_second: f64,
 }
 
+/// Timing of the generate path.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct GenerateStats {
+    /// Best-of-`reps` wall time for filling the whole plan, in
+    /// milliseconds.
+    pub wall_ms: f64,
+    /// Bucket attempts (a raw draw plus, when the draw succeeds, its
+    /// R-pattern verdict) per repetition.
+    pub attempts: u64,
+    /// Attempts per second at that wall time.
+    pub attempts_per_second: f64,
+}
+
 /// The `BENCH_sim.json` payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimBenchReport {
@@ -77,6 +99,8 @@ pub struct SimBenchReport {
     pub fresh: PathStats,
     /// `simulate_in` with one reused [`SimWorkspace`].
     pub reuse: PathStats,
+    /// Bucket generation over the Fig. 6 plan.
+    pub generate: GenerateStats,
 }
 
 impl SimBenchReport {
@@ -158,6 +182,30 @@ pub fn measure(config: &SimBenchConfig) -> SimBenchReport {
         released_jobs: released,
         fresh,
         reuse,
+        generate: time_generate(config),
+    }
+}
+
+/// Times one serial fill of the Fig. 6 bucket plan with
+/// [`GENERATE_SETS_PER_BUCKET`] sets per bucket, best of `config.reps`.
+fn time_generate(config: &SimBenchConfig) -> GenerateStats {
+    let plan = BucketPlan {
+        sets_per_bucket: GENERATE_SETS_PER_BUCKET,
+        ..BucketPlan::default()
+    };
+    let mut attempts = 0;
+    let mut best = f64::INFINITY;
+    for _ in 0..config.reps.max(1) {
+        // mkss-lint: allow(nondeterminism) — throughput measurement; wall time is the measured quantity here
+        let start = Instant::now();
+        let buckets = generate_buckets_jobs(WorkloadConfig::paper(), plan, config.seed, 1);
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        attempts = buckets.iter().map(|b| b.generated).sum();
+    }
+    GenerateStats {
+        wall_ms: best,
+        attempts,
+        attempts_per_second: attempts as f64 / (best / 1e3),
     }
 }
 
@@ -178,6 +226,9 @@ mod tests {
         assert!(report.simulations >= 1);
         assert!(report.fresh.sims_per_second > 0.0);
         assert!(report.reuse.sims_per_second > 0.0);
+        // The top bucket of the Fig. 6 plan exhausts its attempt cap.
+        assert!(report.generate.attempts >= 5_000);
+        assert!(report.generate.attempts_per_second > 0.0);
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("sims_per_second"));
     }

@@ -119,6 +119,15 @@ impl Time {
         }
     }
 
+    /// Checked addition.
+    #[inline]
+    pub const fn checked_add(self, rhs: Time) -> Option<Time> {
+        match self.0.checked_add(rhs.0) {
+            Some(t) => Some(Time(t)),
+            None => None,
+        }
+    }
+
     /// Saturating addition: clamps at [`Time::MAX`].
     #[inline]
     pub const fn saturating_add(self, rhs: Time) -> Time {
@@ -370,6 +379,11 @@ mod tests {
             Some(Time::from_ms(2))
         );
         assert_eq!(Time::MAX.checked_mul(2), None);
+        assert_eq!(Time::MAX.checked_add(Time::from_ticks(1)), None);
+        assert_eq!(
+            Time::from_ms(1).checked_add(Time::from_ms(2)),
+            Some(Time::from_ms(3))
+        );
     }
 
     #[test]

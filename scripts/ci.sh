@@ -253,7 +253,9 @@ grep -q "shut down cleanly" "$tmpdir/top-serve-stdout.txt" || {
 echo "mkss-top smoke ok (frame totals match the metrics op, drain closes watchers)"
 
 echo "== sim_bench drift check (hard gate) =="
-# A >25% drop below the tracked BENCH_sim.json baseline fails CI. Both
+# A >25% drop below the tracked BENCH_sim.json baseline fails CI, for
+# each of the engine's fresh and reuse paths and for the generate path
+# (Fig. 6 bucket attempts per second: the R-pattern rejection path). Both
 # sides are best-of measurements: sim_bench keeps the best of its reps,
 # and the gate keeps each path's best over up to 3 attempts, so a
 # transient load spike on a shared machine has to survive every attempt
@@ -273,15 +275,17 @@ import json, sys
 baseline = json.load(open(sys.argv[1]))
 attempts = [json.load(open(p)) for p in sys.argv[2:]]
 ok = True
-for path in ("fresh", "reuse"):
-    measured = max(a[path]["jobs_per_second"] for a in attempts)
-    reference = baseline[path]["jobs_per_second"]
+for path, key, unit in (("fresh", "jobs_per_second", "jobs/s"),
+                        ("reuse", "jobs_per_second", "jobs/s"),
+                        ("generate", "attempts_per_second", "attempts/s")):
+    measured = max(a[path][key] for a in attempts)
+    reference = baseline[path][key]
     if measured < 0.75 * reference:
         ok = False
-        print(f"{path}: best {measured:,.0f} jobs/s is >25% below the "
-              f"BENCH_sim.json baseline {reference:,.0f} jobs/s")
+        print(f"{path}: best {measured:,.0f} {unit} is >25% below the "
+              f"BENCH_sim.json baseline {reference:,.0f} {unit}")
     else:
-        print(f"{path}: {measured:,.0f} jobs/s (baseline {reference:,.0f}: ok)")
+        print(f"{path}: {measured:,.0f} {unit} (baseline {reference:,.0f}: ok)")
 sys.exit(0 if ok else 1)
 PY
     then
