@@ -13,7 +13,7 @@ use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
 use mkss_obs::NoopRecorder;
 use mkss_policies::{BuildOptions, PolicyKind};
-use mkss_sim::engine::{simulate, simulate_in, SimConfig, SimWorkspace};
+use mkss_sim::engine::{simulate, simulate_in, simulate_traced, SimConfig, SimWorkspace};
 use mkss_workload::{Generator, WorkloadConfig};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -105,23 +105,19 @@ fn bench_rotation(c: &mut Criterion) {
 
 fn bench_trace_tools(c: &mut Criterion) {
     let ts = sample_set();
-    let config = SimConfig::builder()
-        .horizon_ms(500)
-        .record_trace(true)
-        .build();
+    let config = SimConfig::builder().horizon_ms(500).build();
     let mut policy = PolicyKind::Selective
         .build(&ts, &BuildOptions::default())
         .unwrap();
-    let report = simulate(&ts, policy.as_mut(), &config);
-    let trace = report.trace.as_ref().unwrap();
+    let (_, trace) = simulate_traced(&ts, policy.as_mut(), &config);
     c.bench_function("trace/vcd_render", |b| {
-        b.iter(|| black_box(mkss_sim::vcd::render_vcd(black_box(trace), ts.len())))
+        b.iter(|| black_box(mkss_sim::vcd::render_vcd(black_box(&trace), ts.len())))
     });
     c.bench_function("trace/metrics", |b| {
         b.iter(|| {
             black_box(mkss_sim::metrics::analyze_trace(
                 black_box(&ts),
-                black_box(trace),
+                black_box(&trace),
             ))
         })
     });
@@ -188,7 +184,7 @@ fn bench_simulate(c: &mut Criterion) {
 }
 
 /// The engine's hot path, isolated from policy construction: one full
-/// `record_trace = false` run per iteration, fresh arena vs reused
+/// untraced run (no recorder attached) per iteration, fresh arena vs reused
 /// workspace — the pair whose ratio `BENCH_sim.json` tracks.
 fn bench_sim_hot_path(c: &mut Criterion) {
     let ts = sample_set();

@@ -10,7 +10,9 @@ use std::time::Instant;
 use mkss_core::par;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
-use mkss_obs::{Recorder, Registry, Reporter, Stopwatch, TraceBuffer, TraceRecorder};
+use mkss_obs::{
+    Recorder, Registry, Reporter, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
+};
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate_in, SimConfig};
 use mkss_sim::fault::FaultConfig;
@@ -650,7 +652,7 @@ pub fn run_experiment_observed(
 /// empty buffer is returned when no set can be generated or no policy
 /// applies; exporters render it as an empty track.
 pub fn trace_representative(config: &ExperimentConfig) -> TraceBuffer {
-    let tracer = TraceRecorder::with_capacity(mkss_obs::DEFAULT_TRACE_CAPACITY);
+    let tracer = TraceRecorder::new(TraceBuffer::with_capacity(DEFAULT_TRACE_CAPACITY), None);
     let midpoint = (config.plan.from + config.plan.to) / 2.0;
     let Some(ts) = Generator::new(config.workload, config.seed).schedulable_set(midpoint) else {
         return tracer.take();

@@ -3,7 +3,7 @@
 //!
 //! The quantity tracked is the experiment pipeline's unit of work: build
 //! a policy and run one full simulation of a Section-V-sized random task
-//! set with `record_trace = false`. Two variants are timed:
+//! set with no recorder attached. Two variants are timed:
 //!
 //! * **fresh** — the plain [`mkss_sim::engine::simulate`] entry point,
 //!   which sets up a new arena per call;

@@ -36,7 +36,7 @@ use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
 use mkss_obs::{
     chrome_trace, violation_reports, EchoRecorder, LogLevel, MetricsDoc, Recorder, Registry,
-    Reporter, Stopwatch, TraceRecorder, DEFAULT_TRACE_CAPACITY,
+    Reporter, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
 };
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate_in, SimConfig, SimWorkspace};
@@ -44,6 +44,7 @@ use mkss_sim::fault::FaultConfig;
 use mkss_sim::pool::WorkspacePool;
 use mkss_sim::power::PowerModel;
 use mkss_sim::proc::ProcId;
+use mkss_sim::trace::{Trace, TraceCollector};
 use mkss_sim::vcd::render_vcd;
 use mkss_top::{Target, TopConfig};
 use mkss_workload::{Generator, WorkloadConfig};
@@ -288,13 +289,11 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
         .horizon(horizon)
         .power(power)
         .faults(faults)
-        .record_trace(gantt || vcd_path.is_some())
         .build();
     // MKSS_LOG attaches a recorder to the workspace; the report itself is
     // byte-identical with and without it (recorders only observe).
     let log = log_level()?;
-    let mut ws = SimWorkspace::new();
-    let obs = if log.enabled() {
+    let (log_recorder, obs) = if log.enabled() {
         let registry = Arc::new(Registry::new(1));
         let reporter = Arc::new(Reporter::stderr());
         let recorder: Arc<dyn Recorder> = match log {
@@ -304,11 +303,14 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
             )),
             _ => Arc::new(registry.handle_at(0)),
         };
-        ws.set_recorder(Some(recorder));
-        Some((registry, reporter))
+        (Some(recorder), Some((registry, reporter)))
     } else {
-        None
+        (None, None)
     };
+    // The --gantt / --vcd schedule is rebuilt from the engine's event
+    // stream; the collector forwards every event to the MKSS_LOG recorder.
+    let collector = Arc::new(TraceCollector::new(Trace::new(), log_recorder));
+    let mut ws = SimWorkspace::with_recorder(collector.clone());
     let report = simulate_in(&mut ws, &ts, policy.as_mut(), &config);
 
     let mut out = String::new();
@@ -344,14 +346,13 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
             v.task, v.job_index
         ));
     }
-    if let Some(trace) = &report.trace {
-        if gantt {
-            out.push_str(&trace.render_gantt_ms(horizon.min(Time::from_ms(120))));
-        }
-        if let Some(path) = vcd_path {
-            std::fs::write(&path, render_vcd(trace, ts.len()))?;
-            out.push_str(&format!("wrote VCD to {path}\n"));
-        }
+    let trace = collector.take();
+    if gantt {
+        out.push_str(&trace.render_gantt_ms(horizon.min(Time::from_ms(120))));
+    }
+    if let Some(path) = vcd_path {
+        std::fs::write(&path, render_vcd(&trace, ts.len()))?;
+        out.push_str(&format!("wrote VCD to {path}\n"));
     }
     if let Some((registry, reporter)) = &obs {
         report_summary_table(reporter, registry);
@@ -424,13 +425,11 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
     let tracers: Option<Vec<Arc<TraceRecorder>>> = trace_out.as_ref().map(|_| {
         (0..PolicyKind::ALL.len())
             .map(|index| {
-                Arc::new(match recorders.is_empty() {
-                    true => TraceRecorder::with_capacity(DEFAULT_TRACE_CAPACITY),
-                    false => TraceRecorder::wrapping(
-                        Arc::clone(&recorders[index % recorders.len()]),
-                        DEFAULT_TRACE_CAPACITY,
-                    ),
-                })
+                Arc::new(TraceRecorder::new(
+                    TraceBuffer::with_capacity(DEFAULT_TRACE_CAPACITY),
+                    (!recorders.is_empty())
+                        .then(|| Arc::clone(&recorders[index % recorders.len()])),
+                ))
             })
             .collect()
     });
@@ -499,9 +498,8 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
         ));
     }
     if let (Some(path), Some(tracers)) = (&trace_out, &tracers) {
-        let buffers: Vec<mkss_obs::TraceBuffer> =
-            tracers.iter().map(|tracer| tracer.snapshot()).collect();
-        let runs: Vec<(&str, &mkss_obs::TraceBuffer)> = PolicyKind::ALL
+        let buffers: Vec<TraceBuffer> = tracers.iter().map(|tracer| tracer.take()).collect();
+        let runs: Vec<(&str, &TraceBuffer)> = PolicyKind::ALL
             .iter()
             .map(|kind| kind.id())
             .zip(&buffers)

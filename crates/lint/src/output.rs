@@ -1,7 +1,7 @@
 //! Machine-readable report emission: a hand-rolled JSON writer in the
 //! same zero-dependency style as `serve::json` (which is the parser
 //! side of this format — the CLI test round-trips one through the
-//! other). Shape, version-gated for downstream tooling:
+//! other), escaping strings with `mkss-obs`'s shared escaper. Shape, version-gated for downstream tooling:
 //!
 //! ```text
 //! {
@@ -14,6 +14,8 @@
 //!              "baselined": 0, "files": 120}
 //! }
 //! ```
+
+use mkss_obs::push_json_string;
 
 use crate::rules::Finding;
 use crate::LintReport;
@@ -52,32 +54,15 @@ pub fn to_json(report: &LintReport) -> String {
 
 fn push_finding(s: &mut String, f: &Finding) {
     s.push_str("{\"path\": ");
-    push_json_str(s, &f.path);
+    push_json_string(s, &f.path);
     s.push_str(&format!(", \"line\": {}", f.line));
     s.push_str(", \"code\": ");
-    push_json_str(s, f.code());
+    push_json_string(s, f.code());
     s.push_str(", \"rule\": ");
-    push_json_str(s, f.rule);
+    push_json_string(s, f.rule);
     s.push_str(", \"message\": ");
-    push_json_str(s, &f.message);
+    push_json_string(s, &f.message);
     s.push('}');
-}
-
-/// JSON string escaping: quotes, backslashes, and control characters.
-fn push_json_str(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 #[cfg(test)]

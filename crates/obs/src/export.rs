@@ -51,48 +51,7 @@ impl MetricsDoc {
     /// Serialize as a pretty-printed JSON object with the four fixed
     /// top-level keys.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n  \"meta\": {");
-        for (i, (key, value)) in self.meta.iter().enumerate() {
-            push_sep(&mut out, i, "    ");
-            push_json_string(&mut out, key);
-            out.push_str(": ");
-            push_json_string(&mut out, value);
-        }
-        close_object(&mut out, self.meta.is_empty(), "  ");
-
-        out.push_str(",\n  \"counters\": {");
-        for (i, (name, value)) in self.snapshot.iter_counters().enumerate() {
-            push_sep(&mut out, i, "    ");
-            push_json_string(&mut out, name);
-            out.push_str(": ");
-            out.push_str(&value.to_string());
-        }
-        close_object(&mut out, false, "  ");
-
-        out.push_str(",\n  \"histograms\": {");
-        for (i, &h) in HistogramId::ALL.iter().enumerate() {
-            push_sep(&mut out, i, "    ");
-            push_json_string(&mut out, h.name());
-            out.push_str(": {\"bounds\": ");
-            push_u64_array(&mut out, h.bounds());
-            out.push_str(", \"counts\": ");
-            push_u64_array(&mut out, self.snapshot.histogram(h));
-            out.push('}');
-        }
-        close_object(&mut out, false, "  ");
-
-        out.push_str(",\n  \"stages\": {");
-        for (i, (name, ms)) in self.stages.iter().enumerate() {
-            push_sep(&mut out, i, "    ");
-            push_json_string(&mut out, name);
-            out.push_str(": ");
-            push_json_f64(&mut out, *ms);
-        }
-        close_object(&mut out, self.stages.is_empty(), "  ");
-
-        out.push_str("\n}\n");
-        out
+        self.render(true)
     }
 
     /// Serialize as a compact single-line JSON object — same fixed keys
@@ -100,47 +59,75 @@ impl MetricsDoc {
     /// the wire form used by the `mkss-serve` line protocol, where a
     /// document must fit one response line.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"meta\":{");
-        for (i, (key, value)) in self.meta.iter().enumerate() {
-            if i > 0 {
+        self.render(false)
+    }
+
+    /// The one walk behind both renderings, which differ only in
+    /// whitespace.
+    fn render(&self, pretty: bool) -> String {
+        let (colon, comma, section, member) = match pretty {
+            true => (": ", ", ", "\n  ", "\n    "),
+            false => (":", ",", "", ""),
+        };
+        // `,` unless the object's first key, the indent, `"key":`.
+        let key = |out: &mut String, index: usize, indent: &str, name: &str| {
+            if index > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, key);
-            out.push(':');
+            out.push_str(indent);
+            push_json_string(out, name);
+            out.push_str(colon);
+        };
+        let close = |out: &mut String, empty: bool| {
+            if !empty {
+                out.push_str(section);
+            }
+            out.push('}');
+        };
+        let array = |out: &mut String, values: &[u64]| {
+            let items: Vec<String> = values.iter().map(u64::to_string).collect();
+            out.push_str(&format!("[{}]", items.join(comma)));
+        };
+        let mut out = String::with_capacity(2048);
+        out.push('{');
+        key(&mut out, 0, section, "meta");
+        out.push('{');
+        for (i, (name, value)) in self.meta.iter().enumerate() {
+            key(&mut out, i, member, name);
             push_json_string(&mut out, value);
         }
-        out.push_str("},\"counters\":{");
+        close(&mut out, self.meta.is_empty());
+
+        key(&mut out, 1, section, "counters");
+        out.push('{');
         for (i, (name, value)) in self.snapshot.iter_counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            out.push(':');
+            key(&mut out, i, member, name);
             out.push_str(&value.to_string());
         }
-        out.push_str("},\"histograms\":{");
+        close(&mut out, false);
+
+        key(&mut out, 2, section, "histograms");
+        out.push('{');
         for (i, &h) in HistogramId::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, h.name());
-            out.push_str(":{\"bounds\":");
-            push_compact_u64_array(&mut out, h.bounds());
-            out.push_str(",\"counts\":");
-            push_compact_u64_array(&mut out, self.snapshot.histogram(h));
+            key(&mut out, i, member, h.name());
+            out.push('{');
+            key(&mut out, 0, "", "bounds");
+            array(&mut out, h.bounds());
+            out.push_str(comma);
+            key(&mut out, 0, "", "counts");
+            array(&mut out, self.snapshot.histogram(h));
             out.push('}');
         }
-        out.push_str("},\"stages\":{");
+        close(&mut out, false);
+
+        key(&mut out, 3, section, "stages");
+        out.push('{');
         for (i, (name, ms)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            out.push(':');
+            key(&mut out, i, member, name);
             push_json_f64(&mut out, *ms);
         }
-        out.push_str("}}");
+        close(&mut out, self.stages.is_empty());
+        out.push_str(if pretty { "\n}\n" } else { "}" });
         out
     }
 
@@ -207,46 +194,9 @@ pub fn metrics_doc(
     doc
 }
 
-fn push_compact_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-fn push_sep(out: &mut String, index: usize, indent: &str) {
-    if index > 0 {
-        out.push(',');
-    }
-    out.push('\n');
-    out.push_str(indent);
-}
-
-fn close_object(out: &mut String, empty: bool, indent: &str) {
-    if !empty {
-        out.push('\n');
-        out.push_str(indent);
-    }
-    out.push('}');
-}
-
-fn push_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-/// Escape and quote `s` per RFC 8259.
-fn push_json_string(out: &mut String, s: &str) {
+/// Escape and quote `s` per RFC 8259, appending to `out` — the one JSON
+/// string escaper every hand-rolled writer in the workspace shares.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

@@ -39,14 +39,14 @@ mod span;
 mod trace;
 
 pub use event::{CounterId, HistogramId, Percentile};
-pub use export::{metrics_doc, MetricsDoc};
+pub use export::{metrics_doc, push_json_string, MetricsDoc};
 pub use log::{LogLevel, ParseLogLevelError, LOG_ENV_VAR};
 pub use recorder::{EchoRecorder, NoopRecorder, Recorder, RequestId, ScopedRecorder};
 pub use registry::{MetricsSnapshot, RecorderHandle, Registry};
 pub use reporter::Reporter;
 pub use span::Stopwatch;
 pub use trace::{
-    chrome_trace, timeline_text, trace_json_fragment, violation_reports, violation_reports_on,
-    CopyRole, EngineEvent, TraceBuffer, TraceEvent, TraceKind, TraceRecorder, ViolationReport,
-    DEFAULT_TRACE_CAPACITY, PROC_NONE,
+    chrome_trace, segment_parts, segment_payload, timeline_text, trace_json_fragment,
+    violation_reports, violation_reports_on, CopyRole, EngineEvent, EventSink, TraceBuffer,
+    TraceEvent, TraceKind, TraceRecorder, ViolationReport, DEFAULT_TRACE_CAPACITY, PROC_NONE,
 };

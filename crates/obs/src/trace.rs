@@ -16,6 +16,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{CounterId, HistogramId};
+use crate::export::push_json_string;
 use crate::recorder::Recorder;
 
 /// A poisoned buffer mutex just means another recorder panicked mid-push;
@@ -28,8 +29,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Default [`TraceBuffer`] capacity for command-line captures: enough for
-/// every event of a Section-V-scale run without resizing.
+/// Default [`TraceBuffer`] capacity for command-line captures: a 1 s
+/// Section-V run records at most ~4.4k events, segments included, so
+/// runs up to about 15 s keep every event.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Sentinel processor id for engine-level events that belong to no
@@ -78,11 +80,15 @@ pub enum TraceKind {
     MkViolation,
     /// The event loop aborted on a non-advancing next-event time.
     EngineStall,
+    /// A copy left its processor, closing one non-empty execution
+    /// segment. The event time is the segment end; the payload packs the
+    /// start and the end-reason code ([`segment_payload`]).
+    Segment,
 }
 
 impl TraceKind {
     /// Number of event kinds in the catalog.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     /// Every kind, in catalog order.
     pub const ALL: [TraceKind; Self::COUNT] = [
@@ -102,6 +108,7 @@ impl TraceKind {
         TraceKind::JobMissed,
         TraceKind::MkViolation,
         TraceKind::EngineStall,
+        TraceKind::Segment,
     ];
 
     /// Stable snake_case export name.
@@ -123,8 +130,23 @@ impl TraceKind {
             TraceKind::JobMissed => "job_missed",
             TraceKind::MkViolation => "mk_violation",
             TraceKind::EngineStall => "engine_stall",
+            TraceKind::Segment => "segment",
         }
     }
+}
+
+/// Packs a [`TraceKind::Segment`] payload: the start time in ticks above
+/// a 3-bit end-reason code, inverted exactly by [`segment_parts`] for
+/// every start below 2^61 ticks.
+#[inline]
+pub fn segment_payload(start_us: u64, reason: u8) -> u64 {
+    debug_assert!(start_us < 1 << 61 && reason < 8);
+    start_us << 3 | u64::from(reason)
+}
+
+/// Unpacks a [`segment_payload`] into `(start_us, reason)`.
+pub fn segment_parts(payload: u64) -> (u64, u8) {
+    (payload >> 3, (payload & 0b111) as u8)
 }
 
 /// Which copy of a job an event refers to, if any.
@@ -268,46 +290,57 @@ impl TraceBuffer {
     }
 }
 
-/// A [`Recorder`] decorator that captures the structured event stream
-/// into a [`TraceBuffer`] while forwarding everything — counters,
-/// histograms, and the events themselves — to an optional inner recorder.
-///
-/// Like every recorder it is oblivious: attaching one leaves the
-/// simulation byte-identical. The buffer is fully pre-allocated at
-/// construction, so recording never allocates per event.
-pub struct TraceRecorder {
-    inner: Option<Arc<dyn Recorder>>,
-    buffer: Mutex<TraceBuffer>,
+/// Where a [`TraceRecorder`] keeps the events it captures: the
+/// [`TraceBuffer`] ring, or any other consumer of the event stream (the
+/// simulator rebuilds its schedule trace this way).
+pub trait EventSink: Send {
+    /// Takes one event.
+    fn record(&mut self, event: &EngineEvent);
+
+    /// An empty sink configured like this one, which
+    /// [`TraceRecorder::take`] leaves in place.
+    fn emptied(&self) -> Self;
 }
 
-impl TraceRecorder {
-    /// A stand-alone trace capture with no inner recorder.
-    pub fn with_capacity(capacity: usize) -> TraceRecorder {
+impl EventSink for TraceBuffer {
+    fn record(&mut self, event: &EngineEvent) {
+        self.push(*event);
+    }
+
+    fn emptied(&self) -> TraceBuffer {
+        TraceBuffer::with_capacity(self.capacity)
+    }
+}
+
+/// A [`Recorder`] decorator that captures the structured event stream
+/// into an [`EventSink`] — by default a [`TraceBuffer`] — while
+/// forwarding everything (counters, histograms, and the events
+/// themselves) to an optional inner recorder.
+///
+/// Like every recorder it is oblivious: attaching one leaves the
+/// simulation byte-identical. A [`TraceBuffer`] is fully pre-allocated
+/// at construction, so ring captures never allocate per event.
+pub struct TraceRecorder<S = TraceBuffer> {
+    inner: Option<Arc<dyn Recorder>>,
+    buffer: Mutex<S>,
+}
+
+impl<S: EventSink> TraceRecorder<S> {
+    /// Capture the event stream into `sink`, forwarding everything to
+    /// `inner` when one is given.
+    pub fn new(sink: S, inner: Option<Arc<dyn Recorder>>) -> TraceRecorder<S> {
         TraceRecorder {
-            inner: None,
-            buffer: Mutex::new(TraceBuffer::with_capacity(capacity)),
+            inner,
+            buffer: Mutex::new(sink),
         }
     }
 
-    /// Capture the event stream while forwarding everything to `inner`.
-    pub fn wrapping(inner: Arc<dyn Recorder>, capacity: usize) -> TraceRecorder {
-        TraceRecorder {
-            inner: Some(inner),
-            buffer: Mutex::new(TraceBuffer::with_capacity(capacity)),
-        }
-    }
-
-    /// A copy of the captured buffer as of now.
-    pub fn snapshot(&self) -> TraceBuffer {
-        lock(&self.buffer).clone()
-    }
-
-    /// Take the captured buffer, leaving an empty one of the same
-    /// capacity in place.
-    pub fn take(&self) -> TraceBuffer {
+    /// Take the captured sink, leaving an empty one configured the same
+    /// way in place.
+    pub fn take(&self) -> S {
         let mut guard = lock(&self.buffer);
-        let capacity = guard.capacity();
-        std::mem::replace(&mut guard, TraceBuffer::with_capacity(capacity))
+        let empty = guard.emptied();
+        std::mem::replace(&mut guard, empty)
     }
 }
 
@@ -322,7 +355,7 @@ impl std::fmt::Debug for TraceRecorder {
     }
 }
 
-impl Recorder for TraceRecorder {
+impl<S: EventSink> Recorder for TraceRecorder<S> {
     #[inline]
     fn incr(&self, counter: CounterId, by: u64) {
         if let Some(inner) = &self.inner {
@@ -341,7 +374,7 @@ impl Recorder for TraceRecorder {
         if let Some(inner) = &self.inner {
             inner.event(event);
         }
-        lock(&self.buffer).push(*event);
+        lock(&self.buffer).record(event);
     }
 }
 
@@ -398,8 +431,10 @@ pub fn timeline_text(buffer: &TraceBuffer) -> String {
 ///
 /// Each `(label, buffer)` run becomes one process (pid = position + 1)
 /// named by its label, with one thread track per processor (`primary`,
-/// `spare`) plus an `engine` track for processor-less events. Every
-/// event renders as an instant ("i"); each mandatory release whose
+/// `spare`) plus an `engine` track for processor-less events. Each
+/// [`TraceKind::Segment`] renders as a complete slice ("X") on its
+/// processor track, named by the copy role; every other event renders
+/// as an instant ("i"). Each mandatory release whose
 /// backup later completed or was canceled additionally opens a nestable
 /// async span ("b" on the primary track, "e" on the backup's terminal
 /// event) so Perfetto draws the primary→backup pairing as an arrow.
@@ -410,9 +445,10 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
     let mut entries: Vec<String> = Vec::new();
     for (i, (label, buffer)) in runs.iter().enumerate() {
         let pid = i + 1;
+        let mut name = String::new();
+        push_json_string(&mut name, label);
         entries.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-            json_string(label)
+            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":{name}}}}}"
         ));
         for (tid, name) in [(0, "primary"), (1, "spare"), (2, "engine")] {
             entries.push(format!(
@@ -443,6 +479,19 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
             std::collections::BTreeMap::new();
         for record in buffer.iter() {
             let e = &record.event;
+            if e.kind == TraceKind::Segment {
+                let (start, ended) = segment_parts(e.payload);
+                entries.push(format!(
+                    "{{\"ph\":\"X\",\"cat\":\"segment\",\"pid\":{pid},\"tid\":{tid},\"ts\":{start},\"dur\":{dur},\"name\":\"{copy}\",\"args\":{{\"seq\":{seq},\"task\":{task},\"job\":{job},\"ended\":{ended}}}}}",
+                    tid = proc_tid(e.proc),
+                    dur = e.at_us - start,
+                    copy = e.copy.name(),
+                    seq = record.seq,
+                    task = e.task,
+                    job = e.job,
+                ));
+                continue;
+            }
             entries.push(format!(
                 "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{name}\",\"args\":{{\"seq\":{seq},\"task\":{task},\"job\":{job},\"copy\":\"{copy}\",\"payload\":{payload}}}}}",
                 tid = proc_tid(e.proc),
@@ -520,24 +569,6 @@ pub fn trace_json_fragment(buffer: &TraceBuffer) -> String {
         ));
     }
     out.push_str("]}");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -731,20 +762,22 @@ mod tests {
     fn trace_recorder_captures_and_forwards() {
         use crate::registry::Registry;
         let registry = Arc::new(Registry::new(1));
-        let recorder = TraceRecorder::wrapping(Arc::new(registry.handle_at(0)), 8);
+        let recorder = TraceRecorder::new(
+            TraceBuffer::with_capacity(8),
+            Some(Arc::new(registry.handle_at(0))),
+        );
         recorder.incr(CounterId::JobsMet, 2);
         recorder.observe(HistogramId::MkDistance, 1);
         recorder.event(&ev(10, TraceKind::JobMet, 1, 0, 3));
         let snap = registry.snapshot();
         assert_eq!(snap.counter(CounterId::JobsMet), 2);
         assert_eq!(snap.histogram(HistogramId::MkDistance)[1], 1);
-        let buffer = recorder.snapshot();
+        let buffer = recorder.take();
         assert_eq!(buffer.len(), 1);
         assert_eq!(buffer.iter().next().expect("event").event.at_us, 10);
-        let taken = recorder.take();
-        assert_eq!(taken.len(), 1);
-        assert!(recorder.snapshot().is_empty());
-        assert_eq!(recorder.snapshot().capacity(), 8);
+        let emptied = recorder.take();
+        assert!(emptied.is_empty());
+        assert_eq!(emptied.capacity(), 8);
     }
 
     #[test]
@@ -786,6 +819,35 @@ mod tests {
             json.contains("\"ph\":\"e\",\"cat\":\"backup\",\"id\":\"p1.t0.j0\""),
             "{json}"
         );
+    }
+
+    #[test]
+    fn segment_payload_round_trips_exactly() {
+        for start in [0, 1, 7, 1_000_000, (1 << 61) - 1] {
+            for reason in 0..8 {
+                assert_eq!(
+                    segment_parts(segment_payload(start, reason)),
+                    (start, reason)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chrome_trace_renders_segments_as_complete_slices() {
+        let mut buffer = TraceBuffer::with_capacity(8);
+        let mut segment = ev(500, TraceKind::Segment, 1, 2, segment_payload(200, 1));
+        segment.copy = CopyRole::Backup;
+        segment.proc = 1;
+        buffer.push(segment);
+        let json = chrome_trace(&[("run", &buffer)]);
+        assert!(
+            json.contains(
+                "{\"ph\":\"X\",\"cat\":\"segment\",\"pid\":1,\"tid\":1,\"ts\":200,\"dur\":300,\"name\":\"backup\",\"args\":{\"seq\":0,\"task\":1,\"job\":2,\"ended\":1}}"
+            ),
+            "{json}"
+        );
+        assert!(!json.contains("\"ph\":\"i\""), "{json}");
     }
 
     #[test]

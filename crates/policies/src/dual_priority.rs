@@ -289,12 +289,12 @@ mod tests {
         let ts = fig1_set();
         let mut dp = MkssDp::new(&ts).unwrap();
         assert_eq!(dp.promotion(), &[Time::from_ms(1), Time::from_ms(1)]);
-        let report = simulate(&ts, &mut dp, &SimConfig::active_only(Time::from_ms(20)));
+        let (report, trace) =
+            simulate_traced(&ts, &mut dp, &SimConfig::active_only(Time::from_ms(20)));
         assert!((report.active_energy().units() - 15.0).abs() < 1e-9);
         assert!(report.mk_assured());
 
         // Verify the schedule structure of Fig. 1 via the trace:
-        let trace = report.trace.as_ref().unwrap();
         // Primary: J11 [0,3), J'21 [3,5) canceled, J12 [5,8).
         let primary: Vec<_> = trace.segments_on(ProcId::PRIMARY).collect();
         assert_eq!(primary[0].job, JobId::new(TaskId(0), 1));
@@ -338,10 +338,10 @@ mod tests {
         let ts = fig1_set();
         let mut dp = MkssDp::with_placement(&ts, MainPlacement::MainsOnPrimary).unwrap();
         assert_eq!(dp.name(), "MKSS_DP_primary");
-        let report = simulate(&ts, &mut dp, &SimConfig::active_only(Time::from_ms(20)));
+        let (report, trace) =
+            simulate_traced(&ts, &mut dp, &SimConfig::active_only(Time::from_ms(20)));
         assert!(report.mk_assured());
         // All mains on primary → primary busy = 9ms of mains.
-        let trace = report.trace.as_ref().unwrap();
         assert!(trace
             .segments_on(ProcId::PRIMARY)
             .all(|s| s.kind == CopyKind::Main));
@@ -374,11 +374,11 @@ mod tests {
                     .faults(FaultConfig::permanent(proc, Time::from_ms(at_ms)))
                     .build();
                 let mut dp = MkssDp::new(&ts).unwrap();
-                let report = simulate(&ts, &mut dp, &config);
+                let (report, trace) = simulate_traced(&ts, &mut dp, &config);
                 assert!(
                     report.mk_assured(),
                     "violation with {proc} fault at {at_ms}ms:\n{}",
-                    report.trace.unwrap().render_gantt_ms(Time::from_ms(20))
+                    trace.render_gantt_ms(Time::from_ms(20))
                 );
             }
         }

@@ -291,11 +291,7 @@ mod tests {
     fn slowed_mains_still_meet_deadlines() {
         let ts = light_set();
         let mut dvs = MkssDpDvs::new(&ts).unwrap();
-        let config = SimConfig::builder()
-            .horizon_ms(600)
-            .active_only()
-            .record_trace(true)
-            .build();
+        let config = SimConfig::builder().horizon_ms(600).active_only().build();
         let report = simulate(&ts, &mut dvs, &config);
         assert_eq!(report.stats.missed, report.stats.optional_skipped);
         assert!(report.mk_assured());

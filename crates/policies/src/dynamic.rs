@@ -283,16 +283,13 @@ mod tests {
     fn selective_fig4_energy() {
         let ts = fig3_set();
         let mut p = DynamicPolicy::new(&ts).unwrap();
-        let report = simulate(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
+        let (report, trace) =
+            simulate_traced(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
         assert!(
             (report.active_energy().units() - 14.0).abs() < 1e-9,
             "expected 14 units, got {} \n{}",
             report.active_energy(),
-            report
-                .trace
-                .as_ref()
-                .unwrap()
-                .render_gantt_ms(Time::from_ms(25))
+            &trace.render_gantt_ms(Time::from_ms(25))
         );
         assert!(report.mk_assured());
     }
@@ -301,8 +298,7 @@ mod tests {
     fn selective_alternates_processors() {
         let ts = fig3_set();
         let mut p = DynamicPolicy::new(&ts).unwrap();
-        let report = simulate(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
-        let trace = report.trace.unwrap();
+        let (_, trace) = simulate_traced(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
         // Optional copies of τ1 must appear on both processors (Fig. 4:
         // O12 on the primary, then J13 "re-selected" on the spare).
         let procs: std::collections::BTreeSet<ProcId> = trace
@@ -329,16 +325,13 @@ mod tests {
             },
         )
         .unwrap();
-        let report = simulate(&ts, &mut p, &SimConfig::active_only(Time::from_ms(20)));
+        let (report, trace) =
+            simulate_traced(&ts, &mut p, &SimConfig::active_only(Time::from_ms(20)));
         assert!(
             (report.active_energy().units() - 12.0).abs() < 1e-9,
             "expected 12 units, got {}\n{}",
             report.active_energy(),
-            report
-                .trace
-                .as_ref()
-                .unwrap()
-                .render_gantt_ms(Time::from_ms(20))
+            &trace.render_gantt_ms(Time::from_ms(20))
         );
         assert!(report.mk_assured());
     }
@@ -428,9 +421,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.config().placement, OptionalPlacement::SpareOnly);
-        let report = simulate(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
+        let (report, trace) =
+            simulate_traced(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
         assert!(report.mk_assured());
-        let trace = report.trace.unwrap();
         assert!(trace
             .segments
             .iter()
@@ -449,11 +442,11 @@ mod tests {
                     .faults(FaultConfig::permanent(proc, Time::from_ms(at_ms)))
                     .build();
                 let mut p = DynamicPolicy::new(&ts).unwrap();
-                let report = simulate(&ts, &mut p, &config);
+                let (report, trace) = simulate_traced(&ts, &mut p, &config);
                 assert!(
                     report.mk_assured(),
                     "violation with {proc} fault at {at_ms}ms:\n{}",
-                    report.trace.unwrap().render_gantt_ms(Time::from_ms(20))
+                    trace.render_gantt_ms(Time::from_ms(20))
                 );
             }
         }

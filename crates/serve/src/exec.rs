@@ -17,13 +17,13 @@ use std::sync::Arc;
 
 use mkss_core::par;
 use mkss_obs::{
-    metrics_doc, trace_json_fragment, MetricsSnapshot, Recorder, Registry, RequestId,
-    ScopedRecorder, TraceRecorder,
+    metrics_doc, push_json_string, trace_json_fragment, MetricsSnapshot, Recorder, Registry,
+    RequestId, ScopedRecorder, TraceBuffer, TraceRecorder,
 };
 use mkss_policies::BuildOptions;
 use mkss_sim::prelude::{simulate_in, SimReport, WorkspacePool};
 
-use crate::json::{push_json_f64, push_json_string};
+use crate::json::push_json_f64;
 use crate::protocol::{error_line, ok_line, CompareJob, Op, Request, SimJob, SweepJob};
 
 /// Everything [`execute`] needs besides the request itself.
@@ -99,9 +99,9 @@ fn exec_simulate(id: u64, job: &SimJob, env: &ExecEnv<'_>) -> String {
     // When the request asked for a trace, tee the scoped recorder through a
     // bounded flight recorder; the ring holds exactly the last N events.
     let tracer = job.trace_last.map(|last| {
-        Arc::new(TraceRecorder::wrapping(
-            scoped(id, &registry, 0, env),
-            last as usize,
+        Arc::new(TraceRecorder::new(
+            TraceBuffer::with_capacity(last as usize),
+            Some(scoped(id, &registry, 0, env)),
         ))
     });
     let report = {
@@ -117,7 +117,7 @@ fn exec_simulate(id: u64, job: &SimJob, env: &ExecEnv<'_>) -> String {
         // Splice the timeline into the result object: `...}` → `...,"trace":{...}}`.
         result.pop();
         result.push_str(",\"trace\":");
-        result.push_str(&trace_json_fragment(&tracer.snapshot()));
+        result.push_str(&trace_json_fragment(&tracer.take()));
         result.push('}');
     }
     let metrics = request_metrics(id, "simulate", registry.snapshot());

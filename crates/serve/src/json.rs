@@ -349,25 +349,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escape and quote `s` per RFC 8259, appending to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Append a float that always parses as a JSON number (non-finite values
 /// clamp to 0, matching the `mkss-obs` exporter's convention).
 pub fn push_json_f64(out: &mut String, value: f64) {
@@ -456,7 +437,7 @@ mod tests {
     #[test]
     fn writer_helpers_escape_and_clamp() {
         let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\n\u{1}");
+        mkss_obs::push_json_string(&mut out, "a\"b\\c\n\u{1}");
         assert_eq!(out, r#""a\"b\\c\n\u0001""#);
         let mut out = String::new();
         push_json_f64(&mut out, 2.5);

@@ -47,10 +47,11 @@ use std::fmt;
 
 use mkss_core::task::{Task, TaskSet};
 use mkss_core::time::{Time, TICKS_PER_MS};
+use mkss_obs::push_json_string;
 use mkss_policies::PolicyKind;
 use mkss_sim::prelude::{FaultConfig, PermanentFault, ProcId, SimConfig};
 
-use crate::json::{self, push_json_string, JsonValue};
+use crate::json::{self, JsonValue};
 
 /// Upper bound on `seeds` in a sweep, so one request line cannot pin the
 /// worker pool for minutes.

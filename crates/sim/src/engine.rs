@@ -34,13 +34,13 @@
 //! Every experiment in the repo bottoms out in millions of calls into
 //! this module, so the inner loop is engineered to touch the heap only
 //! when a run grows past everything seen before: all per-run state
-//! (copies, job entries, task states, the ready/open index lists, and
-//! the trace buffers) lives in a reusable [`SimWorkspace`] arena.
-//! [`simulate_in`] runs one simulation inside a caller-owned workspace,
-//! so a sweep that simulates thousands of task sets reuses the same
-//! capacity throughout; [`simulate`] is the convenience wrapper that
-//! creates a throwaway workspace per call. With `record_trace = false`
-//! the steady-state event loop performs **zero** allocations per event.
+//! (copies, job entries, task states, the ready/open index lists)
+//! lives in a reusable [`SimWorkspace`] arena. [`simulate_in`] runs one
+//! simulation inside a caller-owned workspace, so a sweep that
+//! simulates thousands of task sets reuses the same capacity
+//! throughout; [`simulate`] is the convenience wrapper that creates a
+//! throwaway workspace per call. With no recorder attached the
+//! steady-state event loop performs **zero** allocations per event.
 //!
 //! Time advances on a pre-sized *event calendar* (a workspace-owned
 //! binary min-heap of typed entries — task releases, postponed copy
@@ -56,8 +56,11 @@
 //! ([`SimWorkspace::set_recorder`] / [`SimWorkspace::with_recorder`]):
 //! job releases and resolutions, mandatory/optional classification,
 //! backup release and postponement (`r̃ = r + θ`), backup cancellation,
-//! fault injection and recovery, and the (m,k) distance-to-violation at
-//! each resolution. The recorder lives on the workspace rather than on
+//! fault injection and recovery, the (m,k) distance-to-violation at
+//! each resolution, and every closed execution segment. That stream is
+//! the engine's only capture path: the schedule [`Trace`] is rebuilt
+//! from it by a [`TraceCollector`] ([`simulate_traced`]). The recorder
+//! lives on the workspace rather than on
 //! [`SimConfig`] because the config stays `Copy + PartialEq +
 //! Serialize`, which a trait-object handle cannot be. Recorders only
 //! observe — they never feed back into the run — so a recorder-on
@@ -70,7 +73,9 @@ use mkss_core::job::{CopyKind, Job, JobClass};
 use mkss_core::mk::MkMonitor;
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
-use mkss_obs::{CopyRole, CounterId, EngineEvent, HistogramId, Recorder, TraceKind, PROC_NONE};
+use mkss_obs::{
+    segment_payload, CopyRole, CounterId, EngineEvent, HistogramId, Recorder, TraceKind, PROC_NONE,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -79,7 +84,7 @@ use crate::policy::{Policy, ReleaseCtx, ReleaseDecision};
 use crate::power::{EnergyBreakdown, PowerModel};
 use crate::proc::ProcId;
 use crate::report::{JobStats, MkViolation, SimReport};
-use crate::trace::{JobResolution, Segment, SegmentEnd, Trace};
+use crate::trace::{SegmentEnd, Trace, TraceCollector};
 
 /// Configuration of one simulation run.
 ///
@@ -90,12 +95,8 @@ use crate::trace::{JobResolution, Segment, SegmentEnd, Trace};
 /// use mkss_core::time::Time;
 /// use mkss_sim::engine::SimConfig;
 ///
-/// let config = SimConfig::builder()
-///     .horizon(Time::from_ms(500))
-///     .record_trace(true)
-///     .build();
+/// let config = SimConfig::builder().horizon(Time::from_ms(500)).build();
 /// assert_eq!(config.horizon, Time::from_ms(500));
-/// assert!(config.record_trace);
 /// ```
 ///
 /// The struct is `#[non_exhaustive]`: fields stay readable and
@@ -112,8 +113,6 @@ pub struct SimConfig {
     pub power: PowerModel,
     /// Fault injection.
     pub faults: FaultConfig,
-    /// Whether to keep the full schedule trace in the report.
-    pub record_trace: bool,
 }
 
 impl SimConfig {
@@ -123,18 +122,15 @@ impl SimConfig {
             horizon,
             power: PowerModel::default(),
             faults: FaultConfig::none(),
-            record_trace: false,
         }
     }
 
     /// Same, but counting only active energy (the motivating examples'
-    /// accounting) and recording the trace.
+    /// accounting).
     pub fn active_only(horizon: Time) -> Self {
         SimConfig {
-            horizon,
             power: PowerModel::active_only(),
-            faults: FaultConfig::none(),
-            record_trace: true,
+            ..SimConfig::new(horizon)
         }
     }
 
@@ -172,24 +168,16 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Switches to active-only energy accounting *and* enables trace
-    /// recording, mirroring [`SimConfig::active_only`] (the motivating
-    /// examples' configuration).
-    pub fn active_only(mut self) -> Self {
-        self.config.power = PowerModel::active_only();
-        self.config.record_trace = true;
-        self
+    /// Switches to active-only energy accounting, mirroring
+    /// [`SimConfig::active_only`] (the motivating examples'
+    /// configuration).
+    pub fn active_only(self) -> Self {
+        self.power(PowerModel::active_only())
     }
 
     /// Sets the fault-injection configuration.
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.config.faults = faults;
-        self
-    }
-
-    /// Sets whether the report keeps the full schedule trace.
-    pub fn record_trace(mut self, record_trace: bool) -> Self {
-        self.config.record_trace = record_trace;
         self
     }
 
@@ -426,13 +414,13 @@ impl EventCalendar {
 }
 
 /// Reusable per-run state of the simulator: an arena for copies, job
-/// entries, task states, the active/open index lists, scratch buffers,
-/// and the trace.
+/// entries, task states, the active/open index lists, and scratch
+/// buffers.
 ///
 /// A workspace owns no results — every [`simulate_in`] call resets it —
 /// but it *retains capacity*, so back-to-back simulations stop paying
 /// for allocation and the hot loop runs heap-free in steady state (with
-/// `record_trace = false`). One workspace serves any number of task
+/// no recorder attached). One workspace serves any number of task
 /// sets, policies, and configurations, in any order:
 ///
 /// ```
@@ -481,7 +469,6 @@ pub struct SimWorkspace {
     /// The event calendar driving time advance; cleared and pre-sized at
     /// checkout, capacity retained across runs.
     calendar: EventCalendar,
-    trace: Trace,
     /// Merged busy intervals per processor, in time order.
     busy: [Vec<(Time, Time)>; 2],
     /// Optional event sink; survives `begin_run` so one attachment
@@ -550,8 +537,6 @@ impl SimWorkspace {
         // passes them), and capacity is retained across runs, so the hot
         // loop itself never grows the heap.
         self.calendar.reserve(4 * ts.len() + 8);
-        self.trace.segments.clear();
-        self.trace.resolutions.clear();
         for intervals in &mut self.busy {
             intervals.clear();
         }
@@ -620,6 +605,19 @@ impl SimWorkspace {
 pub fn simulate<P: Policy + ?Sized>(ts: &TaskSet, policy: &mut P, config: &SimConfig) -> SimReport {
     let mut ws = SimWorkspace::new();
     simulate_in(&mut ws, ts, policy, config)
+}
+
+/// [`simulate`], plus the schedule [`Trace`] that a [`TraceCollector`]
+/// rebuilds from the run's event stream (the report is unchanged).
+pub fn simulate_traced<P: Policy + ?Sized>(
+    ts: &TaskSet,
+    policy: &mut P,
+    config: &SimConfig,
+) -> (SimReport, Trace) {
+    let collector = Arc::new(TraceCollector::new(Trace::new(), None));
+    let mut ws = SimWorkspace::with_recorder(Arc::clone(&collector) as Arc<dyn Recorder>);
+    let report = simulate_in(&mut ws, ts, policy, config);
+    (report, collector.take())
 }
 
 /// Runs one simulation of `policy` on `ts` inside a caller-owned
@@ -796,7 +794,7 @@ impl<'a, 'w> Engine<'a, 'w> {
     // mkss-lint: hot-path begin
     //
     // Everything from here through `close_segment` is the steady-state
-    // event loop: with `record_trace = false` it performs zero
+    // event loop: with no recorder attached it performs zero
     // allocations per event (PR 2's contract, pinned at runtime by
     // crates/sim/tests/zero_alloc.rs and at review time by the
     // `hot-path-alloc` lint rule). Pushes into workspace-owned buffers
@@ -1108,13 +1106,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 PROC_NONE,
                 (u64::from(mk.m()) << 32) | u64::from(mk.k()),
             );
-        }
-        if self.config.record_trace {
-            self.ws.trace.resolutions.push(JobResolution {
-                job: job.id,
-                outcome,
-                at,
-            });
         }
         if outcome == JobOutcome::Missed {
             // A missed job's remaining copies are useless; stop them.
@@ -1869,21 +1860,23 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
     }
 
+    /// Ends the copy's open execution segment, if any, and narrates a
+    /// non-empty one as a `Segment` event: the engine's only capture.
     fn close_segment(&mut self, c: usize, ended: SegmentEnd) {
-        let record = self.config.record_trace;
-        let clock = self.clock;
-        let copy = &mut self.ws.copies[c];
-        if let Some(start) = copy.running_since.take() {
-            if record && start < clock {
-                self.ws.trace.segments.push(Segment {
-                    proc: copy.proc,
-                    job: copy.job.id,
-                    kind: copy.kind,
-                    start,
-                    end: clock,
-                    ended,
-                });
-            }
+        let Some(start) = self.ws.copies[c].running_since.take() else {
+            return;
+        };
+        if start < self.clock {
+            let copy = &self.ws.copies[c];
+            self.emit_event(
+                self.clock,
+                TraceKind::Segment,
+                copy.job.id.task.0 as u32,
+                copy.job.id.index as u32,
+                copy_role(copy.kind),
+                copy.proc.index() as u8,
+                segment_payload(start.ticks(), ended as u8),
+            );
         }
     }
 
@@ -1902,22 +1895,12 @@ impl<'a, 'w> Engine<'a, 'w> {
         for &proc in &ProcId::ALL {
             energy[proc.index()] = self.account_processor(proc, &self.config.power);
         }
-        let trace = if self.config.record_trace {
-            // Hand the buffers to the report; the workspace reallocates
-            // them on the next recording run.
-            let mut trace = std::mem::take(&mut self.ws.trace);
-            trace.segments.sort_by_key(|s| (s.start, s.proc, s.end));
-            Some(trace)
-        } else {
-            None
-        };
         SimReport {
             policy: policy_name.to_owned(),
             horizon: self.config.horizon,
             energy,
             stats: self.stats,
             violations: self.violations,
-            trace,
         }
     }
 
@@ -2005,12 +1988,11 @@ mod tests {
 
     #[test]
     fn trace_is_recorded_and_consistent() {
-        let report = simulate(
+        let (_, trace) = simulate_traced(
             &fig1_set(),
             &mut StaticRef,
             &SimConfig::active_only(Time::from_ms(20)),
         );
-        let trace = report.trace.as_ref().unwrap();
         // Mains on primary: J11 [0,3), J21 [3,6), J12 [5,8)… with
         // preemption: J12 preempts J21 at 5.
         let primary: Vec<_> = trace.segments_on(ProcId::PRIMARY).collect();
@@ -2029,12 +2011,11 @@ mod tests {
 
     #[test]
     fn preemption_occurs_within_processor() {
-        let report = simulate(
+        let (_, trace) = simulate_traced(
             &fig1_set(),
             &mut StaticRef,
             &SimConfig::active_only(Time::from_ms(20)),
         );
-        let trace = report.trace.unwrap();
         // τ2's main J21 is preempted at t=5 by τ1's J12 and resumes at 8.
         let j21_segments: Vec<_> = trace
             .segments_on(ProcId::PRIMARY)
@@ -2061,10 +2042,9 @@ mod tests {
                 ..FaultConfig::none()
             })
             .build();
-        let report = simulate(&fig1_set(), &mut StaticRef, &config);
+        let (report, trace) = simulate_traced(&fig1_set(), &mut StaticRef, &config);
         assert!(report.mk_assured());
         // Spare ran only [0,1): J'11 partial.
-        let trace = report.trace.as_ref().unwrap();
         assert_eq!(
             trace.busy_time_within(ProcId::SPARE, Time::from_ms(20)),
             Time::from_ms(1)
@@ -2125,9 +2105,9 @@ mod tests {
             .active_only()
             .faults(FaultConfig::transient(0.05, 99))
             .build();
-        let a = simulate(&ts, &mut StaticRef, &config);
-        let b = simulate(&ts, &mut StaticRef, &config);
-        assert_eq!(a.trace, b.trace);
+        let (a, a_trace) = simulate_traced(&ts, &mut StaticRef, &config);
+        let (b, b_trace) = simulate_traced(&ts, &mut StaticRef, &config);
+        assert_eq!(a_trace, b_trace);
         assert_eq!(a.stats, b.stats);
         assert!((a.total_energy().units() - b.total_energy().units()).abs() < 1e-12);
     }
@@ -2192,9 +2172,9 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_bit_identical_to_fresh() {
-        // Reuse one workspace across differently-shaped runs (trace on
-        // and off, faults on and off, different task sets) and compare
-        // every report against a fresh `simulate` call.
+        // Reuse one traced workspace across differently-shaped runs
+        // (faults on and off, different task sets) and compare every
+        // report and trace against a fresh `simulate_traced` call.
         let sets = [
             fig1_set(),
             TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2).unwrap()]).unwrap(),
@@ -2205,18 +2185,18 @@ mod tests {
             SimConfig::builder()
                 .horizon_ms(40)
                 .faults(FaultConfig::transient(0.5, 3))
-                .record_trace(true)
                 .build(),
         ];
-        let mut ws = SimWorkspace::new();
+        let collector = Arc::new(TraceCollector::new(Trace::new(), None));
+        let mut ws = SimWorkspace::with_recorder(Arc::clone(&collector) as Arc<dyn Recorder>);
         for _ in 0..2 {
             for ts in &sets {
                 for config in &configs {
                     let reused = simulate_in(&mut ws, ts, &mut StaticRef, config);
-                    let fresh = simulate(ts, &mut StaticRef, config);
+                    let (fresh, fresh_trace) = simulate_traced(ts, &mut StaticRef, config);
                     assert_eq!(reused.stats, fresh.stats);
                     assert_eq!(reused.violations, fresh.violations);
-                    assert_eq!(reused.trace, fresh.trace);
+                    assert_eq!(collector.take(), fresh_trace);
                     assert_eq!(reused.energy, fresh.energy);
                 }
             }
@@ -2322,10 +2302,10 @@ mod tests {
     }
 
     /// Whole-run differential between the production calendar and the
-    /// pre-calendar linear-scan oracle, across fault configs and trace
-    /// on/off. The per-step `debug_assert_eq!` in `run` already
-    /// cross-checks the chosen event times on every debug-build run;
-    /// this pins the end-to-end reports too.
+    /// pre-calendar linear-scan oracle, across fault configs, comparing
+    /// reports and collected traces. The per-step `debug_assert_eq!` in
+    /// `run` already cross-checks the chosen event times on every
+    /// debug-build run; this pins the end-to-end results too.
     #[test]
     fn scan_oracle_and_calendar_reports_are_identical() {
         let sets = [
@@ -2339,7 +2319,6 @@ mod tests {
             SimConfig::builder()
                 .horizon(horizon)
                 .faults(FaultConfig::permanent(ProcId::SPARE, Time::from_ms(6)))
-                .record_trace(true)
                 .build(),
             SimConfig::builder()
                 .horizon(horizon)
@@ -2351,7 +2330,8 @@ mod tests {
                 ))
                 .build(),
         ];
-        let mut ws = SimWorkspace::new();
+        let collector = Arc::new(TraceCollector::new(Trace::new(), None));
+        let mut ws = SimWorkspace::with_recorder(Arc::clone(&collector) as Arc<dyn Recorder>);
         for ts in &sets {
             for config in &configs {
                 let calendar = run_prepared(
@@ -2362,6 +2342,7 @@ mod tests {
                     TimeAdvance::Calendar,
                     |_| {},
                 );
+                let calendar_trace = collector.take();
                 let scan = run_prepared(
                     &mut ws,
                     ts,
@@ -2374,6 +2355,11 @@ mod tests {
                     format!("{calendar:?}"),
                     format!("{scan:?}"),
                     "calendar/scan reports diverge"
+                );
+                assert_eq!(
+                    calendar_trace,
+                    collector.take(),
+                    "calendar/scan traces diverge"
                 );
             }
         }

@@ -53,12 +53,14 @@ pub mod vcd;
 
 /// Commonly used simulator types.
 pub mod prelude {
-    pub use crate::engine::{simulate, simulate_in, SimConfig, SimConfigBuilder, SimWorkspace};
+    pub use crate::engine::{
+        simulate, simulate_in, simulate_traced, SimConfig, SimConfigBuilder, SimWorkspace,
+    };
     pub use crate::fault::{FaultConfig, PermanentFault, TransientSampler};
     pub use crate::policy::{Policy, ReleaseCtx, ReleaseDecision};
     pub use crate::pool::{PooledWorkspace, WorkspacePool};
     pub use crate::power::{Energy, EnergyBreakdown, PowerModel};
     pub use crate::proc::ProcId;
     pub use crate::report::{JobStats, MkViolation, SimReport};
-    pub use crate::trace::{JobResolution, Segment, SegmentEnd, Trace};
+    pub use crate::trace::{JobResolution, Segment, SegmentEnd, Trace, TraceCollector};
 }

@@ -93,8 +93,8 @@ impl TraceMetrics {
 /// # }
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let ts = TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2)?])?;
-/// let report = simulate(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(40)));
-/// let metrics = analyze_trace(&ts, report.trace.as_ref().unwrap());
+/// let (_, trace) = simulate_traced(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(40)));
+/// let metrics = analyze_trace(&ts, &trace);
 /// assert_eq!(metrics.per_task[0].met, 4);
 /// assert_eq!(metrics.per_task[0].worst_response, Time::from_ms(2));
 /// # Ok(())
@@ -154,7 +154,7 @@ pub fn analyze_trace(ts: &TaskSet, trace: &Trace) -> TraceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, SimConfig};
+    use crate::engine::{simulate_traced, SimConfig};
     use crate::policy::{Policy, ReleaseCtx, ReleaseDecision};
     use crate::proc::ProcId;
     use crate::trace::{JobResolution, Segment};
@@ -185,8 +185,8 @@ mod tests {
     #[test]
     fn counts_and_responses() {
         let ts = two_task_set();
-        let report = simulate(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(20)));
-        let m = analyze_trace(&ts, report.trace.as_ref().unwrap());
+        let (_, trace) = simulate_traced(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(20)));
+        let m = analyze_trace(&ts, &trace);
         // Every job mandatory: τ1 4 jobs, τ2 2 jobs; all met.
         assert_eq!(m.per_task[0].met, 4);
         assert_eq!(m.per_task[1].met, 2);
@@ -207,16 +207,16 @@ mod tests {
         // appear; here with concurrent copies cancellation saves nothing,
         // so canceled work is zero.
         let ts = two_task_set();
-        let report = simulate(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(20)));
-        let m = analyze_trace(&ts, report.trace.as_ref().unwrap());
+        let (_, trace) = simulate_traced(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(20)));
+        let m = analyze_trace(&ts, &trace);
         assert_eq!(m.total_canceled_backup_work(), Time::ZERO);
     }
 
     #[test]
     fn preemptions_counted() {
         let ts = two_task_set();
-        let report = simulate(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(20)));
-        let m = analyze_trace(&ts, report.trace.as_ref().unwrap());
+        let (_, trace) = simulate_traced(&ts, &mut Dup, &SimConfig::active_only(Time::from_ms(20)));
+        let m = analyze_trace(&ts, &trace);
         // τ2's jobs get preempted by τ1 (J21 at t=5 on both processors).
         assert!(m.per_task[1].preemptions >= 2);
         assert_eq!(m.per_task[0].preemptions, 0);

@@ -5,7 +5,6 @@ use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
 
 use crate::power::{Energy, EnergyBreakdown};
-use crate::trace::Trace;
 
 /// An (m,k)-constraint violation observed during simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,8 +58,6 @@ pub struct SimReport {
     /// All (m,k)-violations (empty when the guarantee held, which
     /// Theorem 1 promises for schedulable sets).
     pub violations: Vec<MkViolation>,
-    /// Full schedule trace, when recording was enabled.
-    pub trace: Option<Trace>,
 }
 
 impl SimReport {
@@ -93,7 +90,6 @@ mod tests {
             energy: [EnergyBreakdown::default(), EnergyBreakdown::default()],
             stats: JobStats::default(),
             violations: vec![],
-            trace: None,
         };
         r.energy[0].active = Energy::from_units(8.0);
         r.energy[1].active = Energy::from_units(7.0);

@@ -1,9 +1,13 @@
 //! Schedule traces: executed segments, per-job outcomes, and an ASCII
 //! Gantt renderer for debugging and for reproducing the paper's figures.
+//! A [`TraceCollector`] rebuilds the [`Trace`] from the engine's event
+//! stream, which is the engine's only capture path.
 
 use mkss_core::history::JobOutcome;
 use mkss_core::job::{CopyKind, JobId};
+use mkss_core::task::TaskId;
 use mkss_core::time::{Time, TICKS_PER_MS};
+use mkss_obs::{segment_parts, CopyRole, EngineEvent, EventSink, TraceKind, TraceRecorder};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -24,6 +28,18 @@ pub enum SegmentEnd {
     Lost,
     /// The simulation horizon cut the segment short.
     Horizon,
+}
+
+impl SegmentEnd {
+    /// Every reason, indexed by the code (`reason as u8`) that a
+    /// `Segment` event payload carries.
+    const ALL: [SegmentEnd; 5] = [
+        SegmentEnd::Completed,
+        SegmentEnd::Preempted,
+        SegmentEnd::Canceled,
+        SegmentEnd::Lost,
+        SegmentEnd::Horizon,
+    ];
 }
 
 /// One contiguous execution of a job copy on a processor.
@@ -151,10 +167,55 @@ impl Trace {
     }
 }
 
+/// A recorder that rebuilds the schedule [`Trace`] from the engine's event
+/// stream, forwarding every call to an optional inner recorder:
+/// `TraceCollector::new(Trace::new(), inner)`, then `take()` after a run.
+pub type TraceCollector = TraceRecorder<Trace>;
+
+impl EventSink for Trace {
+    /// Keeps `Segment` events as segments, ordered by start, then
+    /// processor, then end, and `JobMet` / `JobMissed` events as
+    /// resolutions; ignores every other kind.
+    fn record(&mut self, event: &EngineEvent) {
+        let job = JobId {
+            task: TaskId(event.task as usize),
+            index: u64::from(event.job),
+        };
+        let at = Time::from_ticks(event.at_us);
+        let resolution = |outcome| JobResolution { job, outcome, at };
+        match event.kind {
+            TraceKind::JobMet => self.resolutions.push(resolution(JobOutcome::Met)),
+            TraceKind::JobMissed => self.resolutions.push(resolution(JobOutcome::Missed)),
+            TraceKind::Segment => {
+                let (start, code) = segment_parts(event.payload);
+                let segment = Segment {
+                    proc: ProcId(usize::from(event.proc)),
+                    job,
+                    kind: match event.copy {
+                        CopyRole::Main => CopyKind::Main,
+                        CopyRole::Backup => CopyKind::Backup,
+                        _ => CopyKind::Optional,
+                    },
+                    start: Time::from_ticks(start),
+                    end: at,
+                    ended: SegmentEnd::ALL[usize::from(code)],
+                };
+                let key = |s: &Segment| (s.start, s.proc, s.end);
+                let slot = self.segments.partition_point(|s| key(s) <= key(&segment));
+                self.segments.insert(slot, segment);
+            }
+            _ => {}
+        }
+    }
+
+    fn emptied(&self) -> Trace {
+        Trace::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mkss_core::task::TaskId;
 
     fn seg(proc: ProcId, task: usize, kind: CopyKind, start: u64, end: u64) -> Segment {
         Segment {
@@ -222,5 +283,87 @@ mod tests {
     #[should_panic(expected = "scale must be positive")]
     fn gantt_zero_scale_panics() {
         Trace::new().render_gantt(Time::from_ms(5), Time::ZERO);
+    }
+
+    #[test]
+    fn segment_end_codes_index_the_reason_table() {
+        for ended in SegmentEnd::ALL {
+            assert_eq!(SegmentEnd::ALL[ended as usize], ended);
+        }
+    }
+
+    #[test]
+    fn collector_rebuilds_segments_and_resolutions_and_forwards() {
+        use mkss_obs::{segment_payload, CounterId, Recorder, Registry, PROC_NONE};
+        use std::sync::Arc;
+        let registry = Arc::new(Registry::new(1));
+        let collector = TraceCollector::new(Trace::new(), Some(Arc::new(registry.handle_at(0))));
+        let event = |at_us, kind, copy, proc, payload| EngineEvent {
+            at_us,
+            kind,
+            task: 1,
+            job: 3,
+            copy,
+            proc,
+            payload,
+        };
+        // Closed out of start order: the later segment arrives first.
+        collector.event(&event(
+            9_000,
+            TraceKind::Segment,
+            CopyRole::Backup,
+            1,
+            segment_payload(7_000, SegmentEnd::Canceled as u8),
+        ));
+        collector.event(&event(
+            5_000,
+            TraceKind::Segment,
+            CopyRole::Main,
+            0,
+            segment_payload(2_000, SegmentEnd::Preempted as u8),
+        ));
+        collector.event(&event(
+            9_000,
+            TraceKind::JobMet,
+            CopyRole::None,
+            PROC_NONE,
+            2,
+        ));
+        collector.event(&event(0, TraceKind::PermanentFault, CopyRole::None, 0, 0));
+        collector.incr(CounterId::JobsMet, 1);
+        assert_eq!(registry.snapshot().counter(CounterId::JobsMet), 1);
+
+        let trace = collector.take();
+        let job = JobId::new(TaskId(1), 3);
+        assert_eq!(
+            trace.segments,
+            [
+                Segment {
+                    proc: ProcId::PRIMARY,
+                    job,
+                    kind: CopyKind::Main,
+                    start: Time::from_ticks(2_000),
+                    end: Time::from_ticks(5_000),
+                    ended: SegmentEnd::Preempted,
+                },
+                Segment {
+                    proc: ProcId::SPARE,
+                    job,
+                    kind: CopyKind::Backup,
+                    start: Time::from_ticks(7_000),
+                    end: Time::from_ticks(9_000),
+                    ended: SegmentEnd::Canceled,
+                },
+            ]
+        );
+        assert_eq!(
+            trace.resolutions,
+            [JobResolution {
+                job,
+                outcome: JobOutcome::Met,
+                at: Time::from_ticks(9_000),
+            }]
+        );
+        assert_eq!(collector.take(), Trace::default(), "take empties it");
     }
 }

@@ -56,9 +56,8 @@ fn backup_can_complete_first_and_cancels_the_main() {
     }
     let ts = TaskSet::new(vec![Task::from_ms(20, 20, 4, 1, 2).unwrap()]).unwrap();
     let config = SimConfig::builder().horizon_ms(20).active_only().build();
-    let report = simulate(&ts, &mut SlowMainEagerBackup, &config);
+    let (report, trace) = simulate_traced(&ts, &mut SlowMainEagerBackup, &config);
     assert!(report.mk_assured());
-    let trace = report.trace.as_ref().unwrap();
     // Backup completes at 4 on the spare…
     let backup = trace
         .segments_on(ProcId::SPARE)
@@ -108,10 +107,9 @@ fn optional_feasibility_boundary_is_inclusive() {
     ])
     .unwrap();
     let config = SimConfig::builder().horizon_ms(20).active_only().build();
-    let report = simulate(&ts, &mut LateOptional, &config);
+    let (report, trace) = simulate_traced(&ts, &mut LateOptional, &config);
     assert_eq!(report.stats.optional_abandoned, 0);
     assert_eq!(report.stats.met, 2);
-    let trace = report.trace.unwrap();
     let opt = trace
         .segments
         .iter()
@@ -156,12 +154,11 @@ fn optional_one_tick_late_is_abandoned() {
     ])
     .unwrap();
     let config = SimConfig::builder().horizon_ms(20).active_only().build();
-    let report = simulate(&ts, &mut LateOptional, &config);
+    let (report, trace) = simulate_traced(&ts, &mut LateOptional, &config);
     assert_eq!(report.stats.optional_abandoned, 1);
     assert_eq!(report.stats.met, 1);
     assert_eq!(report.stats.missed, 1);
     assert!(report.mk_assured(), "(1,2) tolerates the single miss");
-    let trace = report.trace.unwrap();
     assert!(trace.segments.iter().all(|s| s.kind != CopyKind::Optional));
 }
 
@@ -169,21 +166,19 @@ fn optional_one_tick_late_is_abandoned() {
 fn dvs_scaled_copy_runs_longer_at_lower_energy() {
     let ts = TaskSet::new(vec![Task::from_ms(100, 100, 10, 1, 2).unwrap()]).unwrap();
     let config = SimConfig::builder().horizon_ms(200).active_only().build();
-    let full = simulate(&ts, &mut Scaled(1000), &config);
-    let half = simulate(&ts, &mut Scaled(500), &config);
+    let (full, full_trace) = simulate_traced(&ts, &mut Scaled(1000), &config);
+    let (half, half_trace) = simulate_traced(&ts, &mut Scaled(500), &config);
     assert!(full.mk_assured() && half.mk_assured());
     // The policy makes both released jobs mandatory; at half speed each
     // 10 ms execution stretches to 20 ms.
-    let exec_len = |r: &SimReport| {
-        r.trace
-            .as_ref()
-            .unwrap()
+    let exec_len = |trace: &Trace| {
+        trace
             .segments_on(ProcId::PRIMARY)
             .map(|s| s.len())
             .sum::<Time>()
     };
-    assert_eq!(exec_len(&full), Time::from_ms(20));
-    assert_eq!(exec_len(&half), Time::from_ms(40));
+    assert_eq!(exec_len(&full_trace), Time::from_ms(20));
+    assert_eq!(exec_len(&half_trace), Time::from_ms(40));
     // …at an eighth of the power → a quarter of the energy (backup is
     // postponed past the main's completion, so only mains burn energy).
     let full_e = full.energy[0].active.units();
@@ -213,7 +208,7 @@ fn fault_at_time_zero_on_primary() {
         .active_only()
         .faults(FaultConfig::permanent(ProcId::PRIMARY, Time::ZERO))
         .build();
-    let report = simulate(
+    let (report, trace) = simulate_traced(
         &ts,
         &mut Place {
             main_proc: ProcId::PRIMARY,
@@ -227,7 +222,6 @@ fn fault_at_time_zero_on_primary() {
         "nothing existed to lose at t=0"
     );
     // The primary never executed anything.
-    let trace = report.trace.unwrap();
     assert_eq!(trace.segments_on(ProcId::PRIMARY).count(), 0);
 }
 

@@ -1,18 +1,23 @@
 //! Pins the zero-allocation contract of the reusable-workspace hot path:
-//! once a [`SimWorkspace`] is warmed, a `record_trace = false` run
+//! once a [`SimWorkspace`] is warmed, a run with no recorder attached
 //! performs only a tiny, *horizon-independent* number of heap
 //! allocations (the report's policy-name `String` and nothing per
-//! event). A counting `#[global_allocator]` makes regressions — a
-//! reintroduced per-event `clone()`, an ungated trace push — fail
-//! loudly rather than silently costing throughput.
+//! event). The same holds with a [`Registry`] handle attached — the
+//! daemon's per-request shape — even though every closed execution
+//! segment then reaches the recorder as an event. A counting
+//! `#[global_allocator]` makes regressions — a reintroduced per-event
+//! `clone()`, an ungated capture push — fail loudly rather than
+//! silently costing throughput.
 //!
 //! The library itself forbids unsafe code; the allocator shim lives
 //! here, in the test crate, where `unsafe` is unavoidable by design.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mkss_core::prelude::*;
+use mkss_obs::{CounterId, Registry};
 use mkss_sim::prelude::*;
 
 /// Passthrough to the system allocator that counts allocation calls
@@ -89,31 +94,38 @@ fn warmed_workspace_runs_allocate_constantly_and_sparsely() {
     let short = SimConfig::builder().horizon_ms(400).build();
     let long = SimConfig::builder().horizon_ms(1600).build();
 
-    let mut ws = SimWorkspace::new();
-    // Warm at the *longest* horizon so every arena reaches steady-state
-    // capacity before anything is measured.
-    let warm = simulate_in(&mut ws, &ts, &mut Dup, &long);
-    assert!(warm.mk_assured());
+    let registry = Arc::new(Registry::new(1));
+    let detached = SimWorkspace::new();
+    let attached = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+    for (label, mut ws) in [("no recorder", detached), ("registry handle", attached)] {
+        // Warm at the *longest* horizon so every arena reaches
+        // steady-state capacity before anything is measured.
+        let warm = simulate_in(&mut ws, &ts, &mut Dup, &long);
+        assert!(warm.mk_assured());
 
-    let short_allocs = allocations_during(|| {
-        std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &short));
-    });
-    let long_allocs = allocations_during(|| {
-        std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &long));
-    });
+        let short_allocs = allocations_during(|| {
+            std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &short));
+        });
+        let long_allocs = allocations_during(|| {
+            std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &long));
+        });
 
-    // 4x the horizon => 4x the events. Any per-event allocation shows up
-    // as a difference between the two counts.
-    assert_eq!(
-        short_allocs, long_allocs,
-        "per-event allocations detected: {short_allocs} allocs at 400 ms \
-         vs {long_allocs} at 1600 ms"
-    );
-    // The constant per-run overhead is the report's policy-name String
-    // (plus dropping the report). Allow slack for allocator-internal
-    // bookkeeping, but a stray clone of a queue would blow well past it.
-    assert!(
-        long_allocs <= 4,
-        "hot path allocates too much per run: {long_allocs} allocations"
-    );
+        // 4x the horizon => 4x the events. Any per-event allocation
+        // shows up as a difference between the two counts.
+        assert_eq!(
+            short_allocs, long_allocs,
+            "{label}: per-event allocations detected: {short_allocs} allocs \
+             at 400 ms vs {long_allocs} at 1600 ms"
+        );
+        // The constant per-run overhead is the report's policy-name
+        // String (plus dropping the report). Allow slack for
+        // allocator-internal bookkeeping, but a stray clone of a queue
+        // would blow well past it.
+        assert!(
+            long_allocs <= 4,
+            "{label}: hot path allocates too much per run: {long_allocs} allocations"
+        );
+    }
+    // The attached runs really went through the recorder.
+    assert!(registry.snapshot().counter(CounterId::JobsReleased) > 0);
 }

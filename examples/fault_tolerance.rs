@@ -23,10 +23,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // this example deliberately stops at counting.)
     let log = LogLevel::from_env()?;
     let registry = log.enabled().then(|| Arc::new(Registry::new(1)));
-    let mut ws = SimWorkspace::new();
-    if let Some(registry) = &registry {
-        ws.set_recorder(Some(Arc::new(registry.handle_at(0))));
-    }
+    let counters = registry
+        .as_ref()
+        .map(|registry| Arc::new(registry.handle_at(0)) as Arc<dyn Recorder>);
+    // Scenario 1 draws a Gantt chart, so its run also collects the
+    // schedule trace (forwarding every event on to the counters).
+    let collector = Arc::new(TraceCollector::new(Trace::new(), counters.clone()));
+    let mut ws = SimWorkspace::with_recorder(collector.clone());
 
     // Scenario 1: permanent fault on the primary at t = 7 ms.
     let config = SimConfig::builder()
@@ -36,6 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let mut policy = MkssSelective::new(&ts)?;
     let report = simulate_in(&mut ws, &ts, &mut policy, &config);
+    let trace = collector.take();
+    ws.set_recorder(counters);
     println!("== permanent fault on the primary at 7ms ==");
     println!(
         "copies lost: {}, jobs met: {}, missed: {}, (m,k) assured: {}",
@@ -44,14 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.stats.missed,
         report.mk_assured()
     );
-    print!(
-        "{}",
-        report
-            .trace
-            .as_ref()
-            .expect("trace")
-            .render_gantt_ms(Time::from_ms(30))
-    );
+    print!("{}", trace.render_gantt_ms(Time::from_ms(30)));
 
     // Scenario 2: aggressive transient faults (rate 0.05/ms — about 14%
     // per 3ms execution; the paper's evaluation rate is a negligible

@@ -15,7 +15,7 @@
 use mkss::prelude::*;
 
 fn show(title: &str, ts: &TaskSet, policy: &mut dyn Policy, until: Time) {
-    let report = simulate(ts, policy, &SimConfig::active_only(until));
+    let (report, trace) = simulate_traced(ts, policy, &SimConfig::active_only(until));
     println!("== {title} ==");
     println!(
         "policy {}: active energy {} in [0, {until}), (m,k) assured: {}",
@@ -23,10 +23,7 @@ fn show(title: &str, ts: &TaskSet, policy: &mut dyn Policy, until: Time) {
         report.active_energy(),
         report.mk_assured()
     );
-    print!(
-        "{}",
-        report.trace.expect("trace recorded").render_gantt_ms(until)
-    );
+    print!("{}", trace.render_gantt_ms(until));
     println!();
 }
 

@@ -44,19 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("rotated assignment on the engine:");
     let mut policy = MkssStRotated::new(assignment.patterns.clone());
-    let rot = simulate(&ts, &mut policy, &SimConfig::active_only(horizon));
+    let (rot, rot_trace) = simulate_traced(&ts, &mut policy, &SimConfig::active_only(horizon));
     println!(
         "  met {} / missed {} ((m,k) assured: {})",
         rot.stats.met,
         rot.stats.missed,
         rot.mk_assured()
     );
-    print!(
-        "{}",
-        rot.trace
-            .as_ref()
-            .expect("trace")
-            .render_gantt_ms(ts.hyperperiod())
-    );
+    print!("{}", &rot_trace.render_gantt_ms(ts.hyperperiod()));
     Ok(())
 }

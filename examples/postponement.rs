@@ -46,14 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .active_only()
         .faults(FaultConfig::transient(1e6, 1)) // every execution faults
         .build();
-    let report = simulate(&ts, &mut MkssSt::new(), &config);
-    print!(
-        "{}",
-        report
-            .trace
-            .expect("trace")
-            .render_gantt_ms(Time::from_ms(30))
-    );
+    let (report, trace) = simulate_traced(&ts, &mut MkssSt::new(), &config);
+    print!("{}", trace.render_gantt_ms(Time::from_ms(30)));
     println!(
         "note: with every copy faulting, both copies of every job fail — the monitor \
          reports {} violations (this run demonstrates the schedule, not the guarantee).",

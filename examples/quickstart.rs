@@ -14,18 +14,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // MKSS_LOG=summary prints an engine-event counter table at the end;
     // MKSS_LOG=events additionally narrates each event on stderr.
     let log = LogLevel::from_env()?;
+    // The Gantt charts below come from a trace collector, which forwards
+    // every engine event on to the logging recorder.
     let registry = log.enabled().then(|| Arc::new(Registry::new(1)));
-    let mut ws = SimWorkspace::new();
-    if let Some(registry) = &registry {
-        let recorder: Arc<dyn Recorder> = match log {
+    let recorder = registry.as_ref().map(|registry| -> Arc<dyn Recorder> {
+        match log {
             LogLevel::Events => Arc::new(EchoRecorder::new(
                 registry.handle_at(0),
                 Arc::new(Reporter::stderr()),
             )),
             _ => Arc::new(registry.handle_at(0)),
-        };
-        ws.set_recorder(Some(recorder));
-    }
+        }
+    });
+    let collector = Arc::new(TraceCollector::new(Trace::new(), recorder));
+    let mut ws = SimWorkspace::with_recorder(collector.clone());
 
     // A task is (period, deadline, WCET, m, k): at least m of any k
     // consecutive jobs must complete by their deadlines. This is the
@@ -65,9 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.stats.missed,
             report.mk_assured(),
         );
-        if let Some(trace) = &report.trace {
-            print!("{}", trace.render_gantt_ms(horizon));
-        }
+        print!("{}", collector.take().render_gantt_ms(horizon));
     }
     if let Some(registry) = &registry {
         print!("\n{}", MetricsDoc::new(registry.snapshot()).render_table());

@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PolicyKind::Selective,
     ] {
         let mut policy = kind.build(&ts, &BuildOptions::default())?;
-        let report = simulate(&ts, policy.as_mut(), &config);
-        let metrics = analyze_trace(&ts, report.trace.as_ref().expect("trace"));
+        let (report, trace) = simulate_traced(&ts, policy.as_mut(), &config);
+        let metrics = analyze_trace(&ts, &trace);
         println!("== {} ==", report.policy);
         println!(
             "total energy {}, of which canceled-backup waste {}",

@@ -16,10 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = Time::from_ms(60);
     let config = SimConfig::active_only(horizon);
     let mut policy = MkssSelective::new(&ts)?;
-    let report = simulate(&ts, &mut policy, &config);
-    let trace = report.trace.as_ref().expect("trace recorded");
+    let (_, trace) = simulate_traced(&ts, &mut policy, &config);
 
-    let vcd = render_vcd(trace, ts.len());
+    let vcd = render_vcd(&trace, ts.len());
     let path = "mkss_selective.vcd";
     std::fs::write(path, &vcd)?;
     println!(

@@ -100,7 +100,18 @@ doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
 assert events, "trace has no events"
 phases = {e["ph"] for e in events}
-assert {"M", "i", "b", "e"} <= phases, f"missing phase kinds: {phases}"
+assert {"M", "i", "b", "e", "X"} <= phases, f"missing phase kinds: {phases}"
+# Execution slices: one processor runs one copy at a time, so no two
+# "X" slices may overlap on one (pid, tid) track.
+slices = {}
+for e in events:
+    if e["ph"] == "X":
+        assert e["dur"] > 0, f"empty execution slice: {e}"
+        slices.setdefault((e["pid"], e["tid"]), []).append((e["ts"], e["ts"] + e["dur"]))
+for track, spans in slices.items():
+    spans.sort()
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert start >= end, f"overlapping slices on {track}: ends {end}, next starts {start}"
 for e in events:
     assert "pid" in e, f"event missing pid: {e}"
     if e["ph"] != "M":
@@ -115,9 +126,10 @@ tracks = {e["args"]["name"] for e in events
           if e["ph"] == "M" and e["name"] == "process_name"}
 assert len(tracks) > 1, f"expected one track per policy, got {tracks}"
 print(f"chrome trace ok: {len(events)} events, {opens} spans, "
-      f"{len(tracks)} policy tracks")
+      f"{sum(map(len, slices.values()))} slices, {len(tracks)} policy tracks")
 PY
-# The recorder-off hot path must still allocate nothing.
+# The hot path must still allocate nothing per event, with no recorder
+# or a registry handle attached.
 cargo test --release -q -p mkss-sim --test zero_alloc
 
 echo "== serve smoke (daemon end-to-end: loadgen differential + clean shutdown) =="

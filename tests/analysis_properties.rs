@@ -240,9 +240,8 @@ proptest! {
         // mandatory-only FP schedule the analysis models.
         let mut policy = PolicyKind::DualPriorityPrimary.build(&ts, &BuildOptions::default()).unwrap();
         let config = SimConfig::builder().horizon_ms(400).active_only().build();
-        let sim = simulate(&ts, policy.as_mut(), &config);
-        let trace = sim.trace.as_ref().unwrap();
-        let done = completions(trace, ProcId::PRIMARY);
+        let (_, trace) = simulate_traced(&ts, policy.as_mut(), &config);
+        let done = completions(&trace, ProcId::PRIMARY);
         for (job, finish) in done {
             let task = ts.task(job.task);
             let release = task.release_of(job.index);

@@ -24,8 +24,7 @@ fn schedulable_set(seed: u64, util_pct: u64) -> Option<TaskSet> {
     Generator::new(config, seed).schedulable_set(util_pct as f64 / 100.0)
 }
 
-fn check_trace(report: &SimReport, horizon: Time) {
-    let trace = report.trace.as_ref().expect("trace recorded");
+fn check_trace(report: &SimReport, trace: &Trace, horizon: Time) {
     for &proc in &ProcId::ALL {
         let mut last_end = Time::ZERO;
         let mut busy = Time::ZERO;
@@ -44,8 +43,7 @@ fn check_trace(report: &SimReport, horizon: Time) {
     }
 }
 
-fn check_resolution_order(report: &SimReport) {
-    let trace = report.trace.as_ref().expect("trace recorded");
+fn check_resolution_order(trace: &Trace) {
     let mut last_index: HashMap<TaskId, u64> = HashMap::new();
     for r in &trace.resolutions {
         let prev = last_index.entry(r.job.task).or_insert(0);
@@ -69,9 +67,9 @@ proptest! {
         for kind in [PolicyKind::Static, PolicyKind::DualPriority, PolicyKind::Greedy, PolicyKind::Selective] {
             let config = SimConfig::builder().horizon(horizon).active_only().build();
             let mut policy = kind.build(&ts, &BuildOptions::default()).unwrap();
-            let report = simulate(&ts, policy.as_mut(), &config);
-            check_trace(&report, horizon);
-            check_resolution_order(&report);
+            let (report, trace) = simulate_traced(&ts, policy.as_mut(), &config);
+            check_trace(&report, &trace, horizon);
+            check_resolution_order(&trace);
             // Active-only model: energy units == busy milliseconds.
             let busy_ms: f64 = ProcId::ALL
                 .iter()
@@ -102,11 +100,10 @@ proptest! {
             .faults(FaultConfig::combined(proc, Time::from_ms(fault_ms), 0.005, seed))
             .build();
         let mut policy = MkssSelective::new(&ts).unwrap();
-        let report = simulate(&ts, &mut policy, &config);
-        check_trace(&report, horizon);
-        check_resolution_order(&report);
+        let (report, trace) = simulate_traced(&ts, &mut policy, &config);
+        check_trace(&report, &trace, horizon);
+        check_resolution_order(&trace);
         // The dead processor never executes after the fault.
-        let trace = report.trace.as_ref().unwrap();
         for seg in trace.segments_on(proc) {
             prop_assert!(seg.end <= Time::from_ms(fault_ms));
         }
@@ -129,7 +126,8 @@ proptest! {
     ) {
         let Some(ts) = schedulable_set(seed, util_pct) else { return Ok(()); };
         let registry = Arc::new(Registry::new(1));
-        let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+        let collector = Arc::new(TraceCollector::new(Trace::new(), Some(Arc::new(registry.handle_at(0)))));
+        let mut ws = SimWorkspace::with_recorder(collector.clone());
         let horizon = Time::from_ms(300);
         let configs = [
             SimConfig::builder().horizon(horizon).active_only().build(),
@@ -142,8 +140,8 @@ proptest! {
         for kind in [PolicyKind::Static, PolicyKind::DualPriority, PolicyKind::Greedy, PolicyKind::Selective] {
             for config in &configs {
                 let mut policy = kind.build(&ts, &BuildOptions::default()).unwrap();
-                let report = simulate_in(&mut ws, &ts, policy.as_mut(), config);
-                let trace = report.trace.as_ref().expect("trace recorded");
+                simulate_in(&mut ws, &ts, policy.as_mut(), config);
+                let trace = collector.take();
                 let mut last = Time::ZERO;
                 for r in &trace.resolutions {
                     prop_assert!(

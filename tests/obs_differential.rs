@@ -2,15 +2,17 @@
 //! recorder attached to the workspace **observes** the simulation but
 //! never feeds back into it, so a recorder-on run's [`SimReport`] must be
 //! byte-for-byte identical (under serde_json) to the recorder-off run —
-//! across task sets, every paper policy, fault scenarios, and trace
-//! recording on and off. Alongside, the registry totals themselves must
+//! across task sets, every paper policy, fault scenarios, and a trace
+//! collector attached or not. Alongside, the registry totals themselves must
 //! be deterministic: two recorder-on runs of the same input count the
 //! same events.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use mkss::obs::{CounterId, EchoRecorder, Registry, Reporter, TraceRecorder};
+use mkss::obs::{
+    CounterId, EchoRecorder, Registry, Reporter, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
+};
 use mkss::prelude::*;
 
 /// A cloneable in-memory `Reporter` sink, so a test can read back what
@@ -47,20 +49,26 @@ fn fault_configs() -> Vec<FaultConfig> {
 fn recorder_on_reports_are_byte_identical_to_recorder_off() {
     let horizon = Time::from_ms(500);
     let registry = Arc::new(Registry::new(1));
+    let counters: Arc<dyn Recorder> = Arc::new(registry.handle_at(0));
+    let collector = Arc::new(TraceCollector::new(
+        Trace::new(),
+        Some(Arc::clone(&counters)),
+    ));
     let mut plain_ws = SimWorkspace::new();
-    let mut observed_ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+    let mut observed_ws = SimWorkspace::new();
     let mut runs = 0u32;
     for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7)] {
         let Some(ts) = Generator::new(WorkloadConfig::paper(), seed).schedulable_set(util) else {
             continue;
         };
         for faults in fault_configs() {
-            for record_trace in [false, true] {
-                let config = SimConfig::builder()
-                    .horizon(horizon)
-                    .faults(faults)
-                    .record_trace(record_trace)
-                    .build();
+            let config = SimConfig::builder().horizon(horizon).faults(faults).build();
+            for collect_trace in [false, true] {
+                observed_ws.set_recorder(Some(if collect_trace {
+                    Arc::clone(&collector) as Arc<dyn Recorder>
+                } else {
+                    Arc::clone(&counters)
+                }));
                 for kind in PolicyKind::PAPER {
                     let mut plain_policy = kind
                         .build(&ts, &BuildOptions::default())
@@ -75,8 +83,9 @@ fn recorder_on_reports_are_byte_identical_to_recorder_off() {
                         serde_json::to_string(&plain).expect("report serializes"),
                         serde_json::to_string(&observed).expect("report serializes"),
                         "recorder changed the report: seed {seed} util {util} \
-                         policy {kind} trace {record_trace} faults {faults:?}"
+                         policy {kind} trace {collect_trace} faults {faults:?}"
                     );
+                    collector.take();
                     runs += 1;
                 }
             }
@@ -171,7 +180,7 @@ fn flight_recorder_capture_leaves_the_report_untouched() {
         let mut plain_policy = kind.build(&ts, &BuildOptions::default()).unwrap();
         let plain = simulate_in(&mut plain_ws, &ts, plain_policy.as_mut(), &config);
 
-        let tracer = Arc::new(TraceRecorder::with_capacity(4096));
+        let tracer = Arc::new(TraceRecorder::new(TraceBuffer::with_capacity(4096), None));
         let mut traced_ws = SimWorkspace::with_recorder(Arc::clone(&tracer) as _);
         let mut traced_policy = kind.build(&ts, &BuildOptions::default()).unwrap();
         let traced = simulate_in(&mut traced_ws, &ts, traced_policy.as_mut(), &config);
@@ -182,7 +191,7 @@ fn flight_recorder_capture_leaves_the_report_untouched() {
             "flight recorder changed the report for {kind}"
         );
         assert!(
-            !tracer.snapshot().is_empty(),
+            !tracer.take().is_empty(),
             "flight recorder captured nothing for {kind}"
         );
     }
@@ -214,4 +223,49 @@ fn registry_totals_are_reproducible() {
     }
     assert_eq!(snapshots[0], snapshots[1]);
     assert!(!snapshots[0].is_zero());
+}
+
+/// `DEFAULT_TRACE_CAPACITY` promises a full capture of a 1 s Section-V
+/// run, closed segments included: the flight recorder drops nothing for
+/// any policy on sets across the Fig. 6 utilization range, under
+/// combined faults. The worst of these sits near 4.4k events.
+#[test]
+fn default_trace_capacity_holds_a_section_v_run() {
+    let mut worst = 0;
+    for (seed, util) in [(18u64, 0.8), (3, 0.6), (5, 0.4), (7, 0.9)] {
+        let Some(ts) = Generator::new(WorkloadConfig::paper(), seed).schedulable_set(util) else {
+            continue;
+        };
+        let config = SimConfig::builder()
+            .horizon_ms(1_000)
+            .faults(FaultConfig::combined(
+                ProcId::PRIMARY,
+                Time::from_ms(500),
+                1e-4,
+                seed,
+            ))
+            .build();
+        for kind in PolicyKind::ALL {
+            let Ok(mut policy) = kind.build(&ts, &BuildOptions::default()) else {
+                continue;
+            };
+            let tracer = Arc::new(TraceRecorder::new(
+                TraceBuffer::with_capacity(DEFAULT_TRACE_CAPACITY),
+                None,
+            ));
+            let mut ws = SimWorkspace::with_recorder(Arc::clone(&tracer) as _);
+            simulate_in(&mut ws, &ts, policy.as_mut(), &config);
+            let buffer = tracer.take();
+            assert_eq!(
+                buffer.dropped(),
+                0,
+                "{kind} on seed {seed} overflowed the ring"
+            );
+            worst = worst.max(buffer.total_recorded());
+        }
+    }
+    assert!(
+        worst > 1_000,
+        "probe captured suspiciously little ({worst} events)"
+    );
 }

@@ -47,12 +47,11 @@ fn fig1_dual_priority_consumes_15_units() {
 #[test]
 fn fig1_schedule_structure() {
     let ts = fig1_set();
-    let report = simulate(
+    let (report, trace) = simulate_traced(
         &ts,
         &mut MkssDp::new(&ts).unwrap(),
         &SimConfig::active_only(Time::from_ms(20)),
     );
-    let trace = report.trace.unwrap();
     // Paper Fig. 1(a): primary runs main τ1 and (canceled) backup τ'2;
     // Fig. 1(b): spare runs main τ2 and (canceled) backups τ'1.
     assert!(trace
@@ -113,8 +112,7 @@ fn fig2_executes_the_papers_job_sequence() {
         },
     )
     .unwrap();
-    let report = simulate(&ts, &mut policy, &SimConfig::active_only(Time::from_ms(20)));
-    let trace = report.trace.unwrap();
+    let (_, trace) = simulate_traced(&ts, &mut policy, &SimConfig::active_only(Time::from_ms(20)));
     let executed: Vec<(JobId, Time, Time)> = trace
         .segments_on(ProcId::PRIMARY)
         .map(|s| (s.job, s.start, s.end))
@@ -149,12 +147,11 @@ fn footnote1_fd_ordering_and_infeasibility() {
     // deadline (4) and "will not be invoked at all". The greedy policy
     // (admits every optional job) reproduces this exactly.
     let ts = fig1_set();
-    let report = simulate(
+    let (report, trace) = simulate_traced(
         &ts,
         &mut DynamicPolicy::greedy(&ts).unwrap(),
         &SimConfig::active_only(Time::from_ms(20)),
     );
-    let trace = report.trace.as_ref().unwrap();
     let first = trace
         .segments_on(ProcId::PRIMARY)
         .next()

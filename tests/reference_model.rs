@@ -364,16 +364,16 @@ fn engine_run(
     policy: RefPolicy,
     horizon_ms: u64,
     fault: Option<(usize, u64)>,
-) -> SimReport {
+) -> (SimReport, Trace) {
     let mut builder = SimConfig::builder().horizon_ms(horizon_ms).active_only();
     if let Some((proc, at)) = fault {
         builder = builder.faults(FaultConfig::permanent(ProcId(proc), Time::from_ms(at)));
     }
     let config = builder.build();
     match policy {
-        RefPolicy::Static => simulate(ts, &mut MkssSt::new(), &config),
-        RefPolicy::DualPriority => simulate(ts, &mut MkssDp::new(ts).unwrap(), &config),
-        RefPolicy::Selective => simulate(ts, &mut MkssSelective::new(ts).unwrap(), &config),
+        RefPolicy::Static => simulate_traced(ts, &mut MkssSt::new(), &config),
+        RefPolicy::DualPriority => simulate_traced(ts, &mut MkssDp::new(ts).unwrap(), &config),
+        RefPolicy::Selective => simulate_traced(ts, &mut MkssSelective::new(ts).unwrap(), &config),
     }
 }
 
@@ -388,17 +388,13 @@ fn compare_with_fault(
     fault: Option<(usize, u64)>,
 ) {
     let reference = reference_run(ts, policy, horizon_ms, fault);
-    let engine = engine_run(ts, policy, horizon_ms, fault);
+    let (engine, engine_trace) = engine_run(ts, policy, horizon_ms, fault);
     for proc in 0..2 {
         assert_eq!(
             engine.energy[proc].busy_time,
             Time::from_ms(reference.busy_ms[proc]),
             "{policy:?}: busy time mismatch on proc {proc} for\n{ts}\nengine trace:\n{}",
-            engine
-                .trace
-                .as_ref()
-                .map(|t| t.render_gantt_ms(Time::from_ms(horizon_ms.min(60))))
-                .unwrap_or_default()
+            engine_trace.render_gantt_ms(Time::from_ms(horizon_ms.min(60)))
         );
     }
     assert_eq!(engine.stats.met, reference.met, "{policy:?}: met mismatch");
@@ -407,10 +403,7 @@ fn compare_with_fault(
         "{policy:?}: missed mismatch"
     );
     // Outcome-by-outcome comparison via the resolution log.
-    let engine_outcomes: Vec<(usize, u64, bool)> = engine
-        .trace
-        .as_ref()
-        .unwrap()
+    let engine_outcomes: Vec<(usize, u64, bool)> = engine_trace
         .resolutions
         .iter()
         .map(|r| (r.job.task.0, r.job.index, r.outcome.is_met()))

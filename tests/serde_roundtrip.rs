@@ -70,10 +70,11 @@ fn sim_config_and_fault_config_roundtrip() {
 fn report_with_trace_roundtrip() {
     let ts = sample_set();
     let mut policy = MkssSelective::new(&ts).unwrap();
-    let report = simulate(&ts, &mut policy, &SimConfig::active_only(Time::from_ms(40)));
+    let (report, trace) =
+        simulate_traced(&ts, &mut policy, &SimConfig::active_only(Time::from_ms(40)));
     let back = roundtrip(&report);
     assert_eq!(back.policy, report.policy);
-    assert_eq!(back.trace, report.trace);
+    assert_eq!(roundtrip(&trace), trace);
     assert_eq!(back.stats, report.stats);
     assert!((back.total_energy().units() - report.total_energy().units()).abs() < 1e-12);
 }

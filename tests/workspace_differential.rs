@@ -2,8 +2,9 @@
 //! [`SimWorkspace`] reused across many runs must produce reports that are
 //! **bit-identical** (byte-for-byte under serde_json) to the legacy
 //! throwaway-arena [`simulate`] path — across seeded random task sets,
-//! every paper policy, fault scenarios on and off, and trace recording
-//! on and off. This is the contract that lets the experiment harness
+//! every paper policy, fault scenarios on and off, and a trace collector
+//! attached or not — whose trace must match the throwaway-arena
+//! [`simulate_traced`] one. This is the contract that lets the experiment harness
 //! thread one workspace per worker without any risk to Figure 6.
 //!
 //! This same matrix doubles as the calendar-vs-scan differential: every
@@ -13,6 +14,8 @@
 //! kept under `#[cfg(test)]`) via a per-step `debug_assert_eq!`. The
 //! whole-run report comparison lives next to the oracle in
 //! `crates/sim/src/engine.rs` (`scan_oracle_and_calendar_reports_are_identical`).
+
+use std::sync::Arc;
 
 use mkss::prelude::*;
 
@@ -35,6 +38,7 @@ fn reused_workspace_reports_are_byte_identical_to_fresh_runs() {
     // One workspace deliberately reused across *everything*: different
     // task-set shapes, policies, fault plans, and trace settings, so any
     // state leaking between runs shows up as a diff.
+    let collector = Arc::new(TraceCollector::new(Trace::new(), None));
     let mut ws = SimWorkspace::new();
     let mut runs = 0u32;
     for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7), (44, 0.9)] {
@@ -42,19 +46,15 @@ fn reused_workspace_reports_are_byte_identical_to_fresh_runs() {
             continue;
         };
         for faults in fault_configs() {
-            for record_trace in [false, true] {
-                let config = SimConfig::builder()
-                    .horizon(horizon)
-                    .faults(faults)
-                    .record_trace(record_trace)
-                    .build();
+            let config = SimConfig::builder().horizon(horizon).faults(faults).build();
+            for collect_trace in [false, true] {
+                ws.set_recorder(collect_trace.then(|| Arc::clone(&collector) as Arc<dyn Recorder>));
                 for kind in PolicyKind::PAPER {
-                    let mut fresh_policy = kind
-                        .build(&ts, &BuildOptions::default())
-                        .expect("schedulable");
-                    let mut reuse_policy = kind
-                        .build(&ts, &BuildOptions::default())
-                        .expect("schedulable");
+                    let build = || {
+                        kind.build(&ts, &BuildOptions::default())
+                            .expect("schedulable")
+                    };
+                    let (mut fresh_policy, mut reuse_policy) = (build(), build());
                     let fresh = simulate(&ts, fresh_policy.as_mut(), &config);
                     let reused = simulate_in(&mut ws, &ts, reuse_policy.as_mut(), &config);
                     let fresh_json = serde_json::to_string(&fresh).expect("report serializes");
@@ -62,8 +62,16 @@ fn reused_workspace_reports_are_byte_identical_to_fresh_runs() {
                     assert_eq!(
                         fresh_json, reused_json,
                         "divergence: seed {seed} util {util} policy {kind} \
-                         trace {record_trace} faults {faults:?}"
+                         trace {collect_trace} faults {faults:?}"
                     );
+                    if collect_trace {
+                        let (_, fresh_trace) = simulate_traced(&ts, build().as_mut(), &config);
+                        assert_eq!(
+                            collector.take(),
+                            fresh_trace,
+                            "trace divergence: seed {seed} policy {kind} faults {faults:?}"
+                        );
+                    }
                     runs += 1;
                 }
             }
@@ -79,11 +87,9 @@ fn back_to_back_reuse_is_self_consistent() {
     let ts = Generator::new(WorkloadConfig::paper(), 7)
         .schedulable_set(0.6)
         .expect("generatable");
-    let config = SimConfig::builder()
-        .horizon_ms(800)
-        .record_trace(true)
-        .build();
-    let mut ws = SimWorkspace::new();
+    let config = SimConfig::builder().horizon_ms(800).build();
+    let collector = Arc::new(TraceCollector::new(Trace::new(), None));
+    let mut ws = SimWorkspace::with_recorder(collector.clone());
     let mut policy_a = PolicyKind::Selective
         .build(&ts, &BuildOptions::default())
         .unwrap();
@@ -91,9 +97,11 @@ fn back_to_back_reuse_is_self_consistent() {
         .build(&ts, &BuildOptions::default())
         .unwrap();
     let first = simulate_in(&mut ws, &ts, policy_a.as_mut(), &config);
+    let first_trace = collector.take();
     let second = simulate_in(&mut ws, &ts, policy_b.as_mut(), &config);
     assert_eq!(
         serde_json::to_string(&first).unwrap(),
         serde_json::to_string(&second).unwrap()
     );
+    assert_eq!(first_trace, collector.take());
 }
