@@ -88,7 +88,10 @@ impl Default for PostponeConfig {
 /// the analysis ran and was beaten by the floor, the second that it never
 /// ran — so they are separate variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the raw-vs-floored dichotomy is Definition 4's case split; a third case cannot exist
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the raw-vs-floored dichotomy is Definition 4's case split; a third case cannot exist"
+)]
 pub enum RawTheta {
     /// The inspecting-point minimum, which is at or above the promotion
     /// floor `Y_i` and therefore *is* the effective θ_i.
@@ -317,7 +320,10 @@ fn demand_at(rows: &[HpRow], pattern: Pattern, c_i: i128, t_bar: Time) -> i128 {
 /// reaches `stop_at`: the caller only uses the value through `min`, so
 /// any result ≥ `stop_at` is interchangeable. Pass `i128::MAX` for the
 /// exact maximum. `rows` is a caller-owned scratch buffer, cleared here.
-#[allow(clippy::too_many_arguments)] // internal: mirrors Eq. 4's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal: mirrors Eq. 4's parameter list"
+)]
 fn theta_for_job(
     ts: &TaskSet,
     i: TaskId,

@@ -23,7 +23,10 @@ use serde::{Deserialize, Serialize};
 
 /// Which releases of higher-priority tasks are counted as interference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the paper analyzes exactly the all-jobs and mandatory-only interference assumptions; consumers match exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the paper analyzes exactly the all-jobs and mandatory-only interference assumptions; consumers match exhaustively"
+)]
 pub enum InterferenceModel {
     /// Every job of every higher-priority task interferes.
     AllJobs,

@@ -56,7 +56,10 @@ pub fn liu_layland_sufficient(ts: &TaskSet) -> bool {
 
 /// Quick three-way verdict combining the necessary and sufficient bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: a three-way verdict (yes/no/undecided) is logically complete; consumers match exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: a three-way verdict (yes/no/undecided) is logically complete; consumers match exhaustively"
+)]
 pub enum QuickVerdict {
     /// Definitely schedulable under the R-pattern (sufficient bound met).
     Schedulable,

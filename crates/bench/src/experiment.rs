@@ -476,7 +476,10 @@ pub fn run_experiment_observed(
     jobs: usize,
     obs: &HarnessObs,
 ) -> ExperimentResult {
-    // mkss-lint: allow(nondeterminism) — wall-clock run timing lands in RunStats timing fields only, never in results
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock run timing lands in RunStats timing fields only, never in results"
+    )]
     let run_start = Instant::now();
     let generate_watch = Stopwatch::start();
     let buckets = generate_buckets_jobs(config.workload, config.plan, config.seed, jobs);
@@ -511,7 +514,10 @@ pub fn run_experiment_observed(
         format!("{}: ", obs.label)
     };
     let outcomes = par::map_indexed(jobs, &work, |index, &(bucket_index, set_index, ts)| {
-        // mkss-lint: allow(nondeterminism) — per-set wall timing feeds the progress reporter only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-set wall timing feeds the progress reporter only"
+        )]
         let set_start = Instant::now();
         let recorder = if handles.is_empty() {
             None

@@ -152,7 +152,10 @@ pub fn measure(config: &SimBenchConfig) -> SimBenchReport {
         let mut workspace = SimWorkspace::new();
         let mut best = f64::INFINITY;
         for _ in 0..config.reps.max(1) {
-            // mkss-lint: allow(nondeterminism) — throughput measurement; wall time is the measured quantity here
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "throughput measurement; wall time is the measured quantity here"
+            )]
             let start = Instant::now();
             for ts in &sets {
                 for &kind in &config.policies {
@@ -196,7 +199,10 @@ fn time_generate(config: &SimBenchConfig) -> GenerateStats {
     let mut attempts = 0;
     let mut best = f64::INFINITY;
     for _ in 0..config.reps.max(1) {
-        // mkss-lint: allow(nondeterminism) — throughput measurement; wall time is the measured quantity here
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "throughput measurement; wall time is the measured quantity here"
+        )]
         let start = Instant::now();
         let buckets = generate_buckets_jobs(WorkloadConfig::paper(), plan, config.seed, 1);
         best = best.min(start.elapsed().as_secs_f64() * 1e3);

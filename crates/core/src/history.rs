@@ -11,7 +11,10 @@ use crate::mk::MkConstraint;
 
 /// Outcome of one job with respect to its deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: met/missed is the (m,k) model's complete outcome alphabet; every history consumer matches exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: met/missed is the (m,k) model's complete outcome alphabet; every history consumer matches exhaustively"
+)]
 pub enum JobOutcome {
     /// The job completed successfully by its deadline (an *effective* job).
     Met,

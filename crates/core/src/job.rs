@@ -39,7 +39,10 @@ impl fmt::Display for JobId {
 /// Classification of a released job under the active (static or dynamic)
 /// pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: mandatory/optional is the (m,k) partition itself; a third class has no meaning in the model
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: mandatory/optional is the (m,k) partition itself; a third class has no meaning in the model"
+)]
 pub enum JobClass {
     /// Must complete successfully; executed on both processors
     /// (main + backup copies).
@@ -61,7 +64,10 @@ impl JobClass {
 /// primary processor or the *backup* copy on the spare (mandatory jobs
 /// only — optional jobs have a single copy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: main/backup is the standby-sparing dichotomy; the scheme defines exactly two copies
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: main/backup is the standby-sparing dichotomy; the scheme defines exactly two copies"
+)]
 pub enum CopyKind {
     /// The main copy (the paper's `J_ij`).
     Main,

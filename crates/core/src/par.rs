@@ -37,6 +37,10 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// # Panics
 ///
 /// Panics if a worker thread panics (the panic is propagated).
+#[expect(
+    clippy::expect_used,
+    reason = "the worker pool claims each index exactly once, so every slot is filled"
+)]
 pub fn map_indexed<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -78,7 +82,6 @@ where
     }
     slots
         .into_iter()
-        // mkss-lint: allow(no-unwrap-in-lib) — the worker pool claims each index exactly once, so every slot is filled
         .map(|s| s.expect("every index was claimed by exactly one worker"))
         .collect()
 }

@@ -326,8 +326,11 @@ impl FromIterator<Task> for TaskSet {
     ///
     /// Panics if the iterator is empty; use [`TaskSet::new`] for fallible
     /// construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "FromIterator cannot return Result; the panic is documented above"
+    )]
     fn from_iter<I: IntoIterator<Item = Task>>(iter: I) -> Self {
-        // mkss-lint: allow(no-unwrap-in-lib) — FromIterator cannot return Result; the panic is documented above
         TaskSet::new(iter.into_iter().collect()).expect("non-empty task iterator")
     }
 }

@@ -197,8 +197,11 @@ impl Time {
 impl Add for Time {
     type Output = Time;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow means ≈584k simulated years"
+    )]
     fn add(self, rhs: Time) -> Time {
-        // mkss-lint: allow(no-unwrap-in-lib) — operator impls cannot return Result; overflow means ≈584k simulated years
         Time(self.0.checked_add(rhs.0).expect("time overflow"))
     }
 }
@@ -217,8 +220,11 @@ impl Sub for Time {
     /// Panics on underflow; use [`Time::saturating_sub`] when the operands
     /// may be unordered.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; underflow is documented, use saturating_sub"
+    )]
     fn sub(self, rhs: Time) -> Time {
-        // mkss-lint: allow(no-unwrap-in-lib) — operator impls cannot return Result; underflow is documented, use saturating_sub
         Time(self.0.checked_sub(rhs.0).expect("time underflow"))
     }
 }
@@ -233,8 +239,11 @@ impl SubAssign for Time {
 impl Mul<u64> for Time {
     type Output = Time;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; job indices are horizon-bounded"
+    )]
     fn mul(self, rhs: u64) -> Time {
-        // mkss-lint: allow(no-unwrap-in-lib) — operator impls cannot return Result; job indices are horizon-bounded
         Time(self.0.checked_mul(rhs).expect("time overflow"))
     }
 }

@@ -20,10 +20,7 @@
 //! Plain (non-doc) line comments are additionally scanned for
 //! `mkss-lint:` control directives ([`Directive`]): suppression
 //! annotations, `hot-path` region markers, and `ordering` notes for
-//! atomic-ordering sites. Doc comment *placement* is also recorded
-//! ([`Lexed::doc_lines`], [`Lexed::module_doc`]) so the item-level
-//! parser ([`crate::parser`]) can tell documented public items from
-//! bare ones without re-reading the source.
+//! atomic-ordering sites.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,18 +119,11 @@ pub struct Directive {
     pub kind: DirectiveKind,
 }
 
-/// Lexer output: the token stream plus any control directives and
-/// doc-comment placement.
+/// Lexer output: the token stream plus any control directives.
 #[derive(Debug, Default)]
 pub struct Lexed<'a> {
     pub toks: Vec<Tok<'a>>,
     pub directives: Vec<Directive>,
-    /// Lines carrying an outer doc comment (`/// …` or the closing
-    /// line of a `/** … */` block), ascending. Used by the parser to
-    /// decide whether an item is documented.
-    pub doc_lines: Vec<u32>,
-    /// True when the file carries module docs (`//!` or `/*! … */`).
-    pub module_doc: bool,
 }
 
 /// Marker every control comment must contain.
@@ -292,21 +282,16 @@ impl<'a> Lexer<'a> {
         // Only plain `//` comments carry directives; doc text (`///`,
         // `//!`) is documentation, not control flow. `////…` is a plain
         // comment again (rustdoc's rule).
-        if text.starts_with("//!") {
-            self.out.module_doc = true;
-        } else if text.starts_with("///") && !text.starts_with("////") {
-            self.out.doc_lines.push(self.line);
-        } else if let Some(d) = parse_directive(text, self.line) {
+        let doc = text.starts_with("//!") || (text.starts_with("///") && !text.starts_with("////"));
+        if doc {
+            return;
+        }
+        if let Some(d) = parse_directive(text, self.line) {
             self.out.directives.push(d);
         }
     }
 
     fn block_comment(&mut self) {
-        // `/*!` is module docs, `/**` (but not `/**/`) an outer doc
-        // block; the doc line recorded is the line the comment *ends*
-        // on, which is what sits directly above the documented item.
-        let is_module_doc = self.peek(2) == b'!';
-        let is_doc = self.peek(2) == b'*' && self.peek(3) != b'/';
         self.i += 2;
         let mut depth = 1usize;
         while self.i < self.b.len() && depth > 0 {
@@ -325,11 +310,6 @@ impl<'a> Lexer<'a> {
                 }
                 _ => self.i += 1,
             }
-        }
-        if is_module_doc {
-            self.out.module_doc = true;
-        } else if is_doc {
-            self.out.doc_lines.push(self.line);
         }
     }
 
@@ -595,7 +575,7 @@ mod tests {
     fn directives_parse() {
         let src = "\
 // mkss-lint: hot-path begin
-// mkss-lint: allow(no-unwrap-in-lib, nondeterminism) — proven above
+// mkss-lint: allow(hot-path-alloc, float-fold-determinism) — proven above
 // mkss-lint: allow(x)
 /// mkss-lint: allow(doc) — doc comments are not directives
 // mkss-lint: hot-path end";
@@ -604,7 +584,7 @@ mod tests {
         assert_eq!(d[0].kind, DirectiveKind::HotPathBegin);
         match &d[1].kind {
             DirectiveKind::Allow { rules, reason } => {
-                assert_eq!(rules, &["no-unwrap-in-lib", "nondeterminism"]);
+                assert_eq!(rules, &["hot-path-alloc", "float-fold-determinism"]);
                 assert_eq!(reason, "proven above");
             }
             other => panic!("expected allow, got {other:?}"),
@@ -652,14 +632,6 @@ mod tests {
             floats,
             vec![true, true, true, false, false, false, true, false]
         );
-    }
-
-    #[test]
-    fn doc_lines_and_module_docs_are_recorded() {
-        let src = "//! module docs\n\n/// item docs\npub fn f() {}\n//// plain again\n";
-        let lexed = lex(src);
-        assert!(lexed.module_doc);
-        assert_eq!(lexed.doc_lines, vec![3]);
     }
 
     #[test]

@@ -9,36 +9,41 @@
 //! analysis proves the property before the system runs — this crate
 //! moves those checks to CI time.
 //!
+//! It keeps only the project-specific rules, the ones rustc, clippy and
+//! Cargo cannot express: the hot-path allocation ban, recorder gating,
+//! error-type hygiene, lock discipline, annotated atomic orderings,
+//! fixed-order float folds and condvar wait loops. The conventions the
+//! standard tools do enforce (no panics in library code, no
+//! nondeterministic collections or clock reads, documented public API)
+//! live in the workspace `[lints]` tables and `clippy.toml`; path-only
+//! dependencies are a CI check on the lockfiles.
+//!
 //! The analyzer has two layers. A hand-rolled Rust lexer ([`lexer`])
 //! produces a span-exact token stream; a lightweight item parser
 //! ([`parser`]) builds per-file item skeletons (fns, impls, structs,
-//! `use` resolution, brace-matched bodies) and a workspace-wide
-//! [`parser::ItemGraph`]. The rule engine ([`rules`]) runs token rules
-//! and item rules over every non-vendored `.rs` file and `Cargo.toml`
-//! in the workspace and reports `file:line` findings, each with a
-//! stable `MKSS-Lnnn` error code (see `DIAGNOSTICS.md`).
+//! brace-matched bodies) and a workspace-wide [`parser::ItemGraph`].
+//! The rule engine ([`rules`]) runs token rules and item rules over
+//! every non-vendored `.rs` file in the workspace and reports
+//! `file:line` findings, each with a stable `MKSS-Lnnn` error code (see
+//! `DIAGNOSTICS.md`).
 //!
 //! Findings are suppressible only via an explicit annotation with a
 //! mandatory reason:
 //!
 //! ```text
-//! // mkss-lint: allow(no-unwrap-in-lib) — slot claimed exactly once above
+//! // mkss-lint: allow(float-fold-determinism) — event order is the pinned order
 //! ```
 //!
-//! (in manifests: `# mkss-lint: allow(vendored-deps-only) — …`). The
-//! annotation must sit on the finding's line or the line directly
+//! The annotation must sit on the finding's line or the line directly
 //! above. Unused or malformed annotations are findings themselves, so
 //! the suppression inventory can never rot silently. Atomic-ordering
 //! sites use the sibling `// mkss-lint: ordering — reason` note.
 //!
 //! Run `cargo run -p mkss-lint` from anywhere in the workspace; the
 //! binary exits nonzero when anything fires. `--format json` emits the
-//! machine-readable report ([`output`]); [`baseline`] lets a new rule
-//! land as a hard CI error while existing debt is burned down
-//! deliberately. See `DESIGN.md` ("Static analysis & enforced
-//! invariants") for the rule table.
+//! machine-readable report ([`output`]). See `DESIGN.md` ("Static
+//! analysis & enforced invariants") for the rule table.
 
-pub mod baseline;
 pub mod lexer;
 pub mod output;
 pub mod parser;
@@ -54,12 +59,10 @@ use std::path::{Path, PathBuf};
 /// Outcome of a lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Surviving findings, sorted by path then line.
+    /// Surviving findings, sorted by path, line, then code.
     pub findings: Vec<Finding>,
     /// Number of findings suppressed by `allow` annotations.
     pub suppressed: usize,
-    /// Number of findings absorbed by a baseline file.
-    pub baselined: usize,
     /// Number of files scanned.
     pub files: usize,
 }
@@ -77,15 +80,15 @@ type FileMeta = (String, Vec<Directive>, Vec<(u32, u32)>);
 /// files. This is the whole engine — the filesystem entry points below
 /// only gather the file list. The file set is also the *universe* for
 /// cross-file rules: `error-hygiene` resolves impls, `lock-discipline`
-/// its order graph, and `pub-api-hygiene` its module docs against
-/// every file in the set.
+/// its order graph, and `float-fold-determinism` its float newtypes
+/// against every file in the set.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
     let mut file_meta: Vec<FileMeta> = Vec::new();
     let mut hygiene = ErrorHygiene::default();
     let mut locks = LockDiscipline::default();
 
-    // Pass 1: lex and parse every Rust file (manifests scan directly).
+    // Pass 1: lex and parse every Rust file.
     struct Parsed<'a> {
         path: &'a str,
         lexed: lexer::Lexed<'a>,
@@ -94,23 +97,17 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
         items: FileItems,
     }
     let mut parsed: Vec<Parsed<'_>> = Vec::new();
-    for (path, content) in files {
-        if path.ends_with("Cargo.toml") {
-            let scan = rules::vendored_deps::check(path, content);
-            findings.extend(scan.findings);
-            file_meta.push((path.clone(), scan.directives, Vec::new()));
-        } else if path.ends_with(".rs") {
-            let lexed = lexer::lex(content);
-            let (mask, test_spans) = test_mask(&lexed.toks);
-            let items = parser::parse(&lexed);
-            parsed.push(Parsed {
-                path,
-                lexed,
-                mask,
-                test_spans,
-                items,
-            });
-        }
+    for (path, content) in files.iter().filter(|(path, _)| path.ends_with(".rs")) {
+        let lexed = lexer::lex(content);
+        let (mask, test_spans) = test_mask(&lexed.toks);
+        let items = parser::parse(&lexed);
+        parsed.push(Parsed {
+            path,
+            lexed,
+            mask,
+            test_spans,
+            items,
+        });
     }
     let graph = ItemGraph::build(
         &parsed
@@ -130,14 +127,11 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
             items: &p.items,
             graph: &graph,
         };
-        rules::no_unwrap::check(&ctx, &mut findings);
-        rules::nondeterminism::check(&ctx, &mut findings);
         rules::hot_path_alloc::check(&ctx, &mut findings);
         rules::recorder_gate::check(&ctx, &mut findings);
         rules::atomic_ordering::check(&ctx, &mut findings);
         rules::condvar_wait::check(&ctx, &mut findings);
         rules::float_fold::check(&ctx, &mut findings);
-        rules::pub_api::check(&ctx, &mut findings);
         hygiene.collect(&ctx);
         locks.collect(&ctx, &mut findings);
         file_meta.push((
@@ -228,7 +222,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     LintReport {
         findings,
         suppressed,
-        baselined: 0,
         files: files.len(),
     }
 }
@@ -384,7 +377,7 @@ fn scan_item(toks: &[Tok<'_>], from: usize) -> usize {
 const SKIP_DIRS: &[&str] = &["vendor", "target", "node_modules"];
 
 /// Lints the whole workspace rooted at `root` (every non-vendored `.rs`
-/// file and `Cargo.toml`).
+/// file).
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let mut files = Vec::new();
     collect_files(root, root, &mut files)?;
@@ -429,7 +422,7 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> st
                 continue;
             }
             collect_files(root, &path, out)?;
-        } else if name == "Cargo.toml" || name.ends_with(".rs") {
+        } else if name.ends_with(".rs") {
             push_file(root, &path, out)?;
         }
     }

@@ -2,21 +2,17 @@
 //!
 //! ```text
 //! mkss-lint [--root DIR] [--format text|json] [--out FILE]
-//!           [--baseline FILE] [--write-baseline FILE]
 //!           [--list-rules] [PATH…]
 //! ```
 //!
-//! * no paths: walks every non-vendored `.rs` / `Cargo.toml` under the
+//! * no paths: walks every non-vendored `.rs` file under the
 //!   workspace root (found by ascending from the current directory);
 //! * explicit paths: lints just those files/directories — used by the
 //!   CI smoke that asserts a deliberately-bad file fails;
 //! * `--format json` renders the machine-readable report (stable
 //!   shape, see `DIAGNOSTICS.md`); `--out FILE` additionally writes
 //!   the rendered report to a file (gitignored);
-//! * `--baseline FILE` absorbs known findings (stale entries fail);
-//!   `--write-baseline FILE` regenerates the file from this run;
-//! * exit code: 0 clean, 1 findings or stale baseline entries,
-//!   2 usage/IO error.
+//! * exit code: 0 clean, 1 findings, 2 usage/IO error.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -37,8 +33,6 @@ enum Format {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut out_file: Option<PathBuf> = None;
-    let mut baseline_file: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut format = Format::Text;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -51,14 +45,6 @@ fn main() -> ExitCode {
             "--out" => match args.next() {
                 Some(f) => out_file = Some(PathBuf::from(f)),
                 None => return usage("--out needs a file"),
-            },
-            "--baseline" => match args.next() {
-                Some(f) => baseline_file = Some(PathBuf::from(f)),
-                None => return usage("--baseline needs a file"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(f) => write_baseline = Some(PathBuf::from(f)),
-                None => return usage("--write-baseline needs a file"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
@@ -108,41 +94,13 @@ fn main() -> ExitCode {
     } else {
         mkss_lint::lint_paths(&root, &paths)
     };
-    let mut report = match report {
+    let report = match report {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mkss-lint: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(bp) = &write_baseline {
-        let rendered = mkss_lint::baseline::render(&mkss_lint::baseline::from_report(&report));
-        if let Err(e) = std::fs::write(bp, rendered) {
-            eprintln!("mkss-lint: cannot write {}: {e}", bp.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("mkss-lint: baseline written to {}", bp.display());
-    }
-
-    let mut stale = Vec::new();
-    if let Some(bp) = &baseline_file {
-        let text = match std::fs::read_to_string(bp) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("mkss-lint: cannot read {}: {e}", bp.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match mkss_lint::baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("mkss-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        stale = baseline.apply(&mut report);
-    }
 
     let rendered = match format {
         Format::Json => mkss_lint::output::to_json(&report),
@@ -162,23 +120,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    for e in &stale {
-        eprintln!(
-            "mkss-lint: stale baseline entry {} {} {} — the debt it absorbed is gone; \
-             remove the line",
-            e.code, e.count, e.path
-        );
-    }
     eprintln!(
-        "mkss-lint: {} finding{} ({} suppressed by allow annotations, {} baselined) \
-         across {} files",
+        "mkss-lint: {} finding{} ({} suppressed by allow annotations) across {} files",
         report.findings.len(),
         if report.findings.len() == 1 { "" } else { "s" },
         report.suppressed,
-        report.baselined,
         report.files,
     );
-    if report.is_clean() && stale.is_empty() {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -195,7 +144,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: mkss-lint [--root DIR] [--format text|json] [--out FILE] \
-         [--baseline FILE] [--write-baseline FILE] [--list-rules] [PATH…]"
+         [--list-rules] [PATH…]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -1,17 +1,17 @@
 //! Machine-readable report emission: a hand-rolled JSON writer in the
 //! same zero-dependency style as `serve::json` (which is the parser
 //! side of this format — the CLI test round-trips one through the
-//! other), escaping strings with `mkss-obs`'s shared escaper. Shape, version-gated for downstream tooling:
+//! other), escaping strings with `mkss-obs`'s shared escaper. Shape,
+//! version-gated for downstream tooling:
 //!
 //! ```text
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "findings": [
-//!     {"path": "...", "line": 7, "code": "MKSS-L002",
-//!      "rule": "no-unwrap-in-lib", "message": "..."}
+//!     {"path": "...", "line": 7, "code": "MKSS-L011",
+//!      "rule": "float-fold-determinism", "message": "..."}
 //!   ],
-//!   "counts": {"findings": 1, "suppressed": 12,
-//!              "baselined": 0, "files": 120}
+//!   "counts": {"findings": 1, "suppressed": 12, "files": 120}
 //! }
 //! ```
 
@@ -21,7 +21,7 @@ use crate::rules::Finding;
 use crate::LintReport;
 
 /// Report format version; bump only on breaking shape changes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Renders the full report as a single JSON document (trailing
 /// newline included, findings in their sorted order).
@@ -42,10 +42,9 @@ pub fn to_json(report: &LintReport) -> String {
     }
     s.push_str("],\n  \"counts\": {");
     s.push_str(&format!(
-        "\"findings\": {}, \"suppressed\": {}, \"baselined\": {}, \"files\": {}",
+        "\"findings\": {}, \"suppressed\": {}, \"files\": {}",
         report.findings.len(),
         report.suppressed,
-        report.baselined,
         report.files
     ));
     s.push_str("}\n}\n");
@@ -76,18 +75,18 @@ mod tests {
             findings: vec![Finding {
                 path: "a\\b.rs".into(),
                 line: 3,
-                rule: crate::rules::NO_UNWRAP_IN_LIB,
+                rule: crate::rules::FLOAT_FOLD_DETERMINISM,
                 message: "say \"no\"\n".into(),
             }],
             suppressed: 2,
-            baselined: 1,
             files: 5,
         };
         let j = to_json(&report);
-        assert!(j.contains(r#""code": "MKSS-L002""#));
+        assert!(j.contains(r#""version": 2"#));
+        assert!(j.contains(r#""code": "MKSS-L011""#));
         assert!(j.contains(r#""path": "a\\b.rs""#));
         assert!(j.contains(r#"say \"no\"\n"#));
-        assert!(j.contains(r#""suppressed": 2, "baselined": 1, "files": 5"#));
+        assert!(j.contains(r#""suppressed": 2, "files": 5"#));
     }
 
     #[test]

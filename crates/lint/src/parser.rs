@@ -1,7 +1,7 @@
 //! The item-level layer of mkss-lint: a lightweight parser that turns
-//! the token stream into a tree of *items* (fns, impls, structs, enums,
-//! traits, mods, uses) with brace-matched body spans, plus a
-//! workspace-wide [`ItemGraph`] shared by every rule.
+//! the token stream into *items* (fns, impls, structs, enums, traits,
+//! mods) with brace-matched body spans, plus a workspace-wide
+//! [`ItemGraph`] shared by every rule.
 //!
 //! This is deliberately not a full Rust parser. It recognises item
 //! *skeletons* — attributes, visibility, the declaring keyword, the
@@ -12,31 +12,15 @@
 //!
 //! What the rules get out of it:
 //!
-//! * `pub-api-hygiene` walks [`Item`]s with effective visibility
-//!   (a `pub` fn inside a private mod is not API) and doc placement;
 //! * `float-fold-determinism` resolves struct fields and float
 //!   newtypes (`Energy(f64)`) through [`ItemGraph::float_fields`] /
-//!   [`ItemGraph::float_newtypes`], and return types through the
-//!   enclosing fn signature span;
+//!   [`ItemGraph::float_newtypes`], return types through the enclosing
+//!   fn signature span, and `self.0 +=` through the enclosing impl;
 //! * `lock-discipline` and `condvar-wait-in-loop` analyse one fn body
-//!   at a time via [`FileItems::fn_bodies`];
-//! * `use` declarations are resolved workspace-locally
-//!   ([`ItemGraph::resolve`]) so aliased imports (`use std::error::Error
-//!   as StdError`) do not defeat name-based rules.
+//!   at a time via [`FileItems::fn_bodies`].
 
 use crate::lexer::{Lexed, Tok, TokKind};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Item visibility as written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vis {
-    /// `pub`
-    Pub,
-    /// `pub(crate)` / `pub(super)` / `pub(in …)`
-    Scoped,
-    /// No visibility keyword.
-    Private,
-}
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ItemKind {
@@ -59,40 +43,17 @@ pub struct Item {
     pub kind: ItemKind,
     /// Declared name; for impls the self-type name instead.
     pub name: String,
-    pub vis: Vis,
     /// Index of the item's first token (first attribute, visibility,
     /// or keyword token).
     pub first_tok: usize,
-    /// Line of the declaring keyword.
-    pub line: u32,
     /// Token indices of the `{` and matching `}` of the body, if any.
     pub body: Option<(usize, usize)>,
-    /// True when the item is documented: a doc comment ends on the
-    /// line directly above its first token, or it carries `#[doc…]`.
-    pub doc: bool,
-    /// True when the item carries `#[non_exhaustive]`.
-    pub non_exhaustive: bool,
-    /// Index into [`FileItems::items`] of the enclosing mod/impl.
-    pub parent: Option<usize>,
-    /// Impls only: true for `impl Trait for Type`.
-    pub trait_impl: bool,
-}
-
-/// One `use` declaration, flattened (groups expanded).
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    pub line: u32,
-    /// Full path segments, e.g. `["std", "error", "Error"]`.
-    pub segments: Vec<String>,
-    /// The name the import binds (`as` alias, last segment, or `*`).
-    pub alias: String,
 }
 
 /// A struct's fields, for the float-propagation analysis.
 #[derive(Debug, Clone)]
 pub struct StructInfo {
     pub name: String,
-    pub vis: Vis,
     /// Named fields as `(name, type head)` — the head is the last path
     /// segment of the field's type (`Energy` for `crate::power::Energy`,
     /// `f64` for `[f64; 2]`).
@@ -105,28 +66,10 @@ pub struct StructInfo {
 #[derive(Debug, Default)]
 pub struct FileItems {
     pub items: Vec<Item>,
-    pub uses: Vec<UseDecl>,
     pub structs: Vec<StructInfo>,
-    /// True when the file opens with `//!` module docs.
-    pub module_doc: bool,
 }
 
 impl FileItems {
-    /// Effective visibility: `pub` only when the item and every
-    /// enclosing mod are `pub`. Items inside impls take the impl's
-    /// enclosing mods into account (the impl itself has no vis).
-    pub fn effectively_pub(&self, idx: usize) -> bool {
-        let mut cur = Some(idx);
-        while let Some(i) = cur {
-            let it = &self.items[i];
-            if it.kind != ItemKind::Impl && it.vis != Vis::Pub {
-                return false;
-            }
-            cur = it.parent;
-        }
-        true
-    }
-
     /// Token ranges `(sig_start, open, close)` of every fn body: the
     /// signature starts at the fn's first token, the body is
     /// `toks[open..=close]` with braces included.
@@ -138,41 +81,20 @@ impl FileItems {
             it.body.map(|(open, close)| (it.first_tok, open, close))
         })
     }
-
-    /// The impl item enclosing `idx`, if any.
-    pub fn enclosing_impl(&self, idx: usize) -> Option<&Item> {
-        let mut cur = self.items[idx].parent;
-        while let Some(i) = cur {
-            if self.items[i].kind == ItemKind::Impl {
-                return Some(&self.items[i]);
-            }
-            cur = self.items[i].parent;
-        }
-        None
-    }
 }
 
 /// Parses one lexed file into its item skeletons.
 pub fn parse<'a>(lexed: &Lexed<'a>) -> FileItems {
-    let directive_lines: Vec<u32> = lexed.directives.iter().map(|d| d.line).collect();
     let mut p = P {
         toks: &lexed.toks,
-        doc_lines: &lexed.doc_lines,
-        directive_lines,
-        out: FileItems {
-            module_doc: lexed.module_doc,
-            ..FileItems::default()
-        },
+        out: FileItems::default(),
     };
-    p.items_in(0, lexed.toks.len(), None);
+    p.items_in(0, lexed.toks.len());
     p.out
 }
 
 struct P<'a, 't> {
     toks: &'t [Tok<'a>],
-    doc_lines: &'t [u32],
-    /// Lines holding `mkss-lint:` directives, in file order (sorted).
-    directive_lines: Vec<u32>,
     out: FileItems,
 }
 
@@ -188,41 +110,33 @@ impl<'a, 't> P<'a, 't> {
         self.toks.get(i).copied().unwrap_or(NONE)
     }
 
-    fn items_in(&mut self, mut i: usize, hi: usize, parent: Option<usize>) {
+    fn items_in(&mut self, mut i: usize, hi: usize) {
         while i < hi {
-            i = self.item_at(i, hi, parent);
+            i = self.item_at(i, hi);
         }
     }
 
     /// Parses one item starting at `i`; returns the index past it. On
     /// anything unrecognised, advances one token (resynchronisation).
-    fn item_at(&mut self, i: usize, hi: usize, parent: Option<usize>) -> usize {
+    fn item_at(&mut self, i: usize, hi: usize) -> usize {
         let first = i;
         let mut j = i;
 
         // Attributes. `#![…]` inner attributes are skipped the same way.
-        let mut non_exhaustive = false;
-        let mut doc_attr = false;
         loop {
             let inner = self.tok(j).is_punct('#') && self.tok(j + 1).is_punct('!');
             let open = if inner { j + 2 } else { j + 1 };
             if j < hi && self.tok(j).is_punct('#') && self.tok(open).is_punct('[') {
-                let (end, ne, doc) = self.scan_attr(open, hi);
-                non_exhaustive |= ne && !inner;
-                doc_attr |= doc && !inner;
-                j = end;
+                j = self.skip_balanced(open, '[', ']', hi);
             } else {
                 break;
             }
         }
 
         // Visibility.
-        let mut vis = Vis::Private;
         if self.tok(j).is_ident("pub") {
-            vis = Vis::Pub;
             j += 1;
             if self.tok(j).is_punct('(') {
-                vis = Vis::Scoped;
                 j = self.skip_balanced(j, '(', ')', hi);
             }
         }
@@ -250,12 +164,9 @@ impl<'a, 't> P<'a, 't> {
         if kw.kind != TokKind::Ident {
             return j.max(first) + 1;
         }
-        let doc = doc_attr || self.doc_above(first);
         match kw.text {
-            "fn" => self.finish_fn(first, j, hi, vis, doc, non_exhaustive, parent),
-            "struct" | "union" => {
-                self.finish_struct(first, j, hi, vis, doc, non_exhaustive, parent)
-            }
+            "fn" => self.finish_fn(first, j, hi),
+            "struct" | "union" => self.finish_struct(first, j, hi),
             "enum" | "trait" => {
                 let kind = if kw.text == "enum" {
                     ItemKind::Enum
@@ -264,42 +175,30 @@ impl<'a, 't> P<'a, 't> {
                 };
                 let name = self.tok(j + 1).text.to_string();
                 let (body, end) = self.find_body_or_semi(j + 2, hi);
-                self.push_item(Item {
+                self.out.items.push(Item {
                     kind,
                     name,
-                    vis,
                     first_tok: first,
-                    line: kw.line,
                     body,
-                    doc,
-                    non_exhaustive,
-                    parent,
-                    trait_impl: false,
                 });
                 end
             }
-            "impl" => self.finish_impl(first, j, hi, doc, parent),
+            "impl" => self.finish_impl(first, j, hi),
             "mod" => {
                 let name = self.tok(j + 1).text.to_string();
                 let (body, end) = self.find_body_or_semi(j + 2, hi);
-                let idx = self.push_item(Item {
+                self.out.items.push(Item {
                     kind: ItemKind::Mod,
                     name,
-                    vis,
                     first_tok: first,
-                    line: kw.line,
                     body,
-                    doc,
-                    non_exhaustive,
-                    parent,
-                    trait_impl: false,
                 });
                 if let Some((open, close)) = body {
-                    self.items_in(open + 1, close, Some(idx));
+                    self.items_in(open + 1, close);
                 }
                 end
             }
-            "use" => self.finish_use(j, hi),
+            "use" => self.skip_to_semi(j + 1, hi),
             "const" | "static" => {
                 let mut n = j + 1;
                 if self.tok(n).is_ident("mut") {
@@ -312,34 +211,22 @@ impl<'a, 't> P<'a, 't> {
                     ItemKind::Static
                 };
                 let end = self.skip_to_semi(n + 1, hi);
-                self.push_item(Item {
+                self.out.items.push(Item {
                     kind,
                     name,
-                    vis,
                     first_tok: first,
-                    line: kw.line,
                     body: None,
-                    doc,
-                    non_exhaustive,
-                    parent,
-                    trait_impl: false,
                 });
                 end
             }
             "type" => {
                 let name = self.tok(j + 1).text.to_string();
                 let end = self.skip_to_semi(j + 2, hi);
-                self.push_item(Item {
+                self.out.items.push(Item {
                     kind: ItemKind::TypeAlias,
                     name,
-                    vis,
                     first_tok: first,
-                    line: kw.line,
                     body: None,
-                    doc,
-                    non_exhaustive,
-                    parent,
-                    trait_impl: false,
                 });
                 end
             }
@@ -347,67 +234,16 @@ impl<'a, 't> P<'a, 't> {
                 // macro_rules! name { … }
                 let name = self.tok(j + 2).text.to_string();
                 let (body, end) = self.find_body_or_semi(j + 3, hi);
-                self.push_item(Item {
+                self.out.items.push(Item {
                     kind: ItemKind::Macro,
                     name,
-                    vis,
                     first_tok: first,
-                    line: kw.line,
                     body,
-                    doc,
-                    non_exhaustive,
-                    parent,
-                    trait_impl: false,
                 });
                 end
             }
             _ => j + 1,
         }
-    }
-
-    fn push_item(&mut self, item: Item) -> usize {
-        self.out.items.push(item);
-        self.out.items.len() - 1
-    }
-
-    /// True when a doc comment ends on the line directly above token
-    /// `first`'s line. Lint directives are ordinary comments to rustc,
-    /// so `/// doc` → `// mkss-lint: allow(…)` → `pub fn` still counts
-    /// as documented: directive-only lines are skipped while walking up.
-    fn doc_above(&self, first: usize) -> bool {
-        let mut line = self.tok(first).line;
-        while line > 1 && self.directive_lines.binary_search(&(line - 1)).is_ok() {
-            line -= 1;
-        }
-        line > 1 && self.doc_lines.binary_search(&(line - 1)).is_ok()
-    }
-
-    /// Scans one `[…]` attribute body starting at the `[`; returns
-    /// (index past `]`, is-non_exhaustive, is-doc).
-    fn scan_attr(&self, open: usize, hi: usize) -> (usize, bool, bool) {
-        let mut depth = 0usize;
-        let mut ne = false;
-        let mut doc = false;
-        let mut j = open;
-        while j < hi {
-            match self.tok(j).kind {
-                TokKind::Punct('[') => depth += 1,
-                TokKind::Punct(']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return (j + 1, ne, doc);
-                    }
-                }
-                TokKind::Ident => {
-                    let t = self.tok(j).text;
-                    ne |= t == "non_exhaustive";
-                    doc |= t == "doc" && j == open + 1;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        (hi, ne, doc)
     }
 
     /// Skips a balanced `open…close` group starting at `open`'s index;
@@ -468,45 +304,19 @@ impl<'a, 't> P<'a, 't> {
         hi
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_fn(
-        &mut self,
-        first: usize,
-        kw: usize,
-        hi: usize,
-        vis: Vis,
-        doc: bool,
-        non_exhaustive: bool,
-        parent: Option<usize>,
-    ) -> usize {
+    fn finish_fn(&mut self, first: usize, kw: usize, hi: usize) -> usize {
         let name = self.tok(kw + 1).text.to_string();
         let (body, end) = self.find_body_or_semi(kw + 2, hi);
-        self.push_item(Item {
+        self.out.items.push(Item {
             kind: ItemKind::Fn,
             name,
-            vis,
             first_tok: first,
-            line: self.tok(kw).line,
             body,
-            doc,
-            non_exhaustive,
-            parent,
-            trait_impl: false,
         });
         end
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_struct(
-        &mut self,
-        first: usize,
-        kw: usize,
-        hi: usize,
-        vis: Vis,
-        doc: bool,
-        non_exhaustive: bool,
-        parent: Option<usize>,
-    ) -> usize {
+    fn finish_struct(&mut self, first: usize, kw: usize, hi: usize) -> usize {
         let name = self.tok(kw + 1).text.to_string();
         let kind = if self.tok(kw).text == "union" {
             ItemKind::Union
@@ -519,7 +329,6 @@ impl<'a, 't> P<'a, 't> {
         }
         let mut info = StructInfo {
             name: name.clone(),
-            vis,
             fields: Vec::new(),
             tuple_heads: Vec::new(),
         };
@@ -550,17 +359,11 @@ impl<'a, 't> P<'a, 't> {
             end = self.skip_to_semi(j, hi);
         }
         self.out.structs.push(info);
-        self.push_item(Item {
+        self.out.items.push(Item {
             kind,
             name,
-            vis,
             first_tok: first,
-            line: self.tok(kw).line,
             body,
-            doc,
-            non_exhaustive,
-            parent,
-            trait_impl: false,
         });
         end
     }
@@ -702,14 +505,7 @@ impl<'a, 't> P<'a, 't> {
         head.to_string()
     }
 
-    fn finish_impl(
-        &mut self,
-        first: usize,
-        kw: usize,
-        hi: usize,
-        doc: bool,
-        parent: Option<usize>,
-    ) -> usize {
+    fn finish_impl(&mut self, first: usize, kw: usize, hi: usize) -> usize {
         let mut j = kw + 1;
         if self.tok(j).is_punct('<') {
             j = self.skip_generics(j, hi);
@@ -748,20 +544,14 @@ impl<'a, 't> P<'a, 't> {
         } else {
             (None, hi)
         };
-        let idx = self.push_item(Item {
+        self.out.items.push(Item {
             kind: ItemKind::Impl,
             name: self_ty,
-            vis: Vis::Private,
             first_tok: first,
-            line: self.tok(kw).line,
             body,
-            doc,
-            non_exhaustive: false,
-            parent,
-            trait_impl: for_at.is_some(),
         });
         if let Some((open, close)) = body {
-            self.items_in(open + 1, close, Some(idx));
+            self.items_in(open + 1, close);
         }
         end
     }
@@ -786,81 +576,6 @@ impl<'a, 't> P<'a, 't> {
         }
         last.to_string()
     }
-
-    /// Parses `use …;` (groups, globs, aliases) into [`UseDecl`]s.
-    fn finish_use(&mut self, kw: usize, hi: usize) -> usize {
-        let end = self.skip_to_semi(kw + 1, hi);
-        let line = self.tok(kw).line;
-        let mut prefix: Vec<String> = Vec::new();
-        self.use_tree(kw + 1, end.saturating_sub(1), &mut prefix, line);
-        end
-    }
-
-    /// One use-tree between `lo..hi` (exclusive of the trailing `;`).
-    fn use_tree(&mut self, mut lo: usize, hi: usize, prefix: &mut Vec<String>, line: u32) {
-        let depth_before = prefix.len();
-        loop {
-            let t = self.tok(lo);
-            if t.kind == TokKind::Ident && !t.is_ident("as") {
-                prefix.push(t.text.to_string());
-                lo += 1;
-                if self.tok(lo).is_punct(':') && self.tok(lo + 1).is_punct(':') {
-                    lo += 2;
-                    continue;
-                }
-            }
-            break;
-        }
-        let t = self.tok(lo);
-        if t.is_punct('{') && lo < hi {
-            // Group: split at depth-0 commas.
-            let close = self.skip_balanced(lo, '{', '}', hi + 1) - 1;
-            let mut start = lo + 1;
-            let mut depth = 0i32;
-            for j in lo + 1..=close.min(hi) {
-                let t = self.tok(j);
-                if t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct('}') && j != close {
-                    depth -= 1;
-                }
-                if (t.is_punct(',') && depth == 0) || j == close {
-                    if start < j {
-                        self.use_tree(start, j, prefix, line);
-                    }
-                    start = j + 1;
-                }
-            }
-        } else if t.is_punct('*') {
-            self.emit_use(prefix, "*", line);
-        } else if t.is_ident("as") && self.tok(lo + 1).kind == TokKind::Ident {
-            let alias = self.tok(lo + 1).text.to_string();
-            self.emit_use(prefix, &alias, line);
-        } else if let Some(last) = prefix.last().cloned() {
-            if last == "self" {
-                let alias = prefix
-                    .get(prefix.len().wrapping_sub(2))
-                    .cloned()
-                    .unwrap_or(last);
-                self.emit_use(prefix, &alias, line);
-            } else {
-                self.emit_use(prefix, &last, line);
-            }
-        }
-        prefix.truncate(depth_before);
-    }
-
-    fn emit_use(&mut self, segments: &[String], alias: &str, line: u32) {
-        let segments: Vec<String> = segments.iter().filter(|s| *s != "self").cloned().collect();
-        if segments.is_empty() {
-            return;
-        }
-        self.out.uses.push(UseDecl {
-            line,
-            segments,
-            alias: alias.to_string(),
-        });
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -877,37 +592,12 @@ pub struct ItemGraph {
     /// Named struct fields in library crates whose type head is a
     /// float or a float newtype.
     pub float_fields: BTreeSet<String>,
-    /// `pub` struct/enum/trait/union names declared in library crates.
-    pub pub_types: BTreeSet<String>,
-    /// Per file: does it open with `//!` module docs?
-    module_docs: BTreeMap<String, bool>,
-    /// `file-path|alias` → full `::`-joined import path.
-    aliases: BTreeMap<String, String>,
 }
 
 impl ItemGraph {
     /// Builds the graph over every parsed file in the lint universe.
     pub fn build(files: &[(&str, &FileItems)]) -> ItemGraph {
         let mut g = ItemGraph::default();
-        for (path, items) in files {
-            g.module_docs.insert((*path).to_string(), items.module_doc);
-            for u in &items.uses {
-                g.aliases
-                    .insert(format!("{path}|{}", u.alias), u.segments.join("::"));
-            }
-            if !crate::rules::scope::in_lib_crate(path) {
-                continue;
-            }
-            for (i, it) in items.items.iter().enumerate() {
-                let type_like = matches!(
-                    it.kind,
-                    ItemKind::Struct | ItemKind::Enum | ItemKind::Trait | ItemKind::Union
-                );
-                if type_like && items.effectively_pub(i) {
-                    g.pub_types.insert(it.name.clone());
-                }
-            }
-        }
         // Float newtypes close transitively (`struct J(Energy)`); two
         // rounds reach a fixpoint for any sane nesting depth.
         for _ in 0..3 {
@@ -944,40 +634,6 @@ impl ItemGraph {
         }
         g
     }
-
-    /// Resolves `ident` as used in `file` through that file's imports:
-    /// `resolve("crates/x/src/a.rs", "StdError")` →
-    /// `Some("std::error::Error")` when `use std::error::Error as
-    /// StdError;` is in scope.
-    pub fn resolve(&self, file: &str, ident: &str) -> Option<&str> {
-        self.aliases
-            .get(&format!("{file}|{ident}"))
-            .map(String::as_str)
-    }
-
-    /// Whether the file implementing `pub mod <name>;` declared in
-    /// `decl_file` carries `//!` module docs. `None` when the module
-    /// file is not in the lint universe (e.g. a path attribute).
-    pub fn module_has_docs(&self, decl_file: &str, mod_name: &str) -> Option<bool> {
-        let dir = decl_file.rsplit_once('/').map_or("", |(d, _)| d);
-        let stem = decl_file
-            .rsplit_once('/')
-            .map_or(decl_file, |(_, f)| f)
-            .trim_end_matches(".rs");
-        let mut candidates = vec![
-            format!("{dir}/{mod_name}.rs"),
-            format!("{dir}/{mod_name}/mod.rs"),
-        ];
-        // `mod x;` inside lib.rs/main.rs/mod.rs resolves to siblings;
-        // inside `foo.rs` it resolves to `foo/x.rs`.
-        if stem != "lib" && stem != "main" && stem != "mod" {
-            candidates.push(format!("{dir}/{stem}/{mod_name}.rs"));
-            candidates.push(format!("{dir}/{stem}/{mod_name}/mod.rs"));
-        }
-        candidates
-            .iter()
-            .find_map(|c| self.module_docs.get(c.trim_start_matches('/')).copied())
-    }
 }
 
 #[cfg(test)]
@@ -999,11 +655,8 @@ pub struct Row { pub wcet: u64, energy: crate::power::Energy }
 ";
         let fi = parse_src(src);
         let f = &fi.items[0];
-        assert_eq!(
-            (f.kind, f.name.as_str(), f.vis),
-            (ItemKind::Fn, "f", Vis::Pub)
-        );
-        assert!(f.doc && f.body.is_some());
+        assert_eq!((f.kind, f.name.as_str()), (ItemKind::Fn, "f"));
+        assert!(f.body.is_some());
         let e = &fi.structs[0];
         assert_eq!(e.tuple_heads, vec!["f64"]);
         let r = &fi.structs[1];
@@ -1020,69 +673,40 @@ pub struct Row { pub wcet: u64, energy: crate::power::Energy }
     fn impls_and_nesting() {
         let src = "\
 impl Display for Energy { fn fmt(&self) {} }
-impl Energy { pub fn get(&self) -> f64 { self.0 } }
+impl<T> Wrapper<T> { pub fn get(&self) -> f64 { self.0 } }
 mod inner { pub fn hidden() {} }
-pub mod outer { pub fn shown() {} }
 ";
         let fi = parse_src(src);
         let impls: Vec<_> = fi
             .items
             .iter()
             .filter(|i| i.kind == ItemKind::Impl)
+            .map(|i| i.name.as_str())
             .collect();
-        assert_eq!(impls.len(), 2);
-        assert!(impls[0].trait_impl && impls[0].name == "Energy");
-        assert!(!impls[1].trait_impl && impls[1].name == "Energy");
-        let get = fi.items.iter().position(|i| i.name == "get").unwrap();
-        assert!(fi.items[get].parent.is_some());
-        assert!(fi.effectively_pub(get)); // inherent impl of pub path
-        let hidden = fi.items.iter().position(|i| i.name == "hidden").unwrap();
-        assert!(!fi.effectively_pub(hidden)); // private mod caps it
-        let shown = fi.items.iter().position(|i| i.name == "shown").unwrap();
-        assert!(fi.effectively_pub(shown));
+        assert_eq!(impls, vec!["Energy", "Wrapper"]);
+        // Fns nested in impls and mods are items too, with bodies.
+        let fns: Vec<_> = fi
+            .items
+            .iter()
+            .filter(|i| i.kind == ItemKind::Fn && i.body.is_some())
+            .map(|i| i.name.as_str())
+            .collect();
+        assert_eq!(fns, vec!["fmt", "get", "hidden"]);
     }
 
     #[test]
-    fn use_groups_and_aliases() {
-        let src = "use std::error::Error as StdError;\n\
-                   use std::sync::{Arc, Mutex, atomic::{AtomicBool, Ordering}};\n\
-                   use crate::power::*;\n";
-        let fi = parse_src(src);
-        let find = |alias: &str| {
-            fi.uses
-                .iter()
-                .find(|u| u.alias == alias)
-                .map(|u| u.segments.join("::"))
-        };
-        assert_eq!(find("StdError").as_deref(), Some("std::error::Error"));
-        assert_eq!(find("Mutex").as_deref(), Some("std::sync::Mutex"));
-        assert_eq!(
-            find("Ordering").as_deref(),
-            Some("std::sync::atomic::Ordering")
-        );
-        assert_eq!(find("*").as_deref(), Some("crate::power"));
-    }
-
-    #[test]
-    fn enums_and_attrs() {
-        let src = "\
+    fn attributes_are_skipped() {
+        // Single-line, multi-line and inner attributes all resolve to
+        // the item they decorate; `use` declarations are skipped.
+        let src = "#![forbid(unsafe_code)]\nuse std::fmt;\n\
 #[non_exhaustive]\npub enum A { X }\n\
-#[doc = \"hi\"]\npub enum B { Y }\n\
-pub enum C { Z }\n";
+#[derive(\n    Clone,\n    Copy\n)]\npub struct Time(u64);\n";
         let fi = parse_src(src);
-        assert!(fi.items[0].non_exhaustive);
-        assert!(fi.items[1].doc && !fi.items[1].non_exhaustive);
-        assert!(!fi.items[2].doc && !fi.items[2].non_exhaustive);
-    }
-
-    #[test]
-    fn doc_above_multiline_attrs() {
-        // The doc comment sits above a multi-line derive; the item is
-        // still documented.
-        let src = "/// Ticks.\n#[derive(\n    Clone,\n    Copy\n)]\npub struct Time(u64);\n";
-        let fi = parse_src(src);
-        let t = fi.items.iter().find(|i| i.name == "Time").unwrap();
-        assert!(t.doc);
+        let items: Vec<_> = fi.items.iter().map(|i| (i.kind, i.name.as_str())).collect();
+        assert_eq!(
+            items,
+            vec![(ItemKind::Enum, "A"), (ItemKind::Struct, "Time")]
+        );
     }
 
     #[test]
@@ -1098,7 +722,6 @@ pub enum C { Z }\n";
         assert!(g.float_newtypes.contains("Joules"));
         assert!(g.float_fields.contains("idle"));
         assert!(!g.float_fields.contains("count"));
-        assert!(g.pub_types.contains("Energy"));
     }
 
     #[test]

@@ -222,17 +222,11 @@ fn lhs_floaty(ctx: &FileCtx<'_>, body_open: usize, lo: usize, plus: usize) -> bo
     false
 }
 
-/// Whether the fn containing token `at` sits in an impl of a float
-/// newtype.
+/// Whether token `at` sits inside an impl of a float newtype.
 fn enclosing_impl_floaty(ctx: &FileCtx<'_>, at: usize) -> bool {
-    ctx.items
-        .items
-        .iter()
-        .enumerate()
-        .filter(|(_, it)| {
-            it.kind == crate::parser::ItemKind::Fn
-                && it.body.is_some_and(|(o, c)| o <= at && at <= c)
-        })
-        .filter_map(|(idx, _)| ctx.items.enclosing_impl(idx))
-        .any(|im| ctx.graph.float_newtypes.contains(&im.name))
+    ctx.items.items.iter().any(|it| {
+        it.kind == crate::parser::ItemKind::Impl
+            && it.body.is_some_and(|(o, c)| o <= at && at <= c)
+            && ctx.graph.float_newtypes.contains(&it.name)
+    })
 }

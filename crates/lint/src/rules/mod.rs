@@ -1,15 +1,20 @@
 //! The rule catalog and the per-file context rules run against.
 //!
-//! Rules come in two layers. The original token rules are per-file
-//! pattern passes over the lexed stream (plus, for `error-hygiene`, a
-//! workspace-wide finalize step, and for `vendored-deps-only`, a
-//! manifest scan). The v2 rules additionally see the item layer
-//! ([`crate::parser`]): brace-matched fn bodies, struct fields, impls
-//! and `use` resolution, and the cross-file [`crate::parser::ItemGraph`]
-//! (float newtypes, pub types, module docs, lock-order edges).
+//! Rules come in two layers. The token rules are per-file pattern
+//! passes over the lexed stream (plus, for `error-hygiene`, a
+//! workspace-wide finalize step). The item rules additionally see the
+//! item layer ([`crate::parser`]): brace-matched fn bodies, struct
+//! fields and impls, and the cross-file [`crate::parser::ItemGraph`]
+//! (float newtypes and fields); `lock-discipline` keeps its own
+//! cross-file lock-order graph.
 //!
 //! Every rule has a stable error code (`MKSS-L001`…, see
-//! `DIAGNOSTICS.md`). Findings are suppressible only by an explicit
+//! `DIAGNOSTICS.md`); retired codes are never reused. Conventions that
+//! rustc, clippy or Cargo enforce (no panics in library code, no
+//! nondeterministic collections or clock reads, documented public API,
+//! path-only dependencies) live in the workspace lint tables,
+//! `clippy.toml` and the CI lockfile gate instead. Findings are
+//! suppressible only by an explicit
 //! `// mkss-lint: allow(<rule>) — <reason>` on the same or the
 //! preceding line; the reason is mandatory and unused allows are
 //! themselves findings, so suppressions stay auditable.
@@ -23,14 +28,11 @@ pub mod error_hygiene;
 pub mod float_fold;
 pub mod hot_path_alloc;
 pub mod lock_discipline;
-pub mod no_unwrap;
-pub mod nondeterminism;
-pub mod pub_api;
 pub mod recorder_gate;
-pub mod vendored_deps;
 
-/// One reported violation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// One reported violation. Findings order by path, line, error code,
+/// then message (the order `DIAGNOSTICS.md` documents).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path (forward slashes).
     pub path: String,
@@ -45,6 +47,24 @@ impl Finding {
     /// The rule's stable `MKSS-Lnnn` error code (see DIAGNOSTICS.md).
     pub fn code(&self) -> &'static str {
         code_for(self.rule)
+    }
+
+    /// The sort key; the rule ID last keeps the order consistent with
+    /// `Eq`.
+    fn key(&self) -> (&str, u32, &str, &str, &str) {
+        (&self.path, self.line, self.code(), &self.message, self.rule)
+    }
+}
+
+impl Ord for Finding {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for Finding {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -72,10 +92,7 @@ pub struct RuleInfo {
 
 /// Rule IDs (used by findings and `allow(...)` directives).
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
-pub const NO_UNWRAP_IN_LIB: &str = "no-unwrap-in-lib";
-pub const NONDETERMINISM: &str = "nondeterminism";
 pub const ERROR_HYGIENE: &str = "error-hygiene";
-pub const VENDORED_DEPS_ONLY: &str = "vendored-deps-only";
 pub const RECORDER_GATED_EMIT: &str = "recorder-gated-emit";
 pub const MALFORMED_DIRECTIVE: &str = "malformed-directive";
 pub const UNUSED_ALLOW: &str = "unused-allow";
@@ -83,9 +100,9 @@ pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 pub const ATOMIC_ORDERING_ANNOTATED: &str = "atomic-ordering-annotated";
 pub const FLOAT_FOLD_DETERMINISM: &str = "float-fold-determinism";
 pub const CONDVAR_WAIT_IN_LOOP: &str = "condvar-wait-in-loop";
-pub const PUB_API_HYGIENE: &str = "pub-api-hygiene";
 
-/// The full catalog, ordered by error code.
+/// The full catalog, ordered by error code. L002, L003, L005 and L013
+/// are retired (see `DIAGNOSTICS.md`).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: HOT_PATH_ALLOC,
@@ -96,30 +113,10 @@ pub const RULES: &[RuleInfo] = &[
                   at review time",
     },
     RuleInfo {
-        id: NO_UNWRAP_IN_LIB,
-        code: "MKSS-L002",
-        summary: "no unwrap()/expect()/panic! in non-test code of the library \
-                  crates (core, workload, policies, analysis, sim, obs); \
-                  provably-infallible sites carry an annotated expect",
-    },
-    RuleInfo {
-        id: NONDETERMINISM,
-        code: "MKSS-L003",
-        summary: "no HashMap/HashSet (iteration order varies per process), no \
-                  Instant::now/SystemTime::now outside annotated harness timing \
-                  sites, no thread_rng — protects cross-`--jobs` byte-identity",
-    },
-    RuleInfo {
         id: ERROR_HYGIENE,
         code: "MKSS-L004",
         summary: "every `pub` *Error type is #[non_exhaustive] and has Display \
                   and std::error::Error impls",
-    },
-    RuleInfo {
-        id: VENDORED_DEPS_ONLY,
-        code: "MKSS-L005",
-        summary: "every Cargo.toml dependency is a path/workspace dep (vendored \
-                  or in-tree); registry and git deps can never build here",
     },
     RuleInfo {
         id: RECORDER_GATED_EMIT,
@@ -170,14 +167,6 @@ pub const RULES: &[RuleInfo] = &[
                   re-checks its predicate (spurious wakeups); .wait_while or a \
                   reasoned allow for deliberate single waits",
     },
-    RuleInfo {
-        id: PUB_API_HYGIENE,
-        code: "MKSS-L013",
-        summary: "public items in library crates carry doc comments, `pub mod`s \
-                  resolve to module-documented files, and public enums are \
-                  #[non_exhaustive] unless a reasoned allow says growth is \
-                  impossible",
-    },
 ];
 
 /// True when `id` names a catalogued rule.
@@ -185,8 +174,8 @@ pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-/// The stable error code for a rule ID (`"?"` for unknown IDs, which
-/// cannot arise from catalogued findings).
+/// The stable error code for a rule ID (`"MKSS-L???"` for unknown
+/// IDs, which cannot arise from catalogued findings).
 pub fn code_for(rule: &str) -> &'static str {
     RULES
         .iter()
@@ -247,7 +236,9 @@ impl<'a> FileCtx<'a> {
 /// Path helpers shared by rule scopes. Paths are workspace-relative
 /// with forward slashes.
 pub mod scope {
-    /// The eight library crates covered by `no-unwrap-in-lib`.
+    /// The eight library crates: the ones that opt into the workspace
+    /// lint tables, and the scope of `float-fold-determinism` and
+    /// `lock-discipline`.
     pub const LIB_CRATES: &[&str] = &[
         "crates/core/src/",
         "crates/workload/src/",

@@ -94,13 +94,10 @@ proptest! {
                 "line of {:?} at byte {}", t.text, start
             );
         }
-        // Directives and doc lines carry real line numbers too.
+        // Directives carry real line numbers too.
         let total_lines = src.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
         for d in &lexed.directives {
             prop_assert!(d.line >= 1 && d.line <= total_lines);
-        }
-        for &l in &lexed.doc_lines {
-            prop_assert!(l >= 1 && l <= total_lines);
         }
     }
 

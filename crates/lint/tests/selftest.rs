@@ -42,105 +42,6 @@ fn assert_suppressed(path: &str, src: &str) {
 }
 
 // ---------------------------------------------------------------- //
-// no-unwrap-in-lib
-
-#[test]
-fn no_unwrap_fires_in_lib_crates() {
-    let src = r#"
-pub fn f(x: Option<u32>) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect("present");
-    if a == b { panic!("boom"); }
-    a
-}
-"#;
-    assert_fires("crates/core/src/fixture.rs", src, "no-unwrap-in-lib", 3);
-}
-
-#[test]
-fn no_unwrap_suppressed_by_allow() {
-    let src = r#"
-/// Fixture: the allow below covers the expect call.
-pub fn f(x: Option<u32>) -> u32 {
-    // mkss-lint: allow(no-unwrap-in-lib) — x is Some by construction in this fixture
-    x.expect("present")
-}
-"#;
-    assert_suppressed("crates/sim/src/fixture.rs", src);
-}
-
-#[test]
-fn no_unwrap_clean_code_is_silent() {
-    // unwrap_or is a different identifier; unwrap in doc comments,
-    // strings, and #[cfg(test)] items is exempt; non-library crates
-    // (harness, cli) are out of scope.
-    let src = r#"
-/// Example: `x.unwrap()` panics on None.
-pub fn f(x: Option<u32>) -> u32 {
-    let msg = "never unwrap() in a string";
-    let _ = msg;
-    x.unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        Some(1u32).unwrap();
-    }
-}
-"#;
-    assert_clean("crates/core/src/fixture.rs", src);
-    assert_clean(
-        "crates/bench/src/fixture.rs",
-        "pub fn f() { None::<u32>.unwrap(); }",
-    );
-}
-
-// ---------------------------------------------------------------- //
-// nondeterminism
-
-#[test]
-fn nondeterminism_fires_on_hash_collections_clocks_and_thread_rng() {
-    let src = r#"
-use std::collections::HashMap;
-pub fn f() {
-    let t = std::time::Instant::now();
-    let _ = (t, thread_rng());
-}
-"#;
-    assert_fires("crates/bench/src/fixture.rs", src, "nondeterminism", 3);
-}
-
-#[test]
-fn nondeterminism_suppressed_by_allow() {
-    let src = r#"
-pub fn stage_timer() -> std::time::Instant {
-    // mkss-lint: allow(nondeterminism) — timing only, never feeds results
-    std::time::Instant::now()
-}
-"#;
-    assert_suppressed("crates/bench/src/fixture.rs", src);
-}
-
-#[test]
-fn nondeterminism_clean_and_test_sources_exempt() {
-    assert_clean(
-        "crates/bench/src/fixture.rs",
-        "use std::collections::BTreeMap;\npub fn f(m: &BTreeMap<u32, u32>) -> u32 { m.len() as u32 }",
-    );
-    // Integration tests and benches may hash and time freely.
-    assert_clean(
-        "tests/fixture.rs",
-        "use std::collections::HashMap;\nfn f() { let _ = std::time::Instant::now(); }",
-    );
-    assert_clean(
-        "crates/bench/benches/fixture.rs",
-        "use std::collections::HashSet;\nfn f() -> HashSet<u32> { HashSet::new() }",
-    );
-}
-
-// ---------------------------------------------------------------- //
 // hot-path-alloc
 
 #[test]
@@ -266,63 +167,6 @@ impl std::error::Error for SplitError {}\n";
 }
 
 // ---------------------------------------------------------------- //
-// vendored-deps-only
-
-#[test]
-fn vendored_deps_fires_on_registry_and_git_deps() {
-    let src = r#"
-[package]
-name = "fixture"
-
-[dependencies]
-serde = "1.0"
-rand = { version = "0.8", features = ["std"] }
-remote = { git = "https://example.com/remote" }
-
-[dependencies.sub]
-version = "2"
-"#;
-    assert_fires("crates/fixture/Cargo.toml", src, "vendored-deps-only", 4);
-}
-
-#[test]
-fn vendored_deps_suppressed_by_allow() {
-    let src = r#"
-[dependencies]
-# mkss-lint: allow(vendored-deps-only) — fixture demonstrating suppression syntax in manifests
-serde = "1.0"
-"#;
-    assert_suppressed("crates/fixture/Cargo.toml", src);
-}
-
-#[test]
-fn vendored_deps_clean_on_path_and_workspace_deps() {
-    let src = r#"
-[package]
-name = "fixture"
-
-[workspace.dependencies]
-rand = { path = "vendor/rand" }
-serde = { path = "vendor/serde", features = ["derive"] }
-
-[dependencies]
-mkss-core.workspace = true
-mkss-sim = { workspace = true }
-local = { path = "../local" }
-
-[dependencies.sub]
-path = "vendor/sub"
-
-[dev-dependencies]
-proptest = { path = "vendor/proptest" }
-
-[features]
-default = []
-"#;
-    assert_clean("crates/fixture/Cargo.toml", src);
-}
-
-// ---------------------------------------------------------------- //
 // recorder-gated-emit
 
 #[test]
@@ -383,12 +227,15 @@ fn emit(&self, counter: CounterId) {
 
 // ---------------------------------------------------------------- //
 // malformed-directive
+//
+// The directive fixtures use `float-fold-determinism` as the rule to
+// allow: `*a += 1.5` in a library crate fires it on its own line.
 
 #[test]
 fn malformed_directive_fires() {
     // Missing reason, unknown rule, and a typoed keyword all fire.
     let src = "\
-// mkss-lint: allow(no-unwrap-in-lib)
+// mkss-lint: allow(float-fold-determinism)
 // mkss-lint: allow(no-such-rule) — reason
 // mkss-lint: hot-path begins
 fn f() {}
@@ -410,9 +257,9 @@ fn f() {}
 fn wellformed_directives_are_silent() {
     let src = "\
 /// Fixture: a reasoned allow is well-formed.
-pub fn f(x: Option<u32>) -> u32 {
-    // mkss-lint: allow(no-unwrap-in-lib) — fixture invariant
-    x.unwrap()
+pub fn f(a: &mut f64) {
+    // mkss-lint: allow(float-fold-determinism) — fixture invariant
+    *a += 1.5;
 }
 ";
     assert_clean("crates/core/src/fixture.rs", src);
@@ -424,7 +271,7 @@ pub fn f(x: Option<u32>) -> u32 {
 #[test]
 fn unused_allow_fires() {
     let src = "\
-// mkss-lint: allow(no-unwrap-in-lib) — nothing here actually unwraps
+// mkss-lint: allow(float-fold-determinism) — nothing here actually accumulates
 fn f() {}
 ";
     assert_fires("crates/core/src/fixture.rs", src, "unused-allow", 1);
@@ -434,7 +281,7 @@ fn f() {}
 fn unused_allow_suppressed_by_allow() {
     let src = "\
 // mkss-lint: allow(unused-allow) — fixture demonstrating a deliberately-unused annotation
-// mkss-lint: allow(no-unwrap-in-lib) — nothing here actually unwraps
+// mkss-lint: allow(float-fold-determinism) — nothing here actually accumulates
 fn f() {}
 ";
     assert_suppressed("crates/core/src/fixture.rs", src);
@@ -444,9 +291,9 @@ fn f() {}
 fn used_allow_is_silent_and_test_code_exempt() {
     let used = "\
 /// Fixture: the allow below is consumed.
-pub fn f(x: Option<u32>) -> u32 {
-    // mkss-lint: allow(no-unwrap-in-lib) — fixture invariant
-    x.unwrap()
+pub fn f(a: &mut f64) {
+    // mkss-lint: allow(float-fold-determinism) — fixture invariant
+    *a += 1.5;
 }
 ";
     assert_clean("crates/core/src/fixture.rs", used);
@@ -455,9 +302,9 @@ pub fn f(x: Option<u32>) -> u32 {
     let in_test = "\
 #[cfg(test)]
 mod tests {
-    fn t(x: Option<u32>) -> u32 {
-        // mkss-lint: allow(no-unwrap-in-lib) — test-only
-        x.unwrap()
+    fn t(a: &mut f64) {
+        // mkss-lint: allow(float-fold-determinism) — test-only
+        *a += 1.5;
     }
 }
 ";
@@ -472,23 +319,23 @@ fn allow_must_be_adjacent() {
     // Two lines above the finding: too far, does not suppress (and is
     // therefore itself unused).
     let src = "\
-fn f(x: Option<u32>) -> u32 {
-    // mkss-lint: allow(no-unwrap-in-lib) — too far away
+fn f(a: &mut f64) {
+    // mkss-lint: allow(float-fold-determinism) — too far away
 
-    x.unwrap()
+    *a += 1.5;
 }
 ";
     let found = lint_one("crates/core/src/fixture.rs", src);
     let mut rules = rules_of(&found);
     rules.sort();
-    assert_eq!(rules, vec!["no-unwrap-in-lib", "unused-allow"]);
+    assert_eq!(rules, vec!["float-fold-determinism", "unused-allow"]);
 }
 
 #[test]
 fn allow_on_same_line_works() {
     let src = "\
-fn f(x: Option<u32>) -> u32 {
-    x.unwrap() // mkss-lint: allow(no-unwrap-in-lib) — trailing form
+fn f(a: &mut f64) {
+    *a += 1.5; // mkss-lint: allow(float-fold-determinism) — trailing form
 }
 ";
     assert_suppressed("crates/core/src/fixture.rs", src);
@@ -499,17 +346,31 @@ fn findings_are_sorted_and_formatted() {
     let report = lint_sources(&[
         (
             "crates/core/src/b.rs".into(),
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n".into(),
+            "fn f(a: &mut f64) { *a += 1.5; }\n".into(),
         ),
         (
             "crates/core/src/a.rs".into(),
-            "fn g(x: Option<u32>) -> u32 { x.unwrap() }\n".into(),
+            "fn g(a: &mut f64) { *a += 1.5; }\n".into(),
         ),
     ]);
     let lines: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert_eq!(lines.len(), 2);
-    assert!(lines[0].starts_with("crates/core/src/a.rs:1: [MKSS-L002 no-unwrap-in-lib]"));
-    assert!(lines[1].starts_with("crates/core/src/b.rs:1: [MKSS-L002 no-unwrap-in-lib]"));
+    assert!(lines[0].starts_with("crates/core/src/a.rs:1: [MKSS-L011 float-fold-determinism]"));
+    assert!(lines[1].starts_with("crates/core/src/b.rs:1: [MKSS-L011 float-fold-determinism]"));
+}
+
+#[test]
+fn findings_on_one_line_sort_by_code() {
+    // L001 and L011 fire on the same line; the error code, not the rule
+    // ID (`float-…` < `hot-…`), decides their order.
+    let src = "\
+// mkss-lint: hot-path begin
+fn hot(a: &mut f64) -> Vec<f64> { *a += 1.5; vec![*a] }
+// mkss-lint: hot-path end
+";
+    let found = lint_one("crates/sim/src/fixture.rs", src);
+    let codes: Vec<(u32, &str)> = found.iter().map(|f| (f.line, f.code())).collect();
+    assert_eq!(codes, vec![(2, "MKSS-L001"), (2, "MKSS-L011")]);
 }
 
 // ---------------------------------------------------------------- //
@@ -800,80 +661,4 @@ fn h(child: &mut Child) {
 }
 "#;
     assert_clean("crates/serve/src/fixture.rs", src);
-}
-
-// ---------------------------------------------------------------- //
-// pub-api-hygiene
-
-#[test]
-fn pub_api_fires_on_undocumented_and_exhaustive_items() {
-    let src = r#"
-pub fn naked() {}
-
-/// Documented, but the variant set is open-ended.
-pub enum Mode {
-    A,
-    B,
-}
-
-/// A documented type.
-pub struct Thing;
-
-impl Thing {
-    pub fn undocumented_method(&self) {}
-}
-"#;
-    assert_fires("crates/core/src/fixture.rs", src, "pub-api-hygiene", 3);
-}
-
-#[test]
-fn pub_api_suppressed_by_allow() {
-    let src = "\
-/// Fixture catalog enum.
-// mkss-lint: allow(pub-api-hygiene) — fixture: variant set is closed, consumers match exhaustively
-pub enum Closed {
-    A,
-    B,
-}
-";
-    assert_suppressed("crates/core/src/fixture.rs", src);
-}
-
-#[test]
-fn pub_api_clean_on_documented_and_private_items() {
-    let src = r#"
-/// Documented.
-#[non_exhaustive]
-pub enum Mode {
-    A,
-    B,
-}
-
-/// Documented fn.
-pub fn f() {}
-
-struct Hidden;
-
-fn private() {}
-
-mod inner {
-    pub fn not_api() {}
-}
-
-/// Documented trait.
-pub trait Speak {
-    /// Required method.
-    fn speak(&self);
-}
-
-/// Documented type.
-pub struct Thing;
-
-impl Speak for Thing {
-    fn speak(&self) {}
-}
-"#;
-    assert_clean("crates/core/src/fixture.rs", src);
-    // Harness crates are not API surface.
-    assert_clean("crates/bench/src/fixture.rs", "pub fn free_for_all() {}\n");
 }

@@ -253,7 +253,10 @@ impl HistogramId {
 /// A percentile estimate read off fixed histogram buckets — bucket
 /// resolution only, so it names a bound rather than an exact value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: at-most/overflow is the complete case split for a bounded-bucket estimate
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: at-most/overflow is the complete case split for a bounded-bucket estimate"
+)]
 pub enum Percentile {
     /// The percentile falls inside a bounded bucket: `value <= bound`.
     AtMost(u64),
@@ -284,6 +287,10 @@ mod tests {
 
     #[test]
     fn counter_names_are_unique_snake_case() {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only uniqueness check; iteration order is never observed"
+        )]
         let mut seen = std::collections::HashSet::new();
         for c in CounterId::ALL {
             let name = c.name();

@@ -27,7 +27,6 @@
 //! typos are compile errors.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod event;
 mod export;

@@ -10,7 +10,10 @@ pub const LOG_ENV_VAR: &str = "MKSS_LOG";
 
 /// Recorder verbosity for the CLI and examples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: verbosity ladder matched exhaustively by the CLI; a new level is a deliberate API change everywhere
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: verbosity ladder matched exhaustively by the CLI; a new level is a deliberate API change everywhere"
+)]
 pub enum LogLevel {
     /// No recorder attached; no extra output. The default.
     #[default]

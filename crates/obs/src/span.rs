@@ -14,9 +14,12 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start timing now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Stopwatch is the harness timing primitive; readings go to stderr/stage stats, never results"
+    )]
     pub fn start() -> Stopwatch {
         Stopwatch {
-            // mkss-lint: allow(nondeterminism) — Stopwatch is the harness timing primitive; readings go to stderr/stage stats, never results
             start: Instant::now(),
         }
     }

@@ -712,6 +712,10 @@ mod tests {
 
     #[test]
     fn kind_names_are_unique_snake_case() {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only uniqueness check; iteration order is never observed"
+        )]
         let mut seen = std::collections::HashSet::new();
         for kind in TraceKind::ALL {
             let name = kind.name();

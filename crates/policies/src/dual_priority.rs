@@ -22,7 +22,10 @@ use crate::error::BuildPolicyError;
 
 /// Placement of the main copies across the two processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the paper's two placement strategies; the CLI matches exhaustively to name them
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the paper's two placement strategies; the CLI matches exhaustively to name them"
+)]
 pub enum MainPlacement {
     /// Preference-oriented: mains alternate between the processors by
     /// priority index (τ1 → primary, τ2 → spare, τ3 → primary, …), as in
@@ -37,7 +40,10 @@ pub enum MainPlacement {
 
 /// How the backups of the static schemes are procrastinated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the two procrastination modes of the static baselines [7, 8]; matched exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the two procrastination modes of the static baselines [7, 8]; matched exhaustively"
+)]
 pub enum StaticBackupDelay {
     /// Promotion times from the hard real-time all-jobs analysis of the
     /// baselines [7, 8]; `Y_i = 0` where that analysis diverges. The

@@ -27,7 +27,10 @@ use crate::error::BuildPolicyError;
 
 /// Which optional jobs are selected for execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: Algorithm 1's selection principles are a fixed catalog; consumers match exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: Algorithm 1's selection principles are a fixed catalog; consumers match exhaustively"
+)]
 pub enum SelectionRule {
     /// Only jobs with flexibility degree exactly 1 (Algorithm 1,
     /// principle (i)).
@@ -51,7 +54,10 @@ impl SelectionRule {
 
 /// Where selected optional jobs execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: Algorithm 1 principle (ii) defines exactly these placements; matched exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: Algorithm 1 principle (ii) defines exactly these placements; matched exhaustively"
+)]
 pub enum OptionalPlacement {
     /// Alternate per task between the two processors, starting with the
     /// primary (Algorithm 1, principle (ii) / Fig. 4).
@@ -64,7 +70,10 @@ pub enum OptionalPlacement {
 
 /// How much each mandatory job's backup is procrastinated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the paper's procrastination modes are a fixed catalog; matched exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the paper's procrastination modes are a fixed catalog; matched exhaustively"
+)]
 pub enum BackupDelay {
     /// No procrastination (concurrent copies).
     None,

@@ -40,7 +40,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod dual_priority;
 pub mod dvs;

@@ -16,7 +16,10 @@ pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: JSON has exactly these value kinds; a parser consumer must match them all
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: JSON has exactly these value kinds; a parser consumer must match them all"
+)]
 pub enum JsonValue {
     /// `null`.
     Null,
@@ -291,7 +294,10 @@ impl Parser<'_> {
                         self.pos += 1;
                     }
                     let scalar = &self.bytes[start..self.pos];
-                    // mkss-lint: allow(no-unwrap-in-lib) — slicing a &str-backed byte range on scalar boundaries
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "slicing a &str-backed byte range on scalar boundaries"
+                    )]
                     out.push_str(std::str::from_utf8(scalar).expect("valid UTF-8"));
                 }
             }
@@ -337,7 +343,10 @@ impl Parser<'_> {
             }
         }
         let digits = &self.bytes[start..self.pos];
-        // mkss-lint: allow(no-unwrap-in-lib) — the scanned range is ASCII digits/signs by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "the scanned range is ASCII digits/signs by construction"
+        )]
         let text = std::str::from_utf8(digits).expect("ASCII by construction");
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),

@@ -57,7 +57,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod client;
 mod conn;

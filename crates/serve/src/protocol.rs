@@ -72,7 +72,10 @@ pub struct Request {
 
 /// The operations the daemon accepts.
 #[derive(Debug)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the wire protocol's op set; adding an op is a protocol version bump that every dispatcher must handle explicitly
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the wire protocol's op set; adding an op is a protocol version bump that every dispatcher must handle explicitly"
+)]
 pub enum Op {
     /// Liveness probe; responds immediately from the connection handler.
     Ping,

@@ -35,6 +35,10 @@ fn sim_line(id: u64, policy: &str, seed: u64) -> String {
     .join(" ")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed lookup is a test failure"
+)]
 fn direct_response(line: &str) -> String {
     let pool = WorkspacePool::new();
     let env = ExecEnv {
@@ -46,6 +50,11 @@ fn direct_response(line: &str) -> String {
 }
 
 /// Counter totals from one response's embedded `metrics` member.
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helper: a failed lookup is a test failure"
+)]
 fn embedded_counters(response: &str) -> Vec<(String, u64)> {
     let doc = json::parse(response).expect("response parses");
     let counters = doc
@@ -62,6 +71,11 @@ fn embedded_counters(response: &str) -> Vec<(String, u64)> {
 }
 
 /// Counter totals from a `metrics`-op response (`result` is the doc).
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helper: a failed lookup is a test failure"
+)]
 fn global_counters(response: &str) -> Vec<(String, u64)> {
     let doc = json::parse(response).expect("response parses");
     let counters = doc

@@ -12,6 +12,11 @@ fn sock_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// Pull `meta.<key>` out of a watch-frame or metrics response line.
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helper: a failed lookup is a test failure"
+)]
 fn meta_str(response: &str, key: &str) -> String {
     let doc = json::parse(response).expect("response parses");
     doc.get("result")
@@ -23,6 +28,11 @@ fn meta_str(response: &str, key: &str) -> String {
 }
 
 /// Counter `name` from the `result.counters` member.
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helper: a failed lookup is a test failure"
+)]
 fn counter_of(response: &str, name: &str) -> u64 {
     let doc = json::parse(response).expect("response parses");
     doc.get("result")

@@ -736,7 +736,10 @@ impl<'a, 'w> Engine<'a, 'w> {
     /// constructed inside the gate, so the detached cost stays one
     /// predictable branch and zero allocations.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // internal: mirrors EngineEvent's field list
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "internal: mirrors EngineEvent's field list"
+    )]
     fn emit_event(
         &self,
         at: Time,

@@ -38,7 +38,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod engine;
 pub mod fault;

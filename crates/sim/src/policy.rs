@@ -18,7 +18,10 @@ use crate::proc::ProcId;
 
 /// What to do with a job at its release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: mandatory/skip-or-optional is the policy contract with the engine; the engine must handle every decision explicitly
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: mandatory/skip-or-optional is the policy contract with the engine; the engine must handle every decision explicitly"
+)]
 pub enum ReleaseDecision {
     /// The job is mandatory: run a *main* copy on `main_proc` (released
     /// immediately) and a *backup* copy on the other processor, released

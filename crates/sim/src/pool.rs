@@ -122,8 +122,11 @@ pub struct PooledWorkspace<'p> {
 impl PooledWorkspace<'_> {
     /// Takes the workspace out of the guard permanently; it will **not**
     /// return to the pool.
+    #[expect(
+        clippy::expect_used,
+        reason = "`ws` is only None after drop/detach, and both consume the guard"
+    )]
     pub fn detach(mut self) -> SimWorkspace {
-        // mkss-lint: allow(no-unwrap-in-lib) — `ws` is only None after drop/detach, and both consume the guard
         self.ws.take().expect("guard still holds its workspace")
     }
 }
@@ -131,15 +134,21 @@ impl PooledWorkspace<'_> {
 impl Deref for PooledWorkspace<'_> {
     type Target = SimWorkspace;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`ws` is only None after drop/detach, and both consume the guard"
+    )]
     fn deref(&self) -> &SimWorkspace {
-        // mkss-lint: allow(no-unwrap-in-lib) — `ws` is only None after drop/detach, and both consume the guard
         self.ws.as_ref().expect("guard still holds its workspace")
     }
 }
 
 impl DerefMut for PooledWorkspace<'_> {
+    #[expect(
+        clippy::expect_used,
+        reason = "`ws` is only None after drop/detach, and both consume the guard"
+    )]
     fn deref_mut(&mut self) -> &mut SimWorkspace {
-        // mkss-lint: allow(no-unwrap-in-lib) — `ws` is only None after drop/detach, and both consume the guard
         self.ws.as_mut().expect("guard still holds its workspace")
     }
 }

@@ -16,7 +16,10 @@ use crate::proc::ProcId;
 
 /// Why an execution segment ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: segment endings mirror the engine's fixed event alphabet; forensics match exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: segment endings mirror the engine's fixed event alphabet; forensics match exhaustively"
+)]
 pub enum SegmentEnd {
     /// The copy finished its execution demand.
     Completed,

@@ -64,6 +64,10 @@ impl Policy for Dup {
 /// counter also sees the test harness's own threads (progress output,
 /// buffering); taking the minimum filters that unrelated noise out of
 /// the measured window.
+#[expect(
+    clippy::unwrap_used,
+    reason = "test helper: the range has eight repetitions, so min() is Some"
+)]
 fn allocations_during(mut f: impl FnMut()) -> u64 {
     (0..8)
         .map(|_| {

@@ -42,7 +42,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod frame;
 pub mod parse;

@@ -39,7 +39,10 @@ impl std::error::Error for ParseError {}
 
 /// One interpreted daemon response line.
 #[derive(Debug, Clone, PartialEq)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: mirrors the serve protocol's fixed response kinds; the dashboard matches them all
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: mirrors the serve protocol's fixed response kinds; the dashboard matches them all"
+)]
 pub enum ResponseLine {
     /// A metrics document (a `watch` frame or a `metrics` op response).
     Frame(Box<Sample>),

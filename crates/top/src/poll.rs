@@ -16,7 +16,10 @@ use crate::render::{render_ansi, render_plain};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: unix/tcp is the complete endpoint alphabet of the daemon
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: unix/tcp is the complete endpoint alphabet of the daemon"
+)]
 pub enum Target {
     /// A Unix-domain socket path.
     Unix(PathBuf),

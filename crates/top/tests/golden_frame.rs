@@ -74,6 +74,10 @@ fn after() -> Sample {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: an unwritable golden is a test failure"
+)]
 fn bless(name: &str, text: &str) -> bool {
     if std::env::var_os("MKSS_BLESS").is_none() {
         return false;

@@ -26,7 +26,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use mkss_analysis::rta::is_schedulable_r_pattern;
 use mkss_core::mk::MkConstraint;
@@ -39,7 +38,10 @@ use serde::{Deserialize, Serialize};
 
 /// How worst-case execution times are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-// mkss-lint: allow(pub-api-hygiene) — closed variant set: the two WCET draws the experiments compare; generators match exhaustively
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed variant set: the two WCET draws the experiments compare; generators match exhaustively"
+)]
 pub enum WcetModel {
     /// Uniform random weights scaled so the set's (m,k)-utilization hits
     /// the requested target exactly. Efficient (every draw lands in its
@@ -156,7 +158,10 @@ impl Generator {
             let m = self.rng.gen_range(1..k);
             let w: f64 = self.rng.gen_range(0.05..1.0);
             periods.push(p);
-            // mkss-lint: allow(no-unwrap-in-lib) — m is drawn from gen_range(1..k), so 1 ≤ m < k always holds
+            #[expect(
+                clippy::expect_used,
+                reason = "m is drawn from gen_range(1..k), so 1 ≤ m < k always holds"
+            )]
             mks.push(MkConstraint::new(m, k).expect("1 <= m < k by construction"));
             weights.push(w);
         }

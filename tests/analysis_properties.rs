@@ -16,7 +16,7 @@
 use mkss::prelude::*;
 use mkss::workload::bucket_bounds;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn schedulable_set(seed: u64, util_pct: u64) -> Option<TaskSet> {
     let config = WorkloadConfig {
@@ -29,8 +29,8 @@ fn schedulable_set(seed: u64, util_pct: u64) -> Option<TaskSet> {
 
 /// Completion time per job id from the trace (only fully completed
 /// executions).
-fn completions(trace: &Trace, proc: ProcId) -> HashMap<JobId, Time> {
-    let mut map = HashMap::new();
+fn completions(trace: &Trace, proc: ProcId) -> BTreeMap<JobId, Time> {
+    let mut map = BTreeMap::new();
     for seg in trace.segments_on(proc) {
         if seg.ended == SegmentEnd::Completed {
             map.insert(seg.job, seg.end);

@@ -12,7 +12,7 @@
 use mkss::obs::{CounterId, Registry};
 use mkss::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn schedulable_set(seed: u64, util_pct: u64) -> Option<TaskSet> {
@@ -44,7 +44,7 @@ fn check_trace(report: &SimReport, trace: &Trace, horizon: Time) {
 }
 
 fn check_resolution_order(trace: &Trace) {
-    let mut last_index: HashMap<TaskId, u64> = HashMap::new();
+    let mut last_index: BTreeMap<TaskId, u64> = BTreeMap::new();
     for r in &trace.resolutions {
         let prev = last_index.entry(r.job.task).or_insert(0);
         assert!(
