@@ -1,4 +1,7 @@
-//! Human-friendly JSON task-set format for the CLI.
+//! The JSON task-set files the CLI reads and `generate` writes.
+//!
+//! The schema is [`mkss_serve::task_set`]'s, shared with the daemon's
+//! `task_set` request member, so a file embeds unchanged in a request:
 //!
 //! ```json
 //! {
@@ -8,107 +11,36 @@
 //!   ]
 //! }
 //! ```
-//!
-//! Times are (possibly fractional) milliseconds with microsecond
-//! resolution; `deadline_ms` defaults to the period. Task order is
-//! priority order (first = highest), matching the paper's convention.
 
-use mkss_core::task::{Task, TaskSet};
-use mkss_core::time::{Time, TICKS_PER_MS};
-use serde::{Deserialize, Serialize};
+pub use mkss_serve::task_set::{TaskSetSpec, TaskSpec};
+
+use mkss_core::task::TaskSet;
 
 use crate::CliError;
 
-/// One task entry of the JSON format.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TaskSpec {
-    /// Period in milliseconds.
-    pub period_ms: f64,
-    /// Relative deadline in milliseconds (defaults to the period).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub deadline_ms: Option<f64>,
-    /// Worst-case execution time in milliseconds.
-    pub wcet_ms: f64,
-    /// Minimum completions per window.
-    pub m: u32,
-    /// Window length.
-    pub k: u32,
+/// Parses a task-set document into a validated [`TaskSet`].
+///
+/// # Errors
+///
+/// Returns [`CliError::Input`] on malformed JSON, a schema mismatch, a
+/// millisecond value out of range, or an invalid task; the message
+/// names the offending task and field.
+pub fn parse_task_set(json: &str) -> Result<TaskSet, CliError> {
+    let spec: TaskSetSpec = serde_json::from_str(json)
+        .map_err(|e| CliError::Input(format!("invalid task set JSON: {e}")))?;
+    spec.to_task_set().map_err(CliError::Input)
 }
 
-/// The JSON document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskSetSpec {
-    /// Tasks in priority order.
-    pub tasks: Vec<TaskSpec>,
-}
-
-fn ms_to_time(ms: f64, what: &str) -> Result<Time, CliError> {
-    if !ms.is_finite() || ms < 0.0 {
-        return Err(CliError::Input(format!(
-            "{what} must be a finite non-negative number, got {ms}"
-        )));
-    }
-    Ok(Time::from_ticks((ms * TICKS_PER_MS as f64).round() as u64))
-}
-
-impl TaskSetSpec {
-    /// Converts the document into a validated [`TaskSet`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the task-model validation errors with the offending
-    /// task index.
-    pub fn to_task_set(&self) -> Result<TaskSet, CliError> {
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for (i, spec) in self.tasks.iter().enumerate() {
-            let period = ms_to_time(spec.period_ms, "period_ms")?;
-            let deadline = match spec.deadline_ms {
-                Some(d) => ms_to_time(d, "deadline_ms")?,
-                None => period,
-            };
-            let wcet = ms_to_time(spec.wcet_ms, "wcet_ms")?;
-            let task = Task::new(period, deadline, wcet, spec.m, spec.k)
-                .map_err(|e| CliError::Input(format!("task {}: {e}", i + 1)))?;
-            tasks.push(task);
-        }
-        TaskSet::new(tasks).map_err(|e| CliError::Input(e.to_string()))
-    }
-
-    /// Builds the document from a task set.
-    pub fn from_task_set(ts: &TaskSet) -> Self {
-        TaskSetSpec {
-            tasks: ts
-                .iter()
-                .map(|(_, t)| TaskSpec {
-                    period_ms: t.period().as_ms_f64(),
-                    deadline_ms: (t.deadline() != t.period()).then(|| t.deadline().as_ms_f64()),
-                    wcet_ms: t.wcet().as_ms_f64(),
-                    m: t.mk().m(),
-                    k: t.mk().k(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Parses the JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::Input`] on malformed JSON.
-    pub fn parse(json: &str) -> Result<Self, CliError> {
-        serde_json::from_str(json)
-            .map_err(|e| CliError::Input(format!("invalid task set JSON: {e}")))
-    }
-
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("spec serializes")
-    }
+/// Renders a task set as the pretty-printed document.
+pub fn task_set_json(ts: &TaskSet) -> String {
+    serde_json::to_string_pretty(&TaskSetSpec::from_task_set(ts)).expect("spec serializes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mkss_core::task::TaskId;
+    use mkss_core::time::Time;
 
     const SAMPLE: &str = r#"{
         "tasks": [
@@ -119,14 +51,11 @@ mod tests {
 
     #[test]
     fn parse_and_convert() {
-        let spec = TaskSetSpec::parse(SAMPLE).unwrap();
-        let ts = spec.to_task_set().unwrap();
+        let ts = parse_task_set(SAMPLE).unwrap();
         assert_eq!(ts.len(), 2);
-        let t1 = ts.task(mkss_core::task::TaskId(0));
-        assert_eq!(t1.deadline(), Time::from_ms(4));
-        let t2 = ts.task(mkss_core::task::TaskId(1));
+        assert_eq!(ts.task(TaskId(0)).deadline(), Time::from_ms(4));
         assert_eq!(
-            t2.deadline(),
+            ts.task(TaskId(1)).deadline(),
             Time::from_ms(10),
             "deadline defaults to period"
         );
@@ -134,38 +63,47 @@ mod tests {
 
     #[test]
     fn fractional_milliseconds() {
-        let spec = TaskSetSpec::parse(
+        let ts = parse_task_set(
             r#"{ "tasks": [ { "period_ms": 5, "deadline_ms": 2.5, "wcet_ms": 2, "m": 2, "k": 4 } ] }"#,
         )
         .unwrap();
-        let ts = spec.to_task_set().unwrap();
-        assert_eq!(
-            ts.task(mkss_core::task::TaskId(0)).deadline(),
-            Time::from_us(2_500)
-        );
+        assert_eq!(ts.task(TaskId(0)).deadline(), Time::from_us(2_500));
     }
 
     #[test]
     fn roundtrip() {
-        let spec = TaskSetSpec::parse(SAMPLE).unwrap();
-        let ts = spec.to_task_set().unwrap();
-        let back = TaskSetSpec::from_task_set(&ts);
-        let ts2 = back.to_task_set().unwrap();
-        assert_eq!(ts, ts2);
+        let ts = parse_task_set(SAMPLE).unwrap();
+        assert_eq!(parse_task_set(&task_set_json(&ts)).unwrap(), ts);
     }
 
     #[test]
     fn invalid_inputs_are_reported() {
-        assert!(TaskSetSpec::parse("{").is_err());
+        assert!(parse_task_set("{").is_err());
         let bad_mk = r#"{ "tasks": [ { "period_ms": 5, "wcet_ms": 3, "m": 4, "k": 4 } ] }"#;
-        let err = TaskSetSpec::parse(bad_mk)
-            .unwrap()
-            .to_task_set()
-            .unwrap_err();
-        assert!(err.to_string().contains("task 1"));
+        assert!(parse_task_set(bad_mk)
+            .unwrap_err()
+            .to_string()
+            .contains("task 1"));
         let neg = r#"{ "tasks": [ { "period_ms": -5, "wcet_ms": 3, "m": 1, "k": 4 } ] }"#;
-        assert!(TaskSetSpec::parse(neg).unwrap().to_task_set().is_err());
+        assert!(parse_task_set(neg).is_err());
         let empty = r#"{ "tasks": [] }"#;
-        assert!(TaskSetSpec::parse(empty).unwrap().to_task_set().is_err());
+        assert!(parse_task_set(empty).is_err());
+        // Past 10^15 ms the ticks would overflow the analysis.
+        for period in ["1e16", "1e300"] {
+            let set = format!(
+                r#"{{ "tasks": [ {{ "period_ms": 5, "wcet_ms": 1, "m": 1, "k": 2 }},
+                                 {{ "period_ms": {period}, "wcet_ms": 3, "m": 1, "k": 4 }} ] }}"#
+            );
+            let Err(CliError::Input(msg)) = parse_task_set(&set) else {
+                panic!("period_ms {period} must be an input error");
+            };
+            assert!(msg.starts_with("task 2: 'period_ms'"), "{msg}");
+        }
+        // In range, but the pattern period k·P would overflow the ticks.
+        let wide = r#"{ "tasks": [ { "period_ms": 1e15, "wcet_ms": 3, "m": 1, "k": 100 } ] }"#;
+        let Err(CliError::Input(msg)) = parse_task_set(wide) else {
+            panic!("k·P past the tick range must be an input error");
+        };
+        assert!(msg.starts_with("task 1: pattern period"), "{msg}");
     }
 }

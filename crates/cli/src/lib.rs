@@ -49,8 +49,6 @@ use mkss_sim::vcd::render_vcd;
 use mkss_top::{Target, TopConfig};
 use mkss_workload::{Generator, WorkloadConfig};
 
-use format::TaskSetSpec;
-
 /// CLI error: bad usage/input, or an I/O failure.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -145,7 +143,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 
 fn load_task_set(path: &str) -> Result<TaskSet, CliError> {
     let body = std::fs::read_to_string(path)?;
-    TaskSetSpec::parse(&body)?.to_task_set()
+    format::parse_task_set(&body)
 }
 
 /// Reads the `MKSS_LOG` filter, mapping a malformed value to a usage error.
@@ -752,7 +750,7 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
                 "no schedulable set found at utilization {util} within the attempt cap"
             ))
         })?;
-    Ok(TaskSetSpec::from_task_set(&ts).to_json())
+    Ok(format::task_set_json(&ts))
 }
 
 #[cfg(test)]
@@ -1051,7 +1049,7 @@ mod tests {
     #[test]
     fn generate_roundtrips() {
         let out = run(&args(&["generate", "--util", "0.4", "--seed", "11"])).unwrap();
-        let ts = TaskSetSpec::parse(&out).unwrap().to_task_set().unwrap();
+        let ts = format::parse_task_set(&out).unwrap();
         assert!((ts.mk_utilization() - 0.4).abs() < 0.01);
     }
 

@@ -44,6 +44,13 @@ pub enum ValidateTaskError {
         /// Task deadline.
         deadline: Time,
     },
+    /// The pattern period `k·P` does not fit in [`Time`].
+    PatternPeriodOverflow {
+        /// Task period.
+        period: Time,
+        /// Window length.
+        k: u32,
+    },
     /// A task set was constructed with no tasks.
     EmptyTaskSet,
 }
@@ -61,6 +68,9 @@ impl fmt::Display for ValidateTaskError {
             }
             ValidateTaskError::WcetExceedsDeadline { wcet, deadline } => {
                 write!(f, "WCET {wcet} exceeds deadline {deadline}")
+            }
+            ValidateTaskError::PatternPeriodOverflow { period, k } => {
+                write!(f, "pattern period k·P ({k} × {period}) is out of range")
             }
             ValidateTaskError::EmptyTaskSet => write!(f, "task set contains no tasks"),
         }

@@ -66,7 +66,7 @@ impl Task {
     /// # Errors
     ///
     /// Returns a [`ValidateTaskError`] if `P = 0`, `C = 0`, `D > P`,
-    /// `C > D`, or `0 < m < k` fails.
+    /// `C > D`, `0 < m < k` fails, or `k·P` overflows [`Time`].
     pub fn new(
         period: Time,
         deadline: Time,
@@ -100,6 +100,9 @@ impl Task {
         }
         if wcet > deadline {
             return Err(ValidateTaskError::WcetExceedsDeadline { wcet, deadline });
+        }
+        if period.checked_mul(u64::from(mk.k())).is_none() {
+            return Err(ValidateTaskError::PatternPeriodOverflow { period, k: mk.k() });
         }
         Ok(Task {
             period,
@@ -388,6 +391,12 @@ mod tests {
             Task::from_ms(5, 4, 3, 0, 2),
             Err(ValidateTaskError::InvalidMkPair { .. })
         ));
+        let period = Time::from_ms(1_000_000_000_000_000);
+        assert!(Task::new(period, period, period, 1, 18).is_ok());
+        assert_eq!(
+            Task::new(period, period, period, 1, 100),
+            Err(ValidateTaskError::PatternPeriodOverflow { period, k: 100 })
+        );
     }
 
     #[test]

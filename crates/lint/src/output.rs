@@ -1,7 +1,6 @@
-//! Machine-readable report emission: a hand-rolled JSON writer in the
-//! same zero-dependency style as `serve::json` (which is the parser
-//! side of this format — the CLI test round-trips one through the
-//! other), escaping strings with `mkss-obs`'s shared escaper. Shape,
+//! Machine-readable report emission: a hand-rolled JSON writer (the CLI
+//! test round-trips its output through the vendored `serde_json`
+//! parser), escaping strings with `mkss-obs`'s shared escaper. Shape,
 //! version-gated for downstream tooling:
 //!
 //! ```text

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `mkss-lint` binary: exit codes, the golden
 //! `--list-rules` table, and the JSON report —
-//! which is round-tripped through `mkss-serve`'s hand-rolled JSON
-//! *parser*, the counterpart of the linter's hand-rolled writer.
+//! which is round-tripped through the workspace's JSON parser, the
+//! vendored `serde_json`.
 //!
 //! After an intentional rule-table change, regenerate the golden with
 //! `MKSS_BLESS=1 cargo test -p mkss-lint --test cli` and review the diff.
@@ -123,11 +123,11 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
-fn json_report_round_trips_through_serve_parser() {
+fn json_report_round_trips_through_serde_json() {
     let fx = Fixture::new("json", BAD_SOURCE);
     let out = fx.lint(&["--format", "json"]);
     assert_eq!(out.status.code(), Some(1));
-    let doc = mkss_serve::json::parse(&stdout(&out)).expect("report is valid JSON");
+    let doc = serde_json::parse_value(&stdout(&out)).expect("report is valid JSON");
 
     assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(2));
     let findings = doc
@@ -168,5 +168,5 @@ fn out_flag_writes_the_same_bytes_as_stdout() {
     assert_eq!(out.status.code(), Some(1));
     let on_disk = std::fs::read_to_string(&report).expect("report file written");
     assert_eq!(on_disk, stdout(&out));
-    mkss_serve::json::parse(&on_disk).expect("report file is valid JSON");
+    serde_json::parse_value(&on_disk).expect("report file is valid JSON");
 }

@@ -23,7 +23,6 @@ use mkss_obs::{
 use mkss_policies::BuildOptions;
 use mkss_sim::prelude::{simulate_in, SimReport, WorkspacePool};
 
-use crate::json::push_json_f64;
 use crate::protocol::{error_line, ok_line, CompareJob, Op, Request, SimJob, SweepJob};
 
 /// Everything [`execute`] needs besides the request itself.
@@ -253,6 +252,16 @@ fn report_json(report: &SimReport) -> String {
     out
 }
 
+/// Append a float that always parses as a JSON number (non-finite values
+/// clamp to 0, matching the `mkss-obs` exporter's convention).
+fn push_json_f64(out: &mut String, value: f64) {
+    if value.is_finite() {
+        out.push_str(&format!("{value}"));
+    } else {
+        out.push('0');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,5 +421,13 @@ mod tests {
             assert!(resp.contains("\"ok\":false"), "{resp}");
             assert!(resp.contains("answered by the daemon"), "{resp}");
         }
+    }
+
+    #[test]
+    fn floats_render_as_json_numbers() {
+        let mut out = String::new();
+        push_json_f64(&mut out, 2.5);
+        push_json_f64(&mut out, f64::NAN);
+        assert_eq!(out, "2.50");
     }
 }

@@ -30,8 +30,10 @@
 //! `loadgen` binary and this crate's integration tests assert exactly
 //! that.
 //!
-//! Like `mkss-obs`, the crate is std-only: the protocol JSON parser is
-//! hand-rolled in [`json`].
+//! Request lines are parsed with the workspace's vendored `serde_json`
+//! (the same parser `mkss-cli` reads task-set files with, and the
+//! [`task_set`] schema is shared with it); responses are written by hand
+//! with `mkss-obs`'s string escaper.
 //!
 //! ## Example
 //!
@@ -61,9 +63,9 @@
 mod client;
 mod conn;
 pub mod exec;
-pub mod json;
 pub mod protocol;
 mod server;
+pub mod task_set;
 
 pub use client::Client;
 pub use exec::{execute, ExecEnv};

@@ -38,20 +38,28 @@
 //! `{"watch_done": true, "frames": N}` line and resumes normal
 //! request/response service on the same connection.
 //!
-//! The `task_set` member uses the exact schema of `mkss-cli`'s task-set
-//! files (fractional milliseconds, `deadline_ms` defaulting to the
-//! period, task order = priority order), so a file passed to `--set`
-//! embeds unchanged in a request.
+//! The `task_set` member is a [`TaskSetSpec`], the schema of
+//! `mkss-cli`'s task-set files (fractional milliseconds, `deadline_ms`
+//! defaulting to the period, task order = priority order), so a file
+//! passed to `--set` embeds unchanged in a request (with its line breaks
+//! turned into spaces, as a request is one line).
+//!
+//! Numbers follow the JSON text. An integer member (`id`, `seeds`,
+//! `seed_from`, `faults.seed`, `m`, `k`, …) takes only integer literals,
+//! exact up to `u64::MAX`; `7.0` and `1e3` are floats and are rejected
+//! there. A millisecond or rate member takes any finite number. Request
+//! lines are parsed by the vendored `serde_json`, which caps nesting at
+//! [`serde_json::MAX_DEPTH`].
 
 use std::fmt;
 
-use mkss_core::task::{Task, TaskSet};
-use mkss_core::time::{Time, TICKS_PER_MS};
+use mkss_core::task::TaskSet;
 use mkss_obs::push_json_string;
 use mkss_policies::PolicyKind;
 use mkss_sim::prelude::{FaultConfig, PermanentFault, ProcId, SimConfig};
+use serde::{Deserialize, Value};
 
-use crate::json::{self, JsonValue};
+use crate::task_set::{ms_to_time, TaskSetSpec};
 
 /// Upper bound on `seeds` in a sweep, so one request line cannot pin the
 /// worker pool for minutes.
@@ -194,17 +202,18 @@ impl std::error::Error for ProtocolError {}
 impl Request {
     /// Parse one request line.
     pub fn parse(line: &str) -> Result<Request, ProtocolError> {
-        let doc = json::parse(line).map_err(|e| ProtocolError::new(None, e.to_string()))?;
-        if !matches!(doc, JsonValue::Object(_)) {
+        let doc = serde_json::parse_value(line)
+            .map_err(|e| ProtocolError::new(None, format!("invalid JSON: {e}")))?;
+        if !matches!(doc, Value::Object(_)) {
             return Err(ProtocolError::new(None, "request must be a JSON object"));
         }
-        let id = doc.get("id").and_then(JsonValue::as_u64).ok_or_else(|| {
+        let id = doc.get("id").and_then(Value::as_u64).ok_or_else(|| {
             ProtocolError::new(None, "missing or invalid 'id' (non-negative integer)")
         })?;
         let fail = |message: String| ProtocolError::new(Some(id), message);
         let op_name = doc
             .get("op")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| fail("missing or invalid 'op' (string)".into()))?;
         let op = match op_name {
             "ping" => Op::Ping,
@@ -220,7 +229,7 @@ impl Request {
     }
 }
 
-fn parse_sim_job(doc: &JsonValue) -> Result<SimJob, String> {
+fn parse_sim_job(doc: &Value) -> Result<SimJob, String> {
     Ok(SimJob {
         task_set: parse_task_set(doc)?,
         policy: parse_policy(doc)?,
@@ -229,11 +238,11 @@ fn parse_sim_job(doc: &JsonValue) -> Result<SimJob, String> {
     })
 }
 
-fn parse_trace(doc: &JsonValue) -> Result<Option<u64>, String> {
+fn parse_trace(doc: &Value) -> Result<Option<u64>, String> {
     let Some(spec) = doc.get("trace") else {
         return Ok(None);
     };
-    if !matches!(spec, JsonValue::Object(_)) {
+    if !matches!(spec, Value::Object(_)) {
         return Err("'trace' must be an object".into());
     }
     let last = req_u64(spec, "last").map_err(|e| format!("trace: {e}"))?;
@@ -245,7 +254,7 @@ fn parse_trace(doc: &JsonValue) -> Result<Option<u64>, String> {
     Ok(Some(last))
 }
 
-fn parse_compare_job(doc: &JsonValue) -> Result<CompareJob, String> {
+fn parse_compare_job(doc: &Value) -> Result<CompareJob, String> {
     let policies = match doc.get("policies") {
         None => PolicyKind::ALL.to_vec(),
         Some(value) => {
@@ -270,7 +279,7 @@ fn parse_compare_job(doc: &JsonValue) -> Result<CompareJob, String> {
     })
 }
 
-fn parse_sweep_job(doc: &JsonValue) -> Result<SweepJob, String> {
+fn parse_sweep_job(doc: &Value) -> Result<SweepJob, String> {
     let seeds = req_u64(doc, "seeds")?;
     if seeds == 0 || seeds > MAX_SWEEP_SEEDS {
         return Err(format!(
@@ -293,7 +302,7 @@ fn parse_sweep_job(doc: &JsonValue) -> Result<SweepJob, String> {
     })
 }
 
-fn parse_watch_job(doc: &JsonValue) -> Result<WatchJob, String> {
+fn parse_watch_job(doc: &Value) -> Result<WatchJob, String> {
     let interval_ms = match doc.get("interval_ms") {
         None => 100,
         Some(v) => v
@@ -317,15 +326,15 @@ fn parse_watch_job(doc: &JsonValue) -> Result<WatchJob, String> {
     })
 }
 
-fn parse_policy(doc: &JsonValue) -> Result<PolicyKind, String> {
+fn parse_policy(doc: &Value) -> Result<PolicyKind, String> {
     let id = doc
         .get("policy")
-        .and_then(JsonValue::as_str)
+        .and_then(Value::as_str)
         .ok_or("missing or invalid 'policy' (string)")?;
     id.parse::<PolicyKind>().map_err(|e| e.to_string())
 }
 
-fn parse_config(doc: &JsonValue) -> Result<SimConfig, String> {
+fn parse_config(doc: &Value) -> Result<SimConfig, String> {
     let horizon = ms_to_time(req_f64(doc, "horizon_ms")?, "horizon_ms")?;
     if horizon.is_zero() {
         return Err("'horizon_ms' must be positive".into());
@@ -337,8 +346,8 @@ fn parse_config(doc: &JsonValue) -> Result<SimConfig, String> {
     Ok(SimConfig::builder().horizon(horizon).faults(faults).build())
 }
 
-fn parse_faults(value: &JsonValue) -> Result<FaultConfig, String> {
-    if !matches!(value, JsonValue::Object(_)) {
+fn parse_faults(value: &Value) -> Result<FaultConfig, String> {
+    if !matches!(value, Value::Object(_)) {
         return Err("'faults' must be an object".into());
     }
     let mut faults = FaultConfig::none();
@@ -359,13 +368,13 @@ fn parse_faults(value: &JsonValue) -> Result<FaultConfig, String> {
     if let Some(permanent) = value.get("permanent") {
         let proc = permanent
             .get("proc")
-            .and_then(JsonValue::as_u64)
+            .and_then(Value::as_u64)
             .filter(|&p| p < 2)
             .ok_or("'faults.permanent.proc' must be 0 (primary) or 1 (spare)")?;
         let at = ms_to_time(
             permanent
                 .get("at_ms")
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or("'faults.permanent.at_ms' must be a number")?,
             "faults.permanent.at_ms",
         )?;
@@ -381,67 +390,23 @@ fn parse_faults(value: &JsonValue) -> Result<FaultConfig, String> {
     Ok(faults)
 }
 
-/// Parse the `task_set` member with `mkss-cli`'s task-file schema.
-fn parse_task_set(doc: &JsonValue) -> Result<TaskSet, String> {
+fn parse_task_set(doc: &Value) -> Result<TaskSet, String> {
     let spec = doc.get("task_set").ok_or("missing 'task_set'")?;
-    let entries = spec
-        .get("tasks")
-        .and_then(JsonValue::as_array)
-        .ok_or("'task_set.tasks' must be an array")?;
-    let mut tasks = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let context = |field: &str| format!("task {}: {field}", i + 1);
-        let period = ms_to_time(
-            req_f64(entry, "period_ms").map_err(|e| context(&e))?,
-            "period_ms",
-        )
-        .map_err(|e| context(&e))?;
-        let deadline = match entry.get("deadline_ms") {
-            None => period,
-            Some(v) => ms_to_time(
-                v.as_f64()
-                    .ok_or_else(|| context("'deadline_ms' must be a number"))?,
-                "deadline_ms",
-            )
-            .map_err(|e| context(&e))?,
-        };
-        let wcet = ms_to_time(
-            req_f64(entry, "wcet_ms").map_err(|e| context(&e))?,
-            "wcet_ms",
-        )
-        .map_err(|e| context(&e))?;
-        let m = req_u64(entry, "m").map_err(|e| context(&e))?;
-        let k = req_u64(entry, "k").map_err(|e| context(&e))?;
-        let (m, k) = (
-            u32::try_from(m).map_err(|_| context("'m' is out of range"))?,
-            u32::try_from(k).map_err(|_| context("'k' is out of range"))?,
-        );
-        let task =
-            Task::new(period, deadline, wcet, m, k).map_err(|e| format!("task {}: {e}", i + 1))?;
-        tasks.push(task);
-    }
-    TaskSet::new(tasks).map_err(|e| e.to_string())
+    TaskSetSpec::from_value(spec)
+        .map_err(|e| e.to_string())?
+        .to_task_set()
 }
 
-fn req_f64(doc: &JsonValue, field: &str) -> Result<f64, String> {
+fn req_f64(doc: &Value, field: &str) -> Result<f64, String> {
     doc.get(field)
-        .and_then(JsonValue::as_f64)
+        .and_then(Value::as_f64)
         .ok_or_else(|| format!("missing or invalid '{field}' (number)"))
 }
 
-fn req_u64(doc: &JsonValue, field: &str) -> Result<u64, String> {
+fn req_u64(doc: &Value, field: &str) -> Result<u64, String> {
     doc.get(field)
-        .and_then(JsonValue::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing or invalid '{field}' (non-negative integer)"))
-}
-
-fn ms_to_time(ms: f64, what: &str) -> Result<Time, String> {
-    if !ms.is_finite() || !(0.0..=1e15).contains(&ms) {
-        return Err(format!(
-            "'{what}' must be a finite non-negative number of milliseconds"
-        ));
-    }
-    Ok(Time::from_ticks((ms * TICKS_PER_MS as f64).round() as u64))
 }
 
 /// Render a success response line (without trailing newline).
@@ -480,6 +445,7 @@ pub fn error_line(id: Option<u64>, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mkss_core::time::Time;
 
     const SET: &str = r#""task_set": {"tasks": [
         {"period_ms": 5, "deadline_ms": 4, "wcet_ms": 3, "m": 2, "k": 4},
@@ -640,6 +606,49 @@ mod tests {
         let err = Request::parse(r#"{"id": 5, "op": "simulate"}"#).unwrap_err();
         assert_eq!(err.id, Some(5));
         assert!(err.message.contains("task_set"));
+    }
+
+    #[test]
+    fn integers_are_exact_to_u64_max() {
+        let req = Request::parse(r#"{"id": 18446744073709551615, "op": "ping"}"#).unwrap();
+        assert_eq!(req.id, u64::MAX);
+        assert_eq!(
+            ok_line(req.id, "{}", None),
+            r#"{"id":18446744073709551615,"ok":true,"result":{}}"#
+        );
+        assert_eq!(
+            error_line(Some(req.id), "x"),
+            r#"{"id":18446744073709551615,"ok":false,"error":"x"}"#
+        );
+
+        const SEED: u64 = (1 << 53) + 1;
+        let line = format!(
+            r#"{{"id": 1, "op": "simulate", {SET}, "policy": "st", "horizon_ms": 50,
+               "faults": {{"seed": {SEED}}}}}"#
+        );
+        let Op::Simulate(job) = Request::parse(&line).unwrap().op else {
+            panic!("expected simulate")
+        };
+        assert_eq!(job.config.faults.seed, SEED);
+        let line = format!(
+            r#"{{"id": 1, "op": "sweep", {SET}, "policy": "st", "horizon_ms": 50,
+               "seeds": 2, "seed_from": {SEED}}}"#
+        );
+        let Op::Sweep(job) = Request::parse(&line).unwrap().op else {
+            panic!("expected sweep")
+        };
+        assert_eq!(job.seed_from, SEED);
+    }
+
+    #[test]
+    fn float_literals_are_not_integers() {
+        for id in ["7.0", "7e0", "-7", "18446744073709551616"] {
+            let err = Request::parse(&format!(r#"{{"id": {id}, "op": "ping"}}"#)).unwrap_err();
+            assert_eq!(err.id, None, "{id}: {err}");
+        }
+        let err = Request::parse(r#"{"id": 2, "op": "watch", "frames": 1e3}"#).unwrap_err();
+        assert_eq!(err.id, Some(2));
+        assert!(err.message.contains("'frames'"), "{err}");
     }
 
     #[test]

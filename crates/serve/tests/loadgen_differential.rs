@@ -12,9 +12,9 @@
 //!   requests answered.
 
 use mkss_obs::CounterId;
-use mkss_serve::json::{self, JsonValue};
 use mkss_serve::{execute, Client, ExecEnv, Request, Server, ServerConfig};
 use mkss_sim::prelude::WorkspacePool;
+use serde::Value;
 
 /// A temp path for a per-test Unix socket.
 fn sock_path(tag: &str) -> std::path::PathBuf {
@@ -56,12 +56,12 @@ fn direct_response(line: &str) -> String {
     reason = "test helper: a failed lookup is a test failure"
 )]
 fn embedded_counters(response: &str) -> Vec<(String, u64)> {
-    let doc = json::parse(response).expect("response parses");
+    let doc = serde_json::parse_value(response).expect("response parses");
     let counters = doc
         .get("metrics")
         .and_then(|m| m.get("counters"))
         .expect("metrics.counters present");
-    let JsonValue::Object(members) = counters else {
+    let Value::Object(members) = counters else {
         panic!("counters is an object")
     };
     members
@@ -77,12 +77,12 @@ fn embedded_counters(response: &str) -> Vec<(String, u64)> {
     reason = "test helper: a failed lookup is a test failure"
 )]
 fn global_counters(response: &str) -> Vec<(String, u64)> {
-    let doc = json::parse(response).expect("response parses");
+    let doc = serde_json::parse_value(response).expect("response parses");
     let counters = doc
         .get("result")
         .and_then(|m| m.get("counters"))
         .expect("result.counters present");
-    let JsonValue::Object(members) = counters else {
+    let Value::Object(members) = counters else {
         panic!("counters is an object")
     };
     members

@@ -4,8 +4,8 @@
 //! leaked threads); frame contents agree with the `metrics` op.
 
 use mkss_obs::{CounterId, Stopwatch};
-use mkss_serve::json::{self, JsonValue};
 use mkss_serve::{Client, Server, ServerConfig};
+use serde::Value;
 
 fn sock_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mkss-watch-test-{}-{tag}.sock", std::process::id()))
@@ -18,11 +18,11 @@ fn sock_path(tag: &str) -> std::path::PathBuf {
     reason = "test helper: a failed lookup is a test failure"
 )]
 fn meta_str(response: &str, key: &str) -> String {
-    let doc = json::parse(response).expect("response parses");
+    let doc = serde_json::parse_value(response).expect("response parses");
     doc.get("result")
         .and_then(|r| r.get("meta"))
         .and_then(|m| m.get(key))
-        .and_then(JsonValue::as_str)
+        .and_then(Value::as_str)
         .unwrap_or_else(|| panic!("meta.{key} missing in {response}"))
         .to_string()
 }
@@ -34,11 +34,11 @@ fn meta_str(response: &str, key: &str) -> String {
     reason = "test helper: a failed lookup is a test failure"
 )]
 fn counter_of(response: &str, name: &str) -> u64 {
-    let doc = json::parse(response).expect("response parses");
+    let doc = serde_json::parse_value(response).expect("response parses");
     doc.get("result")
         .and_then(|r| r.get("counters"))
         .and_then(|c| c.get(name))
-        .and_then(JsonValue::as_u64)
+        .and_then(Value::as_u64)
         .unwrap_or_else(|| panic!("counter {name} missing in {response}"))
 }
 

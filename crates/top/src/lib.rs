@@ -20,8 +20,8 @@
 //! * [`render`] paints a frame as plain text or ANSI — both pure
 //!   functions of the frame, pinned by golden-frame tests.
 //!
-//! Like the rest of the workspace, the crate is std-only: rendering is
-//! hand-rolled ANSI, not a TUI dependency.
+//! Rendering is hand-rolled ANSI, not a TUI dependency; response lines
+//! are parsed by the workspace's vendored `serde_json`.
 //!
 //! ## Example
 //!

@@ -1,6 +1,6 @@
 //! Wire-side parsing: daemon response lines (the `metrics` op, `watch`
-//! frames) into [`Sample`]s, using the serve crate's hand-rolled JSON
-//! parser.
+//! frames) into [`Sample`]s, parsed by the workspace's vendored
+//! `serde_json`.
 //!
 //! Forward compatibility is deliberate: counters or histograms the
 //! daemon doesn't know yet parse as zero, and unknown members are
@@ -9,7 +9,7 @@
 use std::fmt;
 
 use mkss_obs::{CounterId, HistogramId, MetricsSnapshot};
-use mkss_serve::json::{self, JsonValue};
+use serde::Value;
 
 use crate::frame::{Sample, SampleMeta};
 
@@ -65,11 +65,12 @@ pub enum ResponseLine {
 /// Fails when the line is not JSON or is an `ok` response whose result
 /// is neither a metrics document nor a `watch_done` marker.
 pub fn parse_response_line(line: &str) -> Result<ResponseLine, ParseError> {
-    let doc = json::parse(line).map_err(|e| ParseError::new(format!("bad response: {e}")))?;
-    if doc.get("ok").and_then(JsonValue::as_bool) == Some(false) {
+    let doc =
+        serde_json::parse_value(line).map_err(|e| ParseError::new(format!("bad response: {e}")))?;
+    if doc.get("ok").and_then(Value::as_bool) == Some(false) {
         let message = doc
             .get("error")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .unwrap_or("unspecified daemon error")
             .to_string();
         return Ok(ResponseLine::Error { message });
@@ -77,11 +78,8 @@ pub fn parse_response_line(line: &str) -> Result<ResponseLine, ParseError> {
     let result = doc
         .get("result")
         .ok_or_else(|| ParseError::new("response has no 'result'"))?;
-    if result.get("watch_done").and_then(JsonValue::as_bool) == Some(true) {
-        let frames = result
-            .get("frames")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
+    if result.get("watch_done").and_then(Value::as_bool) == Some(true) {
+        let frames = result.get("frames").and_then(Value::as_u64).unwrap_or(0);
         return Ok(ResponseLine::WatchDone { frames });
     }
     Ok(ResponseLine::Frame(Box::new(sample_from_doc(result)?)))
@@ -94,16 +92,13 @@ pub fn parse_response_line(line: &str) -> Result<ResponseLine, ParseError> {
 ///
 /// Fails when the `counters` member is missing — everything else
 /// degrades to zero.
-pub fn sample_from_doc(doc: &JsonValue) -> Result<Sample, ParseError> {
+pub fn sample_from_doc(doc: &Value) -> Result<Sample, ParseError> {
     let counters = doc
         .get("counters")
         .ok_or_else(|| ParseError::new("document has no 'counters'"))?;
     let mut snapshot = MetricsSnapshot::empty();
     for c in CounterId::ALL {
-        let value = counters
-            .get(c.name())
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
+        let value = counters.get(c.name()).and_then(Value::as_u64).unwrap_or(0);
         snapshot.set_counter(c, value);
     }
     if let Some(histograms) = doc.get("histograms") {
@@ -112,7 +107,7 @@ pub fn sample_from_doc(doc: &JsonValue) -> Result<Sample, ParseError> {
             if let Some(counts) = histograms
                 .get(h.name())
                 .and_then(|entry| entry.get("counts"))
-                .and_then(JsonValue::as_array)
+                .and_then(Value::as_array)
             {
                 for (cell, value) in buckets.iter_mut().zip(counts.iter()) {
                     *cell = value.as_u64().unwrap_or(0);
@@ -124,13 +119,13 @@ pub fn sample_from_doc(doc: &JsonValue) -> Result<Sample, ParseError> {
     let meta = doc.get("meta");
     let meta_str = |key: &str| -> String {
         meta.and_then(|m| m.get(key))
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .unwrap_or("")
             .to_string()
     };
     let meta_u64 = |key: &str| -> u64 {
         meta.and_then(|m| m.get(key))
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .and_then(|s| s.parse().ok())
             .unwrap_or(0)
     };

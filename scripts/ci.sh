@@ -164,24 +164,26 @@ if [ ! -S "$serve_sock" ]; then
     exit 1
 fi
 # One simulate with `"trace": {"last": N}` through the daemon: the
-# response line must embed a bounded, well-formed event timeline.
-python3 - "$serve_sock" <<'PY'
+# response line must embed a bounded, well-formed event timeline. Then a
+# simulate whose task set is the `generate` file itself (a `--set` file
+# embeds unchanged in a request), and a ping whose id is u64::MAX,
+# which must come back digit for digit.
+python3 - "$serve_sock" "$tmpdir/set.json" <<'PY'
 import json, socket, sys
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sys.argv[1])
+responses = s.makefile("rb")
+def request(line):
+    s.sendall(line.encode() + b"\n")
+    resp = responses.readline()
+    assert resp.endswith(b"\n"), "daemon closed the connection mid-response"
+    return resp.decode()
 req = {"id": 1, "op": "simulate",
        "task_set": {"tasks": [
            {"period_ms": 5, "deadline_ms": 4, "wcet_ms": 3, "m": 2, "k": 4},
            {"period_ms": 10, "wcet_ms": 3, "m": 1, "k": 2}]},
        "policy": "selective", "horizon_ms": 100, "trace": {"last": 32}}
-s.sendall((json.dumps(req) + "\n").encode())
-line = b""
-while not line.endswith(b"\n"):
-    chunk = s.recv(65536)
-    assert chunk, "daemon closed the connection mid-response"
-    line += chunk
-s.close()
-resp = json.loads(line)
+resp = json.loads(request(json.dumps(req)))
 assert resp["ok"], resp
 trace = resp["result"]["trace"]
 assert trace["capacity"] == 32, trace["capacity"]
@@ -192,8 +194,20 @@ for e in trace["events"]:
         assert key in e, f"trace event missing {key}: {e}"
 seqs = [e["seq"] for e in trace["events"]]
 assert seqs == sorted(seqs), "trace events out of sequence order"
+# A request is one line, so the file's line breaks become spaces; every
+# other byte is sent as written.
+set_file = open(sys.argv[2]).read().replace("\n", " ")
+line = request('{"id": 2, "op": "simulate", "task_set": ' + set_file
+               + ', "policy": "selective", "horizon_ms": 100}')
+assert json.loads(line)["ok"], line
+big_id = 18446744073709551615
+line = request('{"id": %d, "op": "ping"}' % big_id)
+assert line.startswith('{"id":%d,"ok":true,' % big_id), line
+assert json.loads(line)["id"] == big_id, line
+s.close()
 print(f"serve trace ok: {len(trace['events'])} events embedded, "
-      f"{trace['dropped']} dropped by the ring")
+      f"{trace['dropped']} dropped by the ring; generated set file "
+      f"embedded verbatim; u64::MAX id echoed exactly")
 PY
 cargo run --release -q -p mkss-bench --bin loadgen -- \
     --socket "$serve_sock" --clients 4 --requests 16 --differential --shutdown
