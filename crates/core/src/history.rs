@@ -30,14 +30,25 @@ impl JobOutcome {
     }
 }
 
-/// Sliding execution history of the most recent `k − 1` job outcomes of a
-/// task, supporting flexibility-degree queries.
+/// Execution history of a task, reduced to what the flexibility degree
+/// needs: the sequence positions of its `m` most recent met outcomes.
 ///
-/// History before the first job is treated as all-met, which matches the
-/// paper's motivating examples: the very first job of a task with
-/// constraint (m,k) has flexibility degree `k − m` (e.g. `FD(O₁₁) = 2` for
-/// τ1 = (5,4,3,2,4) and `FD(O₂₁) = 1` for τ2 = (10,10,3,1,2) in Section
-/// III).
+/// Jobs are numbered `1, 2, …` in release order. History before the first
+/// job is treated as all-met, which matches the paper's motivating
+/// examples: the very first job of a task with constraint (m,k) has
+/// flexibility degree `k − m` (e.g. `FD(O₁₁) = 2` for τ1 = (5,4,3,2,4) and
+/// `FD(O₂₁) = 1` for τ2 = (10,10,3,1,2) in Section III). Only the `m` most
+/// recent met outcomes can ever matter, so the pre-history is `m` met jobs
+/// at positions `0, −1, …, −(m−1)`.
+///
+/// **Invariant.** A ring of `m` slots holds those `m` positions, each
+/// stored plus `m` so that it is never negative (pre-history occupies
+/// `1..=m`). They increase cyclically from the slot at `head`, which holds
+/// the oldest of them. Recording a met outcome overwrites that oldest slot
+/// with the new job's position and advances `head`; a missed outcome only
+/// bumps the `recorded` counter. [`MkHistory::flexibility_degree`] and
+/// [`MkHistory::record`] are O(1), and a history holds O(m) memory
+/// whatever `k` is.
 ///
 /// # Examples
 ///
@@ -69,10 +80,13 @@ impl JobOutcome {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MkHistory {
     mk: MkConstraint,
-    /// Outcomes of the last `k − 1` jobs, oldest first. Length is always
-    /// exactly `k − 1`; pre-history is padded with `Met`.
-    window: Vec<JobOutcome>,
-    /// Total jobs recorded (for diagnostics).
+    /// Ring of the positions (plus `m`) of the `m` most recent met
+    /// outcomes; always exactly `m` long.
+    met_at: Vec<u64>,
+    /// Slot of the oldest position in `met_at`; always `met_total mod m`,
+    /// kept so that `flexibility_degree` needs no division.
+    head: usize,
+    /// Total jobs recorded; also the position of the latest one.
     recorded: u64,
     /// Total jobs recorded as met.
     met_total: u64,
@@ -84,7 +98,8 @@ impl MkHistory {
     pub fn new(mk: MkConstraint) -> Self {
         MkHistory {
             mk,
-            window: vec![JobOutcome::Met; (mk.k() - 1) as usize],
+            met_at: (1..=u64::from(mk.m())).collect(),
+            head: 0,
             recorded: 0,
             met_total: 0,
         }
@@ -96,44 +111,29 @@ impl MkHistory {
     }
 
     /// Resets the history to its initial all-met pre-history state,
-    /// keeping the window allocation. Equivalent to (but cheaper than)
+    /// keeping the ring allocation. Equivalent to (but cheaper than)
     /// `*self = MkHistory::new(self.constraint())`; used by simulation
     /// workspaces that are reused across runs.
     pub fn reset(&mut self) {
-        self.window.fill(JobOutcome::Met);
+        for (slot, pos) in self.met_at.iter_mut().zip(1..) {
+            *slot = pos;
+        }
+        self.head = 0;
         self.recorded = 0;
         self.met_total = 0;
     }
 
     /// Records the outcome of the next job in release order.
     pub fn record(&mut self, outcome: JobOutcome) {
-        if !self.window.is_empty() {
-            self.window.remove(0);
-            self.window.push(outcome);
-        }
         self.recorded += 1;
         if outcome.is_met() {
             self.met_total += 1;
+            self.met_at[self.head] = self.recorded + u64::from(self.mk.m());
+            self.head += 1;
+            if self.head == self.met_at.len() {
+                self.head = 0;
+            }
         }
-    }
-
-    /// Number of met outcomes among the most recent `n` recorded jobs
-    /// (padding with met pre-history when fewer than `n` have been
-    /// recorded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > k − 1` — the history only retains `k − 1` outcomes.
-    pub fn met_in_last(&self, n: u32) -> u32 {
-        let len = self.window.len();
-        assert!(
-            n as usize <= len,
-            "history window only retains k-1 = {len} outcomes, asked for {n}"
-        );
-        self.window[len - n as usize..]
-            .iter()
-            .filter(|o| o.is_met())
-            .count() as u32
     }
 
     /// The flexibility degree (Definition 1) of the **next** job of this
@@ -142,11 +142,12 @@ impl MkHistory {
     /// constraint (assuming all later jobs are then made mandatory and
     /// succeed).
     ///
-    /// Derivation: if the next `f` jobs all miss, the tightest window is
-    /// the one ending at the `f`-th miss; it contains the `k − f` most
-    /// recent history outcomes plus the `f` misses, so it needs
-    /// `met_in_last(k − f) ≥ m`. Earlier windows (ending at miss `j < f`)
-    /// contain `k − j ≥ k − f` recent outcomes, a superset of met
+    /// Derivation: let `met_in_last(n)` count the met outcomes among the
+    /// `n` most recent jobs. If the next `f` jobs all miss, the tightest
+    /// window is the one ending at the `f`-th miss; it contains the
+    /// `k − f` most recent history outcomes plus the `f` misses, so it
+    /// needs `met_in_last(k − f) ≥ m`. Earlier windows (ending at miss
+    /// `j < f`) contain `k − j ≥ k − f` recent outcomes, a superset of met
     /// outcomes, so the `f`-th window is binding and
     ///
     /// ```text
@@ -155,20 +156,22 @@ impl MkHistory {
     ///
     /// (Windows stretching past the `f`-th miss contain future jobs, which
     /// are assumed mandatory-and-met and can only help.)
+    ///
+    /// `met_in_last(n) ≥ m` holds exactly when the `m`-th most recent met
+    /// job lies among the last `n`, i.e. when its recency
+    /// `L = recorded − position + 1` is at most `n`. So `f` is tolerable
+    /// iff `f ≤ k − L`. Since `L ≥ m`, `k − L ≤ k − m`, and
+    ///
+    /// ```text
+    /// FD = k − L   if L ≤ k − 1,   else 0.
+    /// ```
+    ///
+    /// `L` is read from the oldest ring slot, so this is O(1).
     pub fn flexibility_degree(&self) -> u32 {
-        let m = self.mk.m();
-        let k = self.mk.k();
-        let mut fd = 0u32;
-        for f in 1..=(k - m) {
-            // Window of the f-th hypothetical miss: last (k - f) outcomes,
-            // of which (k - 1) - (f - 1) = k - f are in our window buffer.
-            if self.met_in_last(k - f) >= m {
-                fd = f;
-            } else {
-                break;
-            }
-        }
-        fd
+        // Stored positions carry `+ m`, so add it to `recorded` as well.
+        let recency = self.recorded + u64::from(self.mk.m()) + 1 - self.met_at[self.head];
+        // At most k − m, which fits the constraint's u32.
+        u64::from(self.mk.k()).saturating_sub(recency) as u32
     }
 
     /// Whether the next job **must** be executed (flexibility degree 0).
@@ -209,11 +212,6 @@ impl MkHistory {
     /// Total number of met outcomes recorded.
     pub fn met_total(&self) -> u64 {
         self.met_total
-    }
-
-    /// The retained window (oldest first), mainly for diagnostics.
-    pub fn window(&self) -> &[JobOutcome] {
-        &self.window
     }
 }
 
@@ -265,18 +263,21 @@ mod tests {
 
     #[test]
     fn fd_counts_interleaved_outcomes() {
-        // (2,4): window keeps 3 outcomes.
+        // (2,4): only the last 3 outcomes can matter.
         let mut h = MkHistory::new(mk(2, 4));
+        let mut r = Reference::new(mk(2, 4));
         for o in [JobOutcome::Met, JobOutcome::Missed, JobOutcome::Met] {
             h.record(o);
+            r.record(o);
         }
-        // window = [Met, Missed, Met]; met_in_last(3)=2>=2 → f=1 ok;
+        // last 3 = [Met, Missed, Met]; met_in_last(3)=2>=2 → f=1 ok;
         // met_in_last(2)=1<2 → stop. FD = 1.
         assert_eq!(h.flexibility_degree(), 1);
-        assert_eq!(h.met_in_last(3), 2);
-        assert_eq!(h.met_in_last(2), 1);
-        assert_eq!(h.met_in_last(1), 1);
-        assert_eq!(h.met_in_last(0), 0);
+        assert_eq!(r.flexibility_degree(), 1);
+        assert_eq!(r.met_in_last(3), 2);
+        assert_eq!(r.met_in_last(2), 1);
+        assert_eq!(r.met_in_last(1), 1);
+        assert_eq!(r.met_in_last(0), 0);
     }
 
     #[test]
@@ -287,8 +288,106 @@ mod tests {
         h.record(JobOutcome::Met);
         assert_eq!(h.recorded(), 3);
         assert_eq!(h.met_total(), 2);
-        assert_eq!(h.window().len(), 2);
         assert_eq!(h.constraint(), mk(1, 3));
+    }
+
+    #[test]
+    fn large_k_history_is_constant_size() {
+        let c = mk(1, 1_000_000);
+        let mut h = MkHistory::new(c);
+        assert_eq!(h.met_at.len(), 1);
+        assert_eq!(h.flexibility_degree(), 999_999);
+        for _ in 0..10 {
+            h.record(JobOutcome::Missed);
+        }
+        assert_eq!(h.flexibility_degree(), 999_989);
+        h.record(JobOutcome::Met);
+        assert_eq!(h.flexibility_degree(), 999_999);
+
+        let c = mk(999_999, 1_000_000);
+        let mut h = MkHistory::new(c);
+        assert_eq!(h.flexibility_degree(), 1);
+        h.record(JobOutcome::Missed);
+        assert_eq!(h.flexibility_degree(), 0);
+        // The miss leaves every window only once a full k jobs have met
+        // after it.
+        for _ in 0..999_998 {
+            h.record(JobOutcome::Met);
+        }
+        assert_eq!(h.flexibility_degree(), 0);
+        h.record(JobOutcome::Met);
+        assert_eq!(h.flexibility_degree(), 1);
+    }
+
+    /// Definition-level reference: every outcome kept in a plain list,
+    /// with an all-met pre-history, and
+    /// `FD = max { f ∈ [0, k−m] : met_in_last(k − f) ≥ m }`.
+    struct Reference {
+        mk: MkConstraint,
+        /// `met_prefix[i]` = met outcomes among the first `i` recorded.
+        met_prefix: Vec<u64>,
+    }
+
+    impl Reference {
+        fn new(mk: MkConstraint) -> Self {
+            Reference {
+                mk,
+                met_prefix: vec![0],
+            }
+        }
+
+        fn record(&mut self, outcome: JobOutcome) {
+            let last = *self.met_prefix.last().unwrap();
+            self.met_prefix.push(last + u64::from(outcome.is_met()));
+        }
+
+        /// Met outcomes among the `n` most recent jobs, counting the
+        /// pre-history as met.
+        fn met_in_last(&self, n: u32) -> u64 {
+            let len = self.met_prefix.len() - 1;
+            let n = n as usize;
+            if n <= len {
+                self.met_prefix[len] - self.met_prefix[len - n]
+            } else {
+                self.met_prefix[len] + (n - len) as u64
+            }
+        }
+
+        fn flexibility_degree(&self) -> u32 {
+            let (m, k) = (self.mk.m(), self.mk.k());
+            let ok = |f: u32| self.met_in_last(k - f) >= u64::from(m);
+            // met_in_last(n) never decreases as n grows, so `ok` holds on
+            // a prefix of 0, 1, …, k − m (and always at 0): find its end.
+            let (mut lo, mut hi) = (0, k - m);
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if ok(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            lo
+        }
+    }
+
+    /// Deterministic outcome stream for the large-`k` proptests: each job
+    /// misses with probability `miss_permille / 1000`.
+    fn outcomes(seed: u64, miss_permille: u64, len: usize) -> impl Iterator<Item = JobOutcome> {
+        let mut state = seed;
+        (0..len).map(move |_| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            if z % 1000 < miss_permille {
+                JobOutcome::Missed
+            } else {
+                JobOutcome::Met
+            }
+        })
     }
 
     /// Oracle: brute-force FD by simulating f misses over the *full*
@@ -376,6 +475,61 @@ mod tests {
             if fd < k - m {
                 prop_assert!(mon2.violated());
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The ring agrees with the definition-level reference after every
+        /// job, for `k` up to 10⁴ at both extremes of `m` (and a middle
+        /// one), over histories up to `3k` long so the ring wraps.
+        #[test]
+        fn fd_matches_definition_at_large_k(
+            k in 2u32..=10_000,
+            m_pick in 0u32..3,
+            miss_permille in 0u64..=1000,
+            rare_misses in any::<bool>(),
+            len_pct in 0u32..=300,
+            seed in any::<u64>(),
+        ) {
+            let m = match m_pick {
+                0 => 1,
+                1 => k - 1,
+                _ => 1 + (seed % u64::from(k - 1)) as u32,
+            };
+            let c = mk(m, k);
+            // Half the cases miss rarely, so that a large m sees FD > 0.
+            let miss_permille = if rare_misses { miss_permille % 8 } else { miss_permille };
+            let len = (u64::from(k) * u64::from(len_pct) / 100) as usize;
+            let mut h = MkHistory::new(c);
+            let mut r = Reference::new(c);
+            prop_assert_eq!(h.flexibility_degree(), r.flexibility_degree());
+            for o in outcomes(seed, miss_permille, len) {
+                h.record(o);
+                r.record(o);
+                prop_assert_eq!(h.flexibility_degree(), r.flexibility_degree());
+            }
+            prop_assert_eq!(h.recorded(), len as u64);
+            prop_assert_eq!(h.met_total(), r.met_prefix[len]);
+        }
+
+        /// `reset` after any history restores exactly the fresh state.
+        #[test]
+        fn reset_equals_new(
+            m in 1u32..50,
+            extra in 1u32..50,
+            miss_permille in 0u64..=1000,
+            len in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let c = mk(m, m + extra);
+            let mut h = MkHistory::new(c);
+            for o in outcomes(seed, miss_permille, len) {
+                h.record(o);
+            }
+            h.reset();
+            prop_assert_eq!(h, MkHistory::new(c));
         }
     }
 }

@@ -398,6 +398,19 @@ mod tests {
     }
 
     #[test]
+    fn huge_k_simulates_in_time_proportional_to_its_jobs() {
+        // k is not capped by the protocol; a k = 10⁶ task must cost what
+        // its 100 jobs cost, not pin the worker.
+        let pool = WorkspacePool::new();
+        let line = r#"{"id": 9, "op": "simulate", "task_set": {"tasks": [
+            {"period_ms": 10, "wcet_ms": 2, "m": 1, "k": 1000000}
+        ]}, "policy": "selective", "horizon_ms": 1000}"#;
+        let resp = run(line, &env(&pool));
+        assert!(resp.starts_with(r#"{"id":9,"ok":true,"#), "{resp}");
+        assert!(resp.contains("\"mk_assured\":true"), "{resp}");
+    }
+
+    #[test]
     fn unschedulable_set_is_a_request_error() {
         let pool = WorkspacePool::new();
         // Saturating WCETs: the R-pattern analysis must reject this for

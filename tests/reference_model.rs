@@ -43,6 +43,35 @@ struct RefOutcome {
     outcomes: Vec<(usize, u64, bool)>, // (task, index, met)
 }
 
+/// Definition 1, read literally and independently of the engine's history:
+/// the largest `f ≤ k − m` such that, if the next `f` jobs all miss, every
+/// window of `k` ending at one of those misses still holds `m` met jobs.
+/// Jobs before the first one count as met.
+fn flexibility_degree(mk: MkConstraint, outcomes: &[bool]) -> u32 {
+    let (m, k) = (mk.m() as usize, mk.k() as usize);
+    // Met jobs among the `n` most recent, padding with the met pre-history.
+    let met_in_last = |n: usize| {
+        let seen = n.min(outcomes.len());
+        let met = outcomes[outcomes.len() - seen..]
+            .iter()
+            .filter(|&&b| b)
+            .count();
+        met + (n - seen)
+    };
+    // The window ending at hypothetical miss `j` holds the `k − j` most
+    // recent outcomes and `j` misses; `f` misses are tolerable while the
+    // smallest of the first `f` such windows still holds `m` met jobs.
+    let mut smallest = usize::MAX;
+    let mut fd = 0;
+    for f in 1..=k - m {
+        smallest = smallest.min(met_in_last(k - f));
+        if smallest >= m {
+            fd = f;
+        }
+    }
+    fd as u32
+}
+
 /// The reference simulator: 1 ms ticks; optionally one permanent fault.
 fn reference_run(
     ts: &TaskSet,
@@ -71,7 +100,8 @@ fn reference_run(
             .map(|t| t.ticks() / 1000)
             .collect(),
     };
-    let mut histories: Vec<MkHistory> = ts.iter().map(|(_, t)| MkHistory::new(t.mk())).collect();
+    // Every resolved outcome of each task, in release order (`true` = met).
+    let mut histories: Vec<Vec<bool>> = vec![Vec::new(); n];
     let mut alternate: Vec<bool> = vec![false; n];
     let mut next_index: Vec<u64> = vec![1; n];
     let mut copies: Vec<RefCopy> = Vec::new();
@@ -79,7 +109,7 @@ fn reference_run(
     let mut jobs: BTreeMap<(usize, u64), (Vec<usize>, bool)> = BTreeMap::new();
     let mut out = RefOutcome::default();
 
-    let resolve = |histories: &mut Vec<MkHistory>,
+    let resolve = |histories: &mut Vec<Vec<bool>>,
                    copies: &mut Vec<RefCopy>,
                    jobs: &mut BTreeMap<(usize, u64), (Vec<usize>, bool)>,
                    out: &mut RefOutcome,
@@ -89,11 +119,7 @@ fn reference_run(
         let entry = jobs.get_mut(&(task, index)).expect("job exists");
         assert!(!entry.1, "double resolution");
         entry.1 = true;
-        histories[task].record(if met {
-            JobOutcome::Met
-        } else {
-            JobOutcome::Missed
-        });
+        histories[task].push(met);
         if met {
             out.met += 1;
         } else {
@@ -151,7 +177,7 @@ fn reference_run(
                 }
                 next_index[task] += 1;
                 let c_ms = tk.wcet().ticks() / 1000;
-                let fd = histories[task].flexibility_degree();
+                let fd = flexibility_degree(tk.mk(), &histories[task]);
                 let statically_mandatory = Pattern::DeeplyRed.is_mandatory(tk.mk(), index);
                 let mandatory = match policy {
                     RefPolicy::Static | RefPolicy::DualPriority => statically_mandatory,

@@ -105,3 +105,27 @@ fn back_to_back_reuse_is_self_consistent() {
     );
     assert_eq!(first_trace, collector.take());
 }
+
+#[test]
+fn large_k_runs_cost_what_their_jobs_cost() {
+    // A task with k = 10⁶ at either extreme of m, for 100 jobs: the (m,k)
+    // history is touched at every release and resolution, so its cost
+    // must not scale with k.
+    let config = SimConfig::builder().horizon_ms(1_000).build();
+    let mut ws = SimWorkspace::new();
+    for m in [1, 999_999] {
+        let ts = TaskSet::new(vec![Task::from_ms(10, 10, 2, m, 1_000_000).unwrap()]).unwrap();
+        for kind in [PolicyKind::Static, PolicyKind::Selective] {
+            let build = || kind.build(&ts, &BuildOptions::default()).unwrap();
+            let fresh = simulate(&ts, build().as_mut(), &config);
+            let reused = simulate_in(&mut ws, &ts, build().as_mut(), &config);
+            assert_eq!(fresh.stats.released, 100, "m {m} policy {kind}");
+            assert!(fresh.mk_assured(), "m {m} policy {kind}");
+            assert_eq!(
+                serde_json::to_string(&fresh).unwrap(),
+                serde_json::to_string(&reused).unwrap(),
+                "m {m} policy {kind}"
+            );
+        }
+    }
+}
