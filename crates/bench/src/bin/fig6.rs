@@ -239,7 +239,7 @@ fn main() -> ExitCode {
             reporter.line(&format!("error writing {path}: {e}"));
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
+        reporter.line(&format!("wrote {path}{}", mkss_obs::overflow_note(&runs)));
     }
     if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
         let scenario_ids: Vec<&str> = args.scenarios.iter().map(|s| s.id()).collect();

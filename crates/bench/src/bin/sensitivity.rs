@@ -162,7 +162,7 @@ fn main() -> ExitCode {
             reporter.line(&format!("error writing {path}: {e}"));
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
+        reporter.line(&format!("wrote {path}{}", mkss_obs::overflow_note(&runs)));
     }
     if let (Some(path), Some(registry)) = (&metrics_out, &registry) {
         let doc = metrics_doc(

@@ -35,8 +35,8 @@ use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
 use mkss_obs::{
-    chrome_trace, violation_reports, EchoRecorder, LogLevel, MetricsDoc, Recorder, Registry,
-    Reporter, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
+    chrome_trace, overflow_note, violation_reports, EchoRecorder, LogLevel, MetricsDoc, Recorder,
+    Registry, Reporter, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
 };
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate_in, SimConfig, SimWorkspace};
@@ -44,7 +44,7 @@ use mkss_sim::fault::FaultConfig;
 use mkss_sim::pool::WorkspacePool;
 use mkss_sim::power::PowerModel;
 use mkss_sim::proc::ProcId;
-use mkss_sim::trace::{Trace, TraceCollector};
+use mkss_sim::trace::Trace;
 use mkss_sim::vcd::render_vcd;
 use mkss_top::{Target, TopConfig};
 use mkss_workload::{Generator, WorkloadConfig};
@@ -305,10 +305,15 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     } else {
         (None, None)
     };
-    // The --gantt / --vcd schedule is rebuilt from the engine's event
-    // stream; the collector forwards every event to the MKSS_LOG recorder.
-    let collector = Arc::new(TraceCollector::new(Trace::new(), log_recorder));
-    let mut ws = SimWorkspace::with_recorder(collector.clone());
+    // Only --gantt / --vcd capture the run (the schedule decodes the whole
+    // event stream); the capture forwards every event to MKSS_LOG's recorder.
+    let capture = (gantt || vcd_path.is_some()).then(|| {
+        let whole_run = TraceBuffer::with_capacity(usize::MAX);
+        Arc::new(TraceRecorder::new(whole_run, log_recorder.clone()))
+    });
+    let mut ws = SimWorkspace::new();
+    let recorder = capture.clone().map(|c| c as Arc<dyn Recorder>);
+    ws.set_recorder(recorder.or(log_recorder));
     let report = simulate_in(&mut ws, &ts, policy.as_mut(), &config);
 
     let mut out = String::new();
@@ -344,13 +349,15 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
             v.task, v.job_index
         ));
     }
-    let trace = collector.take();
-    if gantt {
-        out.push_str(&trace.render_gantt_ms(horizon.min(Time::from_ms(120))));
-    }
-    if let Some(path) = vcd_path {
-        std::fs::write(&path, render_vcd(&trace, ts.len()))?;
-        out.push_str(&format!("wrote VCD to {path}\n"));
+    if let Some(capture) = capture {
+        let trace = Trace::from(&capture.take());
+        if gantt {
+            out.push_str(&trace.render_gantt_ms(horizon.min(Time::from_ms(120))));
+        }
+        if let Some(path) = vcd_path {
+            std::fs::write(&path, render_vcd(&trace, ts.len()))?;
+            out.push_str(&format!("wrote VCD to {path}\n"));
+        }
     }
     if let Some((registry, reporter)) = &obs {
         report_summary_table(reporter, registry);
@@ -503,7 +510,7 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
             .zip(&buffers)
             .collect();
         std::fs::write(path, chrome_trace(&runs))?;
-        out.push_str(&format!("wrote trace to {path}\n"));
+        out.push_str(&format!("wrote trace to {path}{}\n", overflow_note(&runs)));
         // Violation forensics: any run that tipped an (m,k) constraint gets
         // its reconstructed window and recent-event tail printed inline.
         for (label, buffer) in &runs {
@@ -944,6 +951,7 @@ mod tests {
             ]))
             .unwrap();
             assert!(out.contains("wrote trace to"), "{out}");
+            assert!(!out.contains("ring overflow"), "{out}");
             traces.push(std::fs::read_to_string(&path).unwrap());
             let _ = std::fs::remove_file(path);
         }
@@ -963,6 +971,36 @@ mod tests {
         ] {
             assert!(body.contains(needle), "missing {needle}");
         }
+    }
+
+    #[test]
+    fn compare_trace_out_reports_ring_overflow() {
+        let file = sample_file();
+        let path = std::env::temp_dir().join(format!(
+            "mkss-cli-trace-overflow-{}.json",
+            std::process::id()
+        ));
+        let out = run(&args(&[
+            "compare",
+            file.as_str(),
+            "--horizon-ms",
+            "100000",
+            "--trace-out",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let _ = std::fs::remove_file(path);
+        let wrote = out
+            .lines()
+            .find(|line| line.starts_with("wrote trace to"))
+            .expect("trace line");
+        let capacity = DEFAULT_TRACE_CAPACITY;
+        assert!(
+            wrote.contains(&format!(
+                " (ring overflow, kept/recorded events: st {capacity}/"
+            )),
+            "{wrote}"
+        );
     }
 
     #[test]

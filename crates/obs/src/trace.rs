@@ -5,13 +5,13 @@
 //! The counter catalog answers "how many"; this module answers "in what
 //! order, and why". The engine feeds [`Recorder::event`] one packed
 //! [`EngineEvent`] per semantic step — release, classification, backup
-//! postponement, cancellation, fault, resolution — and a [`TraceRecorder`]
-//! copies them into a fixed-capacity [`TraceBuffer`] that never allocates
-//! after construction (the same pre-sizing discipline as the engine's event
-//! calendar). Everything downstream — the Chrome Trace Event export
-//! ([`chrome_trace`]), the plain-text timeline ([`timeline_text`]), and the
-//! (m,k) violation forensics ([`violation_reports`]) — is a pure function
-//! of the buffer, so trace output is deterministic and golden-testable.
+//! postponement, cancellation, fault, resolution, executed segment — and a
+//! [`TraceRecorder`] copies them into a bounded [`TraceBuffer`], the one
+//! capture type. Everything downstream — the Chrome Trace Event export
+//! ([`chrome_trace`]), the plain-text timeline ([`timeline_text`]), the
+//! (m,k) violation forensics ([`violation_reports`]), and the simulator's
+//! schedule trace, which decodes a buffer — is a pure function of the
+//! buffer, so trace output is deterministic and golden-testable.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -209,12 +209,14 @@ pub struct TraceEvent {
     pub event: EngineEvent,
 }
 
-/// A fixed-capacity ring of [`TraceEvent`] records.
+/// A bounded ring of [`TraceEvent`] records.
 ///
-/// The full capacity is allocated up front; once full, new events
-/// overwrite the oldest, so the buffer always holds the *last*
-/// `capacity` events. Pushing never allocates — the flight-recorder
-/// counterpart of the engine's pre-sized event calendar.
+/// Once full, new events overwrite the oldest, so the buffer always
+/// holds the *last* `capacity` events. Up to [`DEFAULT_TRACE_CAPACITY`]
+/// events are allocated up front and storage grows past that, so a ring
+/// at or below the default never allocates on push (the flight-recorder
+/// counterpart of the engine's pre-sized event calendar), while
+/// `with_capacity(usize::MAX)` keeps a whole run.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     events: Vec<TraceEvent>,
@@ -224,11 +226,12 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Allocate a buffer holding up to `capacity` events (at least one).
+    /// A buffer holding up to `capacity` events (at least one), with
+    /// room for `min(capacity, DEFAULT_TRACE_CAPACITY)` allocated now.
     pub fn with_capacity(capacity: usize) -> TraceBuffer {
         let capacity = capacity.max(1);
         TraceBuffer {
-            events: Vec::with_capacity(capacity),
+            events: Vec::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
             capacity,
             head: 0,
             next_seq: 0,
@@ -260,13 +263,6 @@ impl TraceBuffer {
         self.next_seq - self.events.len() as u64
     }
 
-    /// Forget every event but keep the allocation and capacity.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.head = 0;
-        self.next_seq = 0;
-    }
-
     /// Append one event, overwriting the oldest once full. Returns the
     /// capture sequence number assigned to it.
     pub fn push(&mut self, event: EngineEvent) -> u64 {
@@ -290,56 +286,34 @@ impl TraceBuffer {
     }
 }
 
-/// Where a [`TraceRecorder`] keeps the events it captures: the
-/// [`TraceBuffer`] ring, or any other consumer of the event stream (the
-/// simulator rebuilds its schedule trace this way).
-pub trait EventSink: Send {
-    /// Takes one event.
-    fn record(&mut self, event: &EngineEvent);
-
-    /// An empty sink configured like this one, which
-    /// [`TraceRecorder::take`] leaves in place.
-    fn emptied(&self) -> Self;
-}
-
-impl EventSink for TraceBuffer {
-    fn record(&mut self, event: &EngineEvent) {
-        self.push(*event);
-    }
-
-    fn emptied(&self) -> TraceBuffer {
-        TraceBuffer::with_capacity(self.capacity)
-    }
-}
-
 /// A [`Recorder`] decorator that captures the structured event stream
-/// into an [`EventSink`] — by default a [`TraceBuffer`] — while
-/// forwarding everything (counters, histograms, and the events
-/// themselves) to an optional inner recorder.
+/// into a [`TraceBuffer`] while forwarding everything (counters,
+/// histograms, and the events themselves) to an optional inner recorder.
 ///
 /// Like every recorder it is oblivious: attaching one leaves the
-/// simulation byte-identical. A [`TraceBuffer`] is fully pre-allocated
-/// at construction, so ring captures never allocate per event.
-pub struct TraceRecorder<S = TraceBuffer> {
+/// simulation byte-identical. A ring at or below
+/// [`DEFAULT_TRACE_CAPACITY`] is fully pre-allocated at construction, so
+/// it never allocates per event.
+pub struct TraceRecorder {
     inner: Option<Arc<dyn Recorder>>,
-    buffer: Mutex<S>,
+    buffer: Mutex<TraceBuffer>,
 }
 
-impl<S: EventSink> TraceRecorder<S> {
-    /// Capture the event stream into `sink`, forwarding everything to
+impl TraceRecorder {
+    /// Capture the event stream into `buffer`, forwarding everything to
     /// `inner` when one is given.
-    pub fn new(sink: S, inner: Option<Arc<dyn Recorder>>) -> TraceRecorder<S> {
+    pub fn new(buffer: TraceBuffer, inner: Option<Arc<dyn Recorder>>) -> TraceRecorder {
         TraceRecorder {
             inner,
-            buffer: Mutex::new(sink),
+            buffer: Mutex::new(buffer),
         }
     }
 
-    /// Take the captured sink, leaving an empty one configured the same
-    /// way in place.
-    pub fn take(&self) -> S {
+    /// Take the captured buffer, leaving an empty one of the same
+    /// capacity in place.
+    pub fn take(&self) -> TraceBuffer {
         let mut guard = lock(&self.buffer);
-        let empty = guard.emptied();
+        let empty = TraceBuffer::with_capacity(guard.capacity);
         std::mem::replace(&mut guard, empty)
     }
 }
@@ -355,7 +329,7 @@ impl std::fmt::Debug for TraceRecorder {
     }
 }
 
-impl<S: EventSink> Recorder for TraceRecorder<S> {
+impl Recorder for TraceRecorder {
     #[inline]
     fn incr(&self, counter: CounterId, by: u64) {
         if let Some(inner) = &self.inner {
@@ -374,7 +348,7 @@ impl<S: EventSink> Recorder for TraceRecorder<S> {
         if let Some(inner) = &self.inner {
             inner.event(event);
         }
-        lock(&self.buffer).record(event);
+        lock(&self.buffer).push(*event);
     }
 }
 
@@ -426,6 +400,12 @@ pub fn timeline_text(buffer: &TraceBuffer) -> String {
     out
 }
 
+/// Whether `e` ends a backup copy: its cancellation, completion or loss.
+fn ends_backup(e: &EngineEvent) -> bool {
+    matches!(e.kind, TraceKind::BackupCancel | TraceKind::BackupComplete)
+        || (e.kind == TraceKind::CopyLost && e.copy == CopyRole::Backup)
+}
+
 /// Export labeled capture buffers as Chrome Trace Event JSON — loads in
 /// Perfetto or `chrome://tracing`.
 ///
@@ -462,17 +442,10 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
             std::collections::BTreeMap::new();
         for record in buffer.iter() {
             let e = &record.event;
-            match e.kind {
-                TraceKind::MandatoryRelease => {
-                    pairs.entry((e.task, e.job)).or_insert((false, false)).0 = true;
-                }
-                TraceKind::BackupCancel | TraceKind::BackupComplete => {
-                    pairs.entry((e.task, e.job)).or_insert((false, false)).1 = true;
-                }
-                TraceKind::CopyLost if e.copy == CopyRole::Backup => {
-                    pairs.entry((e.task, e.job)).or_insert((false, false)).1 = true;
-                }
-                _ => {}
+            if e.kind == TraceKind::MandatoryRelease {
+                pairs.entry((e.task, e.job)).or_insert((false, false)).0 = true;
+            } else if ends_backup(e) {
+                pairs.entry((e.task, e.job)).or_insert((false, false)).1 = true;
             }
         }
         let mut closed: std::collections::BTreeMap<(u32, u32), bool> =
@@ -505,8 +478,6 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
             ));
             let key = (e.task, e.job);
             let paired = pairs.get(&key) == Some(&(true, true));
-            let is_terminal = matches!(e.kind, TraceKind::BackupCancel | TraceKind::BackupComplete)
-                || (e.kind == TraceKind::CopyLost && e.copy == CopyRole::Backup);
             if paired && e.kind == TraceKind::MandatoryRelease && !closed.contains_key(&key) {
                 closed.insert(key, false);
                 entries.push(format!(
@@ -517,7 +488,7 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
                     ts = e.at_us,
                 ));
             }
-            if is_terminal && closed.get(&key) == Some(&false) {
+            if ends_backup(e) && closed.get(&key) == Some(&false) {
                 closed.insert(key, true);
                 entries.push(format!(
                     "{{\"ph\":\"e\",\"cat\":\"backup\",\"id\":\"p{pid}.t{task}.j{job}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"name\":\"primary->backup\",\"args\":{{}}}}",
@@ -534,6 +505,25 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
     out.push_str(&entries.join(",\n"));
     out.push_str("\n]}\n");
     out
+}
+
+/// A note naming every run whose ring overwrote its earliest events,
+/// with the kept/recorded counts — `" (ring overflow, kept/recorded
+/// events: st 65536/70123)"` — or an empty string when every run was
+/// kept whole. Exports append it to their "wrote …" line.
+pub fn overflow_note(runs: &[(&str, &TraceBuffer)]) -> String {
+    let overflowed: Vec<String> = runs
+        .iter()
+        .filter(|(_, buffer)| buffer.dropped() > 0)
+        .map(|(label, buffer)| format!("{label} {}/{}", buffer.len(), buffer.total_recorded()))
+        .collect();
+    if overflowed.is_empty() {
+        return String::new();
+    }
+    format!(
+        " (ring overflow, kept/recorded events: {})",
+        overflowed.join(", ")
+    )
 }
 
 /// Render the buffer as a compact single-line JSON object fragment —
@@ -751,15 +741,31 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_and_resets_sequence() {
-        let mut buffer = TraceBuffer::with_capacity(2);
-        buffer.push(ev(1, TraceKind::JobMet, 0, 0, 0));
-        buffer.push(ev(2, TraceKind::JobMet, 0, 1, 0));
-        buffer.push(ev(3, TraceKind::JobMet, 0, 2, 0));
-        buffer.clear();
-        assert!(buffer.is_empty());
-        assert_eq!(buffer.capacity(), 2);
-        assert_eq!(buffer.push(ev(4, TraceKind::JobMet, 0, 3, 0)), 0);
+    fn unbounded_ring_grows_past_the_default_and_keeps_every_event() {
+        let mut buffer = TraceBuffer::with_capacity(usize::MAX);
+        assert_eq!(buffer.events.capacity(), DEFAULT_TRACE_CAPACITY);
+        let total = DEFAULT_TRACE_CAPACITY as u64 + 3;
+        for i in 0..total {
+            buffer.push(ev(i, TraceKind::JobMet, 0, 0, 0));
+        }
+        assert_eq!(buffer.total_recorded(), total);
+        assert_eq!(buffer.dropped(), 0);
+        assert_eq!(buffer.iter().next().expect("oldest").seq, 0);
+    }
+
+    #[test]
+    fn overflow_note_names_only_the_runs_that_dropped_events() {
+        let mut whole = TraceBuffer::with_capacity(4);
+        let mut ring = TraceBuffer::with_capacity(2);
+        for i in 0..3 {
+            whole.push(ev(i, TraceKind::JobMet, 0, 0, 0));
+            ring.push(ev(i, TraceKind::JobMet, 0, 0, 0));
+        }
+        assert_eq!(overflow_note(&[("a", &whole)]), "");
+        assert_eq!(
+            overflow_note(&[("a", &whole), ("b", &ring)]),
+            " (ring overflow, kept/recorded events: b 2/3)"
+        );
     }
 
     #[test]

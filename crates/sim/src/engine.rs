@@ -58,10 +58,10 @@
 //! backup release and postponement (`r̃ = r + θ`), backup cancellation,
 //! fault injection and recovery, the (m,k) distance-to-violation at
 //! each resolution, and every closed execution segment. That stream is
-//! the engine's only capture path: the schedule [`Trace`] is rebuilt
-//! from it by a [`TraceCollector`] ([`simulate_traced`]). The recorder
-//! lives on the workspace rather than on
-//! [`SimConfig`] because the config stays `Copy + PartialEq +
+//! the engine's only capture path: a [`TraceRecorder`] captures it into
+//! a [`TraceBuffer`], and the schedule [`Trace`] decodes that buffer
+//! ([`simulate_traced`]). The recorder lives on the workspace rather
+//! than on [`SimConfig`] because the config stays `Copy + PartialEq +
 //! Serialize`, which a trait-object handle cannot be. Recorders only
 //! observe — they never feed back into the run — so a recorder-on
 //! report is byte-identical to a recorder-off one, and with no recorder
@@ -74,7 +74,8 @@ use mkss_core::mk::MkMonitor;
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
 use mkss_obs::{
-    segment_payload, CopyRole, CounterId, EngineEvent, HistogramId, Recorder, TraceKind, PROC_NONE,
+    segment_payload, CopyRole, CounterId, EngineEvent, HistogramId, Recorder, TraceBuffer,
+    TraceKind, TraceRecorder, PROC_NONE,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -84,7 +85,7 @@ use crate::policy::{Policy, ReleaseCtx, ReleaseDecision};
 use crate::power::{EnergyBreakdown, PowerModel};
 use crate::proc::ProcId;
 use crate::report::{JobStats, MkViolation, SimReport};
-use crate::trace::{SegmentEnd, Trace, TraceCollector};
+use crate::trace::{SegmentEnd, Trace};
 
 /// Configuration of one simulation run.
 ///
@@ -607,17 +608,18 @@ pub fn simulate<P: Policy + ?Sized>(ts: &TaskSet, policy: &mut P, config: &SimCo
     simulate_in(&mut ws, ts, policy, config)
 }
 
-/// [`simulate`], plus the schedule [`Trace`] that a [`TraceCollector`]
-/// rebuilds from the run's event stream (the report is unchanged).
+/// [`simulate`], plus the schedule [`Trace`] decoded from the run's
+/// whole event stream (the report is unchanged).
 pub fn simulate_traced<P: Policy + ?Sized>(
     ts: &TaskSet,
     policy: &mut P,
     config: &SimConfig,
 ) -> (SimReport, Trace) {
-    let collector = Arc::new(TraceCollector::new(Trace::new(), None));
-    let mut ws = SimWorkspace::with_recorder(Arc::clone(&collector) as Arc<dyn Recorder>);
+    let whole_run = TraceBuffer::with_capacity(usize::MAX);
+    let recorder = Arc::new(TraceRecorder::new(whole_run, None));
+    let mut ws = SimWorkspace::with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
     let report = simulate_in(&mut ws, ts, policy, config);
-    (report, collector.take())
+    (report, Trace::from(&recorder.take()))
 }
 
 /// Runs one simulation of `policy` on `ts` inside a caller-owned
@@ -2190,8 +2192,11 @@ mod tests {
                 .faults(FaultConfig::transient(0.5, 3))
                 .build(),
         ];
-        let collector = Arc::new(TraceCollector::new(Trace::new(), None));
-        let mut ws = SimWorkspace::with_recorder(Arc::clone(&collector) as Arc<dyn Recorder>);
+        let recorder = Arc::new(TraceRecorder::new(
+            TraceBuffer::with_capacity(usize::MAX),
+            None,
+        ));
+        let mut ws = SimWorkspace::with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
         for _ in 0..2 {
             for ts in &sets {
                 for config in &configs {
@@ -2199,7 +2204,7 @@ mod tests {
                     let (fresh, fresh_trace) = simulate_traced(ts, &mut StaticRef, config);
                     assert_eq!(reused.stats, fresh.stats);
                     assert_eq!(reused.violations, fresh.violations);
-                    assert_eq!(collector.take(), fresh_trace);
+                    assert_eq!(Trace::from(&recorder.take()), fresh_trace);
                     assert_eq!(reused.energy, fresh.energy);
                 }
             }
@@ -2333,8 +2338,11 @@ mod tests {
                 ))
                 .build(),
         ];
-        let collector = Arc::new(TraceCollector::new(Trace::new(), None));
-        let mut ws = SimWorkspace::with_recorder(Arc::clone(&collector) as Arc<dyn Recorder>);
+        let recorder = Arc::new(TraceRecorder::new(
+            TraceBuffer::with_capacity(usize::MAX),
+            None,
+        ));
+        let mut ws = SimWorkspace::with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
         for ts in &sets {
             for config in &configs {
                 let calendar = run_prepared(
@@ -2345,7 +2353,7 @@ mod tests {
                     TimeAdvance::Calendar,
                     |_| {},
                 );
-                let calendar_trace = collector.take();
+                let calendar_trace = Trace::from(&recorder.take());
                 let scan = run_prepared(
                     &mut ws,
                     ts,
@@ -2361,7 +2369,7 @@ mod tests {
                 );
                 assert_eq!(
                     calendar_trace,
-                    collector.take(),
+                    Trace::from(&recorder.take()),
                     "calendar/scan traces diverge"
                 );
             }

@@ -61,5 +61,5 @@ pub mod prelude {
     pub use crate::power::{Energy, EnergyBreakdown, PowerModel};
     pub use crate::proc::ProcId;
     pub use crate::report::{JobStats, MkViolation, SimReport};
-    pub use crate::trace::{JobResolution, Segment, SegmentEnd, Trace, TraceCollector};
+    pub use crate::trace::{JobResolution, Segment, SegmentEnd, Trace};
 }

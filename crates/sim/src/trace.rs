@@ -1,13 +1,13 @@
 //! Schedule traces: executed segments, per-job outcomes, and an ASCII
 //! Gantt renderer for debugging and for reproducing the paper's figures.
-//! A [`TraceCollector`] rebuilds the [`Trace`] from the engine's event
-//! stream, which is the engine's only capture path.
+//! A [`Trace`] is a decode of a flight-recorder [`TraceBuffer`], the
+//! engine's only capture type.
 
 use mkss_core::history::JobOutcome;
 use mkss_core::job::{CopyKind, JobId};
 use mkss_core::task::TaskId;
 use mkss_core::time::{Time, TICKS_PER_MS};
-use mkss_obs::{segment_parts, CopyRole, EngineEvent, EventSink, TraceKind, TraceRecorder};
+use mkss_obs::{segment_parts, CopyRole, TraceBuffer, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -96,11 +96,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
     /// Total busy time of `proc` within `[0, until)`, clamping segments
     /// crossing the boundary.
     pub fn busy_time_within(&self, proc: ProcId, until: Time) -> Time {
@@ -128,14 +123,10 @@ impl Trace {
     }
 
     /// Renders an ASCII Gantt chart of `[0, until)` with one row per
-    /// processor, one column per `scale` of time. Jobs are labelled by
-    /// task number; backup copies in lowercase `b`, optional copies `o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is zero.
-    pub fn render_gantt(&self, until: Time, scale: Time) -> String {
-        assert!(!scale.is_zero(), "gantt scale must be positive");
+    /// processor, one column per millisecond. Jobs are labelled by task
+    /// number; backup copies in lowercase `b`, optional copies `o`.
+    pub fn render_gantt_ms(&self, until: Time) -> String {
+        let scale = Time::from_ticks(TICKS_PER_MS);
         let cols = until.div_ceil(scale) as usize;
         let mut out = String::new();
         let _ = writeln!(out, "time: one column = {scale}, span [0, {until})");
@@ -163,56 +154,50 @@ impl Trace {
         }
         out
     }
-
-    /// Convenience: Gantt with 1 ms columns.
-    pub fn render_gantt_ms(&self, until: Time) -> String {
-        self.render_gantt(until, Time::from_ticks(TICKS_PER_MS))
-    }
 }
 
-/// A recorder that rebuilds the schedule [`Trace`] from the engine's event
-/// stream, forwarding every call to an optional inner recorder:
-/// `TraceCollector::new(Trace::new(), inner)`, then `take()` after a run.
-pub type TraceCollector = TraceRecorder<Trace>;
-
-impl EventSink for Trace {
-    /// Keeps `Segment` events as segments, ordered by start, then
-    /// processor, then end, and `JobMet` / `JobMissed` events as
-    /// resolutions; ignores every other kind.
-    fn record(&mut self, event: &EngineEvent) {
-        let job = JobId {
-            task: TaskId(event.task as usize),
-            index: u64::from(event.job),
-        };
-        let at = Time::from_ticks(event.at_us);
-        let resolution = |outcome| JobResolution { job, outcome, at };
-        match event.kind {
-            TraceKind::JobMet => self.resolutions.push(resolution(JobOutcome::Met)),
-            TraceKind::JobMissed => self.resolutions.push(resolution(JobOutcome::Missed)),
-            TraceKind::Segment => {
-                let (start, code) = segment_parts(event.payload);
-                let segment = Segment {
-                    proc: ProcId(usize::from(event.proc)),
-                    job,
-                    kind: match event.copy {
-                        CopyRole::Main => CopyKind::Main,
-                        CopyRole::Backup => CopyKind::Backup,
-                        _ => CopyKind::Optional,
-                    },
-                    start: Time::from_ticks(start),
-                    end: at,
-                    ended: SegmentEnd::ALL[usize::from(code)],
-                };
-                let key = |s: &Segment| (s.start, s.proc, s.end);
-                let slot = self.segments.partition_point(|s| key(s) <= key(&segment));
-                self.segments.insert(slot, segment);
+impl From<&TraceBuffer> for Trace {
+    /// Decodes `Segment` events into segments, ordered by start, then
+    /// processor, then end, and `JobMet` / `JobMissed` events into
+    /// resolutions in stream order; every other kind is ignored. Events
+    /// the ring overwrote are missing from the result, so capture a whole
+    /// run with `TraceBuffer::with_capacity(usize::MAX)`.
+    fn from(buffer: &TraceBuffer) -> Trace {
+        let mut trace = Trace::default();
+        for record in buffer.iter() {
+            let event = &record.event;
+            // Not `JobId::new`: engine-level events carry job 0.
+            let job = JobId {
+                task: TaskId(event.task as usize),
+                index: u64::from(event.job),
+            };
+            let at = Time::from_ticks(event.at_us);
+            let resolution = |outcome| JobResolution { job, outcome, at };
+            match event.kind {
+                TraceKind::JobMet => trace.resolutions.push(resolution(JobOutcome::Met)),
+                TraceKind::JobMissed => trace.resolutions.push(resolution(JobOutcome::Missed)),
+                TraceKind::Segment => {
+                    let (start, code) = segment_parts(event.payload);
+                    trace.segments.push(Segment {
+                        proc: ProcId(usize::from(event.proc)),
+                        job,
+                        kind: match event.copy {
+                            CopyRole::Main => CopyKind::Main,
+                            CopyRole::Backup => CopyKind::Backup,
+                            _ => CopyKind::Optional,
+                        },
+                        start: Time::from_ticks(start),
+                        end: at,
+                        ended: SegmentEnd::ALL[usize::from(code)],
+                    });
+                }
+                _ => {}
             }
-            _ => {}
         }
-    }
-
-    fn emptied(&self) -> Trace {
-        Trace::new()
+        // Segments are emitted when they close; the keys are unique
+        // because the engine never emits a zero-length segment.
+        trace.segments.sort_by_key(|s| (s.start, s.proc, s.end));
+        trace
     }
 }
 
@@ -240,7 +225,7 @@ mod tests {
 
     #[test]
     fn busy_time_clamps_at_horizon() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.segments
             .push(seg(ProcId::PRIMARY, 0, CopyKind::Main, 0, 3));
         t.segments
@@ -259,7 +244,7 @@ mod tests {
 
     #[test]
     fn active_energy_sums_processors() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.segments
             .push(seg(ProcId::PRIMARY, 0, CopyKind::Main, 0, 3));
         t.segments
@@ -270,7 +255,7 @@ mod tests {
 
     #[test]
     fn gantt_renders_rows() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.segments
             .push(seg(ProcId::PRIMARY, 0, CopyKind::Main, 0, 3));
         t.segments
@@ -283,12 +268,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scale must be positive")]
-    fn gantt_zero_scale_panics() {
-        Trace::new().render_gantt(Time::from_ms(5), Time::ZERO);
-    }
-
-    #[test]
     fn segment_end_codes_index_the_reason_table() {
         for ended in SegmentEnd::ALL {
             assert_eq!(SegmentEnd::ALL[ended as usize], ended);
@@ -296,11 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn collector_rebuilds_segments_and_resolutions_and_forwards() {
-        use mkss_obs::{segment_payload, CounterId, Recorder, Registry, PROC_NONE};
-        use std::sync::Arc;
-        let registry = Arc::new(Registry::new(1));
-        let collector = TraceCollector::new(Trace::new(), Some(Arc::new(registry.handle_at(0))));
+    fn decodes_segments_in_start_order_and_resolutions_in_stream_order() {
+        use mkss_obs::{segment_payload, EngineEvent, PROC_NONE};
+        let mut buffer = TraceBuffer::with_capacity(8);
         let event = |at_us, kind, copy, proc, payload| EngineEvent {
             at_us,
             kind,
@@ -311,32 +288,40 @@ mod tests {
             payload,
         };
         // Closed out of start order: the later segment arrives first.
-        collector.event(&event(
+        buffer.push(event(
             9_000,
             TraceKind::Segment,
             CopyRole::Backup,
             1,
             segment_payload(7_000, SegmentEnd::Canceled as u8),
         ));
-        collector.event(&event(
+        buffer.push(event(
             5_000,
             TraceKind::Segment,
             CopyRole::Main,
             0,
             segment_payload(2_000, SegmentEnd::Preempted as u8),
         ));
-        collector.event(&event(
+        buffer.push(event(
             9_000,
             TraceKind::JobMet,
             CopyRole::None,
             PROC_NONE,
             2,
         ));
-        collector.event(&event(0, TraceKind::PermanentFault, CopyRole::None, 0, 0));
-        collector.incr(CounterId::JobsMet, 1);
-        assert_eq!(registry.snapshot().counter(CounterId::JobsMet), 1);
+        buffer.push(event(
+            9_500,
+            TraceKind::JobMissed,
+            CopyRole::None,
+            PROC_NONE,
+            0,
+        ));
+        buffer.push(EngineEvent {
+            job: 0,
+            ..event(0, TraceKind::PermanentFault, CopyRole::None, 0, 0)
+        });
 
-        let trace = collector.take();
+        let trace = Trace::from(&buffer);
         let job = JobId::new(TaskId(1), 3);
         assert_eq!(
             trace.segments,
@@ -361,12 +346,22 @@ mod tests {
         );
         assert_eq!(
             trace.resolutions,
-            [JobResolution {
-                job,
-                outcome: JobOutcome::Met,
-                at: Time::from_ticks(9_000),
-            }]
+            [
+                JobResolution {
+                    job,
+                    outcome: JobOutcome::Met,
+                    at: Time::from_ticks(9_000),
+                },
+                JobResolution {
+                    job,
+                    outcome: JobOutcome::Missed,
+                    at: Time::from_ticks(9_500),
+                },
+            ]
         );
-        assert_eq!(collector.take(), Trace::default(), "take empties it");
+        assert_eq!(
+            Trace::from(&TraceBuffer::with_capacity(1)),
+            Trace::default()
+        );
     }
 }

@@ -30,15 +30,17 @@ fn kind_code(kind: CopyKind) -> u8 {
 ///
 /// Signals, under scope `mkss`:
 ///
-/// * `primary_task`, `spare_task` — 8-bit: executing task number
-///   (1-based), 0 when idle;
+/// * `primary_task`, `spare_task` — executing task number (1-based), 0
+///   when idle, in `max(8, bits needed for task_count)` bits;
 /// * `primary_kind`, `spare_kind` — 2-bit: 0 idle, 1 main, 2 backup,
 ///   3 optional;
 /// * `t<i>_met` — 1-bit pulse at each met deadline of task `i`;
 /// * `t<i>_miss` — 1-bit pulse at each miss.
 ///
-/// `task_count` sizes the pulse wires; tasks appearing in the trace
-/// beyond it are ignored.
+/// `task_count` sizes the pulse wires; resolutions of tasks beyond it are
+/// ignored. Every identifier is unique and printable: the first 30 tasks'
+/// pulses use one character (`A`.. for met, `a`.. for miss), later tasks
+/// longer ones.
 ///
 /// # Examples
 ///
@@ -47,7 +49,7 @@ fn kind_code(kind: CopyKind) -> u8 {
 /// use mkss_sim::prelude::*;
 /// use mkss_sim::vcd::render_vcd;
 ///
-/// let mut trace = Trace::new();
+/// let mut trace = Trace::default();
 /// trace.segments.push(Segment {
 ///     proc: ProcId::PRIMARY,
 ///     job: JobId::new(TaskId(0), 1),
@@ -66,13 +68,17 @@ pub fn render_vcd(trace: &Trace, task_count: usize) -> String {
     let _ = writeln!(out, "$scope module mkss $end");
     // Identifier codes: printable ASCII, one per signal.
     // '!' '"' → proc task values; '#' '$' → proc kinds; then task pulses.
-    let _ = writeln!(out, "$var wire 8 ! primary_task $end");
+    let width = 8.max(usize::BITS - task_count.leading_zeros());
+    let _ = writeln!(out, "$var wire {width} ! primary_task $end");
     let _ = writeln!(out, "$var wire 2 # primary_kind $end");
-    let _ = writeln!(out, "$var wire 8 \" spare_task $end");
+    let _ = writeln!(out, "$var wire {width} \" spare_task $end");
     let _ = writeln!(out, "$var wire 2 $ spare_kind $end");
-    for t in 0..task_count {
-        let _ = writeln!(out, "$var wire 1 {} t{}_met $end", met_code(t), t + 1);
-        let _ = writeln!(out, "$var wire 1 {} t{}_miss $end", miss_code(t), t + 1);
+    let pulses: Vec<[String; 2]> = (0..task_count)
+        .map(|t| [pulse_code(t, false), pulse_code(t, true)])
+        .collect();
+    for (t, [met, miss]) in pulses.iter().enumerate() {
+        let _ = writeln!(out, "$var wire 1 {met} t{}_met $end", t + 1);
+        let _ = writeln!(out, "$var wire 1 {miss} t{}_miss $end", t + 1);
     }
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
@@ -100,17 +106,17 @@ pub fn render_vcd(trace: &Trace, task_count: usize) -> String {
             changes.push((seg.end.ticks(), format!("b0 {kind_id}")));
         }
     }
-    for t in 0..task_count {
-        changes.push((0, format!("0{}", met_code(t))));
-        changes.push((0, format!("0{}", miss_code(t))));
+    for [met, miss] in &pulses {
+        changes.push((0, format!("0{met}")));
+        changes.push((0, format!("0{miss}")));
     }
     for r in &trace.resolutions {
-        if r.job.task.0 >= task_count {
+        let Some([met, miss]) = pulses.get(r.job.task.0) else {
             continue;
-        }
+        };
         let code = match r.outcome {
-            JobOutcome::Met => met_code(r.job.task.0),
-            JobOutcome::Missed => miss_code(r.job.task.0),
+            JobOutcome::Met => met,
+            JobOutcome::Missed => miss,
         };
         changes.push((r.at.ticks(), format!("1{code}")));
         changes.push((r.at.ticks() + 1, format!("0{code}")));
@@ -120,35 +126,33 @@ pub fn render_vcd(trace: &Trace, task_count: usize) -> String {
     // Emit, dropping earlier changes shadowed by a later change of the
     // same signal at the same instant (end-of-segment followed by
     // start-of-segment at a preemption boundary).
-    let mut i = 0;
-    let mut last_time = u64::MAX;
-    while i < changes.len() {
-        let (time, _) = changes[i];
-        if time != last_time {
+    let mut last_time = None;
+    for (i, (time, change)) in changes.iter().enumerate() {
+        if last_time != Some(time) {
             let _ = writeln!(out, "#{time}");
-            last_time = time;
+            last_time = Some(time);
         }
-        // Emit only if no later same-signal change exists at this time
-        // (a preemption boundary produces end-then-start pairs).
-        let code = signal_code(&changes[i].1);
-        let has_later = changes[i + 1..]
+        let code = signal_code(change);
+        let shadowed = changes[i + 1..]
             .iter()
-            .take_while(|(t, _)| *t == time)
-            .any(|(_, v)| signal_code(v) == code);
-        if !has_later {
-            let _ = writeln!(out, "{}", changes[i].1);
+            .take_while(|(t, _)| t == time)
+            .any(|(_, later)| signal_code(later) == code);
+        if !shadowed {
+            let _ = writeln!(out, "{change}");
         }
-        i += 1;
     }
     out
 }
 
-fn met_code(task: usize) -> char {
-    char::from_u32('A' as u32 + task as u32).unwrap_or('?')
-}
-
-fn miss_code(task: usize) -> char {
-    char::from_u32('a' as u32 + task as u32).unwrap_or('?')
+/// Identifier of a task's met or miss pulse wire. The first 30 tasks get
+/// one character (`A`..`^` met, `a`..`~` miss: printable and disjoint);
+/// later ones a letter and the task number, which no other signal uses.
+fn pulse_code(task: usize, miss: bool) -> String {
+    let (first, prefix) = if miss { (b'a', 'm') } else { (b'A', 'M') };
+    match u8::try_from(task) {
+        Ok(task) if task < 30 => char::from(first + task).to_string(),
+        _ => format!("{prefix}{}", task + 1),
+    }
 }
 
 /// The identifier-code portion of a VCD value-change line.
@@ -168,7 +172,7 @@ mod tests {
     use mkss_core::time::Time;
 
     fn sample_trace() -> Trace {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.segments.push(Segment {
             proc: ProcId::PRIMARY,
             job: JobId::new(TaskId(0), 1),
@@ -241,8 +245,29 @@ mod tests {
     }
 
     #[test]
+    fn ids_stay_unique_and_printable_for_many_tasks() {
+        let vcd = render_vcd(&Trace::default(), 100);
+        let ids: Vec<&str> = vcd
+            .lines()
+            .filter_map(|line| line.strip_prefix("$var wire "))
+            .map(|var| var.split(' ').nth(1).expect("id"))
+            .collect();
+        assert_eq!(ids.len(), 4 + 2 * 100);
+        let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "duplicate ids: {ids:?}");
+        for id in &ids {
+            assert!(id.bytes().all(|b| (b'!'..=b'~').contains(&b)), "{id:?}");
+        }
+        assert!(vcd.contains("$var wire 1 ~ t30_miss $end"));
+        assert!(vcd.contains("$var wire 1 M31 t31_met $end"));
+        assert!(vcd.contains("$var wire 8 ! primary_task $end"));
+        let wide = render_vcd(&Trace::default(), 300);
+        assert!(wide.contains("$var wire 9 ! primary_task $end"));
+    }
+
+    #[test]
     fn idle_trace_renders() {
-        let vcd = render_vcd(&Trace::new(), 0);
+        let vcd = render_vcd(&Trace::default(), 0);
         assert!(vcd.contains("#0"));
     }
 }

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use mkss::obs::{TraceBuffer, TraceRecorder};
 use mkss::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,10 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let counters = registry
         .as_ref()
         .map(|registry| Arc::new(registry.handle_at(0)) as Arc<dyn Recorder>);
-    // Scenario 1 draws a Gantt chart, so its run also collects the
-    // schedule trace (forwarding every event on to the counters).
-    let collector = Arc::new(TraceCollector::new(Trace::new(), counters.clone()));
-    let mut ws = SimWorkspace::with_recorder(collector.clone());
+    // Scenario 1 draws a Gantt chart, so its run is also captured
+    // (forwarding every event on to the counters).
+    let whole_run = TraceBuffer::with_capacity(usize::MAX);
+    let capture = Arc::new(TraceRecorder::new(whole_run, counters.clone()));
+    let mut ws = SimWorkspace::with_recorder(capture.clone());
 
     // Scenario 1: permanent fault on the primary at t = 7 ms.
     let config = SimConfig::builder()
@@ -39,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let mut policy = MkssSelective::new(&ts)?;
     let report = simulate_in(&mut ws, &ts, &mut policy, &config);
-    let trace = collector.take();
+    let trace = Trace::from(&capture.take());
     ws.set_recorder(counters);
     println!("== permanent fault on the primary at 7ms ==");
     println!(

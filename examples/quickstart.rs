@@ -7,15 +7,15 @@
 
 use std::sync::Arc;
 
-use mkss::obs::EchoRecorder;
+use mkss::obs::{EchoRecorder, TraceBuffer, TraceRecorder};
 use mkss::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // MKSS_LOG=summary prints an engine-event counter table at the end;
     // MKSS_LOG=events additionally narrates each event on stderr.
     let log = LogLevel::from_env()?;
-    // The Gantt charts below come from a trace collector, which forwards
-    // every engine event on to the logging recorder.
+    // The Gantt charts below decode a flight-recorder capture of each
+    // run, which forwards every engine event on to the logging recorder.
     let registry = log.enabled().then(|| Arc::new(Registry::new(1)));
     let recorder = registry.as_ref().map(|registry| -> Arc<dyn Recorder> {
         match log {
@@ -26,8 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => Arc::new(registry.handle_at(0)),
         }
     });
-    let collector = Arc::new(TraceCollector::new(Trace::new(), recorder));
-    let mut ws = SimWorkspace::with_recorder(collector.clone());
+    let whole_run = TraceBuffer::with_capacity(usize::MAX);
+    let capture = Arc::new(TraceRecorder::new(whole_run, recorder));
+    let mut ws = SimWorkspace::with_recorder(capture.clone());
 
     // A task is (period, deadline, WCET, m, k): at least m of any k
     // consecutive jobs must complete by their deadlines. This is the
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.stats.missed,
             report.mk_assured(),
         );
-        print!("{}", collector.take().render_gantt_ms(horizon));
+        print!("{}", Trace::from(&capture.take()).render_gantt_ms(horizon));
     }
     if let Some(registry) = &registry {
         print!("\n{}", MetricsDoc::new(registry.snapshot()).render_table());

@@ -142,6 +142,43 @@ assert len(tracks) > 1, f"expected one track per policy, got {tracks}"
 print(f"chrome trace ok: {len(events)} events, {opens} spans, "
       f"{sum(map(len, slices.values()))} slices, {len(tracks)} policy tracks")
 PY
+# VCD export of a 40-task schedule: every signal needs its own printable
+# identifier (the one-character range covers 30 tasks), every value
+# change must name a declared signal, and time must strictly increase.
+python3 -c '
+import json
+tasks = [{"period_ms": 40 + 2 * i, "wcet_ms": 0.2, "m": 1, "k": 2} for i in range(40)]
+print(json.dumps({"tasks": tasks}))' > "$tmpdir/set40.json"
+cargo run --release -q -p mkss-cli -- simulate "$tmpdir/set40.json" \
+    --policy st --horizon-ms 300 --vcd "$tmpdir/set40.vcd" > /dev/null
+python3 - "$tmpdir/set40.vcd" <<'PY'
+import sys
+ids = {}
+body = False
+last = None
+changes = long_changes = 0
+for line in open(sys.argv[1]).read().splitlines():
+    if line.startswith("$var "):
+        _, _, width, ident, name, _ = line.split(" ")
+        assert ident not in ids, f"id {ident!r} names both {ids[ident]} and {name}"
+        assert all(33 <= ord(c) <= 126 for c in ident), f"unprintable id {ident!r} ({name})"
+        ids[ident] = name
+    elif line == "$enddefinitions $end":
+        body = True
+    elif body and line.startswith("#"):
+        t = int(line[1:])
+        assert last is None or t > last, f"timestamp {t} does not follow {last}"
+        last = t
+    elif body:
+        ident = line.split(" ", 1)[1] if line.startswith("b") else line[1:]
+        assert ident in ids, f"value change names undeclared id {ident!r}: {line}"
+        changes += 1
+        long_changes += len(ident) > 1
+assert len(ids) == 4 + 2 * 40, f"expected 84 signals, got {len(ids)}"
+assert long_changes > 0, "no value change on a multi-character id"
+print(f"vcd ok: {len(ids)} unique printable ids, {changes} value changes "
+      f"({long_changes} on multi-character ids)")
+PY
 # The hot path must still allocate nothing per event, with no recorder
 # or a registry handle attached.
 cargo test --release -q -p mkss-sim --test zero_alloc

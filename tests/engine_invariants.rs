@@ -9,7 +9,7 @@
 //! * per-task job outcomes are resolved in release order;
 //! * active energy equals busy time under the active-only power model.
 
-use mkss::obs::{CounterId, Registry};
+use mkss::obs::{CounterId, Registry, TraceBuffer, TraceRecorder};
 use mkss::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -126,8 +126,11 @@ proptest! {
     ) {
         let Some(ts) = schedulable_set(seed, util_pct) else { return Ok(()); };
         let registry = Arc::new(Registry::new(1));
-        let collector = Arc::new(TraceCollector::new(Trace::new(), Some(Arc::new(registry.handle_at(0)))));
-        let mut ws = SimWorkspace::with_recorder(collector.clone());
+        let capture = Arc::new(TraceRecorder::new(
+            TraceBuffer::with_capacity(usize::MAX),
+            Some(Arc::new(registry.handle_at(0))),
+        ));
+        let mut ws = SimWorkspace::with_recorder(capture.clone());
         let horizon = Time::from_ms(300);
         let configs = [
             SimConfig::builder().horizon(horizon).active_only().build(),
@@ -141,7 +144,7 @@ proptest! {
             for config in &configs {
                 let mut policy = kind.build(&ts, &BuildOptions::default()).unwrap();
                 simulate_in(&mut ws, &ts, policy.as_mut(), config);
-                let trace = collector.take();
+                let trace = Trace::from(&capture.take());
                 let mut last = Time::ZERO;
                 for r in &trace.resolutions {
                     prop_assert!(

@@ -2,10 +2,10 @@
 //! recorder attached to the workspace **observes** the simulation but
 //! never feeds back into it, so a recorder-on run's [`SimReport`] must be
 //! byte-for-byte identical (under serde_json) to the recorder-off run —
-//! across task sets, every paper policy, fault scenarios, and a trace
-//! collector attached or not. Alongside, the registry totals themselves must
-//! be deterministic: two recorder-on runs of the same input count the
-//! same events.
+//! across task sets, every paper policy, fault scenarios, and a
+//! flight-recorder capture attached or not. Alongside, the registry totals
+//! themselves must be deterministic: two recorder-on runs of the same
+//! input count the same events.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -50,8 +50,8 @@ fn recorder_on_reports_are_byte_identical_to_recorder_off() {
     let horizon = Time::from_ms(500);
     let registry = Arc::new(Registry::new(1));
     let counters: Arc<dyn Recorder> = Arc::new(registry.handle_at(0));
-    let collector = Arc::new(TraceCollector::new(
-        Trace::new(),
+    let capture = Arc::new(TraceRecorder::new(
+        TraceBuffer::with_capacity(usize::MAX),
         Some(Arc::clone(&counters)),
     ));
     let mut plain_ws = SimWorkspace::new();
@@ -65,7 +65,7 @@ fn recorder_on_reports_are_byte_identical_to_recorder_off() {
             let config = SimConfig::builder().horizon(horizon).faults(faults).build();
             for collect_trace in [false, true] {
                 observed_ws.set_recorder(Some(if collect_trace {
-                    Arc::clone(&collector) as Arc<dyn Recorder>
+                    Arc::clone(&capture) as Arc<dyn Recorder>
                 } else {
                     Arc::clone(&counters)
                 }));
@@ -85,7 +85,7 @@ fn recorder_on_reports_are_byte_identical_to_recorder_off() {
                         "recorder changed the report: seed {seed} util {util} \
                          policy {kind} trace {collect_trace} faults {faults:?}"
                     );
-                    collector.take();
+                    capture.take();
                     runs += 1;
                 }
             }

@@ -2,8 +2,8 @@
 //! [`SimWorkspace`] reused across many runs must produce reports that are
 //! **bit-identical** (byte-for-byte under serde_json) to the legacy
 //! throwaway-arena [`simulate`] path — across seeded random task sets,
-//! every paper policy, fault scenarios on and off, and a trace collector
-//! attached or not — whose trace must match the throwaway-arena
+//! every paper policy, fault scenarios on and off, and a flight-recorder
+//! capture attached or not — whose decoded trace must match the throwaway-arena
 //! [`simulate_traced`] one. This is the contract that lets the experiment harness
 //! thread one workspace per worker without any risk to Figure 6.
 //!
@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use mkss::obs::{TraceBuffer, TraceRecorder};
 use mkss::prelude::*;
 
 /// The fault scenarios exercised per task set: fault-free, a permanent
@@ -38,7 +39,10 @@ fn reused_workspace_reports_are_byte_identical_to_fresh_runs() {
     // One workspace deliberately reused across *everything*: different
     // task-set shapes, policies, fault plans, and trace settings, so any
     // state leaking between runs shows up as a diff.
-    let collector = Arc::new(TraceCollector::new(Trace::new(), None));
+    let capture = Arc::new(TraceRecorder::new(
+        TraceBuffer::with_capacity(usize::MAX),
+        None,
+    ));
     let mut ws = SimWorkspace::new();
     let mut runs = 0u32;
     for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7), (44, 0.9)] {
@@ -48,7 +52,7 @@ fn reused_workspace_reports_are_byte_identical_to_fresh_runs() {
         for faults in fault_configs() {
             let config = SimConfig::builder().horizon(horizon).faults(faults).build();
             for collect_trace in [false, true] {
-                ws.set_recorder(collect_trace.then(|| Arc::clone(&collector) as Arc<dyn Recorder>));
+                ws.set_recorder(collect_trace.then(|| Arc::clone(&capture) as Arc<dyn Recorder>));
                 for kind in PolicyKind::PAPER {
                     let build = || {
                         kind.build(&ts, &BuildOptions::default())
@@ -67,7 +71,7 @@ fn reused_workspace_reports_are_byte_identical_to_fresh_runs() {
                     if collect_trace {
                         let (_, fresh_trace) = simulate_traced(&ts, build().as_mut(), &config);
                         assert_eq!(
-                            collector.take(),
+                            Trace::from(&capture.take()),
                             fresh_trace,
                             "trace divergence: seed {seed} policy {kind} faults {faults:?}"
                         );
@@ -88,8 +92,11 @@ fn back_to_back_reuse_is_self_consistent() {
         .schedulable_set(0.6)
         .expect("generatable");
     let config = SimConfig::builder().horizon_ms(800).build();
-    let collector = Arc::new(TraceCollector::new(Trace::new(), None));
-    let mut ws = SimWorkspace::with_recorder(collector.clone());
+    let capture = Arc::new(TraceRecorder::new(
+        TraceBuffer::with_capacity(usize::MAX),
+        None,
+    ));
+    let mut ws = SimWorkspace::with_recorder(capture.clone());
     let mut policy_a = PolicyKind::Selective
         .build(&ts, &BuildOptions::default())
         .unwrap();
@@ -97,13 +104,13 @@ fn back_to_back_reuse_is_self_consistent() {
         .build(&ts, &BuildOptions::default())
         .unwrap();
     let first = simulate_in(&mut ws, &ts, policy_a.as_mut(), &config);
-    let first_trace = collector.take();
+    let first_trace = Trace::from(&capture.take());
     let second = simulate_in(&mut ws, &ts, policy_b.as_mut(), &config);
     assert_eq!(
         serde_json::to_string(&first).unwrap(),
         serde_json::to_string(&second).unwrap()
     );
-    assert_eq!(first_trace, collector.take());
+    assert_eq!(first_trace, Trace::from(&capture.take()));
 }
 
 #[test]
