@@ -199,12 +199,33 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// Is `ts` schedulable under the deeply-red pattern (the premise of
 /// Theorem 1)?
 ///
-/// Verdict-only: walks the same per-task busy windows as [`analyze`] in
-/// priority order but stops at the first task that misses and builds no
-/// report, so rejecting a set (the common case when the workload
-/// generator fills high-utilization buckets) costs only the tasks up to
-/// the first miss. Always equal to
-/// `analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()`.
+/// Verdict-only, in two passes, and always equal to
+/// `analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()`:
+///
+/// 1. From the lowest-priority task to the highest, solve the response
+///    time of each task's *first* job (the fixed point of
+///    [`response_time`]) and return `false` at the first miss.
+/// 2. Only then compute the hyperperiod and walk the per-task busy
+///    windows as [`analyze`] does, in priority order, stopping at the
+///    first task that misses and building no report.
+///
+/// Pass 1 cannot reject a set that [`analyze`] accepts. For every task
+/// whose job 1 is mandatory, the busy-window walk checks that job with
+/// exactly the pass-1 fixed point (own demand `Cᵢ`, search horizon `Dᵢ`),
+/// and pass 1 tests only those tasks. A validated constraint has
+/// `1 ≤ m < k`, so under the deeply-red pattern that is every task; only
+/// a deserialized constraint with `m = 0` makes job 1 optional.
+///
+/// Pass 1 is much cheaper than the walk. A generator rejection (the
+/// common case when the workload generator fills high-utilization
+/// buckets) almost always fails the lowest-priority task's first job,
+/// which pass 1 tries first, so it walks no higher-priority busy window
+/// and computes no hyperperiod. When every task has `D ≤ P` (as the
+/// validating constructors ensure), pass 2 never rejects a set that
+/// passes pass 1: a level-i busy window whose first job meets closes at
+/// that job's finish, before the second release. Pass 2 keeps the verdict
+/// exact for sets read without that check, such as a deserialized task
+/// with `D > P`.
 ///
 /// ```
 /// use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
@@ -224,6 +245,14 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// ```
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
     let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    let first_jobs_meet = (0..ts.len()).rev().map(TaskId).all(|id| {
+        let task = ts.task(id);
+        !Pattern::DeeplyRed.is_mandatory(task.mk(), 1)
+            || response_time_at(ts, id, model, task.wcet(), task.deadline()).is_some()
+    });
+    if !first_jobs_meet {
+        return false;
+    }
     let hyperperiod = ts.hyperperiod();
     ts.ids()
         .all(|id| busy_window_response(ts, id, model, hyperperiod).is_some())

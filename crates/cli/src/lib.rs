@@ -736,6 +736,11 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
                     hi.parse()
                         .map_err(|e| CliError::Input(format!("--tasks: {e}")))?,
                 );
+                if tasks.0 == 0 || tasks.0 > tasks.1 {
+                    return Err(CliError::Input(format!(
+                        "--tasks expects 1 <= MIN <= MAX, got {v}"
+                    )));
+                }
             }
             other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
         }
@@ -1089,6 +1094,19 @@ mod tests {
         let out = run(&args(&["generate", "--util", "0.4", "--seed", "11"])).unwrap();
         let ts = format::parse_task_set(&out).unwrap();
         assert!((ts.mk_utilization() - 0.4).abs() < 0.01);
+    }
+
+    #[test]
+    fn generate_rejects_empty_task_count_ranges() {
+        for range in ["7..3", "0..0", "0..4"] {
+            let err = run(&args(&["generate", "--tasks", range])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Input(msg) if msg.contains("1 <= MIN <= MAX")),
+                "--tasks {range}: {err}"
+            );
+        }
+        let out = run(&args(&["generate", "--util", "0.3", "--tasks", "3..3"])).unwrap();
+        assert_eq!(format::parse_task_set(&out).unwrap().len(), 3);
     }
 
     #[test]

@@ -106,6 +106,18 @@ impl Default for WorkloadConfig {
 pub struct Generator {
     config: WorkloadConfig,
     rng: ChaCha8Rng,
+    /// Per-task draws of the set being generated, one buffer reused
+    /// across calls in place of per-draw temporaries.
+    draws: Vec<Draw>,
+}
+
+/// One task's random parameters, before its WCET is scaled.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    period_ms: u64,
+    mk: MkConstraint,
+    /// The task's unnormalized (m,k)-utilization share.
+    share_weight: f64,
 }
 
 impl Generator {
@@ -114,6 +126,7 @@ impl Generator {
         Generator {
             config,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            draws: Vec::new(),
         }
     }
 
@@ -139,11 +152,10 @@ impl Generator {
         let n = self
             .rng
             .gen_range(self.config.tasks_min..=self.config.tasks_max);
-        let mut periods = Vec::with_capacity(n);
-        let mut mks = Vec::with_capacity(n);
-        let mut weights = Vec::with_capacity(n);
+        self.draws.clear();
+        self.draws.reserve(n);
         for _ in 0..n {
-            let p = if self.config.pow2_harmonics {
+            let period_ms = if self.config.pow2_harmonics {
                 pow2_in_u64(&mut self.rng, self.config.period_ms)
             } else {
                 self.rng
@@ -156,49 +168,43 @@ impl Generator {
                     .gen_range(self.config.k_range.0..=self.config.k_range.1)
             };
             let m = self.rng.gen_range(1..k);
-            let w: f64 = self.rng.gen_range(0.05..1.0);
-            periods.push(p);
+            let weight: f64 = self.rng.gen_range(0.05..1.0);
+            let share_weight = match self.config.wcet_model {
+                // Shares proportional to the raw weights.
+                WcetModel::Scaled => weight,
+                // C ~ U(0, P] (the weight is the fraction of the period),
+                // then everything is rescaled uniformly: the WCET
+                // *composition* is the paper's uniform draw.
+                WcetModel::UniformRaw => f64::from(m) / f64::from(k) * weight,
+            };
             #[expect(
                 clippy::expect_used,
                 reason = "m is drawn from gen_range(1..k), so 1 ≤ m < k always holds"
             )]
-            mks.push(MkConstraint::new(m, k).expect("1 <= m < k by construction"));
-            weights.push(w);
+            let mk = MkConstraint::new(m, k).expect("1 <= m < k by construction");
+            self.draws.push(Draw {
+                period_ms,
+                mk,
+                share_weight,
+            });
         }
-        // Per-task (m,k)-utilization shares under the two WCET models;
-        // both are normalized so the set's total hits `target_util`.
-        let shares: Vec<f64> = match self.config.wcet_model {
-            WcetModel::Scaled => {
-                // Shares proportional to the raw weights.
-                let sum = mkss_core::fold::sum_f64(&weights);
-                weights.iter().map(|w| w / sum).collect()
-            }
-            WcetModel::UniformRaw => {
-                // Draw C ~ U(0, P] (the weight is the fraction of the
-                // period), then rescale everything uniformly: the WCET
-                // *composition* is the paper's uniform draw.
-                let contributions: Vec<f64> = (0..n)
-                    .map(|i| f64::from(mks[i].m()) / f64::from(mks[i].k()) * weights[i])
-                    .collect();
-                let sum = mkss_core::fold::sum_f64(&contributions);
-                contributions.iter().map(|c| c / sum).collect()
-            }
-        };
+        // Normalize the shares so the set's total hits `target_util`.
+        let sum = mkss_core::fold::sum_f64_by(&self.draws, |d| d.share_weight);
         let mut tasks = Vec::with_capacity(n);
-        for i in 0..n {
-            let share = target_util * shares[i];
+        for d in &self.draws {
+            let share = target_util * (d.share_weight / sum);
             // C = share * (k/m) * P.
-            let c_ms = share * f64::from(mks[i].k()) / f64::from(mks[i].m()) * periods[i] as f64;
+            let c_ms = share * f64::from(d.mk.k()) / f64::from(d.mk.m()) * d.period_ms as f64;
             let c_ticks = (c_ms * TICKS_PER_MS as f64).round() as u64;
             if c_ticks == 0 {
                 return None;
             }
-            let period = Time::from_ms(periods[i]);
+            let period = Time::from_ms(d.period_ms);
             let wcet = Time::from_ticks(c_ticks);
             if wcet > period {
                 return None;
             }
-            let task = Task::with_constraint(period, period, wcet, mks[i]).ok()?;
+            let task = Task::with_constraint(period, period, wcet, d.mk).ok()?;
             tasks.push(task);
         }
         // Priority = index order; sort by period for a rate-monotonic-like
@@ -240,17 +246,17 @@ impl Generator {
 
 /// Uniformly draws a power of two inside `[range.0, range.1]`.
 fn pow2_in_u64(rng: &mut ChaCha8Rng, range: (u64, u64)) -> u64 {
-    let choices: Vec<u64> = (0..63)
-        .map(|e| 1u64 << e)
-        .filter(|&v| v >= range.0 && v <= range.1)
-        .collect();
+    // The exponents whose powers lie in the range are contiguous.
+    let mut exponents = (0..63u32).filter(|&e| (range.0..=range.1).contains(&(1u64 << e)));
+    let lowest = exponents.next().unwrap_or(u32::MAX);
     assert!(
-        !choices.is_empty(),
+        lowest < 63,
         "no power of two inside [{}, {}]",
         range.0,
         range.1
     );
-    choices[rng.gen_range(0..choices.len())]
+    let choices = 1 + exponents.count();
+    1u64 << (lowest + rng.gen_range(0..choices) as u32)
 }
 
 /// Uniformly draws a power of two inside `[range.0, range.1]`.

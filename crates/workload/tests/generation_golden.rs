@@ -4,9 +4,16 @@
 //! period, deadline, WCET and (m,k)) and each bucket's attempt count, so
 //! any change to the draws or to an R-pattern verdict shows up here as a
 //! mismatch. Speed-ups of the generator or of the schedulability test
-//! must leave them unchanged.
+//! must leave them unchanged. Besides the paper's workload, the pins
+//! cover the `Scaled` WCET model, the power-of-two harmonic workload of
+//! the schedulability experiment (bucket fills and raw draw streams,
+//! refused draws included) and a `schedulable_set` stream with its
+//! per-target attempt counts.
 
-use mkss_workload::{generate_buckets_jobs, Bucket, BucketPlan, WorkloadConfig};
+use mkss_core::task::TaskSet;
+use mkss_workload::{
+    generate_buckets_jobs, Bucket, BucketPlan, Generator, WcetModel, WorkloadConfig,
+};
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -20,21 +27,26 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     hash
 }
 
+/// Appends one set's task count, then every task.
+fn push_set(out: &mut Vec<u64>, ts: &TaskSet) {
+    out.push(ts.len() as u64);
+    for (_, task) in ts.iter() {
+        out.extend([
+            task.period().ticks(),
+            task.deadline().ticks(),
+            task.wcet().ticks(),
+            u64::from(task.mk().m()),
+            u64::from(task.mk().k()),
+        ]);
+    }
+}
+
 /// Canonical word stream of one bucket: its attempt count, its set count,
 /// then every task of every set.
 fn words(bucket: &Bucket) -> Vec<u64> {
     let mut out = vec![bucket.generated, bucket.sets.len() as u64];
     for ts in &bucket.sets {
-        out.push(ts.len() as u64);
-        for (_, task) in ts.iter() {
-            out.extend([
-                task.period().ticks(),
-                task.deadline().ticks(),
-                task.wcet().ticks(),
-                u64::from(task.mk().m()),
-                u64::from(task.mk().k()),
-            ]);
-        }
+        push_set(&mut out, ts);
     }
     out
 }
@@ -72,4 +84,127 @@ fn fig6_plan_generation_is_pinned_for_the_paper_seed() {
 #[test]
 fn fig6_plan_generation_is_pinned_for_a_second_seed() {
     check(7, [4, 4, 4, 4, 6, 21, 1221, 5000], 0xe84f_eb96_48af_8bb8);
+}
+
+/// Canonical word stream of one draw: a `None` marker, or the set.
+fn draw_words(draw: Option<&TaskSet>) -> Vec<u64> {
+    let mut out = Vec::new();
+    match draw {
+        Some(ts) => push_set(&mut out, ts),
+        None => out.push(u64::MAX),
+    }
+    out
+}
+
+/// Draws `per_bucket` raw sets in each 0.1-wide bucket of
+/// `[from, from + 0.1·buckets)` from one stream, and returns the number
+/// of draws `raw_set` refused (`None`) and the digest of every draw.
+fn raw_stream(
+    config: WorkloadConfig,
+    seed: u64,
+    from: f64,
+    buckets: u32,
+    per_bucket: u32,
+) -> (u64, u64) {
+    let mut generator = Generator::new(config, seed);
+    let mut refused = 0;
+    let mut all = Vec::new();
+    for b in 0..buckets {
+        let lo = from + 0.1 * f64::from(b);
+        for _ in 0..per_bucket {
+            let draw = generator.raw_set_in(lo, lo + 0.1);
+            refused += u64::from(draw.is_none());
+            all.extend(draw_words(draw.as_ref()));
+        }
+    }
+    (refused, fnv1a(all))
+}
+
+/// Buckets of `config` over the plan `[from, to)`, four sets per bucket,
+/// 5000-draw cap: per-bucket attempt counts and the digest.
+fn bucket_fill(config: WorkloadConfig, from: f64, to: f64, seed: u64) -> (Vec<u64>, u64) {
+    let plan = BucketPlan {
+        from,
+        to,
+        ..fig6_plan()
+    };
+    let buckets = generate_buckets_jobs(config, plan, seed, 1);
+    let counts = buckets.iter().map(|b| b.generated).collect();
+    (counts, fnv1a(buckets.iter().flat_map(words)))
+}
+
+/// `WcetModel::Scaled`: WCETs proportional to the raw weights.
+fn scaled() -> WorkloadConfig {
+    WorkloadConfig {
+        wcet_model: WcetModel::Scaled,
+        ..WorkloadConfig::paper()
+    }
+}
+
+/// The harmonic workload of the schedulability experiment
+/// (`mkss_bench::sched::SchedConfig::default()`).
+fn harmonic() -> WorkloadConfig {
+    WorkloadConfig {
+        period_ms: (4, 32),
+        k_range: (2, 8),
+        pow2_harmonics: true,
+        ..WorkloadConfig::paper()
+    }
+}
+
+#[test]
+fn scaled_wcet_model_is_pinned() {
+    let (counts, digest) = bucket_fill(scaled(), 0.1, 0.9, 0x6d6b_7373);
+    println!("scaled buckets: {counts:?}, {digest:#018x}");
+    let (refused, raw) = raw_stream(scaled(), 21, 0.1, 9, 300);
+    println!("scaled raw: refused {refused}, {raw:#018x}");
+    assert_eq!(counts, [4, 4, 5, 15, 47, 146, 3068, 5000]);
+    assert_eq!(digest, 0x55e7_095b_1362_c7af);
+    assert_eq!((refused, raw), (554, 0x41b6_d933_ff1b_870c));
+}
+
+#[test]
+fn pow2_harmonic_workload_is_pinned() {
+    let (counts, digest) = bucket_fill(harmonic(), 0.5, 1.0, 0x005c_4ed0);
+    println!("harmonic buckets: {counts:?}, {digest:#018x}");
+    let (refused, raw) = raw_stream(harmonic(), 31, 0.1, 9, 300);
+    println!("harmonic raw: refused {refused}, {raw:#018x}");
+    assert_eq!(counts, [4, 7, 16, 102, 4664]);
+    assert_eq!(digest, 0x193d_e0b8_99cf_251e);
+    assert_eq!((refused, raw), (12, 0xd925_2705_716b_c402));
+}
+
+/// Attempts `schedulable_set` spends per target, counted by replaying the
+/// stream one draw per call (`max_attempts: 1`) up to the real cap.
+fn attempts_per_target(seed: u64, targets: &[f64]) -> Vec<u32> {
+    let cap = WorkloadConfig::paper().max_attempts;
+    let one_draw = WorkloadConfig {
+        max_attempts: 1,
+        ..WorkloadConfig::paper()
+    };
+    let mut generator = Generator::new(one_draw, seed);
+    targets
+        .iter()
+        .map(|&u| {
+            (1..=cap)
+                .find(|_| generator.schedulable_set(u).is_some())
+                .unwrap_or(cap)
+        })
+        .collect()
+}
+
+#[test]
+fn schedulable_set_stream_is_pinned() {
+    const TARGETS: [f64; 8] = [0.15, 0.35, 0.55, 0.65, 0.75, 0.82, 0.45, 0.88];
+    let seed = 0x6d6b_7373;
+    let mut generator = Generator::new(WorkloadConfig::paper(), seed);
+    let sets: Vec<Option<TaskSet>> = TARGETS
+        .iter()
+        .map(|&u| generator.schedulable_set(u))
+        .collect();
+    let digest = fnv1a(sets.iter().flat_map(|s| draw_words(s.as_ref())));
+    let attempts = attempts_per_target(seed, &TARGETS);
+    println!("schedulable_set: attempts {attempts:?}, {digest:#018x}");
+    assert_eq!(attempts, [1, 1, 3, 82, 940, 5000, 3, 5000]);
+    assert_eq!(digest, 0xd9c9_4669_0ecd_cd9e);
 }

@@ -332,7 +332,10 @@ echo "mkss-top smoke ok (frame totals match the metrics op, drain closes watcher
 echo "== sim_bench drift check (hard gate) =="
 # A >25% drop below the tracked BENCH_sim.json baseline fails CI, for
 # each of the engine's fresh and reuse paths and for the generate path
-# (Fig. 6 bucket attempts per second: the R-pattern rejection path). Both
+# (Fig. 6 bucket attempts per second: the R-pattern rejection path). The
+# generate path's attempt count must also equal the baseline's exactly:
+# a changed draw or verdict fails at once, with no retry or escape hatch,
+# because it is a changed result rather than a slowdown. Both
 # sides are best-of measurements: sim_bench keeps the best of its reps,
 # and the gate keeps each path's best over up to 3 attempts, so a
 # transient load spike on a shared machine has to survive every attempt
@@ -347,7 +350,8 @@ drift_status=1
 for attempt in 1 2 3; do
     cargo run --release -q -p mkss-bench --bin sim_bench -- \
         --out "$tmpdir/bench$attempt.json" 2>/dev/null
-    if python3 - BENCH_sim.json "$tmpdir"/bench*.json <<'PY'
+    gate_status=0
+    python3 - BENCH_sim.json "$tmpdir"/bench*.json <<'PY' || gate_status=$?
 import json, sys
 baseline = json.load(open(sys.argv[1]))
 attempts = [json.load(open(p)) for p in sys.argv[2:]]
@@ -363,11 +367,23 @@ for path, key, unit in (("fresh", "jobs_per_second", "jobs/s"),
               f"BENCH_sim.json baseline {reference:,.0f} {unit}")
     else:
         print(f"{path}: {measured:,.0f} {unit} (baseline {reference:,.0f}: ok)")
+# The attempt count is a pure function of the generator's draws and the
+# R-pattern verdicts, so any difference is a changed result, not noise.
+for a in attempts:
+    if a["generate"]["attempts"] != baseline["generate"]["attempts"]:
+        print(f"generate: {a['generate']['attempts']} attempts differ from the "
+              f"BENCH_sim.json baseline {baseline['generate']['attempts']}: "
+              f"a draw or an R-pattern verdict changed")
+        sys.exit(2)
 sys.exit(0 if ok else 1)
 PY
-    then
+    if [ "$gate_status" -eq 0 ]; then
         drift_status=0
         break
+    fi
+    if [ "$gate_status" -eq 2 ]; then
+        echo "ERROR: sim_bench generate attempts differ from BENCH_sim.json" >&2
+        exit 1
     fi
     echo "drift check attempt $attempt/3 below threshold, retrying"
 done
