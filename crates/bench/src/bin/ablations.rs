@@ -14,14 +14,18 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use mkss_bench::cli::{or_exit, parse_flags, write_output};
 use mkss_bench::experiment::{
     metrics_doc, run_experiment_observed, ExperimentConfig, HarnessObs, Scenario, StageTimes,
 };
 use mkss_bench::table;
 use mkss_core::par;
-use mkss_core::time::Time;
 use mkss_obs::{Registry, Reporter};
 use mkss_policies::PolicyKind;
+
+const USAGE: &str = "usage: ablations [--sets N] [--horizon-ms MS] [--seed S] \
+                     [--scenario no-fault|permanent|combined] [--jobs N] \
+                     [--metrics-out FILE] [--progress]";
 
 fn main() -> ExitCode {
     let reporter = Arc::new(Reporter::stderr());
@@ -29,44 +33,21 @@ fn main() -> ExitCode {
     let mut jobs = 0usize;
     let mut metrics_out: Option<String> = None;
     let mut progress = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--sets" => {
-                    template.plan.sets_per_bucket =
-                        value()?.parse().map_err(|e| format!("--sets: {e}"))?
-                }
-                "--horizon-ms" => {
-                    template.horizon =
-                        Time::from_ms(value()?.parse().map_err(|e| format!("--horizon-ms: {e}"))?)
-                }
-                "--seed" => template.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--scenario" => template.scenario = value()?.parse().map_err(|e| format!("{e}"))?,
-                "--jobs" => jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-                "--metrics-out" => metrics_out = Some(value()?),
-                "--progress" => progress = true,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: ablations [--sets N] [--horizon-ms MS] [--seed S] \
-                         [--scenario no-fault|permanent|combined] [--jobs N] \
-                         [--metrics-out FILE] [--progress]"
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown flag '{other}' (try --help)")),
+    or_exit(parse_flags(USAGE, |flag, flags| {
+        match flag {
+            "--sets" => template.plan.sets_per_bucket = flags.parse()?,
+            "--horizon-ms" => template.horizon = flags.ms()?,
+            "--seed" => template.seed = flags.parse()?,
+            "--scenario" => {
+                template.scenario = flags.value()?.parse().map_err(|e| format!("{e}"))?
             }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            reporter.line(&format!("error: {e}"));
-            return ExitCode::FAILURE;
+            "--jobs" => jobs = flags.parse()?,
+            "--metrics-out" => metrics_out = Some(flags.value()?),
+            "--progress" => progress = true,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    }));
 
     let studies: [(&str, Vec<PolicyKind>); 6] = [
         (
@@ -142,11 +123,9 @@ fn main() -> ExitCode {
                 ("jobs", par::effective_jobs(jobs).to_string()),
             ],
         );
-        if let Err(e) = std::fs::write(path, doc.to_json()) {
-            reporter.line(&format!("error writing {path}: {e}"));
+        if !write_output(&reporter, path, doc.to_json(), "") {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
     }
     ExitCode::SUCCESS
 }

@@ -12,15 +12,28 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use mkss_bench::cli::{check_utilization_range, or_exit, parse_flags, write_output};
 use mkss_bench::experiment::{
     metrics_doc, run_experiment_observed, run_replicated_observed, trace_representative,
     ExperimentConfig, HarnessObs, RunStats, Scenario, StageTimes,
 };
 use mkss_bench::table;
 use mkss_core::par;
-use mkss_core::time::Time;
 use mkss_obs::{Registry, Reporter};
 use mkss_policies::PolicyKind;
+
+const USAGE: &str = "usage: fig6 [--scenario no-fault|permanent|combined|all] [--sets N] \
+                     [--from U] [--to U] [--horizon-ms MS] [--seed S] \
+                     [--policies st,dp,selective,...] [--fault-window LO..HI] \
+                     [--replications N] [--jobs N] [--json FILE] [--html FILE] \
+                     [--metrics-out FILE] [--trace-out FILE] [--progress]\n\
+                     --jobs N bounds the worker threads (0 = all cores, the default);\n\
+                     results are identical for every value.\n\
+                     --metrics-out FILE records engine event counters (backups\n\
+                     canceled/postponed, faults, …) and per-stage wall times as JSON.\n\
+                     --trace-out FILE flight-records one representative run per\n\
+                     scenario as Chrome Trace Event JSON (open in Perfetto).\n\
+                     --progress streams live per-scenario completion lines on stderr.";
 
 struct Args {
     scenarios: Vec<Scenario>,
@@ -65,84 +78,61 @@ fn parse_args() -> Result<Args, String> {
     let mut progress = false;
     let mut replications = 1u32;
     let mut jobs = 0usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))
-        };
-        match flag.as_str() {
+    parse_flags(USAGE, |flag, flags| {
+        match flag {
             "--scenario" => {
-                let v = value()?;
+                let v = flags.value()?;
                 scenarios = if v == "all" {
                     Scenario::ALL.to_vec()
                 } else {
                     vec![v.parse().map_err(|e| format!("{e}"))?]
                 };
             }
-            "--sets" => {
-                template.plan.sets_per_bucket =
-                    value()?.parse().map_err(|e| format!("--sets: {e}"))?
-            }
-            "--from" => {
-                template.plan.from = value()?.parse().map_err(|e| format!("--from: {e}"))?
-            }
-            "--to" => template.plan.to = value()?.parse().map_err(|e| format!("--to: {e}"))?,
-            "--horizon-ms" => {
-                template.horizon =
-                    Time::from_ms(value()?.parse().map_err(|e| format!("--horizon-ms: {e}"))?)
-            }
-            "--seed" => template.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--sets" => template.plan.sets_per_bucket = flags.parse()?,
+            "--from" => template.plan.from = flags.parse()?,
+            "--to" => template.plan.to = flags.parse()?,
+            "--horizon-ms" => template.horizon = flags.ms()?,
+            "--seed" => template.seed = flags.parse()?,
             "--policies" => {
-                template.policies = value()?
+                template.policies = flags
+                    .value()?
                     .split(',')
                     .map(|s| s.trim().parse::<PolicyKind>().map_err(|e| e.to_string()))
                     .collect::<Result<_, _>>()?;
             }
             "--fault-window" => {
-                let v = value()?;
+                let v = flags.value()?;
                 let (lo, hi) = v
                     .split_once("..")
                     .ok_or_else(|| "--fault-window expects LO..HI fractions".to_string())?;
-                template.permanent_fault_window = (
-                    lo.parse().map_err(|e| format!("--fault-window: {e}"))?,
-                    hi.parse().map_err(|e| format!("--fault-window: {e}"))?,
-                );
+                let (lo, hi) = (flags.parse_str(lo)?, flags.parse_str(hi)?);
+                // A window past the horizon would inject no permanent
+                // fault, printing the no-fault panel under panel (b).
+                if !(0.0 <= lo && lo <= hi && hi <= 1.0) {
+                    return Err(format!(
+                        "--fault-window expects fractions 0 <= LO <= HI <= 1, got {v}"
+                    ));
+                }
+                template.permanent_fault_window = (lo, hi);
             }
-            "--json" => json = Some(value()?),
-            "--html" => html = Some(value()?),
-            "--metrics-out" => metrics_out = Some(value()?),
-            "--trace-out" => trace_out = Some(value()?),
+            "--json" => json = Some(flags.value()?),
+            "--html" => html = Some(flags.value()?),
+            "--metrics-out" => metrics_out = Some(flags.value()?),
+            "--trace-out" => trace_out = Some(flags.value()?),
             "--progress" => progress = true,
             "--replications" => {
-                replications = value()?
-                    .parse()
-                    .map_err(|e| format!("--replications: {e}"))?;
+                replications = flags.parse()?;
                 if replications == 0 {
                     return Err("--replications must be at least 1".into());
                 }
             }
-            "--jobs" => jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--help" | "-h" => {
-                println!(
-                    "usage: fig6 [--scenario no-fault|permanent|combined|all] [--sets N] \
-                     [--from U] [--to U] [--horizon-ms MS] [--seed S] \
-                     [--policies st,dp,selective,...] [--fault-window LO..HI] \
-                     [--replications N] [--jobs N] [--json FILE] [--html FILE] \
-                     [--metrics-out FILE] [--trace-out FILE] [--progress]\n\
-                     --jobs N bounds the worker threads (0 = all cores, the default);\n\
-                     results are identical for every value.\n\
-                     --metrics-out FILE records engine event counters (backups\n\
-                     canceled/postponed, faults, …) and per-stage wall times as JSON.\n\
-                     --trace-out FILE flight-records one representative run per\n\
-                     scenario as Chrome Trace Event JSON (open in Perfetto).\n\
-                     --progress streams live per-scenario completion lines on stderr."
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
+            "--jobs" => jobs = flags.parse()?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
+    let plan = template.plan;
+    check_utilization_range(plan.from, plan.to, plan.width)?;
     Ok(Args {
         scenarios,
         config_template: template,
@@ -157,13 +147,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = or_exit(parse_args());
     let reporter = Arc::new(Reporter::stderr());
     let registry = args
         .metrics_out
@@ -197,22 +181,18 @@ fn main() -> ExitCode {
         println!("{}", table::render(&result));
         all_results.push(result);
     }
-    if let Some(path) = args.html {
-        if let Err(e) = std::fs::write(&path, mkss_bench::report_html::render_report(&all_results))
-        {
-            reporter.line(&format!("error writing {path}: {e}"));
+    if let Some(path) = &args.html {
+        let body = mkss_bench::report_html::render_report(&all_results);
+        if !write_output(&reporter, path, body, "") {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
     }
-    if let Some(path) = args.json {
+    if let Some(path) = &args.json {
         match serde_json::to_string_pretty(&all_results) {
             Ok(body) => {
-                if let Err(e) = std::fs::write(&path, body) {
-                    reporter.line(&format!("error writing {path}: {e}"));
+                if !write_output(&reporter, path, body, "") {
                     return ExitCode::FAILURE;
                 }
-                reporter.line(&format!("wrote {path}"));
             }
             Err(e) => {
                 reporter.line(&format!("error serializing results: {e}"));
@@ -235,11 +215,10 @@ fn main() -> ExitCode {
             .collect();
         let runs: Vec<(&str, &mkss_obs::TraceBuffer)> =
             buffers.iter().map(|(id, b)| (*id, b)).collect();
-        if let Err(e) = std::fs::write(path, mkss_obs::chrome_trace(&runs)) {
-            reporter.line(&format!("error writing {path}: {e}"));
+        let note = mkss_obs::overflow_note(&runs);
+        if !write_output(&reporter, path, mkss_obs::chrome_trace(&runs), &note) {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}{}", mkss_obs::overflow_note(&runs)));
     }
     if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
         let scenario_ids: Vec<&str> = args.scenarios.iter().map(|s| s.id()).collect();
@@ -252,11 +231,9 @@ fn main() -> ExitCode {
                 ("jobs", par::effective_jobs(args.jobs).to_string()),
             ],
         );
-        if let Err(e) = std::fs::write(path, doc.to_json()) {
-            reporter.line(&format!("error writing {path}: {e}"));
+        if !write_output(&reporter, path, doc.to_json(), "") {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
     }
     ExitCode::SUCCESS
 }

@@ -18,6 +18,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mkss_bench::cli::{or_exit, parse_flags};
 use mkss_obs::{Reporter, Stopwatch};
 use mkss_serve::{execute, Client, ExecEnv, Request};
 use mkss_sim::pool::WorkspacePool;
@@ -34,6 +35,13 @@ const TASK_SETS: [&str; 3] = [
     r#"{"tasks":[{"period_ms":8,"wcet_ms":1.5,"m":2,"k":4},{"period_ms":12,"wcet_ms":2,"m":1,"k":3},{"period_ms":24,"wcet_ms":3,"m":3,"k":5}]}"#,
     r#"{"tasks":[{"period_ms":5,"deadline_ms":4,"wcet_ms":1,"m":3,"k":4}]}"#,
 ];
+
+const USAGE: &str = "usage: loadgen (--socket PATH | --tcp ADDR) [--clients N] [--requests M]\n\
+                     \x20              [--seed S] [--differential] [--shutdown]\n\
+                     \n\
+                     --differential re-derives every response in-process and fails on\n\
+                     any byte mismatch; --shutdown asks the daemon to drain and exit\n\
+                     after the load completes.";
 
 struct Args {
     socket: Option<String>,
@@ -55,38 +63,19 @@ fn parse_args() -> Result<Args, String> {
         differential: false,
         shutdown: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--socket" => parsed.socket = Some(value()?),
-            "--tcp" => parsed.tcp = Some(value()?),
-            "--clients" => {
-                parsed.clients = value()?.parse().map_err(|e| format!("--clients: {e}"))?
-            }
-            "--requests" => {
-                parsed.requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?
-            }
-            "--seed" => parsed.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+    parse_flags(USAGE, |flag, flags| {
+        match flag {
+            "--socket" => parsed.socket = Some(flags.value()?),
+            "--tcp" => parsed.tcp = Some(flags.value()?),
+            "--clients" => parsed.clients = flags.parse()?,
+            "--requests" => parsed.requests = flags.parse()?,
+            "--seed" => parsed.seed = flags.parse()?,
             "--differential" => parsed.differential = true,
             "--shutdown" => parsed.shutdown = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: loadgen (--socket PATH | --tcp ADDR) [--clients N] [--requests M]\n\
-                     \x20              [--seed S] [--differential] [--shutdown]\n\
-                     \n\
-                     --differential re-derives every response in-process and fails on\n\
-                     any byte mismatch; --shutdown asks the daemon to drain and exit\n\
-                     after the load completes."
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if parsed.clients == 0 || parsed.requests == 0 {
         return Err("--clients and --requests must be at least 1".into());
     }
@@ -151,14 +140,8 @@ fn direct_response(line: &str, pool: &WorkspacePool) -> String {
 }
 
 fn main() -> ExitCode {
+    let args = or_exit(parse_args());
     let reporter = Arc::new(Reporter::stderr());
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            reporter.line(&format!("error: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
     let pool = WorkspacePool::new();
     let sent = AtomicU64::new(0);
     let mismatches = AtomicU64::new(0);

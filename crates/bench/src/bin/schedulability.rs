@@ -12,9 +12,13 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use mkss_bench::cli::{check_utilization_range, or_exit, parse_flags, write_output};
 use mkss_bench::sched::{render, schedulability_experiment_observed, SchedConfig};
 use mkss_core::par;
 use mkss_obs::{MetricsSnapshot, Reporter, Stopwatch};
+
+const USAGE: &str = "usage: schedulability [--samples N] [--from U] [--to U] [--seed S] \
+                     [--jobs N] [--metrics-out FILE] [--progress]";
 
 fn main() -> ExitCode {
     let reporter = Arc::new(Reporter::stderr());
@@ -22,40 +26,24 @@ fn main() -> ExitCode {
     let mut jobs = 0usize;
     let mut metrics_out: Option<String> = None;
     let mut progress = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--samples" => {
-                    config.samples_per_bucket =
-                        value()?.parse().map_err(|e| format!("--samples: {e}"))?
-                }
-                "--from" => config.from = value()?.parse().map_err(|e| format!("--from: {e}"))?,
-                "--to" => config.to = value()?.parse().map_err(|e| format!("--to: {e}"))?,
-                "--seed" => config.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--jobs" => jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-                "--metrics-out" => metrics_out = Some(value()?),
-                "--progress" => progress = true,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: schedulability [--samples N] [--from U] [--to U] [--seed S] \
-                         [--jobs N] [--metrics-out FILE] [--progress]"
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown flag '{other}' (try --help)")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            reporter.line(&format!("error: {e}"));
-            return ExitCode::FAILURE;
+    or_exit(parse_flags(USAGE, |flag, flags| {
+        match flag {
+            "--samples" => config.samples_per_bucket = flags.parse()?,
+            "--from" => config.from = flags.parse()?,
+            "--to" => config.to = flags.parse()?,
+            "--seed" => config.seed = flags.parse()?,
+            "--jobs" => jobs = flags.parse()?,
+            "--metrics-out" => metrics_out = Some(flags.value()?),
+            "--progress" => progress = true,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    }));
+    or_exit(check_utilization_range(
+        config.from,
+        config.to,
+        config.width,
+    ));
     let watch = Stopwatch::start();
     let rows = schedulability_experiment_observed(&config, jobs, progress.then_some(&reporter));
     let analyze_ms = watch.elapsed_ms();
@@ -80,11 +68,9 @@ fn main() -> ExitCode {
             ],
             &[("analyze_ms", analyze_ms)],
         );
-        if let Err(e) = std::fs::write(path, doc.to_json()) {
-            reporter.line(&format!("error writing {path}: {e}"));
+        if !write_output(&reporter, path, doc.to_json(), "") {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
     }
     ExitCode::SUCCESS
 }

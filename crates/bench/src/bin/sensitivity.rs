@@ -13,6 +13,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use mkss_bench::cli::{or_exit, parse_flags, write_output};
 use mkss_bench::experiment::{
     metrics_doc, run_experiment_observed, trace_representative, ExperimentConfig, HarnessObs,
     Scenario, StageTimes,
@@ -57,6 +58,11 @@ fn report_line(cfg: &ExperimentConfig, jobs: usize, label: &str, obs: &mut Obs) 
     );
 }
 
+const USAGE: &str = "usage: sensitivity [--sets N] [--horizon-ms MS] [--seed S] [--jobs N] \
+                     [--metrics-out FILE] [--trace-out FILE] [--progress]\n\
+                     --trace-out FILE flight-records one representative run per\n\
+                     knob family as Chrome Trace Event JSON (open in Perfetto).";
+
 fn main() -> ExitCode {
     let reporter = Arc::new(Reporter::stderr());
     let mut template = base_config();
@@ -64,45 +70,19 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut progress = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--sets" => {
-                    template.plan.sets_per_bucket =
-                        value()?.parse().map_err(|e| format!("--sets: {e}"))?
-                }
-                "--horizon-ms" => {
-                    template.horizon =
-                        Time::from_ms(value()?.parse().map_err(|e| format!("--horizon-ms: {e}"))?)
-                }
-                "--seed" => template.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--jobs" => jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-                "--metrics-out" => metrics_out = Some(value()?),
-                "--trace-out" => trace_out = Some(value()?),
-                "--progress" => progress = true,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: sensitivity [--sets N] [--horizon-ms MS] [--seed S] [--jobs N] \
-                         [--metrics-out FILE] [--trace-out FILE] [--progress]\n\
-                         --trace-out FILE flight-records one representative run per\n\
-                         knob family as Chrome Trace Event JSON (open in Perfetto)."
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown flag '{other}' (try --help)")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            reporter.line(&format!("error: {e}"));
-            return ExitCode::FAILURE;
+    or_exit(parse_flags(USAGE, |flag, flags| {
+        match flag {
+            "--sets" => template.plan.sets_per_bucket = flags.parse()?,
+            "--horizon-ms" => template.horizon = flags.ms()?,
+            "--seed" => template.seed = flags.parse()?,
+            "--jobs" => jobs = flags.parse()?,
+            "--metrics-out" => metrics_out = Some(flags.value()?),
+            "--trace-out" => trace_out = Some(flags.value()?),
+            "--progress" => progress = true,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    }));
 
     let registry = metrics_out
         .as_ref()
@@ -158,11 +138,10 @@ fn main() -> ExitCode {
         ];
         let runs: Vec<(&str, &mkss_obs::TraceBuffer)> =
             buffers.iter().map(|(id, b)| (*id, b)).collect();
-        if let Err(e) = std::fs::write(path, mkss_obs::chrome_trace(&runs)) {
-            reporter.line(&format!("error writing {path}: {e}"));
+        let note = mkss_obs::overflow_note(&runs);
+        if !write_output(&reporter, path, mkss_obs::chrome_trace(&runs), &note) {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}{}", mkss_obs::overflow_note(&runs)));
     }
     if let (Some(path), Some(registry)) = (&metrics_out, &registry) {
         let doc = metrics_doc(
@@ -174,11 +153,9 @@ fn main() -> ExitCode {
                 ("jobs", par::effective_jobs(jobs).to_string()),
             ],
         );
-        if let Err(e) = std::fs::write(path, doc.to_json()) {
-            reporter.line(&format!("error writing {path}: {e}"));
+        if !write_output(&reporter, path, doc.to_json(), "") {
             return ExitCode::FAILURE;
         }
-        reporter.line(&format!("wrote {path}"));
     }
     ExitCode::SUCCESS
 }

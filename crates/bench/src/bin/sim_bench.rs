@@ -10,47 +10,29 @@
 
 use std::process::ExitCode;
 
+use mkss_bench::cli::{or_exit, parse_flags};
 use mkss_bench::perf::{measure, SimBenchConfig};
 use mkss_obs::Reporter;
+
+const USAGE: &str = "usage: sim_bench [--sets N] [--reps N] [--horizon-ms MS] [--seed S] \
+                     [--out PATH]";
 
 fn main() -> ExitCode {
     let reporter = Reporter::stderr();
     let mut config = SimBenchConfig::default();
     let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} expects a value"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--sets" => {
-                    config.sets_per_util = value()?.parse().map_err(|e| format!("--sets: {e}"))?
-                }
-                "--reps" => config.reps = value()?.parse().map_err(|e| format!("--reps: {e}"))?,
-                "--horizon-ms" => {
-                    config.horizon_ms =
-                        value()?.parse().map_err(|e| format!("--horizon-ms: {e}"))?
-                }
-                "--seed" => config.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-                "--out" => out = Some(value()?),
-                "--help" | "-h" => {
-                    println!(
-                        "usage: sim_bench [--sets N] [--reps N] [--horizon-ms MS] [--seed S] \
-                         [--out PATH]"
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown flag '{other}' (try --help)")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            reporter.line(&format!("error: {e}"));
-            return ExitCode::FAILURE;
+    or_exit(parse_flags(USAGE, |flag, flags| {
+        match flag {
+            "--sets" => config.sets_per_util = flags.parse()?,
+            "--reps" => config.reps = flags.parse()?,
+            // Checked as a `Time` (the engine multiplies by 1000), kept in ms.
+            "--horizon-ms" => config.horizon_ms = flags.ms()?.as_ms_ceil(),
+            "--seed" => config.seed = flags.parse()?,
+            "--out" => out = Some(flags.value()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    }));
 
     let report = measure(&config);
     reporter.line(&format!(

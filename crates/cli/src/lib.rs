@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
 use mkss_analysis::rta::{analyze, InterferenceModel};
+use mkss_core::flags::{checked_ms, FlagError, Flags};
 use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
@@ -81,6 +82,17 @@ impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e)
     }
+}
+
+impl From<FlagError> for CliError {
+    fn from(e: FlagError) -> Self {
+        CliError::Input(e.into())
+    }
+}
+
+/// An input error carrying `e`'s text.
+fn input(e: impl fmt::Display) -> CliError {
+    CliError::Input(e.to_string())
 }
 
 /// Usage text.
@@ -135,9 +147,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "top" => cmd_top(&args[1..]),
         "metrics" => cmd_metrics(&args[1..]),
         "--help" | "-h" | "help" => Ok(USAGE.to_owned()),
-        other => Err(CliError::Input(format!(
-            "unknown command '{other}'\n{USAGE}"
-        ))),
+        other => Err(input(format!("unknown command '{other}'\n{USAGE}"))),
     }
 }
 
@@ -148,7 +158,7 @@ fn load_task_set(path: &str) -> Result<TaskSet, CliError> {
 
 /// Reads the `MKSS_LOG` filter, mapping a malformed value to a usage error.
 fn log_level() -> Result<LogLevel, CliError> {
-    LogLevel::from_env().map_err(|e| CliError::Input(e.to_string()))
+    LogLevel::from_env().map_err(input)
 }
 
 /// Prints the end-of-run counter table on `reporter`, one line at a time
@@ -169,9 +179,7 @@ fn cmd_policies() -> String {
 
 fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     let [path] = args else {
-        return Err(CliError::Input(
-            "analyze expects exactly one task-set file".into(),
-        ));
+        return Err(input("analyze expects exactly one task-set file"));
     };
     let ts = load_task_set(path)?;
     let mut out = String::new();
@@ -194,8 +202,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
         }
     }
     if report.schedulable() {
-        let post = postponement_intervals(&ts, PostponeConfig::default())
-            .map_err(|e| CliError::Input(e.to_string()))?;
+        let post = postponement_intervals(&ts, PostponeConfig::default()).map_err(input)?;
         for (id, _) in ts.iter() {
             out.push_str(&format!(
                 "  {id}: promotion Y = {}, postponement θ = {}\n",
@@ -208,7 +215,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     let Some(path) = args.first() else {
-        return Err(CliError::Input("simulate expects a task-set file".into()));
+        return Err(input("simulate expects a task-set file"));
     };
     let ts = load_task_set(path)?;
     let mut policy_kind = PolicyKind::Selective;
@@ -221,57 +228,32 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     let mut transient = 0.0f64;
     let mut permanent: Option<(ProcId, Time)> = None;
 
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Input(format!("flag {flag} expects a value")))
-        };
+    let mut flags = Flags::new(args[1..].iter().cloned());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--policy" => {
-                policy_kind = value()?.parse().map_err(
-                    |e: mkss_policies::registry::ParsePolicyKindError| {
-                        CliError::Input(e.to_string())
-                    },
-                )?
-            }
-            "--horizon-ms" => {
-                horizon = Time::from_ms(
-                    value()?
-                        .parse()
-                        .map_err(|e| CliError::Input(format!("--horizon-ms: {e}")))?,
-                )
-            }
-            "--seed" => {
-                seed = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--seed: {e}")))?
-            }
-            "--transient" => {
-                transient = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--transient: {e}")))?
-            }
+            "--policy" => policy_kind = flags.value()?.parse().map_err(input)?,
+            "--horizon-ms" => horizon = flags.ms()?,
+            "--seed" => seed = flags.parse()?,
+            "--transient" => transient = flags.parse()?,
             "--permanent" => {
-                let v = value()?;
-                let (proc, at) = v.split_once('@').ok_or_else(|| {
-                    CliError::Input("--permanent expects primary@MS or spare@MS".into())
-                })?;
+                let v = flags.value()?;
+                let (proc, at) = v
+                    .split_once('@')
+                    .ok_or_else(|| input("--permanent expects primary@MS or spare@MS"))?;
                 let proc = match proc {
                     "primary" => ProcId::PRIMARY,
                     "spare" => ProcId::SPARE,
-                    other => return Err(CliError::Input(format!("unknown processor '{other}'"))),
+                    other => return Err(input(format!("unknown processor '{other}'"))),
                 };
-                let ms: u64 = at
+                let ms = at
                     .parse()
-                    .map_err(|e| CliError::Input(format!("--permanent time: {e}")))?;
-                permanent = Some((proc, Time::from_ms(ms)));
+                    .map_err(|e| input(format!("--permanent time: {e}")))?;
+                permanent = Some((proc, checked_ms("--permanent time", ms)?));
             }
             "--gantt" => gantt = true,
-            "--vcd" => vcd_path = Some(value()?),
+            "--vcd" => vcd_path = Some(flags.value()?),
             "--active-only" => power = PowerModel::active_only(),
-            other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
+            other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
     faults.transient_rate_per_ms = transient;
@@ -282,7 +264,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
 
     let mut policy = policy_kind
         .build(&ts, &BuildOptions::default())
-        .map_err(|e| CliError::Input(e.to_string()))?;
+        .map_err(input)?;
     let config = SimConfig::builder()
         .horizon(horizon)
         .power(power)
@@ -367,35 +349,21 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_compare(args: &[String]) -> Result<String, CliError> {
     let Some(path) = args.first() else {
-        return Err(CliError::Input("compare expects a task-set file".into()));
+        return Err(input("compare expects a task-set file"));
     };
     let ts = load_task_set(path)?;
     let mut horizon = Time::from_ms(1_000);
     let mut jobs = 0usize;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .ok_or_else(|| CliError::Input(format!("flag {flag} expects a value")))
-        };
+    let mut flags = Flags::new(args[1..].iter().cloned());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--horizon-ms" => {
-                horizon = Time::from_ms(
-                    value()?
-                        .parse()
-                        .map_err(|e| CliError::Input(format!("--horizon-ms: {e}")))?,
-                );
-            }
-            "--jobs" => {
-                jobs = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--jobs: {e}")))?;
-            }
-            "--metrics-out" => metrics_out = Some(value()?.clone()),
-            "--trace-out" => trace_out = Some(value()?.clone()),
-            other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
+            "--horizon-ms" => horizon = flags.ms()?,
+            "--jobs" => jobs = flags.parse()?,
+            "--metrics-out" => metrics_out = Some(flags.value()?),
+            "--trace-out" => trace_out = Some(flags.value()?),
+            other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
     let config = SimConfig::builder().horizon(horizon).build();
@@ -542,40 +510,23 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut socket: Option<String> = None;
     let mut tcp: Option<String> = None;
     let mut config = mkss_serve::ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Input(format!("flag {flag} expects a value")))
-        };
+    let mut flags = Flags::new(args.iter().cloned());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--socket" => socket = Some(value()?),
-            "--tcp" => tcp = Some(value()?),
-            "--workers" => {
-                config.workers = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--workers: {e}")))?;
-            }
-            "--queue" => {
-                config.queue_capacity = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--queue: {e}")))?;
-            }
-            "--fanout" => {
-                config.fanout = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--fanout: {e}")))?;
-            }
-            other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
+            "--socket" => socket = Some(flags.value()?),
+            "--tcp" => tcp = Some(flags.value()?),
+            "--workers" => config.workers = flags.parse()?,
+            "--queue" => config.queue_capacity = flags.parse()?,
+            "--fanout" => config.fanout = flags.parse()?,
+            other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
     let server = match (&socket, &tcp) {
         (Some(path), None) => mkss_serve::Server::bind_unix(path, config)?,
         (None, Some(addr)) => mkss_serve::Server::bind_tcp(addr, config)?,
         _ => {
-            return Err(CliError::Input(
-                "serve expects exactly one of --socket PATH or --tcp ADDR".into(),
+            return Err(input(
+                "serve expects exactly one of --socket PATH or --tcp ADDR",
             ))
         }
     };
@@ -599,9 +550,7 @@ fn parse_target(socket: Option<String>, tcp: Option<String>) -> Result<Target, C
     match (socket, tcp) {
         (Some(path), None) => Ok(Target::Unix(path.into())),
         (None, Some(addr)) => Ok(Target::Tcp(addr)),
-        _ => Err(CliError::Input(
-            "expected exactly one of --socket PATH or --tcp ADDR".into(),
-        )),
+        _ => Err(input("expected exactly one of --socket PATH or --tcp ADDR")),
     }
 }
 
@@ -612,29 +561,16 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
     let mut frames = 0u64;
     let mut plain = false;
     let mut poll = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Input(format!("flag {flag} expects a value")))
-        };
+    let mut flags = Flags::new(args.iter().cloned());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--socket" => socket = Some(value()?),
-            "--tcp" => tcp = Some(value()?),
-            "--interval-ms" => {
-                interval_ms = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--interval-ms: {e}")))?;
-            }
-            "--frames" => {
-                frames = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--frames: {e}")))?;
-            }
+            "--socket" => socket = Some(flags.value()?),
+            "--tcp" => tcp = Some(flags.value()?),
+            "--interval-ms" => interval_ms = flags.parse()?,
+            "--frames" => frames = flags.parse()?,
             "--plain" => plain = true,
             "--poll" => poll = true,
-            other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
+            other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
     let config = TopConfig {
@@ -659,18 +595,13 @@ fn cmd_metrics(args: &[String]) -> Result<String, CliError> {
     let mut socket: Option<String> = None;
     let mut tcp: Option<String> = None;
     let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Input(format!("flag {flag} expects a value")))
-        };
+    let mut flags = Flags::new(args.iter().cloned());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--socket" => socket = Some(value()?),
-            "--tcp" => tcp = Some(value()?),
+            "--socket" => socket = Some(flags.value()?),
+            "--tcp" => tcp = Some(flags.value()?),
             "--json" => json = true,
-            other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
+            other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
     let mut client = match parse_target(socket, tcp)? {
@@ -694,12 +625,12 @@ fn cmd_metrics(args: &[String]) -> Result<String, CliError> {
             }
         }
         Ok(mkss_top::ResponseLine::Error { message }) => {
-            Err(CliError::Input(format!("daemon error: {message}")))
+            Err(input(format!("daemon error: {message}")))
         }
-        Ok(mkss_top::ResponseLine::WatchDone { .. }) => Err(CliError::Input(
-            "unexpected watch_done response to a metrics request".into(),
-        )),
-        Err(e) => Err(CliError::Input(format!("bad metrics response: {e}"))),
+        Ok(mkss_top::ResponseLine::WatchDone { .. }) => {
+            Err(input("unexpected watch_done response to a metrics request"))
+        }
+        Err(e) => Err(input(format!("bad metrics response: {e}"))),
     }
 }
 
@@ -707,48 +638,26 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
     let mut util = 0.5f64;
     let mut seed = 0u64;
     let mut tasks = (5usize, 10usize);
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Input(format!("flag {flag} expects a value")))
-        };
+    let mut flags = Flags::new(args.iter().cloned());
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--util" => {
-                util = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--util: {e}")))?
-            }
-            "--seed" => {
-                seed = value()?
-                    .parse()
-                    .map_err(|e| CliError::Input(format!("--seed: {e}")))?
-            }
+            "--util" => util = flags.parse()?,
+            "--seed" => seed = flags.parse()?,
             "--tasks" => {
-                let v = value()?;
+                let v = flags.value()?;
                 let (lo, hi) = v
                     .split_once("..")
-                    .ok_or_else(|| CliError::Input("--tasks expects MIN..MAX".into()))?;
-                tasks = (
-                    lo.parse()
-                        .map_err(|e| CliError::Input(format!("--tasks: {e}")))?,
-                    hi.parse()
-                        .map_err(|e| CliError::Input(format!("--tasks: {e}")))?,
-                );
+                    .ok_or_else(|| input("--tasks expects MIN..MAX"))?;
+                tasks = (flags.parse_str(lo)?, flags.parse_str(hi)?);
                 if tasks.0 == 0 || tasks.0 > tasks.1 {
-                    return Err(CliError::Input(format!(
-                        "--tasks expects 1 <= MIN <= MAX, got {v}"
-                    )));
+                    return Err(input(format!("--tasks expects 1 <= MIN <= MAX, got {v}")));
                 }
             }
-            other => return Err(CliError::Input(format!("unknown flag '{other}'"))),
+            other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
     if !(0.0..=1.0).contains(&util) || util == 0.0 {
-        return Err(CliError::Input(format!(
-            "--util must be in (0, 1], got {util}"
-        )));
+        return Err(input(format!("--util must be in (0, 1], got {util}")));
     }
     let config = WorkloadConfig {
         tasks_min: tasks.0,
@@ -758,7 +667,7 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
     let ts = Generator::new(config, seed)
         .schedulable_set(util)
         .ok_or_else(|| {
-            CliError::Input(format!(
+            input(format!(
                 "no schedulable set found at utilization {util} within the attempt cap"
             ))
         })?;

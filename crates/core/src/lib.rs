@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
+pub mod flags;
 pub mod fold;
 pub mod history;
 pub mod job;

@@ -57,11 +57,9 @@ impl Time {
         Time(ticks)
     }
 
-    /// Creates a time from whole milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms * 1000` overflows `u64` (≈ 584 000 years).
+    /// Creates a time from whole milliseconds. `ms * 1000` must fit in
+    /// `u64` (≈ 584 000 years): past that, debug builds panic and release
+    /// builds wrap, so untrusted input goes through [`Time::checked_from_ms`].
     #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         Time(ms * TICKS_PER_MS)
@@ -141,6 +139,12 @@ impl Time {
             Some(t) => Some(Time(t)),
             None => None,
         }
+    }
+
+    /// Whole milliseconds as a time, or `None` when `ms * 1000` overflows.
+    #[inline]
+    pub const fn checked_from_ms(ms: u64) -> Option<Time> {
+        Time(TICKS_PER_MS).checked_mul(ms)
     }
 
     /// `ceil(self / rhs)` as a count. Used by response-time analysis for the
@@ -342,6 +346,15 @@ mod tests {
         assert_eq!(Time::ZERO.ticks(), 0);
         assert!(Time::ZERO.is_zero());
         assert!(!Time::from_ms(1).is_zero());
+    }
+
+    #[test]
+    fn checked_from_ms_refuses_what_from_ms_would_wrap() {
+        let max = u64::MAX / TICKS_PER_MS;
+        assert_eq!(Time::checked_from_ms(7), Some(Time::from_ms(7)));
+        assert_eq!(Time::checked_from_ms(max), Some(Time::from_ms(max)));
+        assert_eq!(Time::checked_from_ms(max + 1), None);
+        assert_eq!(Time::checked_from_ms(u64::MAX), None);
     }
 
     #[test]

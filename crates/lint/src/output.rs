@@ -1,6 +1,6 @@
 //! Machine-readable report emission: a hand-rolled JSON writer (the CLI
 //! test round-trips its output through the vendored `serde_json`
-//! parser), escaping strings with `mkss-obs`'s shared escaper. Shape,
+//! parser), escaping strings with the vendored `serde_json`'s escaper. Shape,
 //! version-gated for downstream tooling:
 //!
 //! ```text
@@ -14,7 +14,7 @@
 //! }
 //! ```
 
-use mkss_obs::push_json_string;
+use serde_json::write_escaped;
 
 use crate::rules::Finding;
 use crate::LintReport;
@@ -52,14 +52,14 @@ pub fn to_json(report: &LintReport) -> String {
 
 fn push_finding(s: &mut String, f: &Finding) {
     s.push_str("{\"path\": ");
-    push_json_string(s, &f.path);
+    write_escaped(s, &f.path);
     s.push_str(&format!(", \"line\": {}", f.line));
     s.push_str(", \"code\": ");
-    push_json_string(s, f.code());
+    write_escaped(s, f.code());
     s.push_str(", \"rule\": ");
-    push_json_string(s, f.rule);
+    write_escaped(s, f.rule);
     s.push_str(", \"message\": ");
-    push_json_string(s, &f.message);
+    write_escaped(s, &f.message);
     s.push('}');
 }
 
@@ -92,5 +92,34 @@ mod tests {
     fn empty_report_is_flat() {
         let j = to_json(&LintReport::default());
         assert!(j.contains("\"findings\": []"));
+    }
+
+    proptest::proptest! {
+        /// Paths and messages — any scalar value, every control character
+        /// included — parse back through `serde_json` unchanged.
+        #[test]
+        fn finding_strings_round_trip(
+            draws in proptest::collection::vec(0u32..0x11_0000, 0..40),
+        ) {
+            let text: String = draws
+                .iter()
+                .map(|&d| char::from_u32(if d % 2 == 0 { d % 0x20 } else { d }).unwrap_or('\u{fffd}'))
+                .collect();
+            let report = LintReport {
+                findings: vec![Finding {
+                    path: text.clone(),
+                    line: 1,
+                    rule: crate::rules::FLOAT_FOLD_DETERMINISM,
+                    message: text.clone(),
+                }],
+                suppressed: 0,
+                files: 1,
+            };
+            let doc = serde_json::parse_value(&to_json(&report)).expect("valid JSON");
+            let finding = &doc.get("findings").and_then(|f| f.as_array()).expect("findings")[0];
+            for key in ["path", "message"] {
+                proptest::prop_assert_eq!(finding.get(key).and_then(|v| v.as_str()), Some(text.as_str()));
+            }
+        }
     }
 }

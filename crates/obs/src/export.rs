@@ -1,9 +1,11 @@
 //! Exporters: the JSON metrics document and the human text table.
 //!
-//! The JSON writer is hand-rolled (this crate has no serde) but emits a
-//! strict, deterministic subset: object keys in catalog/insertion order,
-//! `\u`-escaped control characters, and non-finite floats clamped to `0`
-//! so the document always parses.
+//! The JSON writer is hand-rolled but emits a strict, deterministic
+//! subset: object keys in catalog/insertion order, strings escaped by the
+//! vendored `serde_json`'s [`write_escaped`], and non-finite floats
+//! clamped to `0` so the document always parses.
+
+use serde_json::write_escaped;
 
 use crate::event::HistogramId;
 use crate::registry::MetricsSnapshot;
@@ -75,7 +77,7 @@ impl MetricsDoc {
                 out.push(',');
             }
             out.push_str(indent);
-            push_json_string(out, name);
+            write_escaped(out, name);
             out.push_str(colon);
         };
         let close = |out: &mut String, empty: bool| {
@@ -94,7 +96,7 @@ impl MetricsDoc {
         out.push('{');
         for (i, (name, value)) in self.meta.iter().enumerate() {
             key(&mut out, i, member, name);
-            push_json_string(&mut out, value);
+            write_escaped(&mut out, value);
         }
         close(&mut out, self.meta.is_empty());
 
@@ -192,26 +194,6 @@ pub fn metrics_doc(
         doc.push_stage(name, *ms);
     }
     doc
-}
-
-/// Escape and quote `s` per RFC 8259, appending to `out` — the one JSON
-/// string escaper every hand-rolled writer in the workspace shares.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Write a float that always parses as a JSON number (NaN/inf clamp to 0).

@@ -38,7 +38,7 @@ mod span;
 mod trace;
 
 pub use event::{CounterId, HistogramId, Percentile};
-pub use export::{metrics_doc, push_json_string, MetricsDoc};
+pub use export::{metrics_doc, MetricsDoc};
 pub use log::{LogLevel, ParseLogLevelError, LOG_ENV_VAR};
 pub use recorder::{EchoRecorder, NoopRecorder, Recorder, RequestId, ScopedRecorder};
 pub use registry::{MetricsSnapshot, RecorderHandle, Registry};

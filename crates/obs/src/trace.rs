@@ -16,7 +16,6 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{CounterId, HistogramId};
-use crate::export::push_json_string;
 use crate::recorder::Recorder;
 
 /// A poisoned buffer mutex just means another recorder panicked mid-push;
@@ -426,7 +425,7 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
     for (i, (label, buffer)) in runs.iter().enumerate() {
         let pid = i + 1;
         let mut name = String::new();
-        push_json_string(&mut name, label);
+        serde_json::write_escaped(&mut name, label);
         entries.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":{name}}}}}"
         ));

@@ -17,11 +17,12 @@ use std::sync::Arc;
 
 use mkss_core::par;
 use mkss_obs::{
-    metrics_doc, push_json_string, trace_json_fragment, MetricsSnapshot, Recorder, Registry,
-    RequestId, ScopedRecorder, TraceBuffer, TraceRecorder,
+    metrics_doc, trace_json_fragment, MetricsSnapshot, Recorder, Registry, RequestId,
+    ScopedRecorder, TraceBuffer, TraceRecorder,
 };
 use mkss_policies::BuildOptions;
 use mkss_sim::prelude::{simulate_in, SimReport, WorkspacePool};
+use serde_json::write_escaped;
 
 use crate::protocol::{error_line, ok_line, CompareJob, Op, Request, SimJob, SweepJob};
 
@@ -189,7 +190,7 @@ fn exec_sweep(id: u64, job: &SweepJob, env: &ExecEnv<'_>) -> String {
     result.push_str(",\"seed_from\":");
     result.push_str(&job.seed_from.to_string());
     result.push_str(",\"policy\":");
-    push_json_string(&mut result, &reports[0].policy);
+    write_escaped(&mut result, &reports[0].policy);
     result.push_str(",\"mean_total_energy\":");
     push_json_f64(&mut result, total_energy / n as f64);
     result.push_str(",\"mean_active_energy\":");
@@ -215,7 +216,7 @@ fn report_json(report: &SimReport) -> String {
     let stats = &report.stats;
     let mut out = String::with_capacity(512);
     out.push_str("{\"policy\":");
-    push_json_string(&mut out, &report.policy);
+    write_escaped(&mut out, &report.policy);
     out.push_str(",\"horizon_ms\":");
     push_json_f64(&mut out, report.horizon.as_ms_f64());
     out.push_str(",\"energy\":{\"active\":");
@@ -240,7 +241,7 @@ fn report_json(report: &SimReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_json_string(&mut out, name);
+        write_escaped(&mut out, name);
         out.push(':');
         out.push_str(&value.to_string());
     }

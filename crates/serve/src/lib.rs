@@ -33,7 +33,7 @@
 //! Request lines are parsed with the workspace's vendored `serde_json`
 //! (the same parser `mkss-cli` reads task-set files with, and the
 //! [`task_set`] schema is shared with it); responses are written by hand
-//! with `mkss-obs`'s string escaper.
+//! with the same crate's string escaper.
 //!
 //! ## Example
 //!

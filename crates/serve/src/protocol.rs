@@ -54,7 +54,6 @@
 use std::fmt;
 
 use mkss_core::task::TaskSet;
-use mkss_obs::push_json_string;
 use mkss_policies::PolicyKind;
 use mkss_sim::prelude::{FaultConfig, PermanentFault, ProcId, SimConfig};
 use serde::{Deserialize, Value};
@@ -437,7 +436,7 @@ pub fn error_line(id: Option<u64>, message: &str) -> String {
         None => out.push_str("null"),
     }
     out.push_str(",\"ok\":false,\"error\":");
-    push_json_string(&mut out, message);
+    serde_json::write_escaped(&mut out, message);
     out.push('}');
     out
 }

@@ -96,6 +96,49 @@ assert doc["counters"]["jobs_released"] > 0, "compare smoke released no jobs"
 print("metrics document ok:", ", ".join(sorted(doc)))
 PY
 
+echo "== experiment binaries smoke (tiny plans, metrics documents, rejected flags) =="
+# fig6, ablations, sensitivity and schedulability each run a tiny plan
+# and write a metrics document with the four top-level keys. An unknown
+# flag and a --horizon-ms whose microseconds overflow u64 must both be
+# refused with a diagnostic, never run.
+cargo run --release -q -p mkss-bench --bin fig6 -- --scenario no-fault --sets 1 \
+    --horizon-ms 100 --to 0.3 --metrics-out "$tmpdir/fig6-metrics.json" > /dev/null
+cargo run --release -q -p mkss-bench --bin ablations -- --sets 1 --horizon-ms 100 \
+    --metrics-out "$tmpdir/ablations-metrics.json" > /dev/null
+cargo run --release -q -p mkss-bench --bin sensitivity -- --sets 1 --horizon-ms 100 \
+    --metrics-out "$tmpdir/sensitivity-metrics.json" > /dev/null
+cargo run --release -q -p mkss-bench --bin schedulability -- --samples 2 \
+    --metrics-out "$tmpdir/schedulability-metrics.json" > /dev/null
+python3 - "$tmpdir"/fig6-metrics.json "$tmpdir"/ablations-metrics.json \
+    "$tmpdir"/sensitivity-metrics.json "$tmpdir"/schedulability-metrics.json <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    doc = json.load(open(path))
+    missing = [k for k in ("meta", "counters", "histograms", "stages") if k not in doc]
+    assert not missing, f"{path}: metrics document missing top-level keys: {missing}"
+    print(f"{doc['meta']['binary']}: metrics document ok")
+PY
+refuse() {
+    local expect="$1"
+    shift
+    if cargo run --release -q -p mkss-bench --bin "$@" > /dev/null 2> "$tmpdir/refused.txt"; then
+        echo "ERROR: $* exited 0" >&2
+        exit 1
+    fi
+    grep -q "$expect" "$tmpdir/refused.txt" || {
+        echo "ERROR: $* failed without the expected diagnostic '$expect':" >&2
+        cat "$tmpdir/refused.txt" >&2
+        exit 1
+    }
+}
+for bin in fig6 ablations sensitivity schedulability; do
+    refuse "unknown flag" "$bin" -- --no-such-flag
+done
+for bin in fig6 ablations sensitivity; do
+    refuse "out of range" "$bin" -- --horizon-ms 18446744073709552
+done
+echo "experiment binaries ok (4 metrics documents; unknown and overflowing flags refused)"
+
 echo "== trace smoke (flight recorder: deterministic Chrome-trace export) =="
 # Two captures of the same workload with different worker counts must be
 # byte-identical (one flight recorder per policy, export a pure function
