@@ -4,7 +4,8 @@
 //!    motivation, Figs. 2–4 at scale);
 //! 2. the FD = 1 selection threshold vs FD ≤ 2 / FD ≤ 3;
 //! 3. alternating optional placement vs primary-only;
-//! 4. θ-postponement vs promotion-times-only vs the static reference.
+//! 4. θ-postponement vs promotion-times-only vs the static reference;
+//! 5. the deeply-red vs the evenly-distributed static pattern.
 //!
 //! ```text
 //! ablations [--sets N] [--horizon-ms MS] [--seed S] [--scenario ...]
@@ -49,7 +50,7 @@ fn main() -> ExitCode {
         Ok(true)
     }));
 
-    let studies: [(&str, Vec<PolicyKind>); 6] = [
+    let studies: [(&str, Vec<PolicyKind>); 5] = [
         (
             "ablation 1: greedy vs selective optional execution",
             vec![
@@ -84,21 +85,13 @@ fn main() -> ExitCode {
             "ablation 5: static pattern shape (deeply-red vs evenly-distributed)",
             vec![PolicyKind::Static, PolicyKind::StaticEven],
         ),
-        (
-            "ablation 6: DVS-slowed mains (the extension the paper omits)",
-            vec![
-                PolicyKind::DualPriority,
-                PolicyKind::DualPriorityTheta,
-                PolicyKind::DvsDualPriority,
-                PolicyKind::Selective,
-            ],
-        ),
     ];
 
     let registry = metrics_out
         .as_ref()
         .map(|_| Arc::new(Registry::new(par::effective_jobs(jobs))));
     let mut stage_totals = StageTimes::default();
+    let study_count = studies.len();
     for (number, (title, policies)) in studies.into_iter().enumerate() {
         println!("== {title} ==");
         let mut config = template.clone();
@@ -119,7 +112,7 @@ fn main() -> ExitCode {
             registry,
             &stage_totals,
             &[
-                ("studies", "6".to_string()),
+                ("studies", study_count.to_string()),
                 ("jobs", par::effective_jobs(jobs).to_string()),
             ],
         );

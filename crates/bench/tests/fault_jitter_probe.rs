@@ -34,7 +34,6 @@ fn no_policy_violates_under_fig6b_fault_plans() {
                 PolicyKind::SelectiveNoPostpone,
                 PolicyKind::DualPriorityTheta,
                 PolicyKind::DualPriorityJobTheta,
-                PolicyKind::DvsDualPriority,
             ] {
                 let mut policy = kind
                     .build(ts, &BuildOptions::default())

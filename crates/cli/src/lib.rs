@@ -114,10 +114,9 @@ commands:
   serve    (--socket PATH | --tcp ADDR) [--workers N] [--queue N] [--fanout N]
            run the line-protocol simulation daemon until a shutdown request
   top      (--socket PATH | --tcp ADDR) [--interval-ms N] [--frames N]
-           [--plain] [--poll]
-           live dashboard over the daemon's streaming watch op (falls back
-           to polling the metrics op with --poll); auto-plain when stdout
-           is not a terminal
+           [--plain]
+           live dashboard over the daemon's streaming watch op; auto-plain
+           when stdout is not a terminal
   metrics  (--socket PATH | --tcp ADDR) [--json]
            fetch the daemon's metrics document once and pretty-print it
 
@@ -560,7 +559,6 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
     let mut interval_ms = 500u64;
     let mut frames = 0u64;
     let mut plain = false;
-    let mut poll = false;
     let mut flags = Flags::new(args.iter().cloned());
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
@@ -569,7 +567,6 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
             "--interval-ms" => interval_ms = flags.parse()?,
             "--frames" => frames = flags.parse()?,
             "--plain" => plain = true,
-            "--poll" => poll = true,
             other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
@@ -579,7 +576,6 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
         // ANSI clears would garble a pipe or a capture file; screen
         // control only makes sense on an actual terminal.
         plain: plain || !std::io::stdout().is_terminal(),
-        poll,
         ..TopConfig::new(parse_target(socket, tcp)?)
     };
     let mut stdout = std::io::stdout().lock();

@@ -15,6 +15,10 @@ use std::fmt::Write as _;
 /// Stands for the task-set file path in the case arguments.
 const SET: &str = "SET";
 
+/// Stands for the path of [`TOP_SAMPLE_SET`], whose deadlines run past
+/// the clock's top within the largest accepted horizon.
+const TOP_SET: &str = "TOP_SET";
+
 const CASES: &[&[&str]] = &[
     &["--help"],
     &[],
@@ -94,12 +98,24 @@ const CASES: &[&[&str]] = &[
     &["simulate", SET, "--horizon-ms", "18446744073709551615"],
     &["simulate", SET, "--permanent", "primary@18446744073709552"],
     &["compare", SET, "--horizon-ms", "18446744073709552"],
+    // The largest accepted horizon: the engine stops releasing at the
+    // first deadline past the clock's top instead of overflowing.
+    &[
+        "simulate",
+        TOP_SET,
+        "--policy",
+        "selective",
+        "--horizon-ms",
+        "18446744073709551",
+    ],
 ];
 
 const SAMPLE_SET: &str = r#"{ "tasks": [
     { "period_ms": 5, "deadline_ms": 4, "wcet_ms": 3, "m": 2, "k": 4 },
     { "period_ms": 10, "wcet_ms": 3, "m": 1, "k": 2 }
 ] }"#;
+
+const TOP_SAMPLE_SET: &str = r#"{"tasks":[{"period_ms":4611686018427,"wcet_ms":1,"m":1,"k":2}]}"#;
 
 /// Runs every case and renders the transcript.
 fn transcript(cases: &[&[&str]]) -> String {
@@ -108,12 +124,20 @@ fn transcript(cases: &[&[&str]]) -> String {
     let set_path = dir.join("set.json");
     std::fs::write(&set_path, SAMPLE_SET).expect("write set");
     let set_path = set_path.to_str().expect("utf-8 path");
+    let top_set_path = dir.join("top-set.json");
+    std::fs::write(&top_set_path, TOP_SAMPLE_SET).expect("write set");
+    let top_set_path = top_set_path.to_str().expect("utf-8 path");
 
     let mut out = String::new();
     for args in cases {
         let argv: Vec<String> = args
             .iter()
-            .map(|&arg| if arg == SET { set_path } else { arg }.to_owned())
+            .map(|&arg| match arg {
+                SET => set_path,
+                TOP_SET => top_set_path,
+                _ => arg,
+            })
+            .map(str::to_owned)
             .collect();
         let _ = writeln!(out, "$ mkss-cli {}", args.join(" "));
         match mkss_cli::run(&argv) {

@@ -43,7 +43,8 @@ pub const PROC_NONE: u8 = u8::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TraceKind {
-    /// A mandatory job released; payload = main-copy DVS speed in permil.
+    /// A mandatory job released; payload = 0 (unused; the field keeps
+    /// the event layout shared by every kind).
     MandatoryRelease,
     /// An optional job admitted; payload = flexibility degree at release.
     OptionalSelect,
@@ -792,7 +793,7 @@ mod tests {
     #[test]
     fn timeline_lists_events_oldest_first() {
         let mut buffer = TraceBuffer::with_capacity(8);
-        buffer.push(ev(100, TraceKind::MandatoryRelease, 0, 0, 1000));
+        buffer.push(ev(100, TraceKind::MandatoryRelease, 0, 0, 0));
         buffer.push(ev(200, TraceKind::JobMet, 0, 0, 2));
         let text = timeline_text(&buffer);
         assert!(text.starts_with("# trace: 2 events retained, 2 recorded, 0 dropped\n"));
@@ -805,7 +806,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_deterministic_and_labels_processes() {
         let mut buffer = TraceBuffer::with_capacity(8);
-        let mut release = ev(100, TraceKind::MandatoryRelease, 0, 0, 1000);
+        let mut release = ev(100, TraceKind::MandatoryRelease, 0, 0, 0);
         release.copy = CopyRole::Main;
         release.proc = 0;
         buffer.push(release);
@@ -862,7 +863,7 @@ mod tests {
     #[test]
     fn chrome_trace_never_opens_an_unclosed_async_span() {
         let mut buffer = TraceBuffer::with_capacity(8);
-        let mut release = ev(100, TraceKind::MandatoryRelease, 0, 0, 1000);
+        let mut release = ev(100, TraceKind::MandatoryRelease, 0, 0, 0);
         release.proc = 0;
         buffer.push(release);
         let json = chrome_trace(&[("solo", &buffer)]);

@@ -42,14 +42,12 @@
 #![forbid(unsafe_code)]
 
 pub mod dual_priority;
-pub mod dvs;
 pub mod dynamic;
 pub mod error;
 pub mod registry;
 pub mod static_pattern;
 
 pub use dual_priority::{MainPlacement, MkssDp, StaticBackupDelay};
-pub use dvs::MkssDpDvs;
 pub use dynamic::{
     BackupDelay, DynamicConfig, DynamicPolicy, MkssSelective, OptionalPlacement, SelectionRule,
 };

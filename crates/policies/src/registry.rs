@@ -47,44 +47,27 @@ pub enum PolicyKind {
     /// [`MkssDp`] with per-job θ_ij-postponed backups (an extension
     /// beyond the paper; sound for static patterns only).
     DualPriorityJobTheta,
-    /// [`crate::MkssDpDvs`]: DVS-slowed mains with full-speed θ-postponed
-    /// backups (the extension the paper's `MKSS_DP` explicitly omits).
-    DvsDualPriority,
 }
 
 /// Options shared by every scheme [`PolicyKind::build`] can construct.
 ///
-/// `#[non_exhaustive]` so new knobs can be added without breaking the
-/// registry's callers; start from [`BuildOptions::default`] and set the
-/// fields you need.
+/// Every scheme is built exactly as the paper describes, so the type has
+/// no fields; it stays in [`PolicyKind::build`]'s signature for the
+/// callers that pass [`BuildOptions::default`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
-pub struct BuildOptions {
-    /// Fixed DVS speed (permil of full speed, `1..=1000`) for schemes
-    /// that slow their mains ([`PolicyKind::DvsDualPriority`]); `None`
-    /// searches for the lowest feasible speed. Full-speed schemes
-    /// ignore it.
-    pub dvs_speed_permil: Option<u32>,
-}
+pub struct BuildOptions {}
 
 impl BuildOptions {
     /// The defaults: every scheme built exactly as the paper describes.
     pub fn new() -> Self {
         BuildOptions::default()
     }
-
-    /// Defaults with a fixed DVS speed for the DVS schemes.
-    pub fn with_dvs_speed(speed_permil: u32) -> Self {
-        BuildOptions {
-            dvs_speed_permil: Some(speed_permil),
-            ..BuildOptions::default()
-        }
-    }
 }
 
 impl PolicyKind {
     /// All kinds, in a stable presentation order.
-    pub const ALL: [PolicyKind; 13] = [
+    pub const ALL: [PolicyKind; 12] = [
         PolicyKind::Static,
         PolicyKind::DualPriority,
         PolicyKind::DualPriorityPrimary,
@@ -97,7 +80,6 @@ impl PolicyKind {
         PolicyKind::StaticEven,
         PolicyKind::DualPriorityTheta,
         PolicyKind::DualPriorityJobTheta,
-        PolicyKind::DvsDualPriority,
     ];
 
     /// The three schemes compared in the paper's Figure 6.
@@ -132,7 +114,7 @@ impl PolicyKind {
     pub fn build(
         self,
         ts: &TaskSet,
-        opts: &BuildOptions,
+        _opts: &BuildOptions,
     ) -> Result<Box<dyn Policy>, BuildPolicyError> {
         Ok(match self {
             PolicyKind::Static => Box::new(MkssSt::new()),
@@ -187,10 +169,6 @@ impl PolicyKind {
                 MainPlacement::MainsOnPrimary,
                 StaticBackupDelay::JobPostponement,
             )?),
-            PolicyKind::DvsDualPriority => match opts.dvs_speed_permil {
-                Some(speed) => Box::new(crate::MkssDpDvs::with_speed(ts, speed)?),
-                None => Box::new(crate::MkssDpDvs::new(ts)?),
-            },
         })
     }
 
@@ -209,7 +187,6 @@ impl PolicyKind {
             PolicyKind::StaticEven => "st-even",
             PolicyKind::DualPriorityTheta => "dp-theta",
             PolicyKind::DualPriorityJobTheta => "dp-jobtheta",
-            PolicyKind::DvsDualPriority => "dp-dvs",
         }
     }
 }
@@ -231,8 +208,9 @@ impl fmt::Display for ParsePolicyKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown policy '{}'; expected one of: st, dp, dp-primary, greedy, selective, selective-nopost, selective-primary",
-            self.input
+            "unknown policy '{}'; expected one of: {}",
+            self.input,
+            PolicyKind::ALL.map(PolicyKind::id).join(", ")
         )
     }
 }
@@ -275,26 +253,18 @@ mod tests {
     }
 
     #[test]
-    fn dvs_speed_option_pins_the_speed() {
-        let ts = set();
-        let opts = BuildOptions::with_dvs_speed(1000);
-        let p = PolicyKind::DvsDualPriority.build(&ts, &opts).unwrap();
-        // At full speed the DVS scheme degenerates to the θ-postponed
-        // dual-priority scheme; the name still identifies the family.
-        assert!(p.name().contains("DVS"), "name: {}", p.name());
-        // Full-speed schemes ignore the knob entirely.
-        let st = PolicyKind::Static.build(&ts, &opts).unwrap();
-        assert_eq!(st.name(), "MKSS_ST");
-    }
-
-    #[test]
     fn roundtrip_ids() {
         for kind in PolicyKind::ALL {
             assert_eq!(kind.id().parse::<PolicyKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.id());
         }
-        let err = "nope".parse::<PolicyKind>().unwrap_err();
-        assert!(err.to_string().contains("unknown policy 'nope'"));
+        let err = "nope".parse::<PolicyKind>().unwrap_err().to_string();
+        assert!(err.contains("unknown policy 'nope'"), "{err}");
+        let (_, listed) = err.split_once("expected one of: ").expect("lists the ids");
+        let listed: Vec<&str> = listed.split(", ").collect();
+        for kind in PolicyKind::ALL {
+            assert!(listed.contains(&kind.id()), "{} missing: {err}", kind.id());
+        }
     }
 
     #[test]

@@ -210,11 +210,6 @@ struct CopyInst {
     proc: ProcId,
     release: Time,
     remaining: Time,
-    /// Total execution time of this copy (its WCET stretched by the DVS
-    /// speed); used for transient-fault exposure.
-    exec_total: Time,
-    /// DVS speed in permil of full speed (1000 = full).
-    speed_permil: u32,
     state: CopyState,
     sibling: Option<usize>,
     /// Flexibility degree of the job at release (OJQ ordering key;
@@ -679,7 +674,7 @@ struct Engine<'a, 'w> {
     death_time: [Option<Time>; 2],
     fault_applied: bool,
     sampler: TransientSampler,
-    /// Active energy accumulated per processor (DVS-aware).
+    /// Active energy accumulated per processor.
     active_energy: [crate::power::Energy; 2],
     stats: JobStats,
     violations: Vec<MkViolation>,
@@ -1179,11 +1174,16 @@ impl<'a, 'w> Engine<'a, 'w> {
                 break;
             }
             let index = tstate.next_index;
-            let release = task.release_of(index);
-            if task.deadline_of(index) > self.config.horizon {
+            // A release or deadline past the clock's top is past every
+            // horizon, so it exhausts the task like any later deadline.
+            let Some(release) = task.period().checked_mul(index - 1).filter(|release| {
+                release
+                    .checked_add(task.deadline())
+                    .is_some_and(|deadline| deadline <= self.config.horizon)
+            }) else {
                 self.ws.tasks[id.0].exhausted = true;
                 break;
-            }
+            };
             if release > self.clock {
                 break;
             }
@@ -1223,34 +1223,11 @@ impl<'a, 'w> Engine<'a, 'w> {
         self.emit(CounterId::JobsReleased);
 
         let job_entry = self.ws.jobs.len();
-        // Normalize the two mandatory forms.
-        let decision = match decision {
+        match decision {
             ReleaseDecision::Mandatory {
                 main_proc,
                 backup_delay,
-            } => ReleaseDecision::MandatoryScaled {
-                main_proc,
-                backup_delay,
-                main_speed_permil: 1000,
-            },
-            other => other,
-        };
-        // The normalization above is exhaustive for the plain-mandatory
-        // form; the match below relies on never seeing it again.
-        debug_assert!(
-            !matches!(decision, ReleaseDecision::Mandatory { .. }),
-            "Mandatory must be normalized to MandatoryScaled before dispatch"
-        );
-        match decision {
-            ReleaseDecision::MandatoryScaled {
-                main_proc,
-                backup_delay,
-                main_speed_permil,
             } => {
-                assert!(
-                    (1..=1000).contains(&main_speed_permil),
-                    "main speed must be in 1..=1000 permil"
-                );
                 self.stats.mandatory += 1;
                 self.emit(CounterId::MandatoryReleased);
                 self.emit_event(
@@ -1260,15 +1237,11 @@ impl<'a, 'w> Engine<'a, 'w> {
                     index as u32,
                     CopyRole::Main,
                     main_proc.index() as u8,
-                    u64::from(main_speed_permil),
+                    0,
                 );
                 let job = Job::nth(id, self.ts.task(id), index, JobClass::Mandatory);
                 let mut copies = [0usize; 2];
                 let mut copy_count = 0u8;
-                // Main execution time stretched by the DVS slowdown.
-                let main_exec = Time::from_ticks(
-                    (job.wcet.ticks() * 1000).div_ceil(u64::from(main_speed_permil)),
-                );
                 if self.alive[main_proc.index()] {
                     let main_idx = self.ws.copies.len();
                     self.ws.copies.push(CopyInst {
@@ -1276,9 +1249,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                         kind: CopyKind::Main,
                         proc: main_proc,
                         release,
-                        remaining: main_exec,
-                        exec_total: main_exec,
-                        speed_permil: main_speed_permil,
+                        remaining: job.wcet,
                         state: CopyState::Pending,
                         sibling: None,
                         fd_at_release: 0,
@@ -1298,8 +1269,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                             proc: backup_proc,
                             release: backup_release,
                             remaining: job.wcet,
-                            exec_total: job.wcet,
-                            speed_permil: 1000,
                             state: CopyState::Pending,
                             sibling: Some(main_idx),
                             fd_at_release: 0,
@@ -1340,8 +1309,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                         proc: main_proc.other(),
                         release: backup_release,
                         remaining: job.wcet,
-                        exec_total: job.wcet,
-                        speed_permil: 1000,
                         state: CopyState::Pending,
                         sibling: None,
                         fd_at_release: 0,
@@ -1376,9 +1343,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 });
                 self.ws.open_jobs.push(job_entry);
             }
-            ReleaseDecision::Mandatory { .. } => {
-                unreachable!("normalized to MandatoryScaled above")
-            }
             ReleaseDecision::Optional { proc } => {
                 self.stats.optional_selected += 1;
                 self.emit(CounterId::OptionalSelected);
@@ -1400,8 +1364,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     proc,
                     release,
                     remaining: job.wcet,
-                    exec_total: job.wcet,
-                    speed_permil: 1000,
                     state: CopyState::Pending,
                     sibling: None,
                     fd_at_release: fd,
@@ -1729,9 +1691,8 @@ impl<'a, 'w> Engine<'a, 'w> {
         for &proc in &ProcId::ALL {
             if let Some(c) = self.running[proc.index()] {
                 self.extend_busy(proc, self.clock, next);
-                let speed = self.ws.copies[c].speed_permil;
                 // mkss-lint: allow(float-fold-determinism) — per-processor accumulator advanced in event order by the single-threaded engine; the order is the simulation itself
-                self.active_energy[proc.index()] += self.config.power.active_energy_at(dt, speed);
+                self.active_energy[proc.index()] += self.config.power.active_energy(dt);
                 let copy = &mut self.ws.copies[c];
                 copy.remaining -= dt;
                 if copy.remaining.is_zero() {
@@ -1744,7 +1705,7 @@ impl<'a, 'w> Engine<'a, 'w> {
         // Mark all simultaneous completions done first (so a success does
         // not "cancel" a sibling that also just finished)…
         for &c in &completions[..completed] {
-            let faulted = self.sampler.sample(self.ws.copies[c].exec_total);
+            let faulted = self.sampler.sample(self.ws.copies[c].job.wcet);
             let ev_task = self.ws.copies[c].job.id.task.0 as u32;
             let ev_job = self.ws.copies[c].job.id.index as u32;
             let ev_role = copy_role(self.ws.copies[c].kind);
@@ -1867,11 +1828,14 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     /// Ends the copy's open execution segment, if any, and narrates a
     /// non-empty one as a `Segment` event: the engine's only capture.
+    /// The payload is packed only for an attached recorder, since
+    /// [`segment_payload`] covers starts below 2^61 ticks and a detached
+    /// run may go up to the clock's top.
     fn close_segment(&mut self, c: usize, ended: SegmentEnd) {
         let Some(start) = self.ws.copies[c].running_since.take() else {
             return;
         };
-        if start < self.clock {
+        if start < self.clock && self.ws.recorder.0.is_some() {
             let copy = &self.ws.copies[c];
             self.emit_event(
                 self.clock,
@@ -1931,7 +1895,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             breakdown.idle += power.idle_interval_energy(end - cursor);
             breakdown.idle_time += end - cursor;
         }
-        // Active energy was accumulated DVS-aware during the run.
+        // Active energy was accumulated during the run.
         breakdown.active = self.active_energy[proc.index()];
         breakdown
     }

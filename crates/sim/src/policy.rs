@@ -40,20 +40,6 @@ pub enum ReleaseDecision {
         /// Processor that executes the optional job.
         proc: ProcId,
     },
-    /// Like [`ReleaseDecision::Mandatory`], but the main copy executes
-    /// at a reduced DVS speed (`main_speed_permil` thousandths of full
-    /// speed): its execution takes `⌈C·1000/s⌉` and draws dynamic power
-    /// `(s/1000)³·p_active`. The backup copy always runs at full speed so
-    /// recovery capacity is preserved (the convention of the
-    /// standby-sparing DVS literature).
-    MandatoryScaled {
-        /// Processor of the main copy; the backup goes to the other one.
-        main_proc: ProcId,
-        /// Extra release delay of the backup copy.
-        backup_delay: Time,
-        /// Main-copy speed in permil of full speed (1..=1000).
-        main_speed_permil: u32,
-    },
     /// The job is optional and not selected; it is skipped entirely and
     /// will be recorded as missed at its deadline.
     Skip,

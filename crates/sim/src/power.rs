@@ -134,28 +134,6 @@ impl PowerModel {
         Energy::from_span(span, self.p_active)
     }
 
-    /// Energy drawn while executing for `span` at a DVS speed of
-    /// `speed_permil` thousandths of full speed: dynamic power scales
-    /// cubically with frequency/voltage, so the rate is
-    /// `p_active · (s/1000)³`. At full speed this equals
-    /// [`PowerModel::active_energy`].
-    ///
-    /// ```
-    /// use mkss_sim::power::PowerModel;
-    /// use mkss_core::time::Time;
-    ///
-    /// let pm = PowerModel::active_only();
-    /// // Half speed: the same work takes 2× the time at 1/8 the power →
-    /// // 1/4 of the energy.
-    /// let full = pm.active_energy_at(Time::from_ms(2), 1000);
-    /// let half = pm.active_energy_at(Time::from_ms(4), 500);
-    /// assert!((half.units() - full.units() / 4.0).abs() < 1e-12);
-    /// ```
-    pub fn active_energy_at(&self, span: Time, speed_permil: u32) -> Energy {
-        let f = f64::from(speed_permil) / 1000.0;
-        Energy::from_span(span, self.p_active * f * f * f)
-    }
-
     /// Energy drawn over one maximal idle interval of length `span`,
     /// applying the DPD rule described on [`PowerModel`].
     pub fn idle_interval_energy(&self, span: Time) -> Energy {

@@ -21,60 +21,65 @@ impl Policy for Place {
     }
 }
 
-/// DVS policy at a fixed speed.
-struct Scaled(u32);
-impl Policy for Scaled {
-    fn name(&self) -> &str {
-        "scaled"
-    }
-    fn on_release(&mut self, _: &ReleaseCtx<'_>) -> ReleaseDecision {
-        ReleaseDecision::MandatoryScaled {
-            main_proc: ProcId::PRIMARY,
-            backup_delay: Time::from_ms(50),
-            main_speed_permil: self.0,
-        }
-    }
-}
-
 #[test]
 fn backup_can_complete_first_and_cancels_the_main() {
-    // A DVS-slowed main takes twice its WCET while its full-speed backup
-    // (no delay) races ahead on the spare: cancellation must be
+    // A higher-priority job holds the primary while τ2's zero-delay
+    // backup runs unobstructed on the spare: cancellation must be
     // symmetric — the *backup's* success cancels the still-running main.
-    struct SlowMainEagerBackup;
-    impl Policy for SlowMainEagerBackup {
+    struct BlockedMainEagerBackup;
+    impl Policy for BlockedMainEagerBackup {
         fn name(&self) -> &str {
-            "slow-main-eager-backup"
+            "blocked-main-eager-backup"
         }
-        fn on_release(&mut self, _: &ReleaseCtx<'_>) -> ReleaseDecision {
-            ReleaseDecision::MandatoryScaled {
+        fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
+            // τ1's backup waits out its promotion time (D − C = 8), so
+            // only τ2's backup runs on the spare.
+            let backup_delay = if ctx.task.0 == 0 {
+                Time::from_ms(8)
+            } else {
+                Time::ZERO
+            };
+            ReleaseDecision::Mandatory {
                 main_proc: ProcId::PRIMARY,
-                backup_delay: Time::ZERO,
-                main_speed_permil: 500,
+                backup_delay,
             }
         }
     }
-    let ts = TaskSet::new(vec![Task::from_ms(20, 20, 4, 1, 2).unwrap()]).unwrap();
+    let ts = TaskSet::new(vec![
+        Task::from_ms(10, 10, 2, 1, 2).unwrap(),
+        Task::from_ms(20, 20, 4, 1, 2).unwrap(),
+    ])
+    .unwrap();
     let config = SimConfig::builder().horizon_ms(20).active_only().build();
-    let (report, trace) = simulate_traced(&ts, &mut SlowMainEagerBackup, &config);
+    let (report, trace) = simulate_traced(&ts, &mut BlockedMainEagerBackup, &config);
     assert!(report.mk_assured());
-    // Backup completes at 4 on the spare…
+    // τ2's backup completes at 4 on the spare…
     let backup = trace
         .segments_on(ProcId::SPARE)
         .find(|s| s.kind == CopyKind::Backup)
         .expect("backup ran");
+    assert_eq!(backup.job.task, TaskId(1));
     assert_eq!(backup.ended, SegmentEnd::Completed);
     assert_eq!((backup.start, backup.end), (Time::ZERO, Time::from_ms(4)));
-    // …and the half-speed main (would finish at 8) is canceled at 4.
+    // …and τ2's main, blocked by τ1 until 2 (it would finish at 6), is
+    // canceled at 4.
     let main = trace
         .segments_on(ProcId::PRIMARY)
-        .find(|s| s.kind == CopyKind::Main)
+        .find(|s| s.kind == CopyKind::Main && s.job.task == TaskId(1))
         .expect("main ran");
     assert_eq!(main.ended, SegmentEnd::Canceled);
-    assert_eq!((main.start, main.end), (Time::ZERO, Time::from_ms(4)));
-    // The job resolved met exactly once, at the backup's completion.
-    assert_eq!(report.stats.met, 1);
-    assert_eq!(trace.resolutions[0].at, Time::from_ms(4));
+    assert_eq!((main.start, main.end), (Time::from_ms(2), Time::from_ms(4)));
+    // τ2's job resolved met exactly once, at the backup's completion.
+    let resolved: Vec<_> = trace
+        .resolutions
+        .iter()
+        .filter(|r| r.job.task == TaskId(1))
+        .collect();
+    assert_eq!(resolved.len(), 1);
+    assert_eq!(resolved[0].outcome, JobOutcome::Met);
+    assert_eq!(resolved[0].at, Time::from_ms(4));
+    // Both of τ1's jobs and τ2's one job are met.
+    assert_eq!(report.stats.met, 3);
 }
 
 #[test]
@@ -163,37 +168,29 @@ fn optional_one_tick_late_is_abandoned() {
 }
 
 #[test]
-fn dvs_scaled_copy_runs_longer_at_lower_energy() {
-    let ts = TaskSet::new(vec![Task::from_ms(100, 100, 10, 1, 2).unwrap()]).unwrap();
-    let config = SimConfig::builder().horizon_ms(200).active_only().build();
-    let (full, full_trace) = simulate_traced(&ts, &mut Scaled(1000), &config);
-    let (half, half_trace) = simulate_traced(&ts, &mut Scaled(500), &config);
-    assert!(full.mk_assured() && half.mk_assured());
-    // The policy makes both released jobs mandatory; at half speed each
-    // 10 ms execution stretches to 20 ms.
-    let exec_len = |trace: &Trace| {
-        trace
-            .segments_on(ProcId::PRIMARY)
-            .map(|s| s.len())
-            .sum::<Time>()
-    };
-    assert_eq!(exec_len(&full_trace), Time::from_ms(20));
-    assert_eq!(exec_len(&half_trace), Time::from_ms(40));
-    // …at an eighth of the power → a quarter of the energy (backup is
-    // postponed past the main's completion, so only mains burn energy).
-    let full_e = full.energy[0].active.units();
-    let half_e = half.energy[0].active.units();
-    assert!(
-        (half_e - full_e / 4.0).abs() < 1e-9,
-        "{half_e} vs {full_e}/4"
+fn releases_stop_where_the_clock_tops_out() {
+    // With a horizon at the clock's top, τ1's fourth deadline (4·2^62
+    // ticks) and τ2's fifth release overflow `u64`: each task stops
+    // releasing there instead of panicking.
+    let period = Time::from_ticks(1 << 62);
+    let wcet = Time::from_ms(1);
+    let ts = TaskSet::new(vec![
+        Task::new(period, period, wcet, 1, 2).unwrap(),
+        Task::new(period, Time::from_ticks(1 << 61), wcet, 1, 2).unwrap(),
+    ])
+    .unwrap();
+    let config = SimConfig::builder().horizon(Time::MAX).build();
+    let report = simulate(
+        &ts,
+        &mut Place {
+            main_proc: ProcId::PRIMARY,
+            backup_delay: Time::ZERO,
+        },
+        &config,
     );
-}
-
-#[test]
-#[should_panic(expected = "main speed must be in 1..=1000")]
-fn zero_speed_rejected() {
-    let ts = TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2).unwrap()]).unwrap();
-    simulate(&ts, &mut Scaled(0), &SimConfig::new(Time::from_ms(20)));
+    assert_eq!(report.stats.released, 3 + 4);
+    assert_eq!(report.stats.met, 3 + 4);
+    assert!(report.mk_assured());
 }
 
 #[test]

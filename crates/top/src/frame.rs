@@ -128,7 +128,7 @@ pub struct Frame {
     /// baseline).
     pub elapsed_ms: Option<u64>,
     /// The newer sample could not have evolved from the baseline (the
-    /// daemon restarted or the poller reconnected elsewhere); deltas and
+    /// daemon restarted or the session reconnected elsewhere); deltas and
     /// rates are suppressed for this frame.
     pub restarted: bool,
     /// Per-op throughput entries.

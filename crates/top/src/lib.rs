@@ -9,9 +9,9 @@
 //! The crate splits cleanly into wire, model, and paint:
 //!
 //! * [`poll`] drives a session — a `watch` subscription streamed by the
-//!   daemon, or a `metrics` polling loop as the fallback;
+//!   daemon;
 //! * [`parse`] turns response lines back into [`Sample`]s, tolerating
-//!   older daemons (missing counters read as zero);
+//!   missing counters (they read as zero);
 //! * [`frame`] computes a [`Frame`] **deterministically** from a pair of
 //!   samples — rates divide counter deltas by the difference of the
 //!   daemon's own `uptime_ms`, so no wall clock enters the model and a

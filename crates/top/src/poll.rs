@@ -1,11 +1,9 @@
-//! The dashboard loop: attach to a daemon, pull metrics documents —
-//! streamed by the `watch` op or polled with repeated `metrics`
-//! requests — and render one frame per sample against the previous one.
+//! The dashboard loop: attach to a daemon, pull the metrics documents
+//! its `watch` op streams, and render one frame per sample against the
+//! previous one.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::thread;
-use std::time::Duration;
 
 use mkss_serve::protocol::{MAX_WATCH_INTERVAL_MS, MIN_WATCH_INTERVAL_MS};
 use mkss_serve::Client;
@@ -39,21 +37,17 @@ pub struct TopConfig {
     pub frames: u64,
     /// Render plain text (no ANSI escapes, no screen clearing).
     pub plain: bool,
-    /// Poll the `metrics` op repeatedly instead of subscribing with
-    /// `watch` — the fallback for daemons predating the streaming op.
-    pub poll: bool,
 }
 
 impl TopConfig {
     /// A default session against `target`: two samples a second,
-    /// unbounded, ANSI, streaming.
+    /// unbounded, ANSI.
     pub fn new(target: Target) -> TopConfig {
         TopConfig {
             target,
             interval_ms: 500,
             frames: 0,
             plain: false,
-            poll: false,
         }
     }
 }
@@ -87,31 +81,15 @@ pub fn run_top(config: &TopConfig, out: &mut dyn Write) -> io::Result<TopSummary
     };
     let mut session = RenderState::new(config.plain);
 
-    if config.poll {
-        let mut id = 1u64;
-        loop {
-            let line = client.request(&format!("{{\"id\":{id},\"op\":\"metrics\"}}"))?;
-            id += 1;
-            match interpret(&line)? {
-                Some(sample) => session.show(*sample, out)?,
-                None => break,
-            }
-            if config.frames != 0 && session.frames >= config.frames {
-                break;
-            }
-            thread::sleep(Duration::from_millis(interval_ms));
-        }
-    } else {
-        client.send(&format!(
-            "{{\"id\":1,\"op\":\"watch\",\"interval_ms\":{interval_ms},\"frames\":{}}}",
-            config.frames
-        ))?;
-        loop {
-            let line = client.recv()?;
-            match interpret(&line)? {
-                Some(sample) => session.show(*sample, out)?,
-                None => break,
-            }
+    client.send(&format!(
+        "{{\"id\":1,\"op\":\"watch\",\"interval_ms\":{interval_ms},\"frames\":{}}}",
+        config.frames
+    ))?;
+    loop {
+        let line = client.recv()?;
+        match interpret(&line)? {
+            Some(sample) => session.show(*sample, out)?,
+            None => break,
         }
     }
     Ok(session.into_summary())
@@ -209,25 +187,6 @@ mod tests {
         // Frames after the first carry deltas against their baseline.
         assert!(text.contains("span "), "{text}");
         assert!(!text.contains('\x1b'), "plain session leaked ANSI escapes");
-        server.shutdown();
-    }
-
-    #[test]
-    fn poll_mode_works_against_the_metrics_op() {
-        let sock = sock_path("poll");
-        let server = Server::bind_unix(&sock, ServerConfig::default()).expect("bind");
-        let config = TopConfig {
-            interval_ms: 10,
-            frames: 2,
-            plain: true,
-            poll: true,
-            ..TopConfig::new(Target::Unix(sock))
-        };
-        let mut out = Vec::new();
-        let summary = run_top(&config, &mut out).expect("session");
-        assert_eq!(summary.frames, 2);
-        let text = String::from_utf8(out).expect("utf8");
-        assert_eq!(text.matches("mkss-top · mkss-serve @ daemon").count(), 2);
         server.shutdown();
     }
 

@@ -96,6 +96,19 @@ assert doc["counters"]["jobs_released"] > 0, "compare smoke released no jobs"
 print("metrics document ok:", ", ".join(sorted(doc)))
 PY
 
+echo "== examples run (each example exits 0) =="
+# Run from the temp dir: `waveform` writes its .vcd into the working
+# directory.
+root="$PWD"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    (cd "$tmpdir" && cargo run -q --manifest-path "$root/Cargo.toml" --example "$name" > /dev/null) || {
+        echo "ERROR: example $name failed" >&2
+        exit 1
+    }
+done
+echo "examples ok ($(ls examples/*.rs | wc -l) run)"
+
 echo "== experiment binaries smoke (tiny plans, metrics documents, rejected flags) =="
 # fig6, ablations, sensitivity and schedulability each run a tiny plan
 # and write a metrics document with the four top-level keys. An unknown

@@ -67,8 +67,8 @@ pub mod prelude {
     };
     pub use mkss_policies::{
         BackupDelay, BuildOptions, BuildPolicyError, DynamicConfig, DynamicPolicy, MainPlacement,
-        MkssDp, MkssDpDvs, MkssSelective, MkssSt, MkssStRotated, OptionalPlacement,
-        ParsePolicyKindError, PolicyKind, SelectionRule,
+        MkssDp, MkssSelective, MkssSt, MkssStRotated, OptionalPlacement, ParsePolicyKindError,
+        PolicyKind, SelectionRule,
     };
     pub use mkss_sim::metrics::{analyze_trace, TraceMetrics};
     pub use mkss_sim::prelude::*;
