@@ -31,7 +31,6 @@
 
 pub mod cli;
 pub mod experiment;
-pub mod perf;
 pub mod report_html;
 pub mod sched;
 pub mod table;

@@ -1,7 +1,7 @@
 //! Golden pin of the experiment binaries' command-line surface.
 //!
-//! For `fig6`, `ablations`, `sensitivity`, `schedulability`, `sim_bench`
-//! and `loadgen` this pins the `--help` text, the exit status and stderr
+//! For `fig6`, `ablations`, `sensitivity`, `schedulability` and
+//! `loadgen` this pins the `--help` text, the exit status and stderr
 //! of a missing value, an unparsable value and an unknown flag, and the
 //! stdout of one minimal run where the binary needs no daemon (run
 //! stderr carries wall times, so only its stdout is pinned). Every case
@@ -94,14 +94,6 @@ const CASES: &[Case] = &[
     ("schedulability", &["--jobs", "x"], Pin::All),
     ("schedulability", &["--bogus"], Pin::All),
     ("schedulability", &["--samples", "2"], Pin::Stdout),
-    // sim_bench
-    ("sim_bench", &["--help"], Pin::All),
-    ("sim_bench", &["--reps"], Pin::All),
-    ("sim_bench", &["--sets", "x"], Pin::All),
-    ("sim_bench", &["--reps", "x"], Pin::All),
-    ("sim_bench", &["--horizon-ms", "x"], Pin::All),
-    ("sim_bench", &["--seed", "x"], Pin::All),
-    ("sim_bench", &["--bogus"], Pin::All),
     // loadgen
     ("loadgen", &["--help"], Pin::All),
     ("loadgen", &["--clients"], Pin::All),
@@ -126,11 +118,6 @@ const CASES: &[Case] = &[
         &["--horizon-ms", "18446744073709552"],
         Pin::All,
     ),
-    (
-        "sim_bench",
-        &["--horizon-ms", "18446744073709552"],
-        Pin::All,
-    ),
     ("fig6", &["--from", "0.6", "--to", "0.5"], Pin::All),
     ("fig6", &["--from", "nan"], Pin::All),
     ("fig6", &["--to", "inf"], Pin::All),
@@ -151,7 +138,6 @@ fn exe(bin: &str) -> &'static str {
         "ablations" => env!("CARGO_BIN_EXE_ablations"),
         "sensitivity" => env!("CARGO_BIN_EXE_sensitivity"),
         "schedulability" => env!("CARGO_BIN_EXE_schedulability"),
-        "sim_bench" => env!("CARGO_BIN_EXE_sim_bench"),
         "loadgen" => env!("CARGO_BIN_EXE_loadgen"),
         other => panic!("no binary {other}"),
     }

@@ -86,6 +86,16 @@ fn fig6_plan_generation_is_pinned_for_a_second_seed() {
     check(7, [4, 4, 4, 4, 6, 21, 1221, 5000], 0xe84f_eb96_48af_8bb8);
 }
 
+/// Seed `0xbe9c`: 6042 attempts in all, the top bucket at its cap.
+#[test]
+fn fig6_plan_generation_is_pinned_for_the_throughput_seed() {
+    check(
+        0xbe9c,
+        [4, 4, 4, 5, 24, 124, 877, 5000],
+        0xa6a4_4dc2_89c3_31ab,
+    );
+}
+
 /// Canonical word stream of one draw: a `None` marker, or the set.
 fn draw_words(draw: Option<&TaskSet>) -> Vec<u64> {
     let mut out = Vec::new();
