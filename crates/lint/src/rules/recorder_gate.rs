@@ -1,15 +1,16 @@
 //! Rule `recorder-gated-emit`: observability must stay one branch per
 //! emit site when no recorder is attached.
 //!
-//! PR 3 threads an optional `Recorder` through the engine with the
-//! contract that the recorder-off path costs exactly one predictable
-//! branch per emit site — that is what keeps the zero-alloc test and
-//! the `sim_hot_path` bench numbers unchanged. The shape that
-//! guarantees it is
+//! The engine carries an optional `Recorder` with the contract that the
+//! recorder-off path costs exactly one predictable branch per emit site
+//! — that is what keeps the zero-alloc test and the `sim_hot_path` bench
+//! numbers unchanged. With a recorder attached, an emit site counts into
+//! the run's plain tally, which the recorder absorbs once per run. The
+//! shape that guarantees both is
 //!
 //! ```text
-//! if let Some(recorder) = &self.ws.recorder.0 {
-//!     recorder.incr(counter, 1);
+//! if let Some(_recorder) = &self.ws.recorder.0 {
+//!     self.ws.tally.incr(counter, 1);
 //! }
 //! ```
 //!

@@ -209,7 +209,6 @@ fn push_json_f64(out: &mut String, value: f64) {
 mod tests {
     use super::*;
     use crate::event::CounterId;
-    use crate::recorder::Recorder;
     use crate::registry::Registry;
     use std::sync::Arc;
 

@@ -1,11 +1,14 @@
 //! Zero-dependency observability for the (m,k) standby-sparing simulator.
 //!
-//! This crate is the sink side of the engine event hooks: the simulator and
-//! the bench harness emit *events* (a counter increment, a histogram sample)
-//! through the [`Recorder`] trait, and this crate aggregates them in a
-//! sharded, contention-free [`Registry`], exports them as a human table or a
-//! hand-rolled JSON document ([`MetricsDoc`]), and serializes live progress
-//! lines through a single-writer [`Reporter`].
+//! This crate is the sink side of the engine event hooks: a simulation
+//! run counts its events (counter increments, histogram samples) into a
+//! plain per-run tally, a [`MetricsSnapshot`], and hands it to the
+//! [`Recorder`] trait once when the run finishes; recorders that want the
+//! structured event stream (the flight recorder, `MKSS_LOG=events`) also
+//! receive every [`EngineEvent`]. This crate aggregates tallies in a
+//! sharded, contention-free [`Registry`], exports them as a human table
+//! or a hand-rolled JSON document ([`MetricsDoc`]), and serializes live
+//! progress lines through a single-writer [`Reporter`].
 //!
 //! Design constraints, in order:
 //!
@@ -13,12 +16,14 @@
 //!    `Option<Arc<dyn Recorder>>`; `None` costs one branch per emit site and
 //!    allocates nothing (the zero-alloc counting-allocator test in
 //!    `mkss-sim` runs with the recorder absent and must keep passing
-//!    unchanged). [`NoopRecorder`] exists for callers that want a recorder
-//!    *object* with no effect; its methods are empty `#[inline]` bodies.
+//!    unchanged). With a counting-only recorder attached, an emit site is
+//!    a plain array add and the run ends with one [`Recorder::absorb`].
+//!    [`NoopRecorder`] exists for callers that want a recorder *object*
+//!    with no effect.
 //! 2. **Deterministic aggregation.** Counters are commutative sums over
 //!    relaxed atomics; [`Registry::snapshot`] folds shards in catalog order,
 //!    so totals are identical for any `--jobs` value and any interleaving.
-//! 3. **Zero external dependencies.** The container has no network; like
+//! 3. **Zero external dependencies.** The workspace builds offline; like
 //!    `mkss_core::par`, everything here is std-only — including the JSON
 //!    writer.
 //!

@@ -4,52 +4,53 @@
 use std::sync::Arc;
 
 use crate::event::{CounterId, HistogramId};
-use crate::registry::RecorderHandle;
+use crate::registry::{MetricsSnapshot, RecorderHandle};
 use crate::reporter::Reporter;
 use crate::trace::EngineEvent;
 
 /// Sink for engine and harness events.
 ///
-/// Implementations must be cheap and non-blocking: emit sites sit inside
-/// the simulator inner loop. They must also be oblivious — a recorder
-/// observes the simulation but never feeds back into it, which is what
-/// makes recorder-on and recorder-off runs byte-identical.
+/// A simulation run counts into a plain per-run tally and hands it over
+/// once, in [`Recorder::absorb`], when the run finishes; structured
+/// events reach [`Recorder::event`] one by one, but only on recorders
+/// whose [`Recorder::wants_events`] is true. So a counting-only recorder
+/// costs the engine nothing per event beyond a few plain array adds.
+///
+/// Implementations must be cheap and non-blocking. They must also be
+/// oblivious — a recorder observes the simulation but never feeds back
+/// into it, which is what makes recorder-on and recorder-off runs
+/// byte-identical.
 pub trait Recorder: Send + Sync {
-    /// Add `by` to a counter.
-    fn incr(&self, counter: CounterId, by: u64);
+    /// Fold one finished run's counter and histogram tally in.
+    fn absorb(&self, tally: &MetricsSnapshot);
 
-    /// Record one sample into a histogram.
-    fn observe(&self, histogram: HistogramId, value: u64);
+    /// True when this recorder wants the structured event stream. The
+    /// engine reads it once per run; when it is false, [`Recorder::event`]
+    /// is never called.
+    #[inline]
+    fn wants_events(&self) -> bool {
+        false
+    }
 
     /// Receive one structured engine event — the flight-recorder feed.
     ///
-    /// Defaults to a no-op so aggregating recorders (registry handles)
-    /// stay unchanged; only trace-aware sinks like
+    /// Defaults to a no-op; only event-wanting sinks like
     /// [`TraceRecorder`](crate::TraceRecorder) override it.
     #[inline]
     fn event(&self, _event: &EngineEvent) {}
-
-    /// Add 1 to a counter (the overwhelmingly common case).
-    #[inline]
-    fn count(&self, counter: CounterId) {
-        self.incr(counter, 1);
-    }
 }
 
 /// A recorder that discards everything.
 ///
-/// Both methods are empty `#[inline]` bodies, so with this recorder
-/// attached an emit site reduces to a virtual call returning immediately;
-/// with no recorder attached at all (`None`), it reduces to one branch.
+/// With this recorder attached a run pays its tally adds and one empty
+/// virtual call at the end; with no recorder attached at all (`None`),
+/// each emit site reduces to one branch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     #[inline]
-    fn incr(&self, _counter: CounterId, _by: u64) {}
-
-    #[inline]
-    fn observe(&self, _histogram: HistogramId, _value: u64) {}
+    fn absorb(&self, _tally: &MetricsSnapshot) {}
 }
 
 /// Identifier of one request served by a long-running process, used to
@@ -67,24 +68,29 @@ impl std::fmt::Display for RequestId {
     }
 }
 
-/// A recorder that scopes events to one request: every event is written
-/// to a request-local sink (typically a single-shard [`Registry`] whose
-/// snapshot becomes the response's per-request metrics) **and** forwarded
-/// to an optional process-global sink.
+/// A recorder that scopes a run to one request: every tally is folded
+/// into a request-local sink (typically a single-shard [`Registry`]
+/// handle whose snapshot becomes the response's per-request metrics)
+/// **and** into an optional process-global sink.
 ///
-/// Because the same event lands in both sinks, per-request snapshots sum
+/// Because the same tally lands in both sinks, per-request snapshots sum
 /// exactly to the global totals — the separability invariant the
 /// `mkss-serve` loadgen differential asserts. Like every recorder, it is
 /// oblivious: responses are byte-identical whether the global tee is
 /// attached or not.
+///
+/// [`Registry`]: crate::Registry
 pub struct ScopedRecorder {
     request: RequestId,
     local: Arc<dyn Recorder>,
     global: Option<Arc<dyn Recorder>>,
+    /// Whether either sink wants structured events, read once at
+    /// construction.
+    events: bool,
 }
 
 impl ScopedRecorder {
-    /// Scope `local` to `request`, teeing every event into `global` too.
+    /// Scope `local` to `request`, teeing every tally into `global` too.
     pub fn new(
         request: RequestId,
         local: Arc<dyn Recorder>,
@@ -92,6 +98,8 @@ impl ScopedRecorder {
     ) -> ScopedRecorder {
         ScopedRecorder {
             request,
+            events: local.wants_events()
+                || global.as_ref().is_some_and(|global| global.wants_events()),
             local,
             global,
         }
@@ -113,23 +121,18 @@ impl std::fmt::Debug for ScopedRecorder {
 }
 
 impl Recorder for ScopedRecorder {
-    #[inline]
-    fn incr(&self, counter: CounterId, by: u64) {
-        self.local.incr(counter, by);
+    fn absorb(&self, tally: &MetricsSnapshot) {
+        self.local.absorb(tally);
         if let Some(global) = &self.global {
-            global.incr(counter, by);
+            global.absorb(tally);
         }
     }
 
     #[inline]
-    fn observe(&self, histogram: HistogramId, value: u64) {
-        self.local.observe(histogram, value);
-        if let Some(global) = &self.global {
-            global.observe(histogram, value);
-        }
+    fn wants_events(&self) -> bool {
+        self.events
     }
 
-    #[inline]
     fn event(&self, event: &EngineEvent) {
         self.local.event(event);
         if let Some(global) = &self.global {
@@ -139,9 +142,10 @@ impl Recorder for ScopedRecorder {
 }
 
 /// A recorder that aggregates into a registry shard *and* narrates each
-/// counter event as a line on a [`Reporter`] — the `MKSS_LOG=events`
-/// backend. Strictly a debugging aid: it is far too chatty for the bench
-/// harness and is only wired into the CLI and examples.
+/// run's counts and every structured event as lines on a [`Reporter`] —
+/// the `MKSS_LOG=events` backend. Strictly a debugging aid: it is far
+/// too chatty for the bench harness and is only wired into the CLI and
+/// examples.
 #[derive(Debug)]
 pub struct EchoRecorder {
     handle: RecorderHandle,
@@ -149,23 +153,36 @@ pub struct EchoRecorder {
 }
 
 impl EchoRecorder {
-    /// Wrap a registry handle so every event is also echoed to `reporter`.
+    /// Wrap a registry handle so every run is also narrated to `reporter`.
     pub fn new(handle: RecorderHandle, reporter: Arc<Reporter>) -> Self {
         EchoRecorder { handle, reporter }
     }
 }
 
 impl Recorder for EchoRecorder {
-    fn incr(&self, counter: CounterId, by: u64) {
-        self.handle.incr(counter, by);
-        self.reporter
-            .line(&format!("event {} +{by}", counter.name()));
+    /// Narrates the run's non-zero totals, one `event <name> +N` line per
+    /// counter and per histogram (N samples), in catalog order.
+    fn absorb(&self, tally: &MetricsSnapshot) {
+        self.handle.absorb(tally);
+        for counter in CounterId::ALL {
+            let by = tally.counter(counter);
+            if by != 0 {
+                self.reporter
+                    .line(&format!("event {} +{by}", counter.name()));
+            }
+        }
+        for histogram in HistogramId::ALL {
+            let samples: u64 = tally.histogram(histogram).iter().sum();
+            if samples != 0 {
+                self.reporter
+                    .line(&format!("event {} +{samples}", histogram.name()));
+            }
+        }
     }
 
-    fn observe(&self, histogram: HistogramId, value: u64) {
-        self.handle.observe(histogram, value);
-        self.reporter
-            .line(&format!("event {} observe {value}", histogram.name()));
+    #[inline]
+    fn wants_events(&self) -> bool {
+        true
     }
 
     fn event(&self, event: &EngineEvent) {
@@ -186,12 +203,18 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
 
+    fn tally() -> MetricsSnapshot {
+        let mut tally = MetricsSnapshot::empty();
+        tally.incr(CounterId::JobsMet, 4);
+        tally.observe(HistogramId::MkDistance, 2);
+        tally
+    }
+
     #[test]
     fn noop_recorder_is_callable_through_dyn() {
         let r: Arc<dyn Recorder> = Arc::new(NoopRecorder);
-        r.count(CounterId::JobsReleased);
-        r.incr(CounterId::JobsMet, 7);
-        r.observe(HistogramId::MkDistance, 3);
+        r.absorb(&tally());
+        assert!(!r.wants_events());
     }
 
     #[test]
@@ -203,10 +226,10 @@ mod tests {
             Arc::new(local.handle_at(0)),
             Some(Arc::new(global.handle_at(0))),
         );
-        scoped.incr(CounterId::JobsMet, 4);
-        scoped.observe(HistogramId::MkDistance, 2);
+        scoped.absorb(&tally());
         assert_eq!(scoped.request(), RequestId(7));
         assert_eq!(scoped.request().to_string(), "req-7");
+        assert!(!scoped.wants_events(), "registry sinks want no events");
         for registry in [&local, &global] {
             let snap = registry.snapshot();
             assert_eq!(snap.counter(CounterId::JobsMet), 4);
@@ -218,8 +241,8 @@ mod tests {
     fn scoped_recorder_without_global_only_writes_locally() {
         let local = Arc::new(Registry::new(1));
         let scoped = ScopedRecorder::new(RequestId(0), Arc::new(local.handle_at(0)), None);
-        scoped.count(CounterId::ServeRequests);
-        assert_eq!(local.snapshot().counter(CounterId::ServeRequests), 1);
+        scoped.absorb(&tally());
+        assert_eq!(local.snapshot(), tally());
     }
 
     #[test]
@@ -228,8 +251,11 @@ mod tests {
         let sink: Vec<u8> = Vec::new();
         let reporter = Arc::new(Reporter::with_sink(Box::new(sink)));
         let echo = EchoRecorder::new(registry.handle_at(0), Arc::clone(&reporter));
-        echo.count(CounterId::BackupsCanceled);
-        echo.observe(HistogramId::BackupDelayMs, 4);
+        let mut tally = MetricsSnapshot::empty();
+        tally.incr(CounterId::BackupsCanceled, 1);
+        tally.observe(HistogramId::BackupDelayMs, 4);
+        echo.absorb(&tally);
+        assert!(echo.wants_events());
         let snap = registry.snapshot();
         assert_eq!(snap.counter(CounterId::BackupsCanceled), 1);
         assert_eq!(

@@ -72,24 +72,20 @@ impl Registry {
 
     /// Sum every shard into a deterministic, plain-data snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters = vec![0u64; CounterId::COUNT];
-        let mut histograms = vec![[0u64; HistogramId::BUCKETS]; HistogramId::COUNT];
+        let mut snapshot = MetricsSnapshot::empty();
         for shard in self.shards.iter() {
-            for (total, cell) in counters.iter_mut().zip(shard.counters.iter()) {
+            for (total, cell) in snapshot.counters.iter_mut().zip(shard.counters.iter()) {
                 // mkss-lint: ordering — monotonic telemetry counters; a snapshot is advisory and tolerates in-flight increments
                 *total += cell.load(Ordering::Relaxed);
             }
-            for (totals, cells) in histograms.iter_mut().zip(shard.histograms.iter()) {
+            for (totals, cells) in snapshot.histograms.iter_mut().zip(shard.histograms.iter()) {
                 for (total, cell) in totals.iter_mut().zip(cells.iter()) {
                     // mkss-lint: ordering — same advisory-snapshot argument as the counter loop above
                     *total += cell.load(Ordering::Relaxed);
                 }
             }
         }
-        MetricsSnapshot {
-            counters,
-            histograms,
-        }
+        snapshot
     }
 }
 
@@ -102,33 +98,76 @@ impl fmt::Debug for Registry {
 }
 
 /// A [`Recorder`] writing into one shard of a shared [`Registry`].
+///
+/// Besides absorbing whole-run tallies, a handle counts single events
+/// directly ([`RecorderHandle::incr`], [`RecorderHandle::observe`]):
+/// that is how the daemon counts the requests it serves.
 #[derive(Debug, Clone)]
 pub struct RecorderHandle {
     registry: Arc<Registry>,
     shard: usize,
 }
 
-impl Recorder for RecorderHandle {
-    #[inline]
-    fn incr(&self, counter: CounterId, by: u64) {
-        // mkss-lint: ordering — commutative counter bump on the hot path; nothing reads it for synchronization
-        self.registry.shards[self.shard].counters[counter.index()].fetch_add(by, Ordering::Relaxed);
+impl RecorderHandle {
+    fn shard(&self) -> &Shard {
+        &self.registry.shards[self.shard]
     }
 
+    /// Add `by` to a counter.
     #[inline]
-    fn observe(&self, histogram: HistogramId, value: u64) {
+    pub fn incr(&self, counter: CounterId, by: u64) {
+        // mkss-lint: ordering — commutative counter bump; nothing reads it for synchronization
+        self.shard().counters[counter.index()].fetch_add(by, Ordering::Relaxed);
+    }
+
+    /// Add 1 to a counter.
+    #[inline]
+    pub fn count(&self, counter: CounterId) {
+        self.incr(counter, 1);
+    }
+
+    /// Record one sample into a histogram.
+    #[inline]
+    pub fn observe(&self, histogram: HistogramId, value: u64) {
         let bucket = histogram.bucket_of(value);
         // mkss-lint: ordering — commutative bucket bump, same contract as incr
-        self.registry.shards[self.shard].histograms[histogram.index()][bucket]
-            .fetch_add(1, Ordering::Relaxed);
+        self.shard().histograms[histogram.index()][bucket].fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Plain-data copy of a registry at one instant, in catalog order.
+impl Recorder for RecorderHandle {
+    fn absorb(&self, tally: &MetricsSnapshot) {
+        let shard = self.shard();
+        for (cell, &by) in shard.counters.iter().zip(tally.counters.iter()) {
+            if by != 0 {
+                // mkss-lint: ordering — commutative per-run fold, one add per non-zero cell; nothing reads it for synchronization
+                cell.fetch_add(by, Ordering::Relaxed);
+            }
+        }
+        for (cells, buckets) in shard.histograms.iter().zip(tally.histograms.iter()) {
+            for (cell, &by) in cells.iter().zip(buckets.iter()) {
+                if by != 0 {
+                    // mkss-lint: ordering — same commutative per-run fold as the counter loop above
+                    cell.fetch_add(by, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+}
+
+/// Plain counts in catalog order: a copy of a registry at one instant,
+/// or the tally one simulation run accumulates before handing it to its
+/// recorder in one [`Recorder::absorb`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    counters: Vec<u64>,
-    histograms: Vec<[u64; HistogramId::BUCKETS]>,
+    counters: [u64; CounterId::COUNT],
+    histograms: [[u64; HistogramId::BUCKETS]; HistogramId::COUNT],
+}
+
+impl Default for MetricsSnapshot {
+    fn default() -> MetricsSnapshot {
+        MetricsSnapshot::empty()
+    }
 }
 
 impl MetricsSnapshot {
@@ -136,9 +175,22 @@ impl MetricsSnapshot {
     /// engine events, e.g. the analysis-only schedulability ladder).
     pub fn empty() -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: vec![0; CounterId::COUNT],
-            histograms: vec![[0; HistogramId::BUCKETS]; HistogramId::COUNT],
+            counters: [0; CounterId::COUNT],
+            histograms: [[0; HistogramId::BUCKETS]; HistogramId::COUNT],
         }
+    }
+
+    /// Add `by` to a counter.
+    #[inline]
+    pub fn incr(&mut self, counter: CounterId, by: u64) {
+        self.counters[counter.index()] += by;
+    }
+
+    /// Count one sample into a histogram, bucketed exactly as
+    /// [`RecorderHandle::observe`] buckets it.
+    #[inline]
+    pub fn observe(&mut self, histogram: HistogramId, value: u64) {
+        self.histograms[histogram.index()][histogram.bucket_of(value)] += 1;
     }
 
     /// Value of one counter.
@@ -189,7 +241,8 @@ impl MetricsSnapshot {
 
     /// Set one counter cell directly. This is for *reconstructing* a
     /// snapshot from an external source (a parsed `MetricsDoc`, a wire
-    /// frame) — live measurement always goes through a [`Recorder`].
+    /// frame) — live measurement counts with [`MetricsSnapshot::incr`]
+    /// and [`MetricsSnapshot::observe`] or a [`RecorderHandle`].
     pub fn set_counter(&mut self, counter: CounterId, value: u64) {
         self.counters[counter.index()] = value;
     }

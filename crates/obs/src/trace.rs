@@ -3,11 +3,12 @@
 //! human (or Perfetto) can read.
 //!
 //! The counter catalog answers "how many"; this module answers "in what
-//! order, and why". The engine feeds [`Recorder::event`] one packed
-//! [`EngineEvent`] per semantic step — release, classification, backup
-//! postponement, cancellation, fault, resolution, executed segment — and a
-//! [`TraceRecorder`] copies them into a bounded [`TraceBuffer`], the one
-//! capture type. Everything downstream — the Chrome Trace Event export
+//! order, and why". The engine feeds [`Recorder::event`] of a recorder
+//! that wants events one packed [`EngineEvent`] per semantic step —
+//! release, classification, backup postponement, cancellation, fault,
+//! resolution, executed segment — and a [`TraceRecorder`] copies them
+//! into a bounded [`TraceBuffer`], the one capture type. Everything
+//! downstream — the Chrome Trace Event export
 //! ([`chrome_trace`]), the plain-text timeline ([`timeline_text`]), the
 //! (m,k) violation forensics ([`violation_reports`]), and the simulator's
 //! schedule trace, which decodes a buffer — is a pure function of the
@@ -15,8 +16,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::event::{CounterId, HistogramId};
 use crate::recorder::Recorder;
+use crate::registry::MetricsSnapshot;
 
 /// A poisoned buffer mutex just means another recorder panicked mid-push;
 /// keep capturing rather than cascading the panic (same recovery as the
@@ -287,8 +288,9 @@ impl TraceBuffer {
 }
 
 /// A [`Recorder`] decorator that captures the structured event stream
-/// into a [`TraceBuffer`] while forwarding everything (counters,
-/// histograms, and the events themselves) to an optional inner recorder.
+/// into a [`TraceBuffer`] while forwarding each run's tally to an
+/// optional inner recorder, and the events too when that recorder wants
+/// them.
 ///
 /// Like every recorder it is oblivious: attaching one leaves the
 /// simulation byte-identical. A ring at or below
@@ -296,14 +298,17 @@ impl TraceBuffer {
 /// it never allocates per event.
 pub struct TraceRecorder {
     inner: Option<Arc<dyn Recorder>>,
+    /// `inner.wants_events()`, read once at construction.
+    inner_events: bool,
     buffer: Mutex<TraceBuffer>,
 }
 
 impl TraceRecorder {
-    /// Capture the event stream into `buffer`, forwarding everything to
-    /// `inner` when one is given.
+    /// Capture the event stream into `buffer`, forwarding tallies (and
+    /// events, if it wants them) to `inner` when one is given.
     pub fn new(buffer: TraceBuffer, inner: Option<Arc<dyn Recorder>>) -> TraceRecorder {
         TraceRecorder {
+            inner_events: inner.as_ref().is_some_and(|inner| inner.wants_events()),
             inner,
             buffer: Mutex::new(buffer),
         }
@@ -330,23 +335,22 @@ impl std::fmt::Debug for TraceRecorder {
 }
 
 impl Recorder for TraceRecorder {
-    #[inline]
-    fn incr(&self, counter: CounterId, by: u64) {
+    fn absorb(&self, tally: &MetricsSnapshot) {
         if let Some(inner) = &self.inner {
-            inner.incr(counter, by);
+            inner.absorb(tally);
         }
     }
 
     #[inline]
-    fn observe(&self, histogram: HistogramId, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.observe(histogram, value);
-        }
+    fn wants_events(&self) -> bool {
+        true
     }
 
     fn event(&self, event: &EngineEvent) {
-        if let Some(inner) = &self.inner {
-            inner.event(event);
+        if self.inner_events {
+            if let Some(inner) = &self.inner {
+                inner.event(event);
+            }
         }
         lock(&self.buffer).push(*event);
     }
@@ -687,6 +691,7 @@ pub fn violation_reports_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{CounterId, HistogramId};
 
     fn ev(at_us: u64, kind: TraceKind, task: u32, job: u32, payload: u64) -> EngineEvent {
         EngineEvent {
@@ -776,8 +781,10 @@ mod tests {
             TraceBuffer::with_capacity(8),
             Some(Arc::new(registry.handle_at(0))),
         );
-        recorder.incr(CounterId::JobsMet, 2);
-        recorder.observe(HistogramId::MkDistance, 1);
+        let mut tally = MetricsSnapshot::empty();
+        tally.incr(CounterId::JobsMet, 2);
+        tally.observe(HistogramId::MkDistance, 1);
+        recorder.absorb(&tally);
         recorder.event(&ev(10, TraceKind::JobMet, 1, 0, 3));
         let snap = registry.snapshot();
         assert_eq!(snap.counter(CounterId::JobsMet), 2);

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use mkss_obs::{CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Recorder, Registry};
+use mkss_obs::{CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Registry};
 
 fn sample_doc() -> MetricsDoc {
     let registry = Arc::new(Registry::new(2));

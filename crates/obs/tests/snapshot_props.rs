@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use mkss_obs::{CounterId, HistogramId, MetricsSnapshot, Recorder, Registry};
+use mkss_obs::{CounterId, HistogramId, MetricsSnapshot, Registry};
 use proptest::prelude::*;
 
 /// One randomized increment stream: catalog slots (`which`) paired with

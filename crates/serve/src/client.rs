@@ -75,8 +75,12 @@ impl Client {
                 "request must be a single line",
             ));
         }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per line, so the daemon never reads a line that
+        // still lacks its newline.
+        let mut message = String::with_capacity(line.len() + 1);
+        message.push_str(line);
+        message.push('\n');
+        self.writer.write_all(message.as_bytes())?;
         self.writer.flush()?;
         Ok(())
     }

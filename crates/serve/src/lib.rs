@@ -18,10 +18,10 @@
 //! * requests are scheduled on a bounded [`mkss_core::par::WorkerPool`]
 //!   — when the queue fills the daemon sheds load with an `overloaded`
 //!   error instead of buffering unboundedly;
-//! * every request's engine events are recorded through an
-//!   [`mkss_obs::ScopedRecorder`] tee into a per-request registry *and*
-//!   the daemon's global one, so per-request metrics sum exactly to the
-//!   daemon totals.
+//! * every request's engine runs are recorded through an
+//!   [`mkss_obs::ScopedRecorder`], which folds each finished run's tally
+//!   into a per-request registry *and* the daemon's global one, so
+//!   per-request metrics sum exactly to the daemon totals.
 //!
 //! The contract that keeps the daemon honest: [`exec::execute`] is the
 //! entire behavior of the simulation ops, and for a given request line

@@ -38,7 +38,8 @@ use std::time::Duration;
 
 use mkss_core::par::WorkerPool;
 use mkss_obs::{
-    metrics_doc, CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Recorder, Registry, Stopwatch,
+    metrics_doc, CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Recorder, RecorderHandle,
+    Registry, Stopwatch,
 };
 use mkss_sim::prelude::WorkspacePool;
 
@@ -381,13 +382,13 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                         shared.config.max_line_bytes
                     ),
                 );
-                let _ = write_response(&mut writer, &resp);
+                let _ = write_response(&mut writer, resp);
                 return;
             }
             Ok(LineRead::NotUtf8) => {
                 counters.count(CounterId::ServeProtocolErrors);
                 let resp = error_line(None, "request line is not valid UTF-8; closing connection");
-                let _ = write_response(&mut writer, &resp);
+                let _ = write_response(&mut writer, resp);
                 return;
             }
         };
@@ -399,7 +400,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
             Err(e) => {
                 counters.count(CounterId::ServeProtocolErrors);
                 let resp = error_line(e.id, &e.message);
-                if write_response(&mut writer, &resp).is_err() {
+                if write_response(&mut writer, resp).is_err() {
                     return;
                 }
                 continue;
@@ -419,7 +420,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
 fn respond(
     request: Request,
     shared: &Arc<Shared>,
-    counters: &impl Recorder,
+    counters: &RecorderHandle,
     tee: &Arc<dyn Recorder>,
     writer: &mut Conn,
 ) -> io::Result<bool> {
@@ -428,24 +429,24 @@ fn respond(
         Op::Ping => {
             // Answered inline so liveness probes bypass a saturated
             // queue; bytes match `exec::execute` exactly.
-            write_response(writer, &ok_line(id, "{\"pong\":true}", None))?;
+            write_response(writer, ok_line(id, "{\"pong\":true}", None))?;
             Ok(false)
         }
         Op::Metrics => {
             let doc = daemon_doc(shared, &[]);
-            write_response(writer, &ok_line(id, &doc.to_json_line(), None))?;
+            write_response(writer, ok_line(id, &doc.to_json_line(), None))?;
             Ok(false)
         }
         Op::Watch(job) => {
             counters.count(CounterId::ServeWatches);
             let sent = stream_watch(id, job, shared, writer)?;
             let done = format!("{{\"watch_done\":true,\"frames\":{sent}}}");
-            write_response(writer, &ok_line(id, &done, None))?;
+            write_response(writer, ok_line(id, &done, None))?;
             Ok(false)
         }
         Op::Shutdown => {
             shared.signal.request();
-            write_response(writer, &ok_line(id, "{\"shutting_down\":true}", None))?;
+            write_response(writer, ok_line(id, "{\"shutting_down\":true}", None))?;
             Ok(true)
         }
         op @ (Op::Simulate(_) | Op::Compare(_) | Op::Sweep(_)) => {
@@ -491,7 +492,7 @@ fn respond(
                     error_line(Some(id), &format!("overloaded: {e}"))
                 }
             };
-            write_response(writer, &resp)?;
+            write_response(writer, resp)?;
             Ok(false)
         }
     }
@@ -531,7 +532,7 @@ fn stream_watch(id: u64, job: WatchJob, shared: &Shared, writer: &mut Conn) -> i
                 ("interval_ms", job.interval_ms.to_string()),
             ],
         );
-        write_response(writer, &ok_line(id, &doc.to_json_line(), None))?;
+        write_response(writer, ok_line(id, &doc.to_json_line(), None))?;
         sent += 1;
         if job.frames != 0 && sent >= job.frames {
             return Ok(sent);
@@ -545,9 +546,11 @@ fn stream_watch(id: u64, job: WatchJob, shared: &Shared, writer: &mut Conn) -> i
     }
 }
 
-fn write_response(writer: &mut Conn, line: &str) -> io::Result<()> {
+/// Send one response line in a single write, so a reader never wakes on
+/// a line that still lacks its newline.
+fn write_response(writer: &mut Conn, mut line: String) -> io::Result<()> {
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 

@@ -218,6 +218,88 @@ fn compare_and_sweep_are_differential_too() {
     server.shutdown();
 }
 
+/// The daemon's global registry absorbs every engine run exactly once:
+/// over mixed simulate/compare/sweep traffic, its engine counters equal
+/// the sums of the per-request metrics documents. A sweep shard absorbed
+/// twice, or a run never absorbed, breaks the equality.
+#[test]
+fn global_engine_counters_equal_the_sum_of_per_request_metrics() {
+    let sock = sock_path("tee-totals");
+    let server = Server::bind_unix(
+        &sock,
+        ServerConfig {
+            fanout: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let set = r#"{"tasks": [{"period_ms": 5, "deadline_ms": 4, "wcet_ms": 3, "m": 2, "k": 4}, {"period_ms": 10, "wcet_ms": 3, "m": 1, "k": 2}]}"#;
+    let faults = r#"{"seed": 3, "transient_per_ms": 0.001, "permanent": {"proc": 0, "at_ms": 70}}"#;
+    let lines: Vec<String> = (0..2u64)
+        .flat_map(|i| {
+            [
+                sim_line(10 * i + 1, "dp", 100 + i),
+                format!(
+                    r#"{{"id": {}, "op": "simulate", "task_set": {set}, "policy": "selective", "horizon_ms": 150, "faults": {faults}, "trace": {{"last": 16}}}}"#,
+                    10 * i + 2
+                ),
+                format!(
+                    r#"{{"id": {}, "op": "compare", "task_set": {set}, "horizon_ms": 120, "faults": {faults}}}"#,
+                    10 * i + 3
+                ),
+                format!(
+                    r#"{{"id": {}, "op": "sweep", "task_set": {set}, "policy": "st", "horizon_ms": 100, "faults": {faults}, "seeds": 7, "seed_from": {}}}"#,
+                    10 * i + 4,
+                    20 + i
+                ),
+            ]
+        })
+        .collect();
+    let responses: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = lines
+            .chunks(2)
+            .map(|chunk| {
+                let sock = sock.clone();
+                scope.spawn(move || {
+                    let mut client = Client::connect_unix(&sock).expect("connect");
+                    chunk
+                        .iter()
+                        .map(|line| client.request(line).expect("request"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let mut summed = std::collections::BTreeMap::<String, u64>::new();
+    for resp in &responses {
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        for (name, value) in embedded_counters(resp) {
+            *summed.entry(name).or_default() += value;
+        }
+    }
+    let totals = server.shutdown();
+    let mut engine_counters = 0;
+    for counter in CounterId::ALL {
+        if counter.name().starts_with("serve_") {
+            continue;
+        }
+        engine_counters += 1;
+        assert_eq!(
+            summed.get(counter.name()).copied().unwrap_or(0),
+            totals.counter(counter),
+            "{}",
+            counter.name()
+        );
+    }
+    assert!(engine_counters > 10);
+    assert!(totals.counter(CounterId::JobsReleased) > 0);
+    assert_eq!(totals.counter(CounterId::ServeRequests), lines.len() as u64);
+}
+
 #[test]
 fn malformed_requests_get_errors_and_do_not_wedge_the_connection() {
     let sock = sock_path("malformed");
@@ -283,11 +365,16 @@ fn oversized_lines_are_rejected_and_the_connection_closed() {
     assert!(resp.contains("exceeds 256 bytes"), "{resp}");
     // The daemon closed this connection afterwards: the next request
     // fails on write (broken pipe) or read (EOF), whichever trips first.
+    // A reset is legal too: when the daemon closes with this request
+    // still unread in its receive queue, Linux reports ECONNRESET to the
+    // peer of a Unix stream socket.
     let err = client.request(r#"{"id": 2, "op": "ping"}"#).unwrap_err();
     assert!(
         matches!(
             err.kind(),
-            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::BrokenPipe
+            std::io::ErrorKind::UnexpectedEof
+                | std::io::ErrorKind::BrokenPipe
+                | std::io::ErrorKind::ConnectionReset
         ),
         "unexpected error kind: {err:?}"
     );

@@ -57,9 +57,13 @@
 //! job releases and resolutions, mandatory/optional classification,
 //! backup release and postponement (`r̃ = r + θ`), backup cancellation,
 //! fault injection and recovery, the (m,k) distance-to-violation at
-//! each resolution, and every closed execution segment. That stream is
-//! the engine's only capture path: a [`TraceRecorder`] captures it into
-//! a [`TraceBuffer`], and the schedule [`Trace`] decodes that buffer
+//! each resolution, and every closed execution segment. Counters and
+//! histogram samples go into a plain per-run tally (a
+//! [`MetricsSnapshot`]) that the recorder absorbs once when the run
+//! finishes; structured events are delivered one by one, and only to a
+//! recorder whose `wants_events()` is true. That event stream is the
+//! engine's only capture path: a [`TraceRecorder`] captures it into a
+//! [`TraceBuffer`], and the schedule [`Trace`] decodes that buffer
 //! ([`simulate_traced`]). The recorder lives on the workspace rather
 //! than on [`SimConfig`] because the config stays `Copy + PartialEq +
 //! Serialize`, which a trait-object handle cannot be. Recorders only
@@ -74,8 +78,8 @@ use mkss_core::mk::MkMonitor;
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
 use mkss_obs::{
-    segment_payload, CopyRole, CounterId, EngineEvent, HistogramId, Recorder, TraceBuffer,
-    TraceKind, TraceRecorder, PROC_NONE,
+    segment_payload, CopyRole, CounterId, EngineEvent, HistogramId, MetricsSnapshot, Recorder,
+    TraceBuffer, TraceKind, TraceRecorder, PROC_NONE,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -470,6 +474,9 @@ pub struct SimWorkspace {
     /// Optional event sink; survives `begin_run` so one attachment
     /// covers every simulation run through this workspace.
     recorder: RecorderSlot,
+    /// The run's counter and histogram tally, counted only while a
+    /// recorder is attached and absorbed by it once, in `finish`.
+    tally: MetricsSnapshot,
 }
 
 /// Wrapper keeping `SimWorkspace`'s `derive(Debug, Default)` while
@@ -526,6 +533,7 @@ impl SimWorkspace {
         self.deadline_scratch.clear();
         self.deadline_scratch.reserve(ts.len());
         self.calendar.clear();
+        self.tally = MetricsSnapshot::empty();
         // Pre-size the calendar at checkout: one release entry per task,
         // plus copy-release entries for the window of simultaneously
         // pending backups, plus the fault. Steady-state residue is
@@ -631,25 +639,7 @@ pub fn simulate_in<P: Policy + ?Sized>(
     config: &SimConfig,
 ) -> SimReport {
     ws.begin_run(ts);
-    let engine = Engine {
-        ts,
-        config,
-        ws,
-        clock: Time::ZERO,
-        running: [None, None],
-        alive: [true, true],
-        death_time: [None, None],
-        fault_applied: false,
-        sampler: TransientSampler::new(&config.faults),
-        active_energy: [crate::power::Energy::ZERO; 2],
-        stats: JobStats::default(),
-        violations: Vec::new(),
-        release_mask: u64::MAX,
-        dispatch_dirty: [true; 2],
-        opt_expiry: [Time::ZERO; 2],
-        time_advance: TimeAdvance::Calendar,
-    };
-    engine.run(policy)
+    Engine::new(ts, config, ws, TimeAdvance::Calendar).run(policy)
 }
 
 /// How [`Engine::run`] finds the next event time. `Calendar` is the
@@ -697,6 +687,8 @@ struct Engine<'a, 'w> {
     /// only once the clock reaches the bound, and recomputes it from
     /// the survivors; `Time::MAX` when no ready optionals exist.
     opt_expiry: [Time; 2],
+    /// The attached recorder wants structured events (read once per run).
+    events: bool,
     time_advance: TimeAdvance,
 }
 
@@ -711,27 +703,62 @@ const fn copy_role(kind: CopyKind) -> CopyRole {
 }
 
 impl<'a, 'w> Engine<'a, 'w> {
-    /// Bump a counter on the attached recorder, if any. One predictable
-    /// branch when detached — cheap enough for every emit site.
-    #[inline]
-    fn emit(&self, counter: CounterId) {
-        if let Some(recorder) = &self.ws.recorder.0 {
-            recorder.incr(counter, 1);
+    /// An engine at time zero over a workspace `begin_run` has reset.
+    fn new(
+        ts: &'a TaskSet,
+        config: &'a SimConfig,
+        ws: &'w mut SimWorkspace,
+        time_advance: TimeAdvance,
+    ) -> Self {
+        let events = ws
+            .recorder
+            .0
+            .as_ref()
+            .is_some_and(|recorder| recorder.wants_events());
+        Engine {
+            ts,
+            config,
+            ws,
+            clock: Time::ZERO,
+            running: [None, None],
+            alive: [true, true],
+            death_time: [None, None],
+            fault_applied: false,
+            sampler: TransientSampler::new(&config.faults),
+            active_energy: [crate::power::Energy::ZERO; 2],
+            stats: JobStats::default(),
+            violations: Vec::new(),
+            release_mask: u64::MAX,
+            dispatch_dirty: [true; 2],
+            opt_expiry: [Time::ZERO; 2],
+            events,
+            time_advance,
         }
     }
 
-    /// Record a histogram sample on the attached recorder, if any.
+    /// Count one event into the run's tally when a recorder is attached.
+    /// One predictable branch when detached, a plain array add when
+    /// attached — cheap enough for every emit site.
     #[inline]
-    fn emit_observe(&self, histogram: HistogramId, value: u64) {
-        if let Some(recorder) = &self.ws.recorder.0 {
-            recorder.observe(histogram, value);
+    fn emit(&mut self, counter: CounterId) {
+        if let Some(_recorder) = &self.ws.recorder.0 {
+            self.ws.tally.incr(counter, 1);
         }
     }
 
-    /// Hand one structured event to the attached recorder, if any — the
-    /// flight-recorder feed. The event is a stack-built `Copy` value
-    /// constructed inside the gate, so the detached cost stays one
-    /// predictable branch and zero allocations.
+    /// Count one histogram sample into the run's tally when a recorder
+    /// is attached.
+    #[inline]
+    fn emit_observe(&mut self, histogram: HistogramId, value: u64) {
+        if let Some(_recorder) = &self.ws.recorder.0 {
+            self.ws.tally.observe(histogram, value);
+        }
+    }
+
+    /// Hand one structured event to the attached recorder, if it wants
+    /// events — the flight-recorder feed. The event is a stack-built
+    /// `Copy` value constructed inside the gate, so the detached cost
+    /// stays one predictable branch and zero allocations.
     #[inline]
     #[expect(
         clippy::too_many_arguments,
@@ -748,6 +775,9 @@ impl<'a, 'w> Engine<'a, 'w> {
         payload: u64,
     ) {
         if let Some(recorder) = &self.ws.recorder.0 {
+            if !self.events {
+                return;
+            }
             recorder.event(&EngineEvent {
                 at_us: at.ticks(),
                 kind,
@@ -766,7 +796,7 @@ impl<'a, 'w> Engine<'a, 'w> {
     /// with θ (in ticks) as payload.
     #[inline]
     fn emit_backup_release(
-        &self,
+        &mut self,
         backup_delay: Time,
         task: u32,
         job: u32,
@@ -1474,7 +1504,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 && !copy.job.feasible_from(self.clock, copy.remaining)
             {
                 self.stats.optional_abandoned += 1;
-                self.emit(CounterId::OptionalAbandoned);
                 self.emit_event(
                     self.clock,
                     TraceKind::OptionalAbandon,
@@ -1484,6 +1513,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     proc.index() as u8,
                     0,
                 );
+                self.emit(CounterId::OptionalAbandoned);
                 self.stop_copy(c, CopyState::Abandoned, SegmentEnd::Preempted);
             } else {
                 if copy.proc == proc
@@ -1828,14 +1858,14 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     /// Ends the copy's open execution segment, if any, and narrates a
     /// non-empty one as a `Segment` event: the engine's only capture.
-    /// The payload is packed only for an attached recorder, since
+    /// The payload is packed only for a recorder that wants events, since
     /// [`segment_payload`] covers starts below 2^61 ticks and a detached
     /// run may go up to the clock's top.
     fn close_segment(&mut self, c: usize, ended: SegmentEnd) {
         let Some(start) = self.ws.copies[c].running_since.take() else {
             return;
         };
-        if start < self.clock && self.ws.recorder.0.is_some() {
+        if start < self.clock && self.events {
             let copy = &self.ws.copies[c];
             self.emit_event(
                 self.clock,
@@ -1863,6 +1893,9 @@ impl<'a, 'w> Engine<'a, 'w> {
         let mut energy = [EnergyBreakdown::default(), EnergyBreakdown::default()];
         for &proc in &ProcId::ALL {
             energy[proc.index()] = self.account_processor(proc, &self.config.power);
+        }
+        if let Some(recorder) = &self.ws.recorder.0 {
+            recorder.absorb(&self.ws.tally);
         }
         SimReport {
             policy: policy_name.to_owned(),
@@ -2188,25 +2221,7 @@ mod tests {
     ) -> SimReport {
         ws.begin_run(ts);
         prepare(ws);
-        let engine = Engine {
-            ts,
-            config,
-            ws,
-            clock: Time::ZERO,
-            running: [None, None],
-            alive: [true, true],
-            death_time: [None, None],
-            fault_applied: false,
-            sampler: TransientSampler::new(&config.faults),
-            active_energy: [crate::power::Energy::ZERO; 2],
-            stats: JobStats::default(),
-            violations: Vec::new(),
-            release_mask: u64::MAX,
-            dispatch_dirty: [true; 2],
-            opt_expiry: [Time::ZERO; 2],
-            time_advance,
-        };
-        engine.run(policy)
+        Engine::new(ts, config, ws, time_advance).run(policy)
     }
 
     /// Regression for the release-mode stall: a calendar entry stuck at

@@ -2,9 +2,10 @@
 //! once a [`SimWorkspace`] is warmed, a run with no recorder attached
 //! performs only a tiny, *horizon-independent* number of heap
 //! allocations (the report's policy-name `String` and nothing per
-//! event). The same holds with a [`Registry`] handle attached — the
-//! daemon's per-request shape — even though every closed execution
-//! segment then reaches the recorder as an event. A counting
+//! event). A run with a [`Registry`] handle attached — the daemon's
+//! per-request shape — allocates exactly as often as a detached one: it
+//! counts into a plain per-run tally the handle absorbs once, and a
+//! recorder that wants no events receives none. A counting
 //! `#[global_allocator]` makes regressions — a reintroduced per-event
 //! `clone()`, an ungated capture push — fail loudly rather than
 //! silently costing throughput.
@@ -17,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mkss_core::prelude::*;
-use mkss_obs::{CounterId, Registry};
+use mkss_obs::{CounterId, EngineEvent, MetricsSnapshot, Recorder, Registry};
 use mkss_sim::prelude::*;
 
 /// Passthrough to the system allocator that counts allocation calls
@@ -60,6 +61,23 @@ impl Policy for Dup {
     }
 }
 
+/// A counting-only recorder that tallies how often the engine calls it.
+#[derive(Default)]
+struct CallCounter {
+    absorbs: AtomicU64,
+    events: AtomicU64,
+}
+
+impl Recorder for CallCounter {
+    fn absorb(&self, _tally: &MetricsSnapshot) {
+        self.absorbs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn event(&self, _event: &EngineEvent) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Minimum allocation count over several repetitions. The global
 /// counter also sees the test harness's own threads (progress output,
 /// buffering); taking the minimum filters that unrelated noise out of
@@ -99,9 +117,16 @@ fn warmed_workspace_runs_allocate_constantly_and_sparsely() {
     let long = SimConfig::builder().horizon_ms(1600).build();
 
     let registry = Arc::new(Registry::new(1));
+    let calls = Arc::new(CallCounter::default());
     let detached = SimWorkspace::new();
     let attached = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
-    for (label, mut ws) in [("no recorder", detached), ("registry handle", attached)] {
+    let counting = SimWorkspace::with_recorder(Arc::clone(&calls) as Arc<dyn Recorder>);
+    let mut per_run = Vec::new();
+    for (label, mut ws) in [
+        ("no recorder", detached),
+        ("registry handle", attached),
+        ("call counter", counting),
+    ] {
         // Warm at the *longest* horizon so every arena reaches
         // steady-state capacity before anything is measured.
         let warm = simulate_in(&mut ws, &ts, &mut Dup, &long);
@@ -129,7 +154,17 @@ fn warmed_workspace_runs_allocate_constantly_and_sparsely() {
             long_allocs <= 4,
             "{label}: hot path allocates too much per run: {long_allocs} allocations"
         );
+        per_run.push((label, long_allocs));
     }
+    // An attached recorder costs no allocation of its own.
+    assert!(
+        per_run.iter().all(|&(_, allocs)| allocs == per_run[0].1),
+        "attached runs allocate differently from detached ones: {per_run:?}"
+    );
     // The attached runs really went through the recorder.
     assert!(registry.snapshot().counter(CounterId::JobsReleased) > 0);
+    // One absorb per run (the warm-up plus 8 + 8 measured), and no
+    // structured event for a recorder that does not want them.
+    assert_eq!(calls.absorbs.load(Ordering::Relaxed), 17);
+    assert_eq!(calls.events.load(Ordering::Relaxed), 0);
 }

@@ -244,7 +244,6 @@ fn bar_cells(count: u64, max: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mkss_obs::Recorder;
     use std::sync::Arc;
 
     fn sample(met: u64, uptime_ms: u64, seq: u64) -> Sample {

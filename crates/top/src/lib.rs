@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use mkss_obs::{CounterId, Recorder, Registry};
+//! use mkss_obs::{CounterId, Registry};
 //! use mkss_top::{Frame, render_plain, Sample};
 //!
 //! let registry = Arc::new(Registry::new(1));

@@ -147,7 +147,7 @@ pub fn sample_from_doc(doc: &Value) -> Result<Sample, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mkss_obs::{metrics_doc, Recorder, Registry};
+    use mkss_obs::{metrics_doc, Registry};
     use std::sync::Arc;
 
     /// Round trip: a doc produced by the real exporter parses back into

@@ -11,7 +11,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use mkss::obs::{
-    CounterId, EchoRecorder, Registry, Reporter, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
+    CounterId, EchoRecorder, HistogramId, Registry, Reporter, TraceBuffer, TraceRecorder,
+    DEFAULT_TRACE_CAPACITY,
 };
 use mkss::prelude::*;
 
@@ -99,6 +100,69 @@ fn recorder_on_reports_are_byte_identical_to_recorder_off() {
         snap.counter(CounterId::JobsMet) + snap.counter(CounterId::JobsMissed),
         snap.counter(CounterId::JobsReleased),
     );
+}
+
+/// Every counter that mirrors a [`JobStats`] field equals it, run by
+/// run, over the workspace-differential sets × every policy kind × the
+/// fault plans above: the registry sees exactly what the report says.
+#[test]
+fn counters_mirror_the_report_of_every_run() {
+    let config_for = |faults| {
+        SimConfig::builder()
+            .horizon(Time::from_ms(500))
+            .faults(faults)
+            .build()
+    };
+    let registry = Arc::new(Registry::new(1));
+    let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+    let mut runs = 0u32;
+    for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7), (44, 0.9)] {
+        let Some(ts) = Generator::new(WorkloadConfig::paper(), seed).schedulable_set(util) else {
+            continue;
+        };
+        for faults in fault_configs() {
+            let config = config_for(faults);
+            for kind in PolicyKind::ALL {
+                let Ok(mut policy) = kind.build(&ts, &BuildOptions::default()) else {
+                    continue;
+                };
+                let before = registry.snapshot();
+                let report = simulate_in(&mut ws, &ts, policy.as_mut(), &config);
+                let run = registry.snapshot().delta(&before);
+                let stats = &report.stats;
+                let at = format!("seed {seed} policy {kind} faults {faults:?}");
+                for (counter, field) in [
+                    (CounterId::JobsReleased, stats.released),
+                    (CounterId::MandatoryReleased, stats.mandatory),
+                    (CounterId::OptionalSelected, stats.optional_selected),
+                    (CounterId::OptionalSkipped, stats.optional_skipped),
+                    (CounterId::OptionalAbandoned, stats.optional_abandoned),
+                    (CounterId::BackupsCanceled, stats.backups_canceled),
+                    (CounterId::BackupsCompleted, stats.backups_completed),
+                    (CounterId::TransientFaults, stats.transient_faults),
+                    (CounterId::CopiesLost, stats.copies_lost),
+                    (CounterId::JobsMet, stats.met),
+                    (CounterId::JobsMissed, stats.missed),
+                    (CounterId::MkViolations, report.violations.len() as u64),
+                ] {
+                    assert_eq!(run.counter(counter), field, "{} at {at}", counter.name());
+                }
+                assert_eq!(
+                    run.counter(CounterId::FaultsInjected),
+                    run.counter(CounterId::TransientFaults)
+                        + run.counter(CounterId::PermanentFaults),
+                    "faults_injected at {at}"
+                );
+                assert_eq!(
+                    run.histogram(HistogramId::MkDistance).iter().sum::<u64>(),
+                    stats.met + stats.missed,
+                    "mk_distance samples at {at}"
+                );
+                runs += 1;
+            }
+        }
+    }
+    assert!(runs >= 100, "invariant probe barely ran ({runs} runs)");
 }
 
 #[test]
