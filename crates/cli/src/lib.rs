@@ -34,7 +34,7 @@ use mkss_analysis::rta::{analyze, InterferenceModel};
 use mkss_core::flags::{checked_ms, FlagError, Flags};
 use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
-use mkss_core::time::Time;
+use mkss_core::time::{Time, TICKS_PER_MS};
 use mkss_obs::{
     chrome_trace, overflow_note, violation_reports, EchoRecorder, LogLevel, MetricsDoc, Recorder,
     Registry, Reporter, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
@@ -93,6 +93,21 @@ impl From<FlagError> for CliError {
 /// An input error carrying `e`'s text.
 fn input(e: impl fmt::Display) -> CliError {
     CliError::Input(e.to_string())
+}
+
+/// Refuses a traced run (`--gantt`, `--vcd`, `--trace-out`) whose horizon
+/// passes 2^61 ticks: a segment event packs its start into 61 bits
+/// ([`mkss_obs::segment_payload`]), so a later start would wrap in the
+/// exported trace.
+fn check_traceable(horizon: Time) -> Result<(), CliError> {
+    let max_ms = (1 << 61) / TICKS_PER_MS;
+    if horizon > Time::from_ms(max_ms) {
+        return Err(input(format!(
+            "--horizon-ms: {} ms is out of range for a traced run (at most {max_ms} ms)",
+            horizon.ticks() / TICKS_PER_MS
+        )));
+    }
+    Ok(())
 }
 
 /// Usage text.
@@ -255,6 +270,9 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
             other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
+    if gantt || vcd_path.is_some() {
+        check_traceable(horizon)?;
+    }
     faults.transient_rate_per_ms = transient;
     faults.seed = seed;
     if let Some((proc, at)) = permanent {
@@ -364,6 +382,9 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
             "--trace-out" => trace_out = Some(flags.value()?),
             other => return Err(input(format!("unknown flag '{other}'"))),
         }
+    }
+    if trace_out.is_some() {
+        check_traceable(horizon)?;
     }
     let config = SimConfig::builder().horizon(horizon).build();
     // A registry is wanted for `--metrics-out` and for any MKSS_LOG level;
@@ -776,6 +797,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("copies lost"), "{out}");
         assert!(out.contains("(m,k) assured: true"), "{out}");
+    }
+
+    #[test]
+    fn traced_runs_stop_at_the_segment_encoding_limit() {
+        let last_ms = (1 << 61) / TICKS_PER_MS;
+        assert!(check_traceable(Time::from_ms(last_ms)).is_ok());
+        let err = check_traceable(Time::from_ms(last_ms + 1)).expect_err("past 2^61 ticks");
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

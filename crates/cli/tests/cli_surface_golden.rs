@@ -108,6 +108,16 @@ const CASES: &[&[&str]] = &[
         "--horizon-ms",
         "18446744073709551",
     ],
+    // A trace packs segment starts into 61 bits of ticks, so a traced
+    // run past 2^61 µs is refused instead of exporting wrapped starts.
+    &[
+        "compare",
+        TOP_SET,
+        "--horizon-ms",
+        "18446744073709551",
+        "--trace-out",
+        "t.json",
+    ],
 ];
 
 const SAMPLE_SET: &str = r#"{ "tasks": [

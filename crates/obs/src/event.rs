@@ -51,20 +51,20 @@ pub enum CounterId {
     /// against a zero-length step (which would spin a release build
     /// forever) by flagging the stall and ending the run instead.
     EngineStalls,
-    /// Requests accepted by the `mkss-serve` daemon (scheduled onto the
-    /// worker pool; includes requests that later fail during execution).
+    /// Requests accepted by the `mkss-serve` daemon (admitted to a run
+    /// slot; includes requests that later fail during execution).
     ServeRequests,
-    /// Requests shed by the daemon's backpressure: the bounded job queue
-    /// was full, the client got an `overloaded` error.
+    /// Requests shed by the daemon's backpressure: every run slot and
+    /// waiting place was taken, the client got an `overloaded` error.
     ServeRejected,
     /// Request lines the daemon could not parse (malformed JSON, unknown
     /// op, oversized line).
     ServeProtocolErrors,
-    /// `simulate` requests completed by the daemon's worker pool.
+    /// `simulate` requests completed by the daemon.
     ServeOpSimulate,
-    /// `compare` requests completed by the daemon's worker pool.
+    /// `compare` requests completed by the daemon.
     ServeOpCompare,
-    /// `sweep` requests completed by the daemon's worker pool.
+    /// `sweep` requests completed by the daemon.
     ServeOpSweep,
     /// `watch` subscriptions accepted by the daemon (one per session).
     ServeWatches,
@@ -159,11 +159,13 @@ pub enum HistogramId {
     /// Backup release postponement θ in whole milliseconds (rounded up),
     /// observed once per postponed backup.
     BackupDelayMs,
-    /// `mkss-serve` job-queue depth observed at each accepted submit
-    /// (after the enqueue) — the daemon's backpressure signal.
+    /// `mkss-serve` requests waiting for a run slot, observed at each
+    /// admission with the admitted request included (0 when it ran at
+    /// once) — the daemon's backpressure signal.
     ServeQueueDepth,
-    /// Wall-clock latency of each pooled `mkss-serve` op (simulate,
-    /// compare, sweep) in microseconds, from accept to response write.
+    /// Wall-clock latency of each admitted `mkss-serve` op (simulate,
+    /// compare, sweep) in microseconds, from admission (any wait for a
+    /// run slot included) until its response line is ready.
     /// Recorded by the connection layer into the daemon-global registry
     /// only — never into per-request registries, which stay byte-stable.
     ServeOpLatencyUs,

@@ -8,7 +8,7 @@
 //! match.
 //!
 //! Determinism contract: for a given request line, the response line is
-//! byte-identical regardless of worker-pool size, sweep fan-out, or
+//! byte-identical regardless of the daemon's run slots, sweep fan-out, or
 //! whether a global metrics tee is attached. Per-request metrics come
 //! from a registry created for the request; wall-clock stages are
 //! deliberately absent.

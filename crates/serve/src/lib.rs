@@ -15,9 +15,10 @@
 //! * simulations draw reusable arenas from a shared
 //!   [`mkss_sim::pool::WorkspacePool`], so steady-state traffic
 //!   allocates nothing per run;
-//! * requests are scheduled on a bounded [`mkss_core::par::WorkerPool`]
-//!   — when the queue fills the daemon sheds load with an `overloaded`
-//!   error instead of buffering unboundedly;
+//! * each connection's handler thread runs its own requests, admitted
+//!   through a bounded gate of run slots and waiting places — when both
+//!   are full the daemon sheds load with an `overloaded` error instead of
+//!   buffering unboundedly;
 //! * every request's engine runs are recorded through an
 //!   [`mkss_obs::ScopedRecorder`], which folds each finished run's tally
 //!   into a per-request registry *and* the daemon's global one, so
@@ -26,7 +27,7 @@
 //! The contract that keeps the daemon honest: [`exec::execute`] is the
 //! entire behavior of the simulation ops, and for a given request line
 //! its response line is **byte-identical** whether invoked in-process or
-//! through the daemon, at any pool size or fan-out. `mkss-bench`'s
+//! through the daemon, at any run-slot count or fan-out. `mkss-bench`'s
 //! `loadgen` binary and this crate's integration tests assert exactly
 //! that.
 //!

@@ -60,8 +60,8 @@ use serde::{Deserialize, Value};
 
 use crate::task_set::{ms_to_time, TaskSetSpec};
 
-/// Upper bound on `seeds` in a sweep, so one request line cannot pin the
-/// worker pool for minutes.
+/// Upper bound on `seeds` in a sweep, so one request line cannot hold a
+/// run slot for minutes.
 pub const MAX_SWEEP_SEEDS: u64 = 4096;
 
 /// Upper bound on `trace.last` in a simulate, so one request line cannot

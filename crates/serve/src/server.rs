@@ -3,43 +3,47 @@
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//!  accept loop ──► handler (1 per connection)
+//!  accept loop ──► handler (1 per connection; finished ones are reaped)
 //!                    │  parse line → control ops answered inline
-//!                    │  simulation ops → WorkerPool::try_submit
-//!                    ▼                      │ queue full → "overloaded"
-//!                  mpsc::recv ◄── worker ───┘ (bounded queue)
-//!                    │              runs exec::execute over the
-//!                    ▼              shared WorkspacePool
+//!                    │  simulation ops → Gate::enter
+//!                    │      slot free      → run now
+//!                    │      slots busy     → wait for a slot (bounded)
+//!                    │      waiting full   → "overloaded"
+//!                    ▼
+//!                  exec::execute over the shared WorkspacePool
+//!                    │  (the slot frees on every exit, unwinding too)
+//!                    ▼
 //!                  write response line
 //! ```
 //!
-//! Backpressure is the bounded [`WorkerPool`] queue: when it fills, the
-//! daemon *sheds* the request with an `overloaded` error instead of
-//! buffering unboundedly, and counts the shed in `serve_rejected`.
-//! Accepted submissions record the post-enqueue depth in the
-//! `serve_queue_depth` histogram — the signal to watch when sizing
-//! `--workers`/`--queue`.
+//! Backpressure is the admission `Gate`: `--workers` run slots and
+//! `--queue` waiting places. A request that finds both full is *shed*
+//! with an `overloaded` error instead of being buffered, and counted in
+//! `serve_rejected`. Every admitted request records how many requests
+//! were waiting at its admission, itself included (0 when it ran at
+//! once), in the `serve_queue_depth` histogram — the signal to watch when
+//! sizing `--workers`/`--queue`.
 //!
 //! Shutdown (client `shutdown` op or [`Server::shutdown`]) drains rather
 //! than aborts: the accept loop stops, blocked readers are unblocked via
-//! `shutdown(Read)` so in-flight responses still go out, every handler
-//! and worker is joined, and the Unix socket file is removed. No thread
-//! outlives [`Server::shutdown`].
+//! `shutdown(Read)` so in-flight responses still go out, every handler is
+//! joined (waiting requests still run, as running ones free their
+//! slots), and the Unix socket file is removed. No thread outlives
+//! [`Server::shutdown`].
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mkss_core::par::WorkerPool;
+use mkss_core::par::effective_jobs;
 use mkss_obs::{
-    metrics_doc, CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Recorder, RecorderHandle,
-    Registry, Stopwatch,
+    metrics_doc, CounterId, HistogramId, MetricsDoc, MetricsSnapshot, RecorderHandle, Registry,
+    Stopwatch,
 };
 use mkss_sim::prelude::WorkspacePool;
 
@@ -50,12 +54,14 @@ use crate::protocol::{error_line, ok_line, Op, Request, WatchJob};
 /// Tuning knobs for [`Server::bind_unix`] / [`Server::bind_tcp`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Simulation worker threads (`0` = available parallelism).
+    /// Run slots: simulation requests executing at once, each on its own
+    /// connection's handler thread (`0` = available parallelism).
     pub workers: usize,
-    /// Bounded job-queue capacity; submissions beyond it are shed.
+    /// Waiting places: requests that may block for a free run slot;
+    /// requests beyond them are shed.
     pub queue_capacity: usize,
     /// Per-request sweep fan-out threads (`0` = available parallelism).
-    /// Defaults to 1: the worker pool, not the individual request, is
+    /// Defaults to 1: the run slots, not the individual request, are
     /// the parallelism unit.
     pub fanout: usize,
     /// Maximum accepted request-line length in bytes; longer lines get a
@@ -121,10 +127,80 @@ impl ShutdownSignal {
     }
 }
 
+/// Admission gate for simulation requests: `slots` run at once, each on
+/// its own handler thread, up to `places` more block until a slot
+/// frees, and any beyond those are refused.
+struct Gate {
+    slots: usize,
+    places: usize,
+    state: Mutex<GateState>,
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+}
+
+/// A held run slot; dropping it, on any exit path, frees the slot.
+struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    fn new(slots: usize, places: usize) -> Gate {
+        Gate {
+            slots,
+            places,
+            state: Mutex::new(GateState::default()),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Takes a run slot, blocking in a waiting place while every slot is
+    /// busy. Returns the slot and the number of requests waiting at
+    /// admission, this one included (0 when it runs at once), or `None`
+    /// when every slot and waiting place is taken.
+    fn enter(&self) -> Option<(Slot<'_>, usize)> {
+        let mut state = lock(&self.state);
+        let mut depth = 0;
+        if state.running >= self.slots {
+            if state.waiting >= self.places {
+                return None;
+            }
+            state.waiting += 1;
+            depth = state.waiting;
+            state = match self
+                .freed
+                .wait_while(state, |state| state.running >= self.slots)
+            {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            state.waiting -= 1;
+        }
+        state.running += 1;
+        Some((Slot(self), depth))
+    }
+
+    /// `(running, waiting)` now: a scheduling-dependent reading for
+    /// telemetry, never for results.
+    fn occupancy(&self) -> (usize, usize) {
+        let state = lock(&self.state);
+        (state.running, state.waiting)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.state).running -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
 /// State shared by the accept loop and every connection handler.
 struct Shared {
     config: ServerConfig,
-    jobs: WorkerPool,
+    gate: Gate,
     workspaces: WorkspacePool,
     registry: Arc<Registry>,
     signal: ShutdownSignal,
@@ -191,7 +267,7 @@ impl Server {
         let registry = Arc::new(Registry::new(Registry::MAX_SHARDS));
         let shared = Arc::new(Shared {
             config,
-            jobs: WorkerPool::new(config.workers, config.queue_capacity),
+            gate: Gate::new(effective_jobs(config.workers), config.queue_capacity),
             workspaces: WorkspacePool::new(),
             registry,
             signal: ShutdownSignal::new(),
@@ -294,9 +370,6 @@ impl Server {
         if let EndpointInfo::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
-        // The worker pool drains and joins when `shared` drops (every
-        // submitted job's handler has already been joined, so the queue
-        // is effectively empty by now).
     }
 }
 
@@ -343,7 +416,12 @@ fn accept_loop(endpoint: Endpoint, shared: &Arc<Shared>) {
                 handle_connection(conn, &shared);
             })
         };
-        lock(&shared.handlers).push(handler);
+        let mut handlers = lock(&shared.handlers);
+        // Reap exited handlers: an unjoined thread keeps its stack mapped.
+        // Dropping a finished handle frees it and loses nothing a join
+        // would report, since handler panics are ignored (`join_quiet`).
+        handlers.retain(|handler| !handler.is_finished());
+        handlers.push(handler);
     }
 }
 
@@ -359,16 +437,20 @@ impl Drop for ConnCleanup<'_> {
     }
 }
 
-fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
+fn handle_connection(conn: Conn, shared: &Shared) {
     let Ok(write_half) = conn.try_clone() else {
         return;
     };
     let mut writer = write_half;
     let mut reader = BufReader::new(conn);
     // One registry shard per connection for the serve counters, and one
-    // tee handle cloned into each submitted job.
+    // for the tee of every request's engine runs.
     let counters = shared.registry.handle();
-    let tee: Arc<dyn Recorder> = Arc::new(shared.registry.handle());
+    let env = ExecEnv {
+        pool: &shared.workspaces,
+        global: Some(Arc::new(shared.registry.handle())),
+        fanout: shared.config.fanout,
+    };
     loop {
         let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
             Ok(LineRead::Line(line)) => line,
@@ -406,7 +488,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                 continue;
             }
         };
-        let shutting_down = match respond(request, shared, &counters, &tee, &mut writer) {
+        let shutting_down = match respond(&request, shared, &counters, &env, &mut writer) {
             Ok(shutting_down) => shutting_down,
             Err(_) => return,
         };
@@ -418,101 +500,80 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
 
 /// Answer one parsed request. Returns whether this was a `shutdown` op.
 fn respond(
-    request: Request,
-    shared: &Arc<Shared>,
+    request: &Request,
+    shared: &Shared,
     counters: &RecorderHandle,
-    tee: &Arc<dyn Recorder>,
+    env: &ExecEnv<'_>,
     writer: &mut Conn,
 ) -> io::Result<bool> {
     let id = request.id;
-    match request.op {
+    let op_counter = match &request.op {
         Op::Ping => {
-            // Answered inline so liveness probes bypass a saturated
-            // queue; bytes match `exec::execute` exactly.
+            // Answered inline so liveness probes bypass busy run slots;
+            // bytes match `exec::execute` exactly.
             write_response(writer, ok_line(id, "{\"pong\":true}", None))?;
-            Ok(false)
+            return Ok(false);
         }
         Op::Metrics => {
             let doc = daemon_doc(shared, &[]);
             write_response(writer, ok_line(id, &doc.to_json_line(), None))?;
-            Ok(false)
+            return Ok(false);
         }
         Op::Watch(job) => {
             counters.count(CounterId::ServeWatches);
-            let sent = stream_watch(id, job, shared, writer)?;
+            let sent = stream_watch(id, *job, shared, writer)?;
             let done = format!("{{\"watch_done\":true,\"frames\":{sent}}}");
             write_response(writer, ok_line(id, &done, None))?;
-            Ok(false)
+            return Ok(false);
         }
         Op::Shutdown => {
             shared.signal.request();
             write_response(writer, ok_line(id, "{\"shutting_down\":true}", None))?;
-            Ok(true)
+            return Ok(true);
         }
-        op @ (Op::Simulate(_) | Op::Compare(_) | Op::Sweep(_)) => {
-            let op_counter = match &op {
-                Op::Simulate(_) => CounterId::ServeOpSimulate,
-                Op::Compare(_) => CounterId::ServeOpCompare,
-                _ => CounterId::ServeOpSweep,
-            };
-            let request = Request { id, op };
-            let (tx, rx) = mpsc::channel::<String>();
-            let job = {
-                let shared = Arc::clone(shared);
-                let tee = Arc::clone(tee);
-                Box::new(move || {
-                    let env = ExecEnv {
-                        pool: &shared.workspaces,
-                        global: Some(tee),
-                        fanout: shared.config.fanout,
-                    };
-                    let _ = tx.send(execute(&request, &env));
-                })
-            };
-            let latency = Stopwatch::start();
-            let resp = match shared.jobs.try_submit(job) {
-                Ok(depth) => {
-                    counters.count(CounterId::ServeRequests);
-                    counters.observe(HistogramId::ServeQueueDepth, depth as u64);
-                    let resp = match rx.recv() {
-                        Ok(resp) => resp,
-                        // The worker died mid-job (a panicking policy);
-                        // tell the client rather than hanging up.
-                        Err(_) => error_line(Some(id), "internal error: worker terminated"),
-                    };
-                    // Per-op accounting lives in the daemon-global
-                    // registry only; per-request registries inside
-                    // `execute` stay byte-stable for the differential.
-                    counters.observe(HistogramId::ServeOpLatencyUs, latency.elapsed_us());
-                    counters.count(op_counter);
-                    resp
-                }
-                Err(e) => {
-                    counters.count(CounterId::ServeRejected);
-                    error_line(Some(id), &format!("overloaded: {e}"))
-                }
-            };
-            write_response(writer, resp)?;
-            Ok(false)
+        Op::Simulate(_) => CounterId::ServeOpSimulate,
+        Op::Compare(_) => CounterId::ServeOpCompare,
+        Op::Sweep(_) => CounterId::ServeOpSweep,
+    };
+    let latency = Stopwatch::start();
+    let resp = match shared.gate.enter() {
+        Some((slot, depth)) => {
+            counters.count(CounterId::ServeRequests);
+            counters.observe(HistogramId::ServeQueueDepth, depth as u64);
+            let resp = execute(request, env);
+            drop(slot);
+            // Per-op accounting lives in the daemon-global registry only;
+            // per-request registries inside `execute` stay byte-stable
+            // for the differential.
+            counters.observe(HistogramId::ServeOpLatencyUs, latency.elapsed_us());
+            counters.count(op_counter);
+            resp
         }
-    }
+        None => {
+            counters.count(CounterId::ServeRejected);
+            error_line(Some(id), "overloaded: worker pool queue is full")
+        }
+    };
+    write_response(writer, resp)?;
+    Ok(false)
 }
 
 /// The daemon's self-describing metrics document: identity, uptime, the
-/// publication sequence number, and worker-pool gauges, followed by any
+/// publication sequence number, and run-slot gauges, followed by any
 /// caller-supplied entries (watch frames add their frame index), wrapping
 /// the current global snapshot.
 fn daemon_doc(shared: &Shared, extra: &[(&str, String)]) -> MetricsDoc {
     // mkss-lint: ordering — publication sequence label; monotonicity per document is all consumers read into it
     let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
+    let (running, waiting) = shared.gate.occupancy();
     let mut meta: Vec<(&str, String)> = vec![
         ("endpoint", "daemon".to_string()),
         ("seq", seq.to_string()),
         ("uptime_ms", shared.start.elapsed_ms_ceil().to_string()),
-        ("workers", shared.jobs.worker_count().to_string()),
-        ("busy_workers", shared.jobs.busy_count().to_string()),
-        ("queue", shared.config.queue_capacity.to_string()),
-        ("queue_depth", shared.jobs.queue_depth().to_string()),
+        ("workers", shared.gate.slots.to_string()),
+        ("busy_workers", running.to_string()),
+        ("queue", shared.gate.places.to_string()),
+        ("queue_depth", waiting.to_string()),
         ("pid", std::process::id().to_string()),
     ];
     meta.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
@@ -565,4 +626,94 @@ fn join_quiet(handle: JoinHandle<()>) {
     // A panicked handler already lost its connection; don't take the
     // daemon down with it.
     let _ = handle.join();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Polls `done` every millisecond, failing the test after ten seconds.
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("condition not reached within ten seconds");
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_reaped() {
+        let sock =
+            std::env::temp_dir().join(format!("mkss-serve-unit-{}-reap.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let server = Server::bind_unix(&sock, ServerConfig::default()).expect("bind");
+        let shared = Arc::clone(&server.shared);
+        let all_finished = || {
+            let closed = lock(&shared.conns).is_empty();
+            closed && lock(&shared.handlers).iter().all(JoinHandle::is_finished)
+        };
+        for id in 0..64 {
+            let mut client = Client::connect_unix(&sock).expect("connect");
+            let resp = client
+                .request(&format!(r#"{{"id": {id}, "op": "ping"}}"#))
+                .expect("ping");
+            assert!(resp.contains("pong"), "{resp}");
+            drop(client);
+            wait_until(all_finished);
+        }
+        let held = lock(&shared.handlers).len();
+        assert!(
+            held <= 2,
+            "{held} handler threads kept for 64 closed connections"
+        );
+        drop(server);
+    }
+
+    #[test]
+    fn first_request_enters_a_free_slot_at_once() {
+        let gate = Gate::new(1, 1);
+        let (slot, depth) = gate.enter().expect("a free slot");
+        assert_eq!(
+            depth, 0,
+            "a request that starts at once waited behind no one"
+        );
+        assert_eq!(gate.occupancy(), (1, 0));
+        drop(slot);
+        assert_eq!(gate.occupancy(), (0, 0));
+    }
+
+    #[test]
+    fn second_request_waits_for_the_slot_and_third_is_refused() {
+        let gate = Gate::new(1, 1);
+        let (first, _) = gate.enter().expect("a free slot");
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| gate.enter().map(|(_slot, depth)| depth));
+            wait_until(|| gate.occupancy() == (1, 1));
+            assert!(
+                gate.enter().is_none(),
+                "the slot and the waiting place are both taken"
+            );
+            assert!(!second.is_finished(), "admitted while the slot was held");
+            drop(first);
+            let depth = second.join().expect("second request");
+            assert_eq!(depth, Some(1), "it waited, and was the only one waiting");
+        });
+        assert_eq!(gate.occupancy(), (0, 0));
+    }
+
+    #[test]
+    fn a_slot_is_freed_when_its_request_unwinds() {
+        let gate = Gate::new(1, 1);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = gate.enter().expect("a free slot");
+            panic!("request panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(gate.occupancy(), (0, 0), "busy_workers back to 0");
+        assert!(gate.enter().is_some(), "the slot can be taken again");
+    }
 }

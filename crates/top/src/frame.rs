@@ -22,13 +22,13 @@ pub struct SampleMeta {
     pub seq: u64,
     /// Milliseconds since the daemon started — the dashboard's clock.
     pub uptime_ms: u64,
-    /// Worker-pool thread count.
+    /// Run slots: simulation requests the daemon executes at once.
     pub workers: u64,
-    /// Workers running a job when the sample was taken.
+    /// Run slots busy when the sample was taken.
     pub busy_workers: u64,
-    /// Bounded job-queue capacity.
+    /// Waiting places for requests that find every run slot busy.
     pub queue: u64,
-    /// Jobs queued when the sample was taken.
+    /// Requests waiting for a run slot when the sample was taken.
     pub queue_depth: u64,
 }
 

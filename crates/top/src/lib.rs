@@ -3,7 +3,7 @@
 //! A live terminal dashboard for the mkss fleet: attach to a running
 //! `mkss-serve` daemon (or snapshot an in-process registry) and watch
 //! counter rates, the (m,k) distance-to-violation and queue-depth
-//! histograms, per-op throughput, and worker-pool utilization refresh in
+//! histograms, per-op throughput, and run-slot utilization refresh in
 //! place.
 //!
 //! The crate splits cleanly into wire, model, and paint:

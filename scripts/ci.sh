@@ -297,10 +297,27 @@ big_id = 18446744073709551615
 line = request('{"id": %d, "op": "ping"}' % big_id)
 assert line.startswith('{"id":%d,"ok":true,' % big_id), line
 assert json.loads(line)["id"] == big_id, line
+# Connection churn must not grow the daemon's address space: an exited
+# but unjoined handler thread keeps its stack mapped. The pid comes from
+# the metrics op, since `$!` is cargo's pid, not the daemon's.
+pid = json.loads(request('{"id": 3, "op": "metrics"}'))["result"]["meta"]["pid"]
+def mappings():
+    with open(f"/proc/{pid}/maps") as maps:
+        return sum(1 for _ in maps)
+before = mappings()
+for i in range(200):
+    c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    c.connect(sys.argv[1])
+    c.sendall(b'{"id": %d, "op": "ping"}\n' % i)
+    assert b'"pong":true' in c.makefile("rb").readline()
+    c.close()
+grown = mappings() - before
+assert grown <= 40, f"200 closed connections left {grown} more mappings"
 s.close()
 print(f"serve trace ok: {len(trace['events'])} events embedded, "
       f"{trace['dropped']} dropped by the ring; generated set file "
-      f"embedded verbatim; u64::MAX id echoed exactly")
+      f"embedded verbatim; u64::MAX id echoed exactly; 200 closed "
+      f"connections grew the daemon's maps by {grown} lines")
 PY
 cargo run --release -q -p mkss-bench --bin loadgen -- \
     --socket "$serve_sock" --clients 4 --requests 16 --differential --shutdown

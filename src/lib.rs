@@ -13,7 +13,7 @@
 //! | [`policies`] | `mkss-policies` | `MKSS_ST`, `MKSS_DP`, `MKSS_selective`, greedy + ablation variants |
 //! | [`workload`] | `mkss-workload` | the Section-V random task-set generator |
 //! | [`obs`] | `mkss-obs` | zero-dep observability: engine-event recorders, counter/histogram registry, metrics export |
-//! | [`serve`] | `mkss-serve` | session-pooled simulation daemon: line-JSON protocol over Unix/TCP sockets, bounded worker pool, per-request metrics |
+//! | [`serve`] | `mkss-serve` | session-pooled simulation daemon: line-JSON protocol over Unix/TCP sockets, bounded run slots, per-request metrics |
 //! | [`top`] | `mkss-top` | live terminal dashboard: deterministic frame model over daemon `watch` streams or in-process registries, plain/ANSI renderers |
 //!
 //! ## Quickstart
