@@ -70,37 +70,6 @@ impl ExactReport {
 /// # }
 /// ```
 pub fn exact_sweep(ts: &TaskSet, pattern: Pattern, cap: Time) -> ExactReport {
-    exact_sweep_with(ts, cap, |task, j| {
-        pattern.is_mandatory(ts.task(TaskId(task)).mk(), j)
-    })
-}
-
-/// Like [`exact_sweep`], with per-task rotated patterns (Quan & Hu style
-/// offsets). Rotation invalidates the synchronous-critical-instant
-/// argument, so this sweep — with
-/// [`ExactReport::schedulable_forever`] — is the correct schedulability
-/// test for rotated assignments.
-///
-/// # Panics
-///
-/// Panics if `patterns.len() != ts.len()`.
-pub fn exact_sweep_rotated(
-    ts: &TaskSet,
-    patterns: &[mkss_core::mk::RotatedPattern],
-    cap: Time,
-) -> ExactReport {
-    assert_eq!(patterns.len(), ts.len(), "one pattern per task");
-    exact_sweep_with(ts, cap, |task, j| {
-        patterns[task].is_mandatory(ts.task(TaskId(task)).mk(), j)
-    })
-}
-
-/// Event-driven sweep with an arbitrary per-task mandatory predicate.
-fn exact_sweep_with(
-    ts: &TaskSet,
-    cap: Time,
-    is_mandatory: impl Fn(usize, u64) -> bool,
-) -> ExactReport {
     let horizon = ts.hyperperiod().min(cap);
     let covers_hyperperiod = horizon == ts.hyperperiod();
     let n = ts.len();
@@ -127,7 +96,7 @@ fn exact_sweep_with(
             if release >= horizon {
                 return None;
             }
-            if is_mandatory(task, j) {
+            if pattern.is_mandatory(t.mk(), j) {
                 return Some(release);
             }
             next_index[task] += 1;

@@ -33,23 +33,16 @@
 
 pub mod exact;
 pub mod postpone;
-pub mod rotation;
 pub mod rta;
-pub mod util_bound;
 
 /// Commonly used analysis entry points.
 pub mod prelude {
-    pub use crate::exact::{exact_sweep, exact_sweep_rotated, ExactReport};
+    pub use crate::exact::{exact_sweep, ExactReport};
     pub use crate::postpone::{
-        job_postponement, postponement_intervals, JobPostponement, PostponeConfig, PostponeError,
-        Postponement,
+        postponement_intervals, PostponeConfig, PostponeError, Postponement,
     };
-    pub use crate::rotation::{find_rotation, RotationAssignment, RotationConfig};
     pub use crate::rta::{
         analyze, is_schedulable_r_pattern, promotion_times, response_time, InterferenceModel,
         SchedulabilityReport, TaskResponse,
-    };
-    pub use crate::util_bound::{
-        liu_layland_sufficient, mandatory_utilization, quick_verdict, QuickVerdict,
     };
 }

@@ -386,134 +386,6 @@ fn theta_for_job(
     best
 }
 
-/// Per-**job** release postponement: the `θ_ij` of Definition 4 used
-/// directly, without taking the per-task minimum of Definition 5.
-///
-/// This is an extension beyond the paper (which fixes one `θ_i` per task
-/// so releases stay strictly periodic): every individual backup job is
-/// already guaranteed to meet its deadline by Eq. (4) alone — the
-/// inspecting-point *work-pool* argument is per job, and it tolerates
-/// higher-priority jobs releasing **later** than analyzed (a non-counted
-/// job still cannot arrive before the inspecting point; a counted one
-/// contributes at most its full WCET either way). The higher-priority
-/// postponed releases used as inspecting points are the paper's
-/// *task-level* ones, keeping the cascade identical to Definition 3.
-///
-/// **Soundness gate.** The pool argument is the *only* one that
-/// survives the release jitter that per-job delays introduce. Wherever a
-/// delay instead comes from the promotion-time floor (`Y_i`, a
-/// *density*-based bound) — because a task's hyperperiod was too large
-/// to enumerate, or an inspecting-point value fell below `Y_i` — that
-/// bound assumes strictly periodic higher-priority releases, and
-/// per-job jitter above it can squeeze two releases closer than a
-/// period and break it (found by a 400-case property soak; see
-/// DESIGN.md §7). [`job_postponement`] therefore degrades the **whole**
-/// assignment to constant task-level delays unless *every* mandatory
-/// position of *every* task got a pure pool-based `θ_ij ≥ Y_i`.
-///
-/// `θ_ij` is periodic with the level-i pattern hyperperiod, so lookups
-/// wrap around.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JobPostponement {
-    /// The underlying task-level analysis (fallback and cascade input).
-    pub task_level: Postponement,
-    /// Per-task table of `θ_ij` for the mandatory jobs in one level-i
-    /// pattern hyperperiod, indexed by `(j − 1) mod jobs_in_horizon`
-    /// (`None` for optional positions and for tasks where the horizon
-    /// was too large to enumerate).
-    tables: Vec<Option<Vec<Option<Time>>>>,
-}
-
-impl JobPostponement {
-    /// The release delay for the backup of the `j`-th (**1-based**) job
-    /// of `task`, assuming it occupies the deeply-red-mandatory position
-    /// of its window; non-pattern positions and un-enumerated tasks use
-    /// the task-level `θ_i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` is out of range or `j` is zero.
-    pub fn delay_of(&self, task: TaskId, j: u64) -> Time {
-        assert!(j >= 1, "job indices are 1-based");
-        let fallback = self.task_level.theta[task.0];
-        match &self.tables[task.0] {
-            Some(table) if !table.is_empty() => {
-                let slot = ((j - 1) % table.len() as u64) as usize;
-                table[slot].unwrap_or(fallback).max(fallback)
-            }
-            _ => fallback,
-        }
-    }
-}
-
-/// Computes per-job postponement intervals (see [`JobPostponement`]).
-///
-/// # Errors
-///
-/// Same as [`postponement_intervals`].
-pub fn job_postponement(
-    ts: &TaskSet,
-    config: PostponeConfig,
-) -> Result<JobPostponement, PostponeError> {
-    let task_level = postponement_intervals(ts, config)?;
-    let mut tables = Vec::with_capacity(ts.len());
-    let mut rows: Vec<HpRow> = Vec::with_capacity(ts.len());
-    // Pure pool-based assignment so far? (See the soundness gate on
-    // [`JobPostponement`].)
-    let mut pure = true;
-    for (i, task) in ts.iter() {
-        let horizon = ts.hyperperiod_up_to(i);
-        let jobs_in_horizon = if horizon == Time::MAX {
-            u64::MAX
-        } else {
-            horizon.div_floor(task.period())
-        };
-        if jobs_in_horizon > config.max_jobs_per_task {
-            // This task's delay is the promotion-based fallback: the
-            // density argument would be broken by jitter above it.
-            pure = false;
-            tables.push(None);
-            continue;
-        }
-        let promotion = task_level.promotion[i.0];
-        let mut table = Vec::with_capacity(jobs_in_horizon as usize);
-        for j in 1..=jobs_in_horizon {
-            if !config.pattern.is_mandatory(task.mk(), j) {
-                table.push(None);
-                continue;
-            }
-            let r = task.release_of(j);
-            let d = r + task.deadline();
-            // Per-job values are reported exactly, so no `stop_at` cutoff.
-            let t_ij = theta_for_job(
-                ts,
-                i,
-                config.pattern,
-                r,
-                d,
-                &task_level.theta,
-                i128::MAX,
-                &mut rows,
-            );
-            let value = u64::try_from(t_ij).ok().map(Time::from_ticks);
-            match value {
-                Some(t) if t >= promotion => table.push(Some(t)),
-                _ => {
-                    // This position would need the promotion floor.
-                    pure = false;
-                    table.push(None);
-                }
-            }
-        }
-        tables.push(Some(table));
-    }
-    if !pure {
-        // Degrade to the (jitter-free) constant task-level assignment.
-        tables = vec![None; ts.len()];
-    }
-    Ok(JobPostponement { task_level, tables })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,50 +485,6 @@ mod tests {
         let ts = set(&[(10, 8, 3, 1, 2)]);
         let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
         assert_eq!(post.theta, vec![Time::from_ms(5)]);
-    }
-
-    #[test]
-    fn job_level_postponement_dominates_task_level() {
-        for tasks in [
-            vec![(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)],
-            vec![(5, 4, 3, 2, 4), (10, 10, 3, 1, 2)],
-            vec![(5, 5, 1, 1, 3), (7, 7, 2, 2, 3), (14, 14, 3, 1, 2)],
-        ] {
-            let ts = set(&tasks);
-            let jp = job_postponement(&ts, PostponeConfig::default()).unwrap();
-            for (id, task) in ts.iter() {
-                let jobs = ts.hyperperiod_up_to(id).div_floor(task.period());
-                for j in 1..=(3 * jobs) {
-                    // Every per-job delay is at least the task-level θ…
-                    assert!(jp.delay_of(id, j) >= jp.task_level.theta[id.0]);
-                    // …and wraps periodically.
-                    assert_eq!(jp.delay_of(id, j), jp.delay_of(id, j + jobs));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn job_level_postponement_fig5() {
-        let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
-        let jp = job_postponement(&ts, PostponeConfig::default()).unwrap();
-        // Both mandatory jobs of τ'1 admit exactly 7 (the paper computes
-        // θ11 = θ12 = 7), and τ'2's single job exactly 4.
-        assert_eq!(jp.delay_of(TaskId(0), 1), Time::from_ms(7));
-        assert_eq!(jp.delay_of(TaskId(0), 2), Time::from_ms(7));
-        assert_eq!(jp.delay_of(TaskId(1), 1), Time::from_ms(4));
-    }
-
-    #[test]
-    fn job_level_falls_back_on_huge_hyperperiods() {
-        let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
-        let config = PostponeConfig {
-            max_jobs_per_task: 1,
-            ..PostponeConfig::default()
-        };
-        let jp = job_postponement(&ts, config).unwrap();
-        assert_eq!(jp.delay_of(TaskId(0), 5), jp.task_level.theta[0]);
-        assert_eq!(jp.delay_of(TaskId(1), 9), jp.task_level.theta[1]);
     }
 
     #[test]

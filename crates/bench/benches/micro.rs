@@ -1,14 +1,11 @@
 //! Micro-benchmarks of the building blocks that no perfbench per-layer
-//! row times yet: the exact schedulability sweep, per-job postponement
-//! (only the `dp-jobtheta` ablation builds it), the rotation search, the
-//! trace tools, and the engine with a no-op recorder attached. The rest
-//! is measured by perfbench (`perfbench/README.md`) and recorded in
+//! row times yet: the exact schedulability sweep, the VCD renderer, and
+//! the engine with a no-op recorder attached. The rest is measured by
+//! perfbench (`perfbench/README.md`) and recorded in
 //! `BENCH_perfbench.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mkss_analysis::exact::exact_sweep;
-use mkss_analysis::postpone::{job_postponement, PostponeConfig};
-use mkss_analysis::rotation::{find_rotation, RotationConfig};
 use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
@@ -27,9 +24,6 @@ fn sample_set() -> TaskSet {
 
 fn bench_analysis(c: &mut Criterion) {
     let ts = sample_set();
-    c.bench_function("postpone/per_job", |b| {
-        b.iter(|| black_box(job_postponement(black_box(&ts), PostponeConfig::default())))
-    });
     c.bench_function("exact/sweep_1s", |b| {
         b.iter(|| {
             black_box(exact_sweep(
@@ -41,30 +35,6 @@ fn bench_analysis(c: &mut Criterion) {
     });
 }
 
-fn bench_rotation(c: &mut Criterion) {
-    let harmonic = WorkloadConfig {
-        tasks_min: 4,
-        tasks_max: 6,
-        period_ms: (4, 32),
-        k_range: (2, 8),
-        pow2_harmonics: true,
-        ..WorkloadConfig::paper()
-    };
-    let ts = loop {
-        // A set the search actually has to work on.
-        let mut g = Generator::new(harmonic, 31);
-        if let Some(ts) = g.raw_set(0.75) {
-            break ts;
-        }
-    };
-    let mut group = c.benchmark_group("rotation");
-    group.sample_size(20);
-    group.bench_function("search", |b| {
-        b.iter(|| black_box(find_rotation(black_box(&ts), RotationConfig::default())))
-    });
-    group.finish();
-}
-
 fn bench_trace_tools(c: &mut Criterion) {
     let ts = sample_set();
     let config = SimConfig::builder().horizon_ms(500).build();
@@ -74,14 +44,6 @@ fn bench_trace_tools(c: &mut Criterion) {
     let (_, trace) = simulate_traced(&ts, policy.as_mut(), &config);
     c.bench_function("trace/vcd_render", |b| {
         b.iter(|| black_box(mkss_sim::vcd::render_vcd(black_box(&trace), ts.len())))
-    });
-    c.bench_function("trace/metrics", |b| {
-        b.iter(|| {
-            black_box(mkss_sim::metrics::analyze_trace(
-                black_box(&ts),
-                black_box(&trace),
-            ))
-        })
     });
 }
 
@@ -115,7 +77,6 @@ criterion_group!(
     benches,
     bench_analysis,
     bench_sim_hot_path,
-    bench_rotation,
     bench_trace_tools
 );
 criterion_main!(benches);

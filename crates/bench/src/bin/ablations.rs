@@ -72,11 +72,10 @@ fn main() -> ExitCode {
             vec![PolicyKind::Selective, PolicyKind::SelectivePrimaryOnly],
         ),
         (
-            "ablation 4: backup procrastination on the static scheme (Y vs θ vs θ_ij)",
+            "ablation 4: backup procrastination on the static scheme (Y vs θ)",
             vec![
                 PolicyKind::DualPriority,
                 PolicyKind::DualPriorityTheta,
-                PolicyKind::DualPriorityJobTheta,
                 PolicyKind::Selective,
                 PolicyKind::SelectiveNoPostpone,
             ],

@@ -255,11 +255,6 @@ impl HarnessObs {
     pub fn none() -> HarnessObs {
         HarnessObs::default()
     }
-
-    /// True when neither a registry nor a reporter is attached.
-    pub fn is_off(&self) -> bool {
-        self.registry.is_none() && self.progress.is_none()
-    }
 }
 
 /// Assembles the standard `--metrics-out` document shared by the bench
@@ -1238,7 +1233,6 @@ mod tests {
             progress: Some(Arc::new(Reporter::with_sink(Box::new(buf.clone())))),
             label: "unit".to_string(),
         };
-        assert!(!obs.is_off());
         let result = run_experiment_observed(&quick_config(Scenario::NoFault), 2, &obs);
         let bytes = buf.0.lock().unwrap();
         let text = std::str::from_utf8(&bytes).unwrap();

@@ -32,5 +32,4 @@
 pub mod cli;
 pub mod experiment;
 pub mod report_html;
-pub mod sched;
 pub mod table;

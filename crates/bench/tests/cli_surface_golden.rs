@@ -1,10 +1,10 @@
 //! Golden pin of the experiment binaries' command-line surface.
 //!
-//! For `fig6`, `ablations`, `sensitivity`, `schedulability` and
-//! `loadgen` this pins the `--help` text, the exit status and stderr
-//! of a missing value, an unparsable value and an unknown flag, and the
-//! stdout of one minimal run where the binary needs no daemon (run
-//! stderr carries wall times, so only its stdout is pinned). Every case
+//! For `fig6`, `ablations`, `sensitivity` and `loadgen` this pins the
+//! `--help` text, the exit status and stderr of a missing value, an
+//! unparsable value and an unknown flag, and the stdout of one minimal
+//! run where the binary needs no daemon (run stderr carries wall times,
+//! so only its stdout is pinned). Every case
 //! is rendered into one transcript compared byte for byte with the
 //! workspace's `tests/golden/cli_surface_bench.txt`.
 
@@ -84,16 +84,6 @@ const CASES: &[Case] = &[
         &["--sets", "1", "--horizon-ms", "100"],
         Pin::Stdout,
     ),
-    // schedulability
-    ("schedulability", &["--help"], Pin::All),
-    ("schedulability", &["--samples"], Pin::All),
-    ("schedulability", &["--samples", "x"], Pin::All),
-    ("schedulability", &["--from", "x"], Pin::All),
-    ("schedulability", &["--to", "x"], Pin::All),
-    ("schedulability", &["--seed", "x"], Pin::All),
-    ("schedulability", &["--jobs", "x"], Pin::All),
-    ("schedulability", &["--bogus"], Pin::All),
-    ("schedulability", &["--samples", "2"], Pin::Stdout),
     // loadgen
     ("loadgen", &["--help"], Pin::All),
     ("loadgen", &["--clients"], Pin::All),
@@ -124,12 +114,6 @@ const CASES: &[Case] = &[
     ("fig6", &["--fault-window", "2..3"], Pin::All),
     ("fig6", &["--fault-window", "0.5..0.2"], Pin::All),
     ("fig6", &["--fault-window", "nan..1"], Pin::All),
-    (
-        "schedulability",
-        &["--from", "0.9", "--to", "0.5"],
-        Pin::All,
-    ),
-    ("schedulability", &["--from", "nan"], Pin::All),
 ];
 
 fn exe(bin: &str) -> &'static str {
@@ -137,7 +121,6 @@ fn exe(bin: &str) -> &'static str {
         "fig6" => env!("CARGO_BIN_EXE_fig6"),
         "ablations" => env!("CARGO_BIN_EXE_ablations"),
         "sensitivity" => env!("CARGO_BIN_EXE_sensitivity"),
-        "schedulability" => env!("CARGO_BIN_EXE_schedulability"),
         "loadgen" => env!("CARGO_BIN_EXE_loadgen"),
         other => panic!("no binary {other}"),
     }

@@ -33,7 +33,6 @@ fn no_policy_violates_under_fig6b_fault_plans() {
                 PolicyKind::Selective,
                 PolicyKind::SelectiveNoPostpone,
                 PolicyKind::DualPriorityTheta,
-                PolicyKind::DualPriorityJobTheta,
             ] {
                 let mut policy = kind
                     .build(ts, &BuildOptions::default())

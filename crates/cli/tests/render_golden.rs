@@ -6,9 +6,10 @@
 //! (summary and ASCII Gantt), one over the VCD file bytes. The values
 //! were recorded when the schedule trace was still assembled by its own
 //! event sink; rebuilding it from the flight-recorder ring must leave
-//! every byte unchanged. When the DVS policy kind was removed, the pins
-//! were re-recorded on the code before the removal with that kind
-//! skipped in the loop, so they prove the remaining kinds unchanged.
+//! every byte unchanged. When the DVS and the per-job θ policy kinds
+//! were removed, the pins were re-recorded on the code before each
+//! removal with that kind skipped, so they prove the remaining kinds
+//! unchanged.
 
 use mkss_policies::PolicyKind;
 
@@ -81,6 +82,6 @@ fn gantt_and_vcd_match_the_recorded_digests() {
         "a paper-sized set: {tasks} tasks"
     );
     assert!(transients > 0, "the fault plan injects transients");
-    assert_eq!(gantt_digest, 0x2bc1_2c31_c2ef_9e77, "gantt digest");
-    assert_eq!(vcd_digest, 0xb96b_eb11_dc81_6478, "vcd digest");
+    assert_eq!(gantt_digest, 0x6558_98e9_e20a_d1b9, "gantt digest");
+    assert_eq!(vcd_digest, 0x4fd0_7b86_3fc9_1e81, "vcd digest");
 }

@@ -32,14 +32,6 @@ where
     acc
 }
 
-/// Mean of a slice in index order; `0.0` for an empty slice.
-pub fn mean_f64(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    sum_f64(xs) / xs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,10 +53,8 @@ mod tests {
     }
 
     #[test]
-    fn by_and_mean() {
+    fn sum_by_applies_the_key() {
         let xs = [1.5, 2.5, 4.0];
         assert_eq!(sum_f64_by(&xs, |x| x * 2.0), 16.0);
-        assert_eq!(mean_f64(&xs), 8.0 / 3.0);
-        assert_eq!(mean_f64(&[]), 0.0);
     }
 }

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::error::ValidateTaskError;
     pub use crate::history::{JobOutcome, MkHistory};
     pub use crate::job::{CopyKind, Job, JobClass, JobId};
-    pub use crate::mk::{MkConstraint, MkMonitor, Pattern, RotatedPattern};
+    pub use crate::mk::{MkConstraint, MkMonitor, Pattern};
     pub use crate::task::{Task, TaskId, TaskSet};
     pub use crate::time::{Time, TICKS_PER_MS};
 }

@@ -192,83 +192,6 @@ impl Pattern {
     }
 }
 
-/// A static pattern with a per-task cyclic rotation, after Quan & Hu's
-/// enhanced (m,k) scheduling (the paper's reference \[13\]): rotating each
-/// task's pattern start de-clusters the synchronous release and can make
-/// otherwise-unschedulable sets schedulable.
-///
-/// Rotation preserves the (m,k) guarantee — any cyclic shift of a
-/// pattern with ≥ `m` mandatory jobs in every sliding `k`-window keeps
-/// that property — but it *invalidates* the synchronous-critical-instant
-/// argument, so schedulability of rotated assignments must be checked
-/// exactly (see `mkss_analysis::exact`).
-///
-/// # Examples
-///
-/// ```
-/// use mkss_core::mk::{MkConstraint, Pattern, RotatedPattern};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mk = MkConstraint::new(2, 4)?;
-/// let rot = RotatedPattern::new(Pattern::DeeplyRed, 2);
-/// // Deeply-red is 1,2 mandatory per window; rotated by 2 → 3,4.
-/// let flags: Vec<bool> = (1..=8).map(|j| rot.is_mandatory(mk, j)).collect();
-/// assert_eq!(flags, [false, false, true, true, false, false, true, true]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RotatedPattern {
-    /// The base pattern being rotated.
-    pub base: Pattern,
-    /// Cyclic forward shift in job positions (taken modulo `k`).
-    pub offset: u32,
-}
-
-impl RotatedPattern {
-    /// Creates a rotated pattern.
-    pub fn new(base: Pattern, offset: u32) -> Self {
-        RotatedPattern { base, offset }
-    }
-
-    /// The unrotated pattern.
-    pub fn plain(base: Pattern) -> Self {
-        RotatedPattern { base, offset: 0 }
-    }
-
-    /// Whether the `j`-th job (**1-based**) is mandatory: position
-    /// `((j − 1 + offset) mod k) + 1` of the base pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `job_index` is zero.
-    pub fn is_mandatory(self, mk: MkConstraint, job_index: u64) -> bool {
-        assert!(job_index >= 1, "job indices are 1-based");
-        let k = u64::from(mk.k());
-        let pos = (job_index - 1 + u64::from(self.offset)) % k + 1;
-        self.base.is_mandatory(mk, pos)
-    }
-
-    /// Number of mandatory jobs among the first `count` jobs.
-    pub fn mandatory_among(self, mk: MkConstraint, count: u64) -> u64 {
-        let k = u64::from(mk.k());
-        let full = count / k;
-        let mut total = full * u64::from(mk.m());
-        for j in full * k + 1..=count {
-            if self.is_mandatory(mk, j) {
-                total += 1;
-            }
-        }
-        total
-    }
-}
-
-impl From<Pattern> for RotatedPattern {
-    fn from(base: Pattern) -> Self {
-        RotatedPattern::plain(base)
-    }
-}
-
 /// A streaming checker that verifies the (m,k) constraint over **every**
 /// sliding window of `k` consecutive job outcomes.
 ///
@@ -366,11 +289,6 @@ impl MkMonitor {
     /// 1-based index of the job that completed the first violating window.
     pub fn first_violation(&self) -> Option<u64> {
         self.first_violation
-    }
-
-    /// Number of outcomes recorded.
-    pub fn jobs_seen(&self) -> u64 {
-        self.seen
     }
 
     /// Number of met outcomes in the current window (counting pre-history
@@ -505,7 +423,6 @@ mod tests {
         assert!(!mon.record(false)); // window T F F: 1 met < 2
         assert!(mon.violated());
         assert_eq!(mon.first_violation(), Some(4));
-        assert_eq!(mon.jobs_seen(), 4);
         // Stays violated.
         assert!(!mon.record(true));
     }
@@ -541,59 +458,6 @@ mod tests {
         mon.record(false); // third miss in the window: violation
         assert!(mon.violated());
         assert_eq!(mon.distance_to_violation(), 0); // saturates, no underflow
-    }
-
-    #[test]
-    fn rotation_shifts_positions() {
-        let mk = MkConstraint::new(2, 4).unwrap();
-        let rot = RotatedPattern::new(Pattern::DeeplyRed, 1);
-        // offset 1: positions 2,3 of each window… wait: job j maps to
-        // position ((j-1+1) mod 4)+1, so job 1 → pos 2 (mandatory),
-        // job 2 → pos 3 (optional), job 4 → pos 1 (mandatory).
-        let flags: Vec<bool> = (1..=4).map(|j| rot.is_mandatory(mk, j)).collect();
-        assert_eq!(flags, [true, false, false, true]);
-        // Offset k is identity.
-        let id = RotatedPattern::new(Pattern::DeeplyRed, 4);
-        for j in 1..=12 {
-            assert_eq!(
-                id.is_mandatory(mk, j),
-                Pattern::DeeplyRed.is_mandatory(mk, j)
-            );
-        }
-        // From impl.
-        let plain: RotatedPattern = Pattern::DeeplyRed.into();
-        assert_eq!(plain.offset, 0);
-    }
-
-    #[test]
-    fn rotation_preserves_window_guarantee() {
-        for (m, k) in [(1u32, 2u32), (2, 4), (3, 5), (2, 7)] {
-            let mk = MkConstraint::new(m, k).unwrap();
-            for offset in 0..k {
-                let rot = RotatedPattern::new(Pattern::DeeplyRed, offset);
-                for start in 1..=(3 * u64::from(k)) {
-                    let count = (start..start + u64::from(k))
-                        .filter(|&j| rot.is_mandatory(mk, j))
-                        .count() as u32;
-                    assert!(
-                        count >= m,
-                        "offset {offset} window at {start}: {count} < {m}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rotated_mandatory_among_matches_naive() {
-        let mk = MkConstraint::new(2, 5).unwrap();
-        for offset in 0..5 {
-            let rot = RotatedPattern::new(Pattern::DeeplyRed, offset);
-            for count in 0..40 {
-                let naive = (1..=count).filter(|&j| rot.is_mandatory(mk, j)).count() as u64;
-                assert_eq!(rot.mandatory_among(mk, count), naive);
-            }
-        }
     }
 
     proptest! {

@@ -281,11 +281,6 @@ impl TaskSet {
         (0..self.tasks.len()).map(TaskId)
     }
 
-    /// The tasks as a slice, in priority order.
-    pub fn as_slice(&self) -> &[Task] {
-        &self.tasks
-    }
-
     /// Total classic utilization `Σ Cᵢ/Pᵢ`, summed in priority order.
     pub fn utilization(&self) -> f64 {
         crate::fold::sum_f64_by(&self.tasks, Task::utilization)
@@ -449,7 +444,6 @@ mod tests {
         assert_eq!(ts.task(TaskId(0)).period(), Time::from_ms(5));
         assert!(ts.get(TaskId(5)).is_none());
         assert_eq!(ts.ids().count(), 2);
-        assert_eq!(ts.as_slice().len(), 2);
         assert_eq!((&ts).into_iter().count(), 2);
     }
 

@@ -10,7 +10,7 @@
 //! promotion time `Y_i = D_i − R_i` (Eq. 2), so a main job that finishes
 //! early cancels a backup that has barely started.
 
-use mkss_analysis::postpone::{job_postponement, postponement_intervals, PostponeConfig};
+use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
 use mkss_analysis::rta::InterferenceModel;
 use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
@@ -55,19 +55,6 @@ pub enum StaticBackupDelay {
     PromotionMandatory,
     /// The task-level postponement intervals `θ_i` (Defs. 2–5).
     Postponement,
-    /// Per-job postponement `θ_ij` (Def. 4 without Def. 5's per-task
-    /// minimum) — an extension beyond the paper. Sound **only** for
-    /// static patterns, where every mandatory job sits at its analyzed
-    /// position; the dynamic schemes must use the task-level minimum
-    /// (see [`crate::BackupDelay::Postponement`]).
-    JobPostponement,
-}
-
-/// Resolved static-scheme delay lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum StaticDelayTable {
-    PerTask(Vec<Time>),
-    PerJob(Box<mkss_analysis::postpone::JobPostponement>),
 }
 
 /// The dual-priority standby-sparing scheme (`MKSS_DP`).
@@ -96,10 +83,9 @@ pub struct MkssDp {
     pattern: Pattern,
     placement: MainPlacement,
     delay_model: StaticBackupDelay,
-    delay: StaticDelayTable,
-    /// Task-level view of the delays (promotion times for the promotion
-    /// models; θ for the postponement models).
-    promotion: Vec<Time>,
+    /// Per-task backup delay: promotion times for the promotion models,
+    /// θ for the postponement model.
+    delay: Vec<Time>,
 }
 
 impl MkssDp {
@@ -151,10 +137,7 @@ impl MkssDp {
     ) -> Result<Self, BuildPolicyError> {
         let pattern = Pattern::DeeplyRed;
         if placement == MainPlacement::PreferenceOriented
-            && matches!(
-                delay_model,
-                StaticBackupDelay::Postponement | StaticBackupDelay::JobPostponement
-            )
+            && delay_model == StaticBackupDelay::Postponement
         {
             // Defs. 2–5 analyze a spare that runs postponed backups only;
             // preference-oriented placement would mix offset-0 mains in.
@@ -166,48 +149,37 @@ impl MkssDp {
         if !report.schedulable() {
             return Err(first_unschedulable(ts, pattern));
         }
-        let postpone_config = PostponeConfig {
-            pattern,
-            ..PostponeConfig::default()
-        };
-        let (delay, promotion) = match delay_model {
+        let delay = match delay_model {
             StaticBackupDelay::PromotionAllJobs => {
                 let all_jobs = mkss_analysis::rta::analyze(ts, InterferenceModel::AllJobs);
-                let y: Vec<Time> = ts
-                    .ids()
+                ts.ids()
                     .map(|id| match all_jobs.response_time(id) {
                         Some(r) => ts.task(id).deadline() - r,
                         None => Time::ZERO,
                     })
-                    .collect();
-                (StaticDelayTable::PerTask(y.clone()), y)
+                    .collect()
             }
             StaticBackupDelay::PromotionMandatory => {
                 // `response_time` is None only for unschedulable tasks;
                 // the gate above makes that unreachable, but propagating
                 // keeps this arm correct even if the gate moves.
-                let y = ts
-                    .ids()
+                ts.ids()
                     .map(|id| {
                         report
                             .response_time(id)
                             .map(|r| ts.task(id).deadline() - r)
                             .ok_or_else(|| first_unschedulable(ts, pattern))
                     })
-                    .collect::<Result<Vec<Time>, BuildPolicyError>>()?;
-                (StaticDelayTable::PerTask(y.clone()), y)
+                    .collect::<Result<Vec<Time>, BuildPolicyError>>()?
             }
             StaticBackupDelay::Postponement => {
-                let theta = postponement_intervals(ts, postpone_config)
+                let config = PostponeConfig {
+                    pattern,
+                    ..PostponeConfig::default()
+                };
+                postponement_intervals(ts, config)
                     .map_err(|_| first_unschedulable(ts, pattern))?
-                    .theta;
-                (StaticDelayTable::PerTask(theta.clone()), theta)
-            }
-            StaticBackupDelay::JobPostponement => {
-                let jp = job_postponement(ts, postpone_config)
-                    .map_err(|_| first_unschedulable(ts, pattern))?;
-                let theta = jp.task_level.theta.clone();
-                (StaticDelayTable::PerJob(Box::new(jp)), theta)
+                    .theta
             }
         };
         Ok(MkssDp {
@@ -215,13 +187,13 @@ impl MkssDp {
             placement,
             delay_model,
             delay,
-            promotion,
         })
     }
 
-    /// The promotion times `Y_i` in use.
+    /// The per-task backup delays in use: the promotion times `Y_i`, or
+    /// θ for [`StaticBackupDelay::Postponement`].
     pub fn promotion(&self) -> &[Time] {
-        &self.promotion
+        &self.delay
     }
 }
 
@@ -246,7 +218,6 @@ impl Policy for MkssDp {
             }
             (_, StaticBackupDelay::PromotionMandatory) => "MKSS_DP_ymand",
             (_, StaticBackupDelay::Postponement) => "MKSS_DP_theta",
-            (_, StaticBackupDelay::JobPostponement) => "MKSS_DP_jobtheta",
         }
     }
 
@@ -265,13 +236,9 @@ impl Policy for MkssDp {
             }
             MainPlacement::MainsOnPrimary => ProcId::PRIMARY,
         };
-        let backup_delay = match &self.delay {
-            StaticDelayTable::PerTask(v) => v[ctx.task.0],
-            StaticDelayTable::PerJob(jp) => jp.delay_of(ctx.task, ctx.job_index),
-        };
         ReleaseDecision::Mandatory {
             main_proc,
-            backup_delay,
+            backup_delay: self.delay[ctx.task.0],
         }
     }
 }

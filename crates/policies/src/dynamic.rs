@@ -81,14 +81,6 @@ pub enum BackupDelay {
     Promotion,
     /// The postponement intervals `θ_i` of Definitions 2–5 (never less
     /// than the promotion times).
-    ///
-    /// Note that the per-job `θ_ij` of
-    /// [`mkss_analysis::postpone::job_postponement`] is **not** offered
-    /// here: under a dynamic pattern mandatory jobs occur at arbitrary
-    /// positions, so only the position-independent task-level minimum is
-    /// covered by Theorem 1's shifting argument (the per-job variant is
-    /// sound for static patterns and available on
-    /// [`crate::MkssDp`]).
     Postponement,
 }
 
@@ -212,11 +204,6 @@ impl DynamicPolicy {
             delay,
             next_on_spare: vec![false; ts.len()],
         })
-    }
-
-    /// The per-task backup delays in use.
-    pub fn backup_delays(&self) -> &[Time] {
-        &self.delay
     }
 
     /// The configuration in use.
@@ -371,8 +358,28 @@ mod tests {
             Task::from_ms(15, 15, 8, 1, 2).unwrap(),
         ])
         .unwrap();
-        let p = DynamicPolicy::new(&ts).unwrap();
-        assert_eq!(p.backup_delays(), &[Time::from_ms(7), Time::from_ms(4)]);
+        // A miss leaves both tasks deeply red (FD = 0), so the next job
+        // is mandatory and its backup waits θ_i: θ1 = 7, θ2 = 4 (Y2 = 1).
+        let mut p = DynamicPolicy::new(&ts).unwrap();
+        for (id, task) in ts.iter() {
+            let mut history = MkHistory::new(task.mk());
+            history.record(JobOutcome::Missed);
+            let ctx = ReleaseCtx {
+                task: id,
+                job_index: 2,
+                now: task.release_of(2),
+                history: &history,
+                alive: [true; 2],
+            };
+            let theta = [Time::from_ms(7), Time::from_ms(4)][id.0];
+            assert_eq!(
+                p.on_release(&ctx),
+                ReleaseDecision::Mandatory {
+                    main_proc: ProcId::PRIMARY,
+                    backup_delay: theta,
+                }
+            );
+        }
     }
 
     #[test]

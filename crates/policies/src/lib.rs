@@ -53,4 +53,4 @@ pub use dynamic::{
 };
 pub use error::BuildPolicyError;
 pub use registry::{BuildOptions, ParsePolicyKindError, PolicyKind};
-pub use static_pattern::{MkssSt, MkssStRotated};
+pub use static_pattern::MkssSt;

@@ -44,9 +44,6 @@ pub enum PolicyKind {
     /// promotion times — ablation for the postponement analysis on
     /// static patterns.
     DualPriorityTheta,
-    /// [`MkssDp`] with per-job θ_ij-postponed backups (an extension
-    /// beyond the paper; sound for static patterns only).
-    DualPriorityJobTheta,
 }
 
 /// Options shared by every scheme [`PolicyKind::build`] can construct.
@@ -67,7 +64,7 @@ impl BuildOptions {
 
 impl PolicyKind {
     /// All kinds, in a stable presentation order.
-    pub const ALL: [PolicyKind; 12] = [
+    pub const ALL: [PolicyKind; 11] = [
         PolicyKind::Static,
         PolicyKind::DualPriority,
         PolicyKind::DualPriorityPrimary,
@@ -79,7 +76,6 @@ impl PolicyKind {
         PolicyKind::SelectiveFd3,
         PolicyKind::StaticEven,
         PolicyKind::DualPriorityTheta,
-        PolicyKind::DualPriorityJobTheta,
     ];
 
     /// The three schemes compared in the paper's Figure 6.
@@ -164,11 +160,6 @@ impl PolicyKind {
                 MainPlacement::MainsOnPrimary,
                 StaticBackupDelay::Postponement,
             )?),
-            PolicyKind::DualPriorityJobTheta => Box::new(MkssDp::with_options(
-                ts,
-                MainPlacement::MainsOnPrimary,
-                StaticBackupDelay::JobPostponement,
-            )?),
         })
     }
 
@@ -186,7 +177,6 @@ impl PolicyKind {
             PolicyKind::SelectiveFd3 => "selective-fd3",
             PolicyKind::StaticEven => "st-even",
             PolicyKind::DualPriorityTheta => "dp-theta",
-            PolicyKind::DualPriorityJobTheta => "dp-jobtheta",
         }
     }
 }

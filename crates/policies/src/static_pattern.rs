@@ -70,74 +70,6 @@ impl Policy for MkssSt {
     }
 }
 
-/// The static scheme with per-task *rotated* patterns (Quan & Hu style,
-/// the paper's reference \[13\]): identical execution model to [`MkssSt`],
-/// but the mandatory positions of each task are cyclically shifted by a
-/// per-task offset found by
-/// [`mkss_analysis::rotation::find_rotation`]. Rotation de-clusters the
-/// synchronous release and rescues task sets the deeply-red pattern
-/// cannot schedule.
-///
-/// # Examples
-///
-/// ```
-/// use mkss_analysis::rotation::{find_rotation, RotationConfig};
-/// use mkss_core::prelude::*;
-/// use mkss_policies::MkssStRotated;
-/// use mkss_sim::prelude::*;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Deeply-red-unschedulable set rescued by rotation.
-/// let ts = TaskSet::new(vec![
-///     Task::from_ms(4, 4, 2, 2, 3)?,
-///     Task::from_ms(6, 6, 3, 1, 2)?,
-/// ])?;
-/// let assignment = find_rotation(&ts, RotationConfig::default()).expect("searchable");
-/// assert!(assignment.schedulable());
-/// let mut policy = MkssStRotated::new(assignment.patterns);
-/// let report = simulate(&ts, &mut policy, &SimConfig::active_only(ts.hyperperiod()));
-/// assert!(report.mk_assured());
-/// assert_eq!(report.stats.missed, report.stats.optional_skipped);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MkssStRotated {
-    patterns: Vec<mkss_core::mk::RotatedPattern>,
-}
-
-impl MkssStRotated {
-    /// Creates the scheme from a per-task pattern assignment (one entry
-    /// per task, priority order).
-    pub fn new(patterns: Vec<mkss_core::mk::RotatedPattern>) -> Self {
-        MkssStRotated { patterns }
-    }
-
-    /// The pattern assignment in use.
-    pub fn patterns(&self) -> &[mkss_core::mk::RotatedPattern] {
-        &self.patterns
-    }
-}
-
-impl Policy for MkssStRotated {
-    fn name(&self) -> &str {
-        "MKSS_ST_rotated"
-    }
-
-    fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
-        let mk = ctx.history.constraint();
-        let pattern = self.patterns[ctx.task.0];
-        if pattern.is_mandatory(mk, ctx.job_index) {
-            ReleaseDecision::Mandatory {
-                main_proc: ProcId::PRIMARY,
-                backup_delay: Time::ZERO,
-            }
-        } else {
-            ReleaseDecision::Skip
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,10 @@
 //! loadgen differential compares two paths of one build, so a count
 //! that changes on both sides slips past it; these digests were recorded
 //! before the engine moved to per-run tallies and pin the counts
-//! themselves.
+//! themselves. When the per-job θ policy kind was removed, they were
+//! re-recorded on the code before the removal with that kind left out
+//! of every policy list (`compare` included), so they prove the
+//! remaining kinds unchanged.
 
 use std::sync::Arc;
 
@@ -119,7 +122,7 @@ fn responses_and_tee_totals_match_the_recorded_digests() {
     assert!(snapshot.counter(CounterId::JobsReleased) > 0);
     assert_eq!(
         (response_digest, snapshot_digest(&snapshot)),
-        (0xde12_0136_ee0c_dfbc, 0x77e5_02c5_ccbb_84e1),
+        (0x40b8_a2b6_c59b_9d2f, 0x9f24_8df9_66f1_05a5),
         "execute responses or tee totals changed"
     );
 }

@@ -41,7 +41,6 @@
 
 pub mod engine;
 pub mod fault;
-pub mod metrics;
 pub mod policy;
 pub mod pool;
 pub mod power;

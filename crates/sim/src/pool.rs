@@ -69,15 +69,6 @@ impl WorkspacePool {
         WorkspacePool::default()
     }
 
-    /// A pool pre-warmed with `n` fresh workspaces (their arenas still
-    /// grow on first use; pre-warming only avoids the checkout-miss
-    /// construction).
-    pub fn with_warm(n: usize) -> WorkspacePool {
-        WorkspacePool {
-            free: Mutex::new((0..n).map(|_| SimWorkspace::new()).collect()),
-        }
-    }
-
     /// Workspaces currently idle in the pool.
     pub fn idle(&self) -> usize {
         self.lock_free().len()
@@ -184,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn with_warm_prefills() {
-        let pool = WorkspacePool::with_warm(3);
-        assert_eq!(pool.idle(), 3);
-        let _a = pool.checkout();
-        assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
     fn recorder_is_detached_on_return() {
         let pool = WorkspacePool::new();
         {
@@ -205,7 +188,7 @@ mod tests {
 
     #[test]
     fn detach_removes_from_pool() {
-        let pool = WorkspacePool::with_warm(1);
+        let pool = WorkspacePool::new();
         let guard = pool.checkout();
         let ws = guard.detach();
         drop(ws);

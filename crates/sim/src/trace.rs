@@ -11,7 +11,6 @@ use mkss_obs::{segment_parts, CopyRole, TraceBuffer, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-use crate::power::{Energy, PowerModel};
 use crate::proc::ProcId;
 
 /// Why an execution segment ended.
@@ -103,17 +102,6 @@ impl Trace {
             .iter()
             .filter(|s| s.proc == proc && s.start < until)
             .map(|s| s.end.min(until) - s.start)
-            .sum()
-    }
-
-    /// Active energy of both processors within `[0, until)` under `power`
-    /// — the quantity the motivating examples count ("total active energy
-    /// consumption within the hyper period").
-    pub fn active_energy_within(&self, power: &PowerModel, until: Time) -> Energy {
-        ProcId::ALL
-            .iter()
-            .map(|&p| power.active_energy(self.busy_time_within(p, until)))
-            // mkss-lint: allow(float-fold-determinism) — two terms in fixed ProcId order
             .sum()
     }
 
@@ -240,17 +228,6 @@ mod tests {
             t.busy_time_within(ProcId::SPARE, Time::from_ms(20)),
             Time::from_ms(1)
         );
-    }
-
-    #[test]
-    fn active_energy_sums_processors() {
-        let mut t = Trace::default();
-        t.segments
-            .push(seg(ProcId::PRIMARY, 0, CopyKind::Main, 0, 3));
-        t.segments
-            .push(seg(ProcId::SPARE, 0, CopyKind::Backup, 5, 9));
-        let e = t.active_energy_within(&PowerModel::active_only(), Time::from_ms(20));
-        assert!((e.units() - 7.0).abs() < 1e-12);
     }
 
     #[test]

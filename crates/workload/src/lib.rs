@@ -73,11 +73,6 @@ pub struct WorkloadConfig {
     pub max_attempts: u32,
     /// WCET drawing model.
     pub wcet_model: WcetModel,
-    /// When set, periods are drawn from powers of two inside `period_ms`
-    /// and `k` from powers of two inside `k_range`, keeping the pattern
-    /// hyperperiod `LCM(kᵢPᵢ)` small enough for exact hyperperiod
-    /// analyses (used by the pattern-rotation experiment).
-    pub pow2_harmonics: bool,
 }
 
 impl WorkloadConfig {
@@ -90,7 +85,6 @@ impl WorkloadConfig {
             k_range: (2, 20),
             max_attempts: 5_000,
             wcet_model: WcetModel::UniformRaw,
-            pow2_harmonics: false,
         }
     }
 }
@@ -155,18 +149,12 @@ impl Generator {
         self.draws.clear();
         self.draws.reserve(n);
         for _ in 0..n {
-            let period_ms = if self.config.pow2_harmonics {
-                pow2_in_u64(&mut self.rng, self.config.period_ms)
-            } else {
-                self.rng
-                    .gen_range(self.config.period_ms.0..=self.config.period_ms.1)
-            };
-            let k = if self.config.pow2_harmonics {
-                pow2_in_u32(&mut self.rng, self.config.k_range).max(2)
-            } else {
-                self.rng
-                    .gen_range(self.config.k_range.0..=self.config.k_range.1)
-            };
+            let period_ms = self
+                .rng
+                .gen_range(self.config.period_ms.0..=self.config.period_ms.1);
+            let k = self
+                .rng
+                .gen_range(self.config.k_range.0..=self.config.k_range.1);
             let m = self.rng.gen_range(1..k);
             let weight: f64 = self.rng.gen_range(0.05..1.0);
             let share_weight = match self.config.wcet_model {
@@ -242,26 +230,6 @@ impl Generator {
         }
         None
     }
-}
-
-/// Uniformly draws a power of two inside `[range.0, range.1]`.
-fn pow2_in_u64(rng: &mut ChaCha8Rng, range: (u64, u64)) -> u64 {
-    // The exponents whose powers lie in the range are contiguous.
-    let mut exponents = (0..63u32).filter(|&e| (range.0..=range.1).contains(&(1u64 << e)));
-    let lowest = exponents.next().unwrap_or(u32::MAX);
-    assert!(
-        lowest < 63,
-        "no power of two inside [{}, {}]",
-        range.0,
-        range.1
-    );
-    let choices = 1 + exponents.count();
-    1u64 << (lowest + rng.gen_range(0..choices) as u32)
-}
-
-/// Uniformly draws a power of two inside `[range.0, range.1]`.
-fn pow2_in_u32(rng: &mut ChaCha8Rng, range: (u32, u32)) -> u32 {
-    pow2_in_u64(rng, (u64::from(range.0), u64::from(range.1))) as u32
 }
 
 /// One (m,k)-utilization interval of the evaluation's x-axis, populated
@@ -471,31 +439,6 @@ mod tests {
         // Low-utilization buckets fill easily.
         assert_eq!(buckets[0].sets.len(), 2);
         assert_eq!(buckets[3].sets.len(), 2);
-    }
-
-    #[test]
-    fn pow2_harmonics_bound_the_hyperperiod() {
-        let config = WorkloadConfig {
-            period_ms: (4, 32),
-            k_range: (2, 8),
-            pow2_harmonics: true,
-            ..WorkloadConfig::paper()
-        };
-        let mut g = Generator::new(config, 77);
-        for _ in 0..30 {
-            let Some(ts) = g.raw_set(0.5) else { continue };
-            for (_, t) in ts.iter() {
-                let p_ms = t.period().ticks() / 1000;
-                assert!(p_ms.is_power_of_two(), "period {p_ms} not a power of two");
-                assert!(
-                    t.mk().k().is_power_of_two(),
-                    "k {} not a power of two",
-                    t.mk().k()
-                );
-            }
-            // k·P are all powers of two ≤ 256 → LCM ≤ 256 ms.
-            assert!(ts.hyperperiod() <= mkss_core::time::Time::from_ms(256));
-        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! any change to the draws or to an R-pattern verdict shows up here as a
 //! mismatch. Speed-ups of the generator or of the schedulability test
 //! must leave them unchanged. Besides the paper's workload, the pins
-//! cover the `Scaled` WCET model, the power-of-two harmonic workload of
-//! the schedulability experiment (bucket fills and raw draw streams,
+//! cover the `Scaled` WCET model (bucket fills and raw draw streams,
 //! refused draws included) and a `schedulable_set` stream with its
 //! per-target attempt counts.
 
@@ -151,17 +150,6 @@ fn scaled() -> WorkloadConfig {
     }
 }
 
-/// The harmonic workload of the schedulability experiment
-/// (`mkss_bench::sched::SchedConfig::default()`).
-fn harmonic() -> WorkloadConfig {
-    WorkloadConfig {
-        period_ms: (4, 32),
-        k_range: (2, 8),
-        pow2_harmonics: true,
-        ..WorkloadConfig::paper()
-    }
-}
-
 #[test]
 fn scaled_wcet_model_is_pinned() {
     let (counts, digest) = bucket_fill(scaled(), 0.1, 0.9, 0x6d6b_7373);
@@ -171,17 +159,6 @@ fn scaled_wcet_model_is_pinned() {
     assert_eq!(counts, [4, 4, 5, 15, 47, 146, 3068, 5000]);
     assert_eq!(digest, 0x55e7_095b_1362_c7af);
     assert_eq!((refused, raw), (554, 0x41b6_d933_ff1b_870c));
-}
-
-#[test]
-fn pow2_harmonic_workload_is_pinned() {
-    let (counts, digest) = bucket_fill(harmonic(), 0.5, 1.0, 0x005c_4ed0);
-    println!("harmonic buckets: {counts:?}, {digest:#018x}");
-    let (refused, raw) = raw_stream(harmonic(), 31, 0.1, 9, 300);
-    println!("harmonic raw: refused {refused}, {raw:#018x}");
-    assert_eq!(counts, [4, 7, 16, 102, 4664]);
-    assert_eq!(digest, 0x193d_e0b8_99cf_251e);
-    assert_eq!((refused, raw), (12, 0xd925_2705_716b_c402));
 }
 
 /// Attempts `schedulable_set` spends per target, counted by replaying the

@@ -110,7 +110,7 @@ done
 echo "examples ok ($(ls examples/*.rs | wc -l) run)"
 
 echo "== experiment binaries smoke (tiny plans, metrics documents, rejected flags) =="
-# fig6, ablations, sensitivity and schedulability each run a tiny plan
+# fig6, ablations and sensitivity each run a tiny plan
 # and write a metrics document with the four top-level keys. An unknown
 # flag and a --horizon-ms whose microseconds overflow u64 must both be
 # refused with a diagnostic, never run.
@@ -120,10 +120,8 @@ cargo run --release -q -p mkss-bench --bin ablations -- --sets 1 --horizon-ms 10
     --metrics-out "$tmpdir/ablations-metrics.json" > /dev/null
 cargo run --release -q -p mkss-bench --bin sensitivity -- --sets 1 --horizon-ms 100 \
     --metrics-out "$tmpdir/sensitivity-metrics.json" > /dev/null
-cargo run --release -q -p mkss-bench --bin schedulability -- --samples 2 \
-    --metrics-out "$tmpdir/schedulability-metrics.json" > /dev/null
 python3 - "$tmpdir"/fig6-metrics.json "$tmpdir"/ablations-metrics.json \
-    "$tmpdir"/sensitivity-metrics.json "$tmpdir"/schedulability-metrics.json <<'PY'
+    "$tmpdir"/sensitivity-metrics.json <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     doc = json.load(open(path))
@@ -144,13 +142,13 @@ refuse() {
         exit 1
     }
 }
-for bin in fig6 ablations sensitivity schedulability; do
+for bin in fig6 ablations sensitivity; do
     refuse "unknown flag" "$bin" -- --no-such-flag
 done
 for bin in fig6 ablations sensitivity; do
     refuse "out of range" "$bin" -- --horizon-ms 18446744073709552
 done
-echo "experiment binaries ok (4 metrics documents; unknown and overflowing flags refused)"
+echo "experiment binaries ok (3 metrics documents; unknown and overflowing flags refused)"
 
 echo "== trace smoke (flight recorder: deterministic Chrome-trace export) =="
 # Two captures of the same workload with different worker counts must be

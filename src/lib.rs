@@ -67,10 +67,9 @@ pub mod prelude {
     };
     pub use mkss_policies::{
         BackupDelay, BuildOptions, BuildPolicyError, DynamicConfig, DynamicPolicy, MainPlacement,
-        MkssDp, MkssSelective, MkssSt, MkssStRotated, OptionalPlacement, ParsePolicyKindError,
-        PolicyKind, SelectionRule,
+        MkssDp, MkssSelective, MkssSt, OptionalPlacement, ParsePolicyKindError, PolicyKind,
+        SelectionRule,
     };
-    pub use mkss_sim::metrics::{analyze_trace, TraceMetrics};
     pub use mkss_sim::prelude::*;
     pub use mkss_sim::vcd::render_vcd;
     pub use mkss_workload::{generate_buckets, Bucket, BucketPlan, Generator, WorkloadConfig};

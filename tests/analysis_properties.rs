@@ -273,10 +273,6 @@ proptest! {
         let sel = simulate(&ts, policy.as_mut(), &config);
         prop_assert!(sel.mk_assured(), "violations: {:?} (seed {seed})", sel.violations);
 
-        // The per-job extension (static patterns) must be just as safe.
-        let mut policy = PolicyKind::DualPriorityJobTheta.build(&ts, &BuildOptions::default()).unwrap();
-        let job = simulate(&ts, policy.as_mut(), &config);
-        prop_assert!(job.mk_assured(), "job-theta violations: {:?} (seed {seed})", job.violations);
         let mut policy = PolicyKind::DualPriorityTheta.build(&ts, &BuildOptions::default()).unwrap();
         let theta = simulate(&ts, policy.as_mut(), &config);
         prop_assert!(theta.mk_assured(), "dp-theta violations: {:?} (seed {seed})", theta.violations);

@@ -8,10 +8,10 @@
 //! segments and resolutions inside the workspace; the recorder-built
 //! trace must reproduce them byte for byte. For the report digest the
 //! former `"trace"` member was excised from the bytes, so only the
-//! fields a report still carries are hashed. When the DVS policy kind
-//! was removed, the pins were re-recorded on the code before the removal
-//! with that kind skipped in the loop, so they prove the remaining kinds
-//! unchanged.
+//! fields a report still carries are hashed. When the DVS and the
+//! per-job θ policy kinds were removed, the pins were re-recorded on the
+//! code before each removal with that kind skipped, so they prove the
+//! remaining kinds unchanged.
 
 use mkss::prelude::*;
 
@@ -77,7 +77,7 @@ fn traces_and_reports_match_the_recorded_digests() {
         }
     }
     println!("runs {runs}, traces {trace_digest:#018x}, reports {report_digest:#018x}");
-    assert_eq!(runs, 180, "corpus size");
-    assert_eq!(trace_digest, 0xe899_b469_4ebc_1c11, "trace digest");
-    assert_eq!(report_digest, 0xdc50_8a89_8cdd_5a9f, "report digest");
+    assert_eq!(runs, 165, "corpus size");
+    assert_eq!(trace_digest, 0xf3e2_67bc_0411_e302, "trace digest");
+    assert_eq!(report_digest, 0xc733_24e1_6483_d0bf, "report digest");
 }
