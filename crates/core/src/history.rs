@@ -128,10 +128,13 @@ impl MkHistory {
         self.recorded += 1;
         if outcome.is_met() {
             self.met_total += 1;
-            self.met_at[self.head] = self.recorded + u64::from(self.mk.m());
-            self.head += 1;
-            if self.head == self.met_at.len() {
-                self.head = 0;
+            // With m = 0 the ring is empty: no met outcome is ever needed.
+            if let Some(slot) = self.met_at.get_mut(self.head) {
+                *slot = self.recorded + u64::from(self.mk.m());
+                self.head += 1;
+                if self.head == self.met_at.len() {
+                    self.head = 0;
+                }
             }
         }
     }
@@ -166,10 +169,15 @@ impl MkHistory {
     /// FD = k − L   if L ≤ k − 1,   else 0.
     /// ```
     ///
-    /// `L` is read from the oldest ring slot, so this is O(1).
+    /// `L` is read from the oldest ring slot, so this is O(1). With
+    /// `m = 0` (no constraint; the ring is empty) every miss is
+    /// tolerable, and the degree is `k`.
     pub fn flexibility_degree(&self) -> u32 {
+        let Some(&oldest) = self.met_at.get(self.head) else {
+            return self.mk.k();
+        };
         // Stored positions carry `+ m`, so add it to `recorded` as well.
-        let recency = self.recorded + u64::from(self.mk.m()) + 1 - self.met_at[self.head];
+        let recency = self.recorded + u64::from(self.mk.m()) + 1 - oldest;
         // At most k − m, which fits the constraint's u32.
         u64::from(self.mk.k()).saturating_sub(recency) as u32
     }

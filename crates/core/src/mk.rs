@@ -21,7 +21,9 @@ use crate::error::ValidateTaskError;
 ///
 /// The invariant `0 < m < k` is enforced at construction (the paper's system
 /// model uses the same strict form; `m = k` would be a hard real-time task
-/// and `m = 0` no constraint at all).
+/// and `m = 0` no constraint at all). Deserialization is looser: it admits
+/// any `m` (so a stored `m = 0` task reads back as unconstrained) and
+/// rejects only `k = 0`, a window of no jobs.
 ///
 /// # Examples
 ///
@@ -37,10 +39,35 @@ use crate::error::ValidateTaskError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct MkConstraint {
     m: u32,
     k: u32,
+}
+
+impl<'de> Deserialize<'de> for MkConstraint {
+    /// Reads `{"m": .., "k": ..}`; `k = 0` is an
+    /// [`InvalidMkPair`](ValidateTaskError::InvalidMkPair) error.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        if value.as_object().is_none() {
+            return Err(serde::Error::expected("object", "MkConstraint", value));
+        }
+        let field = |name| {
+            let member = value
+                .get(name)
+                .ok_or_else(|| serde::Error::missing_field("MkConstraint", name))?;
+            u32::from_value(member)
+                .map_err(|e| serde::Error::custom(format!("MkConstraint.{name}: {e}")))
+        };
+        let (m, k) = (field("m")?, field("k")?);
+        if k == 0 {
+            return Err(serde::Error::custom(format!(
+                "MkConstraint: {}",
+                ValidateTaskError::InvalidMkPair { m, k }
+            )));
+        }
+        Ok(MkConstraint { m, k })
+    }
 }
 
 impl MkConstraint {
@@ -267,7 +294,10 @@ impl MkMonitor {
     pub fn record(&mut self, met: bool) -> bool {
         let evicted = self.window[self.cursor];
         self.window[self.cursor] = met;
-        self.cursor = (self.cursor + 1) % self.window.len();
+        self.cursor += 1;
+        if self.cursor == self.window.len() {
+            self.cursor = 0;
+        }
         self.seen += 1;
         if evicted {
             self.met_in_window -= 1;

@@ -216,7 +216,7 @@ pub struct TraceEvent {
 /// holds the *last* `capacity` events. Up to [`DEFAULT_TRACE_CAPACITY`]
 /// events are allocated up front and storage grows past that, so a ring
 /// at or below the default never allocates on push (the flight-recorder
-/// counterpart of the engine's pre-sized event calendar), while
+/// counterpart of the engine's pre-sized workspace lists), while
 /// `with_capacity(usize::MAX)` keeps a whole run.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {

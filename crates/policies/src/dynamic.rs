@@ -217,6 +217,12 @@ impl Policy for DynamicPolicy {
         &self.name
     }
 
+    /// Starts the optional alternation afresh, so a policy built once
+    /// and run again reproduces its first report.
+    fn init(&mut self, _task_set: &TaskSet) {
+        self.next_on_spare.fill(false);
+    }
+
     fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
         let fd = ctx.history.flexibility_degree();
         if fd == 0 {

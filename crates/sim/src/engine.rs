@@ -42,12 +42,11 @@
 //! throwaway workspace per call. With no recorder attached the
 //! steady-state event loop performs **zero** allocations per event.
 //!
-//! Time advances on a pre-sized *event calendar* (a workspace-owned
-//! binary min-heap of typed entries — task releases, postponed copy
-//! releases, deadlines, running-copy completions, and the permanent
-//! fault) with lazy invalidation: entries are never removed when state
-//! changes; stale ones are discarded as they surface at the top. See
-//! [`EventCalendar`] and DESIGN.md §3 for the full mechanism.
+//! Time advances by reading each event source's own index rather than
+//! a shared queue: a min-tree over the tasks' next releases
+//! ([`ReleaseSlots`]), the flat list of open deadlines, the short list
+//! of postponed backup releases, the two running copies' completions
+//! and the pending permanent fault. See DESIGN.md §3 for the mechanism.
 //!
 //! ## Observability
 //!
@@ -248,168 +247,64 @@ struct TaskState {
     exhausted: bool,
 }
 
-/// What a calendar entry announces. Each variant carries enough identity
-/// to re-validate itself against the live engine state ([lazy
-/// invalidation](EventCalendar)), so no entry ever needs to be removed
-/// from the middle of the heap when plans change.
+/// Every task's next release time in a min-tree, so the earliest
+/// release is the root and the due tasks are found without a scan.
 ///
-/// Running-copy completions and job deadlines are deliberately *not*
-/// calendar entries — the calendar holds the event classes whose live
-/// instances the engine does not already index:
-///
-/// * with at most one running copy per processor, `clock + remaining`
-///   read straight off the `running` array is already the completion
-///   time, and keeping completions out of the heap spares it the most
-///   frequent (and, under preemption, most frequently restranded)
-///   entry class;
-/// * unresolved deadlines are exactly the `open_jobs` list — a handful
-///   of entries, bounded by the jobs in flight — and most jobs resolve
-///   well before their deadline, so per-job entries would roughly
-///   double heap traffic only to go stale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The next release of `task`; live while `next_index == index` and
-    /// the task is not exhausted. Every non-exhausted task keeps exactly
-    /// one live entry: `process_releases` pushes the successor whenever
-    /// it advances `next_index`.
-    TaskRelease { task: TaskId, index: u64 },
-    /// The future (postponed) release of an already-created copy — the
-    /// backup promotion `r̃ = r + θ`. Live while the copy is `Pending`
-    /// and its release is still ahead of the clock.
-    CopyRelease { copy: usize },
-    /// The configured permanent-fault injection; live until applied.
-    Fault,
-}
-
-/// One scheduled occurrence in the event calendar: the fire time plus the
-/// [`EventKind`] packed into one word (2-bit variant tag in the low bits,
-/// payload above), keeping the entry at 16 bytes so sift operations move
-/// half the memory a naive `(Time, EventKind)` pair would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CalendarEntry {
-    time: Time,
-    packed: u64,
-}
-
-const TAG_TASK_RELEASE: u64 = 0;
-const TAG_COPY_RELEASE: u64 = 1;
-const TAG_FAULT: u64 = 3;
-
-impl CalendarEntry {
-    fn new(time: Time, kind: EventKind) -> Self {
-        let packed = match kind {
-            EventKind::TaskRelease { task, index } => {
-                // 16 bits of task id and 46 of job index are far beyond
-                // any enumerable horizon.
-                debug_assert!(task.0 < (1 << 16) && index < (1 << 46));
-                (index << 18) | ((task.0 as u64) << 2) | TAG_TASK_RELEASE
-            }
-            EventKind::CopyRelease { copy } => ((copy as u64) << 2) | TAG_COPY_RELEASE,
-            EventKind::Fault => TAG_FAULT,
-        };
-        CalendarEntry { time, packed }
-    }
-
-    fn kind(self) -> EventKind {
-        match self.packed & 0b11 {
-            TAG_TASK_RELEASE => EventKind::TaskRelease {
-                task: TaskId(((self.packed >> 2) & 0xFFFF) as usize),
-                index: self.packed >> 18,
-            },
-            TAG_COPY_RELEASE => EventKind::CopyRelease {
-                copy: (self.packed >> 2) as usize,
-            },
-            _ => EventKind::Fault,
-        }
-    }
-}
-
-/// Pre-sized binary min-heap of timed events, keyed by [`Time`].
-///
-/// Cancellations (a canceled backup, a preempted copy, a resolved job)
-/// never perform heap surgery: the entry simply goes *stale* and is
-/// discarded when it reaches the top ([`Engine::entry_live`]). Staleness
-/// is monotone — arena indices are never reused within a run and every
-/// state transition an entry checks is one-way — so a discarded entry
-/// can never become live again, and no generation counters are needed.
-///
-/// The heap is hand-rolled over a workspace-owned `Vec` (rather than
-/// `std::collections::BinaryHeap`) so `begin_run` can clear and pre-size
-/// it while retaining capacity: pushes inside the hot-path region then
-/// stay allocation-free in steady state. Layout depends only on the
-/// push/pop sequence, never on capacity, so fresh and reused workspaces
-/// behave identically.
+/// Leaves hold the release of each task's next job, or `Time::MAX` once
+/// the task is exhausted; an inner node holds the minimum of its two
+/// children, and leaves past the task count stay `Time::MAX`. The tree
+/// lives in a workspace-owned `Vec` that `begin_run` refills while
+/// retaining capacity, so the event loop never allocates here.
 #[derive(Debug, Default)]
-struct EventCalendar {
-    heap: Vec<CalendarEntry>,
+struct ReleaseSlots {
+    /// Node `i` has children `2i` and `2i + 1`; the root is node 1 and
+    /// the leaves start at `leaves` (a power of two).
+    tree: Vec<Time>,
+    leaves: usize,
 }
 
-impl EventCalendar {
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    fn push(&mut self, time: Time, kind: EventKind) {
-        self.heap.push(CalendarEntry::new(time, kind));
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    fn peek(&self) -> Option<CalendarEntry> {
-        self.heap.first().copied()
-    }
-
-    fn pop(&mut self) -> Option<CalendarEntry> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let top = self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
+impl ReleaseSlots {
+    /// Resets to `tasks` leaves, each at the first release, time zero.
+    fn reset(&mut self, tasks: usize) {
+        self.leaves = tasks.next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * self.leaves, Time::MAX);
+        self.tree[self.leaves..self.leaves + tasks].fill(Time::ZERO);
+        for node in (1..self.leaves).rev() {
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
         }
-        top
     }
 
-    // Both sifts move the displaced entry into a hole instead of
-    // swapping pairwise — same comparison sequence (so the exact same
-    // final layout), half the writes.
+    /// The earliest next release over all tasks (`Time::MAX` when every
+    /// task is exhausted).
+    fn earliest(&self) -> Time {
+        self.tree[1]
+    }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let item = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[parent].time <= item.time {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
+    /// Sets one task's next release and refreshes its path to the root.
+    fn set(&mut self, task: TaskId, release: Time) {
+        let mut node = self.leaves + task.0;
+        self.tree[node] = release;
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
         }
-        self.heap[i] = item;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let item = self.heap[i];
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.heap[right].time < self.heap[left].time {
-                right
+    /// The lowest task id whose next release is at or before `now`.
+    fn first_due(&self, now: Time) -> Option<TaskId> {
+        if self.tree[1] > now {
+            return None;
+        }
+        let mut node = 1;
+        while node < self.leaves {
+            node = if self.tree[2 * node] <= now {
+                2 * node
             } else {
-                left
+                2 * node + 1
             };
-            if item.time <= self.heap[child].time {
-                break;
-            }
-            self.heap[i] = self.heap[child];
-            i = child;
         }
-        self.heap[i] = item;
+        Some(TaskId(node - self.leaves))
     }
 }
 
@@ -457,20 +352,23 @@ pub struct SimWorkspace {
     /// Indices of copies that may still need CPU time (lazily pruned of
     /// terminal-state copies to keep per-event scans O(active)).
     active_copies: Vec<usize>,
-    /// Indices of jobs not yet resolved (lazily pruned).
+    /// Indices of jobs not yet resolved, unordered (swap-removed at
+    /// resolution).
     open_jobs: Vec<usize>,
+    /// The deadline of each job in `open_jobs`, at the same position.
+    open_deadlines: Vec<Time>,
     /// Scratch for deadline resolution (kept for its capacity).
     due_scratch: Vec<usize>,
-    /// Jobs whose deadline entry fired at the chosen next event time;
-    /// drained (sorted into release order) by the following iteration's
-    /// resolution phase. At most one job per task can share an instant,
-    /// so `begin_run` pre-sizes it to the task count.
-    deadline_scratch: Vec<usize>,
-    /// The event calendar driving time advance; cleared and pre-sized at
-    /// checkout, capacity retained across runs.
-    calendar: EventCalendar,
-    /// Merged busy intervals per processor, in time order.
-    busy: [Vec<(Time, Time)>; 2],
+    /// Next release of every task.
+    release_slots: ReleaseSlots,
+    /// Backup copies created with a release still ahead of the clock
+    /// (`r̃ = r + θ`, θ > 0); an entry leaves when that release comes or
+    /// once the copy is no longer `Pending`.
+    copy_releases: Vec<usize>,
+    /// Per task, the probability `1 − e^(−λC)` that one execution of a
+    /// copy is hit by a transient fault (every copy runs its task's
+    /// WCET).
+    fault_probability: Vec<f64>,
     /// Optional event sink; survives `begin_run` so one attachment
     /// covers every simulation run through this workspace.
     recorder: RecorderSlot,
@@ -529,21 +427,16 @@ impl SimWorkspace {
         self.jobs.clear();
         self.active_copies.clear();
         self.open_jobs.clear();
+        self.open_deadlines.clear();
         self.due_scratch.clear();
-        self.deadline_scratch.clear();
-        self.deadline_scratch.reserve(ts.len());
-        self.calendar.clear();
+        self.release_slots.reset(ts.len());
+        // A backup is pending at most until its job's deadline (D ≤ P),
+        // so a task has at most one live entry and one stale entry
+        // awaiting the next prune: sized so that pushes in the event loop
+        // never grow the list.
+        self.copy_releases.clear();
+        self.copy_releases.reserve(2 * ts.len());
         self.tally = MetricsSnapshot::empty();
-        // Pre-size the calendar at checkout: one release entry per task,
-        // plus copy-release entries for the window of simultaneously
-        // pending backups, plus the fault. Steady-state residue is
-        // bounded by the same window (stale entries die as the clock
-        // passes them), and capacity is retained across runs, so the hot
-        // loop itself never grows the heap.
-        self.calendar.reserve(4 * ts.len() + 8);
-        for intervals in &mut self.busy {
-            intervals.clear();
-        }
         let reusable = self.tasks.len() == ts.len()
             && self
                 .tasks
@@ -639,17 +532,18 @@ pub fn simulate_in<P: Policy + ?Sized>(
     config: &SimConfig,
 ) -> SimReport {
     ws.begin_run(ts);
-    Engine::new(ts, config, ws, TimeAdvance::Calendar).run(policy)
+    Engine::new(ts, config, ws, TimeAdvance::Indexed).run(policy)
 }
 
-/// How [`Engine::run`] finds the next event time. `Calendar` is the
-/// production path; `Scan` re-derives it with linear scans over all
-/// state (the pre-calendar engine, kept as a reference oracle — it also
-/// cross-checks the calendar via a `debug_assert_eq!` on every step of
+/// How [`Engine::run`] finds the next event time. `Indexed` is the
+/// production path, reading each event source's own index; `Scan`
+/// re-derives every step with linear scans over all state and gates no
+/// phase (the pre-index engine, kept as a reference oracle — it also
+/// cross-checks `Indexed` via a `debug_assert_eq!` on every step of
 /// every debug-build run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimeAdvance {
-    Calendar,
+    Indexed,
     #[cfg(test)]
     Scan,
 }
@@ -662,20 +556,20 @@ struct Engine<'a, 'w> {
     running: [Option<usize>; 2],
     alive: [bool; 2],
     death_time: [Option<Time>; 2],
+    /// True once the permanent fault is applied, or from the start when
+    /// none is configured.
     fault_applied: bool,
     sampler: TransientSampler,
-    /// Active energy accumulated per processor.
-    active_energy: [crate::power::Energy; 2],
+    /// Energy and time per processor; the idle part is folded in as each
+    /// gap closes (see [`Engine::extend_busy`]).
+    energy: [EnergyBreakdown; 2],
+    /// End of each processor's last busy interval.
+    busy_until: [Time; 2],
     stats: JobStats,
     violations: Vec<MkViolation>,
-    /// Tasks whose release entry fired at the chosen next event time,
-    /// as a bitset over task ids (bit 63 is shared by every task with
-    /// id ≥ 63). `u64::MAX` means "consider every task" — the first
-    /// iteration and the scan oracle use it. The following loop
-    /// iteration processes releases only for flagged tasks; processing
-    /// a task with nothing due is a no-op, so the mask only ever
-    /// over-approximates.
-    release_mask: u64,
+    /// The earliest open deadline, as of the last time advance; the
+    /// next iteration resolves deadlines only once the clock reaches it.
+    next_deadline: Time,
     /// Copies on each processor changed readiness since the last
     /// dispatch there; cleared once the processor re-picks. While the
     /// flag is off the previous pick is provably still the pick, so
@@ -715,6 +609,12 @@ impl<'a, 'w> Engine<'a, 'w> {
             .0
             .as_ref()
             .is_some_and(|recorder| recorder.wants_events());
+        let sampler = TransientSampler::new(&config.faults);
+        ws.fault_probability.clear();
+        ws.fault_probability.extend(
+            ts.iter()
+                .map(|(_, task)| sampler.fault_probability(task.wcet())),
+        );
         Engine {
             ts,
             config,
@@ -723,12 +623,13 @@ impl<'a, 'w> Engine<'a, 'w> {
             running: [None, None],
             alive: [true, true],
             death_time: [None, None],
-            fault_applied: false,
-            sampler: TransientSampler::new(&config.faults),
-            active_energy: [crate::power::Energy::ZERO; 2],
+            fault_applied: config.faults.permanent.is_none(),
+            sampler,
+            energy: [EnergyBreakdown::default(); 2],
+            busy_until: [Time::ZERO; 2],
             stats: JobStats::default(),
             violations: Vec::new(),
-            release_mask: u64::MAX,
+            next_deadline: Time::MAX,
             dispatch_dirty: [true; 2],
             opt_expiry: [Time::ZERO; 2],
             events,
@@ -832,36 +733,37 @@ impl<'a, 'w> Engine<'a, 'w> {
     // fresh allocating constructor may appear in this region.
     fn run<P: Policy + ?Sized>(mut self, policy: &mut P) -> SimReport {
         policy.init(self.ts);
-        self.seed_calendar();
         loop {
-            self.apply_fault_if_due();
+            if !self.fault_applied {
+                self.apply_fault_if_due();
+            }
             match self.time_advance {
-                TimeAdvance::Calendar => {
-                    // Fired calendar entries name exactly the jobs and
-                    // tasks each phase must look at; everything else is
-                    // provably a no-op and skipped.
-                    if !self.ws.deadline_scratch.is_empty() {
-                        self.resolve_fired_deadlines();
+                TimeAdvance::Indexed => {
+                    // Each phase runs only when its source says something
+                    // is due at the clock; otherwise it is provably a no-op.
+                    if self.next_deadline <= self.clock {
+                        self.resolve_due_deadlines();
                     }
-                    if self.release_mask != 0 {
-                        self.process_releases(policy);
+                    while let Some(id) = self.ws.release_slots.first_due(self.clock) {
+                        self.release_due_jobs_of(policy, id);
                     }
                 }
                 #[cfg(test)]
                 TimeAdvance::Scan => {
                     // The reference path re-runs every phase against all
                     // state on every iteration, exactly like the
-                    // pre-calendar engine.
+                    // pre-index engine.
                     self.resolve_due_deadlines();
-                    self.release_mask = u64::MAX;
-                    self.process_releases(policy);
+                    for id in self.ts.ids() {
+                        self.release_due_jobs_of(policy, id);
+                    }
                     self.dispatch_dirty = [true; 2];
                     self.opt_expiry = [Time::ZERO; 2];
                 }
             }
             self.dispatch();
             let next = match self.time_advance {
-                TimeAdvance::Calendar => self.next_event_time(),
+                TimeAdvance::Indexed => self.next_event_time(),
                 #[cfg(test)]
                 TimeAdvance::Scan => self.next_event_time_scan(),
             };
@@ -888,7 +790,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             debug_assert_eq!(
                 next,
                 self.next_event_time_scan(),
-                "calendar/scan divergence at {}",
+                "indexed/scan divergence at {}",
                 self.clock
             );
             let Some(next) = next else {
@@ -903,24 +805,6 @@ impl<'a, 'w> Engine<'a, 'w> {
         self.clock = self.config.horizon;
         self.resolve_due_deadlines();
         self.finish(policy.name())
-    }
-
-    /// Seeds the run's calendar: the permanent fault (if configured) and
-    /// the first release of every task. Everything else registers as the
-    /// state evolves — releases chain to their successor and postponed
-    /// copies enroll at creation (completions are read off the `running`
-    /// array, deadlines off the open-job list, not the calendar).
-    fn seed_calendar(&mut self) {
-        if let Some(pf) = self.config.faults.permanent {
-            self.ws.calendar.push(pf.at, EventKind::Fault);
-        }
-        for (id, task) in self.ts.iter() {
-            let index = self.ws.tasks[id.0].next_index;
-            self.ws.calendar.push(
-                task.release_of(index),
-                EventKind::TaskRelease { task: id, index },
-            );
-        }
     }
 
     /// Enrolls a freshly created copy in the active list, recording its
@@ -967,6 +851,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             "open slot out of sync"
         );
         self.ws.open_jobs.swap_remove(slot);
+        self.ws.open_deadlines.swap_remove(slot);
         if let Some(&moved) = self.ws.open_jobs.get(slot) {
             self.ws.jobs[moved].open_slot = slot;
         }
@@ -974,12 +859,10 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     // ----- fault handling ---------------------------------------------
 
+    /// Applies the permanent fault once the clock reaches it; called
+    /// only while the fault is pending.
     fn apply_fault_if_due(&mut self) {
-        if self.fault_applied {
-            return;
-        }
         let Some(pf) = self.config.faults.permanent else {
-            self.fault_applied = true;
             return;
         };
         if pf.at > self.clock {
@@ -1033,12 +916,13 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     // ----- deadline resolution ----------------------------------------
 
+    /// Resolves every open job whose deadline has come as missed, in
+    /// release (arena) order.
     fn resolve_due_deadlines(&mut self) {
         let mut due = std::mem::take(&mut self.ws.due_scratch);
         due.clear();
-        for &j in &self.ws.open_jobs {
-            let entry = &self.ws.jobs[j];
-            if !entry.resolved && entry.job.deadline <= self.clock {
+        for (&j, &deadline) in self.ws.open_jobs.iter().zip(&self.ws.open_deadlines) {
+            if deadline <= self.clock {
                 due.push(j);
             }
         }
@@ -1052,26 +936,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             self.resolve(j, JobOutcome::Missed, deadline);
         }
         self.ws.due_scratch = due;
-    }
-
-    /// Calendar-driven counterpart of [`Engine::resolve_due_deadlines`]:
-    /// resolves exactly the jobs whose deadline entry fired at the
-    /// current clock, in release (arena) order. A job that completed in
-    /// the advance between fire and here is already resolved and skipped
-    /// — the same outcome the full scan reaches without the scan.
-    fn resolve_fired_deadlines(&mut self) {
-        let mut due = std::mem::take(&mut self.ws.deadline_scratch);
-        due.sort_unstable();
-        for &j in &due {
-            if self.ws.jobs[j].resolved {
-                continue;
-            }
-            let deadline = self.ws.jobs[j].job.deadline;
-            debug_assert!(deadline <= self.clock, "deadline fired early");
-            self.resolve(j, JobOutcome::Missed, deadline);
-        }
-        due.clear();
-        self.ws.deadline_scratch = due;
     }
 
     fn resolve(&mut self, job_idx: usize, outcome: JobOutcome, at: Time) {
@@ -1164,44 +1028,14 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     // ----- releases ----------------------------------------------------
 
-    fn process_releases<P: Policy + ?Sized>(&mut self, policy: &mut P) {
-        // Consume the fired-release mask; tasks without their bit are
-        // provably not due (their release entry did not fire). Only the
-        // set bits are visited — in ascending task order, exactly like a
-        // full scan — except for the sentinel `u64::MAX` (first
-        // iteration, scan oracle) and the shared overflow bit 63 (task
-        // ids ≥ 63), which fall back to considering everyone in range.
-        let mask = std::mem::take(&mut self.release_mask);
-        if mask == u64::MAX {
-            for id in self.ts.ids() {
-                self.release_due_jobs_of(policy, id);
-            }
-            return;
-        }
-        let mut bits = mask & !(1u64 << 63);
-        while bits != 0 {
-            let id = TaskId(bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-            self.release_due_jobs_of(policy, id);
-        }
-        if mask & (1u64 << 63) != 0 {
-            for id in self.ts.ids().skip(63) {
-                self.release_due_jobs_of(policy, id);
-            }
-        }
-    }
-
-    /// Releases every due job of one task, then chains the calendar to
-    /// the task's successor release: the entry for any index consumed
-    /// here fired (or will lazily drop), and every non-exhausted task
-    /// must keep exactly one live entry.
+    /// Releases every due job of one task, then records the task's next
+    /// release in its slot (`Time::MAX` once the task is exhausted).
     fn release_due_jobs_of<P: Policy + ?Sized>(&mut self, policy: &mut P, id: TaskId) {
         let task = self.ts.task(id);
-        let start_index = self.ws.tasks[id.0].next_index;
-        loop {
+        let next_release = loop {
             let tstate = &self.ws.tasks[id.0];
             if tstate.exhausted {
-                break;
+                break Time::MAX;
             }
             let index = tstate.next_index;
             // A release or deadline past the clock's top is past every
@@ -1212,22 +1046,15 @@ impl<'a, 'w> Engine<'a, 'w> {
                     .is_some_and(|deadline| deadline <= self.config.horizon)
             }) else {
                 self.ws.tasks[id.0].exhausted = true;
-                break;
+                break Time::MAX;
             };
             if release > self.clock {
-                break;
+                break release;
             }
             self.ws.tasks[id.0].next_index += 1;
             self.release_job(policy, id, index, release);
-        }
-        let tstate = &self.ws.tasks[id.0];
-        if !tstate.exhausted && tstate.next_index != start_index {
-            let index = tstate.next_index;
-            self.ws.calendar.push(
-                task.release_of(index),
-                EventKind::TaskRelease { task: id, index },
-            );
-        }
+        };
+        self.ws.release_slots.set(id, next_release);
     }
 
     fn release_job<P: Policy + ?Sized>(
@@ -1310,9 +1137,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                         copies[copy_count as usize] = backup_idx;
                         copy_count += 1;
                         if backup_release > self.clock {
-                            self.ws
-                                .calendar
-                                .push(backup_release, EventKind::CopyRelease { copy: backup_idx });
+                            self.ws.copy_releases.push(backup_idx);
                         }
                         self.emit_backup_release(
                             backup_delay,
@@ -1349,9 +1174,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     copies[copy_count as usize] = idx;
                     copy_count += 1;
                     if backup_release > self.clock {
-                        self.ws
-                            .calendar
-                            .push(backup_release, EventKind::CopyRelease { copy: idx });
+                        self.ws.copy_releases.push(idx);
                     }
                     self.emit_backup_release(
                         backup_delay,
@@ -1372,6 +1195,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     open_slot: self.ws.open_jobs.len(),
                 });
                 self.ws.open_jobs.push(job_entry);
+                self.ws.open_deadlines.push(job.deadline);
             }
             ReleaseDecision::Optional { proc } => {
                 self.stats.optional_selected += 1;
@@ -1410,6 +1234,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     open_slot: self.ws.open_jobs.len(),
                 });
                 self.ws.open_jobs.push(job_entry);
+                self.ws.open_deadlines.push(job.deadline);
             }
             ReleaseDecision::Skip => {
                 self.stats.optional_skipped += 1;
@@ -1432,6 +1257,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     open_slot: self.ws.open_jobs.len(),
                 });
                 self.ws.open_jobs.push(job_entry);
+                self.ws.open_deadlines.push(job.deadline);
             }
         }
     }
@@ -1566,37 +1392,16 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     // ----- time advance --------------------------------------------------
 
-    /// True when a calendar entry still announces a real occurrence.
-    /// Every entry carries enough identity to re-check itself against
-    /// the live state; staleness is monotone (arena indices are never
-    /// reused within a run, each checked transition is one-way, the
-    /// clock only grows), so a stale entry can be dropped for good the
-    /// moment it surfaces.
-    fn entry_live(&self, entry: CalendarEntry) -> bool {
-        match entry.kind() {
-            EventKind::TaskRelease { task, index } => {
-                let tstate = &self.ws.tasks[task.0];
-                !tstate.exhausted && tstate.next_index == index
-            }
-            EventKind::CopyRelease { copy } => {
-                let c = &self.ws.copies[copy];
-                c.state == CopyState::Pending && c.release > self.clock
-            }
-            EventKind::Fault => !self.fault_applied,
-        }
-    }
-
-    /// Earliest future event: the nearer of the running copies'
-    /// completions (read off the `running` array) and the calendar top.
+    /// Earliest future event: the minimum over the running copies'
+    /// completions, the root of the release slots, the open deadlines,
+    /// the postponed copy releases and the pending permanent fault.
     ///
-    /// Stale tops are lazily discarded as they surface; entries firing
-    /// exactly at the returned time are consumed here, and each fired
-    /// entry tells the next loop iteration precisely where to look — the
-    /// released task's bit in `release_mask`, the due job's index in
-    /// `deadline_scratch`, the readied copy's processor in
-    /// `dispatch_dirty`. Matches [`Engine::next_event_time_scan`]
-    /// exactly on every reachable state (cross-checked per step in
-    /// debug builds).
+    /// It also leaves the next iteration its gates: the earliest open
+    /// deadline in `next_deadline`, and `dispatch_dirty` on the processor
+    /// of each postponed copy released at the returned time (whose entry
+    /// leaves the list). Matches [`Engine::next_event_time_scan`] exactly
+    /// on every reachable state (cross-checked per step in debug
+    /// builds).
     fn next_event_time(&mut self) -> Option<Time> {
         let mut next = self.config.horizon;
         let mut any = self.clock < self.config.horizon;
@@ -1606,72 +1411,63 @@ impl<'a, 'w> Engine<'a, 'w> {
                 any = true;
             }
         }
-        for &i in &self.ws.open_jobs {
-            let job = &self.ws.jobs[i];
-            if !job.resolved && job.job.deadline > self.clock {
-                next = next.min(job.job.deadline);
-                any = true;
-            }
+        let release = self.ws.release_slots.earliest();
+        if release != Time::MAX {
+            next = next.min(release);
+            any = true;
         }
-        while let Some(top) = self.ws.calendar.peek() {
-            if !self.entry_live(top) {
-                self.ws.calendar.pop();
-                continue;
+        // Deadlines at or before the clock were resolved at the top of
+        // this iteration, and a new job's deadline lies past its release.
+        let mut deadline = Time::MAX;
+        for &d in &self.ws.open_deadlines {
+            deadline = deadline.min(d);
+        }
+        self.next_deadline = deadline;
+        if deadline != Time::MAX {
+            next = next.min(deadline);
+            any = true;
+        }
+        let copies = &self.ws.copies;
+        self.ws
+            .copy_releases
+            .retain(|&c| copies[c].state == CopyState::Pending);
+        let mut copy_release = Time::MAX;
+        for &c in &self.ws.copy_releases {
+            copy_release = copy_release.min(copies[c].release);
+        }
+        if copy_release != Time::MAX {
+            next = next.min(copy_release);
+            any = true;
+        }
+        // A pending permanent fault alone does not keep the run alive: a
+        // dead-idle system past its last deadline ends with the fault
+        // still scheduled.
+        if !self.fault_applied {
+            if let Some(pf) = self.config.faults.permanent {
+                next = next.min(pf.at);
             }
-            if top.time < next {
-                next = top.time;
-            }
-            // A pending permanent fault alone does not keep the run
-            // alive, matching the scan: a dead-idle system past its last
-            // deadline ends even with the fault still scheduled.
-            if !matches!(top.kind(), EventKind::Fault) {
-                any = true;
-            }
-            break;
         }
         if !any {
             return None;
         }
-        // Deadlines reaching resolution at `next`: every open deadline
-        // took part in the min above, so the due ones equal `next`
-        // exactly — and no task has two, since a task's job deadlines
-        // are strictly increasing.
-        for &i in &self.ws.open_jobs {
-            let job = &self.ws.jobs[i];
-            if !job.resolved && job.job.deadline > self.clock && job.job.deadline <= next {
-                self.ws.deadline_scratch.push(i);
-            }
-        }
-        // Consume everything firing at `next` (and any stale residue at
-        // or below it), recording where the next iteration must act.
-        // Fired entries need no successor push here: releases chain in
-        // `process_releases`, copy releases and faults are observed
-        // directly from engine state next iteration.
-        while let Some(top) = self.ws.calendar.peek() {
-            if top.time > next {
-                break;
-            }
-            let live = self.entry_live(top);
-            self.ws.calendar.pop();
-            if live {
-                match top.kind() {
-                    EventKind::TaskRelease { task, .. } => {
-                        self.release_mask |= 1u64 << task.0.min(63);
-                    }
-                    EventKind::CopyRelease { copy } => {
-                        self.dispatch_dirty[self.ws.copies[copy].proc.index()] = true;
-                    }
-                    EventKind::Fault => {}
+        if copy_release == next {
+            let dirty = &mut self.dispatch_dirty;
+            self.ws.copy_releases.retain(|&c| {
+                let copy = &copies[c];
+                let released = copy.release == next;
+                if released {
+                    dirty[copy.proc.index()] = true;
                 }
-            }
+                !released
+            });
         }
         Some(next)
     }
 
-    /// The pre-calendar linear-scan derivation of the next event time,
-    /// kept as a reference oracle: `run` cross-checks the calendar
-    /// against it on every step in debug builds, and the in-module
-    /// differential tests drive whole runs with it (`TimeAdvance::Scan`).
+    /// The linear-scan derivation of the next event time, kept as a
+    /// reference oracle: `run` cross-checks the indexed sources against
+    /// it on every step in debug builds, and the in-module differential
+    /// tests drive whole runs with it (`TimeAdvance::Scan`).
     fn next_event_time_scan(&self) -> Option<Time> {
         let mut next = self.config.horizon;
         let mut any = self.clock < self.config.horizon;
@@ -1722,7 +1518,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             if let Some(c) = self.running[proc.index()] {
                 self.extend_busy(proc, self.clock, next);
                 // mkss-lint: allow(float-fold-determinism) — per-processor accumulator advanced in event order by the single-threaded engine; the order is the simulation itself
-                self.active_energy[proc.index()] += self.config.power.active_energy(dt);
+                self.energy[proc.index()].active += self.config.power.active_energy(dt);
                 let copy = &mut self.ws.copies[c];
                 copy.remaining -= dt;
                 if copy.remaining.is_zero() {
@@ -1735,7 +1531,10 @@ impl<'a, 'w> Engine<'a, 'w> {
         // Mark all simultaneous completions done first (so a success does
         // not "cancel" a sibling that also just finished)…
         for &c in &completions[..completed] {
-            let faulted = self.sampler.sample(self.ws.copies[c].job.wcet);
+            let task = self.ws.copies[c].job.id.task;
+            let faulted = self
+                .sampler
+                .sample_probability(self.ws.fault_probability[task.0]);
             let ev_task = self.ws.copies[c].job.id.task.0 as u32;
             let ev_job = self.ws.copies[c].job.id.index as u32;
             let ev_role = copy_role(self.ws.copies[c].kind);
@@ -1848,12 +1647,20 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
     }
 
+    /// Adds the busy span `[from, to)` to `proc`'s energy. A span that
+    /// opens after the last one closed first charges the idle gap
+    /// between them under the DPD rule, so idle energy is summed gap by
+    /// gap in time order, as the run goes.
     fn extend_busy(&mut self, proc: ProcId, from: Time, to: Time) {
-        let intervals = &mut self.ws.busy[proc.index()];
-        match intervals.last_mut() {
-            Some(last) if last.1 == from => last.1 = to,
-            _ => intervals.push((from, to)),
+        let energy = &mut self.energy[proc.index()];
+        let gap_start = self.busy_until[proc.index()];
+        if from > gap_start {
+            // mkss-lint: allow(float-fold-determinism) — idle gaps close in time order on the single-threaded engine; the order is the simulation itself
+            energy.idle += self.config.power.idle_interval_energy(from - gap_start);
+            energy.idle_time += from - gap_start;
         }
+        energy.busy_time += to - from;
+        self.busy_until[proc.index()] = to;
     }
 
     /// Ends the copy's open execution segment, if any, and narrates a
@@ -1890,9 +1697,18 @@ impl<'a, 'w> Engine<'a, 'w> {
                 self.close_segment(c, SegmentEnd::Horizon);
             }
         }
-        let mut energy = [EnergyBreakdown::default(), EnergyBreakdown::default()];
+        // The trailing idle gap runs to the horizon, or to a dead
+        // processor's death.
         for &proc in &ProcId::ALL {
-            energy[proc.index()] = self.account_processor(proc, &self.config.power);
+            let end = self.death_time[proc.index()].unwrap_or(self.config.horizon);
+            let gap_start = self.busy_until[proc.index()];
+            debug_assert!(gap_start <= end, "busy past the end of {proc:?}'s life");
+            if end > gap_start {
+                let energy = &mut self.energy[proc.index()];
+                // mkss-lint: allow(float-fold-determinism) — single trailing-gap term added after every gap before it
+                energy.idle += self.config.power.idle_interval_energy(end - gap_start);
+                energy.idle_time += end - gap_start;
+            }
         }
         if let Some(recorder) = &self.ws.recorder.0 {
             recorder.absorb(&self.ws.tally);
@@ -1900,37 +1716,10 @@ impl<'a, 'w> Engine<'a, 'w> {
         SimReport {
             policy: policy_name.to_owned(),
             horizon: self.config.horizon,
-            energy,
+            energy: self.energy,
             stats: self.stats,
             violations: self.violations,
         }
-    }
-
-    /// Active energy from the busy intervals; idle energy from their
-    /// complement within `[0, end-of-life)` using the DPD rule.
-    fn account_processor(&self, proc: ProcId, power: &PowerModel) -> EnergyBreakdown {
-        let end = self.death_time[proc.index()].unwrap_or(self.config.horizon);
-        let mut breakdown = EnergyBreakdown::default();
-        let mut cursor = Time::ZERO;
-        for &(from, to) in &self.ws.busy[proc.index()] {
-            let from = from.min(end);
-            let to = to.min(end);
-            if from > cursor {
-                // mkss-lint: allow(float-fold-determinism) — busy intervals are stored sorted; the cursor sweep pins the order
-                breakdown.idle += power.idle_interval_energy(from - cursor);
-                breakdown.idle_time += from - cursor;
-            }
-            breakdown.busy_time += to - from;
-            cursor = cursor.max(to);
-        }
-        if end > cursor {
-            // mkss-lint: allow(float-fold-determinism) — single trailing-gap term added after the sorted sweep
-            breakdown.idle += power.idle_interval_energy(end - cursor);
-            breakdown.idle_time += end - cursor;
-        }
-        // Active energy was accumulated during the run.
-        breakdown.active = self.active_energy[proc.index()];
-        breakdown
     }
 }
 
@@ -2210,7 +1999,8 @@ mod tests {
 
     /// [`simulate_in`] with two extra knobs for the tests below: the
     /// time-advance mechanism, and a hook to poke the freshly reset
-    /// workspace (e.g. forge a calendar entry) before the run starts.
+    /// workspace (e.g. forge a postponed copy release) before the run
+    /// starts.
     fn run_prepared<P: Policy + ?Sized>(
         ws: &mut SimWorkspace,
         ts: &TaskSet,
@@ -2224,7 +2014,7 @@ mod tests {
         Engine::new(ts, config, ws, time_advance).run(policy)
     }
 
-    /// Regression for the release-mode stall: a calendar entry stuck at
+    /// Regression for the release-mode stall: an event source stuck at
     /// (or before) the clock used to spin the event loop forever in
     /// release builds, where the old `debug_assert!(next > clock)`
     /// compiled away. The guard is now a hard invariant in every build:
@@ -2239,26 +2029,19 @@ mod tests {
         let registry = Arc::new(Registry::new(1));
         let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
 
-        // Forge a release entry for τ1's *second* job at t = 0. The
-        // first `process_releases` pass advances τ1's `next_index` to 2,
-        // which makes the forged entry live, so `next_event_time`
-        // returns 0 == clock: a zero-length step out of a state the
-        // engine can never produce on its own.
+        // Forge a postponed-release entry for copy 0, τ1's first main,
+        // which the first iteration releases at t = 0. The entry stays
+        // while the copy is pending, so `next_event_time` returns its
+        // release 0 == clock: a zero-length step out of a state the
+        // engine can never produce on its own (it lists only copies
+        // released after the clock).
         let report = run_prepared(
             &mut ws,
             &ts,
             &mut StaticRef,
             &config,
-            TimeAdvance::Calendar,
-            |ws| {
-                ws.calendar.push(
-                    Time::ZERO,
-                    EventKind::TaskRelease {
-                        task: TaskId(0),
-                        index: 2,
-                    },
-                );
-            },
+            TimeAdvance::Indexed,
+            |ws| ws.copy_releases.push(0),
         );
 
         let snap = registry.snapshot();
@@ -2281,126 +2064,164 @@ mod tests {
             &ts,
             &mut StaticRef,
             &config,
-            TimeAdvance::Calendar,
+            TimeAdvance::Indexed,
             |_| {},
         );
         assert_eq!(registry.snapshot().counter(CounterId::EngineStalls), 1);
         assert_eq!(clean.stats.met, 3);
     }
 
-    /// Whole-run differential between the production calendar and the
-    /// pre-calendar linear-scan oracle, across fault configs, comparing
-    /// reports and collected traces. The per-step `debug_assert_eq!` in
-    /// `run` already cross-checks the chosen event times on every
-    /// debug-build run; this pins the end-to-end results too.
+    /// Deeply-red mandatory jobs (and any job of flexibility degree 0)
+    /// with mains alternating between the processors by task and
+    /// backups postponed by half their slack; every other job runs as
+    /// an optional on the processor its index picks. Exercises every
+    /// event source the engine indexes: postponed copy releases,
+    /// cancellation, optional abandonment and both processors' dispatch.
+    struct Postponing {
+        delays: Vec<Time>,
+    }
+
+    impl Policy for Postponing {
+        fn name(&self) -> &str {
+            "postponing"
+        }
+        fn init(&mut self, ts: &TaskSet) {
+            self.delays = ts
+                .iter()
+                .map(|(_, t)| Time::from_ticks((t.deadline() - t.wcet()).ticks() / 2))
+                .collect();
+        }
+        fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
+            use mkss_core::mk::Pattern;
+            let pick = |n: u64| ProcId::ALL[(n % 2) as usize];
+            let mk = ctx.history.constraint();
+            if Pattern::DeeplyRed.is_mandatory(mk, ctx.job_index) || ctx.history.next_is_mandatory()
+            {
+                ReleaseDecision::Mandatory {
+                    main_proc: pick(ctx.task.0 as u64),
+                    backup_delay: self.delays[ctx.task.0],
+                }
+            } else {
+                ReleaseDecision::Optional {
+                    proc: pick(ctx.job_index),
+                }
+            }
+        }
+    }
+
+    /// `n` tasks at (m,k)-utilization ≈ 0.4 in rate-monotonic order,
+    /// periods 10–50 ms, WCETs in whole microseconds.
+    fn large_set(n: usize) -> TaskSet {
+        const PERIODS_MS: [u64; 4] = [10, 20, 40, 50];
+        const MK: [(u32, u32); 4] = [(2, 3), (3, 4), (1, 2), (3, 5)];
+        let tasks = (0..n)
+            .map(|i| {
+                let period = Time::from_ms(PERIODS_MS[i * PERIODS_MS.len() / n]);
+                let (m, k) = MK[i % MK.len()];
+                let share = 0.4 / n as f64 * f64::from(k) / f64::from(m);
+                let wcet = ((share * period.ticks() as f64) as u64).max(1);
+                Task::new(period, period, Time::from_ticks(wcet), m, k).unwrap()
+            })
+            .collect();
+        TaskSet::new(tasks).unwrap()
+    }
+
+    /// Whole-run differential between the production indexed sources
+    /// and the linear-scan oracle (which also gates no phase, so it
+    /// checks the `dispatch_dirty` and `opt_expiry` gating too), across
+    /// fault configs and task counts past 64, comparing reports and
+    /// collected traces. The per-step `debug_assert_eq!` in `run`
+    /// already cross-checks the chosen event times on every debug-build
+    /// run; this pins the end-to-end results too.
     #[test]
-    fn scan_oracle_and_calendar_reports_are_identical() {
+    fn scan_oracle_and_indexed_reports_are_identical() {
         let sets = [
-            fig1_set(),
-            TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2).unwrap()]).unwrap(),
-        ];
-        let horizon = Time::from_ms(40);
-        let configs = [
-            SimConfig::active_only(horizon),
-            SimConfig::new(horizon),
-            SimConfig::builder()
-                .horizon(horizon)
-                .faults(FaultConfig::permanent(ProcId::SPARE, Time::from_ms(6)))
-                .build(),
-            SimConfig::builder()
-                .horizon(horizon)
-                .faults(FaultConfig::combined(
-                    ProcId::PRIMARY,
-                    Time::from_ms(17),
-                    0.4,
-                    9,
-                ))
-                .build(),
+            (fig1_set(), Time::from_ms(40)),
+            (
+                TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2).unwrap()]).unwrap(),
+                Time::from_ms(40),
+            ),
+            (large_set(70), Time::from_ms(200)),
+            (large_set(1024), Time::from_ms(100)),
         ];
         let recorder = Arc::new(TraceRecorder::new(
             TraceBuffer::with_capacity(usize::MAX),
             None,
         ));
         let mut ws = SimWorkspace::with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-        for ts in &sets {
+        for (ts, horizon) in &sets {
+            let horizon = *horizon;
+            let configs = [
+                SimConfig::active_only(horizon),
+                SimConfig::new(horizon),
+                SimConfig::builder()
+                    .horizon(horizon)
+                    .faults(FaultConfig::permanent(
+                        ProcId::SPARE,
+                        Time::from_ticks(horizon.ticks() / 7),
+                    ))
+                    .build(),
+                SimConfig::builder()
+                    .horizon(horizon)
+                    .faults(FaultConfig::combined(
+                        ProcId::PRIMARY,
+                        Time::from_ticks(horizon.ticks() * 3 / 7),
+                        0.4,
+                        9,
+                    ))
+                    .build(),
+            ];
             for config in &configs {
-                let calendar = run_prepared(
-                    &mut ws,
-                    ts,
-                    &mut StaticRef,
-                    config,
-                    TimeAdvance::Calendar,
-                    |_| {},
-                );
-                let calendar_trace = Trace::from(&recorder.take());
-                let scan = run_prepared(
-                    &mut ws,
-                    ts,
-                    &mut StaticRef,
-                    config,
-                    TimeAdvance::Scan,
-                    |_| {},
-                );
-                assert_eq!(
-                    format!("{calendar:?}"),
-                    format!("{scan:?}"),
-                    "calendar/scan reports diverge"
-                );
-                assert_eq!(
-                    calendar_trace,
-                    Trace::from(&recorder.take()),
-                    "calendar/scan traces diverge"
-                );
+                let policies: [&mut dyn Policy; 2] =
+                    [&mut StaticRef, &mut Postponing { delays: Vec::new() }];
+                for policy in policies {
+                    let indexed =
+                        run_prepared(&mut ws, ts, policy, config, TimeAdvance::Indexed, |_| {});
+                    let indexed_trace = Trace::from(&recorder.take());
+                    let scan = run_prepared(&mut ws, ts, policy, config, TimeAdvance::Scan, |_| {});
+                    assert_eq!(
+                        format!("{indexed:?}"),
+                        format!("{scan:?}"),
+                        "indexed/scan reports diverge"
+                    );
+                    assert_eq!(
+                        indexed_trace,
+                        Trace::from(&recorder.take()),
+                        "indexed/scan traces diverge"
+                    );
+                }
             }
         }
     }
 
     proptest::proptest! {
-        /// The calendar is a min-heap on time: every pop — including
-        /// pops interleaved with pushes — returns the minimum of what is
-        /// currently stored, checked against a reference multiset. Drain
-        /// order is therefore nondecreasing once pushes stop.
+        /// After any sequence of updates, the root is the minimum leaf
+        /// and `first_due` names the lowest task id at or before `now`.
         #[test]
-        fn calendar_pops_are_time_ordered(
-            times in proptest::collection::vec(0u64..10_000, 1..200),
-            interleave in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..200),
+        fn release_slots_find_the_lowest_due_task(
+            tasks in 1usize..70,
+            update_tasks in proptest::collection::vec(0usize..70, 0..200),
+            update_times in proptest::collection::vec(0u64..1_000, 0..200),
+            now in 0u64..1_000,
         ) {
-            let mut calendar = EventCalendar::default();
-            let mut reference: Vec<u64> = Vec::new();
-            let pop_and_check = |calendar: &mut EventCalendar,
-                                     reference: &mut Vec<u64>|
-             -> Result<(), proptest::test_runner::TestCaseError> {
-                let entry = calendar.pop();
-                proptest::prop_assert_eq!(entry.is_some(), !reference.is_empty());
-                if let Some(entry) = entry {
-                    let (slot, &min) = reference
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, t)| t)
-                        .expect("reference non-empty");
-                    proptest::prop_assert_eq!(
-                        entry.time,
-                        Time::from_ticks(min),
-                        "pop is not the pending minimum"
-                    );
-                    reference.swap_remove(slot);
-                }
-                Ok(())
-            };
-            for (i, &t) in times.iter().enumerate() {
-                calendar.push(Time::from_ticks(t), EventKind::Fault);
-                reference.push(t);
-                if *interleave.get(i).unwrap_or(&false) {
-                    pop_and_check(&mut calendar, &mut reference)?;
-                }
+            let mut slots = ReleaseSlots::default();
+            slots.reset(tasks);
+            let mut reference = vec![Time::ZERO; tasks];
+            for (&task, &at) in update_tasks.iter().zip(&update_times) {
+                let task = task % tasks;
+                let at = if at % 10 == 0 { Time::MAX } else { Time::from_ticks(at) };
+                slots.set(TaskId(task), at);
+                reference[task] = at;
             }
-            let mut last = Time::ZERO;
-            while let Some(top) = calendar.peek() {
-                proptest::prop_assert!(top.time >= last, "drain went backwards");
-                last = top.time;
-                pop_and_check(&mut calendar, &mut reference)?;
-            }
-            proptest::prop_assert!(reference.is_empty());
+            let now = Time::from_ticks(now);
+            proptest::prop_assert_eq!(
+                slots.earliest(),
+                reference.iter().copied().min().unwrap()
+            );
+            proptest::prop_assert_eq!(
+                slots.first_due(now),
+                reference.iter().position(|&at| at <= now).map(TaskId)
+            );
         }
     }
 }

@@ -115,7 +115,14 @@ impl TransientSampler {
 
     /// Samples whether an execution of length `exec` faulted.
     pub fn sample(&mut self, exec: Time) -> bool {
-        let p = self.fault_probability(exec);
+        self.sample_probability(self.fault_probability(exec))
+    }
+
+    /// Samples whether an execution faulted, given its
+    /// [`fault_probability`](Self::fault_probability) `p` computed
+    /// beforehand: the same draw as [`sample`](Self::sample), for
+    /// callers that run many executions of one length.
+    pub fn sample_probability(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }

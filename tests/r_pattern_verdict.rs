@@ -141,3 +141,41 @@ fn a_task_without_a_mandatory_first_job_is_not_rejected_by_pass_one() {
     assert!(full_verdict(&ts));
     assert!(is_schedulable_r_pattern(&ts));
 }
+
+#[test]
+fn a_task_without_a_mandatory_first_job_simulates_under_every_paper_policy() {
+    // m = 0 means no constraint: every miss of τ2 is tolerable, so its
+    // history must not index an empty ring of met positions.
+    let ts = unchecked_set(&[(2, 2, 2, 1, 2), (4, 4, 3, 0, 2)]);
+    let config = SimConfig::builder()
+        .horizon(Time::from_ticks(40))
+        .faults(FaultConfig::combined(
+            ProcId::PRIMARY,
+            Time::from_ticks(17),
+            0.5,
+            7,
+        ))
+        .build();
+    for kind in PolicyKind::PAPER {
+        let mut policy = kind.build(&ts, &BuildOptions::default()).unwrap();
+        let report = simulate(&ts, &mut policy, &config);
+        assert_eq!(
+            report.stats.met + report.stats.missed,
+            report.stats.released
+        );
+        assert!(
+            report.violations.iter().all(|v| v.task == TaskId(0)),
+            "{kind:?}: the unconstrained task reported a violation"
+        );
+    }
+}
+
+#[test]
+fn a_zero_window_fails_to_deserialize() {
+    let mk: MkConstraint = serde_json::from_str(r#"{"m":0,"k":2}"#).unwrap();
+    assert_eq!((mk.m(), mk.k()), (0, 2));
+    let err = serde_json::from_str::<MkConstraint>(r#"{"m":0,"k":0}"#).unwrap_err();
+    assert!(err.to_string().contains("(0,0)"), "{err}");
+    let task = r#"{"tasks":[{"period":4,"deadline":4,"wcet":1,"mk":{"m":1,"k":0}}]}"#;
+    assert!(serde_json::from_str::<TaskSet>(task).is_err());
+}

@@ -7,13 +7,13 @@
 //! [`simulate_traced`] one. This is the contract that lets the experiment harness
 //! thread one workspace per worker without any risk to Figure 6.
 //!
-//! This same matrix doubles as the calendar-vs-scan differential: every
-//! run here advances time through the event calendar, and in debug
-//! builds the engine cross-checks each chosen event time against the
-//! pre-calendar linear-scan oracle (`Engine::next_event_time_scan`,
+//! This same matrix doubles as the indexed-vs-scan differential: every
+//! run here advances time through the engine's indexed event sources,
+//! and in debug builds the engine cross-checks each chosen event time
+//! against the linear-scan oracle (`Engine::next_event_time_scan`,
 //! kept under `#[cfg(test)]`) via a per-step `debug_assert_eq!`. The
 //! whole-run report comparison lives next to the oracle in
-//! `crates/sim/src/engine.rs` (`scan_oracle_and_calendar_reports_are_identical`).
+//! `crates/sim/src/engine.rs` (`scan_oracle_and_indexed_reports_are_identical`).
 
 use std::sync::Arc;
 
