@@ -121,9 +121,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: RECORDER_GATED_EMIT,
         code: "MKSS-L006",
-        summary: "every recorder incr/observe/event call in crates/sim sits \
+        summary: "every recorder observe/event call in crates/sim sits \
                   inside an `if let Some(recorder)` gate, so the recorder-off \
-                  path stays one branch per emit site",
+                  path stays one branch per histogram or event site",
     },
     RuleInfo {
         id: MALFORMED_DIRECTIVE,

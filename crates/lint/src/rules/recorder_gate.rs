@@ -1,21 +1,23 @@
-//! Rule `recorder-gated-emit`: observability must stay one branch per
-//! emit site when no recorder is attached.
+//! Rule `recorder-gated-emit`: histogram samples and structured events
+//! must stay one branch per emit site when no recorder is attached.
 //!
 //! The engine carries an optional `Recorder` with the contract that the
-//! recorder-off path costs exactly one predictable branch per emit site
-//! — that is what keeps the zero-alloc test and the `sim_hot_path` bench
-//! numbers unchanged. With a recorder attached, an emit site counts into
-//! the run's plain tally, which the recorder absorbs once per run. The
-//! shape that guarantees both is
+//! recorder-off path costs exactly one predictable branch per histogram
+//! or event site — that is what keeps the zero-alloc test and the
+//! `sim_hot_path` bench numbers unchanged. Counters are not gated: every
+//! run counts them into its plain tally (`tally.incr`), because the
+//! report's job statistics are read from those counts. With a recorder
+//! attached, a histogram site samples into the same tally, which the
+//! recorder absorbs once per run. The shape that guarantees both is
 //!
 //! ```text
 //! if let Some(_recorder) = &self.ws.recorder.0 {
-//!     self.ws.tally.incr(counter, 1);
+//!     self.ws.tally.observe(histogram, value);
 //! }
 //! ```
 //!
-//! so this rule requires every `.incr(` / `.observe(` / `.event(` call
-//! in `crates/sim/src/` to sit lexically inside a block whose opening
+//! so this rule requires every `.observe(` / `.event(` call in
+//! `crates/sim/src/` to sit lexically inside a block whose opening
 //! statement is an `if let Some(…)` mentioning `recorder`. A call via
 //! `.unwrap()`, an `else` branch, or a hoisted handle all land outside
 //! such a block and are flagged. `.event(` is the structured
@@ -51,7 +53,7 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             }
             TokKind::Punct(';') => stmt_start = i + 1,
             TokKind::Ident
-                if (t.is_ident("incr") || t.is_ident("observe") || t.is_ident("event"))
+                if (t.is_ident("observe") || t.is_ident("event"))
                     && ctx.tok(i.wrapping_sub(1)).is_punct('.')
                     && ctx.tok(i + 1).is_punct('(')
                     && ctx.live(i)

@@ -172,11 +172,11 @@ impl std::error::Error for SplitError {}\n";
 #[test]
 fn recorder_gate_fires_on_unguarded_emit() {
     let src = r#"
-fn emit_badly(recorder: &dyn Recorder, c: CounterId) {
-    recorder.incr(c, 1);
-}
 fn observe_badly(recorder: &dyn Recorder, h: HistogramId) {
     recorder.observe(h, 7);
+}
+fn narrate_badly(recorder: &dyn Recorder, e: &EngineEvent) {
+    recorder.event(e);
 }
 "#;
     assert_fires("crates/sim/src/fixture.rs", src, "recorder-gated-emit", 2);
@@ -185,9 +185,9 @@ fn observe_badly(recorder: &dyn Recorder, h: HistogramId) {
 #[test]
 fn recorder_gate_suppressed_by_allow() {
     let src = r#"
-fn emit_knowingly(recorder: &dyn Recorder, c: CounterId) {
+fn observe_knowingly(recorder: &dyn Recorder, h: HistogramId) {
     // mkss-lint: allow(recorder-gated-emit) — caller already checked attachment
-    recorder.incr(c, 1);
+    recorder.observe(h, 7);
 }
 "#;
     assert_suppressed("crates/sim/src/fixture.rs", src);
@@ -196,29 +196,45 @@ fn emit_knowingly(recorder: &dyn Recorder, c: CounterId) {
 #[test]
 fn recorder_gate_clean_inside_gate_and_outside_sim() {
     let gated = r#"
-fn emit(&self, counter: CounterId) {
+fn emit_observe(&mut self, histogram: HistogramId, value: u64) {
+    if let Some(_recorder) = &self.ws.recorder.0 {
+        self.ws.tally.observe(histogram, value);
+    }
+}
+fn emit_event(&self, e: &EngineEvent) {
     if let Some(recorder) = &self.ws.recorder.0 {
-        recorder.incr(counter, 1);
+        recorder.event(e);
     }
 }
 "#;
     assert_clean("crates/sim/src/fixture.rs", gated);
     // The rule only guards the simulator; the registry itself (obs
-    // crate) calls incr on shards freely.
+    // crate) samples into shards freely.
     assert_clean(
         "crates/obs/src/fixture.rs",
-        "fn bump(&self) { self.shard.incr(CounterId::JobsReleased, 1); }",
+        "fn sample(&self) { self.shard.observe(HistogramId::MkDistance, 1); }",
     );
+}
+
+#[test]
+fn recorder_gate_leaves_counter_increments_ungated() {
+    // Every run counts its job facts into the tally, recorder or not.
+    let src = r#"
+fn release(&mut self) {
+    self.ws.tally.incr(CounterId::JobsReleased, 1);
+}
+"#;
+    assert_clean("crates/sim/src/fixture.rs", src);
 }
 
 #[test]
 fn recorder_gate_else_branch_is_not_gated() {
     let src = r#"
-fn emit(&self, counter: CounterId) {
-    if let Some(recorder) = &self.ws.recorder.0 {
-        recorder.incr(counter, 1);
+fn emit_observe(&mut self, histogram: HistogramId, value: u64) {
+    if let Some(_recorder) = &self.ws.recorder.0 {
+        self.ws.tally.observe(histogram, value);
     } else {
-        self.fallback.incr(counter, 1);
+        self.fallback.observe(histogram, value);
     }
 }
 "#;

@@ -13,11 +13,13 @@
 //! Design constraints, in order:
 //!
 //! 1. **Near-zero cost when off.** The hot path carries an
-//!    `Option<Arc<dyn Recorder>>`; `None` costs one branch per emit site and
-//!    allocates nothing (the zero-alloc counting-allocator test in
-//!    `mkss-sim` runs with the recorder absent and must keep passing
-//!    unchanged). With a counting-only recorder attached, an emit site is
-//!    a plain array add and the run ends with one [`Recorder::absorb`].
+//!    `Option<Arc<dyn Recorder>>`; `None` costs one branch per histogram
+//!    or event site and allocates nothing (the zero-alloc
+//!    counting-allocator test in `mkss-sim` runs with the recorder absent
+//!    and must keep passing unchanged). Counters are plain array adds on
+//!    every run, since the engine's report is read from them. With a
+//!    counting-only recorder attached, a histogram site is a plain array
+//!    add too and the run ends with one [`Recorder::absorb`].
 //!    [`NoopRecorder`] exists for callers that want a recorder *object*
 //!    with no effect.
 //! 2. **Deterministic aggregation.** Counters are commutative sums over

@@ -42,9 +42,9 @@ pub trait Recorder: Send + Sync {
 
 /// A recorder that discards everything.
 ///
-/// With this recorder attached a run pays its tally adds and one empty
-/// virtual call at the end; with no recorder attached at all (`None`),
-/// each emit site reduces to one branch.
+/// With this recorder attached a run pays its histogram adds and one
+/// empty virtual call at the end; with no recorder attached at all
+/// (`None`), each histogram or event site reduces to one branch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopRecorder;
 

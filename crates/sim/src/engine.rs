@@ -56,20 +56,23 @@
 //! job releases and resolutions, mandatory/optional classification,
 //! backup release and postponement (`r̃ = r + θ`), backup cancellation,
 //! fault injection and recovery, the (m,k) distance-to-violation at
-//! each resolution, and every closed execution segment. Counters and
-//! histogram samples go into a plain per-run tally (a
-//! [`MetricsSnapshot`]) that the recorder absorbs once when the run
-//! finishes; structured events are delivered one by one, and only to a
-//! recorder whose `wants_events()` is true. That event stream is the
-//! engine's only capture path: a [`TraceRecorder`] captures it into a
-//! [`TraceBuffer`], and the schedule [`Trace`] decodes that buffer
-//! ([`simulate_traced`]). The recorder lives on the workspace rather
-//! than on [`SimConfig`] because the config stays `Copy + PartialEq +
-//! Serialize`, which a trait-object handle cannot be. Recorders only
-//! observe — they never feed back into the run — so a recorder-on
-//! report is byte-identical to a recorder-off one, and with no recorder
-//! attached each emit site costs a single branch (the zero-allocation
-//! contract above is unchanged).
+//! each resolution, and every closed execution segment. Counters go
+//! into a plain per-run tally (a [`MetricsSnapshot`]) on every run,
+//! recorder or not: they are the report's job statistics
+//! ([`JobStats::from_tally`]). Histogram samples join the tally only
+//! while a recorder is attached, and the recorder absorbs the tally once
+//! when the run finishes. Structured events are delivered one by one,
+//! and only to a recorder whose `wants_events()` is true. That event
+//! stream is the engine's only capture path: a [`TraceRecorder`]
+//! captures it into a [`TraceBuffer`], and the schedule [`Trace`]
+//! decodes that buffer ([`simulate_traced`]). The recorder lives on the
+//! workspace rather than on [`SimConfig`] because the config stays
+//! `Copy + PartialEq + Serialize`, which a trait-object handle cannot
+//! be. Recorders only observe — they never feed back into the run — so
+//! a recorder-on report is byte-identical to a recorder-off one. With no
+//! recorder attached a counter site costs one array add and a histogram
+//! or event site a single branch (the zero-allocation contract above is
+//! unchanged).
 
 use mkss_core::history::{JobOutcome, MkHistory};
 use mkss_core::job::{CopyKind, Job, JobClass};
@@ -372,8 +375,10 @@ pub struct SimWorkspace {
     /// Optional event sink; survives `begin_run` so one attachment
     /// covers every simulation run through this workspace.
     recorder: RecorderSlot,
-    /// The run's counter and histogram tally, counted only while a
-    /// recorder is attached and absorbed by it once, in `finish`.
+    /// The run's tally. Counters are counted on every run and are the
+    /// report's only job counts ([`JobStats::from_tally`]); histogram
+    /// samples are counted only while a recorder is attached. An
+    /// attached recorder absorbs the tally once, in `finish`.
     tally: MetricsSnapshot,
 }
 
@@ -565,7 +570,6 @@ struct Engine<'a, 'w> {
     energy: [EnergyBreakdown; 2],
     /// End of each processor's last busy interval.
     busy_until: [Time; 2],
-    stats: JobStats,
     violations: Vec<MkViolation>,
     /// The earliest open deadline, as of the last time advance; the
     /// next iteration resolves deadlines only once the clock reaches it.
@@ -627,23 +631,12 @@ impl<'a, 'w> Engine<'a, 'w> {
             sampler,
             energy: [EnergyBreakdown::default(); 2],
             busy_until: [Time::ZERO; 2],
-            stats: JobStats::default(),
             violations: Vec::new(),
             next_deadline: Time::MAX,
             dispatch_dirty: [true; 2],
             opt_expiry: [Time::ZERO; 2],
             events,
             time_advance,
-        }
-    }
-
-    /// Count one event into the run's tally when a recorder is attached.
-    /// One predictable branch when detached, a plain array add when
-    /// attached — cheap enough for every emit site.
-    #[inline]
-    fn emit(&mut self, counter: CounterId) {
-        if let Some(_recorder) = &self.ws.recorder.0 {
-            self.ws.tally.incr(counter, 1);
         }
     }
 
@@ -704,9 +697,9 @@ impl<'a, 'w> Engine<'a, 'w> {
         proc: ProcId,
         release: Time,
     ) {
-        self.emit(CounterId::BackupsReleased);
+        self.ws.tally.incr(CounterId::BackupsReleased, 1);
         if !backup_delay.is_zero() {
-            self.emit(CounterId::BackupsPostponed);
+            self.ws.tally.incr(CounterId::BackupsPostponed, 1);
             // Integer div_ceil on ticks: exact for every delay, and no
             // float math inside the recorder gate.
             self.emit_observe(HistogramId::BackupDelayMs, backup_delay.as_ms_ceil());
@@ -774,7 +767,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     // forever. Hard invariant in every build: flag the
                     // stall and end the run (unresolved jobs miss at the
                     // horizon below) instead of silently spinning.
-                    self.emit(CounterId::EngineStalls);
+                    self.ws.tally.incr(CounterId::EngineStalls, 1);
                     self.emit_event(
                         self.clock,
                         TraceKind::EngineStall,
@@ -869,8 +862,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             return;
         }
         self.fault_applied = true;
-        self.emit(CounterId::FaultsInjected);
-        self.emit(CounterId::PermanentFaults);
+        self.ws.tally.incr(CounterId::PermanentFaults, 1);
         self.dispatch_dirty = [true; 2];
         let p = pf.proc;
         self.emit_event(
@@ -895,8 +887,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             debug_assert_eq!(self.ws.copies[idx].state, CopyState::Pending);
             if self.ws.copies[idx].proc == p {
                 self.ws.copies[idx].state = CopyState::Lost;
-                self.stats.copies_lost += 1;
-                self.emit(CounterId::CopiesLost);
+                self.ws.tally.incr(CounterId::CopiesLost, 1);
                 let copy = &self.ws.copies[idx];
                 self.emit_event(
                     self.clock,
@@ -957,12 +948,10 @@ impl<'a, 'w> Engine<'a, 'w> {
                 task: job.id.task,
                 job_index: job.id.index,
             });
-            self.emit(CounterId::MkViolations);
         }
         match outcome {
             JobOutcome::Met => {
-                self.stats.met += 1;
-                self.emit(CounterId::JobsMet);
+                self.ws.tally.incr(CounterId::JobsMet, 1);
                 self.emit_event(
                     at,
                     TraceKind::JobMet,
@@ -974,8 +963,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 );
             }
             JobOutcome::Missed => {
-                self.stats.missed += 1;
-                self.emit(CounterId::JobsMissed);
+                self.ws.tally.incr(CounterId::JobsMissed, 1);
                 self.emit_event(
                     at,
                     TraceKind::JobMissed,
@@ -1076,8 +1064,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             };
             policy.on_release(&ctx)
         };
-        self.stats.released += 1;
-        self.emit(CounterId::JobsReleased);
+        self.ws.tally.incr(CounterId::JobsReleased, 1);
 
         let job_entry = self.ws.jobs.len();
         match decision {
@@ -1085,8 +1072,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 main_proc,
                 backup_delay,
             } => {
-                self.stats.mandatory += 1;
-                self.emit(CounterId::MandatoryReleased);
+                self.ws.tally.incr(CounterId::MandatoryReleased, 1);
                 self.emit_event(
                     release,
                     TraceKind::MandatoryRelease,
@@ -1198,8 +1184,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 self.ws.open_deadlines.push(job.deadline);
             }
             ReleaseDecision::Optional { proc } => {
-                self.stats.optional_selected += 1;
-                self.emit(CounterId::OptionalSelected);
+                self.ws.tally.incr(CounterId::OptionalSelected, 1);
                 let job = Job::nth(id, self.ts.task(id), index, JobClass::Optional);
                 let proc = self.live_proc(proc);
                 self.emit_event(
@@ -1237,8 +1222,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 self.ws.open_deadlines.push(job.deadline);
             }
             ReleaseDecision::Skip => {
-                self.stats.optional_skipped += 1;
-                self.emit(CounterId::OptionalSkipped);
+                self.ws.tally.incr(CounterId::OptionalSkipped, 1);
                 self.emit_event(
                     release,
                     TraceKind::OptionalSkip,
@@ -1329,7 +1313,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 && copy.release <= self.clock
                 && !copy.job.feasible_from(self.clock, copy.remaining)
             {
-                self.stats.optional_abandoned += 1;
+                self.ws.tally.incr(CounterId::OptionalAbandoned, 1);
                 self.emit_event(
                     self.clock,
                     TraceKind::OptionalAbandon,
@@ -1339,7 +1323,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     proc.index() as u8,
                     0,
                 );
-                self.emit(CounterId::OptionalAbandoned);
                 self.stop_copy(c, CopyState::Abandoned, SegmentEnd::Preempted);
             } else {
                 if copy.proc == proc
@@ -1539,9 +1522,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             let ev_job = self.ws.copies[c].job.id.index as u32;
             let ev_role = copy_role(self.ws.copies[c].kind);
             if faulted {
-                self.stats.transient_faults += 1;
-                self.emit(CounterId::FaultsInjected);
-                self.emit(CounterId::TransientFaults);
+                self.ws.tally.incr(CounterId::TransientFaults, 1);
                 self.emit_event(
                     self.clock,
                     TraceKind::TransientFault,
@@ -1559,8 +1540,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             self.deactivate_copy(c);
             match self.ws.copies[c].kind {
                 CopyKind::Backup => {
-                    self.stats.backups_completed += 1;
-                    self.emit(CounterId::BackupsCompleted);
+                    self.ws.tally.incr(CounterId::BackupsCompleted, 1);
                     self.emit_event(
                         self.clock,
                         TraceKind::BackupComplete,
@@ -1572,7 +1552,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     );
                 }
                 CopyKind::Optional if !faulted => {
-                    self.emit(CounterId::OptionalExecuted);
+                    self.ws.tally.incr(CounterId::OptionalExecuted, 1);
                     self.emit_event(
                         self.clock,
                         TraceKind::OptionalComplete,
@@ -1614,7 +1594,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     });
                 self.resolve(job_idx, JobOutcome::Met, self.clock);
                 if recovered {
-                    self.emit(CounterId::FaultsRecovered);
+                    self.ws.tally.incr(CounterId::FaultsRecovered, 1);
                     let copy = &self.ws.copies[c];
                     self.emit_event(
                         self.clock,
@@ -1629,8 +1609,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             }
             if let Some(sib) = self.ws.copies[c].sibling {
                 if self.ws.copies[sib].state == CopyState::Pending {
-                    self.stats.backups_canceled += 1;
-                    self.emit(CounterId::BackupsCanceled);
+                    self.ws.tally.incr(CounterId::BackupsCanceled, 1);
                     let sibling = &self.ws.copies[sib];
                     self.emit_event(
                         self.clock,
@@ -1710,6 +1689,13 @@ impl<'a, 'w> Engine<'a, 'w> {
                 energy.idle_time += end - gap_start;
             }
         }
+        // The two counters that other counts determine are written once,
+        // here.
+        let tally = &mut self.ws.tally;
+        let faults =
+            tally.counter(CounterId::TransientFaults) + tally.counter(CounterId::PermanentFaults);
+        tally.incr(CounterId::FaultsInjected, faults);
+        tally.incr(CounterId::MkViolations, self.violations.len() as u64);
         if let Some(recorder) = &self.ws.recorder.0 {
             recorder.absorb(&self.ws.tally);
         }
@@ -1717,7 +1703,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             policy: policy_name.to_owned(),
             horizon: self.config.horizon,
             energy: self.energy,
-            stats: self.stats,
+            stats: JobStats::from_tally(&self.ws.tally),
             violations: self.violations,
         }
     }

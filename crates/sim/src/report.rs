@@ -2,6 +2,7 @@
 
 use mkss_core::task::TaskId;
 use mkss_core::time::Time;
+use mkss_obs::{CounterId, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::power::{Energy, EnergyBreakdown};
@@ -42,6 +43,27 @@ pub struct JobStats {
     pub met: u64,
     /// Jobs resolved as missed (within the horizon).
     pub missed: u64,
+}
+
+impl JobStats {
+    /// Reads each field from its own counter of a run's tally (or of a
+    /// registry delta covering whole runs): the engine counts job facts
+    /// only there.
+    pub fn from_tally(tally: &MetricsSnapshot) -> JobStats {
+        JobStats {
+            released: tally.counter(CounterId::JobsReleased),
+            mandatory: tally.counter(CounterId::MandatoryReleased),
+            optional_selected: tally.counter(CounterId::OptionalSelected),
+            optional_skipped: tally.counter(CounterId::OptionalSkipped),
+            optional_abandoned: tally.counter(CounterId::OptionalAbandoned),
+            backups_canceled: tally.counter(CounterId::BackupsCanceled),
+            backups_completed: tally.counter(CounterId::BackupsCompleted),
+            transient_faults: tally.counter(CounterId::TransientFaults),
+            copies_lost: tally.counter(CounterId::CopiesLost),
+            met: tally.counter(CounterId::JobsMet),
+            missed: tally.counter(CounterId::JobsMissed),
+        }
+    }
 }
 
 /// Result of one simulation run.
@@ -102,5 +124,33 @@ mod tests {
             job_index: 3,
         });
         assert!(!r.mk_assured());
+    }
+
+    #[test]
+    fn every_stats_field_reads_its_own_counter() {
+        // A distinct value in every cell, so a field that reads another
+        // counter (or the same one as its neighbour) cannot pass.
+        let own = |counter: CounterId| 100 + counter.index() as u64;
+        let mut tally = MetricsSnapshot::empty();
+        for counter in CounterId::ALL {
+            tally.set_counter(counter, own(counter));
+        }
+        let stats = JobStats::from_tally(&tally);
+        assert_eq!(
+            stats,
+            JobStats {
+                released: own(CounterId::JobsReleased),
+                mandatory: own(CounterId::MandatoryReleased),
+                optional_selected: own(CounterId::OptionalSelected),
+                optional_skipped: own(CounterId::OptionalSkipped),
+                optional_abandoned: own(CounterId::OptionalAbandoned),
+                backups_canceled: own(CounterId::BackupsCanceled),
+                backups_completed: own(CounterId::BackupsCompleted),
+                transient_faults: own(CounterId::TransientFaults),
+                copies_lost: own(CounterId::CopiesLost),
+                met: own(CounterId::JobsMet),
+                missed: own(CounterId::JobsMissed),
+            }
+        );
     }
 }

@@ -2,9 +2,11 @@
 //! once a [`SimWorkspace`] is warmed, a run with no recorder attached
 //! performs only a tiny, *horizon-independent* number of heap
 //! allocations (the report's policy-name `String` and nothing per
-//! event). A run with a [`Registry`] handle attached — the daemon's
-//! per-request shape — allocates exactly as often as a detached one: it
-//! counts into a plain per-run tally the handle absorbs once, and a
+//! event). Every run counts its job facts into a plain per-run tally (an
+//! inline array in the workspace), so counting allocates nothing. A run
+//! with a [`Registry`] handle attached — the daemon's per-request shape
+//! — allocates exactly as often as a detached one: it adds histogram
+//! samples to the same tally, the handle absorbs it once, and a
 //! recorder that wants no events receives none. A counting
 //! `#[global_allocator]` makes regressions — a reintroduced per-event
 //! `clone()`, an ungated capture push — fail loudly rather than

@@ -92,7 +92,15 @@ assert not missing, f"metrics document missing top-level keys: {missing}"
 for key in ("jobs_released", "backups_canceled", "backups_postponed",
             "optional_executed", "faults_injected"):
     assert key in doc["counters"], f"missing counter {key}"
-assert doc["counters"]["jobs_released"] > 0, "compare smoke released no jobs"
+c = doc["counters"]
+assert c["jobs_released"] > 0, "compare smoke released no jobs"
+# Every released job resolves, and the fault total is derived from its
+# two kinds: check both identities on the CLI's document (compare runs
+# fault-free; the experiment documents below carry faults).
+assert c["jobs_met"] + c["jobs_missed"] == c["jobs_released"], \
+    f"met {c['jobs_met']} + missed {c['jobs_missed']} != released {c['jobs_released']}"
+assert c["faults_injected"] == c["transient_faults"] + c["permanent_faults"], \
+    f"faults_injected {c['faults_injected']} != transient {c['transient_faults']} + permanent {c['permanent_faults']}"
 print("metrics document ok:", ", ".join(sorted(doc)))
 PY
 
@@ -127,6 +135,10 @@ for path in sys.argv[1:]:
     doc = json.load(open(path))
     missing = [k for k in ("meta", "counters", "histograms", "stages") if k not in doc]
     assert not missing, f"{path}: metrics document missing top-level keys: {missing}"
+    c = doc["counters"]
+    assert c["jobs_met"] + c["jobs_missed"] == c["jobs_released"], f"{path}: met + missed != released"
+    assert c["faults_injected"] == c["transient_faults"] + c["permanent_faults"], \
+        f"{path}: faults_injected != transient + permanent"
     print(f"{doc['meta']['binary']}: metrics document ok")
 PY
 refuse() {
