@@ -17,7 +17,7 @@
 //! schedulability test walks the busy window job by job.
 
 use mkss_core::mk::Pattern;
-use mkss_core::task::{TaskId, TaskSet};
+use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
 
@@ -38,10 +38,9 @@ pub enum InterferenceModel {
 }
 
 impl InterferenceModel {
-    /// Number of interfering jobs of `task_id` released in a window
-    /// `[0, t)` starting at the synchronous critical instant.
-    fn interfering_jobs(self, ts: &TaskSet, task_id: TaskId, t: Time) -> u64 {
-        let task = ts.task(task_id);
+    /// Number of interfering jobs of `task` released in a window `[0, t)`
+    /// starting at the synchronous critical instant.
+    fn interfering_jobs(self, task: &Task, t: Time) -> u64 {
         let releases = t.div_ceil(task.period());
         match self {
             InterferenceModel::AllJobs => releases,
@@ -54,14 +53,15 @@ impl InterferenceModel {
 /// task set, small enough to terminate quickly on pathological input.
 const MAX_ITERATIONS: usize = 100_000;
 
-/// Work `Σ_{j<n} N_j(t)·C_j` of the `n` highest-priority tasks released
-/// in `[0, t)`, or `None` if it overflows [`Time`] (the window is then
-/// unbounded for every practical purpose).
-fn interfering_work(ts: &TaskSet, n: usize, model: InterferenceModel, t: Time) -> Option<Time> {
-    ts.ids().take(n).try_fold(Time::ZERO, |acc, j| {
-        ts.task(j)
-            .wcet()
-            .checked_mul(model.interfering_jobs(ts, j, t))?
+/// Work `Σ_j N_j(t)·C_j` of every task of `tasks` released in `[0, t)`,
+/// or `None` if it overflows [`Time`] (the window is then unbounded for
+/// every practical purpose). Neither the sum nor its overflow depends on
+/// the order of `tasks`: every term is non-negative, so some partial sum
+/// overflows exactly when the whole does.
+fn interfering_work(tasks: &[Task], model: InterferenceModel, t: Time) -> Option<Time> {
+    tasks.iter().try_fold(Time::ZERO, |acc, task| {
+        task.wcet()
+            .checked_mul(model.interfering_jobs(task, t))?
             .checked_add(acc)
     })
 }
@@ -98,22 +98,30 @@ fn interfering_work(ts: &TaskSet, n: usize, model: InterferenceModel, t: Time) -
 /// ```
 pub fn response_time(ts: &TaskSet, task_id: TaskId, model: InterferenceModel) -> Option<Time> {
     let task = ts.task(task_id);
-    response_time_at(ts, task_id, model, task.wcet(), task.deadline())
+    response_time_at(up_to(ts, task_id), model, task.wcet(), task.deadline())
 }
 
-/// Fixed-point solve of `R = demand + Σ_{j<i} N_j(R)·C_j`, bounded by
-/// `horizon`. `demand` is the total own-task work that must finish
-/// (used by the busy-window walk with multiple own jobs).
+/// The tasks of `ts` from the highest priority down to `task_id`: the
+/// slice whose last task is `task_id` and whose others interfere with it.
+fn up_to(ts: &TaskSet, task_id: TaskId) -> &[Task] {
+    &ts.tasks()[..=task_id.0]
+}
+
+/// Fixed-point solve of `R = demand + Σ_j N_j(R)·C_j` for the last task
+/// of `tasks`, summed over all the others, bounded by `horizon`. `demand`
+/// is the total own-task work that must finish (used by the busy-window
+/// walk with multiple own jobs). The others may come in any order (see
+/// [`interfering_work`]).
 fn response_time_at(
-    ts: &TaskSet,
-    task_id: TaskId,
+    tasks: &[Task],
     model: InterferenceModel,
     demand: Time,
     horizon: Time,
 ) -> Option<Time> {
+    let others = tasks.split_last().map_or(tasks, |(_, others)| others);
     let mut r = demand;
     for _ in 0..MAX_ITERATIONS {
-        let next = demand.checked_add(interfering_work(ts, task_id.0, model, r)?)?;
+        let next = demand.checked_add(interfering_work(others, model, r)?)?;
         if next == r {
             return Some(r);
         }
@@ -244,18 +252,52 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// # }
 /// ```
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
-    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
-    let first_jobs_meet = (0..ts.len()).rev().map(TaskId).all(|id| {
-        let task = ts.task(id);
-        !Pattern::DeeplyRed.is_mandatory(task.mk(), 1)
-            || response_time_at(ts, id, model, task.wcet(), task.deadline()).is_some()
-    });
-    if !first_jobs_meet {
+    let tasks = ts.tasks();
+    if !(1..=tasks.len())
+        .rev()
+        .all(|n| first_job_meets(&tasks[..n]))
+    {
         return false;
     }
+    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
     let hyperperiod = ts.hyperperiod();
     ts.ids()
         .all(|id| busy_window_response(ts, id, model, hyperperiod).is_some())
+}
+
+/// Pass 1 of [`is_schedulable_r_pattern`] for one task: whether the
+/// **last** task of `tasks` meets its first job's deadline at the
+/// synchronous release under the deeply-red pattern, with every other
+/// task of `tasks` interfering (or whether that job is optional). The
+/// others may come in any order, so a caller can test the task it will
+/// sort last before it sorts: the workload generator rejects most draws
+/// this way without building a [`TaskSet`].
+///
+/// ```
+/// use mkss_analysis::rta::first_job_meets;
+/// use mkss_core::prelude::*;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let tau1 = Task::from_ms(4, 4, 3, 2, 3)?;
+/// let tau2 = Task::from_ms(6, 6, 3, 2, 3)?;
+/// assert!(first_job_meets(&[tau2]));
+/// // τ2's first job finishes at 9 behind τ1's mandatory jobs at 0 and 4.
+/// assert!(!first_job_meets(&[tau1, tau2]));
+/// # Ok(())
+/// # }
+/// ```
+pub fn first_job_meets(tasks: &[Task]) -> bool {
+    let Some(task) = tasks.last() else {
+        return true;
+    };
+    !Pattern::DeeplyRed.is_mandatory(task.mk(), 1)
+        || response_time_at(
+            tasks,
+            InterferenceModel::MandatoryOnly(Pattern::DeeplyRed),
+            task.wcet(),
+            task.deadline(),
+        )
+        .is_some()
 }
 
 /// Walks the level-i busy window started at the synchronous release and
@@ -269,6 +311,7 @@ fn busy_window_response(
     hyperperiod: Time,
 ) -> Option<Time> {
     let task = ts.task(task_id);
+    let tasks = up_to(ts, task_id);
     // Length of the level-i busy window: L = Σ_{j<=i} N_j(L)·C_j.
     let busy_len = {
         let mut l = task.wcet();
@@ -277,7 +320,7 @@ fn busy_window_response(
             // A sum that overflows `Time` is an unbounded busy window:
             // the hyperperiod saturates at `Time::MAX` for large sets,
             // so the cut-off below alone cannot stop the growth.
-            let next = interfering_work(ts, task_id.0 + 1, model, l)?;
+            let next = interfering_work(tasks, model, l)?;
             if next == l {
                 break l;
             }
@@ -309,8 +352,7 @@ fn busy_window_response(
             own_demand += task.wcet();
             // Finish time of this job: all own mandatory work up to and
             // including it, plus higher-priority interference.
-            let finish =
-                response_time_at(ts, task_id, model, own_demand, release + task.deadline())?;
+            let finish = response_time_at(tasks, model, own_demand, release + task.deadline())?;
             if finish < release {
                 // The busy window actually ended before this release; the
                 // job starts a fresh (no-carry-in) window no worse than

@@ -58,8 +58,9 @@ pub fn write_output(reporter: &Reporter, path: &str, body: impl AsRef<[u8]>, not
 ///
 /// # Errors
 ///
-/// A bound is not finite, or `[from, to)` holds no whole bucket of
-/// `width` (the study would print an empty table and succeed).
+/// A bound is not finite, `[from, to)` holds no whole bucket of `width`
+/// (the study would print an empty table and succeed), or a bucket
+/// reaches outside `(0, 1]`, where the generator draws no target.
 pub fn check_utilization_range(from: f64, to: f64, width: f64) -> Result<(), String> {
     if !(from.is_finite() && to.is_finite()) {
         return Err(format!("--from/--to must be finite, got {from}..{to}"));
@@ -70,9 +71,15 @@ pub fn check_utilization_range(from: f64, to: f64, width: f64) -> Result<(), Str
         width,
         ..BucketPlan::default()
     };
-    if bucket_bounds(plan).is_empty() {
+    let bounds = bucket_bounds(plan);
+    if bounds.is_empty() {
         return Err(format!(
             "--from {from} --to {to} holds no utilization bucket of width {width}"
+        ));
+    }
+    if bounds.iter().any(|&(lo, hi)| lo <= 0.0 || hi > 1.0) {
+        return Err(format!(
+            "--from {from} --to {to} reaches outside the (m,k)-utilization range (0, 1]"
         ));
     }
     Ok(())
@@ -90,6 +97,11 @@ mod tests {
             let err = check_utilization_range(from, to, 0.1).unwrap_err();
             assert!(err.contains("holds no utilization bucket"), "{err}");
         }
+        for (from, to) in [(0.9, 1.1), (-0.1, 0.1), (0.0, 0.3), (0.1, 1.2)] {
+            let err = check_utilization_range(from, to, 0.1).unwrap_err();
+            assert!(err.contains("outside the (m,k)-utilization range"), "{err}");
+        }
+        assert_eq!(check_utilization_range(0.1, 1.0, 0.1), Ok(()));
         for (from, to) in [
             (f64::NAN, 0.5),
             (0.1, f64::INFINITY),

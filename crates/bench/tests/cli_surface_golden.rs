@@ -114,6 +114,36 @@ const CASES: &[Case] = &[
     ("fig6", &["--fault-window", "2..3"], Pin::All),
     ("fig6", &["--fault-window", "0.5..0.2"], Pin::All),
     ("fig6", &["--fault-window", "nan..1"], Pin::All),
+    // Ranges with a bucket outside (0, 1], which used to panic in a
+    // generator worker.
+    (
+        "fig6",
+        &[
+            "--from",
+            "0.9",
+            "--to",
+            "1.1",
+            "--sets",
+            "1",
+            "--horizon-ms",
+            "100",
+        ],
+        Pin::All,
+    ),
+    (
+        "fig6",
+        &[
+            "--from",
+            "-0.1",
+            "--to",
+            "0.1",
+            "--sets",
+            "1",
+            "--horizon-ms",
+            "100",
+        ],
+        Pin::All,
+    ),
 ];
 
 fn exe(bin: &str) -> &'static str {

@@ -271,6 +271,11 @@ impl TaskSet {
         self.tasks.get(id.0)
     }
 
+    /// The tasks in priority order.
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
     /// Iterates over `(TaskId, &Task)` in priority order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Task)> {
         self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i), t))

@@ -27,7 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-use mkss_analysis::rta::is_schedulable_r_pattern;
+use mkss_analysis::rta::{first_job_meets, is_schedulable_r_pattern};
 use mkss_core::mk::MkConstraint;
 use mkss_core::task::{Task, TaskSet};
 use mkss_core::time::{Time, TICKS_PER_MS};
@@ -103,6 +103,9 @@ pub struct Generator {
     /// Per-task draws of the set being generated, one buffer reused
     /// across calls in place of per-draw temporaries.
     draws: Vec<Draw>,
+    /// The candidate's tasks, in draw order but for the one the period
+    /// sort puts last, which is moved to the end; reused across calls.
+    tasks: Vec<Task>,
 }
 
 /// One task's random parameters, before its WCET is scaled.
@@ -121,6 +124,7 @@ impl Generator {
             config,
             rng: ChaCha8Rng::seed_from_u64(seed),
             draws: Vec::new(),
+            tasks: Vec::new(),
         }
     }
 
@@ -139,6 +143,59 @@ impl Generator {
     ///
     /// Panics if `target_util` is not in `(0, 1]`.
     pub fn raw_set(&mut self, target_util: f64) -> Option<TaskSet> {
+        self.draw_candidate(target_util)?;
+        self.take_set()
+    }
+
+    /// Generates one raw task set with a target (m,k)-utilization drawn
+    /// uniformly from `[lo, hi)` — the per-bucket draw of Section V.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is empty or outside `(0, 1]`.
+    pub fn raw_set_in(&mut self, lo: f64, hi: f64) -> Option<TaskSet> {
+        assert!(lo < hi, "empty interval [{lo}, {hi})");
+        let target = self.rng.gen_range(lo..hi);
+        self.raw_set(target)
+    }
+
+    /// Generates a task set with `target_util` that passes the R-pattern
+    /// schedulability test, retrying up to
+    /// [`WorkloadConfig::max_attempts`] times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_util` is not in `(0, 1]`.
+    pub fn schedulable_set(&mut self, target_util: f64) -> Option<TaskSet> {
+        (0..self.config.max_attempts).find_map(|_| self.schedulable_candidate(target_util))
+    }
+
+    /// One attempt of the R-pattern filter: [`Generator::raw_set`] if the
+    /// set it draws is schedulable under the R-pattern, else `None`. The
+    /// RNG advances exactly as in `raw_set`.
+    ///
+    /// Most attempts in the high-utilization buckets fail, and almost all
+    /// fail the first test [`is_schedulable_r_pattern`] makes: the first
+    /// job of the lowest-priority task. That test runs here on the unsorted
+    /// draw, so a rejected candidate is never sorted or copied into a
+    /// [`TaskSet`]; a candidate that passes gets the full verdict.
+    fn schedulable_candidate(&mut self, target_util: f64) -> Option<TaskSet> {
+        // Move the task the period sort puts last to the end with a
+        // rotate, not a swap: the others keep their draw order, so the
+        // stable sort below still yields the draw's priority order.
+        let last = self.draw_candidate(target_util)?;
+        self.tasks[last..].rotate_left(1);
+        if !first_job_meets(&self.tasks) {
+            return None;
+        }
+        self.take_set().filter(is_schedulable_r_pattern)
+    }
+
+    /// Draws one candidate into `self.tasks`, in draw order, and returns
+    /// the index of the task the period sort puts last (the largest
+    /// period, the last drawn among ties), or `None` if the draw cannot
+    /// realize `target_util` or has no task.
+    fn draw_candidate(&mut self, target_util: f64) -> Option<usize> {
         assert!(
             target_util > 0.0 && target_util <= 1.0,
             "target (m,k)-utilization must be in (0, 1], got {target_util}"
@@ -147,7 +204,6 @@ impl Generator {
             .rng
             .gen_range(self.config.tasks_min..=self.config.tasks_max);
         self.draws.clear();
-        self.draws.reserve(n);
         for _ in 0..n {
             let period_ms = self
                 .rng
@@ -178,7 +234,8 @@ impl Generator {
         }
         // Normalize the shares so the set's total hits `target_util`.
         let sum = mkss_core::fold::sum_f64_by(&self.draws, |d| d.share_weight);
-        let mut tasks = Vec::with_capacity(n);
+        self.tasks.clear();
+        let mut last = 0;
         for d in &self.draws {
             let share = target_util * (d.share_weight / sum);
             // C = share * (k/m) * P.
@@ -193,42 +250,24 @@ impl Generator {
                 return None;
             }
             let task = Task::with_constraint(period, period, wcet, d.mk).ok()?;
-            tasks.push(task);
-        }
-        // Priority = index order; sort by period for a rate-monotonic-like
-        // assignment (the paper assumes priorities are given).
-        tasks.sort_by_key(Task::period);
-        TaskSet::new(tasks).ok()
-    }
-
-    /// Generates one raw task set with a target (m,k)-utilization drawn
-    /// uniformly from `[lo, hi)` — the per-bucket draw of Section V.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is empty or outside `(0, 1]`.
-    pub fn raw_set_in(&mut self, lo: f64, hi: f64) -> Option<TaskSet> {
-        assert!(lo < hi, "empty interval [{lo}, {hi})");
-        let target = self.rng.gen_range(lo..hi);
-        self.raw_set(target)
-    }
-
-    /// Generates a task set with `target_util` that passes the R-pattern
-    /// schedulability test, retrying up to
-    /// [`WorkloadConfig::max_attempts`] times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_util` is not in `(0, 1]`.
-    pub fn schedulable_set(&mut self, target_util: f64) -> Option<TaskSet> {
-        for _ in 0..self.config.max_attempts {
-            if let Some(ts) = self.raw_set(target_util) {
-                if is_schedulable_r_pattern(&ts) {
-                    return Some(ts);
-                }
+            if self
+                .tasks
+                .get(last)
+                .is_some_and(|t| t.period() <= task.period())
+            {
+                last = self.tasks.len();
             }
+            self.tasks.push(task);
         }
-        None
+        (!self.tasks.is_empty()).then_some(last)
+    }
+
+    /// The drawn candidate as a [`TaskSet`]. Priority = index order, sorted
+    /// by period for a rate-monotonic-like assignment (the paper assumes
+    /// priorities are given).
+    fn take_set(&mut self) -> Option<TaskSet> {
+        self.tasks.sort_by_key(Task::period);
+        TaskSet::new(self.tasks.clone()).ok()
     }
 }
 
@@ -337,11 +376,7 @@ pub fn generate_buckets_jobs(
         while sets.len() < plan.sets_per_bucket && generated < plan.max_generated {
             let target = generator.rng.gen_range(lo..hi);
             generated += 1;
-            if let Some(ts) = generator.raw_set(target) {
-                if is_schedulable_r_pattern(&ts) {
-                    sets.push(ts);
-                }
-            }
+            sets.extend(generator.schedulable_candidate(target));
         }
         Bucket {
             lo,
@@ -397,6 +432,48 @@ mod tests {
         let mut sorted = periods.clone();
         sorted.sort();
         assert_eq!(periods, sorted);
+    }
+
+    #[test]
+    fn a_surviving_set_keeps_the_period_sort_of_its_draw_on_tied_periods() {
+        let mut g = Generator::new(WorkloadConfig::paper(), 4);
+        let mut tied = 0;
+        while tied < 20 {
+            let mut probe = g.clone();
+            let survivor = g.schedulable_candidate(0.3);
+            let Some(last) = probe.draw_candidate(0.3) else {
+                assert!(survivor.is_none());
+                continue;
+            };
+            let mut expected = probe.tasks.clone();
+            let max = expected[last].period();
+            let at_max: Vec<Task> = expected
+                .iter()
+                .filter(|t| t.period() == max)
+                .copied()
+                .collect();
+            expected.sort_by_key(Task::period);
+            let Some(ts) = survivor else { continue };
+            assert_eq!(ts.tasks(), expected);
+            // Two tied tasks that differ: a wrong pick among them would
+            // change the order.
+            if at_max.len() > 1 && at_max.windows(2).all(|w| w[0] != w[1]) {
+                assert_eq!(ts.tasks().last(), at_max.last());
+                tied += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn a_draw_without_tasks_is_refused() {
+        let empty = WorkloadConfig {
+            tasks_min: 0,
+            tasks_max: 0,
+            ..WorkloadConfig::paper()
+        };
+        let mut g = Generator::new(empty, 1);
+        assert_eq!(g.raw_set(0.5), None);
+        assert_eq!(g.schedulable_set(0.5), None);
     }
 
     #[test]

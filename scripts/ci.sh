@@ -160,6 +160,9 @@ done
 for bin in fig6 ablations sensitivity; do
     refuse "out of range" "$bin" -- --horizon-ms 18446744073709552
 done
+# A bucket outside (0, 1] has no (m,k)-utilization target to draw.
+refuse "outside the (m,k)-utilization range" fig6 -- --to 1.1
+refuse "outside the (m,k)-utilization range" fig6 -- --from -0.1
 echo "experiment binaries ok (3 metrics documents; unknown and overflowing flags refused)"
 
 echo "== trace smoke (flight recorder: deterministic Chrome-trace export) =="

@@ -6,7 +6,10 @@
 //! windows; `analyze` walks every window. The two must agree on a fixed
 //! corpus of generator draws across nine 0.1-wide buckets, and on
 //! hand-built sets that each exercise one exit of the two-pass verdict.
+//! On the corpus, the generator's pre-test (`first_job_meets` on an
+//! unsorted copy) must also decide as pass 1 does.
 
+use mkss::analysis::rta::first_job_meets;
 use mkss::prelude::*;
 
 const DEEPLY_RED: InterferenceModel = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
@@ -35,6 +38,15 @@ fn unchecked_set(spec: &[(u64, u64, u64, u32, u32)]) -> TaskSet {
     serde_json::from_str(&format!(r#"{{"tasks":[{}]}}"#, tasks.join(","))).unwrap()
 }
 
+/// The tasks of `ts` out of priority order, higher-priority ones
+/// reversed, with `last` moved to the end.
+fn unsorted_with_last(ts: &TaskSet, last: TaskId) -> Vec<Task> {
+    let mut tasks: Vec<Task> = ts.tasks().iter().rev().copied().collect();
+    let at = tasks.len() - 1 - last.0;
+    tasks[at..].rotate_left(1);
+    tasks
+}
+
 #[test]
 fn verdict_matches_full_report_on_a_fixed_corpus() {
     let mut generator = Generator::new(WorkloadConfig::paper(), 0x5eed_0019);
@@ -51,6 +63,17 @@ fn verdict_matches_full_report_on_a_fixed_corpus() {
             // has a level-i busy window that closes before its second
             // release: the first-job pass alone decides the verdict.
             assert_eq!(verdict, first_jobs_meet(&ts), "bucket {lo:.1}: {ts:?}");
+            // The generator's pre-test: the slice-level first-job test on
+            // the unsorted draw, lowest-priority task last, decides as
+            // pass 1 does for that task and never rejects an accepted set.
+            let lowest = TaskId(ts.len() - 1);
+            let pre_test = first_job_meets(&unsorted_with_last(&ts, lowest));
+            assert_eq!(
+                pre_test,
+                response_time(&ts, lowest, DEEPLY_RED).is_some(),
+                "bucket {lo:.1}: {ts:?}"
+            );
+            assert!(pre_test || !verdict, "bucket {lo:.1}: {ts:?}");
             if verdict {
                 accepted += 1;
             } else {
