@@ -33,20 +33,26 @@
 //!
 //! Every experiment in the repo bottoms out in millions of calls into
 //! this module, so the inner loop is engineered to touch the heap only
-//! when a run grows past everything seen before: all per-run state
-//! (copies, job entries, task states, the ready/open index lists)
-//! lives in a reusable [`SimWorkspace`] arena. [`simulate_in`] runs one
-//! simulation inside a caller-owned workspace, so a sweep that
+//! when a run meets a larger task set than any before it. The model
+//! bounds what can be live at once: `C ≤ D ≤ P` resolves a task's job by
+//! its next release, and standby-sparing never puts two copies of a job
+//! on one processor. So all per-run state is fixed per task — one job
+//! slot per task, one copy slot per (task, processor), the ready queues
+//! and the event-source trees — and lives in a reusable [`SimWorkspace`]
+//! sized once per run; nothing grows with the horizon. [`simulate_in`]
+//! runs one simulation inside a caller-owned workspace, so a sweep that
 //! simulates thousands of task sets reuses the same capacity
 //! throughout; [`simulate`] is the convenience wrapper that creates a
 //! throwaway workspace per call. With no recorder attached the
 //! steady-state event loop performs **zero** allocations per event.
 //!
 //! Time advances by reading each event source's own index rather than
-//! a shared queue: a min-tree over the tasks' next releases
-//! ([`ReleaseSlots`]), the flat list of open deadlines, the short list
-//! of postponed backup releases, the two running copies' completions
-//! and the pending permanent fault. See DESIGN.md §3 for the mechanism.
+//! a shared queue: min-trees over the tasks' next releases, the open
+//! jobs' deadlines and the postponed backup releases, the two running
+//! copies' completions and the pending permanent fault. Dispatch reads
+//! the processor's MJQ as a bitset of task ids (lowest bit first) and
+//! its OJQ as a min-tree of flexibility degrees. See DESIGN.md §3 for the
+//! mechanism.
 //!
 //! ## Observability
 //!
@@ -75,7 +81,7 @@
 //! unchanged).
 
 use mkss_core::history::{JobOutcome, MkHistory};
-use mkss_core::job::{CopyKind, Job, JobClass};
+use mkss_core::job::CopyKind;
 use mkss_core::mk::MkMonitor;
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
@@ -92,6 +98,10 @@ use crate::power::{EnergyBreakdown, PowerModel};
 use crate::proc::ProcId;
 use crate::report::{JobStats, MkViolation, SimReport};
 use crate::trace::{SegmentEnd, Trace};
+
+mod scan;
+
+use scan::TimeAdvance;
 
 /// Configuration of one simulation run.
 ///
@@ -209,37 +219,69 @@ enum CopyState {
     Lost,
 }
 
-#[derive(Debug)]
-struct CopyInst {
-    job: Job,
+/// The copy of one task's job on one processor, at slot `2·task + proc`
+/// of `SimWorkspace::copies` ([`copy_slot`]). A mandatory job's other
+/// copy sits on the other processor, in the neighbouring slot `c ^ 1`,
+/// and carries the same job index.
+#[derive(Debug, Clone, Copy)]
+struct CopySlot {
+    /// 1-based index of the job this copy belongs to; 0 while the slot
+    /// has held no copy this run.
+    index: u64,
     kind: CopyKind,
-    proc: ProcId,
+    /// The job's release, or `r + θ` for a postponed backup.
     release: Time,
     remaining: Time,
     state: CopyState,
-    sibling: Option<usize>,
     /// Flexibility degree of the job at release (OJQ ordering key;
     /// mandatory copies store 0 and never use it).
     fd_at_release: u32,
     /// Set while this copy occupies a processor (segment start).
     running_since: Option<Time>,
-    job_entry: usize,
-    /// Position of this copy in `SimWorkspace::active_copies` while it is
-    /// `Pending` (O(1) swap-remove on the state transition out).
-    active_slot: usize,
 }
 
-/// A released job has at most two copies (main + backup); storing their
-/// indices inline keeps [`JobEntry`] allocation-free.
-#[derive(Debug)]
-struct JobEntry {
-    job: Job,
-    resolved: bool,
-    copies: [usize; 2],
-    copy_count: u8,
-    /// Position of this job in `SimWorkspace::open_jobs` while it is
-    /// unresolved (O(1) swap-remove at resolution).
-    open_slot: usize,
+impl CopySlot {
+    const VACANT: CopySlot = CopySlot {
+        index: 0,
+        kind: CopyKind::Main,
+        release: Time::ZERO,
+        remaining: Time::ZERO,
+        state: CopyState::Abandoned,
+        fd_at_release: 0,
+        running_since: None,
+    };
+}
+
+/// A task's latest released job. `C ≤ D ≤ P` resolves a job by its
+/// task's next release, so one slot per task serves every job of a run.
+#[derive(Debug, Clone, Copy)]
+struct JobSlot {
+    index: u64,
+    release: Time,
+    deadline: Time,
+    /// Released and not yet resolved.
+    open: bool,
+}
+
+impl JobSlot {
+    const VACANT: JobSlot = JobSlot {
+        index: 0,
+        release: Time::ZERO,
+        deadline: Time::ZERO,
+        open: false,
+    };
+}
+
+/// The copy slot of `task` on `proc`.
+#[inline]
+const fn copy_slot(task: usize, proc: ProcId) -> usize {
+    2 * task + proc.index()
+}
+
+/// The processor of copy slot `c`.
+#[inline]
+const fn slot_proc(c: usize) -> ProcId {
+    ProcId(c % 2)
 }
 
 #[derive(Debug)]
@@ -250,70 +292,145 @@ struct TaskState {
     exhausted: bool,
 }
 
-/// Every task's next release time in a min-tree, so the earliest
-/// release is the root and the due tasks are found without a scan.
+/// A min-tree over a fixed number of slots, so the least key is the
+/// root and the lowest slot at or below a bound is found without a scan.
 ///
-/// Leaves hold the release of each task's next job, or `Time::MAX` once
-/// the task is exhausted; an inner node holds the minimum of its two
-/// children, and leaves past the task count stay `Time::MAX`. The tree
-/// lives in a workspace-owned `Vec` that `begin_run` refills while
-/// retaining capacity, so the event loop never allocates here.
-#[derive(Debug, Default)]
-struct ReleaseSlots {
+/// The engine keeps five kinds: each task's next release, each task's
+/// open deadline, each copy slot's postponed backup release, and per
+/// processor the OJQ (each queued optional's flexibility degree) and
+/// the abandonment bounds (each queued optional's latest start). A leaf
+/// holds [`SlotKey::EMPTY`] while its slot has nothing pending; an inner
+/// node holds the minimum of its two children, and leaves past the slot
+/// count stay empty. The tree lives in a workspace-owned `Vec` that
+/// `begin_run` refills while retaining capacity, so the event loop never
+/// allocates here.
+#[derive(Debug)]
+struct SlotTree<K> {
     /// Node `i` has children `2i` and `2i + 1`; the root is node 1 and
     /// the leaves start at `leaves` (a power of two).
-    tree: Vec<Time>,
+    tree: Vec<K>,
     leaves: usize,
 }
 
-impl ReleaseSlots {
-    /// Resets to `tasks` leaves, each at the first release, time zero.
-    fn reset(&mut self, tasks: usize) {
-        self.leaves = tasks.next_power_of_two();
+/// A [`SlotTree`] key, with a value that marks an empty slot and sorts
+/// after every real key.
+trait SlotKey: Copy + Ord {
+    const EMPTY: Self;
+}
+
+impl SlotKey for Time {
+    const EMPTY: Time = Time::MAX;
+}
+
+impl SlotKey for u32 {
+    const EMPTY: u32 = u32::MAX;
+}
+
+impl<K> Default for SlotTree<K> {
+    fn default() -> Self {
+        SlotTree {
+            tree: Vec::new(),
+            leaves: 0,
+        }
+    }
+}
+
+impl<K: SlotKey> SlotTree<K> {
+    /// Resets to `slots` leaves, each at `at`.
+    fn reset(&mut self, slots: usize, at: K) {
+        self.leaves = slots.next_power_of_two();
         self.tree.clear();
-        self.tree.resize(2 * self.leaves, Time::MAX);
-        self.tree[self.leaves..self.leaves + tasks].fill(Time::ZERO);
+        self.tree.resize(2 * self.leaves, K::EMPTY);
+        self.tree[self.leaves..self.leaves + slots].fill(at);
         for node in (1..self.leaves).rev() {
             self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
         }
     }
 
-    /// The earliest next release over all tasks (`Time::MAX` when every
-    /// task is exhausted).
-    fn earliest(&self) -> Time {
+    /// The least key over all slots ([`SlotKey::EMPTY`] when none is
+    /// set).
+    fn min(&self) -> K {
         self.tree[1]
     }
 
-    /// Sets one task's next release and refreshes its path to the root.
-    fn set(&mut self, task: TaskId, release: Time) {
-        let mut node = self.leaves + task.0;
-        self.tree[node] = release;
+    /// Sets one slot's key and refreshes its path to the root. The
+    /// running minimum stays in a register: each level loads only the
+    /// sibling, which this update does not touch, so the loads do not
+    /// wait on the stores and `min` needs no branch.
+    fn set(&mut self, slot: usize, key: K) {
+        let mut node = self.leaves + slot;
+        self.tree[node] = key;
+        let mut least = key;
         while node > 1 {
+            least = least.min(self.tree[node ^ 1]);
             node /= 2;
-            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+            self.tree[node] = least;
         }
     }
 
-    /// The lowest task id whose next release is at or before `now`.
-    fn first_due(&self, now: Time) -> Option<TaskId> {
-        if self.tree[1] > now {
+    /// The lowest slot whose key is at or below `bound` (for a time
+    /// tree, due at `bound`). The descent goes right exactly when the
+    /// left subtree has no such key, so each level is one comparison
+    /// turned into an index, not a branch.
+    fn first_due(&self, bound: K) -> Option<usize> {
+        if self.tree[1] > bound {
             return None;
         }
         let mut node = 1;
         while node < self.leaves {
-            node = if self.tree[2 * node] <= now {
-                2 * node
-            } else {
-                2 * node + 1
-            };
+            node = 2 * node + usize::from(self.tree[2 * node] > bound);
         }
-        Some(TaskId(node - self.leaves))
+        Some(node - self.leaves)
     }
 }
 
-/// Reusable per-run state of the simulator: an arena for copies, job
-/// entries, task states, the active/open index lists, and scratch
-/// buffers.
+/// One bit per task, for a processor's MJQ: the tasks whose mandatory
+/// copy there is released and pending. The task id is the fixed
+/// priority, so the lowest set bit is the MJQ's pick.
+#[derive(Debug, Default)]
+struct TaskBits {
+    words: Vec<u64>,
+}
+
+impl TaskBits {
+    /// Resets to `tasks` clear bits.
+    fn reset(&mut self, tasks: usize) {
+        self.words.clear();
+        self.words.resize(tasks.div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, task: usize) {
+        self.words[task / 64] |= 1 << (task % 64);
+    }
+
+    /// Clears `task`'s bit, returning whether it was set.
+    fn remove(&mut self, task: usize) -> bool {
+        let word = &mut self.words[task / 64];
+        let bit = 1 << (task % 64);
+        let was_set = *word & bit != 0;
+        *word &= !bit;
+        was_set
+    }
+
+    /// The lowest set task.
+    fn first(&self) -> Option<usize> {
+        self.words
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != 0)
+            .map(|(w, word)| 64 * w + word.trailing_zeros() as usize)
+    }
+}
+
+/// Reusable per-run state of the simulator: one job slot per task, one
+/// copy slot per (task, processor), the per-processor ready bits, the
+/// release, deadline and backup-release trees, and scratch buffers.
+///
+/// Everything is sized by the task count in `begin_run` and nothing
+/// grows with the horizon: under `C ≤ D ≤ P` a task's job is resolved
+/// by its next release, so a run never holds more than one open job per
+/// task, and standby-sparing never puts two copies of a job on one
+/// processor.
 ///
 /// A workspace owns no results — every [`simulate_in`] call resets it —
 /// but it *retains capacity*, so back-to-back simulations stop paying
@@ -349,25 +466,33 @@ impl ReleaseSlots {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
-    copies: Vec<CopyInst>,
-    jobs: Vec<JobEntry>,
     tasks: Vec<TaskState>,
-    /// Indices of copies that may still need CPU time (lazily pruned of
-    /// terminal-state copies to keep per-event scans O(active)).
-    active_copies: Vec<usize>,
-    /// Indices of jobs not yet resolved, unordered (swap-removed at
-    /// resolution).
-    open_jobs: Vec<usize>,
-    /// The deadline of each job in `open_jobs`, at the same position.
-    open_deadlines: Vec<Time>,
-    /// Scratch for deadline resolution (kept for its capacity).
-    due_scratch: Vec<usize>,
+    /// Each task's latest released job.
+    jobs: Vec<JobSlot>,
+    /// Each task's copy on each processor, at [`copy_slot`].
+    copies: Vec<CopySlot>,
+    /// Per processor, the tasks with a released pending mandatory copy
+    /// there (the MJQ).
+    mandatory: [TaskBits; 2],
+    /// Per processor, the flexibility degree at release of each task's
+    /// released pending optional copy there (the OJQ).
+    optional: [SlotTree<u32>; 2],
+    /// Per processor, a lower bound on the latest start
+    /// (`deadline − remaining`) of each OJQ copy: exact when queued or
+    /// last checked, and it only grows as the copy runs. The
+    /// abandonment pass runs once the clock passes the root.
+    optional_expiry: [SlotTree<Time>; 2],
     /// Next release of every task.
-    release_slots: ReleaseSlots,
-    /// Backup copies created with a release still ahead of the clock
-    /// (`r̃ = r + θ`, θ > 0); an entry leaves when that release comes or
-    /// once the copy is no longer `Pending`.
-    copy_releases: Vec<usize>,
+    release_slots: SlotTree<Time>,
+    /// Deadline of every task's open job.
+    deadline_slots: SlotTree<Time>,
+    /// Release `r̃ = r + θ` of every copy slot's backup while it is
+    /// still ahead of the clock (θ > 0); cleared when the backup is
+    /// released or leaves `Pending` first.
+    backup_slots: SlotTree<Time>,
+    /// Scratch for deadline resolution, `(release, task)` per due job
+    /// (kept for its capacity).
+    due_scratch: Vec<(Time, usize)>,
     /// Per task, the probability `1 − e^(−λC)` that one execution of a
     /// copy is hit by a transient fault (every copy runs its task's
     /// WCET).
@@ -425,24 +550,27 @@ impl SimWorkspace {
         self.recorder.0.is_some()
     }
 
-    /// Clears per-run state, keeping every allocation. Task states are
-    /// reset in place when the task-set shape matches the previous run.
+    /// Sizes every slot to `ts` and clears it, keeping every allocation.
+    /// Task states are reset in place when the task-set shape matches
+    /// the previous run.
     fn begin_run(&mut self, ts: &TaskSet) {
-        self.copies.clear();
+        let n = ts.len();
         self.jobs.clear();
-        self.active_copies.clear();
-        self.open_jobs.clear();
-        self.open_deadlines.clear();
+        self.jobs.resize(n, JobSlot::VACANT);
+        self.copies.clear();
+        self.copies.resize(2 * n, CopySlot::VACANT);
+        for proc in 0..2 {
+            self.mandatory[proc].reset(n);
+            self.optional[proc].reset(n, u32::EMPTY);
+            self.optional_expiry[proc].reset(n, Time::EMPTY);
+        }
+        self.release_slots.reset(n, Time::ZERO);
+        self.deadline_slots.reset(n, Time::MAX);
+        self.backup_slots.reset(2 * n, Time::MAX);
         self.due_scratch.clear();
-        self.release_slots.reset(ts.len());
-        // A backup is pending at most until its job's deadline (D ≤ P),
-        // so a task has at most one live entry and one stale entry
-        // awaiting the next prune: sized so that pushes in the event loop
-        // never grow the list.
-        self.copy_releases.clear();
-        self.copy_releases.reserve(2 * ts.len());
+        self.due_scratch.reserve(n);
         self.tally = MetricsSnapshot::empty();
-        let reusable = self.tasks.len() == ts.len()
+        let reusable = self.tasks.len() == n
             && self
                 .tasks
                 .iter()
@@ -540,24 +668,12 @@ pub fn simulate_in<P: Policy + ?Sized>(
     Engine::new(ts, config, ws, TimeAdvance::Indexed).run(policy)
 }
 
-/// How [`Engine::run`] finds the next event time. `Indexed` is the
-/// production path, reading each event source's own index; `Scan`
-/// re-derives every step with linear scans over all state and gates no
-/// phase (the pre-index engine, kept as a reference oracle — it also
-/// cross-checks `Indexed` via a `debug_assert_eq!` on every step of
-/// every debug-build run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimeAdvance {
-    Indexed,
-    #[cfg(test)]
-    Scan,
-}
-
 struct Engine<'a, 'w> {
     ts: &'a TaskSet,
     config: &'a SimConfig,
     ws: &'w mut SimWorkspace,
     clock: Time,
+    /// The copy slot running on each processor.
     running: [Option<usize>; 2],
     alive: [bool; 2],
     death_time: [Option<Time>; 2],
@@ -571,20 +687,10 @@ struct Engine<'a, 'w> {
     /// End of each processor's last busy interval.
     busy_until: [Time; 2],
     violations: Vec<MkViolation>,
-    /// The earliest open deadline, as of the last time advance; the
-    /// next iteration resolves deadlines only once the clock reaches it.
-    next_deadline: Time,
-    /// Copies on each processor changed readiness since the last
-    /// dispatch there; cleared once the processor re-picks. While the
-    /// flag is off the previous pick is provably still the pick, so
-    /// dispatch skips the priority scan entirely.
+    /// A processor's ready queues changed since its last dispatch;
+    /// cleared once the processor re-picks. While the flag is off the
+    /// previous pick is provably still the pick, so dispatch skips it.
     dispatch_dirty: [bool; 2],
-    /// Lower bound on the earliest time an admitted optional copy on
-    /// each processor can become infeasible (`deadline - remaining`,
-    /// which only grows as the copy runs). The abandonment scan runs
-    /// only once the clock reaches the bound, and recomputes it from
-    /// the survivors; `Time::MAX` when no ready optionals exist.
-    opt_expiry: [Time; 2],
     /// The attached recorder wants structured events (read once per run).
     events: bool,
     time_advance: TimeAdvance,
@@ -632,9 +738,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             energy: [EnergyBreakdown::default(); 2],
             busy_until: [Time::ZERO; 2],
             violations: Vec::new(),
-            next_deadline: Time::MAX,
             dispatch_dirty: [true; 2],
-            opt_expiry: [Time::ZERO; 2],
             events,
             time_advance,
         }
@@ -682,6 +786,21 @@ impl<'a, 'w> Engine<'a, 'w> {
                 payload,
             });
         }
+    }
+
+    /// Narrate one event about copy slot `c` at the clock.
+    #[inline]
+    fn emit_copy_event(&self, kind: TraceKind, c: usize, payload: u64) {
+        let copy = &self.ws.copies[c];
+        self.emit_event(
+            self.clock,
+            kind,
+            (c / 2) as u32,
+            copy.index as u32,
+            copy_role(copy.kind),
+            slot_proc(c).index() as u8,
+            payload,
+        );
     }
 
     /// Narrate one backup-copy release: postponed (`r̃ = r + θ`, θ > 0)
@@ -734,25 +853,18 @@ impl<'a, 'w> Engine<'a, 'w> {
                 TimeAdvance::Indexed => {
                     // Each phase runs only when its source says something
                     // is due at the clock; otherwise it is provably a no-op.
-                    if self.next_deadline <= self.clock {
+                    if self.ws.deadline_slots.min() <= self.clock {
                         self.resolve_due_deadlines();
                     }
-                    while let Some(id) = self.ws.release_slots.first_due(self.clock) {
-                        self.release_due_jobs_of(policy, id);
+                    while let Some(task) = self.ws.release_slots.first_due(self.clock) {
+                        self.release_due_jobs_of(policy, TaskId(task));
+                    }
+                    while let Some(c) = self.ws.backup_slots.first_due(self.clock) {
+                        self.release_backup(c);
                     }
                 }
                 #[cfg(test)]
-                TimeAdvance::Scan => {
-                    // The reference path re-runs every phase against all
-                    // state on every iteration, exactly like the
-                    // pre-index engine.
-                    self.resolve_due_deadlines();
-                    for id in self.ts.ids() {
-                        self.release_due_jobs_of(policy, id);
-                    }
-                    self.dispatch_dirty = [true; 2];
-                    self.opt_expiry = [Time::ZERO; 2];
-                }
+                TimeAdvance::Scan => self.scan_phases(policy),
             }
             self.dispatch();
             let next = match self.time_advance {
@@ -796,57 +908,84 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
         // Everything released has deadline ≤ horizon; resolve stragglers.
         self.clock = self.config.horizon;
-        self.resolve_due_deadlines();
+        self.resolve_open_deadlines_by_scan();
         self.finish(policy.name())
     }
 
-    /// Enrolls a freshly created copy in the active list, recording its
-    /// slot for the O(1) removal in [`Engine::deactivate_copy`]. Marks
-    /// the processor for re-dispatch, and folds an admitted optional's
-    /// infeasibility time into the abandonment bound.
-    fn activate_copy(&mut self, c: usize) {
-        let copy = &mut self.ws.copies[c];
-        copy.active_slot = self.ws.active_copies.len();
-        let proc = copy.proc.index();
+    /// Installs a new pending copy in its slot: queued at once when its
+    /// release has come, otherwise (a postponed backup) entered in the
+    /// backup-release tree.
+    fn create_copy(
+        &mut self,
+        task: TaskId,
+        proc: ProcId,
+        kind: CopyKind,
+        release: Time,
+        fd_at_release: u32,
+    ) {
+        let c = copy_slot(task.0, proc);
+        debug_assert_ne!(
+            self.ws.copies[c].state,
+            CopyState::Pending,
+            "copy slot reused while its copy is pending"
+        );
+        self.ws.copies[c] = CopySlot {
+            index: self.ws.jobs[task.0].index,
+            kind,
+            release,
+            remaining: self.ts.task(task).wcet(),
+            state: CopyState::Pending,
+            fd_at_release,
+            running_since: None,
+        };
+        if release > self.clock {
+            self.ws.backup_slots.set(c, release);
+        } else {
+            self.enqueue(c);
+        }
+    }
+
+    /// Releases a postponed backup once its `r + θ` comes.
+    fn release_backup(&mut self, c: usize) {
+        debug_assert_eq!(self.ws.copies[c].state, CopyState::Pending);
+        self.ws.backup_slots.set(c, Time::MAX);
+        self.enqueue(c);
+    }
+
+    /// Puts a released copy in its processor's MJQ or OJQ, with an
+    /// optional's latest start as its abandonment bound, and marks the
+    /// processor for re-dispatch.
+    fn enqueue(&mut self, c: usize) {
+        let (task, proc) = (c / 2, c % 2);
         self.dispatch_dirty[proc] = true;
+        let copy = &self.ws.copies[c];
         if copy.kind == CopyKind::Optional {
-            let expiry = copy.job.latest_start(copy.remaining);
-            self.opt_expiry[proc] = self.opt_expiry[proc].min(expiry);
+            debug_assert_ne!(copy.fd_at_release, u32::EMPTY);
+            let latest_start = self.ws.jobs[task].deadline.saturating_sub(copy.remaining);
+            self.ws.optional[proc].set(task, copy.fd_at_release);
+            self.ws.optional_expiry[proc].set(task, latest_start);
+        } else {
+            self.ws.mandatory[proc].insert(task);
         }
-        self.ws.active_copies.push(c);
     }
 
-    /// Removes a copy from the active list the moment it leaves
-    /// `Pending`, so the dispatch scans stay O(live copies) without a
-    /// per-event prune pass. The list is unordered, which no consumer
-    /// relies on (dispatch picks by unique priority keys).
+    /// Takes a copy that just left `Pending` out of its ready queue,
+    /// marking the processor for re-dispatch, or out of the
+    /// backup-release tree if it was still waiting there.
     fn deactivate_copy(&mut self, c: usize) {
-        self.dispatch_dirty[self.ws.copies[c].proc.index()] = true;
-        let slot = self.ws.copies[c].active_slot;
-        debug_assert_eq!(
-            self.ws.active_copies.get(slot).copied(),
-            Some(c),
-            "active slot out of sync"
-        );
-        self.ws.active_copies.swap_remove(slot);
-        if let Some(&moved) = self.ws.active_copies.get(slot) {
-            self.ws.copies[moved].active_slot = slot;
-        }
-    }
-
-    /// Same as [`Engine::deactivate_copy`] for the open-job list, at
-    /// resolution.
-    fn deactivate_job(&mut self, j: usize) {
-        let slot = self.ws.jobs[j].open_slot;
-        debug_assert_eq!(
-            self.ws.open_jobs.get(slot).copied(),
-            Some(j),
-            "open slot out of sync"
-        );
-        self.ws.open_jobs.swap_remove(slot);
-        self.ws.open_deadlines.swap_remove(slot);
-        if let Some(&moved) = self.ws.open_jobs.get(slot) {
-            self.ws.jobs[moved].open_slot = slot;
+        let (task, proc) = (c / 2, c % 2);
+        // An optional is queued from its release on, never postponed.
+        let queued = if self.ws.copies[c].kind == CopyKind::Optional {
+            self.ws.optional[proc].set(task, u32::EMPTY);
+            self.ws.optional_expiry[proc].set(task, Time::EMPTY);
+            true
+        } else {
+            self.ws.mandatory[proc].remove(task)
+        };
+        if queued {
+            self.dispatch_dirty[proc] = true;
+        } else {
+            self.ws.backup_slots.set(c, Time::MAX);
         }
     }
 
@@ -879,62 +1018,67 @@ impl<'a, 'w> Engine<'a, 'w> {
         if let Some(c) = self.running[p.index()].take() {
             self.close_segment(c, SegmentEnd::Lost);
         }
-        // Deactivation swap-removes the current slot, pulling an
-        // unexamined entry into it — advance only on keep.
-        let mut i = 0;
-        while i < self.ws.active_copies.len() {
-            let idx = self.ws.active_copies[i];
-            debug_assert_eq!(self.ws.copies[idx].state, CopyState::Pending);
-            if self.ws.copies[idx].proc == p {
-                self.ws.copies[idx].state = CopyState::Lost;
+        // Every pending copy on the dead processor, released or still
+        // postponed, in task order. Runs once per run.
+        for task in 0..self.ts.len() {
+            let c = copy_slot(task, p);
+            if self.ws.copies[c].state == CopyState::Pending {
+                self.ws.copies[c].state = CopyState::Lost;
                 self.ws.tally.incr(CounterId::CopiesLost, 1);
-                let copy = &self.ws.copies[idx];
-                self.emit_event(
-                    self.clock,
-                    TraceKind::CopyLost,
-                    copy.job.id.task.0 as u32,
-                    copy.job.id.index as u32,
-                    copy_role(copy.kind),
-                    p.index() as u8,
-                    0,
-                );
-                self.deactivate_copy(idx);
-            } else {
-                i += 1;
+                self.emit_copy_event(TraceKind::CopyLost, c, 0);
+                self.deactivate_copy(c);
             }
         }
     }
 
     // ----- deadline resolution ----------------------------------------
 
-    /// Resolves every open job whose deadline has come as missed, in
-    /// release (arena) order.
+    /// Resolves as missed every open job whose deadline has come, read
+    /// off the deadline tree.
     fn resolve_due_deadlines(&mut self) {
         let mut due = std::mem::take(&mut self.ws.due_scratch);
         due.clear();
-        for (&j, &deadline) in self.ws.open_jobs.iter().zip(&self.ws.open_deadlines) {
-            if deadline <= self.clock {
-                due.push(j);
+        while let Some(task) = self.ws.deadline_slots.first_due(self.clock) {
+            self.ws.deadline_slots.set(task, Time::MAX);
+            due.push((self.ws.jobs[task].release, task));
+        }
+        self.resolve_missed(due);
+    }
+
+    /// The same, found by a scan over the job slots: the run's last
+    /// resolution at the horizon (where a deadline at the clock's top
+    /// would look like the tree's empty `Time::MAX` leaves), and the
+    /// scan-mode oracle's deadline phase.
+    fn resolve_open_deadlines_by_scan(&mut self) {
+        let mut due = std::mem::take(&mut self.ws.due_scratch);
+        due.clear();
+        for (task, job) in self.ws.jobs.iter().enumerate() {
+            if job.open && job.deadline <= self.clock {
+                due.push((job.release, task));
             }
         }
-        // `open_jobs` is unordered (swap-remove pruning); restore release
-        // order so resolutions land in the same order as the ordered-scan
-        // engine did — outcome histories, violations, and the trace all
-        // observe it.
+        self.resolve_missed(due);
+    }
+
+    /// Resolves the `(release, task)` jobs in `due` as missed, in that
+    /// order: the order in which they were released, which outcome
+    /// histories, violations and the trace all observe.
+    fn resolve_missed(&mut self, mut due: Vec<(Time, usize)>) {
         due.sort_unstable();
-        for &j in &due {
-            let deadline = self.ws.jobs[j].job.deadline;
-            self.resolve(j, JobOutcome::Missed, deadline);
+        for &(_, task) in &due {
+            let deadline = self.ws.jobs[task].deadline;
+            self.resolve(task, JobOutcome::Missed, deadline);
         }
         self.ws.due_scratch = due;
     }
 
-    fn resolve(&mut self, job_idx: usize, outcome: JobOutcome, at: Time) {
-        debug_assert!(!self.ws.jobs[job_idx].resolved);
-        self.ws.jobs[job_idx].resolved = true;
-        self.deactivate_job(job_idx);
-        let job = self.ws.jobs[job_idx].job;
-        let tstate = &mut self.ws.tasks[job.id.task.0];
+    /// Resolves `task`'s open job. The caller has taken its deadline
+    /// off the deadline tree.
+    fn resolve(&mut self, task: usize, outcome: JobOutcome, at: Time) {
+        debug_assert!(self.ws.jobs[task].open);
+        self.ws.jobs[task].open = false;
+        let index = self.ws.jobs[task].index;
+        let tstate = &mut self.ws.tasks[task];
         tstate.history.record(outcome);
         let was_violated = tstate.monitor.violated();
         tstate.monitor.record(outcome.is_met());
@@ -945,36 +1089,29 @@ impl<'a, 'w> Engine<'a, 'w> {
         let newly_violated = now_violated && !was_violated;
         if newly_violated {
             self.violations.push(MkViolation {
-                task: job.id.task,
-                job_index: job.id.index,
+                task: TaskId(task),
+                job_index: index,
             });
         }
-        match outcome {
+        let kind = match outcome {
             JobOutcome::Met => {
                 self.ws.tally.incr(CounterId::JobsMet, 1);
-                self.emit_event(
-                    at,
-                    TraceKind::JobMet,
-                    job.id.task.0 as u32,
-                    job.id.index as u32,
-                    CopyRole::None,
-                    PROC_NONE,
-                    u64::from(distance),
-                );
+                TraceKind::JobMet
             }
             JobOutcome::Missed => {
                 self.ws.tally.incr(CounterId::JobsMissed, 1);
-                self.emit_event(
-                    at,
-                    TraceKind::JobMissed,
-                    job.id.task.0 as u32,
-                    job.id.index as u32,
-                    CopyRole::None,
-                    PROC_NONE,
-                    u64::from(distance),
-                );
+                TraceKind::JobMissed
             }
-        }
+        };
+        self.emit_event(
+            at,
+            kind,
+            task as u32,
+            index as u32,
+            CopyRole::None,
+            PROC_NONE,
+            u64::from(distance),
+        );
         if newly_violated {
             // The resolution event precedes this one in the capture
             // stream, so forensics can walk backwards from here and find
@@ -982,19 +1119,25 @@ impl<'a, 'w> Engine<'a, 'w> {
             self.emit_event(
                 at,
                 TraceKind::MkViolation,
-                job.id.task.0 as u32,
-                job.id.index as u32,
+                task as u32,
+                index as u32,
                 CopyRole::None,
                 PROC_NONE,
                 (u64::from(mk.m()) << 32) | u64::from(mk.k()),
             );
         }
         if outcome == JobOutcome::Missed {
-            // A missed job's remaining copies are useless; stop them.
-            let copies = self.ws.jobs[job_idx].copies;
-            let count = self.ws.jobs[job_idx].copy_count as usize;
-            for &c in &copies[..count] {
-                if self.ws.copies[c].state == CopyState::Pending {
+            // A missed job's remaining copies are useless; stop them,
+            // the main before the backup.
+            let primary = copy_slot(task, ProcId::PRIMARY);
+            let first = if self.ws.copies[primary + 1].kind == CopyKind::Main {
+                primary + 1
+            } else {
+                primary
+            };
+            for c in [first, first ^ 1] {
+                let copy = &self.ws.copies[c];
+                if copy.index == index && copy.state == CopyState::Pending {
                     self.stop_copy(c, CopyState::Abandoned, SegmentEnd::Canceled);
                 }
             }
@@ -1005,7 +1148,7 @@ impl<'a, 'w> Engine<'a, 'w> {
     /// and puts it into a terminal state.
     fn stop_copy(&mut self, c: usize, state: CopyState, ended: SegmentEnd) {
         debug_assert_eq!(self.ws.copies[c].state, CopyState::Pending);
-        let proc = self.ws.copies[c].proc;
+        let proc = slot_proc(c);
         if self.running[proc.index()] == Some(c) {
             self.running[proc.index()] = None;
             self.close_segment(c, ended);
@@ -1028,11 +1171,14 @@ impl<'a, 'w> Engine<'a, 'w> {
             let index = tstate.next_index;
             // A release or deadline past the clock's top is past every
             // horizon, so it exhausts the task like any later deadline.
-            let Some(release) = task.period().checked_mul(index - 1).filter(|release| {
-                release
-                    .checked_add(task.deadline())
-                    .is_some_and(|deadline| deadline <= self.config.horizon)
-            }) else {
+            let Some((release, deadline)) =
+                task.period().checked_mul(index - 1).and_then(|release| {
+                    release
+                        .checked_add(task.deadline())
+                        .filter(|&deadline| deadline <= self.config.horizon)
+                        .map(|deadline| (release, deadline))
+                })
+            else {
                 self.ws.tasks[id.0].exhausted = true;
                 break Time::MAX;
             };
@@ -1040,9 +1186,9 @@ impl<'a, 'w> Engine<'a, 'w> {
                 break release;
             }
             self.ws.tasks[id.0].next_index += 1;
-            self.release_job(policy, id, index, release);
+            self.release_job(policy, id, index, release, deadline);
         };
-        self.ws.release_slots.set(id, next_release);
+        self.ws.release_slots.set(id.0, next_release);
     }
 
     fn release_job<P: Policy + ?Sized>(
@@ -1051,8 +1197,13 @@ impl<'a, 'w> Engine<'a, 'w> {
         id: TaskId,
         index: u64,
         release: Time,
+        deadline: Time,
     ) {
         debug_assert_eq!(release, self.clock, "release processed late");
+        debug_assert!(
+            !self.ws.jobs[id.0].open,
+            "job released before the task's previous job resolved"
+        );
         let fd = self.ws.tasks[id.0].history.flexibility_degree();
         let decision = {
             let ctx = ReleaseCtx {
@@ -1065,8 +1216,14 @@ impl<'a, 'w> Engine<'a, 'w> {
             policy.on_release(&ctx)
         };
         self.ws.tally.incr(CounterId::JobsReleased, 1);
+        self.ws.jobs[id.0] = JobSlot {
+            index,
+            release,
+            deadline,
+            open: true,
+        };
+        self.ws.deadline_slots.set(id.0, deadline);
 
-        let job_entry = self.ws.jobs.len();
         match decision {
             ReleaseDecision::Mandatory {
                 main_proc,
@@ -1082,110 +1239,33 @@ impl<'a, 'w> Engine<'a, 'w> {
                     main_proc.index() as u8,
                     0,
                 );
-                let job = Job::nth(id, self.ts.task(id), index, JobClass::Mandatory);
-                let mut copies = [0usize; 2];
-                let mut copy_count = 0u8;
                 if self.alive[main_proc.index()] {
-                    let main_idx = self.ws.copies.len();
-                    self.ws.copies.push(CopyInst {
-                        job,
-                        kind: CopyKind::Main,
-                        proc: main_proc,
-                        release,
-                        remaining: job.wcet,
-                        state: CopyState::Pending,
-                        sibling: None,
-                        fd_at_release: 0,
-                        running_since: None,
-                        job_entry,
-                        active_slot: usize::MAX,
-                    });
-                    copies[copy_count as usize] = main_idx;
-                    copy_count += 1;
-                    let backup_proc = main_proc.other();
-                    if self.alive[backup_proc.index()] {
-                        let backup_idx = self.ws.copies.len();
-                        let backup_release = release + backup_delay;
-                        self.ws.copies.push(CopyInst {
-                            job,
-                            kind: CopyKind::Backup,
-                            proc: backup_proc,
-                            release: backup_release,
-                            remaining: job.wcet,
-                            state: CopyState::Pending,
-                            sibling: Some(main_idx),
-                            fd_at_release: 0,
-                            running_since: None,
-                            job_entry,
-                            active_slot: usize::MAX,
-                        });
-                        self.ws.copies[main_idx].sibling = Some(backup_idx);
-                        copies[copy_count as usize] = backup_idx;
-                        copy_count += 1;
-                        if backup_release > self.clock {
-                            self.ws.copy_releases.push(backup_idx);
-                        }
-                        self.emit_backup_release(
-                            backup_delay,
-                            id.0 as u32,
-                            index as u32,
-                            backup_proc,
-                            release,
-                        );
-                    }
-                } else {
-                    // The main's processor is dead: host the job as its
-                    // *backup* copy on the survivor, keeping the backup
-                    // release delay. Releasing at `r` instead would put a
-                    // one-off shorter-than-period gap between this task's
-                    // copies on the survivor (pre-fault copies there were
-                    // delayed), and that release jitter can push a
-                    // lower-priority backup past its deadline even though
-                    // the synchronous analysis passes.
-                    let idx = self.ws.copies.len();
-                    let backup_release = release + backup_delay;
-                    self.ws.copies.push(CopyInst {
-                        job,
-                        kind: CopyKind::Backup,
-                        proc: main_proc.other(),
-                        release: backup_release,
-                        remaining: job.wcet,
-                        state: CopyState::Pending,
-                        sibling: None,
-                        fd_at_release: 0,
-                        running_since: None,
-                        job_entry,
-                        active_slot: usize::MAX,
-                    });
-                    copies[copy_count as usize] = idx;
-                    copy_count += 1;
-                    if backup_release > self.clock {
-                        self.ws.copy_releases.push(idx);
-                    }
+                    self.create_copy(id, main_proc, CopyKind::Main, release, 0);
+                }
+                // The backup goes on the other processor whenever it is
+                // alive. With the main's processor dead (one permanent
+                // fault at most, so the other survives) the job runs as
+                // this *backup* copy alone, keeping the backup release
+                // delay. Releasing at `r` instead would put a one-off
+                // shorter-than-period gap between this task's copies on
+                // the survivor (pre-fault copies there were delayed), and
+                // that release jitter can push a lower-priority backup
+                // past its deadline even though the synchronous analysis
+                // passes.
+                let backup_proc = main_proc.other();
+                if self.alive[backup_proc.index()] {
+                    self.create_copy(id, backup_proc, CopyKind::Backup, release + backup_delay, 0);
                     self.emit_backup_release(
                         backup_delay,
                         id.0 as u32,
                         index as u32,
-                        main_proc.other(),
+                        backup_proc,
                         release,
                     );
                 }
-                for &c in &copies[..copy_count as usize] {
-                    self.activate_copy(c);
-                }
-                self.ws.jobs.push(JobEntry {
-                    job,
-                    resolved: false,
-                    copies,
-                    copy_count,
-                    open_slot: self.ws.open_jobs.len(),
-                });
-                self.ws.open_jobs.push(job_entry);
-                self.ws.open_deadlines.push(job.deadline);
             }
             ReleaseDecision::Optional { proc } => {
                 self.ws.tally.incr(CounterId::OptionalSelected, 1);
-                let job = Job::nth(id, self.ts.task(id), index, JobClass::Optional);
                 let proc = self.live_proc(proc);
                 self.emit_event(
                     release,
@@ -1196,30 +1276,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     proc.index() as u8,
                     u64::from(fd),
                 );
-                let idx = self.ws.copies.len();
-                self.ws.copies.push(CopyInst {
-                    job,
-                    kind: CopyKind::Optional,
-                    proc,
-                    release,
-                    remaining: job.wcet,
-                    state: CopyState::Pending,
-                    sibling: None,
-                    fd_at_release: fd,
-                    running_since: None,
-                    job_entry,
-                    active_slot: usize::MAX,
-                });
-                self.activate_copy(idx);
-                self.ws.jobs.push(JobEntry {
-                    job,
-                    resolved: false,
-                    copies: [idx, 0],
-                    copy_count: 1,
-                    open_slot: self.ws.open_jobs.len(),
-                });
-                self.ws.open_jobs.push(job_entry);
-                self.ws.open_deadlines.push(job.deadline);
+                self.create_copy(id, proc, CopyKind::Optional, release, fd);
             }
             ReleaseDecision::Skip => {
                 self.ws.tally.incr(CounterId::OptionalSkipped, 1);
@@ -1232,16 +1289,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     PROC_NONE,
                     u64::from(fd),
                 );
-                let job = Job::nth(id, self.ts.task(id), index, JobClass::Optional);
-                self.ws.jobs.push(JobEntry {
-                    job,
-                    resolved: false,
-                    copies: [0, 0],
-                    copy_count: 0,
-                    open_slot: self.ws.open_jobs.len(),
-                });
-                self.ws.open_jobs.push(job_entry);
-                self.ws.open_deadlines.push(job.deadline);
             }
         }
     }
@@ -1261,20 +1308,26 @@ impl<'a, 'w> Engine<'a, 'w> {
             if !self.alive[proc.index()] {
                 continue;
             }
-            // Feasibility decays with the clock even when nothing else
-            // changes, so the abandonment check keys on time — but only
-            // once the clock reaches the earliest possible expiry.
-            if self.clock >= self.opt_expiry[proc.index()] {
-                self.abandon_infeasible_optionals(proc);
-            }
-            // The pick is a pure function of the ready set; until some
-            // copy on this processor changes readiness, the previous
-            // pick stands and the scan is skipped.
-            if !self.dispatch_dirty[proc.index()] {
-                continue;
-            }
-            self.dispatch_dirty[proc.index()] = false;
-            let pick = self.pick_copy(proc);
+            let pick = match self.time_advance {
+                TimeAdvance::Indexed => {
+                    // Feasibility decays with the clock even when nothing
+                    // else changes, so the abandonment check keys on time:
+                    // it runs once the clock passes the earliest bound.
+                    if self.ws.optional_expiry[proc.index()].min() < self.clock {
+                        self.abandon_infeasible_optionals(proc);
+                    }
+                    // The pick is a pure function of the ready queues;
+                    // until one on this processor changes, the previous
+                    // pick stands.
+                    if !self.dispatch_dirty[proc.index()] {
+                        continue;
+                    }
+                    self.dispatch_dirty[proc.index()] = false;
+                    self.pick_copy(proc)
+                }
+                #[cfg(test)]
+                TimeAdvance::Scan => self.pick_copy_scan(proc),
+            };
             let current = self.running[proc.index()];
             if current == pick {
                 continue;
@@ -1293,99 +1346,61 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
     }
 
-    /// Abandons every ready optional copy on `proc` that can no longer
-    /// finish by its deadline even if it ran uninterrupted from now.
+    /// Abandons, in task order, every ready optional copy on `proc` that
+    /// can no longer finish by its deadline even if it ran uninterrupted
+    /// from now. Only copies whose bound has passed are checked; one that
+    /// ran since its bound was set is still feasible and gets its exact
+    /// latest start as the new bound.
     fn abandon_infeasible_optionals(&mut self, proc: ProcId) {
-        // `stop_copy` swap-removes the abandoned copy from
-        // `active_copies`, pulling an unexamined entry into the current
-        // slot — advance only on keep. Survivors rebuild the expiry
-        // bound: `latest_start` only grows as a copy runs, so the
-        // recomputed minimum stays a sound lower bound until the next
-        // optional is admitted (which folds itself in at activation).
-        let mut next_expiry = Time::MAX;
-        let mut i = 0;
-        while i < self.ws.active_copies.len() {
-            let c = self.ws.active_copies[i];
-            let copy = &self.ws.copies[c];
-            debug_assert_eq!(copy.state, CopyState::Pending);
-            if copy.proc == proc
-                && copy.kind == CopyKind::Optional
-                && copy.release <= self.clock
-                && !copy.job.feasible_from(self.clock, copy.remaining)
-            {
-                self.ws.tally.incr(CounterId::OptionalAbandoned, 1);
-                self.emit_event(
-                    self.clock,
-                    TraceKind::OptionalAbandon,
-                    copy.job.id.task.0 as u32,
-                    copy.job.id.index as u32,
-                    CopyRole::Optional,
-                    proc.index() as u8,
-                    0,
-                );
-                self.stop_copy(c, CopyState::Abandoned, SegmentEnd::Preempted);
+        let p = proc.index();
+        let Some(before) = self.clock.checked_sub(Time::from_ticks(1)) else {
+            return;
+        };
+        while let Some(task) = self.ws.optional_expiry[p].first_due(before) {
+            let c = copy_slot(task, proc);
+            let remaining = self.ws.copies[c].remaining;
+            let deadline = self.ws.jobs[task].deadline;
+            if self.clock + remaining <= deadline {
+                self.ws.optional_expiry[p].set(task, deadline - remaining);
             } else {
-                if copy.proc == proc
-                    && copy.kind == CopyKind::Optional
-                    && copy.release <= self.clock
-                {
-                    next_expiry = next_expiry.min(copy.job.latest_start(copy.remaining));
-                }
-                i += 1;
+                self.abandon(c);
             }
         }
-        self.opt_expiry[proc.index()] = next_expiry;
+    }
+
+    /// Abandons a ready optional copy that can no longer meet its
+    /// deadline.
+    fn abandon(&mut self, c: usize) {
+        self.ws.tally.incr(CounterId::OptionalAbandoned, 1);
+        self.emit_copy_event(TraceKind::OptionalAbandon, c, 0);
+        self.stop_copy(c, CopyState::Abandoned, SegmentEnd::Preempted);
     }
 
     /// MJQ strictly above OJQ; MJQ in fixed-priority order, OJQ ordered
-    /// by (flexibility degree at release, fixed priority). The ordering
-    /// keys are unique per processor (a job never has two copies on one
-    /// processor), so the unordered `active_copies` scan is
-    /// deterministic.
+    /// by (flexibility degree at release, fixed priority). A task has at
+    /// most one copy per processor, so the MJQ's pick is its lowest bit
+    /// and the OJQ's is the lowest task holding the tree's least degree.
     fn pick_copy(&self, proc: ProcId) -> Option<usize> {
-        // One pass tracking the best mandatory and best optional
-        // candidate; MJQ trumps OJQ. The active list holds only pending
-        // copies (eager deactivation), and the priority keys are unique
-        // per processor, so the unordered scan stays deterministic.
-        let mut best_mandatory: Option<((TaskId, u64), usize)> = None;
-        let mut best_optional: Option<((u32, TaskId, u64), usize)> = None;
-        for &i in &self.ws.active_copies {
-            let c = &self.ws.copies[i];
-            debug_assert_eq!(c.state, CopyState::Pending);
-            if c.proc != proc || c.release > self.clock {
-                continue;
-            }
-            if c.kind == CopyKind::Optional {
-                let key = (c.fd_at_release, c.job.id.task, c.job.id.index);
-                if best_optional.is_none_or(|(k, _)| key < k) {
-                    best_optional = Some((key, i));
-                }
-            } else {
-                let key = (c.job.id.task, c.job.id.index);
-                if best_mandatory.is_none_or(|(k, _)| key < k) {
-                    best_mandatory = Some((key, i));
-                }
-            }
-        }
-        match best_mandatory {
-            Some((_, i)) => Some(i),
-            None => best_optional.map(|(_, i)| i),
-        }
+        let p = proc.index();
+        let ojq = &self.ws.optional[p];
+        let task = match self.ws.mandatory[p].first() {
+            Some(task) => task,
+            None if ojq.min() != u32::EMPTY => ojq.first_due(ojq.min())?,
+            None => return None,
+        };
+        Some(copy_slot(task, proc))
     }
 
     // ----- time advance --------------------------------------------------
 
     /// Earliest future event: the minimum over the running copies'
-    /// completions, the root of the release slots, the open deadlines,
-    /// the postponed copy releases and the pending permanent fault.
-    ///
-    /// It also leaves the next iteration its gates: the earliest open
-    /// deadline in `next_deadline`, and `dispatch_dirty` on the processor
-    /// of each postponed copy released at the returned time (whose entry
-    /// leaves the list). Matches [`Engine::next_event_time_scan`] exactly
+    /// completions, the roots of the release, deadline and
+    /// backup-release trees, and the pending permanent fault. Every
+    /// phase has already drained its tree up to the clock, so each root
+    /// lies ahead of it. Matches [`Engine::next_event_time_scan`] exactly
     /// on every reachable state (cross-checked per step in debug
     /// builds).
-    fn next_event_time(&mut self) -> Option<Time> {
+    fn next_event_time(&self) -> Option<Time> {
         let mut next = self.config.horizon;
         let mut any = self.clock < self.config.horizon;
         for &proc in &ProcId::ALL {
@@ -1394,33 +1409,16 @@ impl<'a, 'w> Engine<'a, 'w> {
                 any = true;
             }
         }
-        let release = self.ws.release_slots.earliest();
-        if release != Time::MAX {
-            next = next.min(release);
-            any = true;
-        }
-        // Deadlines at or before the clock were resolved at the top of
-        // this iteration, and a new job's deadline lies past its release.
-        let mut deadline = Time::MAX;
-        for &d in &self.ws.open_deadlines {
-            deadline = deadline.min(d);
-        }
-        self.next_deadline = deadline;
-        if deadline != Time::MAX {
-            next = next.min(deadline);
-            any = true;
-        }
-        let copies = &self.ws.copies;
-        self.ws
-            .copy_releases
-            .retain(|&c| copies[c].state == CopyState::Pending);
-        let mut copy_release = Time::MAX;
-        for &c in &self.ws.copy_releases {
-            copy_release = copy_release.min(copies[c].release);
-        }
-        if copy_release != Time::MAX {
-            next = next.min(copy_release);
-            any = true;
+        for slots in [
+            &self.ws.release_slots,
+            &self.ws.deadline_slots,
+            &self.ws.backup_slots,
+        ] {
+            let earliest = slots.min();
+            if earliest != Time::MAX {
+                next = next.min(earliest);
+                any = true;
+            }
         }
         // A pending permanent fault alone does not keep the run alive: a
         // dead-idle system past its last deadline ends with the fault
@@ -1430,66 +1428,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 next = next.min(pf.at);
             }
         }
-        if !any {
-            return None;
-        }
-        if copy_release == next {
-            let dirty = &mut self.dispatch_dirty;
-            self.ws.copy_releases.retain(|&c| {
-                let copy = &copies[c];
-                let released = copy.release == next;
-                if released {
-                    dirty[copy.proc.index()] = true;
-                }
-                !released
-            });
-        }
-        Some(next)
-    }
-
-    /// The linear-scan derivation of the next event time, kept as a
-    /// reference oracle: `run` cross-checks the indexed sources against
-    /// it on every step in debug builds, and the in-module differential
-    /// tests drive whole runs with it (`TimeAdvance::Scan`).
-    fn next_event_time_scan(&self) -> Option<Time> {
-        let mut next = self.config.horizon;
-        let mut any = self.clock < self.config.horizon;
-        if !self.fault_applied {
-            if let Some(pf) = self.config.faults.permanent {
-                next = next.min(pf.at);
-            }
-        }
-        for (id, task) in self.ts.iter() {
-            let tstate = &self.ws.tasks[id.0];
-            if !tstate.exhausted {
-                next = next.min(task.release_of(tstate.next_index));
-                any = true;
-            }
-        }
-        for &i in &self.ws.active_copies {
-            let copy = &self.ws.copies[i];
-            if copy.state == CopyState::Pending && copy.release > self.clock {
-                next = next.min(copy.release);
-                any = true;
-            }
-        }
-        for &i in &self.ws.open_jobs {
-            let job = &self.ws.jobs[i];
-            if !job.resolved && job.job.deadline > self.clock {
-                next = next.min(job.job.deadline);
-                any = true;
-            }
-        }
-        for &proc in &ProcId::ALL {
-            if let Some(c) = self.running[proc.index()] {
-                next = next.min(self.clock + self.ws.copies[c].remaining);
-                any = true;
-            }
-        }
-        if !any {
-            return None;
-        }
-        Some(next)
+        any.then_some(next)
     }
 
     fn advance_to(&mut self, next: Time) {
@@ -1514,54 +1453,25 @@ impl<'a, 'w> Engine<'a, 'w> {
         // Mark all simultaneous completions done first (so a success does
         // not "cancel" a sibling that also just finished)…
         for &c in &completions[..completed] {
-            let task = self.ws.copies[c].job.id.task;
             let faulted = self
                 .sampler
-                .sample_probability(self.ws.fault_probability[task.0]);
-            let ev_task = self.ws.copies[c].job.id.task.0 as u32;
-            let ev_job = self.ws.copies[c].job.id.index as u32;
-            let ev_role = copy_role(self.ws.copies[c].kind);
+                .sample_probability(self.ws.fault_probability[c / 2]);
             if faulted {
                 self.ws.tally.incr(CounterId::TransientFaults, 1);
-                self.emit_event(
-                    self.clock,
-                    TraceKind::TransientFault,
-                    ev_task,
-                    ev_job,
-                    ev_role,
-                    self.ws.copies[c].proc.index() as u8,
-                    0,
-                );
+                self.emit_copy_event(TraceKind::TransientFault, c, 0);
             }
-            let proc = self.ws.copies[c].proc;
-            self.running[proc.index()] = None;
+            self.running[slot_proc(c).index()] = None;
             self.close_segment(c, SegmentEnd::Completed);
             self.ws.copies[c].state = CopyState::Done { faulted };
             self.deactivate_copy(c);
             match self.ws.copies[c].kind {
                 CopyKind::Backup => {
                     self.ws.tally.incr(CounterId::BackupsCompleted, 1);
-                    self.emit_event(
-                        self.clock,
-                        TraceKind::BackupComplete,
-                        ev_task,
-                        ev_job,
-                        CopyRole::Backup,
-                        proc.index() as u8,
-                        u64::from(faulted),
-                    );
+                    self.emit_copy_event(TraceKind::BackupComplete, c, u64::from(faulted));
                 }
                 CopyKind::Optional if !faulted => {
                     self.ws.tally.incr(CounterId::OptionalExecuted, 1);
-                    self.emit_event(
-                        self.clock,
-                        TraceKind::OptionalComplete,
-                        ev_task,
-                        ev_job,
-                        CopyRole::Optional,
-                        proc.index() as u8,
-                        0,
-                    );
+                    self.emit_copy_event(TraceKind::OptionalComplete, c, 0);
                 }
                 _ => {}
             }
@@ -1580,48 +1490,34 @@ impl<'a, 'w> Engine<'a, 'w> {
             if faulted {
                 continue;
             }
-            let job_idx = self.ws.copies[c].job_entry;
-            if !self.ws.jobs[job_idx].resolved {
+            let task = c / 2;
+            let copy = self.ws.copies[c];
+            // The job's other copy, if it has one, is this task's copy
+            // on the other processor.
+            let sibling = c ^ 1;
+            let has_sibling = self.ws.copies[sibling].index == copy.index;
+            if self.ws.jobs[task].open {
+                debug_assert_eq!(self.ws.jobs[task].index, copy.index);
                 // A backup finishing fault-free with its main copy gone
                 // (faulted, lost with its processor, or never created) is
                 // the standby-sparing mechanism actually saving the job.
-                let recovered = self.ws.copies[c].kind == CopyKind::Backup
-                    && self.ws.copies[c].sibling.is_none_or(|sib| {
-                        matches!(
-                            self.ws.copies[sib].state,
+                let recovered = copy.kind == CopyKind::Backup
+                    && (!has_sibling
+                        || matches!(
+                            self.ws.copies[sibling].state,
                             CopyState::Done { faulted: true } | CopyState::Lost
-                        )
-                    });
-                self.resolve(job_idx, JobOutcome::Met, self.clock);
+                        ));
+                self.ws.deadline_slots.set(task, Time::MAX);
+                self.resolve(task, JobOutcome::Met, self.clock);
                 if recovered {
                     self.ws.tally.incr(CounterId::FaultsRecovered, 1);
-                    let copy = &self.ws.copies[c];
-                    self.emit_event(
-                        self.clock,
-                        TraceKind::FaultRecovered,
-                        copy.job.id.task.0 as u32,
-                        copy.job.id.index as u32,
-                        CopyRole::Backup,
-                        copy.proc.index() as u8,
-                        0,
-                    );
+                    self.emit_copy_event(TraceKind::FaultRecovered, c, 0);
                 }
             }
-            if let Some(sib) = self.ws.copies[c].sibling {
-                if self.ws.copies[sib].state == CopyState::Pending {
-                    self.ws.tally.incr(CounterId::BackupsCanceled, 1);
-                    let sibling = &self.ws.copies[sib];
-                    self.emit_event(
-                        self.clock,
-                        TraceKind::BackupCancel,
-                        sibling.job.id.task.0 as u32,
-                        sibling.job.id.index as u32,
-                        copy_role(sibling.kind),
-                        sibling.proc.index() as u8,
-                        0,
-                    );
-                    self.stop_copy(sib, CopyState::Canceled, SegmentEnd::Canceled);
-                }
+            if has_sibling && self.ws.copies[sibling].state == CopyState::Pending {
+                self.ws.tally.incr(CounterId::BackupsCanceled, 1);
+                self.emit_copy_event(TraceKind::BackupCancel, sibling, 0);
+                self.stop_copy(sibling, CopyState::Canceled, SegmentEnd::Canceled);
             }
         }
     }
@@ -1656,10 +1552,10 @@ impl<'a, 'w> Engine<'a, 'w> {
             self.emit_event(
                 self.clock,
                 TraceKind::Segment,
-                copy.job.id.task.0 as u32,
-                copy.job.id.index as u32,
+                (c / 2) as u32,
+                copy.index as u32,
                 copy_role(copy.kind),
-                copy.proc.index() as u8,
+                slot_proc(c).index() as u8,
                 segment_payload(start.ticks(), ended as u8),
             );
         }
@@ -1718,7 +1614,7 @@ mod tests {
     /// R-pattern static policy: mandatory per deeply-red, mains on
     /// primary, concurrent backups — the MKSS_ST reference, inlined here
     /// to keep the engine tests self-contained.
-    struct StaticRef;
+    pub(super) struct StaticRef;
     impl Policy for StaticRef {
         fn name(&self) -> &str {
             "static-ref"
@@ -1737,7 +1633,7 @@ mod tests {
         }
     }
 
-    fn fig1_set() -> TaskSet {
+    pub(super) fn fig1_set() -> TaskSet {
         TaskSet::new(vec![
             Task::from_ms(5, 4, 3, 2, 4).unwrap(),
             Task::from_ms(10, 10, 3, 1, 2).unwrap(),
@@ -1983,11 +1879,10 @@ mod tests {
         }
     }
 
-    /// [`simulate_in`] with two extra knobs for the tests below: the
+    /// [`simulate_in`] with two extra knobs for the tests: the
     /// time-advance mechanism, and a hook to poke the freshly reset
-    /// workspace (e.g. forge a postponed copy release) before the run
-    /// starts.
-    fn run_prepared<P: Policy + ?Sized>(
+    /// workspace (e.g. forge a stuck copy) before the run starts.
+    pub(super) fn run_prepared<P: Policy + ?Sized>(
         ws: &mut SimWorkspace,
         ts: &TaskSet,
         policy: &mut P,
@@ -1998,6 +1893,20 @@ mod tests {
         ws.begin_run(ts);
         prepare(ws);
         Engine::new(ts, config, ws, time_advance).run(policy)
+    }
+
+    /// Every job optional on the primary, so the spare's copy slots stay
+    /// vacant for the whole run.
+    struct OptionalOnPrimary;
+    impl Policy for OptionalOnPrimary {
+        fn name(&self) -> &str {
+            "optional-on-primary"
+        }
+        fn on_release(&mut self, _ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
+            ReleaseDecision::Optional {
+                proc: ProcId::PRIMARY,
+            }
+        }
     }
 
     /// Regression for the release-mode stall: an event source stuck at
@@ -2015,19 +1924,27 @@ mod tests {
         let registry = Arc::new(Registry::new(1));
         let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
 
-        // Forge a postponed-release entry for copy 0, τ1's first main,
-        // which the first iteration releases at t = 0. The entry stays
-        // while the copy is pending, so `next_event_time` returns its
-        // release 0 == clock: a zero-length step out of a state the
-        // engine can never produce on its own (it lists only copies
-        // released after the clock).
+        // Forge a pending mandatory copy with no work left in τ1's spare
+        // slot, which this policy never uses, and queue it: the first
+        // dispatch runs it, so `next_event_time` returns its completion
+        // `clock + 0`, a zero-length step out of a state the engine can
+        // never produce on its own (a copy completes the moment its
+        // remaining work reaches zero).
+        let stuck = copy_slot(0, ProcId::SPARE);
         let report = run_prepared(
             &mut ws,
             &ts,
-            &mut StaticRef,
+            &mut OptionalOnPrimary,
             &config,
             TimeAdvance::Indexed,
-            |ws| ws.copy_releases.push(0),
+            |ws| {
+                ws.copies[stuck] = CopySlot {
+                    state: CopyState::Pending,
+                    index: u64::MAX,
+                    ..CopySlot::VACANT
+                };
+                ws.mandatory[ProcId::SPARE.index()].insert(0);
+            },
         );
 
         let snap = registry.snapshot();
@@ -2039,22 +1956,20 @@ mod tests {
         // The run still terminates and accounts for everything it
         // released before stopping: both t=0 jobs miss at the horizon.
         assert_eq!(report.stats.released, 2);
-        assert_eq!(
-            report.stats.met + report.stats.missed,
-            report.stats.released
-        );
+        assert_eq!(report.stats.missed, 2);
 
-        // The same run without the forged entry never stalls.
+        // The same run without the forged copy never stalls.
         let clean = run_prepared(
             &mut ws,
             &ts,
-            &mut StaticRef,
+            &mut OptionalOnPrimary,
             &config,
             TimeAdvance::Indexed,
             |_| {},
         );
         assert_eq!(registry.snapshot().counter(CounterId::EngineStalls), 1);
-        assert_eq!(clean.stats.met, 3);
+        assert_eq!(clean.stats.released, 6);
+        assert_eq!(clean.stats.met + clean.stats.missed, 6);
     }
 
     /// Deeply-red mandatory jobs (and any job of flexibility degree 0)
@@ -2063,8 +1978,8 @@ mod tests {
     /// an optional on the processor its index picks. Exercises every
     /// event source the engine indexes: postponed copy releases,
     /// cancellation, optional abandonment and both processors' dispatch.
-    struct Postponing {
-        delays: Vec<Time>,
+    pub(super) struct Postponing {
+        pub(super) delays: Vec<Time>,
     }
 
     impl Policy for Postponing {
@@ -2097,7 +2012,7 @@ mod tests {
 
     /// `n` tasks at (m,k)-utilization ≈ 0.4 in rate-monotonic order,
     /// periods 10–50 ms, WCETs in whole microseconds.
-    fn large_set(n: usize) -> TaskSet {
+    pub(super) fn large_set(n: usize) -> TaskSet {
         const PERIODS_MS: [u64; 4] = [10, 20, 40, 50];
         const MK: [(u32, u32); 4] = [(2, 3), (3, 4), (1, 2), (3, 5)];
         let tasks = (0..n)
@@ -2112,102 +2027,129 @@ mod tests {
         TaskSet::new(tasks).unwrap()
     }
 
-    /// Whole-run differential between the production indexed sources
-    /// and the linear-scan oracle (which also gates no phase, so it
-    /// checks the `dispatch_dirty` and `opt_expiry` gating too), across
-    /// fault configs and task counts past 64, comparing reports and
-    /// collected traces. The per-step `debug_assert_eq!` in `run`
-    /// already cross-checks the chosen event times on every debug-build
-    /// run; this pins the end-to-end results too.
+    /// Retained state does not grow with the horizon: on one reused
+    /// workspace, runs 1 000× apart in length leave every buffer at the
+    /// same capacity, and the job and copy slots at one per task and
+    /// two per task. The sets run in ascending size, so each one's
+    /// bound holds even though capacity is retained across sets.
     #[test]
-    fn scan_oracle_and_indexed_reports_are_identical() {
-        let sets = [
-            (fig1_set(), Time::from_ms(40)),
-            (
-                TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2).unwrap()]).unwrap(),
-                Time::from_ms(40),
-            ),
-            (large_set(70), Time::from_ms(200)),
-            (large_set(1024), Time::from_ms(100)),
-        ];
-        let recorder = Arc::new(TraceRecorder::new(
-            TraceBuffer::with_capacity(usize::MAX),
-            None,
-        ));
-        let mut ws = SimWorkspace::with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-        for (ts, horizon) in &sets {
-            let horizon = *horizon;
-            let configs = [
-                SimConfig::active_only(horizon),
-                SimConfig::new(horizon),
-                SimConfig::builder()
-                    .horizon(horizon)
-                    .faults(FaultConfig::permanent(
-                        ProcId::SPARE,
-                        Time::from_ticks(horizon.ticks() / 7),
-                    ))
-                    .build(),
-                SimConfig::builder()
-                    .horizon(horizon)
+    fn retained_capacity_is_independent_of_the_horizon() {
+        // A Section-V set: `mkss-cli generate --util 0.5 --seed 11`.
+        let section_v = TaskSet::new(
+            [
+                (8_000, 1_189, 8, 10),
+                (9_000, 1_483, 1, 7),
+                (18_000, 2_840, 1, 6),
+                (22_000, 3_890, 10, 16),
+                (30_000, 5_137, 5, 8),
+                (34_000, 3_053, 3, 5),
+                (40_000, 2_993, 4, 5),
+            ]
+            .into_iter()
+            .map(|(period_us, wcet_us, m, k)| {
+                let period = Time::from_us(period_us);
+                Task::new(period, period, Time::from_us(wcet_us), m, k).unwrap()
+            })
+            .collect(),
+        )
+        .unwrap();
+        let capacities = |ws: &SimWorkspace| {
+            let trees = [&ws.release_slots, &ws.deadline_slots, &ws.backup_slots]
+                .into_iter()
+                .chain(&ws.optional_expiry);
+            let mut all = vec![
+                ws.tasks.capacity(),
+                ws.jobs.capacity(),
+                ws.copies.capacity(),
+                ws.due_scratch.capacity(),
+                ws.fault_probability.capacity(),
+            ];
+            all.extend(trees.map(|slots| slots.tree.capacity()));
+            all.extend(ws.optional.iter().map(|ojq| ojq.tree.capacity()));
+            all.extend(ws.mandatory.iter().map(|mjq| mjq.words.capacity()));
+            all
+        };
+        let mut ws = SimWorkspace::new();
+        for (ts, short_ms) in [(section_v, 100), (large_set(1024), 10)] {
+            let n = ts.len();
+            let mut retained = Vec::new();
+            let mut released = Vec::new();
+            for horizon_ms in [short_ms, 1_000 * short_ms] {
+                let config = SimConfig::builder()
+                    .horizon_ms(horizon_ms)
                     .faults(FaultConfig::combined(
                         ProcId::PRIMARY,
-                        Time::from_ticks(horizon.ticks() * 3 / 7),
-                        0.4,
-                        9,
+                        Time::from_ms(horizon_ms / 2),
+                        0.01,
+                        5,
                     ))
-                    .build(),
-            ];
-            for config in &configs {
-                let policies: [&mut dyn Policy; 2] =
-                    [&mut StaticRef, &mut Postponing { delays: Vec::new() }];
-                for policy in policies {
-                    let indexed =
-                        run_prepared(&mut ws, ts, policy, config, TimeAdvance::Indexed, |_| {});
-                    let indexed_trace = Trace::from(&recorder.take());
-                    let scan = run_prepared(&mut ws, ts, policy, config, TimeAdvance::Scan, |_| {});
-                    assert_eq!(
-                        format!("{indexed:?}"),
-                        format!("{scan:?}"),
-                        "indexed/scan reports diverge"
-                    );
-                    assert_eq!(
-                        indexed_trace,
-                        Trace::from(&recorder.take()),
-                        "indexed/scan traces diverge"
-                    );
-                }
+                    .build();
+                let mut policy = Postponing { delays: Vec::new() };
+                let report = simulate_in(&mut ws, &ts, &mut policy, &config);
+                released.push(report.stats.released);
+                retained.push(capacities(&ws));
             }
+            assert!(
+                released[1] > 500 * released[0],
+                "{n} tasks: {released:?} jobs"
+            );
+            assert_eq!(retained[0], retained[1], "{n} tasks");
+            assert!(ws.jobs.capacity() <= n, "{n} tasks");
+            assert!(ws.copies.capacity() <= 2 * n, "{n} tasks");
         }
     }
 
     proptest::proptest! {
         /// After any sequence of updates, the root is the minimum leaf
-        /// and `first_due` names the lowest task id at or before `now`.
+        /// and `first_due` names the lowest slot at or before `now`.
         #[test]
-        fn release_slots_find_the_lowest_due_task(
-            tasks in 1usize..70,
-            update_tasks in proptest::collection::vec(0usize..70, 0..200),
+        fn time_slots_find_the_lowest_due_slot(
+            slots in 1usize..70,
+            update_slots in proptest::collection::vec(0usize..70, 0..200),
             update_times in proptest::collection::vec(0u64..1_000, 0..200),
             now in 0u64..1_000,
         ) {
-            let mut slots = ReleaseSlots::default();
-            slots.reset(tasks);
-            let mut reference = vec![Time::ZERO; tasks];
-            for (&task, &at) in update_tasks.iter().zip(&update_times) {
-                let task = task % tasks;
+            let mut tree = SlotTree::<Time>::default();
+            tree.reset(slots, Time::ZERO);
+            let mut reference = vec![Time::ZERO; slots];
+            for (&slot, &at) in update_slots.iter().zip(&update_times) {
+                let slot = slot % slots;
                 let at = if at % 10 == 0 { Time::MAX } else { Time::from_ticks(at) };
-                slots.set(TaskId(task), at);
-                reference[task] = at;
+                tree.set(slot, at);
+                reference[slot] = at;
             }
             let now = Time::from_ticks(now);
             proptest::prop_assert_eq!(
-                slots.earliest(),
+                tree.min(),
                 reference.iter().copied().min().unwrap()
             );
             proptest::prop_assert_eq!(
-                slots.first_due(now),
-                reference.iter().position(|&at| at <= now).map(TaskId)
+                tree.first_due(now),
+                reference.iter().position(|&at| at <= now)
             );
+        }
+
+        /// The ready bits name the lowest task, and `remove` reports
+        /// exactly the bits that were set.
+        #[test]
+        fn task_bits_track_a_set_of_tasks(
+            tasks in 1usize..200,
+            update_tasks in proptest::collection::vec(0usize..200, 0..300),
+            update_inserts in proptest::collection::vec(0u8..2, 0..300),
+        ) {
+            let mut bits = TaskBits::default();
+            bits.reset(tasks);
+            let mut reference = std::collections::BTreeSet::new();
+            for (&task, &insert) in update_tasks.iter().zip(&update_inserts) {
+                let task = task % tasks;
+                if insert == 1 {
+                    bits.insert(task);
+                    reference.insert(task);
+                } else {
+                    proptest::prop_assert_eq!(bits.remove(task), reference.remove(&task));
+                }
+                proptest::prop_assert_eq!(bits.first(), reference.first().copied());
+            }
         }
     }
 }

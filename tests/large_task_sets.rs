@@ -9,8 +9,8 @@
 //! workspace, a workspace reused across both sets, and a traced run. The
 //! whole-run comparison against the scan-mode engine, which gates no
 //! phase, is `scan_oracle_and_indexed_reports_are_identical` next to the
-//! oracle in `crates/sim/src/engine.rs`; it runs sets of 70 and 1 024
-//! tasks too.
+//! oracle in `crates/sim/src/engine/scan.rs`; it runs sets of 70 and
+//! 1 024 tasks too.
 
 use mkss::prelude::*;
 

@@ -6,7 +6,8 @@
 //! feasibility abandonment, dynamic flexibility-degree classification)
 //! with none of the engine's event bookkeeping. On whole-millisecond
 //! task sets every engine event falls on a millisecond boundary, so the
-//! two must agree exactly on busy time, energy, and every job outcome.
+//! two must agree exactly on busy time, energy, and every job outcome,
+//! in the order the jobs are resolved.
 //!
 //! It also replays the checked-in counterexamples of
 //! `tests/counterexamples/`: task sets in `mkss-cli generate` format,
@@ -74,6 +75,14 @@ fn flexibility_degree(mk: MkConstraint, outcomes: &[bool]) -> u32 {
         }
     }
     fd as u32
+}
+
+/// `(task, index)` jobs sorted by release time, ties by task id: the
+/// order in which the engine resolves jobs that miss at one instant.
+fn released_order(ts: &TaskSet, jobs: impl Iterator<Item = (usize, u64)>) -> Vec<(usize, u64)> {
+    let mut jobs: Vec<(usize, u64)> = jobs.collect();
+    jobs.sort_by_key(|&(task, index)| (ts.task(TaskId(task)).release_of(index), task));
+    jobs
 }
 
 /// The reference simulator: 1 ms ticks; optionally one permanent fault.
@@ -150,14 +159,15 @@ fn reference_run(
                 }
             }
         }
-        // 1. deadline misses at t.
-        let due: Vec<(usize, u64)> = jobs
-            .iter()
-            .filter(|(&(task, index), &(_, resolved))| {
-                !resolved && ts.task(TaskId(task)).deadline_of(index).ticks() / 1000 <= t
-            })
-            .map(|(&k, _)| k)
-            .collect();
+        // 1. deadline misses at t, in release order (ties by task).
+        let due = released_order(
+            ts,
+            jobs.iter()
+                .filter(|(&(task, index), &(_, resolved))| {
+                    !resolved && ts.task(TaskId(task)).deadline_of(index).ticks() / 1000 <= t
+                })
+                .map(|(&k, _)| k),
+        );
         for (task, index) in due {
             resolve(
                 &mut histories,
@@ -332,11 +342,12 @@ fn reference_run(
         }
     }
     // Final pass at the horizon.
-    let due: Vec<(usize, u64)> = jobs
-        .iter()
-        .filter(|(_, &(_, resolved))| !resolved)
-        .map(|(&k, _)| k)
-        .collect();
+    let due = released_order(
+        ts,
+        jobs.iter()
+            .filter(|(_, &(_, resolved))| !resolved)
+            .map(|(&k, _)| k),
+    );
     for (task, index) in due {
         resolve(
             &mut histories,
@@ -389,6 +400,30 @@ fn schedulable_set(seed: u64, util_pct: u64) -> Option<TaskSet> {
     None
 }
 
+/// [`schedulable_set`] with each task's deadline cut to
+/// `C + (P − C)·pct/100`, rounded down to whole milliseconds, where
+/// `deadline_pcts` supplies `pct` per task (cycled). Jobs released at
+/// different times then often share a deadline. `None` when the set is
+/// not R-pattern schedulable or a paper policy does not build on it.
+fn constrained_set(seed: u64, util_pct: u64, deadline_pcts: &[u64]) -> Option<TaskSet> {
+    let ts = schedulable_set(seed, util_pct)?;
+    let tasks = ts
+        .iter()
+        .zip(deadline_pcts.iter().cycle())
+        .map(|((_, t), &pct)| {
+            let (c_ms, p_ms) = (t.wcet().ticks() / 1000, t.period().ticks() / 1000);
+            let d_ms = c_ms + (p_ms - c_ms) * pct / 100;
+            Task::with_constraint(t.period(), Time::from_ms(d_ms), t.wcet(), t.mk()).ok()
+        })
+        .collect::<Option<Vec<Task>>>()?;
+    let ts = TaskSet::new(tasks).ok()?;
+    let builds = is_schedulable_r_pattern(&ts)
+        && MkssDp::new(&ts).is_ok()
+        && MkssSelective::new(&ts).is_ok()
+        && postponement_intervals(&ts, PostponeConfig::default()).is_ok();
+    builds.then_some(ts)
+}
+
 fn engine_run(
     ts: &TaskSet,
     policy: RefPolicy,
@@ -432,17 +467,17 @@ fn compare_with_fault(
         engine.stats.missed, reference.missed,
         "{policy:?}: missed mismatch"
     );
-    // Outcome-by-outcome comparison via the resolution log.
+    // Outcome-by-outcome comparison via the resolution log, in order:
+    // completions as they happen, misses at one instant in release order.
     let engine_outcomes: Vec<(usize, u64, bool)> = engine_trace
         .resolutions
         .iter()
         .map(|r| (r.job.task.0, r.job.index, r.outcome.is_met()))
         .collect();
-    let mut sorted_ref = reference.outcomes.clone();
-    sorted_ref.sort();
-    let mut sorted_engine = engine_outcomes;
-    sorted_engine.sort();
-    assert_eq!(sorted_engine, sorted_ref, "{policy:?}: outcome mismatch");
+    assert_eq!(
+        engine_outcomes, reference.outcomes,
+        "{policy:?}: outcome mismatch"
+    );
     engine
 }
 
@@ -591,6 +626,30 @@ proptest! {
         let fault = Some((usize::from(!on_primary), fault_ms));
         for policy in [RefPolicy::Static, RefPolicy::DualPriority, RefPolicy::Selective] {
             compare_with_fault(&ts, policy, 200, fault);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Constrained deadlines (`C ≤ D ≤ P`, drawn per task): misses at
+    /// one instant come from jobs released at different times, and the
+    /// engine must resolve them in release order, job for job like the
+    /// reference, with and without a permanent fault.
+    #[test]
+    fn engine_matches_reference_with_constrained_deadlines(
+        seed in 0u64..20_000,
+        util_pct in 10u64..50,
+        deadline_pcts in proptest::collection::vec(40u64..=100, 5..6),
+        fault_ms in 0u64..200,
+        on_primary in any::<bool>(),
+    ) {
+        let Some(ts) = constrained_set(seed, util_pct, &deadline_pcts) else { return Ok(()); };
+        for fault in [None, Some((usize::from(!on_primary), fault_ms))] {
+            for policy in [RefPolicy::Static, RefPolicy::DualPriority, RefPolicy::Selective] {
+                compare_with_fault(&ts, policy, 200, fault);
+            }
         }
     }
 }

@@ -10,10 +10,10 @@
 //! This same matrix doubles as the indexed-vs-scan differential: every
 //! run here advances time through the engine's indexed event sources,
 //! and in debug builds the engine cross-checks each chosen event time
-//! against the linear-scan oracle (`Engine::next_event_time_scan`,
-//! kept under `#[cfg(test)]`) via a per-step `debug_assert_eq!`. The
-//! whole-run report comparison lives next to the oracle in
-//! `crates/sim/src/engine.rs` (`scan_oracle_and_indexed_reports_are_identical`).
+//! against the linear-scan oracle (`Engine::next_event_time_scan`)
+//! via a per-step `debug_assert_eq!`. The whole-run report comparison
+//! lives next to the oracle in `crates/sim/src/engine/scan.rs`
+//! (`scan_oracle_and_indexed_reports_are_identical`).
 
 use std::sync::Arc;
 
