@@ -6,7 +6,7 @@
 //! mkss-cli analyze  <taskset.json>
 //! mkss-cli simulate <taskset.json> --policy selective --horizon-ms 1000
 //!                   [--permanent primary@7] [--transient 1e-6] [--seed 42]
-//!                   [--gantt] [--vcd out.vcd] [--active-only]
+//!                   [--gantt] [--active-only]
 //! mkss-cli generate --util 0.45 --seed 7 [--tasks 5..10]
 //! mkss-cli policies
 //! mkss-cli serve   --socket /tmp/mkss.sock
@@ -46,7 +46,6 @@ use mkss_sim::pool::WorkspacePool;
 use mkss_sim::power::PowerModel;
 use mkss_sim::proc::ProcId;
 use mkss_sim::trace::Trace;
-use mkss_sim::vcd::render_vcd;
 use mkss_top::{Target, TopConfig};
 use mkss_workload::{Generator, WorkloadConfig};
 
@@ -95,7 +94,7 @@ fn input(e: impl fmt::Display) -> CliError {
     CliError::Input(e.to_string())
 }
 
-/// Refuses a traced run (`--gantt`, `--vcd`, `--trace-out`) whose horizon
+/// Refuses a traced run (`--gantt`, `--trace-out`) whose horizon
 /// passes 2^61 ticks: a segment event packs its start into 61 bits
 /// ([`mkss_obs::segment_payload`]), so a later start would wrap in the
 /// exported trace.
@@ -118,7 +117,7 @@ commands:
   analyze  <taskset.json>                      schedulability, Y and θ analysis
   simulate <taskset.json> [--policy P] [--horizon-ms N] [--seed S]
            [--permanent primary@MS|spare@MS] [--transient RATE_PER_MS]
-           [--gantt] [--vcd FILE] [--active-only]
+           [--gantt] [--active-only]
   compare  <taskset.json> [--horizon-ms N] [--jobs N] [--metrics-out FILE]
            [--trace-out FILE]
            run every policy, print one row each; --trace-out captures every
@@ -236,7 +235,6 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     let mut horizon = Time::from_ms(1_000);
     let mut faults = FaultConfig::none();
     let mut gantt = false;
-    let mut vcd_path: Option<String> = None;
     let mut power = PowerModel::default();
     let mut seed = 0u64;
     let mut transient = 0.0f64;
@@ -265,12 +263,11 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
                 permanent = Some((proc, checked_ms("--permanent time", ms)?));
             }
             "--gantt" => gantt = true,
-            "--vcd" => vcd_path = Some(flags.value()?),
             "--active-only" => power = PowerModel::active_only(),
             other => return Err(input(format!("unknown flag '{other}'"))),
         }
     }
-    if gantt || vcd_path.is_some() {
+    if gantt {
         check_traceable(horizon)?;
     }
     faults.transient_rate_per_ms = transient;
@@ -304,9 +301,9 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     } else {
         (None, None)
     };
-    // Only --gantt / --vcd capture the run (the schedule decodes the whole
-    // event stream); the capture forwards every event to MKSS_LOG's recorder.
-    let capture = (gantt || vcd_path.is_some()).then(|| {
+    // Only --gantt captures the run (the schedule decodes the whole event
+    // stream); the capture forwards every event to MKSS_LOG's recorder.
+    let capture = gantt.then(|| {
         let whole_run = TraceBuffer::with_capacity(usize::MAX);
         Arc::new(TraceRecorder::new(whole_run, log_recorder.clone()))
     });
@@ -350,13 +347,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     }
     if let Some(capture) = capture {
         let trace = Trace::from(&capture.take());
-        if gantt {
-            out.push_str(&trace.render_gantt_ms(horizon.min(Time::from_ms(120))));
-        }
-        if let Some(path) = vcd_path {
-            std::fs::write(&path, render_vcd(&trace, ts.len()))?;
-            out.push_str(&format!("wrote VCD to {path}\n"));
-        }
+        out.push_str(&trace.render_gantt_ms(horizon.min(Time::from_ms(120))));
     }
     if let Some((registry, reporter)) = &obs {
         report_summary_table(reporter, registry);
@@ -805,25 +796,6 @@ mod tests {
         assert!(check_traceable(Time::from_ms(last_ms)).is_ok());
         let err = check_traceable(Time::from_ms(last_ms + 1)).expect_err("past 2^61 ticks");
         assert!(err.to_string().contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn simulate_writes_vcd() {
-        let file = sample_file();
-        let vcd = std::env::temp_dir().join(format!("mkss-cli-test-{}.vcd", std::process::id()));
-        let out = run(&args(&[
-            "simulate",
-            file.as_str(),
-            "--horizon-ms",
-            "40",
-            "--vcd",
-            vcd.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("wrote VCD"));
-        let body = std::fs::read_to_string(&vcd).unwrap();
-        assert!(body.starts_with("$timescale"));
-        let _ = std::fs::remove_file(vcd);
     }
 
     #[test]

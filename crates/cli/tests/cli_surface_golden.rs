@@ -35,7 +35,7 @@ const CASES: &[&[&str]] = &[
     &["simulate", SET, "--permanent", "weird"],
     &["simulate", SET, "--permanent", "cpu@3"],
     &["simulate", SET, "--permanent", "primary@x"],
-    &["simulate", SET, "--vcd"],
+    &["simulate", SET, "--vcd", "out.vcd"],
     &["simulate", SET, "--bogus"],
     &[
         "simulate",

@@ -1,15 +1,14 @@
-//! Golden pin of the schedule renderers as the CLI drives them.
+//! Golden pin of the schedule renderer as the CLI drives it.
 //!
-//! Two FNV-1a digests cover `mkss-cli simulate --gantt --vcd` on one
-//! generated Section-V set under every policy kind, with a permanent
-//! primary fault plus seeded transients: one over the stdout text
-//! (summary and ASCII Gantt), one over the VCD file bytes. The values
-//! were recorded when the schedule trace was still assembled by its own
-//! event sink; rebuilding it from the flight-recorder ring must leave
-//! every byte unchanged. When the DVS and the per-job θ policy kinds
-//! were removed, the pins were re-recorded on the code before each
-//! removal with that kind skipped, so they prove the remaining kinds
-//! unchanged.
+//! An FNV-1a digest covers the stdout text (summary and ASCII Gantt) of
+//! `mkss-cli simulate --gantt` on one generated Section-V set under
+//! every policy kind, with a permanent primary fault plus seeded
+//! transients. The value was recorded when the schedule trace was still
+//! assembled by its own event sink; rebuilding it from the
+//! flight-recorder ring must leave every byte unchanged. When the DVS
+//! and the per-job θ policy kinds were removed, the pin was re-recorded
+//! on the code before each removal with that kind skipped, so it proves
+//! the remaining kinds unchanged.
 
 use mkss_policies::PolicyKind;
 
@@ -30,23 +29,18 @@ fn run(args: &[&str]) -> String {
 }
 
 #[test]
-fn gantt_and_vcd_match_the_recorded_digests() {
+fn gantt_matches_the_recorded_digest() {
     let dir = std::env::temp_dir().join(format!("mkss-render-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let set_path = dir.join("set.json");
-    let vcd_path = dir.join("out.vcd");
     let set = run(&["generate", "--util", "0.5", "--seed", "7"]);
     std::fs::write(&set_path, &set).expect("write set");
-    let (set_path, vcd_path) = (
-        set_path.to_str().expect("utf-8 path"),
-        vcd_path.to_str().expect("utf-8 path"),
-    );
+    let set_path = set_path.to_str().expect("utf-8 path");
 
     let mut gantt_digest = FNV_OFFSET;
-    let mut vcd_digest = FNV_OFFSET;
     let mut transients = 0usize;
     for kind in PolicyKind::ALL {
-        let stdout = run(&[
+        let text = run(&[
             "simulate",
             set_path,
             "--policy",
@@ -60,28 +54,21 @@ fn gantt_and_vcd_match_the_recorded_digests() {
             "--seed",
             "5",
             "--gantt",
-            "--vcd",
-            vcd_path,
         ]);
-        let text = stdout
-            .strip_suffix(&format!("wrote VCD to {vcd_path}\n"))
-            .expect("VCD line closes the output");
         assert!(text.contains(" primary: "), "gantt rendered:\n{text}");
         if !text.contains("transient faults 0,") {
             transients += 1;
         }
         gantt_digest = fnv1a(gantt_digest, kind.id().as_bytes());
         gantt_digest = fnv1a(gantt_digest, text.as_bytes());
-        vcd_digest = fnv1a(vcd_digest, &std::fs::read(vcd_path).expect("read VCD"));
     }
     let _ = std::fs::remove_dir_all(&dir);
     let tasks = set.matches("period_ms").count();
-    println!("tasks {tasks}, runs with transients {transients}, gantt {gantt_digest:#018x}, vcd {vcd_digest:#018x}");
+    println!("tasks {tasks}, runs with transients {transients}, gantt {gantt_digest:#018x}");
     assert!(
         (5..=10).contains(&tasks),
         "a paper-sized set: {tasks} tasks"
     );
     assert!(transients > 0, "the fault plan injects transients");
     assert_eq!(gantt_digest, 0x6558_98e9_e20a_d1b9, "gantt digest");
-    assert_eq!(vcd_digest, 0x4fd0_7b86_3fc9_1e81, "vcd digest");
 }

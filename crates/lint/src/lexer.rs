@@ -19,8 +19,7 @@
 //!
 //! Plain (non-doc) line comments are additionally scanned for
 //! `mkss-lint:` control directives ([`Directive`]): suppression
-//! annotations, `hot-path` region markers, and `ordering` notes for
-//! atomic-ordering sites.
+//! annotations and `ordering` notes for atomic-ordering sites.
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,10 +97,6 @@ impl<'a> Tok<'a> {
 pub enum DirectiveKind {
     /// `// mkss-lint: allow(rule-a, rule-b) — reason`
     Allow { rules: Vec<String>, reason: String },
-    /// `// mkss-lint: hot-path begin`
-    HotPathBegin,
-    /// `// mkss-lint: hot-path end`
-    HotPathEnd,
     /// `// mkss-lint: ordering — reason`: justifies the atomic memory
     /// ordering chosen on this or the following line (rule
     /// `atomic-ordering-annotated`).
@@ -134,11 +129,7 @@ pub const DIRECTIVE_TAG: &str = "mkss-lint:";
 pub fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
     let at = comment.find(DIRECTIVE_TAG)?;
     let rest = comment[at + DIRECTIVE_TAG.len()..].trim();
-    let kind = if rest == "hot-path begin" {
-        DirectiveKind::HotPathBegin
-    } else if rest == "hot-path end" {
-        DirectiveKind::HotPathEnd
-    } else if let Some(args) = rest.strip_prefix("allow(") {
+    let kind = if let Some(args) = rest.strip_prefix("allow(") {
         match args.split_once(')') {
             Some((list, tail)) => {
                 let rules: Vec<String> = list
@@ -574,24 +565,23 @@ mod tests {
     #[test]
     fn directives_parse() {
         let src = "\
-// mkss-lint: hot-path begin
-// mkss-lint: allow(hot-path-alloc, float-fold-determinism) — proven above
+// mkss-lint: allow(lock-discipline, float-fold-determinism) — proven above
 // mkss-lint: allow(x)
 /// mkss-lint: allow(doc) — doc comments are not directives
-// mkss-lint: hot-path end";
+// mkss-lint: hot-path begin";
         let d = lex(src).directives;
-        assert_eq!(d.len(), 4); // the doc comment is skipped
-        assert_eq!(d[0].kind, DirectiveKind::HotPathBegin);
-        match &d[1].kind {
+        assert_eq!(d.len(), 3); // the doc comment is skipped
+        match &d[0].kind {
             DirectiveKind::Allow { rules, reason } => {
-                assert_eq!(rules, &["hot-path-alloc", "float-fold-determinism"]);
+                assert_eq!(rules, &["lock-discipline", "float-fold-determinism"]);
                 assert_eq!(reason, "proven above");
             }
             other => panic!("expected allow, got {other:?}"),
         }
+        assert!(matches!(d[1].kind, DirectiveKind::Malformed(_)));
+        // The retired region marker is an unknown directive.
         assert!(matches!(d[2].kind, DirectiveKind::Malformed(_)));
-        assert_eq!(d[3].kind, DirectiveKind::HotPathEnd);
-        assert_eq!(d[3].line, 5);
+        assert_eq!(d[2].line, 4);
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! `mkss-lint` — zero-dependency static enforcement of this
 //! workspace's project invariants.
 //!
-//! The earlier PRs created guarantees that only *runtime* differential
-//! tests defended: bit-identical results across `--jobs` (PR 1), a
-//! zero-allocation engine hot path (PR 2), and recorder-off
-//! byte-identity with jobs-invariant counters (PR 3). In the spirit of
-//! the paper's own offline (m,k) guarantees — the pattern-based
-//! analysis proves the property before the system runs — this crate
-//! moves those checks to CI time.
+//! Some of the workspace's guarantees are conventions that neither the
+//! compiler nor a test would catch when broken: bit-identical results
+//! across `--jobs` rest on fixed-order float folds, and the daemon's
+//! liveness on its lock and condvar protocols. In the spirit of the
+//! paper's own offline (m,k) guarantees — the pattern-based analysis
+//! proves the property before the system runs — this crate checks them
+//! at CI time. (The zero-allocation hot path and the recorder-off
+//! branch are checked at run time instead, by
+//! `crates/sim/tests/zero_alloc.rs` and a debug assertion in the
+//! engine.)
 //!
 //! It keeps only the project-specific rules, the ones rustc, clippy and
-//! Cargo cannot express: the hot-path allocation ban, recorder gating,
-//! error-type hygiene, lock discipline, annotated atomic orderings,
-//! fixed-order float folds and condvar wait loops. The conventions the
-//! standard tools do enforce (no panics in library code, no
-//! nondeterministic collections or clock reads, documented public API)
-//! live in the workspace `[lints]` tables and `clippy.toml`; path-only
-//! dependencies are a CI check on the lockfiles.
+//! Cargo cannot express: error-type hygiene, lock discipline, annotated
+//! atomic orderings, fixed-order float folds and condvar wait loops.
+//! The conventions the standard tools do enforce (no panics in library
+//! code, no nondeterministic collections or clock reads, documented
+//! public API) live in the workspace `[lints]` tables and `clippy.toml`;
+//! path-only dependencies are a CI check on the lockfiles.
 //!
 //! The analyzer has two layers. A hand-rolled Rust lexer ([`lexer`])
 //! produces a span-exact token stream; a lightweight item parser
@@ -127,8 +129,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
             items: &p.items,
             graph: &graph,
         };
-        rules::hot_path_alloc::check(&ctx, &mut findings);
-        rules::recorder_gate::check(&ctx, &mut findings);
         rules::atomic_ordering::check(&ctx, &mut findings);
         rules::condvar_wait::check(&ctx, &mut findings);
         rules::float_fold::check(&ctx, &mut findings);

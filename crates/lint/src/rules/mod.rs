@@ -26,9 +26,7 @@ pub mod atomic_ordering;
 pub mod condvar_wait;
 pub mod error_hygiene;
 pub mod float_fold;
-pub mod hot_path_alloc;
 pub mod lock_discipline;
-pub mod recorder_gate;
 
 /// One reported violation. Findings order by path, line, error code,
 /// then message (the order `DIAGNOSTICS.md` documents).
@@ -91,9 +89,7 @@ pub struct RuleInfo {
 }
 
 /// Rule IDs (used by findings and `allow(...)` directives).
-pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 pub const ERROR_HYGIENE: &str = "error-hygiene";
-pub const RECORDER_GATED_EMIT: &str = "recorder-gated-emit";
 pub const MALFORMED_DIRECTIVE: &str = "malformed-directive";
 pub const UNUSED_ALLOW: &str = "unused-allow";
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
@@ -101,29 +97,14 @@ pub const ATOMIC_ORDERING_ANNOTATED: &str = "atomic-ordering-annotated";
 pub const FLOAT_FOLD_DETERMINISM: &str = "float-fold-determinism";
 pub const CONDVAR_WAIT_IN_LOOP: &str = "condvar-wait-in-loop";
 
-/// The full catalog, ordered by error code. L002, L003, L005 and L013
-/// are retired (see `DIAGNOSTICS.md`).
+/// The full catalog, ordered by error code. L001, L002, L003, L005, L006
+/// and L013 are retired (see `DIAGNOSTICS.md`).
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: HOT_PATH_ALLOC,
-        code: "MKSS-L001",
-        summary: "no allocating constructors (Vec::new, vec!, Box::new, to_vec, \
-                  collect, String::from, format!, …) inside `mkss-lint: hot-path` \
-                  regions — keeps the engine's zero-allocation guarantee visible \
-                  at review time",
-    },
     RuleInfo {
         id: ERROR_HYGIENE,
         code: "MKSS-L004",
         summary: "every `pub` *Error type is #[non_exhaustive] and has Display \
                   and std::error::Error impls",
-    },
-    RuleInfo {
-        id: RECORDER_GATED_EMIT,
-        code: "MKSS-L006",
-        summary: "every recorder observe/event call in crates/sim sits \
-                  inside an `if let Some(recorder)` gate, so the recorder-off \
-                  path stays one branch per histogram or event site",
     },
     RuleInfo {
         id: MALFORMED_DIRECTIVE,
@@ -254,14 +235,10 @@ pub mod scope {
         LIB_CRATES.iter().any(|p| path.starts_with(p))
     }
 
-    /// Integration-test and bench sources: exempt from the rules that
-    /// only guard shipped code paths.
+    /// Integration-test sources: exempt from the rules that only guard
+    /// shipped code paths.
     pub fn is_test_source(path: &str) -> bool {
-        path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
-    }
-
-    pub fn in_sim_src(path: &str) -> bool {
-        path.starts_with("crates/sim/src/")
+        path.starts_with("tests/") || path.contains("/tests/")
     }
 
     /// The fixed-order fold helpers themselves — the one place float

@@ -42,69 +42,6 @@ fn assert_suppressed(path: &str, src: &str) {
 }
 
 // ---------------------------------------------------------------- //
-// hot-path-alloc
-
-#[test]
-fn hot_path_alloc_fires_inside_region() {
-    let src = r#"
-fn cold() -> Vec<u32> { Vec::new() }
-// mkss-lint: hot-path begin
-fn hot(xs: &[u32]) -> Vec<u32> {
-    let v: Vec<u32> = xs.iter().copied().collect();
-    let w = vec![1u32];
-    let s = String::from("hi");
-    let b = Box::new(1u32);
-    let t = xs.to_vec();
-    let _ = (w, s, b, t);
-    v
-}
-// mkss-lint: hot-path end
-"#;
-    assert_fires("crates/sim/src/fixture.rs", src, "hot-path-alloc", 5);
-}
-
-#[test]
-fn hot_path_alloc_suppressed_by_allow() {
-    let src = r#"
-// mkss-lint: hot-path begin
-fn hot() -> Vec<u32> {
-    // mkss-lint: allow(hot-path-alloc) — cold error branch, runs at most once per simulation
-    Vec::new()
-}
-// mkss-lint: hot-path end
-"#;
-    assert_suppressed("crates/sim/src/fixture.rs", src);
-}
-
-#[test]
-fn hot_path_alloc_outside_region_is_silent() {
-    let src = r#"
-fn cold() -> Vec<u32> { vec![1, 2, 3] }
-// mkss-lint: hot-path begin
-fn hot(x: u32) -> u32 { x + 1 }
-// mkss-lint: hot-path end
-fn also_cold() -> String { format!("x") }
-"#;
-    assert_clean("crates/sim/src/fixture.rs", src);
-}
-
-#[test]
-fn hot_path_markers_must_balance() {
-    assert_fires(
-        "crates/sim/src/fixture.rs",
-        "// mkss-lint: hot-path begin\nfn f() {}\n",
-        "hot-path-alloc",
-        1,
-    );
-    assert_fires(
-        "crates/sim/src/fixture.rs",
-        "fn f() {}\n// mkss-lint: hot-path end\n",
-        "hot-path-alloc",
-        1,
-    );
-}
-
-// ---------------------------------------------------------------- //
 // error-hygiene
 
 #[test]
@@ -164,81 +101,6 @@ impl std::error::Error for SplitError {}\n";
         ("crates/core/src/impls.rs".into(), impls.into()),
     ]);
     assert!(report.findings.is_empty(), "got: {:#?}", report.findings);
-}
-
-// ---------------------------------------------------------------- //
-// recorder-gated-emit
-
-#[test]
-fn recorder_gate_fires_on_unguarded_emit() {
-    let src = r#"
-fn observe_badly(recorder: &dyn Recorder, h: HistogramId) {
-    recorder.observe(h, 7);
-}
-fn narrate_badly(recorder: &dyn Recorder, e: &EngineEvent) {
-    recorder.event(e);
-}
-"#;
-    assert_fires("crates/sim/src/fixture.rs", src, "recorder-gated-emit", 2);
-}
-
-#[test]
-fn recorder_gate_suppressed_by_allow() {
-    let src = r#"
-fn observe_knowingly(recorder: &dyn Recorder, h: HistogramId) {
-    // mkss-lint: allow(recorder-gated-emit) — caller already checked attachment
-    recorder.observe(h, 7);
-}
-"#;
-    assert_suppressed("crates/sim/src/fixture.rs", src);
-}
-
-#[test]
-fn recorder_gate_clean_inside_gate_and_outside_sim() {
-    let gated = r#"
-fn emit_observe(&mut self, histogram: HistogramId, value: u64) {
-    if let Some(_recorder) = &self.ws.recorder.0 {
-        self.ws.tally.observe(histogram, value);
-    }
-}
-fn emit_event(&self, e: &EngineEvent) {
-    if let Some(recorder) = &self.ws.recorder.0 {
-        recorder.event(e);
-    }
-}
-"#;
-    assert_clean("crates/sim/src/fixture.rs", gated);
-    // The rule only guards the simulator; the registry itself (obs
-    // crate) samples into shards freely.
-    assert_clean(
-        "crates/obs/src/fixture.rs",
-        "fn sample(&self) { self.shard.observe(HistogramId::MkDistance, 1); }",
-    );
-}
-
-#[test]
-fn recorder_gate_leaves_counter_increments_ungated() {
-    // Every run counts its job facts into the tally, recorder or not.
-    let src = r#"
-fn release(&mut self) {
-    self.ws.tally.incr(CounterId::JobsReleased, 1);
-}
-"#;
-    assert_clean("crates/sim/src/fixture.rs", src);
-}
-
-#[test]
-fn recorder_gate_else_branch_is_not_gated() {
-    let src = r#"
-fn emit_observe(&mut self, histogram: HistogramId, value: u64) {
-    if let Some(_recorder) = &self.ws.recorder.0 {
-        self.ws.tally.observe(histogram, value);
-    } else {
-        self.fallback.observe(histogram, value);
-    }
-}
-"#;
-    assert_fires("crates/sim/src/fixture.rs", src, "recorder-gated-emit", 1);
 }
 
 // ---------------------------------------------------------------- //
@@ -377,16 +239,14 @@ fn findings_are_sorted_and_formatted() {
 
 #[test]
 fn findings_on_one_line_sort_by_code() {
-    // L001 and L011 fire on the same line; the error code, not the rule
-    // ID (`float-…` < `hot-…`), decides their order.
+    // L011 and L012 fire on the same line; the error code, not the rule
+    // ID (`condvar-…` < `float-…`), decides their order.
     let src = "\
-// mkss-lint: hot-path begin
-fn hot(a: &mut f64) -> Vec<f64> { *a += 1.5; vec![*a] }
-// mkss-lint: hot-path end
+fn f(a: &mut f64, cv: &Condvar, g: Guard) -> Guard { *a += 1.5; cv.wait(g) }
 ";
-    let found = lint_one("crates/sim/src/fixture.rs", src);
+    let found = lint_one("crates/core/src/fixture.rs", src);
     let codes: Vec<(u32, &str)> = found.iter().map(|f| (f.line, f.code())).collect();
-    assert_eq!(codes, vec![(2, "MKSS-L001"), (2, "MKSS-L011")]);
+    assert_eq!(codes, vec![(1, "MKSS-L011"), (1, "MKSS-L012")]);
 }
 
 // ---------------------------------------------------------------- //

@@ -52,8 +52,7 @@ pub use registry::{MetricsSnapshot, RecorderHandle, Registry};
 pub use reporter::Reporter;
 pub use span::Stopwatch;
 pub use trace::{
-    chrome_trace, overflow_note, segment_parts, segment_payload, timeline_text,
-    trace_json_fragment, violation_reports, violation_reports_on, CopyRole, EngineEvent,
-    TraceBuffer, TraceEvent, TraceKind, TraceRecorder, ViolationReport, DEFAULT_TRACE_CAPACITY,
-    PROC_NONE,
+    chrome_trace, overflow_note, segment_parts, segment_payload, trace_json_fragment,
+    violation_reports, violation_reports_on, CopyRole, EngineEvent, TraceBuffer, TraceEvent,
+    TraceKind, TraceRecorder, ViolationReport, DEFAULT_TRACE_CAPACITY, PROC_NONE,
 };

@@ -8,11 +8,11 @@
 //! release, classification, backup postponement, cancellation, fault,
 //! resolution, executed segment — and a [`TraceRecorder`] copies them
 //! into a bounded [`TraceBuffer`], the one capture type. Everything
-//! downstream — the Chrome Trace Event export
-//! ([`chrome_trace`]), the plain-text timeline ([`timeline_text`]), the
-//! (m,k) violation forensics ([`violation_reports`]), and the simulator's
-//! schedule trace, which decodes a buffer — is a pure function of the
-//! buffer, so trace output is deterministic and golden-testable.
+//! downstream — the Chrome Trace Event export ([`chrome_trace`]), the
+//! (m,k) violation forensics ([`violation_reports`]), and the
+//! simulator's schedule trace, which decodes a buffer — is a pure
+//! function of the buffer, so trace output is deterministic and
+//! golden-testable.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -366,7 +366,8 @@ fn proc_tid(proc: u8) -> u8 {
     }
 }
 
-/// One plain-text timeline line for an event (no trailing newline).
+/// One plain-text line for an event, as forensics list it (no trailing
+/// newline).
 fn timeline_line(record: &TraceEvent) -> String {
     let e = &record.event;
     let proc = if e.proc == PROC_NONE {
@@ -385,23 +386,6 @@ fn timeline_line(record: &TraceEvent) -> String {
         proc,
         e.payload
     )
-}
-
-/// Render the buffer as a plain-text timeline, oldest event first —
-/// a pure function of the buffer, so output is deterministic.
-pub fn timeline_text(buffer: &TraceBuffer) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# trace: {} events retained, {} recorded, {} dropped\n",
-        buffer.len(),
-        buffer.total_recorded(),
-        buffer.dropped()
-    ));
-    for record in buffer.iter() {
-        out.push_str(&timeline_line(record));
-        out.push('\n');
-    }
-    out
 }
 
 /// Whether `e` ends a backup copy: its cancellation, completion or loss.
@@ -795,19 +779,6 @@ mod tests {
         let emptied = recorder.take();
         assert!(emptied.is_empty());
         assert_eq!(emptied.capacity(), 8);
-    }
-
-    #[test]
-    fn timeline_lists_events_oldest_first() {
-        let mut buffer = TraceBuffer::with_capacity(8);
-        buffer.push(ev(100, TraceKind::MandatoryRelease, 0, 0, 0));
-        buffer.push(ev(200, TraceKind::JobMet, 0, 0, 2));
-        let text = timeline_text(&buffer);
-        assert!(text.starts_with("# trace: 2 events retained, 2 recorded, 0 dropped\n"));
-        let release = text.find("mandatory_release").expect("release line");
-        let met = text.find("job_met").expect("met line");
-        assert!(release < met, "{text}");
-        assert!(text.contains("t=      100us"), "{text}");
     }
 
     #[test]

@@ -834,15 +834,12 @@ impl<'a, 'w> Engine<'a, 'w> {
         );
     }
 
-    // mkss-lint: hot-path begin
-    //
     // Everything from here through `close_segment` is the steady-state
     // event loop: with no recorder attached it performs zero
-    // allocations per event (PR 2's contract, pinned at runtime by
-    // crates/sim/tests/zero_alloc.rs and at review time by the
-    // `hot-path-alloc` lint rule). Pushes into workspace-owned buffers
-    // are fine — they only allocate past retained capacity — but no
-    // fresh allocating constructor may appear in this region.
+    // allocations per event (pinned by crates/sim/tests/zero_alloc.rs
+    // for every paper policy). Pushes into workspace-owned buffers are
+    // fine — they only allocate past retained capacity — but no fresh
+    // allocating constructor may appear here.
     fn run<P: Policy + ?Sized>(mut self, policy: &mut P) -> SimReport {
         policy.init(self.ts);
         loop {
@@ -1561,8 +1558,6 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
     }
 
-    // mkss-lint: hot-path end
-
     // ----- wrap-up -------------------------------------------------------
 
     fn finish(mut self, policy_name: &str) -> SimReport {
@@ -1585,6 +1580,15 @@ impl<'a, 'w> Engine<'a, 'w> {
                 energy.idle_time += end - gap_start;
             }
         }
+        // Every histogram site sits behind the recorder gate
+        // (`emit_observe`), so a run with no recorder samples none.
+        debug_assert!(
+            self.ws.recorder.0.is_some()
+                || HistogramId::ALL
+                    .iter()
+                    .all(|&h| self.ws.tally.histogram(h) == [0; HistogramId::BUCKETS]),
+            "a run with no recorder sampled a histogram"
+        );
         // The two counters that other counts determine are written once,
         // here.
         let tally = &mut self.ws.tally;

@@ -47,7 +47,6 @@ pub mod power;
 pub mod proc;
 pub mod report;
 pub mod trace;
-pub mod vcd;
 
 /// Commonly used simulator types.
 pub mod prelude {

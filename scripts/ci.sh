@@ -74,9 +74,6 @@ cargo test -q --workspace
 echo "== examples build =="
 cargo build --examples
 
-echo "== bench smoke (each benchmark runs once) =="
-cargo bench -p mkss-bench --benches -- --test
-
 echo "== metrics export smoke (mkss-cli compare --metrics-out) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -105,8 +102,8 @@ print("metrics document ok:", ", ".join(sorted(doc)))
 PY
 
 echo "== examples run (each example exits 0) =="
-# Run from the temp dir: `waveform` writes its .vcd into the working
-# directory.
+# Run from the temp dir, so nothing an example writes lands in the
+# checkout.
 root="$PWD"
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
@@ -211,45 +208,8 @@ assert len(tracks) > 1, f"expected one track per policy, got {tracks}"
 print(f"chrome trace ok: {len(events)} events, {opens} spans, "
       f"{sum(map(len, slices.values()))} slices, {len(tracks)} policy tracks")
 PY
-# VCD export of a 40-task schedule: every signal needs its own printable
-# identifier (the one-character range covers 30 tasks), every value
-# change must name a declared signal, and time must strictly increase.
-python3 -c '
-import json
-tasks = [{"period_ms": 40 + 2 * i, "wcet_ms": 0.2, "m": 1, "k": 2} for i in range(40)]
-print(json.dumps({"tasks": tasks}))' > "$tmpdir/set40.json"
-cargo run --release -q -p mkss-cli -- simulate "$tmpdir/set40.json" \
-    --policy st --horizon-ms 300 --vcd "$tmpdir/set40.vcd" > /dev/null
-python3 - "$tmpdir/set40.vcd" <<'PY'
-import sys
-ids = {}
-body = False
-last = None
-changes = long_changes = 0
-for line in open(sys.argv[1]).read().splitlines():
-    if line.startswith("$var "):
-        _, _, width, ident, name, _ = line.split(" ")
-        assert ident not in ids, f"id {ident!r} names both {ids[ident]} and {name}"
-        assert all(33 <= ord(c) <= 126 for c in ident), f"unprintable id {ident!r} ({name})"
-        ids[ident] = name
-    elif line == "$enddefinitions $end":
-        body = True
-    elif body and line.startswith("#"):
-        t = int(line[1:])
-        assert last is None or t > last, f"timestamp {t} does not follow {last}"
-        last = t
-    elif body:
-        ident = line.split(" ", 1)[1] if line.startswith("b") else line[1:]
-        assert ident in ids, f"value change names undeclared id {ident!r}: {line}"
-        changes += 1
-        long_changes += len(ident) > 1
-assert len(ids) == 4 + 2 * 40, f"expected 84 signals, got {len(ids)}"
-assert long_changes > 0, "no value change on a multi-character id"
-print(f"vcd ok: {len(ids)} unique printable ids, {changes} value changes "
-      f"({long_changes} on multi-character ids)")
-PY
 # The hot path must still allocate nothing per event, with no recorder
-# or a registry handle attached.
+# or a registry handle attached, under every paper policy.
 cargo test --release -q -p mkss-sim --test zero_alloc
 
 echo "== serve smoke (daemon end-to-end: loadgen differential + clean shutdown) =="
@@ -464,16 +424,19 @@ perf_gate BENCH_perfbench.json "$tmpdir"/perf/*.json
 
 echo "== perfbench gate smoke (must reject a doctored baseline) =="
 # The same lines against a ledger copy whose latest ops_per_s figures are
-# doubled: the gate must exit nonzero and name every workload.
+# multiplied by 1000: the gate must exit nonzero and name every workload.
+# No live run comes near 750x its recorded baseline, however quiet the
+# host is now or however busy it was when the ledger was written (a
+# doubled baseline let a quiet-host run read 3.1x and pass).
 python3 -c 'import json, sys
 ledger = json.load(open(sys.argv[1]))
 for row in ledger["entries"][-1]["rows"]:
     if row["trace"] == 0:
-        row["change"]["ops_per_s"] *= 2
+        row["change"]["ops_per_s"] *= 1000
 json.dump(ledger, sys.stdout)' BENCH_perfbench.json > "$tmpdir/doctored.json"
 if perf_gate "$tmpdir/doctored.json" "$tmpdir"/perf/*.json > "$tmpdir/doctored.txt" ||
     [ "$(grep -Ec '^(fig6|engine|daemon): .*ops_per_s is below' "$tmpdir/doctored.txt")" -ne 3 ]; then
-    echo "ERROR: perfbench gate did not reject every workload against a doubled baseline:" >&2
+    echo "ERROR: perfbench gate did not reject every workload against a 1000x baseline:" >&2
     cat "$tmpdir/doctored.txt" >&2
     exit 1
 fi

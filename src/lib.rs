@@ -71,6 +71,5 @@ pub mod prelude {
         SelectionRule,
     };
     pub use mkss_sim::prelude::*;
-    pub use mkss_sim::vcd::render_vcd;
     pub use mkss_workload::{generate_buckets, Bucket, BucketPlan, Generator, WorkloadConfig};
 }
