@@ -4,30 +4,29 @@
 //! Some of the workspace's guarantees are conventions that neither the
 //! compiler nor a test would catch when broken: bit-identical results
 //! across `--jobs` rest on fixed-order float folds, and the daemon's
-//! liveness on its lock and condvar protocols. In the spirit of the
-//! paper's own offline (m,k) guarantees — the pattern-based analysis
-//! proves the property before the system runs — this crate checks them
-//! at CI time. (The zero-allocation hot path and the recorder-off
-//! branch are checked at run time instead, by
-//! `crates/sim/tests/zero_alloc.rs` and a debug assertion in the
-//! engine.)
+//! liveness on its lock protocols. In the spirit of the paper's own
+//! offline (m,k) guarantees — the pattern-based analysis proves the
+//! property before the system runs — this crate checks them at CI time.
+//! (The zero-allocation hot path and the recorder-off branch are
+//! checked at run time instead, by `crates/sim/tests/zero_alloc.rs` and
+//! a debug assertion in the engine.)
 //!
 //! It keeps only the project-specific rules, the ones rustc, clippy and
 //! Cargo cannot express: error-type hygiene, lock discipline, annotated
-//! atomic orderings, fixed-order float folds and condvar wait loops.
-//! The conventions the standard tools do enforce (no panics in library
-//! code, no nondeterministic collections or clock reads, documented
-//! public API) live in the workspace `[lints]` tables and `clippy.toml`;
-//! path-only dependencies are a CI check on the lockfiles.
+//! atomic orderings and fixed-order float folds. The conventions the
+//! standard tools do enforce (no panics in library code, no
+//! nondeterministic collections or clock reads, no bare condvar waits,
+//! documented public API) live in the workspace `[lints]` tables and
+//! `clippy.toml`; path-only dependencies are a CI check on the
+//! lockfiles.
 //!
-//! The analyzer has two layers. A hand-rolled Rust lexer ([`lexer`])
-//! produces a span-exact token stream; a lightweight item parser
-//! ([`parser`]) builds per-file item skeletons (fns, impls, structs,
-//! brace-matched bodies) and a workspace-wide [`parser::ItemGraph`].
-//! The rule engine ([`rules`]) runs token rules and item rules over
-//! every non-vendored `.rs` file in the workspace and reports
-//! `file:line` findings, each with a stable `MKSS-Lnnn` error code (see
-//! `DIAGNOSTICS.md`).
+//! A hand-rolled Rust lexer ([`lexer`]) produces a span-exact token
+//! stream; a lightweight item parser ([`parser`]) builds per-file item
+//! skeletons (fns, impls, structs, brace-matched bodies, test-only
+//! items) and a workspace-wide [`parser::ItemGraph`]. The rules
+//! ([`rules`]) run over every non-vendored `.rs` file in the workspace,
+//! skipping test-only items, and report `file:line` findings, each with
+//! a stable `MKSS-Lnnn` error code (see `DIAGNOSTICS.md`).
 //!
 //! Findings are suppressible only via an explicit annotation with a
 //! mandatory reason:
@@ -42,16 +41,15 @@
 //! sites use the sibling `// mkss-lint: ordering — reason` note.
 //!
 //! Run `cargo run -p mkss-lint` from anywhere in the workspace; the
-//! binary exits nonzero when anything fires. `--format json` emits the
-//! machine-readable report ([`output`]). See `DESIGN.md` ("Static
-//! analysis & enforced invariants") for the rule table.
+//! binary prints one line per finding and exits nonzero when anything
+//! fires. See `DESIGN.md` ("Static analysis & enforced invariants") for
+//! the rule table.
 
 pub mod lexer;
-pub mod output;
 pub mod parser;
 pub mod rules;
 
-use lexer::{Directive, DirectiveKind, Tok, TokKind};
+use lexer::{Directive, DirectiveKind, Tok};
 use parser::{FileItems, ItemGraph};
 use rules::error_hygiene::ErrorHygiene;
 use rules::lock_discipline::LockDiscipline;
@@ -101,8 +99,8 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let mut parsed: Vec<Parsed<'_>> = Vec::new();
     for (path, content) in files.iter().filter(|(path, _)| path.ends_with(".rs")) {
         let lexed = lexer::lex(content);
-        let (mask, test_spans) = test_mask(&lexed.toks);
         let items = parser::parse(&lexed);
+        let (mask, test_spans) = test_mask(&lexed.toks, &items);
         parsed.push(Parsed {
             path,
             lexed,
@@ -130,7 +128,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
             graph: &graph,
         };
         rules::atomic_ordering::check(&ctx, &mut findings);
-        rules::condvar_wait::check(&ctx, &mut findings);
         rules::float_fold::check(&ctx, &mut findings);
         hygiene.collect(&ctx);
         locks.collect(&ctx, &mut findings);
@@ -255,118 +252,16 @@ fn try_suppress(file_meta: &[FileMeta], f: &Finding, used: &mut [bool]) -> bool 
     false
 }
 
-/// Computes which tokens belong to test-only items (`#[cfg(test)]`,
-/// `#[test]`, `#[bench]`) and the line spans those items cover.
-///
-/// The attribute's idents decide: containing `test` marks the item
-/// test-only unless `not` also appears (`#[cfg(not(test))]` guards
-/// *shipped* code). The masked item extends over the attributes, any
-/// further attributes, and either the first balanced `{…}` block or the
-/// terminating `;`.
-fn test_mask(toks: &[Tok<'_>]) -> (Vec<bool>, Vec<(u32, u32)>) {
+/// Which tokens belong to test-only items (see
+/// [`FileItems::test_ranges`]), and the line spans those items cover.
+fn test_mask(toks: &[Tok<'_>], items: &FileItems) -> (Vec<bool>, Vec<(u32, u32)>) {
     let mut mask = vec![false; toks.len()];
-    let mut spans: Vec<(u32, u32)> = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        // Inner attribute `#![cfg(test)]` marks the whole file.
-        if toks[i].is_punct('#')
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct('!')
-            && i + 2 < toks.len()
-            && toks[i + 2].is_punct('[')
-        {
-            let (end, is_test) = scan_attr(toks, i + 2);
-            if is_test {
-                mask.iter_mut().for_each(|m| *m = true);
-                let last_line = toks.last().map_or(1, |t| t.line);
-                return (mask, vec![(1, last_line)]);
-            }
-            i = end;
-            continue;
-        }
-        if toks[i].is_punct('#') && i + 1 < toks.len() && toks[i + 1].is_punct('[') {
-            let start = i;
-            let (mut end, mut is_test) = scan_attr(toks, i + 1);
-            // Further attributes on the same item.
-            while end + 1 < toks.len() && toks[end].is_punct('#') && toks[end + 1].is_punct('[') {
-                let (e, t) = scan_attr(toks, end + 1);
-                is_test |= t;
-                end = e;
-            }
-            if is_test {
-                let item_end = scan_item(toks, end);
-                let first_line = toks[start].line;
-                let last_line = toks[item_end.saturating_sub(1).min(toks.len() - 1)].line;
-                for m in &mut mask[start..item_end.min(toks.len())] {
-                    *m = true;
-                }
-                spans.push((first_line, last_line));
-                i = item_end;
-                continue;
-            }
-            i = end;
-            continue;
-        }
-        i += 1;
+    let mut spans = Vec::new();
+    for &(first, end) in &items.test_ranges {
+        mask[first..end].fill(true);
+        spans.push((toks[first].line, toks[end - 1].line));
     }
     (mask, spans)
-}
-
-/// Scans one `[…]` attribute starting at the `[`; returns (index past
-/// the closing `]`, attribute-is-test-only).
-fn scan_attr(toks: &[Tok<'_>], open: usize) -> (usize, bool) {
-    let mut depth = 0usize;
-    let mut has_test = false;
-    let mut has_not = false;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return (j + 1, has_test && !has_not);
-                }
-            }
-            TokKind::Ident => {
-                has_test |= toks[j].text == "test" || toks[j].text == "bench";
-                has_not |= toks[j].text == "not";
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (toks.len(), false)
-}
-
-/// Scans past one item starting at `from`: through the first balanced
-/// `{…}` block, or to a `;` met before any `{`.
-fn scan_item(toks: &[Tok<'_>], from: usize) -> usize {
-    let mut j = from;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct(';') => return j + 1,
-            TokKind::Punct('{') => {
-                let mut depth = 0usize;
-                while j < toks.len() {
-                    match toks[j].kind {
-                        TokKind::Punct('{') => depth += 1,
-                        TokKind::Punct('}') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return j + 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                return toks.len();
-            }
-            _ => j += 1,
-        }
-    }
-    toks.len()
 }
 
 // ---------------------------------------------------------------------
@@ -388,7 +283,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
 /// Lints an explicit set of files and/or directories. Paths inside
 /// `root` are reported workspace-relative; outside ones as given. The
 /// given set is the whole universe for cross-file rules, which is what
-/// the self-tests and the CI bad-file smoke rely on.
+/// the self-tests and the CLI tests rely on.
 pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<LintReport> {
     let mut files = Vec::new();
     for p in paths {

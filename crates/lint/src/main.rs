@@ -1,17 +1,15 @@
 //! `mkss-lint` CLI: lint the workspace (default) or explicit paths.
 //!
 //! ```text
-//! mkss-lint [--root DIR] [--format text|json] [--out FILE]
-//!           [--list-rules] [PATH…]
+//! mkss-lint [--root DIR] [--list-rules] [PATH…]
 //! ```
 //!
 //! * no paths: walks every non-vendored `.rs` file under the
 //!   workspace root (found by ascending from the current directory);
 //! * explicit paths: lints just those files/directories — used by the
-//!   CI smoke that asserts a deliberately-bad file fails;
-//! * `--format json` renders the machine-readable report (stable
-//!   shape, see `DIAGNOSTICS.md`); `--out FILE` additionally writes
-//!   the rendered report to a file (gitignored);
+//!   CLI tests that assert a deliberately-bad file fails;
+//! * one `file:line: [MKSS-Lnnn rule-id] message` line per finding on
+//!   stdout, a count summary on stderr;
 //! * exit code: 0 clean, 1 findings, 2 usage/IO error.
 
 use std::io::Write;
@@ -24,16 +22,8 @@ fn emit(text: &str) {
     let _ = std::io::stdout().write_all(text.as_bytes());
 }
 
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut out_file: Option<PathBuf> = None;
-    let mut format = Format::Text;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -41,16 +31,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
-            },
-            "--out" => match args.next() {
-                Some(f) => out_file = Some(PathBuf::from(f)),
-                None => return usage("--out needs a file"),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some(other) => return usage(&format!("unknown format `{other}`")),
-                None => return usage("--format needs text|json"),
             },
             "--list-rules" => {
                 for rule in mkss_lint::rules::RULES {
@@ -102,24 +82,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let rendered = match format {
-        Format::Json => mkss_lint::output::to_json(&report),
-        Format::Text => {
-            let mut s = String::new();
-            for f in &report.findings {
-                s.push_str(&f.to_string());
-                s.push('\n');
-            }
-            s
-        }
-    };
+    let rendered: String = report.findings.iter().map(|f| format!("{f}\n")).collect();
     emit(&rendered);
-    if let Some(out) = out_file {
-        if let Err(e) = std::fs::write(&out, &rendered) {
-            eprintln!("mkss-lint: cannot write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-    }
     eprintln!(
         "mkss-lint: {} finding{} ({} suppressed by allow annotations) across {} files",
         report.findings.len(),
@@ -142,10 +106,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("mkss-lint: {err}");
     }
-    eprintln!(
-        "usage: mkss-lint [--root DIR] [--format text|json] [--out FILE] \
-         [--list-rules] [PATH…]"
-    );
+    eprintln!("usage: mkss-lint [--root DIR] [--list-rules] [PATH…]");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -16,8 +16,10 @@
 //!   newtypes (`Energy(f64)`) through [`ItemGraph::float_fields`] /
 //!   [`ItemGraph::float_newtypes`], return types through the enclosing
 //!   fn signature span, and `self.0 +=` through the enclosing impl;
-//! * `lock-discipline` and `condvar-wait-in-loop` analyse one fn body
-//!   at a time via [`FileItems::fn_bodies`].
+//! * `lock-discipline` analyses one fn body at a time via
+//!   [`FileItems::fn_bodies`];
+//! * every rule skips the test-only items in
+//!   [`FileItems::test_ranges`].
 
 use crate::lexer::{Lexed, Tok, TokKind};
 use std::collections::BTreeSet;
@@ -67,6 +69,10 @@ pub struct StructInfo {
 pub struct FileItems {
     pub items: Vec<Item>,
     pub structs: Vec<StructInfo>,
+    /// Token ranges `first..end` of test-only items: those carrying
+    /// `#[cfg(test)]`, `#[test]` or `#[bench]`, and everything after a
+    /// `#![cfg(test)]` to the end of its file or module.
+    pub test_ranges: Vec<(usize, usize)>,
 }
 
 impl FileItems {
@@ -119,20 +125,50 @@ impl<'a, 't> P<'a, 't> {
     /// Parses one item starting at `i`; returns the index past it. On
     /// anything unrecognised, advances one token (resynchronisation).
     fn item_at(&mut self, i: usize, hi: usize) -> usize {
-        let first = i;
+        // Attributes. `#![…]` inner attributes belong to the enclosing
+        // scope: they are skipped, and `#![cfg(test)]` marks the rest of
+        // that scope test-only.
         let mut j = i;
-
-        // Attributes. `#![…]` inner attributes are skipped the same way.
+        let mut outer_start = i;
+        let mut test_only = false;
         loop {
             let inner = self.tok(j).is_punct('#') && self.tok(j + 1).is_punct('!');
             let open = if inner { j + 2 } else { j + 1 };
             if j < hi && self.tok(j).is_punct('#') && self.tok(open).is_punct('[') {
-                j = self.skip_balanced(open, '[', ']', hi);
+                let end = self.skip_balanced(open, '[', ']', hi);
+                let is_test = self.is_test_attr(open + 1, end - 1);
+                if inner {
+                    if is_test {
+                        self.out.test_ranges.push((i, hi));
+                    }
+                    outer_start = end;
+                } else {
+                    test_only |= is_test;
+                }
+                j = end;
             } else {
                 break;
             }
         }
+        let end = self.item_after_attrs(i, j, hi);
+        if test_only {
+            self.out.test_ranges.push((outer_start, end.min(hi)));
+        }
+        end
+    }
 
+    /// Whether the attribute between brackets, `toks[lo..hi]`, is
+    /// exactly `test`, `bench` or `cfg(test)`.
+    fn is_test_attr(&self, lo: usize, hi: usize) -> bool {
+        let words: Vec<&str> = (lo..hi).map(|k| self.tok(k).text).collect();
+        matches!(
+            words.as_slice(),
+            ["test"] | ["bench"] | ["cfg", "(", "test", ")"]
+        )
+    }
+
+    /// Parses the item whose attributes span `first..j`.
+    fn item_after_attrs(&mut self, first: usize, mut j: usize, hi: usize) -> usize {
         // Visibility.
         if self.tok(j).is_ident("pub") {
             j += 1;

@@ -11,10 +11,10 @@
 //! Every rule has a stable error code (`MKSS-L001`…, see
 //! `DIAGNOSTICS.md`); retired codes are never reused. Conventions that
 //! rustc, clippy or Cargo enforce (no panics in library code, no
-//! nondeterministic collections or clock reads, documented public API,
-//! path-only dependencies) live in the workspace lint tables,
-//! `clippy.toml` and the CI lockfile gate instead. Findings are
-//! suppressible only by an explicit
+//! nondeterministic collections or clock reads, no bare condvar waits,
+//! documented public API, path-only dependencies) live in the workspace
+//! lint tables, `clippy.toml` and the CI lockfile gate instead. Findings
+//! are suppressible only by an explicit
 //! `// mkss-lint: allow(<rule>) — <reason>` on the same or the
 //! preceding line; the reason is mandatory and unused allows are
 //! themselves findings, so suppressions stay auditable.
@@ -23,7 +23,6 @@ use crate::lexer::{Directive, Tok};
 use crate::parser::{FileItems, ItemGraph};
 
 pub mod atomic_ordering;
-pub mod condvar_wait;
 pub mod error_hygiene;
 pub mod float_fold;
 pub mod lock_discipline;
@@ -95,10 +94,9 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 pub const ATOMIC_ORDERING_ANNOTATED: &str = "atomic-ordering-annotated";
 pub const FLOAT_FOLD_DETERMINISM: &str = "float-fold-determinism";
-pub const CONDVAR_WAIT_IN_LOOP: &str = "condvar-wait-in-loop";
 
-/// The full catalog, ordered by error code. L001, L002, L003, L005, L006
-/// and L013 are retired (see `DIAGNOSTICS.md`).
+/// The full catalog, ordered by error code. L001, L002, L003, L005, L006,
+/// L012 and L013 are retired (see `DIAGNOSTICS.md`).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: ERROR_HYGIENE,
@@ -140,13 +138,6 @@ pub const RULES: &[RuleInfo] = &[
                   library code goes through the fixed-order mkss_core::fold \
                   helpers or carries a reasoned allow — protects bit-identical \
                   results across `--jobs`",
-    },
-    RuleInfo {
-        id: CONDVAR_WAIT_IN_LOOP,
-        code: "MKSS-L012",
-        summary: "a Condvar .wait()/.wait_timeout() must sit inside a loop that \
-                  re-checks its predicate (spurious wakeups); .wait_while or a \
-                  reasoned allow for deliberate single waits",
     },
 ];
 

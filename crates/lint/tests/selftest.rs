@@ -239,14 +239,57 @@ fn findings_are_sorted_and_formatted() {
 
 #[test]
 fn findings_on_one_line_sort_by_code() {
-    // L011 and L012 fire on the same line; the error code, not the rule
-    // ID (`condvar-…` < `float-…`), decides their order.
+    // L009 and L011 fire on the same line; the error code, not the rule
+    // ID (`float-…` < `lock-…`), decides their order.
     let src = "\
-fn f(a: &mut f64, cv: &Condvar, g: Guard) -> Guard { *a += 1.5; cv.wait(g) }
+fn f(&self, a: &mut f64) { let g = self.state.lock(); let h = self.state.lock(); *a += 1.5; }
 ";
     let found = lint_one("crates/core/src/fixture.rs", src);
     let codes: Vec<(u32, &str)> = found.iter().map(|f| (f.line, f.code())).collect();
-    assert_eq!(codes, vec![(1, "MKSS-L011"), (1, "MKSS-L012")]);
+    assert_eq!(codes, vec![(1, "MKSS-L009"), (1, "MKSS-L011")]);
+}
+
+// ---------------------------------------------------------------- //
+// test-only masking
+//
+// `ACCUMULATE` fires float-fold-determinism once wherever it is live.
+
+const ACCUMULATE: &str = "pub fn accumulate(a: &mut f64) { *a += 1.5; }\n";
+
+#[test]
+fn test_only_items_are_masked() {
+    for prefix in [
+        "#[test]\n",
+        "#[cfg(test)]\n",
+        "#[bench]\n",
+        "#![cfg(test)]\n",
+    ] {
+        assert_clean(
+            "crates/core/src/fixture.rs",
+            &format!("{prefix}{ACCUMULATE}"),
+        );
+    }
+}
+
+#[test]
+fn shipped_items_stay_linted() {
+    // Only `test`, `bench` and `cfg(test)` mark an item test-only: an
+    // attribute that merely mentions `test` guards shipped code.
+    for prefix in [
+        "#[cfg_attr(test, allow(dead_code))]\n",
+        "#[cfg(not(test))]\n",
+        // A test-only enum variant is not an item; the code after it
+        // stays live.
+        "pub enum Mode { Fast, #[cfg(test)] Slow }\n",
+    ] {
+        let src = format!("{prefix}{ACCUMULATE}");
+        assert_fires(
+            "crates/core/src/fixture.rs",
+            &src,
+            "float-fold-determinism",
+            1,
+        );
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -484,57 +527,4 @@ fn mean(xs: &[f64]) -> f64 {
         "crates/core/src/fold.rs",
         "/// Fixture.\npub fn sum_f64(xs: &[f64]) -> f64 { let mut a = 0.0; for x in xs { a += *x; } a }\n",
     );
-}
-
-// ---------------------------------------------------------------- //
-// condvar-wait-in-loop
-
-#[test]
-fn condvar_wait_fires_outside_loop() {
-    let src = r#"
-fn f(&self) {
-    let g = lock(&self.state);
-    let _r = self.cv.wait_timeout(g, timeout);
-}
-"#;
-    assert_fires(
-        "crates/serve/src/fixture.rs",
-        src,
-        "condvar-wait-in-loop",
-        1,
-    );
-}
-
-#[test]
-fn condvar_wait_suppressed_by_allow() {
-    let src = r#"
-fn f(&self) {
-    let g = lock(&self.state);
-    // mkss-lint: allow(condvar-wait-in-loop) — fixture: bounded grace period, waking early is safe
-    let _r = self.cv.wait_timeout(g, dur);
-}
-"#;
-    assert_suppressed("crates/serve/src/fixture.rs", src);
-}
-
-#[test]
-fn condvar_wait_clean_in_loop_wait_while_and_child_wait() {
-    let src = r#"
-fn f(&self) {
-    let mut g = lock(&self.state);
-    while !g.ready {
-        g = self.cv.wait(g);
-    }
-}
-
-fn w(&self) {
-    let g = lock(&self.state);
-    let _r = self.cv.wait_while(g, |s| !s.ready);
-}
-
-fn h(child: &mut Child) {
-    let _status = child.wait();
-}
-"#;
-    assert_clean("crates/serve/src/fixture.rs", src);
 }

@@ -114,15 +114,10 @@ impl ShutdownSignal {
     /// the drain starts instead of stalling it for a full interval.
     fn wait_requested_for(&self, timeout: Duration) -> bool {
         let guard = lock(&self.mutex);
-        if self.is_requested() {
-            return true;
-        }
-        // mkss-lint: allow(condvar-wait-in-loop) — bounded doze, not a predicate wait: the caller re-checks is_requested() on return and waking early just re-samples a frame
-        let (guard, _timed_out) = match self.condvar.wait_timeout(guard, timeout) {
-            Ok(pair) => pair,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        drop(guard);
+        drop(
+            self.condvar
+                .wait_timeout_while(guard, timeout, |()| !self.is_requested()),
+        );
         self.is_requested()
     }
 }
@@ -324,13 +319,13 @@ impl Server {
     /// [`Server::shutdown`] is called from another thread via a clone of
     /// the registry — normally the op).
     pub fn wait_for_shutdown(&self) {
-        let mut guard = lock(&self.shared.signal.mutex);
-        while !self.shared.signal.is_requested() {
-            guard = match self.shared.signal.condvar.wait(guard) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        let signal = &self.shared.signal;
+        let guard = lock(&signal.mutex);
+        drop(
+            signal
+                .condvar
+                .wait_while(guard, |()| !signal.is_requested()),
+        );
     }
 
     /// Serve until a client requests shutdown, then stop cleanly and

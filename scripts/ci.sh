@@ -21,45 +21,15 @@ fi
 echo "lockfiles ok (path dependencies only)"
 
 echo "== mkss-lint (project invariants, hard gate) =="
-# Full run emitting the machine-readable report, whose shape is then
-# validated through an independent JSON parser.
-cargo run --release -q -p mkss-lint -- --format json --out lint-report.json
-python3 - lint-report.json <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["version"] == 2, f"unknown report version {doc['version']}"
-assert isinstance(doc["findings"], list), "findings must be a list"
-for f in doc["findings"]:
-    for key in ("path", "line", "code", "rule", "message"):
-        assert key in f, f"finding missing {key}: {f}"
-    assert f["code"].startswith("MKSS-L"), f["code"]
-counts = doc["counts"]
-for key in ("findings", "suppressed", "files"):
-    assert isinstance(counts.get(key), int), f"counts missing {key}"
-assert counts["findings"] == len(doc["findings"])
-assert counts["files"] > 50, f"suspiciously few files linted: {counts['files']}"
-print(f"lint report ok: {counts['findings']} findings, "
-      f"{counts['suppressed']} suppressed, {counts['files']} files")
-PY
-
-echo "== mkss-lint smoke (must reject a known-bad file) =="
-lint_tmp="$(mktemp -d)"
-mkdir -p "$lint_tmp/crates/core/src"
-printf 'pub fn f(a: &mut f64) { *a += 1.5; }\n' \
-    > "$lint_tmp/crates/core/src/bad.rs"
-if cargo run --release -q -p mkss-lint -- --root "$lint_tmp" \
-    "$lint_tmp/crates/core/src/bad.rs" 2>/dev/null; then
-    echo "ERROR: mkss-lint exited 0 on a file with a known violation" >&2
-    rm -rf "$lint_tmp"
-    exit 1
-fi
-rm -rf "$lint_tmp"
-echo "bad-file smoke ok (nonzero exit as expected)"
+# Prints one line per finding and exits nonzero on any. The crate's own
+# tests pin that a known-bad file fails and that the workspace is clean.
+cargo run --release -q -p mkss-lint
 
 echo "== clippy (deny warnings, whole workspace) =="
 # The library crates opt into the `[workspace.lints]` tables (no panics,
 # documented API, closed enums by `#[expect]` only); `clippy.toml` bans
-# nondeterministic collections and clock reads everywhere it lints.
+# nondeterministic collections, clock reads and bare condvar waits
+# everywhere it lints.
 cargo clippy -p mkss-core -p mkss-workload -p mkss-obs -p mkss-bench \
     -p mkss-cli -p mkss-sim -p mkss-policies -p mkss-analysis \
     -p mkss-serve -p mkss-top -p mkss-lint -p mkss --all-targets -- -D warnings
