@@ -31,6 +31,8 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod differential;
 pub mod exact;
 pub mod postpone;
 pub mod rta;

@@ -24,15 +24,20 @@
 //! The same fallback is used when the level-i pattern hyperperiod is too
 //! large to enumerate, which keeps the analysis sound on arbitrary random
 //! task sets.
+//!
+//! Each job's Eq. 4 costs O(i + p log p) for `p` inspecting points: the
+//! deadline's demand is a closed-form count per higher-priority task, and
+//! the other points are sorted and swept in time order with a running
+//! demand. The level-i hyperperiods are one running LCM over the tasks.
 
-use mkss_core::mk::{MkConstraint, Pattern};
-use mkss_core::task::{TaskId, TaskSet};
-use mkss_core::time::Time;
+use mkss_core::mk::Pattern;
+use mkss_core::task::{Task, TaskId, TaskSet};
+use mkss_core::time::{lcm_time, Time};
 use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::fmt;
 
-use crate::rta::{analyze, InterferenceModel};
+use crate::rta::{analyze, InterferenceModel, SchedulabilityReport};
 
 /// Error from the postponement analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,8 +169,32 @@ pub fn postponement_intervals(
     ts: &TaskSet,
     config: PostponeConfig,
 ) -> Result<Postponement, PostponeError> {
-    let model = InterferenceModel::MandatoryOnly(config.pattern);
-    let report = analyze(ts, model);
+    let report = analyze(ts, InterferenceModel::MandatoryOnly(config.pattern));
+    let mut points = Vec::new();
+    postpone_with(ts, config, &report, |job, theta, stop_at| {
+        theta_for_job(ts, job, config.pattern, theta, stop_at, &mut points)
+    })
+}
+
+/// A backup job of τ_i, by task and release `r`, with absolute deadline
+/// `d`.
+#[derive(Clone, Copy)]
+struct Job {
+    task: TaskId,
+    r: Time,
+    d: Time,
+}
+
+/// [`postponement_intervals`] with the promotion floors of `report` and
+/// each job's `θ_ij` (Eq. 4) from `theta_for_job(job, theta, stop_at)`,
+/// given the already-fixed `theta` of the higher-priority tasks; see
+/// [`min_theta_over_jobs`] for `stop_at`.
+fn postpone_with(
+    ts: &TaskSet,
+    config: PostponeConfig,
+    report: &SchedulabilityReport,
+    mut theta_for_job: impl FnMut(Job, &[Time], i128) -> i128,
+) -> Result<Postponement, PostponeError> {
     let mut promotion = Vec::with_capacity(ts.len());
     for id in ts.ids() {
         match report.response_time(id) {
@@ -176,10 +205,11 @@ pub fn postponement_intervals(
 
     let mut theta: Vec<Time> = Vec::with_capacity(ts.len());
     let mut raw_theta: Vec<RawTheta> = Vec::with_capacity(ts.len());
-    let mut rows: Vec<HpRow> = Vec::with_capacity(ts.len());
+    // `ts.hyperperiod_up_to(i)`, one LCM step per task.
+    let mut horizon = Time::from_ticks(1);
 
     for (i, task) in ts.iter() {
-        let horizon = ts.hyperperiod_up_to(i);
+        horizon = lcm_time(horizon, task.pattern_period());
         let jobs_in_horizon = if horizon == Time::MAX {
             u64::MAX
         } else {
@@ -195,9 +225,8 @@ pub fn postponement_intervals(
                 i,
                 config.pattern,
                 jobs_in_horizon,
-                &theta,
                 floor,
-                &mut rows,
+                |job, stop_at| theta_for_job(job, &theta, stop_at),
             ) {
                 // No mandatory job in the horizon (cannot happen for a
                 // valid (m,k) with jobs_in_horizon ≥ k): nothing ran.
@@ -226,24 +255,24 @@ pub fn postponement_intervals(
 }
 
 /// `min_j θ_ij` (Eq. 5) over the mandatory jobs of τ_i in its level-i
-/// pattern hyperperiod, using already-fixed postponements `theta` of the
-/// higher-priority tasks. Returns `None` if τ_i has no mandatory job in
-/// the horizon (cannot happen for valid (m,k) with `jobs_in_horizon ≥ k`).
+/// pattern hyperperiod, each job's `θ_ij` from `theta_for_job(job,
+/// stop_at)`. Returns `None` if τ_i has no mandatory job in the horizon
+/// (cannot happen for valid (m,k) with `jobs_in_horizon ≥ k`).
 ///
 /// Two cutoffs keep the enumeration cheap without changing the effective
-/// θ_i: a job's inspecting-point scan stops once its running max reaches
-/// the minimum so far (a value that can only tie or exceed the min is
-/// interchangeable with the exact θ_ij), and the job loop stops once the
-/// minimum falls strictly below `floor` (θ_i clamps to the promotion time
-/// either way — the caller reports [`RawTheta::BelowFloor`], not a value).
+/// θ_i: a job's inspecting-point scan may stop once its running max
+/// reaches `stop_at`, the minimum so far (a value that can only tie or
+/// exceed the min is interchangeable with the exact θ_ij), and the job
+/// loop stops once the minimum falls strictly below `floor` (θ_i clamps
+/// to the promotion time either way — the caller reports
+/// [`RawTheta::BelowFloor`], not a value).
 fn min_theta_over_jobs(
     ts: &TaskSet,
     i: TaskId,
     pattern: Pattern,
     jobs_in_horizon: u64,
-    theta: &[Time],
     floor: i128,
-    rows: &mut Vec<HpRow>,
+    mut theta_for_job: impl FnMut(Job, i128) -> i128,
 ) -> Option<i128> {
     let task = ts.task(i);
     let mut min_theta: Option<i128> = None;
@@ -252,9 +281,13 @@ fn min_theta_over_jobs(
             continue;
         }
         let r = task.release_of(j);
-        let d = r + task.deadline();
+        let job = Job {
+            task: i,
+            r,
+            d: r + task.deadline(),
+        };
         let stop_at = min_theta.unwrap_or(i128::MAX);
-        let t_ij = theta_for_job(ts, i, pattern, r, d, theta, stop_at, rows);
+        let t_ij = theta_for_job(job, stop_at);
         let new_min = min_theta.map_or(t_ij, |cur| cur.min(t_ij));
         min_theta = Some(new_min);
         if new_min < floor {
@@ -273,117 +306,199 @@ fn jobs_released_before(x: Time, offset: Time, p: Time) -> u64 {
     }
 }
 
-/// Per-higher-priority-task constants of one Eq. 4 evaluation, hoisted
-/// out of the inspecting-point loop: everything here depends only on the
-/// analysed job's release `r`, not on the inspecting point `t̄`.
-#[derive(Clone, Copy)]
-struct HpRow {
-    theta: Time,
-    period: Time,
-    wcet: i128,
-    mk: MkConstraint,
-    /// Jobs `l` with `d_kl ≤ r` — excluded from the interference count.
-    excluded: u64,
-    /// `mandatory_among(excluded)`, the subtrahend of the count.
-    excluded_mandatory: u64,
-}
-
-/// Σ of WCETs of higher-priority backup jobs with `d_kl > r` and
-/// `r̃_kl < t̄` (Eq. 4), plus `c_i`. `d_kl > r` excludes a prefix of jobs,
-/// `r̃_kl < t̄` selects a prefix, so the interfering mandatory jobs are
-/// those with index in (excluded, selected].
-fn demand_at(rows: &[HpRow], pattern: Pattern, c_i: i128, t_bar: Time) -> i128 {
-    let mut demand = c_i;
-    for row in rows {
-        // l with (l−1)P + θ < t̄.
-        let selected = jobs_released_before(t_bar, row.theta, row.period);
-        if selected > row.excluded {
-            let count = pattern.mandatory_among(row.mk, selected) - row.excluded_mandatory;
-            demand += row.wcet * (count as i128);
-        }
+/// Interfering work `c_kl` of the higher-priority backup jobs `l` of τ_k
+/// with `d_kl > r` (Eq. 4), among the mandatory jobs `l ≤ selected`:
+/// `d_kl > r` excludes a prefix of the jobs, so they are those with
+/// index in (excluded, selected].
+fn interfering_mandatory_work(pattern: Pattern, hp: &Task, excluded: u64, selected: u64) -> i128 {
+    if selected <= excluded {
+        return 0;
     }
-    demand
+    let count =
+        pattern.mandatory_among(hp.mk(), selected) - pattern.mandatory_among(hp.mk(), excluded);
+    hp.wcet().ticks() as i128 * count as i128
 }
 
-/// `θ_ij` (Eq. 4) for the backup job of τ_i with release `r` and absolute
-/// deadline `d`.
+/// `θ_ij` (Eq. 4) for `job`, the backup job of τ_i with release `r` and
+/// absolute deadline `d`.
 ///
 /// Both quantifications of Eq. 4 reduce to prefix/suffix ranges of the
 /// higher-priority job index `l` (releases, postponed releases, and
-/// deadlines are all affine in `l`), so the interference sum uses the
-/// closed-form mandatory-job counter instead of enumerating jobs — the
-/// analysis is O(inspecting points × tasks) per job rather than
-/// O(hyperperiod).
+/// deadlines are all affine in `l`), so the interference at the deadline
+/// is a closed-form mandatory-job count per task. The deadline is
+/// evaluated first: it usually dominates, and a value at or above
+/// `stop_at` ends the job (the caller uses θ_ij only through `min`, so any
+/// such value is interchangeable; pass `i128::MAX` for the exact maximum).
 ///
-/// Inspecting points are evaluated as they are generated (the max is
-/// order-independent), and the scan returns early once the running max
-/// reaches `stop_at`: the caller only uses the value through `min`, so
-/// any result ≥ `stop_at` is interchangeable. Pass `i128::MAX` for the
-/// exact maximum. `rows` is a caller-owned scratch buffer, cleared here.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "internal: mirrors Eq. 4's parameter list"
-)]
+/// The other inspecting points, the postponed mandatory releases inside
+/// `(r, d)`, are collected into `points` (a caller-owned scratch buffer,
+/// cleared here) with the work each adds, sorted, and swept in time order
+/// with a running demand: a release counts toward an inspecting point
+/// only if it comes strictly before it. That is O(i + p log p) per job
+/// for p points, where evaluating every point against every
+/// higher-priority task was O(p · i).
 fn theta_for_job(
     ts: &TaskSet,
-    i: TaskId,
+    Job { task: i, r, d }: Job,
     pattern: Pattern,
-    r: Time,
-    d: Time,
     theta: &[Time],
     stop_at: i128,
-    rows: &mut Vec<HpRow>,
+    points: &mut Vec<(Time, i128)>,
 ) -> i128 {
     let r_ticks = r.ticks() as i128;
     let r_next = r + Time::from_ticks(1);
-    rows.clear();
-    for k in ts.ids().take(i.0) {
-        let hp = ts.task(k);
-        // l with (l−1)P + D ≤ r, i.e. (l−1)P + D < r + 1 tick.
-        let excluded = jobs_released_before(r_next, hp.deadline(), hp.period());
-        rows.push(HpRow {
-            theta: theta[k.0],
-            period: hp.period(),
-            wcet: hp.wcet().ticks() as i128,
-            mk: hp.mk(),
-            excluded,
-            excluded_mandatory: pattern.mandatory_among(hp.mk(), excluded),
-        });
-    }
-    let rows: &[HpRow] = rows;
+    let hps = &ts.tasks()[..i.0];
     let c_i = ts.task(i).wcet().ticks() as i128;
+    // Jobs l of τ_k with d_kl ≤ r, i.e. (l−1)P + D < r + 1 tick.
+    let excluded = |hp: &Task| jobs_released_before(r_next, hp.deadline(), hp.period());
 
-    // The absolute deadline is always an inspecting point (Definition 3);
-    // it usually dominates, so evaluating it first lets the `stop_at`
-    // cutoff skip most of the postponed-release points below.
-    let mut best = d.ticks() as i128 - demand_at(rows, pattern, c_i, d) - r_ticks;
+    // The absolute deadline is always an inspecting point (Definition 3).
+    let demand_at_d = hps.iter().zip(theta).fold(c_i, |demand, (hp, &theta_k)| {
+        let selected = jobs_released_before(d, theta_k, hp.period());
+        demand + interfering_mandatory_work(pattern, hp, excluded(hp), selected)
+    });
+    let mut best = d.ticks() as i128 - demand_at_d - r_ticks;
     if best >= stop_at {
         return best;
     }
 
-    // The remaining inspecting points: every postponed higher-priority
-    // mandatory backup release strictly inside (r, d).
-    for (k, row) in ts.ids().take(i.0).zip(rows) {
-        // Jobs with r̃_kl ≤ r form a prefix of length `skip`; scan only
-        // the jobs landing inside (r, d) — at most D_i/P_k + 1 of them.
-        let skip = jobs_released_before(r_next, row.theta, row.period);
+    // Work released at or before r counts at every point in (r, d); the
+    // postponed mandatory releases inside (r, d) are the other points.
+    points.clear();
+    let mut demand = c_i;
+    for (hp, &theta_k) in hps.iter().zip(theta) {
+        let excluded = excluded(hp);
+        let skip = jobs_released_before(r_next, theta_k, hp.period());
+        demand += interfering_mandatory_work(pattern, hp, excluded, skip);
+        let wcet = hp.wcet().ticks() as i128;
         let mut l = skip + 1;
-        let mut postponed = ts.task(k).release_of(l) + row.theta;
+        let mut postponed = hp.release_of(l) + theta_k;
         while postponed < d {
-            debug_assert!(postponed > r);
-            if pattern.is_mandatory(row.mk, l) {
-                let candidate =
-                    postponed.ticks() as i128 - demand_at(rows, pattern, c_i, postponed) - r_ticks;
-                best = best.max(candidate);
-                if best >= stop_at {
-                    return best;
-                }
+            if pattern.is_mandatory(hp.mk(), l) {
+                // θ_k ≤ D_k, so a job released after r has d_kl > r.
+                debug_assert!(l > excluded);
+                points.push((postponed, wcet));
             }
             l += 1;
-            postponed += row.period;
+            postponed += hp.period();
         }
     }
+    points.sort_unstable_by_key(|&(t, _)| t);
+    // Each point is evaluated before its own work is added. Of several
+    // points at one instant only the first sees exactly the work released
+    // strictly before it; the others see more and so score no higher.
+    for &(t_bar, work) in points.iter() {
+        best = best.max(t_bar.ticks() as i128 - demand - r_ticks);
+        if best >= stop_at {
+            return best;
+        }
+        demand += work;
+    }
     best
+}
+
+/// The inspecting-point walk that the time-ordered sweep replaced, kept as
+/// the differential tests' oracle: it re-sums every higher-priority row
+/// at each inspecting point, in generation order, and takes the promotion
+/// floors from the busy-window walk of every task.
+#[cfg(test)]
+pub(crate) mod by_rows {
+    use super::{jobs_released_before, postpone_with, Job, PostponeError, Postponement};
+    use super::{PostponeConfig, Time};
+    use crate::rta::{analyze_by_walk, InterferenceModel};
+    use mkss_core::mk::{MkConstraint, Pattern};
+    use mkss_core::task::TaskSet;
+
+    /// [`super::postponement_intervals`] by the old per-job walk.
+    pub(crate) fn postponement_intervals(
+        ts: &TaskSet,
+        config: PostponeConfig,
+    ) -> Result<Postponement, PostponeError> {
+        let report = analyze_by_walk(ts, InterferenceModel::MandatoryOnly(config.pattern));
+        let mut rows = Vec::new();
+        postpone_with(ts, config, &report, |job, theta, stop_at| {
+            theta_for_job(ts, job, config.pattern, theta, stop_at, &mut rows)
+        })
+    }
+
+    /// Per-higher-priority-task constants of one Eq. 4 evaluation.
+    #[derive(Clone, Copy)]
+    struct HpRow {
+        theta: Time,
+        period: Time,
+        wcet: i128,
+        mk: MkConstraint,
+        /// Jobs `l` with `d_kl ≤ r` — excluded from the interference count.
+        excluded: u64,
+        /// `mandatory_among(excluded)`, the subtrahend of the count.
+        excluded_mandatory: u64,
+    }
+
+    /// Σ of WCETs of higher-priority backup jobs with `d_kl > r` and
+    /// `r̃_kl < t̄` (Eq. 4), plus `c_i`.
+    fn demand_at(rows: &[HpRow], pattern: Pattern, c_i: i128, t_bar: Time) -> i128 {
+        let mut demand = c_i;
+        for row in rows {
+            let selected = jobs_released_before(t_bar, row.theta, row.period);
+            if selected > row.excluded {
+                let count = pattern.mandatory_among(row.mk, selected) - row.excluded_mandatory;
+                demand += row.wcet * (count as i128);
+            }
+        }
+        demand
+    }
+
+    /// `θ_ij` (Eq. 4), every inspecting point summed over every row.
+    fn theta_for_job(
+        ts: &TaskSet,
+        Job { task: i, r, d }: Job,
+        pattern: Pattern,
+        theta: &[Time],
+        stop_at: i128,
+        rows: &mut Vec<HpRow>,
+    ) -> i128 {
+        let r_ticks = r.ticks() as i128;
+        let r_next = r + Time::from_ticks(1);
+        rows.clear();
+        for k in ts.ids().take(i.0) {
+            let hp = ts.task(k);
+            let excluded = jobs_released_before(r_next, hp.deadline(), hp.period());
+            rows.push(HpRow {
+                theta: theta[k.0],
+                period: hp.period(),
+                wcet: hp.wcet().ticks() as i128,
+                mk: hp.mk(),
+                excluded,
+                excluded_mandatory: pattern.mandatory_among(hp.mk(), excluded),
+            });
+        }
+        let rows: &[HpRow] = rows;
+        let c_i = ts.task(i).wcet().ticks() as i128;
+
+        let mut best = d.ticks() as i128 - demand_at(rows, pattern, c_i, d) - r_ticks;
+        if best >= stop_at {
+            return best;
+        }
+        for (k, row) in ts.ids().take(i.0).zip(rows) {
+            let skip = jobs_released_before(r_next, row.theta, row.period);
+            let mut l = skip + 1;
+            let mut postponed = ts.task(k).release_of(l) + row.theta;
+            while postponed < d {
+                if pattern.is_mandatory(row.mk, l) {
+                    let candidate = postponed.ticks() as i128
+                        - demand_at(rows, pattern, c_i, postponed)
+                        - r_ticks;
+                    best = best.max(candidate);
+                    if best >= stop_at {
+                        return best;
+                    }
+                }
+                l += 1;
+                postponed += row.period;
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]

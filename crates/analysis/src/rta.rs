@@ -12,14 +12,19 @@
 //!   instant (this is exactly the "shift left" argument in the proof of
 //!   the paper's Theorem 1).
 //!
-//! Because the analysis for (m,k) patterns must consider *every* mandatory
-//! job inside the level-i busy window (not just the first), the
-//! schedulability test walks the busy window job by job.
+//! The analysis for (m,k) patterns must consider *every* mandatory job
+//! inside the level-i busy window, not just the first. With `Dᵢ ≤ Pᵢ` (every
+//! validated task) a first job that counts and meets its deadline closes
+//! the window before the second release, so one fixed point per task
+//! decides the test. Only a task read without validation (`D > P`, or
+//! `m = 0` making the first job optional) walks the busy window job by
+//! job, with the set's hyperperiod as its cut-off.
 
 use mkss_core::mk::Pattern;
 use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 
 /// Which releases of higher-priority tasks are counted as interference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,8 +73,8 @@ fn interfering_work(tasks: &[Task], model: InterferenceModel, t: Time) -> Option
 
 /// Worst-case response time of the **first** job of `task_id` released at
 /// the synchronous critical instant, under the given interference model,
-/// or `None` if the fixed point exceeds the deadline-search horizon (the
-/// task is then unschedulable).
+/// or `None` if it exceeds the task's deadline (the task is then
+/// unschedulable).
 ///
 /// The fixed point is the classic
 /// `R = C_i + Σ_{j<i} N_j(R)·C_j`
@@ -97,8 +102,7 @@ fn interfering_work(tasks: &[Task], model: InterferenceModel, t: Time) -> Option
 /// # }
 /// ```
 pub fn response_time(ts: &TaskSet, task_id: TaskId, model: InterferenceModel) -> Option<Time> {
-    let task = ts.task(task_id);
-    response_time_at(up_to(ts, task_id), model, task.wcet(), task.deadline())
+    first_job_response(up_to(ts, task_id), model)
 }
 
 /// The tasks of `ts` from the highest priority down to `task_id`: the
@@ -193,12 +197,12 @@ impl SchedulabilityReport {
 /// # }
 /// ```
 pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
-    let hyperperiod = ts.hyperperiod();
+    let hyperperiod = OnceCell::new();
     let tasks = ts
         .ids()
         .map(|id| TaskResponse {
             task: id,
-            response_time: busy_window_response(ts, id, model, hyperperiod),
+            response_time: busy_window_response(ts, id, model, &hyperperiod),
         })
         .collect();
     SchedulabilityReport { model, tasks }
@@ -207,33 +211,14 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// Is `ts` schedulable under the deeply-red pattern (the premise of
 /// Theorem 1)?
 ///
-/// Verdict-only, in two passes, and always equal to
+/// Verdict-only, and always equal to
 /// `analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()`:
-///
-/// 1. From the lowest-priority task to the highest, solve the response
-///    time of each task's *first* job (the fixed point of
-///    [`response_time`]) and return `false` at the first miss.
-/// 2. Only then compute the hyperperiod and walk the per-task busy
-///    windows as [`analyze`] does, in priority order, stopping at the
-///    first task that misses and building no report.
-///
-/// Pass 1 cannot reject a set that [`analyze`] accepts. For every task
-/// whose job 1 is mandatory, the busy-window walk checks that job with
-/// exactly the pass-1 fixed point (own demand `Cᵢ`, search horizon `Dᵢ`),
-/// and pass 1 tests only those tasks. A validated constraint has
-/// `1 ≤ m < k`, so under the deeply-red pattern that is every task; only
-/// a deserialized constraint with `m = 0` makes job 1 optional.
-///
-/// Pass 1 is much cheaper than the walk. A generator rejection (the
-/// common case when the workload generator fills high-utilization
-/// buckets) almost always fails the lowest-priority task's first job,
-/// which pass 1 tries first, so it walks no higher-priority busy window
-/// and computes no hyperperiod. When every task has `D ≤ P` (as the
-/// validating constructors ensure), pass 2 never rejects a set that
-/// passes pass 1: a level-i busy window whose first job meets closes at
-/// that job's finish, before the second release. Pass 2 keeps the verdict
-/// exact for sets read without that check, such as a deserialized task
-/// with `D > P`.
+/// it runs the same per-task busy-window test, from the lowest-priority
+/// task to the highest, and stops at the first task that misses without
+/// building a report. A generator rejection (the common case when the
+/// workload generator fills high-utilization buckets) almost always fails
+/// the lowest-priority task's first job, so it solves one fixed point and
+/// computes no hyperperiod.
 ///
 /// ```
 /// use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
@@ -252,23 +237,17 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// # }
 /// ```
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
-    let tasks = ts.tasks();
-    if !(1..=tasks.len())
-        .rev()
-        .all(|n| first_job_meets(&tasks[..n]))
-    {
-        return false;
-    }
     let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
-    let hyperperiod = ts.hyperperiod();
-    ts.ids()
-        .all(|id| busy_window_response(ts, id, model, hyperperiod).is_some())
+    let hyperperiod = OnceCell::new();
+    (0..ts.len())
+        .rev()
+        .all(|i| busy_window_response(ts, TaskId(i), model, &hyperperiod).is_some())
 }
 
-/// Pass 1 of [`is_schedulable_r_pattern`] for one task: whether the
-/// **last** task of `tasks` meets its first job's deadline at the
-/// synchronous release under the deeply-red pattern, with every other
-/// task of `tasks` interfering (or whether that job is optional). The
+/// Whether the **last** task of `tasks` meets its first job's deadline
+/// at the synchronous release under the deeply-red pattern, with every
+/// other task of `tasks` interfering (or whether that job is optional):
+/// the first step of [`is_schedulable_r_pattern`] for one task. The
 /// others may come in any order, so a caller can test the task it will
 /// sort last before it sorts: the workload generator rejects most draws
 /// this way without building a [`TaskSet`].
@@ -287,31 +266,62 @@ pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
 /// # }
 /// ```
 pub fn first_job_meets(tasks: &[Task]) -> bool {
-    let Some(task) = tasks.last() else {
-        return true;
-    };
-    !Pattern::DeeplyRed.is_mandatory(task.mk(), 1)
-        || response_time_at(
-            tasks,
-            InterferenceModel::MandatoryOnly(Pattern::DeeplyRed),
-            task.wcet(),
-            task.deadline(),
-        )
-        .is_some()
+    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    tasks
+        .last()
+        .is_none_or(|task| !counts(model, task, 1) || first_job_response(tasks, model).is_some())
 }
 
-/// Walks the level-i busy window started at the synchronous release and
-/// returns the worst response time over all own (interfering) jobs in it,
-/// or `None` on a deadline miss. `hyperperiod` is `ts.hyperperiod()`,
-/// computed once per set by the caller.
+/// Response time of the first job of the last task of `tasks` at the
+/// synchronous release, or `None` if it misses its deadline.
+fn first_job_response(tasks: &[Task], model: InterferenceModel) -> Option<Time> {
+    let task = tasks.last()?;
+    response_time_at(tasks, model, task.wcet(), task.deadline()).filter(|&r| r <= task.deadline())
+}
+
+/// The worst response time over all own (interfering) jobs in the
+/// level-i busy window started at the synchronous release, or `None` on a
+/// deadline miss.
+///
+/// The first job's fixed point decides most tasks alone. When that job
+/// counts and misses, the task misses. When it counts, meets and
+/// `Dᵢ ≤ Pᵢ`, its response `R₁ ≤ Pᵢ` is also the length of the busy
+/// window (up to `R₁` the busy-window equation and the first job's agree,
+/// as no second own job is released yet), so no later job is in it.
+/// Only a task with `Dᵢ > Pᵢ` or an optional first job (`m = 0`), which
+/// only sets read without validation have, walks the whole window.
+/// `hyperperiod` caches `ts.hyperperiod()`, the walk's cut-off, for the
+/// caller's set.
 fn busy_window_response(
     ts: &TaskSet,
     task_id: TaskId,
     model: InterferenceModel,
-    hyperperiod: Time,
+    hyperperiod: &OnceCell<Time>,
 ) -> Option<Time> {
     let task = ts.task(task_id);
     let tasks = up_to(ts, task_id);
+    if counts(model, task, 1) {
+        let first = first_job_response(tasks, model)?;
+        if task.deadline() <= task.period() {
+            return Some(first);
+        }
+    }
+    busy_window_walk(tasks, model, *hyperperiod.get_or_init(|| ts.hyperperiod()))
+}
+
+/// Whether the `job_number`-th (1-based) job of `task` interferes under
+/// `model`.
+fn counts(model: InterferenceModel, task: &Task, job_number: u64) -> bool {
+    match model {
+        InterferenceModel::AllJobs => true,
+        InterferenceModel::MandatoryOnly(p) => p.is_mandatory(task.mk(), job_number),
+    }
+}
+
+/// [`busy_window_response`] by walking every own job of the busy window
+/// of the last task of `tasks`, cut off at `hyperperiod`.
+fn busy_window_walk(tasks: &[Task], model: InterferenceModel, hyperperiod: Time) -> Option<Time> {
+    let task = tasks.last()?;
     // Length of the level-i busy window: L = Σ_{j<=i} N_j(L)·C_j.
     let busy_len = {
         let mut l = task.wcet();
@@ -343,12 +353,7 @@ fn busy_window_response(
         if release >= busy_len && release_index > 0 {
             break;
         }
-        let job_number = release_index + 1;
-        let counts = match model {
-            InterferenceModel::AllJobs => true,
-            InterferenceModel::MandatoryOnly(p) => p.is_mandatory(task.mk(), job_number),
-        };
-        if counts {
+        if counts(model, task, release_index + 1) {
             own_demand += task.wcet();
             // Finish time of this job: all own mandatory work up to and
             // including it, plus higher-priority interference.
@@ -373,6 +378,21 @@ fn busy_window_response(
         }
     }
     Some(worst)
+}
+
+/// [`analyze`] by the busy-window walk of every task, with no first-job
+/// shortcut: the differential tests' oracle.
+#[cfg(test)]
+pub(crate) fn analyze_by_walk(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
+    let hyperperiod = ts.hyperperiod();
+    let tasks = ts
+        .ids()
+        .map(|id| TaskResponse {
+            task: id,
+            response_time: busy_window_walk(up_to(ts, id), model, hyperperiod),
+        })
+        .collect();
+    SchedulabilityReport { model, tasks }
 }
 
 /// Promotion time `Y_i = D_i − R_i` (Eq. 2) for every task, or `None` if

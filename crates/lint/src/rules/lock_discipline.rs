@@ -311,6 +311,45 @@ fn key_of(segs: Vec<&str>) -> String {
     take.into_iter().rev().collect::<Vec<_>>().join(".")
 }
 
+/// Index of the token after the group opened at `open` (a `(`), or the
+/// end of the file when it never closes.
+fn after_group(ctx: &FileCtx<'_>, open: usize) -> usize {
+    let mut depth = 0usize;
+    for j in open..ctx.toks.len() {
+        if ctx.tok(j).is_punct('(') {
+            depth += 1;
+        } else if ctx.tok(j).is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+    }
+    ctx.toks.len()
+}
+
+/// Whether the acquisition call at token `i` (`lock` in `m.lock()` or
+/// `lock(&m)`) is the whole rest of a `let` initializer or of the
+/// scrutinee of its `match`, optionally through `.unwrap()`,
+/// `.expect(..)`, `.unwrap_or_else(..)` or `?`: the guard is then what
+/// the `let` binds (`match m.lock() { Ok(g) => g, .. }` hands it on).
+fn ends_initializer(ctx: &FileCtx<'_>, i: usize) -> bool {
+    let mut j = after_group(ctx, i + 1);
+    loop {
+        if ctx.tok(j).is_punct('?') {
+            j += 1;
+        } else if ctx.tok(j).is_punct('.')
+            && matches!(ctx.tok(j + 1).text, "unwrap" | "expect" | "unwrap_or_else")
+            && ctx.tok(j + 2).is_punct('(')
+        {
+            j = after_group(ctx, j + 2);
+        } else {
+            let end = ctx.tok(j);
+            return end.is_punct(';') || end.is_punct('{') || end.is_ident("else");
+        }
+    }
+}
+
 /// Classifies how the guard acquired at token `i` is bound.
 fn bind_guard(
     ctx: &FileCtx<'_>,
@@ -331,8 +370,11 @@ fn bind_guard(
             break;
         }
     }
-    // `let [mut] name = …lock…` binds to the enclosing block.
-    if ctx.tok(stmt_start).is_ident("let") {
+    // `let [mut] name = …lock…` binds to the enclosing block, but only
+    // when the acquisition ends the initializer (or its `match`
+    // scrutinee): in `let n = lock(&m).len();` the chain consumes the
+    // guard, a temporary.
+    if ctx.tok(stmt_start).is_ident("let") && ends_initializer(ctx, i) {
         let mut n = stmt_start + 1;
         if ctx.tok(n).is_ident("mut") {
             n += 1;

@@ -308,6 +308,27 @@ fn f(&self) {
 }
 
 #[test]
+fn lock_discipline_fires_on_a_let_bound_guard_across_join() {
+    for acquire in ["lock(&self.a)", "self.a.lock().unwrap()"] {
+        let src = format!("\nfn f(&self, h: Handle) {{\n    let g = {acquire};\n    h.join();\n    drop(g);\n}}\n");
+        assert_fires("crates/serve/src/fixture.rs", &src, "lock-discipline", 1);
+    }
+}
+
+#[test]
+fn lock_discipline_clean_when_a_let_initializer_consumes_its_guard() {
+    // The chain after the acquisition consumes the guard, a temporary
+    // that dies at the `;`: only the chain's result is bound.
+    for chain in [
+        "let handlers: Vec<_> = lock(&self.shared.handlers).drain(..).collect();",
+        "let n = self.shared.handlers.lock().unwrap().len();",
+    ] {
+        let src = format!("\nfn f(&self) {{\n    {chain}\n    for h in handlers {{\n        h.join();\n    }}\n}}\n");
+        assert_clean("crates/serve/src/fixture.rs", &src);
+    }
+}
+
+#[test]
 fn lock_discipline_fires_on_double_acquisition() {
     let src = r#"
 fn f(&self) {

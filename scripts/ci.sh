@@ -71,6 +71,28 @@ assert c["faults_injected"] == c["transient_faults"] + c["permanent_faults"], \
 print("metrics document ok:", ", ".join(sorted(doc)))
 PY
 
+echo "== policy build-cost smoke (1 024 tasks, every paper policy) =="
+# The 1 024-task set of tests/large_task_sets.rs (periods 10-50 ms, each
+# task 0.4/n of the (m,k)-utilization). Building a policy runs its offline
+# analyses (RTA, and θ for selective); a simulate with a 1 ms horizon is
+# almost nothing else. Each must finish within 2 s: on a 2-vCPU shared
+# VM they take 4 ms (st), 16 ms (dp) and 63 ms (selective), while a θ
+# analysis that re-sums every higher-priority task at every inspecting
+# point took 2.9-4.5 s for selective.
+python3 -c 'import json; n = 1024; P = [10, 20, 40, 50]; MK = [(2, 3), (3, 4), (1, 2), (3, 5)]
+print(json.dumps({"tasks": [{"period_ms": P[i * 4 // n], "m": MK[i % 4][0], "k": MK[i % 4][1],
+    "wcet_ms": max(int(0.4 / n * MK[i % 4][1] / MK[i % 4][0] * (P[i * 4 // n] * 1000)), 1) / 1000}
+    for i in range(n)]}))' > "$tmpdir/large.json"
+cargo build --release -q -p mkss-cli
+for policy in st dp selective; do
+    timeout 2 cargo run --release -q -p mkss-cli -- simulate "$tmpdir/large.json" \
+        --policy "$policy" --horizon-ms 1 > /dev/null || {
+        echo "ERROR: building $policy for 1 024 tasks failed or took over 2 s" >&2
+        exit 1
+    }
+done
+echo "build-cost smoke ok (st, dp and selective on 1 024 tasks)"
+
 echo "== examples run (each example exits 0) =="
 # Run from the temp dir, so nothing an example writes lands in the
 # checkout.

@@ -1,13 +1,14 @@
 //! Differential test of the verdict-only R-pattern test against the full
 //! busy-window report.
 //!
-//! `is_schedulable_r_pattern` first solves every task's first-job
-//! response time (lowest priority first) and only then walks the busy
-//! windows; `analyze` walks every window. The two must agree on a fixed
-//! corpus of generator draws across nine 0.1-wide buckets, and on
-//! hand-built sets that each exercise one exit of the two-pass verdict.
-//! On the corpus, the generator's pre-test (`first_job_meets` on an
-//! unsorted copy) must also decide as pass 1 does.
+//! `is_schedulable_r_pattern` tests the tasks from the lowest priority up
+//! and stops at the first miss; `analyze` reports every task. Both decide
+//! a task by its first job's fixed point when that job is mandatory and
+//! `D ≤ P`, and walk its busy window otherwise. They must agree on a
+//! fixed corpus of generator draws across nine 0.1-wide buckets, and on
+//! hand-built sets that each exercise one exit of the verdict. On the
+//! corpus, the generator's pre-test (`first_job_meets` on an unsorted
+//! copy) must also decide as the lowest-priority task's test does.
 
 use mkss::analysis::rta::first_job_meets;
 use mkss::prelude::*;
@@ -64,8 +65,9 @@ fn verdict_matches_full_report_on_a_fixed_corpus() {
             // release: the first-job pass alone decides the verdict.
             assert_eq!(verdict, first_jobs_meet(&ts), "bucket {lo:.1}: {ts:?}");
             // The generator's pre-test: the slice-level first-job test on
-            // the unsorted draw, lowest-priority task last, decides as
-            // pass 1 does for that task and never rejects an accepted set.
+            // the unsorted draw, lowest-priority task last, decides as the
+            // first-job fixed point of that task and never rejects an
+            // accepted set.
             let lowest = TaskId(ts.len() - 1);
             let pre_test = first_job_meets(&unsorted_with_last(&ts, lowest));
             assert_eq!(
