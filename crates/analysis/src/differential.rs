@@ -9,42 +9,28 @@
 
 use crate::postpone::{by_rows, postponement_intervals, PostponeConfig};
 use crate::rta::{analyze, analyze_by_walk, is_schedulable_r_pattern, InterferenceModel};
-use mkss_core::mk::Pattern;
 use mkss_core::task::{Task, TaskSet};
 use mkss_core::time::Time;
 use mkss_workload::{Generator, WorkloadConfig};
 use proptest::prelude::*;
 use serde::{Deserialize, Number, Value};
 
-const DEEPLY_RED: InterferenceModel = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
-
-/// Asserts that every analysis of `ts` under each of `patterns` agrees
-/// with its oracle.
-fn assert_matches_oracles(ts: &TaskSet, patterns: &[Pattern]) {
-    let models = std::iter::once(InterferenceModel::AllJobs).chain(
-        patterns
-            .iter()
-            .map(|&p| InterferenceModel::MandatoryOnly(p)),
-    );
-    for model in models {
+/// Asserts that every analysis of `ts` agrees with its oracle.
+fn assert_matches_oracles(ts: &TaskSet) {
+    for model in [InterferenceModel::AllJobs, InterferenceModel::MandatoryOnly] {
         assert_eq!(analyze(ts, model), analyze_by_walk(ts, model), "{ts:?}");
     }
     assert_eq!(
         is_schedulable_r_pattern(ts),
-        analyze_by_walk(ts, DEEPLY_RED).schedulable(),
+        analyze_by_walk(ts, InterferenceModel::MandatoryOnly).schedulable(),
         "{ts:?}"
     );
-    for &pattern in patterns {
-        let config = PostponeConfig {
-            pattern,
-            ..PostponeConfig::default()
-        };
-        assert_eq!(
-            postponement_intervals(ts, config),
-            by_rows::postponement_intervals(ts, config),
-            "{pattern:?}: {ts:?}"
-        );
-    }
+    let config = PostponeConfig::default();
+    assert_eq!(
+        postponement_intervals(ts, config),
+        by_rows::postponement_intervals(ts, config),
+        "{ts:?}"
+    );
 }
 
 /// `ts` with each task's deadline cut to `C + (P − C)·q/4`, `q` cycling
@@ -60,7 +46,7 @@ fn constrained(ts: &TaskSet, phase: usize) -> TaskSet {
 }
 
 /// A task set read through serde, which (unlike the constructors) checks
-/// neither `D ≤ P` nor `1 ≤ m < k`. Times are in ticks; `(P, D, C, m, k)`
+/// neither `D ≤ P` nor `m ≥ 1`. Times are in ticks; `(P, D, C, m, k)`
 /// per task.
 fn unchecked_set(spec: &[(u64, u64, u64, u32, u32)]) -> TaskSet {
     let int = |n: u64| Value::Number(Number::U64(n));
@@ -109,9 +95,8 @@ proptest! {
         let mut generator = Generator::new(WorkloadConfig::paper(), seed);
         for _ in 0..4 {
             if let Some(ts) = generator.raw_set_in(lo, lo + 0.1) {
-                let both = [Pattern::DeeplyRed, Pattern::EvenlyDistributed];
-                assert_matches_oracles(&ts, &both);
-                assert_matches_oracles(&constrained(&ts, phase), &both);
+                assert_matches_oracles(&ts);
+                assert_matches_oracles(&constrained(&ts, phase));
             }
         }
     }
@@ -124,8 +109,7 @@ proptest! {
     fn small_sets_match_the_oracles(draws in proptest::collection::vec(any::<u64>(), 1..5)) {
         // Per task, from one draw: P ∈ [2, 22), C ∈ [1, P] and k ∈ [2, 6).
         // The validated set takes D ∈ [C, P] and m ∈ [1, k); the unchecked
-        // one D ∈ [1, 2P] and m ∈ [0, k). m = 0 leaves a task no mandatory
-        // job, which the evenly distributed pattern does not define.
+        // one D ∈ [1, 2P] and m ∈ [0, k).
         let (mut valid, mut unchecked) = (Vec::new(), Vec::new());
         for &x in &draws {
             let p = 2 + x % 20;
@@ -136,9 +120,8 @@ proptest! {
             let d = 1 + (x >> 16) % (2 * p);
             unchecked.push((p, d, c, ((x >> 40) % k) as u32, k as u32));
         }
-        let both = [Pattern::DeeplyRed, Pattern::EvenlyDistributed];
-        assert_matches_oracles(&unchecked_set(&valid), &both);
-        assert_matches_oracles(&unchecked_set(&unchecked), &[Pattern::DeeplyRed]);
+        assert_matches_oracles(&unchecked_set(&valid));
+        assert_matches_oracles(&unchecked_set(&unchecked));
     }
 }
 
@@ -156,7 +139,7 @@ fn hand_built_sets_match_the_oracles() {
         &[(2, 2, 2, 1, 2), (4, 4, 3, 0, 2)],
         &[(4, 6, 1, 1, 2), (5, 9, 2, 2, 3), (7, 7, 1, 0, 3)],
     ] {
-        assert_matches_oracles(&unchecked_set(spec), &[Pattern::DeeplyRed]);
+        assert_matches_oracles(&unchecked_set(spec));
     }
 }
 
@@ -165,7 +148,7 @@ fn large_sets_match_the_oracles() {
     for n in [70, 1024] {
         let ts = large_set(n);
         assert!(is_schedulable_r_pattern(&ts), "{n} tasks");
-        assert_matches_oracles(&ts, &[Pattern::DeeplyRed]);
-        assert_matches_oracles(&constrained(&ts, 0), &[Pattern::DeeplyRed]);
+        assert_matches_oracles(&ts);
+        assert_matches_oracles(&constrained(&ts, 0));
     }
 }

@@ -8,12 +8,7 @@
 //! fixed-priority preemptive schedule of the mandatory jobs over (a
 //! bounded prefix of) the pattern hyperperiod and reports the worst
 //! observed response time per task.
-//!
-//! It doubles as the exact test for patterns whose critical instant is
-//! not the synchronous release (e.g. the evenly-distributed pattern,
-//! where the RTA's first-window interference count is only a heuristic).
 
-use mkss_core::mk::Pattern;
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
@@ -62,14 +57,14 @@ impl ExactReport {
 ///     Task::from_ms(10, 10, 3, 2, 3)?,
 ///     Task::from_ms(15, 15, 8, 1, 2)?,
 /// ])?;
-/// let report = exact_sweep(&ts, Pattern::DeeplyRed, Time::from_ms(10_000));
+/// let report = exact_sweep(&ts, Time::from_ms(10_000));
 /// assert!(report.schedulable());
 /// // τ2's first job finishes at 14: response 14 ms (matches the RTA).
 /// assert_eq!(report.worst_response[1], Some(Time::from_ms(14)));
 /// # Ok(())
 /// # }
 /// ```
-pub fn exact_sweep(ts: &TaskSet, pattern: Pattern, cap: Time) -> ExactReport {
+pub fn exact_sweep(ts: &TaskSet, cap: Time) -> ExactReport {
     let horizon = ts.hyperperiod().min(cap);
     let covers_hyperperiod = horizon == ts.hyperperiod();
     let n = ts.len();
@@ -96,7 +91,7 @@ pub fn exact_sweep(ts: &TaskSet, pattern: Pattern, cap: Time) -> ExactReport {
             if release >= horizon {
                 return None;
             }
-            if pattern.is_mandatory(t.mk(), j) {
+            if t.mk().is_mandatory(j) {
                 return Some(release);
             }
             next_index[task] += 1;
@@ -193,15 +188,15 @@ mod tests {
     #[test]
     fn single_task_response_is_wcet() {
         let ts = set(&[(10, 10, 3, 1, 2)]);
-        let report = exact_sweep(&ts, Pattern::DeeplyRed, Time::from_ms(1_000));
+        let report = exact_sweep(&ts, Time::from_ms(1_000));
         assert_eq!(report.worst_response, vec![Some(Time::from_ms(3))]);
     }
 
     #[test]
     fn fig5_set_matches_rta() {
         let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
-        let exact = exact_sweep(&ts, Pattern::DeeplyRed, Time::from_ms(100_000));
-        let rta = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+        let exact = exact_sweep(&ts, Time::from_ms(100_000));
+        let rta = analyze(&ts, InterferenceModel::MandatoryOnly);
         assert!(exact.schedulable());
         for (id, _) in ts.iter() {
             assert_eq!(exact.worst_response[id.0], rta.response_time(id));
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn unschedulable_detected() {
         let ts = set(&[(4, 4, 3, 2, 3), (6, 6, 3, 2, 3)]);
-        let report = exact_sweep(&ts, Pattern::DeeplyRed, Time::from_ms(10_000));
+        let report = exact_sweep(&ts, Time::from_ms(10_000));
         assert!(!report.schedulable());
         assert!(report.worst_response[0].is_some());
         assert!(report.worst_response[1].is_none());
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn horizon_cap_respected() {
         let ts = set(&[(7, 7, 2, 1, 5), (11, 11, 3, 2, 3)]);
-        let report = exact_sweep(&ts, Pattern::DeeplyRed, Time::from_ms(50));
+        let report = exact_sweep(&ts, Time::from_ms(50));
         assert!(report.horizon <= Time::from_ms(50));
     }
 
@@ -249,8 +244,8 @@ mod tests {
             };
             let hyper = ts.hyperperiod();
             prop_assume!(hyper <= Time::from_ms(100_000));
-            let exact = exact_sweep(&ts, Pattern::DeeplyRed, hyper);
-            let rta = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+            let exact = exact_sweep(&ts, hyper);
+            let rta = analyze(&ts, InterferenceModel::MandatoryOnly);
             prop_assert_eq!(exact.schedulable(), rta.schedulable());
             if rta.schedulable() {
                 for (id, _) in ts.iter() {
@@ -261,24 +256,6 @@ mod tests {
                     );
                 }
             }
-        }
-
-        /// The E-pattern sweep is bounded by the (heuristic) RTA result
-        /// whenever the RTA claims schedulability with margin.
-        #[test]
-        fn e_pattern_sweep_runs(seed in 0u64..3_000) {
-            use mkss_workload::{Generator, WorkloadConfig};
-            let config = WorkloadConfig {
-                tasks_min: 2,
-                tasks_max: 3,
-                period_ms: (4, 10),
-                k_range: (2, 4),
-                ..WorkloadConfig::paper()
-            };
-            let Some(ts) = Generator::new(config, seed).raw_set(0.3) else { return Ok(()); };
-            prop_assume!(ts.hyperperiod() <= Time::from_ms(100_000));
-            let report = exact_sweep(&ts, Pattern::EvenlyDistributed, ts.hyperperiod());
-            prop_assert_eq!(report.worst_response.len(), ts.len());
         }
     }
 }

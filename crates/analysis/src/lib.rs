@@ -8,8 +8,8 @@
 //!   the dual-priority *promotion times* `Y_i = D_i − R_i` of Eq. (2);
 //! * [`postpone`] — the backup *release postponement intervals* `θ_i` of
 //!   Definitions 2–5 (Eqs. 3–5), which let the spare processor start
-//!   backup jobs as late as provably safe so that completed main jobs can
-//!   cancel them before they consume energy.
+//!   backup jobs as late as provably safe on the static R-pattern, so
+//!   that completed main jobs can cancel them before they consume energy.
 //!
 //! ## Example
 //!

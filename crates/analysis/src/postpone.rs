@@ -25,12 +25,17 @@
 //! large to enumerate, which keeps the analysis sound on arbitrary random
 //! task sets.
 //!
+//! θ is exact only for the R-pattern's job positions. It serves
+//! `MKSS_DP_theta`, whose static pattern keeps them, and the Fig. 5
+//! worked example. The selective scheme backs up with `Y_i` instead: its
+//! dynamic pattern moves mandatory jobs, and a θ-delayed backup then
+//! misses after a permanent fault (DESIGN §7).
+//!
 //! Each job's Eq. 4 costs O(i + p log p) for `p` inspecting points: the
 //! deadline's demand is a closed-form count per higher-priority task, and
 //! the other points are sorted and swept in time order with a running
 //! demand. The level-i hyperperiods are one running LCM over the tasks.
 
-use mkss_core::mk::Pattern;
 use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::{lcm_time, Time};
 use serde::{Deserialize, Serialize};
@@ -63,11 +68,10 @@ impl fmt::Display for PostponeError {
 
 impl StdError for PostponeError {}
 
-/// Configuration for [`postponement_intervals`].
+/// Configuration for [`postponement_intervals`]. The deeply-red pattern
+/// defines which jobs have backups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PostponeConfig {
-    /// Static pattern defining which jobs have backups.
-    pub pattern: Pattern,
     /// If the level-i pattern hyperperiod contains more than this many
     /// jobs of τ_i, skip the inspecting-point analysis for τ_i and use the
     /// promotion time `Y_i` (sound, merely less aggressive).
@@ -77,7 +81,6 @@ pub struct PostponeConfig {
 impl Default for PostponeConfig {
     fn default() -> Self {
         PostponeConfig {
-            pattern: Pattern::DeeplyRed,
             max_jobs_per_task: 2_000,
         }
     }
@@ -119,7 +122,7 @@ pub struct Postponement {
     /// promotion-time fallback), in priority order.
     pub theta: Vec<Time>,
     /// Per-task promotion times `Y_i` (Eq. 2) under mandatory-only
-    /// interference, for reference and ablations.
+    /// interference, for reference.
     pub promotion: Vec<Time>,
     /// Per-task raw inspecting-point results before the fallback.
     pub raw_theta: Vec<RawTheta>,
@@ -169,10 +172,10 @@ pub fn postponement_intervals(
     ts: &TaskSet,
     config: PostponeConfig,
 ) -> Result<Postponement, PostponeError> {
-    let report = analyze(ts, InterferenceModel::MandatoryOnly(config.pattern));
+    let report = analyze(ts, InterferenceModel::MandatoryOnly);
     let mut points = Vec::new();
     postpone_with(ts, config, &report, |job, theta, stop_at| {
-        theta_for_job(ts, job, config.pattern, theta, stop_at, &mut points)
+        theta_for_job(ts, job, theta, stop_at, &mut points)
     })
 }
 
@@ -220,14 +223,9 @@ fn postpone_with(
         let raw = if jobs_in_horizon > config.max_jobs_per_task {
             RawTheta::NotEnumerated
         } else {
-            match min_theta_over_jobs(
-                ts,
-                i,
-                config.pattern,
-                jobs_in_horizon,
-                floor,
-                |job, stop_at| theta_for_job(job, &theta, stop_at),
-            ) {
+            match min_theta_over_jobs(ts, i, jobs_in_horizon, floor, |job, stop_at| {
+                theta_for_job(job, &theta, stop_at)
+            }) {
                 // No mandatory job in the horizon (cannot happen for a
                 // valid (m,k) with jobs_in_horizon ≥ k): nothing ran.
                 None => RawTheta::NotEnumerated,
@@ -269,7 +267,6 @@ fn postpone_with(
 fn min_theta_over_jobs(
     ts: &TaskSet,
     i: TaskId,
-    pattern: Pattern,
     jobs_in_horizon: u64,
     floor: i128,
     mut theta_for_job: impl FnMut(Job, i128) -> i128,
@@ -277,7 +274,7 @@ fn min_theta_over_jobs(
     let task = ts.task(i);
     let mut min_theta: Option<i128> = None;
     for j in 1..=jobs_in_horizon {
-        if !pattern.is_mandatory(task.mk(), j) {
+        if !task.mk().is_mandatory(j) {
             continue;
         }
         let r = task.release_of(j);
@@ -310,12 +307,11 @@ fn jobs_released_before(x: Time, offset: Time, p: Time) -> u64 {
 /// with `d_kl > r` (Eq. 4), among the mandatory jobs `l ≤ selected`:
 /// `d_kl > r` excludes a prefix of the jobs, so they are those with
 /// index in (excluded, selected].
-fn interfering_mandatory_work(pattern: Pattern, hp: &Task, excluded: u64, selected: u64) -> i128 {
+fn interfering_mandatory_work(hp: &Task, excluded: u64, selected: u64) -> i128 {
     if selected <= excluded {
         return 0;
     }
-    let count =
-        pattern.mandatory_among(hp.mk(), selected) - pattern.mandatory_among(hp.mk(), excluded);
+    let count = hp.mk().mandatory_among(selected) - hp.mk().mandatory_among(excluded);
     hp.wcet().ticks() as i128 * count as i128
 }
 
@@ -340,7 +336,6 @@ fn interfering_mandatory_work(pattern: Pattern, hp: &Task, excluded: u64, select
 fn theta_for_job(
     ts: &TaskSet,
     Job { task: i, r, d }: Job,
-    pattern: Pattern,
     theta: &[Time],
     stop_at: i128,
     points: &mut Vec<(Time, i128)>,
@@ -355,7 +350,7 @@ fn theta_for_job(
     // The absolute deadline is always an inspecting point (Definition 3).
     let demand_at_d = hps.iter().zip(theta).fold(c_i, |demand, (hp, &theta_k)| {
         let selected = jobs_released_before(d, theta_k, hp.period());
-        demand + interfering_mandatory_work(pattern, hp, excluded(hp), selected)
+        demand + interfering_mandatory_work(hp, excluded(hp), selected)
     });
     let mut best = d.ticks() as i128 - demand_at_d - r_ticks;
     if best >= stop_at {
@@ -369,12 +364,12 @@ fn theta_for_job(
     for (hp, &theta_k) in hps.iter().zip(theta) {
         let excluded = excluded(hp);
         let skip = jobs_released_before(r_next, theta_k, hp.period());
-        demand += interfering_mandatory_work(pattern, hp, excluded, skip);
+        demand += interfering_mandatory_work(hp, excluded, skip);
         let wcet = hp.wcet().ticks() as i128;
         let mut l = skip + 1;
         let mut postponed = hp.release_of(l) + theta_k;
         while postponed < d {
-            if pattern.is_mandatory(hp.mk(), l) {
+            if hp.mk().is_mandatory(l) {
                 // θ_k ≤ D_k, so a job released after r has d_kl > r.
                 debug_assert!(l > excluded);
                 points.push((postponed, wcet));
@@ -406,7 +401,7 @@ pub(crate) mod by_rows {
     use super::{jobs_released_before, postpone_with, Job, PostponeError, Postponement};
     use super::{PostponeConfig, Time};
     use crate::rta::{analyze_by_walk, InterferenceModel};
-    use mkss_core::mk::{MkConstraint, Pattern};
+    use mkss_core::mk::MkConstraint;
     use mkss_core::task::TaskSet;
 
     /// [`super::postponement_intervals`] by the old per-job walk.
@@ -414,10 +409,10 @@ pub(crate) mod by_rows {
         ts: &TaskSet,
         config: PostponeConfig,
     ) -> Result<Postponement, PostponeError> {
-        let report = analyze_by_walk(ts, InterferenceModel::MandatoryOnly(config.pattern));
+        let report = analyze_by_walk(ts, InterferenceModel::MandatoryOnly);
         let mut rows = Vec::new();
         postpone_with(ts, config, &report, |job, theta, stop_at| {
-            theta_for_job(ts, job, config.pattern, theta, stop_at, &mut rows)
+            theta_for_job(ts, job, theta, stop_at, &mut rows)
         })
     }
 
@@ -436,12 +431,12 @@ pub(crate) mod by_rows {
 
     /// Σ of WCETs of higher-priority backup jobs with `d_kl > r` and
     /// `r̃_kl < t̄` (Eq. 4), plus `c_i`.
-    fn demand_at(rows: &[HpRow], pattern: Pattern, c_i: i128, t_bar: Time) -> i128 {
+    fn demand_at(rows: &[HpRow], c_i: i128, t_bar: Time) -> i128 {
         let mut demand = c_i;
         for row in rows {
             let selected = jobs_released_before(t_bar, row.theta, row.period);
             if selected > row.excluded {
-                let count = pattern.mandatory_among(row.mk, selected) - row.excluded_mandatory;
+                let count = row.mk.mandatory_among(selected) - row.excluded_mandatory;
                 demand += row.wcet * (count as i128);
             }
         }
@@ -452,7 +447,6 @@ pub(crate) mod by_rows {
     fn theta_for_job(
         ts: &TaskSet,
         Job { task: i, r, d }: Job,
-        pattern: Pattern,
         theta: &[Time],
         stop_at: i128,
         rows: &mut Vec<HpRow>,
@@ -469,13 +463,13 @@ pub(crate) mod by_rows {
                 wcet: hp.wcet().ticks() as i128,
                 mk: hp.mk(),
                 excluded,
-                excluded_mandatory: pattern.mandatory_among(hp.mk(), excluded),
+                excluded_mandatory: hp.mk().mandatory_among(excluded),
             });
         }
         let rows: &[HpRow] = rows;
         let c_i = ts.task(i).wcet().ticks() as i128;
 
-        let mut best = d.ticks() as i128 - demand_at(rows, pattern, c_i, d) - r_ticks;
+        let mut best = d.ticks() as i128 - demand_at(rows, c_i, d) - r_ticks;
         if best >= stop_at {
             return best;
         }
@@ -484,10 +478,9 @@ pub(crate) mod by_rows {
             let mut l = skip + 1;
             let mut postponed = ts.task(k).release_of(l) + row.theta;
             while postponed < d {
-                if pattern.is_mandatory(row.mk, l) {
-                    let candidate = postponed.ticks() as i128
-                        - demand_at(rows, pattern, c_i, postponed)
-                        - r_ticks;
+                if row.mk.is_mandatory(l) {
+                    let candidate =
+                        postponed.ticks() as i128 - demand_at(rows, c_i, postponed) - r_ticks;
                     best = best.max(candidate);
                     if best >= stop_at {
                         return best;
@@ -564,7 +557,6 @@ mod tests {
         let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
         let config = PostponeConfig {
             max_jobs_per_task: 1, // force the fallback
-            ..PostponeConfig::default()
         };
         let post = postponement_intervals(&ts, config).unwrap();
         assert_eq!(
@@ -629,7 +621,7 @@ mod tests {
         for (id, task) in ts.iter() {
             let n = horizon.div_floor(task.period());
             for j in 1..=n {
-                if !Pattern::DeeplyRed.is_mandatory(task.mk(), j) {
+                if !task.mk().is_mandatory(j) {
                     continue;
                 }
                 let rel = post.postponed_release(ts, id, j).ticks();

@@ -5,8 +5,8 @@
 //! * [`InterferenceModel::AllJobs`] — classic RTA where every release of a
 //!   higher-priority task interferes (the hard real-time setting of the
 //!   dual-priority work the paper builds on).
-//! * [`InterferenceModel::MandatoryOnly`] — only *mandatory* jobs under a
-//!   static (m,k) pattern interfere. For the deeply-red pattern all tasks'
+//! * [`InterferenceModel::MandatoryOnly`] — only *mandatory* jobs under
+//!   the static deeply-red (m,k) pattern interfere. All tasks'
 //!   mandatory jobs are clustered at the start of each window of `k·P`
 //!   releases, so the synchronous release at time 0 is the critical
 //!   instant (this is exactly the "shift left" argument in the proof of
@@ -20,7 +20,6 @@
 //! `m = 0` making the first job optional) walks the busy window job by
 //! job, with the set's hyperperiod as its cut-off.
 
-use mkss_core::mk::Pattern;
 use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
@@ -35,11 +34,11 @@ use std::cell::OnceCell;
 pub enum InterferenceModel {
     /// Every job of every higher-priority task interferes.
     AllJobs,
-    /// Only jobs that are mandatory under the given static pattern
+    /// Only jobs that are mandatory under the deeply-red pattern
     /// interfere (optional jobs are never forced, so a sound mandatory-job
     /// guarantee may ignore them — the schemes ensure optional jobs always
     /// yield to mandatory ones via the MJQ/OJQ split).
-    MandatoryOnly(Pattern),
+    MandatoryOnly,
 }
 
 impl InterferenceModel {
@@ -49,7 +48,7 @@ impl InterferenceModel {
         let releases = t.div_ceil(task.period());
         match self {
             InterferenceModel::AllJobs => releases,
-            InterferenceModel::MandatoryOnly(p) => p.mandatory_among(task.mk(), releases),
+            InterferenceModel::MandatoryOnly => task.mk().mandatory_among(releases),
         }
     }
 }
@@ -177,7 +176,7 @@ impl SchedulabilityReport {
 ///
 /// For [`InterferenceModel::AllJobs`] this is the classic exact test for
 /// constrained-deadline FP. For
-/// [`InterferenceModel::MandatoryOnly`]`(DeeplyRed)` it is the test behind
+/// [`InterferenceModel::MandatoryOnly`] it is the test behind
 /// the paper's "schedulable under R-pattern" premise (Theorem 1): the
 /// synchronous release is the critical instant because every task's
 /// mandatory jobs are maximally clustered there.
@@ -191,7 +190,7 @@ impl SchedulabilityReport {
 ///     Task::from_ms(5, 4, 3, 2, 4)?,
 ///     Task::from_ms(10, 10, 3, 1, 2)?,
 /// ])?;
-/// let report = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+/// let report = analyze(&ts, InterferenceModel::MandatoryOnly);
 /// assert!(report.schedulable());
 /// # Ok(())
 /// # }
@@ -212,7 +211,7 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// Theorem 1)?
 ///
 /// Verdict-only, and always equal to
-/// `analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()`:
+/// `analyze(ts, InterferenceModel::MandatoryOnly).schedulable()`:
 /// it runs the same per-task busy-window test, from the lowest-priority
 /// task to the highest, and stops at the first task that misses without
 /// building a report. A generator rejection (the common case when the
@@ -230,14 +229,14 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 ///     Task::from_ms(4, 4, 3, 2, 3)?,
 ///     Task::from_ms(6, 6, 3, 2, 3)?,
 /// ])?;
-/// let report = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+/// let report = analyze(&ts, InterferenceModel::MandatoryOnly);
 /// assert!(!is_schedulable_r_pattern(&ts));
 /// assert_eq!(is_schedulable_r_pattern(&ts), report.schedulable());
 /// # Ok(())
 /// # }
 /// ```
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
-    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    let model = InterferenceModel::MandatoryOnly;
     let hyperperiod = OnceCell::new();
     (0..ts.len())
         .rev()
@@ -266,7 +265,7 @@ pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
 /// # }
 /// ```
 pub fn first_job_meets(tasks: &[Task]) -> bool {
-    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    let model = InterferenceModel::MandatoryOnly;
     tasks
         .last()
         .is_none_or(|task| !counts(model, task, 1) || first_job_response(tasks, model).is_some())
@@ -314,7 +313,7 @@ fn busy_window_response(
 fn counts(model: InterferenceModel, task: &Task, job_number: u64) -> bool {
     match model {
         InterferenceModel::AllJobs => true,
-        InterferenceModel::MandatoryOnly(p) => p.is_mandatory(task.mk(), job_number),
+        InterferenceModel::MandatoryOnly => task.mk().is_mandatory(job_number),
     }
 }
 
@@ -479,7 +478,7 @@ mod tests {
         // Same set is schedulable once τ1's optional jobs are ignored:
         // (1,2) pattern halves τ1's interference.
         let ts = set(&[(4, 4, 3, 1, 2), (8, 8, 3, 1, 2)]);
-        let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+        let model = InterferenceModel::MandatoryOnly;
         // τ2's first job: 3 own + τ1 mandatory jobs at 0 (mandatory), 4
         // (optional under (1,2): job 2) → only job 1 and job 3 (at 8)…
         // within R: R = 3+3 = 6 ≤ 8.
@@ -509,7 +508,7 @@ mod tests {
     fn fig5_set_schedulable_under_r_pattern() {
         let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
         assert!(is_schedulable_r_pattern(&ts));
-        let report = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+        let report = analyze(&ts, InterferenceModel::MandatoryOnly);
         // τ1 alone: R = 3. τ2: 8 own + interference.
         assert_eq!(report.response_time(TaskId(0)), Some(Time::from_ms(3)));
     }
@@ -520,7 +519,7 @@ mod tests {
         // one. τ1 = (4,4,2,2,3); τ2 = (6,6,3,2,3): τ2 jobs at 0 and 6
         // are both mandatory; the level-2 busy window spans both.
         let ts = set(&[(4, 4, 2, 2, 3), (6, 6, 3, 2, 3)]);
-        let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+        let model = InterferenceModel::MandatoryOnly;
         let report = analyze(&ts, model);
         // Busy window: τ1 mandatory at 0,4 (jobs 1,2; job 3 at 8 optional),
         // τ2 mandatory at 0,6.
@@ -535,12 +534,7 @@ mod tests {
     fn rta_respects_model_distinction() {
         let ts = set(&[(5, 5, 2, 1, 5), (7, 7, 3, 1, 2)]);
         let all = response_time(&ts, TaskId(1), InterferenceModel::AllJobs).unwrap();
-        let mand = response_time(
-            &ts,
-            TaskId(1),
-            InterferenceModel::MandatoryOnly(Pattern::DeeplyRed),
-        )
-        .unwrap();
+        let mand = response_time(&ts, TaskId(1), InterferenceModel::MandatoryOnly).unwrap();
         assert!(mand <= all);
     }
 

@@ -26,7 +26,7 @@ use mkss_sim::pool::WorkspacePool;
 /// Policies cycled through by the generated load. All of them build for
 /// the embedded task sets, so every response is a success row — error
 /// responses are covered by the serve crate's own protocol tests.
-const POLICIES: [&str; 6] = ["st", "dp", "greedy", "selective", "st-even", "dp-theta"];
+const POLICIES: [&str; 5] = ["st", "dp", "greedy", "selective", "dp-theta"];
 
 /// Small task-set templates (cli `format.rs` schema) the load cycles
 /// through. Kept modest so a default run finishes in well under a second.

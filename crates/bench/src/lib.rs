@@ -1,8 +1,7 @@
 //! # mkss-bench
 //!
 //! Experiment harness regenerating the evaluation of *Niu & Zhu, DATE
-//! 2020* (Figure 6, panels a–c) and the ablation studies called out in
-//! DESIGN.md.
+//! 2020* (Figure 6, panels a–c).
 //!
 //! The harness follows Section V: random task sets bucketed by total
 //! (m,k)-utilization (width-0.1 intervals, ≥ 20 schedulable sets or 5000

@@ -404,7 +404,7 @@ mod tests {
         // Static is slot 0 regardless of which policies a chart shows.
         assert_eq!(slot_of(PolicyKind::Static), 0);
         assert_eq!(slot_of(PolicyKind::DualPriority), 1);
-        assert_eq!(slot_of(PolicyKind::Selective), 4);
+        assert_eq!(slot_of(PolicyKind::Selective), 3);
         // A chart with only {DualPriority, Selective} must not repaint
         // them to slots 0/1.
         let mut cfg = ExperimentConfig::fig6(Scenario::NoFault);
@@ -414,7 +414,7 @@ mod tests {
         cfg.plan.to = 0.4;
         cfg.horizon = Time::from_ms(200);
         let html = render_report(&[run_experiment(&cfg)]);
-        assert!(html.contains("class=\"line s4\""), "selective keeps slot 4");
+        assert!(html.contains("class=\"line s3\""), "selective keeps slot 3");
     }
 
     #[test]

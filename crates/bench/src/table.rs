@@ -1,5 +1,5 @@
 //! Plain-text rendering of experiment results — the "same rows the paper
-//! plots" for Figure 6 and the ablations.
+//! plots" for Figure 6.
 
 use std::fmt::Write as _;
 

@@ -1,6 +1,6 @@
 //! Golden pin of the experiment binaries' command-line surface.
 //!
-//! For `fig6`, `ablations`, `sensitivity` and `loadgen` this pins the
+//! For `fig6`, `sensitivity` and `loadgen` this pins the
 //! `--help` text, the exit status and stderr of a missing value, an
 //! unparsable value and an unknown flag, and the stdout of one minimal
 //! run where the binary needs no daemon (run stderr carries wall times,
@@ -57,20 +57,6 @@ const CASES: &[Case] = &[
         ],
         Pin::Stdout,
     ),
-    // ablations
-    ("ablations", &["--help"], Pin::All),
-    ("ablations", &["--sets"], Pin::All),
-    ("ablations", &["--sets", "x"], Pin::All),
-    ("ablations", &["--horizon-ms", "x"], Pin::All),
-    ("ablations", &["--seed", "x"], Pin::All),
-    ("ablations", &["--scenario", "bogus"], Pin::All),
-    ("ablations", &["--jobs", "x"], Pin::All),
-    ("ablations", &["--bogus"], Pin::All),
-    (
-        "ablations",
-        &["--sets", "1", "--horizon-ms", "100"],
-        Pin::Stdout,
-    ),
     // sensitivity
     ("sensitivity", &["--help"], Pin::All),
     ("sensitivity", &["--sets"], Pin::All),
@@ -98,11 +84,6 @@ const CASES: &[Case] = &[
     // fault past the horizon.
     ("fig6", &["--horizon-ms", "18446744073709552"], Pin::All),
     ("fig6", &["--horizon-ms", "18446744073709551615"], Pin::All),
-    (
-        "ablations",
-        &["--horizon-ms", "18446744073709552"],
-        Pin::All,
-    ),
     (
         "sensitivity",
         &["--horizon-ms", "18446744073709552"],
@@ -149,7 +130,6 @@ const CASES: &[Case] = &[
 fn exe(bin: &str) -> &'static str {
     match bin {
         "fig6" => env!("CARGO_BIN_EXE_fig6"),
-        "ablations" => env!("CARGO_BIN_EXE_ablations"),
         "sensitivity" => env!("CARGO_BIN_EXE_sensitivity"),
         "loadgen" => env!("CARGO_BIN_EXE_loadgen"),
         other => panic!("no binary {other}"),

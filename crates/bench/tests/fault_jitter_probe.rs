@@ -26,14 +26,7 @@ fn no_policy_violates_under_fig6b_fault_plans() {
                 .power(config.power)
                 .faults(faults)
                 .build();
-            for kind in [
-                PolicyKind::Static,
-                PolicyKind::DualPriority,
-                PolicyKind::DualPriorityPrimary,
-                PolicyKind::Selective,
-                PolicyKind::SelectiveNoPostpone,
-                PolicyKind::DualPriorityTheta,
-            ] {
+            for kind in PolicyKind::ALL {
                 let mut policy = kind
                     .build(ts, &BuildOptions::default())
                     .expect("schedulable set");

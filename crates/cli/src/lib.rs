@@ -32,7 +32,6 @@ use std::sync::Arc;
 use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
 use mkss_analysis::rta::{analyze, InterferenceModel};
 use mkss_core::flags::{checked_ms, FlagError, Flags};
-use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
 use mkss_core::time::{Time, TICKS_PER_MS};
 use mkss_obs::{
@@ -203,7 +202,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
         ts.mk_utilization(),
         ts.hyperperiod(),
     ));
-    let report = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+    let report = analyze(&ts, InterferenceModel::MandatoryOnly);
     out.push_str(&format!(
         "schedulable under R-pattern: {}\n",
         report.schedulable()

@@ -6,9 +6,9 @@
 //! transients. The value was recorded when the schedule trace was still
 //! assembled by its own event sink; rebuilding it from the
 //! flight-recorder ring must leave every byte unchanged. When the DVS
-//! and the per-job θ policy kinds were removed, the pin was re-recorded
-//! on the code before each removal with that kind skipped, so it proves
-//! the remaining kinds unchanged.
+//! and the per-job θ policy kinds, and then the six ablation-only kinds,
+//! were removed, the pin was re-recorded on the code before each removal
+//! with those kinds skipped, so it proves the remaining kinds unchanged.
 
 use mkss_policies::PolicyKind;
 
@@ -70,5 +70,5 @@ fn gantt_matches_the_recorded_digest() {
         "a paper-sized set: {tasks} tasks"
     );
     assert!(transients > 0, "the fault plan injects transients");
-    assert_eq!(gantt_digest, 0x6558_98e9_e20a_d1b9, "gantt digest");
+    assert_eq!(gantt_digest, 0xdcf3_18db_c765_10bd, "gantt digest");
 }

@@ -7,9 +7,9 @@
 //!
 //! This crate is dependency-light and purely declarative: it defines
 //! periodic tasks `(P, D, C, m, k)` ([`task::Task`]), fixed-priority task
-//! sets ([`task::TaskSet`]), job instances ([`job::Job`]), the static
-//! deeply-red / evenly-distributed partitioning patterns ([`mk::Pattern`]),
-//! the sliding (m,k)-satisfaction monitor ([`mk::MkMonitor`]), and the
+//! sets ([`task::TaskSet`]), job instances ([`job::Job`]), (m,k)
+//! constraints with the static deeply-red partitioning
+//! ([`mk::MkConstraint`]), the sliding (m,k)-satisfaction monitor ([`mk::MkMonitor`]), and the
 //! *flexibility degree* of Definition 1 ([`history::MkHistory`]).
 //!
 //! Scheduling analysis lives in `mkss-analysis`, the dual-processor
@@ -30,8 +30,8 @@
 //!
 //! // Static deeply-red pattern: jobs 1,2 of τ1 mandatory, 3,4 optional.
 //! let mk = ts.task(TaskId(0)).mk();
-//! assert!(Pattern::DeeplyRed.is_mandatory(mk, 1));
-//! assert!(!Pattern::DeeplyRed.is_mandatory(mk, 3));
+//! assert!(mk.is_mandatory(1));
+//! assert!(!mk.is_mandatory(3));
 //!
 //! // Dynamic classification via flexibility degree.
 //! let mut h = MkHistory::new(mk);
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::error::ValidateTaskError;
     pub use crate::history::{JobOutcome, MkHistory};
     pub use crate::job::{CopyKind, Job, JobClass, JobId};
-    pub use crate::mk::{MkConstraint, MkMonitor, Pattern};
+    pub use crate::mk::{MkConstraint, MkMonitor};
     pub use crate::task::{Task, TaskId, TaskSet};
     pub use crate::time::{Time, TICKS_PER_MS};
 }

@@ -1,12 +1,13 @@
-//! The (m,k)-firm deadline model: constraints and static
-//! mandatory/optional partitioning patterns.
+//! The (m,k)-firm deadline model: constraints and their static
+//! mandatory/optional partitioning.
 //!
 //! An (m,k) constraint requires that among **any** `k` consecutive jobs of a
 //! task, at least `m` complete successfully by their deadlines
 //! (Hamdaoui & Ramanathan, 1995). To *enforce* the constraint statically,
 //! jobs are partitioned into mandatory and optional ones
-//! (Ramanathan, 1999); the paper uses the *deeply-red* pattern
-//! ([`Pattern::DeeplyRed`], Koren & Shasha, 1995) given by Eq. (1):
+//! (Ramanathan, 1999); the paper uses the *deeply-red* (R-)pattern
+//! (Koren & Shasha, 1995) given by Eq. (1), which
+//! [`MkConstraint::is_mandatory`] implements:
 //!
 //! ```text
 //! π_ij = 1  iff  1 ≤ j mod k_i ≤ m_i       (j = 1, 2, 3, …)
@@ -21,9 +22,9 @@ use crate::error::ValidateTaskError;
 ///
 /// The invariant `0 < m < k` is enforced at construction (the paper's system
 /// model uses the same strict form; `m = k` would be a hard real-time task
-/// and `m = 0` no constraint at all). Deserialization is looser: it admits
-/// any `m` (so a stored `m = 0` task reads back as unconstrained) and
-/// rejects only `k = 0`, a window of no jobs.
+/// and `m = 0` no constraint at all). Deserialization is looser in one
+/// respect: it admits `m = 0` (a stored unconstrained task reads back as
+/// one), and rejects `k = 0` and `m ≥ k`.
 ///
 /// # Examples
 ///
@@ -46,7 +47,7 @@ pub struct MkConstraint {
 }
 
 impl<'de> Deserialize<'de> for MkConstraint {
-    /// Reads `{"m": .., "k": ..}`; `k = 0` is an
+    /// Reads `{"m": .., "k": ..}`; `k = 0` or `m ≥ k` is an
     /// [`InvalidMkPair`](ValidateTaskError::InvalidMkPair) error.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         if value.as_object().is_none() {
@@ -60,7 +61,7 @@ impl<'de> Deserialize<'de> for MkConstraint {
                 .map_err(|e| serde::Error::custom(format!("MkConstraint.{name}: {e}")))
         };
         let (m, k) = (field("m")?, field("k")?);
-        if k == 0 {
+        if k == 0 || m >= k {
             return Err(serde::Error::custom(format!(
                 "MkConstraint: {}",
                 ValidateTaskError::InvalidMkPair { m, k }
@@ -109,39 +110,19 @@ impl MkConstraint {
     pub const fn max_consecutive_misses(self) -> u32 {
         self.k - self.m
     }
-}
 
-/// A static mandatory/optional partitioning pattern for (m,k)-firm tasks.
-///
-/// Patterns classify the `j`-th job (1-based, as in the paper) of a task as
-/// mandatory (`π_ij = 1`) or optional (`π_ij = 0`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Pattern {
-    /// The *deeply-red* (R-)pattern of Eq. (1): the first `m` jobs of every
-    /// aligned window of `k` are mandatory. All tasks are "red" together at
-    /// the synchronous release, which makes this pattern the worst case for
+    /// Whether the `j`-th job (**1-based**) is mandatory under the
+    /// deeply-red pattern of Eq. (1): the first `m` jobs of every aligned
+    /// window of `k` are mandatory. All tasks are "red" together at the
+    /// synchronous release, which makes this pattern the worst case for
     /// schedulability analysis (Theorem 1 relies on exactly this property).
-    #[default]
-    DeeplyRed,
-    /// The *evenly-distributed* (E-)pattern of Ramanathan (1999):
-    /// `π_ij = 1  iff  j-1 == ⌊⌈(j-1)·m/k⌉·k/m⌋` (0-based form). Mandatory
-    /// jobs are spread evenly over the window. Provided for comparison and
-    /// ablations; the paper's schemes use [`Pattern::DeeplyRed`].
-    EvenlyDistributed,
-}
-
-impl Pattern {
-    /// Whether the `j`-th job (**1-based**) of a task with constraint `mk`
-    /// is mandatory under this pattern.
     ///
     /// ```
-    /// use mkss_core::mk::{MkConstraint, Pattern};
+    /// use mkss_core::mk::MkConstraint;
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// let mk = MkConstraint::new(2, 4)?;
-    /// let mandatory: Vec<bool> =
-    ///     (1..=8).map(|j| Pattern::DeeplyRed.is_mandatory(mk, j)).collect();
+    /// let mandatory: Vec<bool> = (1..=8).map(|j| mk.is_mandatory(j)).collect();
     /// assert_eq!(mandatory, [true, true, false, false, true, true, false, false]);
     /// # Ok(())
     /// # }
@@ -151,71 +132,30 @@ impl Pattern {
     ///
     /// Panics if `job_index` is zero (job indices are 1-based, matching the
     /// paper's `J_i1, J_i2, …` notation).
-    pub fn is_mandatory(self, mk: MkConstraint, job_index: u64) -> bool {
+    pub fn is_mandatory(self, job_index: u64) -> bool {
         assert!(job_index >= 1, "job indices are 1-based");
-        match self {
-            Pattern::DeeplyRed => {
-                let r = job_index % u64::from(mk.k());
-                1 <= r && r <= u64::from(mk.m())
-            }
-            Pattern::EvenlyDistributed => {
-                // 0-based formulation: job n (= j-1) is mandatory iff
-                // n == floor(ceil(n*m/k) * k / m).
-                let n = job_index - 1;
-                let m = u64::from(mk.m());
-                let k = u64::from(mk.k());
-                let lhs = (n * m).div_ceil(k);
-                n == lhs * k / m
-            }
-        }
+        let r = job_index % u64::from(self.k);
+        1 <= r && r <= u64::from(self.m)
     }
 
-    /// Iterates over the 1-based indices of the mandatory jobs under this
-    /// pattern, in increasing order, without end.
+    /// Number of mandatory jobs (deeply-red pattern) among the first
+    /// `count` jobs, in closed form. Response-time analysis uses it as the
+    /// interference bound of a higher-priority task in a level-i busy
+    /// window starting at the synchronous release.
     ///
     /// ```
-    /// use mkss_core::mk::{MkConstraint, Pattern};
+    /// use mkss_core::mk::MkConstraint;
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// let mk = MkConstraint::new(2, 4)?;
-    /// let first: Vec<u64> = Pattern::DeeplyRed.mandatory_indices(mk).take(5).collect();
-    /// assert_eq!(first, [1, 2, 5, 6, 9]);
+    /// assert_eq!(mk.mandatory_among(6), 4); // jobs 1,2,5,6
     /// # Ok(())
     /// # }
     /// ```
-    pub fn mandatory_indices(self, mk: MkConstraint) -> impl Iterator<Item = u64> {
-        (1u64..).filter(move |&j| self.is_mandatory(mk, j))
-    }
-
-    /// Number of *mandatory* jobs among the first `count` jobs of a task
-    /// under this pattern.
-    ///
-    /// For the deeply-red pattern this is closed-form; response-time
-    /// analysis uses it as the interference bound of a higher-priority task
-    /// in a level-i busy window starting at the synchronous release.
-    ///
-    /// ```
-    /// use mkss_core::mk::{MkConstraint, Pattern};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let mk = MkConstraint::new(2, 4)?;
-    /// assert_eq!(Pattern::DeeplyRed.mandatory_among(mk, 6), 4); // jobs 1,2,5,6
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn mandatory_among(self, mk: MkConstraint, count: u64) -> u64 {
-        match self {
-            Pattern::DeeplyRed => {
-                let m = u64::from(mk.m());
-                let k = u64::from(mk.k());
-                let full = count / k;
-                let rem = count % k;
-                full * m + rem.min(m)
-            }
-            Pattern::EvenlyDistributed => {
-                (1..=count).filter(|&j| self.is_mandatory(mk, j)).count() as u64
-            }
-        }
+    pub fn mandatory_among(self, count: u64) -> u64 {
+        let m = u64::from(self.m);
+        let k = u64::from(self.k);
+        count / k * m + (count % k).min(m)
     }
 }
 
@@ -373,8 +313,7 @@ mod tests {
     fn deeply_red_pattern_eq1() {
         // Paper Eq. (1) with (m,k) = (2,4): jobs 1,2 mandatory; 3,4 optional.
         let mk = MkConstraint::new(2, 4).unwrap();
-        let p = Pattern::DeeplyRed;
-        let flags: Vec<bool> = (1..=12).map(|j| p.is_mandatory(mk, j)).collect();
+        let flags: Vec<bool> = (1..=12).map(|j| mk.is_mandatory(j)).collect();
         assert_eq!(
             flags,
             [true, true, false, false, true, true, false, false, true, true, false, false]
@@ -385,27 +324,17 @@ mod tests {
     fn deeply_red_mk_1_2() {
         // τ2 = (10,10,3,1,2) from Fig. 1: odd jobs mandatory.
         let mk = MkConstraint::new(1, 2).unwrap();
-        let p = Pattern::DeeplyRed;
-        assert!(p.is_mandatory(mk, 1));
-        assert!(!p.is_mandatory(mk, 2));
-        assert!(p.is_mandatory(mk, 3));
-        assert!(!p.is_mandatory(mk, 4));
+        assert!(mk.is_mandatory(1));
+        assert!(!mk.is_mandatory(2));
+        assert!(mk.is_mandatory(3));
+        assert!(!mk.is_mandatory(4));
     }
 
     #[test]
     #[should_panic(expected = "1-based")]
     fn pattern_rejects_zero_index() {
         let mk = MkConstraint::new(1, 2).unwrap();
-        Pattern::DeeplyRed.is_mandatory(mk, 0);
-    }
-
-    #[test]
-    fn evenly_distributed_spreads() {
-        let mk = MkConstraint::new(2, 4).unwrap();
-        let p = Pattern::EvenlyDistributed;
-        let flags: Vec<bool> = (1..=8).map(|j| p.is_mandatory(mk, j)).collect();
-        // E-pattern for (2,4): mandatory at 0-based n = 0, 2 within each window.
-        assert_eq!(flags, [true, false, true, false, true, false, true, false]);
+        mk.is_mandatory(0);
     }
 
     #[test]
@@ -413,11 +342,9 @@ mod tests {
         for (m, k) in [(1u32, 2u32), (2, 4), (3, 5), (1, 7), (6, 7)] {
             let mk = MkConstraint::new(m, k).unwrap();
             for count in 0..60u64 {
-                let naive = (1..=count)
-                    .filter(|&j| Pattern::DeeplyRed.is_mandatory(mk, j))
-                    .count() as u64;
+                let naive = (1..=count).filter(|&j| mk.is_mandatory(j)).count() as u64;
                 assert_eq!(
-                    Pattern::DeeplyRed.mandatory_among(mk, count),
+                    mk.mandatory_among(count),
                     naive,
                     "(m,k)=({m},{k}), count={count}"
                 );
@@ -427,19 +354,17 @@ mod tests {
 
     #[test]
     fn every_pattern_window_satisfies_mk() {
-        // Any k consecutive jobs under either pattern contain ≥ m mandatory.
-        for pattern in [Pattern::DeeplyRed, Pattern::EvenlyDistributed] {
-            for (m, k) in [(1u32, 2u32), (2, 4), (3, 5), (2, 20), (19, 20)] {
-                let mk = MkConstraint::new(m, k).unwrap();
-                for start in 1..=(3 * u64::from(k)) {
-                    let count = (start..start + u64::from(k))
-                        .filter(|&j| pattern.is_mandatory(mk, j))
-                        .count() as u32;
-                    assert!(
-                        count >= m,
-                        "{pattern:?} (m,k)=({m},{k}) window at {start} has only {count}"
-                    );
-                }
+        // Any k consecutive jobs contain ≥ m mandatory.
+        for (m, k) in [(1u32, 2u32), (2, 4), (3, 5), (2, 20), (19, 20)] {
+            let mk = MkConstraint::new(m, k).unwrap();
+            for start in 1..=(3 * u64::from(k)) {
+                let count = (start..start + u64::from(k))
+                    .filter(|&j| mk.is_mandatory(j))
+                    .count() as u32;
+                assert!(
+                    count >= m,
+                    "(m,k)=({m},{k}) window at {start} has only {count}"
+                );
             }
         }
     }
@@ -525,21 +450,10 @@ mod tests {
             // Aligned windows: jobs (w*k+1)..=(w*k+k) contain exactly m.
             for w in 0..4u64 {
                 let count = (w * u64::from(k) + 1..=(w + 1) * u64::from(k))
-                    .filter(|&j| Pattern::DeeplyRed.is_mandatory(mk, j))
+                    .filter(|&j| mk.is_mandatory(j))
                     .count() as u32;
                 prop_assert_eq!(count, m);
             }
-        }
-
-        /// E-pattern places exactly m mandatory jobs in each aligned window.
-        #[test]
-        fn evenly_distributed_density(m in 1u32..10, extra in 1u32..10) {
-            let k = m + extra;
-            let mk = MkConstraint::new(m, k).unwrap();
-            let count = (1..=u64::from(k))
-                .filter(|&j| Pattern::EvenlyDistributed.is_mandatory(mk, j))
-                .count() as u32;
-            prop_assert_eq!(count, m);
         }
     }
 }

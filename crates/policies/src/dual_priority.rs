@@ -9,53 +9,20 @@
 //! main τ2 on the spare). Each backup is procrastinated by its task's
 //! promotion time `Y_i = D_i − R_i` (Eq. 2), so a main job that finishes
 //! early cancels a backup that has barely started.
+//!
+//! [`MkssDp::theta`] builds `MKSS_DP_theta`, the same static scheme with
+//! every main on the primary and the task-level postponement intervals
+//! `θ_i` of Definitions 2–5 as backup delays: on static patterns the job
+//! positions are the ones the θ analysis assumes.
 
 use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
 use mkss_analysis::rta::InterferenceModel;
-use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
 use mkss_sim::policy::{Policy, ReleaseCtx, ReleaseDecision};
 use mkss_sim::proc::ProcId;
 
 use crate::error::BuildPolicyError;
-
-/// Placement of the main copies across the two processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[expect(
-    clippy::exhaustive_enums,
-    reason = "closed variant set: the paper's two placement strategies; the CLI matches exhaustively to name them"
-)]
-pub enum MainPlacement {
-    /// Preference-oriented: mains alternate between the processors by
-    /// priority index (τ1 → primary, τ2 → spare, τ3 → primary, …), as in
-    /// Fig. 1. Balances the load and lets each processor hold exactly one
-    /// copy of every task.
-    #[default]
-    PreferenceOriented,
-    /// All mains on the primary, all backups on the spare (the placement
-    /// of Haque et al. \[7\]).
-    MainsOnPrimary,
-}
-
-/// How the backups of the static schemes are procrastinated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[expect(
-    clippy::exhaustive_enums,
-    reason = "closed variant set: the two procrastination modes of the static baselines [7, 8]; matched exhaustively"
-)]
-pub enum StaticBackupDelay {
-    /// Promotion times from the hard real-time all-jobs analysis of the
-    /// baselines [7, 8]; `Y_i = 0` where that analysis diverges. The
-    /// paper's `MKSS_DP`.
-    #[default]
-    PromotionAllJobs,
-    /// Promotion times from the (m,k)-aware mandatory-only analysis — a
-    /// stronger baseline than the paper's.
-    PromotionMandatory,
-    /// The task-level postponement intervals `θ_i` (Defs. 2–5).
-    Postponement,
-}
 
 /// The dual-priority standby-sparing scheme (`MKSS_DP`).
 ///
@@ -80,27 +47,19 @@ pub enum StaticBackupDelay {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MkssDp {
-    pattern: Pattern,
-    placement: MainPlacement,
-    delay_model: StaticBackupDelay,
-    /// Per-task backup delay: promotion times for the promotion models,
-    /// θ for the postponement model.
+    /// `MKSS_DP_theta`: every main on the primary and θ-postponed
+    /// backups. Otherwise the paper's `MKSS_DP`: preference-oriented
+    /// placement and promotion-time backups.
+    theta: bool,
+    /// Per-task backup delay: the promotion times, or θ.
     delay: Vec<Time>,
 }
 
 impl MkssDp {
-    /// Builds the scheme with preference-oriented placement (the
-    /// evaluation's `MKSS_DP`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildPolicyError::Unschedulable`] if the set fails the
-    /// mandatory-only response-time analysis (no promotion times exist).
-    pub fn new(ts: &TaskSet) -> Result<Self, BuildPolicyError> {
-        Self::with_placement(ts, MainPlacement::PreferenceOriented)
-    }
-
-    /// Builds the scheme with an explicit main-copy placement.
+    /// Builds the evaluation's `MKSS_DP`, with preference-oriented
+    /// placement: mains alternate between the processors by priority
+    /// index (τ1 → primary, τ2 → spare, τ3 → primary, …), as in Fig. 1,
+    /// so each processor holds exactly one copy of every task.
     ///
     /// The promotion times are computed exactly as the hard real-time
     /// dual-priority baselines [7, 8] do — with **every** job of every
@@ -117,89 +76,53 @@ impl MkssDp {
     ///
     /// # Errors
     ///
-    /// Same as [`MkssDp::new`].
-    pub fn with_placement(
-        ts: &TaskSet,
-        placement: MainPlacement,
-    ) -> Result<Self, BuildPolicyError> {
-        Self::with_options(ts, placement, StaticBackupDelay::PromotionAllJobs)
-    }
-
-    /// Builds the scheme with explicit placement and backup-delay model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MkssDp::new`].
-    pub fn with_options(
-        ts: &TaskSet,
-        placement: MainPlacement,
-        delay_model: StaticBackupDelay,
-    ) -> Result<Self, BuildPolicyError> {
-        let pattern = Pattern::DeeplyRed;
-        if placement == MainPlacement::PreferenceOriented
-            && delay_model == StaticBackupDelay::Postponement
-        {
-            // Defs. 2–5 analyze a spare that runs postponed backups only;
-            // preference-oriented placement would mix offset-0 mains in.
-            return Err(BuildPolicyError::PostponementNeedsMainsOnPrimary);
-        }
+    /// Returns [`BuildPolicyError::Unschedulable`] if the set fails the
+    /// mandatory-only response-time analysis (Theorem 1's premise).
+    pub fn new(ts: &TaskSet) -> Result<Self, BuildPolicyError> {
         // The standby-sparing guarantee needs the mandatory jobs to be
         // schedulable (Theorem 1's premise); gate on that.
-        let report = mkss_analysis::rta::analyze(ts, InterferenceModel::MandatoryOnly(pattern));
-        if !report.schedulable() {
-            return Err(first_unschedulable(ts, pattern));
+        if !mkss_analysis::rta::is_schedulable_r_pattern(ts) {
+            return Err(first_unschedulable(ts));
         }
-        let delay = match delay_model {
-            StaticBackupDelay::PromotionAllJobs => {
-                let all_jobs = mkss_analysis::rta::analyze(ts, InterferenceModel::AllJobs);
-                ts.ids()
-                    .map(|id| match all_jobs.response_time(id) {
-                        Some(r) => ts.task(id).deadline() - r,
-                        None => Time::ZERO,
-                    })
-                    .collect()
-            }
-            StaticBackupDelay::PromotionMandatory => {
-                // `response_time` is None only for unschedulable tasks;
-                // the gate above makes that unreachable, but propagating
-                // keeps this arm correct even if the gate moves.
-                ts.ids()
-                    .map(|id| {
-                        report
-                            .response_time(id)
-                            .map(|r| ts.task(id).deadline() - r)
-                            .ok_or_else(|| first_unschedulable(ts, pattern))
-                    })
-                    .collect::<Result<Vec<Time>, BuildPolicyError>>()?
-            }
-            StaticBackupDelay::Postponement => {
-                let config = PostponeConfig {
-                    pattern,
-                    ..PostponeConfig::default()
-                };
-                postponement_intervals(ts, config)
-                    .map_err(|_| first_unschedulable(ts, pattern))?
-                    .theta
-            }
-        };
+        let all_jobs = mkss_analysis::rta::analyze(ts, InterferenceModel::AllJobs);
+        let delay = ts
+            .ids()
+            .map(|id| match all_jobs.response_time(id) {
+                Some(r) => ts.task(id).deadline() - r,
+                None => Time::ZERO,
+            })
+            .collect();
         Ok(MkssDp {
-            pattern,
-            placement,
-            delay_model,
+            theta: false,
             delay,
         })
     }
 
+    /// Builds `MKSS_DP_theta`: every main on the primary, every backup on
+    /// the spare, delayed by the postponement interval `θ_i`
+    /// (Definitions 2–5). Those definitions analyse a spare that runs
+    /// postponed backups only, which is why the mains stay off it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`MkssDp::new`].
+    pub fn theta(ts: &TaskSet) -> Result<Self, BuildPolicyError> {
+        let delay = postponement_intervals(ts, PostponeConfig::default())
+            .map_err(|_| first_unschedulable(ts))?
+            .theta;
+        Ok(MkssDp { theta: true, delay })
+    }
+
     /// The per-task backup delays in use: the promotion times `Y_i`, or
-    /// θ for [`StaticBackupDelay::Postponement`].
+    /// θ for [`MkssDp::theta`].
     pub fn promotion(&self) -> &[Time] {
         &self.delay
     }
 }
 
 /// Identifies the first unschedulable task for the error value.
-pub(crate) fn first_unschedulable(ts: &TaskSet, pattern: Pattern) -> BuildPolicyError {
-    let report = mkss_analysis::rta::analyze(ts, InterferenceModel::MandatoryOnly(pattern));
+pub(crate) fn first_unschedulable(ts: &TaskSet) -> BuildPolicyError {
+    let report = mkss_analysis::rta::analyze(ts, InterferenceModel::MandatoryOnly);
     let task = report
         .tasks
         .iter()
@@ -211,30 +134,21 @@ pub(crate) fn first_unschedulable(ts: &TaskSet, pattern: Pattern) -> BuildPolicy
 
 impl Policy for MkssDp {
     fn name(&self) -> &str {
-        match (self.placement, self.delay_model) {
-            (MainPlacement::PreferenceOriented, StaticBackupDelay::PromotionAllJobs) => "MKSS_DP",
-            (MainPlacement::MainsOnPrimary, StaticBackupDelay::PromotionAllJobs) => {
-                "MKSS_DP_primary"
-            }
-            (_, StaticBackupDelay::PromotionMandatory) => "MKSS_DP_ymand",
-            (_, StaticBackupDelay::Postponement) => "MKSS_DP_theta",
+        if self.theta {
+            "MKSS_DP_theta"
+        } else {
+            "MKSS_DP"
         }
     }
 
     fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
-        let mk = ctx.history.constraint();
-        if !self.pattern.is_mandatory(mk, ctx.job_index) {
+        if !ctx.history.constraint().is_mandatory(ctx.job_index) {
             return ReleaseDecision::Skip;
         }
-        let main_proc = match self.placement {
-            MainPlacement::PreferenceOriented => {
-                if ctx.task.0.is_multiple_of(2) {
-                    ProcId::PRIMARY
-                } else {
-                    ProcId::SPARE
-                }
-            }
-            MainPlacement::MainsOnPrimary => ProcId::PRIMARY,
+        let main_proc = if self.theta || ctx.task.0.is_multiple_of(2) {
+            ProcId::PRIMARY
+        } else {
+            ProcId::SPARE
         };
         ReleaseDecision::Mandatory {
             main_proc,
@@ -307,10 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn mains_on_primary_variant() {
+    fn theta_variant_keeps_mains_on_primary() {
         let ts = fig1_set();
-        let mut dp = MkssDp::with_placement(&ts, MainPlacement::MainsOnPrimary).unwrap();
-        assert_eq!(dp.name(), "MKSS_DP_primary");
+        let mut dp = MkssDp::theta(&ts).unwrap();
+        assert_eq!(dp.name(), "MKSS_DP_theta");
         let (report, trace) =
             simulate_traced(&ts, &mut dp, &SimConfig::active_only(Time::from_ms(20)));
         assert!(report.mk_assured());

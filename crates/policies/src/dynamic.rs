@@ -9,14 +9,19 @@
 //!
 //! * **Selective** (Section IV): only optional jobs with flexibility
 //!   degree exactly 1, alternating between the primary and the spare
-//!   processor per task; backups are postponed by the inspecting-point
-//!   intervals `θ_i` of Definitions 2–5.
+//!   processor per task.
 //! * **Greedy** (Section III, Figs. 2–3): every optional job is selected,
-//!   all on the primary processor; backups use the promotion times `Y_i`.
+//!   all on the primary processor.
+//!
+//! Both delay each mandatory job's backup by the promotion time
+//! `Y_i = D_i − R_i` (Eq. 2). Algorithm 1 delays Selective's backups by
+//! the inspecting-point intervals `θ_i` of Definitions 2–5 instead, but
+//! that analysis holds only for the static R-pattern's job positions: a
+//! dynamic pattern puts mandatory jobs elsewhere, and a θ-delayed backup
+//! then misses after a permanent fault (the replayed counterexample
+//! `tests/counterexamples/selective_tau2_job42.json`; DESIGN §7).
 
-use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
 use mkss_analysis::rta::{promotion_times, InterferenceModel};
-use mkss_core::mk::Pattern;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
 use mkss_sim::policy::{Policy, ReleaseCtx, ReleaseDecision};
@@ -35,8 +40,6 @@ pub enum SelectionRule {
     /// Only jobs with flexibility degree exactly 1 (Algorithm 1,
     /// principle (i)).
     FdExactlyOne,
-    /// Jobs with flexibility degree in `1..=max` (ablation knob).
-    FdAtMost(u32),
     /// Every optional job (the greedy strawman).
     All,
 }
@@ -46,7 +49,6 @@ impl SelectionRule {
         debug_assert!(fd >= 1, "fd 0 jobs are mandatory, not optional");
         match self {
             SelectionRule::FdExactlyOne => fd == 1,
-            SelectionRule::FdAtMost(max) => fd <= max,
             SelectionRule::All => true,
         }
     }
@@ -64,24 +66,6 @@ pub enum OptionalPlacement {
     Alternate,
     /// All on the primary (the greedy strawman of Figs. 2–3).
     PrimaryOnly,
-    /// All on the spare (ablation knob).
-    SpareOnly,
-}
-
-/// How much each mandatory job's backup is procrastinated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[expect(
-    clippy::exhaustive_enums,
-    reason = "closed variant set: the paper's procrastination modes are a fixed catalog; matched exhaustively"
-)]
-pub enum BackupDelay {
-    /// No procrastination (concurrent copies).
-    None,
-    /// Promotion times `Y_i = D_i − R_i` (Eq. 2).
-    Promotion,
-    /// The postponement intervals `θ_i` of Definitions 2–5 (never less
-    /// than the promotion times).
-    Postponement,
 }
 
 /// Configuration of a [`DynamicPolicy`].
@@ -91,8 +75,6 @@ pub struct DynamicConfig {
     pub selection: SelectionRule,
     /// Optional-job placement.
     pub placement: OptionalPlacement,
-    /// Backup procrastination.
-    pub backup_delay: BackupDelay,
 }
 
 impl DynamicConfig {
@@ -101,7 +83,6 @@ impl DynamicConfig {
         DynamicConfig {
             selection: SelectionRule::FdExactlyOne,
             placement: OptionalPlacement::Alternate,
-            backup_delay: BackupDelay::Postponement,
         }
     }
 
@@ -110,7 +91,6 @@ impl DynamicConfig {
         DynamicConfig {
             selection: SelectionRule::All,
             placement: OptionalPlacement::PrimaryOnly,
-            backup_delay: BackupDelay::Promotion,
         }
     }
 }
@@ -142,7 +122,7 @@ impl DynamicConfig {
 pub struct DynamicPolicy {
     name: String,
     config: DynamicConfig,
-    /// Per-task backup delay (resolved from `config.backup_delay`).
+    /// Per-task backup delay: the promotion times `Y_i`.
     delay: Vec<Time>,
     /// Per-task alternation state: next optional goes to the spare when
     /// set (used by [`OptionalPlacement::Alternate`]).
@@ -150,7 +130,8 @@ pub struct DynamicPolicy {
 }
 
 /// The paper's `MKSS_selective` (Algorithm 1): a [`DynamicPolicy`] with
-/// FD = 1 selection, alternating placement, and θ-postponed backups.
+/// FD = 1 selection, alternating placement, and backups delayed by the
+/// promotion times.
 pub type MkssSelective = DynamicPolicy;
 
 impl DynamicPolicy {
@@ -173,7 +154,8 @@ impl DynamicPolicy {
         Self::with_config("MKSS_greedy", ts, DynamicConfig::greedy())
     }
 
-    /// Builds a custom variant (ablations).
+    /// Builds a custom selection/placement combination (the FD = 1,
+    /// primary-only scheme of Fig. 2).
     ///
     /// # Errors
     ///
@@ -183,32 +165,14 @@ impl DynamicPolicy {
         ts: &TaskSet,
         config: DynamicConfig,
     ) -> Result<Self, BuildPolicyError> {
-        let pattern = Pattern::DeeplyRed;
-        let postpone_config = PostponeConfig {
-            pattern,
-            ..PostponeConfig::default()
-        };
-        let delay = match config.backup_delay {
-            BackupDelay::None => vec![Time::ZERO; ts.len()],
-            BackupDelay::Promotion => {
-                promotion_times(ts, InterferenceModel::MandatoryOnly(pattern))
-                    .ok_or_else(|| first_unschedulable(ts, pattern))?
-            }
-            BackupDelay::Postponement => postponement_intervals(ts, postpone_config)
-                .map(|p| p.theta)
-                .map_err(|_| first_unschedulable(ts, pattern))?,
-        };
+        let delay = promotion_times(ts, InterferenceModel::MandatoryOnly)
+            .ok_or_else(|| first_unschedulable(ts))?;
         Ok(DynamicPolicy {
             name: name.to_owned(),
             config,
             delay,
             next_on_spare: vec![false; ts.len()],
         })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> DynamicConfig {
-        self.config
     }
 }
 
@@ -236,7 +200,6 @@ impl Policy for DynamicPolicy {
         }
         let proc = match self.config.placement {
             OptionalPlacement::PrimaryOnly => ProcId::PRIMARY,
-            OptionalPlacement::SpareOnly => ProcId::SPARE,
             OptionalPlacement::Alternate => {
                 let flag = &mut self.next_on_spare[ctx.task.0];
                 let proc = if *flag {
@@ -323,7 +286,6 @@ mod tests {
             DynamicConfig {
                 selection: SelectionRule::FdExactlyOne,
                 placement: OptionalPlacement::PrimaryOnly,
-                backup_delay: BackupDelay::Promotion,
             },
         )
         .unwrap();
@@ -358,14 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn selective_uses_postponement_delays() {
+    fn selective_backs_up_with_promotion_times() {
         let ts = TaskSet::new(vec![
             Task::from_ms(10, 10, 3, 2, 3).unwrap(),
             Task::from_ms(15, 15, 8, 1, 2).unwrap(),
         ])
         .unwrap();
         // A miss leaves both tasks deeply red (FD = 0), so the next job
-        // is mandatory and its backup waits θ_i: θ1 = 7, θ2 = 4 (Y2 = 1).
+        // is mandatory and its backup waits Y_i: Y1 = 10 − 3 = 7 and
+        // Y2 = 15 − 14 = 1, not Fig. 5's θ2 = 4.
         let mut p = DynamicPolicy::new(&ts).unwrap();
         for (id, task) in ts.iter() {
             let mut history = MkHistory::new(task.mk());
@@ -377,12 +340,12 @@ mod tests {
                 history: &history,
                 alive: [true; 2],
             };
-            let theta = [Time::from_ms(7), Time::from_ms(4)][id.0];
+            let y = [Time::from_ms(7), Time::from_ms(1)][id.0];
             assert_eq!(
                 p.on_release(&ctx),
                 ReleaseDecision::Mandatory {
                     main_proc: ProcId::PRIMARY,
-                    backup_delay: theta,
+                    backup_delay: y,
                 }
             );
         }
@@ -409,9 +372,6 @@ mod tests {
     fn selection_rules() {
         assert!(SelectionRule::FdExactlyOne.selects(1));
         assert!(!SelectionRule::FdExactlyOne.selects(2));
-        assert!(SelectionRule::FdAtMost(2).selects(1));
-        assert!(SelectionRule::FdAtMost(2).selects(2));
-        assert!(!SelectionRule::FdAtMost(2).selects(3));
         assert!(SelectionRule::All.selects(7));
     }
 
@@ -428,29 +388,6 @@ mod tests {
             sel.active_energy(),
             dp.active_energy()
         );
-    }
-
-    #[test]
-    fn spare_only_placement_puts_optionals_on_the_spare() {
-        let ts = fig3_set();
-        let mut p = DynamicPolicy::with_config(
-            "spare_only",
-            &ts,
-            DynamicConfig {
-                placement: OptionalPlacement::SpareOnly,
-                ..DynamicConfig::selective()
-            },
-        )
-        .unwrap();
-        assert_eq!(p.config().placement, OptionalPlacement::SpareOnly);
-        let (report, trace) =
-            simulate_traced(&ts, &mut p, &SimConfig::active_only(Time::from_ms(25)));
-        assert!(report.mk_assured());
-        assert!(trace
-            .segments
-            .iter()
-            .filter(|s| s.kind == CopyKind::Optional)
-            .all(|s| s.proc == ProcId::SPARE));
     }
 
     #[test]

@@ -15,12 +15,6 @@ pub enum BuildPolicyError {
         /// First task failing the response-time analysis.
         task: TaskId,
     },
-    /// θ-based backup postponement (Definitions 2–5) is only sound when
-    /// the spare processor hosts nothing but consistently-postponed
-    /// backups, i.e. with all mains on the primary; preference-oriented
-    /// placement mixes offset-0 mains into the spare and voids the
-    /// inspecting-point analysis.
-    PostponementNeedsMainsOnPrimary,
 }
 
 impl fmt::Display for BuildPolicyError {
@@ -29,10 +23,6 @@ impl fmt::Display for BuildPolicyError {
             BuildPolicyError::Unschedulable { task } => {
                 write!(f, "task {task} is unschedulable under the R-pattern")
             }
-            BuildPolicyError::PostponementNeedsMainsOnPrimary => write!(
-                f,
-                "θ-postponed backups require all mains on the primary processor"
-            ),
         }
     }
 }

@@ -6,13 +6,18 @@
 //!   execution (the energy reference);
 //! * [`MkssDp`] — static patterns with preference-oriented placement and
 //!   dual-priority backup procrastination by the promotion times
-//!   `Y_i = D_i − R_i` (after Haque et al. and Begam et al., no DVS);
+//!   `Y_i = D_i − R_i` (after Haque et al. and Begam et al., no DVS).
+//!   Its [`MkssDp::theta`] variant keeps every main on the primary and
+//!   postpones backups by the inspecting-point intervals `θ_i` of
+//!   Definitions 2–5;
 //! * [`MkssSelective`] — the paper's contribution (Algorithm 1):
-//!   dynamic patterns via flexibility degrees, selective execution of
-//!   FD = 1 optional jobs alternating across both processors, and backup
-//!   release postponement by the inspecting-point intervals `θ_i`;
+//!   dynamic patterns via flexibility degrees and selective execution of
+//!   FD = 1 optional jobs alternating across both processors. Its
+//!   backups wait the promotion times `Y_i`, not Algorithm 1's `θ_i`,
+//!   which the dynamic pattern's job positions break (DESIGN §7);
 //! * [`DynamicPolicy`] with a custom [`DynamicConfig`] — the greedy
-//!   strawman of Section III and the ablation variants.
+//!   strawman of Section III and the FD = 1 primary-only scheme of
+//!   Fig. 2.
 //!
 //! All schemes implement the [`mkss_sim::policy::Policy`] trait and run on
 //! the shared [`mkss_sim`] engine.
@@ -47,10 +52,8 @@ pub mod error;
 pub mod registry;
 pub mod static_pattern;
 
-pub use dual_priority::{MainPlacement, MkssDp, StaticBackupDelay};
-pub use dynamic::{
-    BackupDelay, DynamicConfig, DynamicPolicy, MkssSelective, OptionalPlacement, SelectionRule,
-};
+pub use dual_priority::MkssDp;
+pub use dynamic::{DynamicConfig, DynamicPolicy, MkssSelective, OptionalPlacement, SelectionRule};
 pub use error::BuildPolicyError;
 pub use registry::{BuildOptions, ParsePolicyKindError, PolicyKind};
 pub use static_pattern::MkssSt;

@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-use crate::dual_priority::{MainPlacement, MkssDp, StaticBackupDelay};
-use crate::dynamic::{BackupDelay, DynamicConfig, DynamicPolicy, OptionalPlacement, SelectionRule};
+use crate::dual_priority::MkssDp;
+use crate::dynamic::DynamicPolicy;
 use crate::error::BuildPolicyError;
 use crate::static_pattern::MkssSt;
 
@@ -20,43 +20,28 @@ pub enum PolicyKind {
     Static,
     /// [`MkssDp`]: preference-oriented dual-priority procrastination.
     DualPriority,
-    /// [`MkssDp`] with all mains on the primary (Haque-style placement).
-    DualPriorityPrimary,
     /// [`DynamicPolicy::greedy`]: all optional jobs, primary only.
     Greedy,
-    /// The paper's selective scheme (Algorithm 1).
+    /// The paper's selective scheme (Algorithm 1), with backups delayed
+    /// by the promotion times.
     Selective,
-    /// Selective without backup postponement (promotion times only) —
-    /// ablation for the θ analysis.
-    SelectiveNoPostpone,
-    /// Selective with all optional jobs on the primary — ablation for the
-    /// alternating placement.
-    SelectivePrimaryOnly,
-    /// Selective admitting optional jobs with flexibility degree ≤ 2 —
-    /// ablation for the FD = 1 selection rule.
-    SelectiveFd2,
-    /// Selective admitting optional jobs with flexibility degree ≤ 3.
-    SelectiveFd3,
-    /// [`MkssSt`] with the evenly-distributed (E-)pattern instead of the
-    /// deeply-red one — ablation for the static pattern shape.
-    StaticEven,
-    /// [`MkssDp`] with task-level θ-postponed backups instead of
-    /// promotion times — ablation for the postponement analysis on
-    /// static patterns.
+    /// [`MkssDp::theta`]: the static scheme with every main on the
+    /// primary and θ-postponed backups (Definitions 2–5), where the θ
+    /// analysis's job positions hold.
     DualPriorityTheta,
 }
 
 /// Options shared by every scheme [`PolicyKind::build`] can construct.
 ///
-/// Every scheme is built exactly as the paper describes, so the type has
-/// no fields; it stays in [`PolicyKind::build`]'s signature for the
+/// Every scheme is built one way (the paper's, except that Selective
+/// backs up with `Y_i`), so the type has no fields; it stays in [`PolicyKind::build`]'s signature for the
 /// callers that pass [`BuildOptions::default`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct BuildOptions {}
 
 impl BuildOptions {
-    /// The defaults: every scheme built exactly as the paper describes.
+    /// The defaults: every scheme built its one way.
     pub fn new() -> Self {
         BuildOptions::default()
     }
@@ -64,17 +49,11 @@ impl BuildOptions {
 
 impl PolicyKind {
     /// All kinds, in a stable presentation order.
-    pub const ALL: [PolicyKind; 11] = [
+    pub const ALL: [PolicyKind; 5] = [
         PolicyKind::Static,
         PolicyKind::DualPriority,
-        PolicyKind::DualPriorityPrimary,
         PolicyKind::Greedy,
         PolicyKind::Selective,
-        PolicyKind::SelectiveNoPostpone,
-        PolicyKind::SelectivePrimaryOnly,
-        PolicyKind::SelectiveFd2,
-        PolicyKind::SelectiveFd3,
-        PolicyKind::StaticEven,
         PolicyKind::DualPriorityTheta,
     ];
 
@@ -114,52 +93,10 @@ impl PolicyKind {
     ) -> Result<Box<dyn Policy>, BuildPolicyError> {
         Ok(match self {
             PolicyKind::Static => Box::new(MkssSt::new()),
-            PolicyKind::StaticEven => Box::new(MkssSt::with_pattern(
-                mkss_core::mk::Pattern::EvenlyDistributed,
-            )),
             PolicyKind::DualPriority => Box::new(MkssDp::new(ts)?),
-            PolicyKind::DualPriorityPrimary => {
-                Box::new(MkssDp::with_placement(ts, MainPlacement::MainsOnPrimary)?)
-            }
             PolicyKind::Greedy => Box::new(DynamicPolicy::greedy(ts)?),
             PolicyKind::Selective => Box::new(DynamicPolicy::new(ts)?),
-            PolicyKind::SelectiveNoPostpone => Box::new(DynamicPolicy::with_config(
-                "MKSS_selective_nopost",
-                ts,
-                DynamicConfig {
-                    backup_delay: BackupDelay::Promotion,
-                    ..DynamicConfig::selective()
-                },
-            )?),
-            PolicyKind::SelectivePrimaryOnly => Box::new(DynamicPolicy::with_config(
-                "MKSS_selective_primary",
-                ts,
-                DynamicConfig {
-                    placement: OptionalPlacement::PrimaryOnly,
-                    ..DynamicConfig::selective()
-                },
-            )?),
-            PolicyKind::SelectiveFd2 => Box::new(DynamicPolicy::with_config(
-                "MKSS_selective_fd2",
-                ts,
-                DynamicConfig {
-                    selection: SelectionRule::FdAtMost(2),
-                    ..DynamicConfig::selective()
-                },
-            )?),
-            PolicyKind::SelectiveFd3 => Box::new(DynamicPolicy::with_config(
-                "MKSS_selective_fd3",
-                ts,
-                DynamicConfig {
-                    selection: SelectionRule::FdAtMost(3),
-                    ..DynamicConfig::selective()
-                },
-            )?),
-            PolicyKind::DualPriorityTheta => Box::new(MkssDp::with_options(
-                ts,
-                MainPlacement::MainsOnPrimary,
-                StaticBackupDelay::Postponement,
-            )?),
+            PolicyKind::DualPriorityTheta => Box::new(MkssDp::theta(ts)?),
         })
     }
 
@@ -168,14 +105,8 @@ impl PolicyKind {
         match self {
             PolicyKind::Static => "st",
             PolicyKind::DualPriority => "dp",
-            PolicyKind::DualPriorityPrimary => "dp-primary",
             PolicyKind::Greedy => "greedy",
             PolicyKind::Selective => "selective",
-            PolicyKind::SelectiveNoPostpone => "selective-nopost",
-            PolicyKind::SelectivePrimaryOnly => "selective-primary",
-            PolicyKind::SelectiveFd2 => "selective-fd2",
-            PolicyKind::SelectiveFd3 => "selective-fd3",
-            PolicyKind::StaticEven => "st-even",
             PolicyKind::DualPriorityTheta => "dp-theta",
         }
     }

@@ -5,7 +5,6 @@
 //! backup on the spare, no procrastination), and optional jobs are never
 //! executed. This is the energy *reference* the paper normalizes against.
 
-use mkss_core::mk::Pattern;
 use mkss_core::time::Time;
 use mkss_sim::policy::{Policy, ReleaseCtx, ReleaseDecision};
 use mkss_sim::proc::ProcId;
@@ -30,36 +29,22 @@ use mkss_sim::proc::ProcId;
 /// # }
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MkssSt {
-    pattern: Pattern,
-}
+pub struct MkssSt;
 
 impl MkssSt {
-    /// Creates the scheme with the deeply-red pattern.
+    /// Creates the scheme.
     pub fn new() -> Self {
-        MkssSt {
-            pattern: Pattern::DeeplyRed,
-        }
-    }
-
-    /// Creates the scheme with a custom static pattern (for ablations).
-    pub fn with_pattern(pattern: Pattern) -> Self {
-        MkssSt { pattern }
+        MkssSt
     }
 }
 
 impl Policy for MkssSt {
     fn name(&self) -> &str {
-        match self.pattern {
-            Pattern::DeeplyRed => "MKSS_ST",
-            Pattern::EvenlyDistributed => "MKSS_ST_E",
-            _ => "MKSS_ST_custom",
-        }
+        "MKSS_ST"
     }
 
     fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
-        let mk = ctx.history.constraint();
-        if self.pattern.is_mandatory(mk, ctx.job_index) {
+        if ctx.history.constraint().is_mandatory(ctx.job_index) {
             ReleaseDecision::Mandatory {
                 main_proc: ProcId::PRIMARY,
                 backup_delay: Time::ZERO,
@@ -125,13 +110,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn e_pattern_variant_also_assures_mk() {
-        let ts = fig1_set();
-        let mut p = MkssSt::with_pattern(Pattern::EvenlyDistributed);
-        let report = simulate(&ts, &mut p, &SimConfig::active_only(Time::from_ms(40)));
-        assert!(report.mk_assured());
     }
 }

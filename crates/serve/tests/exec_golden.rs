@@ -14,10 +14,12 @@
 //! loadgen differential compares two paths of one build, so a count
 //! that changes on both sides slips past it; these digests were recorded
 //! before the engine moved to per-run tallies and pin the counts
-//! themselves. When the per-job θ policy kind was removed, they were
-//! re-recorded on the code before the removal with that kind left out
-//! of every policy list (`compare` included), so they prove the
-//! remaining kinds unchanged.
+//! themselves. When the per-job θ policy kind was removed, and again when
+//! the six ablation-only kinds were, they were re-recorded on the code
+//! before the removal with those kinds left out of every policy list
+//! (`compare` included), so they prove the remaining kinds unchanged; the
+//! second time four more task sets joined the corpus, which keeps it
+//! above 300 requests with five kinds.
 
 use std::sync::Arc;
 
@@ -73,7 +75,17 @@ fn responses_and_tee_totals_match_the_recorded_digests() {
     };
     let mut requests = Vec::new();
     let mut id = 0u64;
-    for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7), (44, 0.9)] {
+    let sets = [
+        (11u64, 0.3),
+        (22, 0.5),
+        (33, 0.7),
+        (44, 0.9),
+        (55, 0.2),
+        (66, 0.4),
+        (77, 0.6),
+        (88, 0.8),
+    ];
+    for (seed, util) in sets {
         let Some(ts) = Generator::new(WorkloadConfig::paper(), seed).schedulable_set(util) else {
             continue;
         };
@@ -122,7 +134,7 @@ fn responses_and_tee_totals_match_the_recorded_digests() {
     assert!(snapshot.counter(CounterId::JobsReleased) > 0);
     assert_eq!(
         (response_digest, snapshot_digest(&snapshot)),
-        (0x40b8_a2b6_c59b_9d2f, 0x9f24_8df9_66f1_05a5),
+        (0xd91f_d72a_b829_5148, 0xf24d_9d12_08f7_87a0),
         "execute responses or tee totals changed"
     );
 }

@@ -1624,9 +1624,8 @@ mod tests {
             "static-ref"
         }
         fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
-            use mkss_core::mk::Pattern;
             let mk = ctx.history.constraint();
-            if Pattern::DeeplyRed.is_mandatory(mk, ctx.job_index) {
+            if mk.is_mandatory(ctx.job_index) {
                 ReleaseDecision::Mandatory {
                     main_proc: ProcId::PRIMARY,
                     backup_delay: Time::ZERO,
@@ -1997,11 +1996,9 @@ mod tests {
                 .collect();
         }
         fn on_release(&mut self, ctx: &ReleaseCtx<'_>) -> ReleaseDecision {
-            use mkss_core::mk::Pattern;
             let pick = |n: u64| ProcId::ALL[(n % 2) as usize];
             let mk = ctx.history.constraint();
-            if Pattern::DeeplyRed.is_mandatory(mk, ctx.job_index) || ctx.history.next_is_mandatory()
-            {
+            if mk.is_mandatory(ctx.job_index) || ctx.history.next_is_mandatory() {
                 ReleaseDecision::Mandatory {
                     main_proc: pick(ctx.task.0 as u64),
                     backup_delay: self.delays[ctx.task.0],

@@ -26,8 +26,8 @@ pub enum ReleaseDecision {
     /// The job is mandatory: run a *main* copy on `main_proc` (released
     /// immediately) and a *backup* copy on the other processor, released
     /// `backup_delay` after the job's release (0 for concurrent
-    /// execution, `Y_i` under dual-priority, `θ_i` under the selective
-    /// scheme's postponement).
+    /// execution, `Y_i` under dual-priority and the selective scheme,
+    /// `θ_i` under `MKSS_DP_theta`'s postponement).
     Mandatory {
         /// Processor of the main copy; the backup goes to the other one.
         main_proc: ProcId,

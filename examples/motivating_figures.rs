@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DynamicConfig {
             selection: SelectionRule::FdExactlyOne,
             placement: OptionalPlacement::PrimaryOnly,
-            backup_delay: BackupDelay::Promotion,
         },
     )?;
     show(

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let jobs = ts.hyperperiod_up_to(id).div_floor(task.period());
         for j in 1..=jobs {
-            if Pattern::DeeplyRed.is_mandatory(task.mk(), j) {
+            if task.mk().is_mandatory(j) {
                 println!(
                     "    backup J'{},{j}: release {} → postponed to {} (deadline {})",
                     id.0 + 1,

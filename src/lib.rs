@@ -7,10 +7,10 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`core`] | `mkss-core` | tasks `(P,D,C,m,k)`, jobs, patterns, flexibility degree, (m,k) monitor |
+//! | [`core`] | `mkss-core` | tasks `(P,D,C,m,k)`, jobs, the deeply-red pattern, flexibility degree, (m,k) monitor |
 //! | [`analysis`] | `mkss-analysis` | response-time analysis, promotion times `Y`, postponement intervals `θ` |
 //! | [`sim`] | `mkss-sim` | deterministic dual-processor simulator: MJQ/OJQ dispatch, faults, DPD energy |
-//! | [`policies`] | `mkss-policies` | `MKSS_ST`, `MKSS_DP`, `MKSS_selective`, greedy + ablation variants |
+//! | [`policies`] | `mkss-policies` | `MKSS_ST`, `MKSS_DP` (and its θ variant), `MKSS_selective`, greedy |
 //! | [`workload`] | `mkss-workload` | the Section-V random task-set generator |
 //! | [`obs`] | `mkss-obs` | zero-dep observability: engine-event recorders, counter/histogram registry, metrics export |
 //! | [`serve`] | `mkss-serve` | session-pooled simulation daemon: line-JSON protocol over Unix/TCP sockets, bounded run slots, per-request metrics |
@@ -66,9 +66,8 @@ pub mod prelude {
         CounterId, HistogramId, LogLevel, MetricsDoc, NoopRecorder, Recorder, Registry, Reporter,
     };
     pub use mkss_policies::{
-        BackupDelay, BuildOptions, BuildPolicyError, DynamicConfig, DynamicPolicy, MainPlacement,
-        MkssDp, MkssSelective, MkssSt, OptionalPlacement, ParsePolicyKindError, PolicyKind,
-        SelectionRule,
+        BuildOptions, BuildPolicyError, DynamicConfig, DynamicPolicy, MkssDp, MkssSelective,
+        MkssSt, OptionalPlacement, ParsePolicyKindError, PolicyKind, SelectionRule,
     };
     pub use mkss_sim::prelude::*;
     pub use mkss_workload::{generate_buckets, Bucket, BucketPlan, Generator, WorkloadConfig};

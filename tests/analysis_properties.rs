@@ -2,9 +2,10 @@
 //!
 //! * every observed mandatory-job response time is bounded by the
 //!   busy-window RTA result;
-//! * backups postponed by θ (Definitions 2–5) always meet their
-//!   deadlines even when they must run to completion (main processor
-//!   dead from t = 0) — the soundness claim behind Theorem 1;
+//! * backups postponed by θ (Definitions 2–5) on the static R-pattern
+//!   (`dp-theta`), and by Y under Selective's dynamic pattern, always
+//!   meet their deadlines even when they must run to completion (main
+//!   processor dead from t = 0) — the soundness claim behind Theorem 1;
 //! * promotion-time-delayed backups do too (the dual-priority baseline);
 //! * the verdict-only R-pattern test agrees with the full report, and
 //!   both interference models agree with an independent restatement of
@@ -52,7 +53,7 @@ fn reference_analysis(ts: &TaskSet, model: InterferenceModel) -> Vec<TaskRespons
         let releases = Time::from_ticks(t as u64).div_ceil(task.period());
         let counted = match model {
             InterferenceModel::AllJobs => releases,
-            InterferenceModel::MandatoryOnly(p) => p.mandatory_among(task.mk(), releases),
+            InterferenceModel::MandatoryOnly => task.mk().mandatory_among(releases),
         };
         u128::from(counted)
     };
@@ -104,7 +105,7 @@ fn reference_analysis(ts: &TaskSet, model: InterferenceModel) -> Vec<TaskRespons
             }
             let counts = match model {
                 InterferenceModel::AllJobs => true,
-                InterferenceModel::MandatoryOnly(p) => p.is_mandatory(task.mk(), index + 1),
+                InterferenceModel::MandatoryOnly => task.mk().is_mandatory(index + 1),
             };
             if counts {
                 own += wcet;
@@ -192,7 +193,7 @@ fn overflowing_busy_window_is_unschedulable_not_a_panic() {
     // its typed error for the first task that misses.
     let heavy = saturated_hyperperiod_set(3);
     assert!(heavy.mk_utilization() > 1.0);
-    let mandatory = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    let mandatory = InterferenceModel::MandatoryOnly;
     let report = analyze(&heavy, mandatory);
     assert_eq!(report.response_time(TaskId(9)), None);
     assert_eq!(report.tasks, reference_analysis(&heavy, mandatory));
@@ -215,7 +216,7 @@ proptest! {
         let mut generator = Generator::new(WorkloadConfig::paper(), seed);
         for _ in 0..8 {
             let Some(ts) = generator.raw_set_in(lo, hi) else { continue };
-            let mandatory = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+            let mandatory = InterferenceModel::MandatoryOnly;
             let report = analyze(&ts, mandatory);
             prop_assert_eq!(is_schedulable_r_pattern(&ts), report.schedulable());
             for model in [InterferenceModel::AllJobs, mandatory] {
@@ -233,12 +234,12 @@ proptest! {
     #[test]
     fn rta_bounds_observed_response_times(seed in 0u64..5_000, util_pct in 15u64..65) {
         let Some(ts) = schedulable_set(seed, util_pct) else { return Ok(()); };
-        let report = analyze(&ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed));
+        let report = analyze(&ts, InterferenceModel::MandatoryOnly);
         prop_assert!(report.schedulable());
 
-        // All mains on the primary: the primary's schedule is exactly the
-        // mandatory-only FP schedule the analysis models.
-        let mut policy = PolicyKind::DualPriorityPrimary.build(&ts, &BuildOptions::default()).unwrap();
+        // dp-theta keeps every main on the primary: the primary's schedule
+        // is exactly the mandatory-only FP schedule the analysis models.
+        let mut policy = PolicyKind::DualPriorityTheta.build(&ts, &BuildOptions::default()).unwrap();
         let config = SimConfig::builder().horizon_ms(400).active_only().build();
         let (_, trace) = simulate_traced(&ts, policy.as_mut(), &config);
         let done = completions(&trace, ProcId::PRIMARY);
@@ -254,8 +255,9 @@ proptest! {
         }
     }
 
-    /// With the primary dead from t = 0, every θ-postponed backup runs to
-    /// completion and still meets its deadline: zero missed jobs.
+    /// With the primary dead from t = 0, every postponed backup runs to
+    /// completion and the (m,k) guarantee holds: Selective's Y-delayed
+    /// backups and dp-theta's θ-delayed ones on the R-pattern.
     #[test]
     fn postponed_backups_always_meet_deadlines(seed in 0u64..5_000, util_pct in 15u64..65) {
         let Some(ts) = schedulable_set(seed, util_pct) else { return Ok(()); };
@@ -263,12 +265,6 @@ proptest! {
             .horizon_ms(400)
             .faults(FaultConfig::permanent(ProcId::PRIMARY, Time::ZERO))
             .build();
-        // Static classification (R-pattern) isolates the postponement
-        // machinery from dynamic-pattern effects.
-        let mut policy = PolicyKind::SelectiveNoPostpone.build(&ts, &BuildOptions::default()).unwrap();
-        let nopost = simulate(&ts, policy.as_mut(), &config);
-        prop_assert!(nopost.mk_assured());
-
         let mut policy = PolicyKind::Selective.build(&ts, &BuildOptions::default()).unwrap();
         let sel = simulate(&ts, policy.as_mut(), &config);
         prop_assert!(sel.mk_assured(), "violations: {:?} (seed {seed})", sel.violations);

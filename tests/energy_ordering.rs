@@ -142,20 +142,6 @@ fn fig6c_shape_combined_faults() {
 }
 
 #[test]
-fn ablation_postponement_helps() {
-    // θ-postponement should never hurt vs promotion-only on average.
-    let mut cfg = quick(Scenario::NoFault);
-    cfg.policies = vec![PolicyKind::Selective, PolicyKind::SelectiveNoPostpone];
-    let result = run_experiment(&cfg);
-    let with_theta = result.mean_normalized(PolicyKind::Selective);
-    let without = result.mean_normalized(PolicyKind::SelectiveNoPostpone);
-    assert!(
-        with_theta <= without + 0.01,
-        "θ-postponement made things worse: {with_theta} vs {without}"
-    );
-}
-
-#[test]
 fn ablation_postponement_ladder_on_static_scheme() {
     // More procrastination can only increase backup cancellations:
     // Y_alljobs (paper) ≥ energy of θ.

@@ -119,7 +119,17 @@ fn counters_mirror_the_report_of_every_run() {
     let registry = Arc::new(Registry::new(1));
     let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
     let mut runs = 0u32;
-    for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7), (44, 0.9)] {
+    let sets = [
+        (11u64, 0.3),
+        (22, 0.5),
+        (33, 0.7),
+        (44, 0.9),
+        (55, 0.2),
+        (66, 0.4),
+        (77, 0.6),
+        (88, 0.8),
+    ];
+    for (seed, util) in sets {
         let Some(ts) = Generator::new(WorkloadConfig::paper(), seed).schedulable_set(util) else {
             continue;
         };

@@ -77,7 +77,6 @@ fn fig2_dynamic_pattern_consumes_12_units() {
         DynamicConfig {
             selection: SelectionRule::FdExactlyOne,
             placement: OptionalPlacement::PrimaryOnly,
-            backup_delay: BackupDelay::Promotion,
         },
     )
     .unwrap();
@@ -108,7 +107,6 @@ fn fig2_executes_the_papers_job_sequence() {
         DynamicConfig {
             selection: SelectionRule::FdExactlyOne,
             placement: OptionalPlacement::PrimaryOnly,
-            backup_delay: BackupDelay::Promotion,
         },
     )
     .unwrap();

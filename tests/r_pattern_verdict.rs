@@ -13,7 +13,7 @@
 use mkss::analysis::rta::first_job_meets;
 use mkss::prelude::*;
 
-const DEEPLY_RED: InterferenceModel = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+const DEEPLY_RED: InterferenceModel = InterferenceModel::MandatoryOnly;
 
 fn full_verdict(ts: &TaskSet) -> bool {
     analyze(ts, DEEPLY_RED).schedulable()
@@ -199,8 +199,16 @@ fn a_task_without_a_mandatory_first_job_simulates_under_every_paper_policy() {
 fn a_zero_window_fails_to_deserialize() {
     let mk: MkConstraint = serde_json::from_str(r#"{"m":0,"k":2}"#).unwrap();
     assert_eq!((mk.m(), mk.k()), (0, 2));
-    let err = serde_json::from_str::<MkConstraint>(r#"{"m":0,"k":0}"#).unwrap_err();
-    assert!(err.to_string().contains("(0,0)"), "{err}");
-    let task = r#"{"tasks":[{"period":4,"deadline":4,"wcet":1,"mk":{"m":1,"k":0}}]}"#;
-    assert!(serde_json::from_str::<TaskSet>(task).is_err());
+    for (mk, pair) in [
+        (r#"{"m":0,"k":0}"#, "(0,0)"),
+        (r#"{"m":2,"k":2}"#, "(2,2)"),
+        (r#"{"m":3,"k":2}"#, "(3,2)"),
+    ] {
+        let err = serde_json::from_str::<MkConstraint>(mk).unwrap_err();
+        assert!(err.to_string().contains(pair), "{err}");
+    }
+    for mk in [r#"{"m":1,"k":0}"#, r#"{"m":2,"k":2}"#] {
+        let task = format!(r#"{{"tasks":[{{"period":4,"deadline":4,"wcet":1,"mk":{mk}}}]}}"#);
+        assert!(serde_json::from_str::<TaskSet>(&task).is_err(), "{mk}");
+    }
 }

@@ -106,9 +106,8 @@ fn reference_run(
                 })
                 .collect()
         }
-        RefPolicy::Selective => postponement_intervals(ts, PostponeConfig::default())
+        RefPolicy::Selective => promotion_times(ts, InterferenceModel::MandatoryOnly)
             .expect("schedulable")
-            .theta
             .iter()
             .map(|t| t.ticks() / 1000)
             .collect(),
@@ -192,7 +191,7 @@ fn reference_run(
                 next_index[task] += 1;
                 let c_ms = tk.wcet().ticks() / 1000;
                 let fd = flexibility_degree(tk.mk(), &histories[task]);
-                let statically_mandatory = Pattern::DeeplyRed.is_mandatory(tk.mk(), index);
+                let statically_mandatory = tk.mk().is_mandatory(index);
                 let mandatory = match policy {
                     RefPolicy::Static | RefPolicy::DualPriority => statically_mandatory,
                     RefPolicy::Selective => fd == 0,
@@ -419,8 +418,7 @@ fn constrained_set(seed: u64, util_pct: u64, deadline_pcts: &[u64]) -> Option<Ta
     let ts = TaskSet::new(tasks).ok()?;
     let builds = is_schedulable_r_pattern(&ts)
         && MkssDp::new(&ts).is_ok()
-        && MkssSelective::new(&ts).is_ok()
-        && postponement_intervals(&ts, PostponeConfig::default()).is_ok();
+        && MkssSelective::new(&ts).is_ok();
     builds.then_some(ts)
 }
 
@@ -530,9 +528,12 @@ fn counterexample(name: &str) -> (TaskSet, ProcId, Time) {
     (ts, proc, Time::from_ms(at_ms.parse().expect("whole ms")))
 }
 
-/// A Theorem-1 counterexample: one permanent fault, and `MKSS_selective`
-/// misses an (m,k) window, while every scheme that backs up with the
-/// promotion time, or with θ on the static R-pattern, holds.
+/// A Theorem-1 counterexample for Algorithm 1 as published: one
+/// permanent fault, and `MKSS_selective` with θ-delayed backups missed
+/// τ2's (1,2) window at job 42. Task-level θ is exact only for R-pattern
+/// job positions; Selective's dynamic pattern places τ1's mandatory jobs
+/// elsewhere. Selective now backs up with the promotion times, and every
+/// scheme holds.
 ///
 /// Replay: `mkss-cli simulate tests/counterexamples/selective_tau2_job42.json
 /// --policy selective --horizon-ms 1000 --permanent primary@118`.
@@ -543,39 +544,16 @@ fn theorem1_counterexample_replays() {
         .horizon_ms(1_000)
         .faults(FaultConfig::permanent(proc, at))
         .build();
-    let run = |kind: PolicyKind| {
+    for kind in PolicyKind::ALL {
         let mut policy = kind
             .build(&ts, &BuildOptions::default())
             .expect("schedulable set");
-        simulate(&ts, policy.as_mut(), &config)
-    };
-    for kind in [
-        PolicyKind::Static,
-        PolicyKind::DualPriority,
-        PolicyKind::Greedy,
-        PolicyKind::SelectiveNoPostpone,
-        PolicyKind::DualPriorityTheta,
-    ] {
-        let report = run(kind);
+        let report = simulate(&ts, policy.as_mut(), &config);
         assert!(report.mk_assured(), "{kind}: {:?}", report.violations);
     }
-    // The known violation. Task-level θ is exact only for R-pattern job
-    // positions; Selective's dynamic pattern places τ1's mandatory jobs
-    // elsewhere and τ2's θ-delayed backup misses. Fixing Selective's
-    // backup delay (ROADMAP item 1) must flip this assertion to
-    // `mk_assured()`.
-    let selective = run(PolicyKind::Selective);
-    assert_eq!(
-        selective.violations,
-        vec![MkViolation {
-            task: TaskId(1),
-            job_index: 42
-        }]
-    );
 
     // The same run scaled ×1000 to whole milliseconds, primary dead from
-    // 0: the engine and the independent reference agree job by job, so
-    // the violation is the model's, not the engine's.
+    // 0: the engine and the independent reference agree job by job.
     let scaled = TaskSet::new(
         ts.iter()
             .map(|(_, t)| {
@@ -593,13 +571,38 @@ fn theorem1_counterexample_replays() {
     .expect("scaled set");
     let engine = compare_with_fault(&scaled, RefPolicy::Selective, 520_000, Some((0, 0)));
     assert_eq!((engine.stats.met, engine.stats.missed), (113, 46));
-    assert_eq!(
-        engine.violations,
-        vec![MkViolation {
-            task: TaskId(1),
-            job_index: 42
-        }]
-    );
+    assert!(engine.mk_assured(), "{:?}", engine.violations);
+}
+
+/// A permanent fault at every even millisecond of [0, 998] on either
+/// processor of the counterexample set: no remaining scheme misses an
+/// (m,k) window at any instant. Under θ-delayed backups a primary fault
+/// broke Selective at 215 of these 500 instants.
+#[test]
+fn counterexample_survives_every_fault_instant() {
+    let (ts, _, _) = counterexample("selective_tau2_job42");
+    let mut ws = SimWorkspace::new();
+    for kind in PolicyKind::ALL {
+        let mut policy = kind
+            .build(&ts, &BuildOptions::default())
+            .expect("schedulable set");
+        for proc in ProcId::ALL {
+            let broken: Vec<u64> = (0..1_000)
+                .step_by(2)
+                .filter(|&at_ms| {
+                    let config = SimConfig::builder()
+                        .horizon_ms(1_000)
+                        .faults(FaultConfig::permanent(proc, Time::from_ms(at_ms)))
+                        .build();
+                    !simulate_in(&mut ws, &ts, policy.as_mut(), &config).mk_assured()
+                })
+                .collect();
+            assert!(
+                broken.is_empty(),
+                "{kind} with a {proc} fault at {broken:?} ms"
+            );
+        }
+    }
 }
 
 proptest! {

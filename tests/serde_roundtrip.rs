@@ -33,8 +33,6 @@ fn time_and_constraint_roundtrip() {
     assert_eq!(roundtrip(&t), t);
     let mk = MkConstraint::new(3, 7).unwrap();
     assert_eq!(roundtrip(&mk), mk);
-    let p = Pattern::EvenlyDistributed;
-    assert_eq!(roundtrip(&p), p);
 }
 
 #[test]

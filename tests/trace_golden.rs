@@ -9,9 +9,10 @@
 //! trace must reproduce them byte for byte. For the report digest the
 //! former `"trace"` member was excised from the bytes, so only the
 //! fields a report still carries are hashed. When the DVS and the
-//! per-job θ policy kinds were removed, the pins were re-recorded on the
-//! code before each removal with that kind skipped, so they prove the
-//! remaining kinds unchanged.
+//! per-job θ policy kinds, and then the six ablation-only kinds, were
+//! removed, the pins were re-recorded on the code before each removal
+//! with those kinds skipped, so they prove the remaining kinds unchanged
+//! (Selective's switch from θ to Y backups included).
 
 use mkss::prelude::*;
 
@@ -77,7 +78,7 @@ fn traces_and_reports_match_the_recorded_digests() {
         }
     }
     println!("runs {runs}, traces {trace_digest:#018x}, reports {report_digest:#018x}");
-    assert_eq!(runs, 165, "corpus size");
-    assert_eq!(trace_digest, 0xf3e2_67bc_0411_e302, "trace digest");
-    assert_eq!(report_digest, 0xc733_24e1_6483_d0bf, "report digest");
+    assert_eq!(runs, 75, "corpus size");
+    assert_eq!(trace_digest, 0x5aa1_3f97_0be5_f005, "trace digest");
+    assert_eq!(report_digest, 0xfe71_b60e_2231_545d, "report digest");
 }
