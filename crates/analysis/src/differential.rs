@@ -4,16 +4,15 @@
 //!
 //! Every response time, verdict, θ, promotion time and raw-θ variant must
 //! be identical on random raw sets (schedulable or not), on the same sets
-//! with constrained deadlines (`D < P`), on sets read without validation
-//! (`D > P`, `m = 0`), and on 70- and 1 024-task sets.
+//! with constrained deadlines (`D < P`), on small tick-scale sets, and on
+//! 70- and 1 024-task sets.
 
-use crate::postpone::{by_rows, postponement_intervals, PostponeConfig};
+use crate::postpone::{by_rows, postponement_intervals};
 use crate::rta::{analyze, analyze_by_walk, is_schedulable_r_pattern, InterferenceModel};
 use mkss_core::task::{Task, TaskSet};
 use mkss_core::time::Time;
 use mkss_workload::{Generator, WorkloadConfig};
 use proptest::prelude::*;
-use serde::{Deserialize, Number, Value};
 
 /// Asserts that every analysis of `ts` agrees with its oracle.
 fn assert_matches_oracles(ts: &TaskSet) {
@@ -25,10 +24,9 @@ fn assert_matches_oracles(ts: &TaskSet) {
         analyze_by_walk(ts, InterferenceModel::MandatoryOnly).schedulable(),
         "{ts:?}"
     );
-    let config = PostponeConfig::default();
     assert_eq!(
-        postponement_intervals(ts, config),
-        by_rows::postponement_intervals(ts, config),
+        postponement_intervals(ts),
+        by_rows::postponement_intervals(ts),
         "{ts:?}"
     );
 }
@@ -45,27 +43,13 @@ fn constrained(ts: &TaskSet, phase: usize) -> TaskSet {
     TaskSet::new(tasks.collect()).unwrap()
 }
 
-/// A task set read through serde, which (unlike the constructors) checks
-/// neither `D ≤ P` nor `m ≥ 1`. Times are in ticks; `(P, D, C, m, k)`
-/// per task.
-fn unchecked_set(spec: &[(u64, u64, u64, u32, u32)]) -> TaskSet {
-    let int = |n: u64| Value::Number(Number::U64(n));
-    let field = |name: &str, value: Value| (name.to_string(), value);
+/// A task set in ticks, `(P, D, C, m, k)` per task.
+fn tick_set(spec: &[(u64, u64, u64, u32, u32)]) -> TaskSet {
+    let tick = Time::from_ticks;
     let tasks = spec
         .iter()
-        .map(|&(p, d, c, m, k)| {
-            Value::Object(vec![
-                field("period", int(p)),
-                field("deadline", int(d)),
-                field("wcet", int(c)),
-                field(
-                    "mk",
-                    Value::Object(vec![field("m", int(m.into())), field("k", int(k.into()))]),
-                ),
-            ])
-        })
-        .collect();
-    TaskSet::from_value(&Value::Object(vec![field("tasks", Value::Array(tasks))])).unwrap()
+        .map(|&(p, d, c, m, k)| Task::new(tick(p), tick(d), tick(c), m, k).unwrap());
+    TaskSet::new(tasks.collect()).unwrap()
 }
 
 /// `n` tasks in rate-monotonic order, periods 10–50 ms, each with a share
@@ -107,21 +91,19 @@ proptest! {
 
     #[test]
     fn small_sets_match_the_oracles(draws in proptest::collection::vec(any::<u64>(), 1..5)) {
-        // Per task, from one draw: P ∈ [2, 22), C ∈ [1, P] and k ∈ [2, 6).
-        // The validated set takes D ∈ [C, P] and m ∈ [1, k); the unchecked
-        // one D ∈ [1, 2P] and m ∈ [0, k).
-        let (mut valid, mut unchecked) = (Vec::new(), Vec::new());
-        for &x in &draws {
-            let p = 2 + x % 20;
-            let c = 1 + (x >> 8) % p;
-            let k = 2 + (x >> 32) % 4;
-            let d = c + (x >> 16) % (p - c + 1);
-            valid.push((p, d, c, (1 + (x >> 40) % (k - 1)) as u32, k as u32));
-            let d = 1 + (x >> 16) % (2 * p);
-            unchecked.push((p, d, c, ((x >> 40) % k) as u32, k as u32));
-        }
-        assert_matches_oracles(&unchecked_set(&valid));
-        assert_matches_oracles(&unchecked_set(&unchecked));
+        // Per task, from one draw: P ∈ [2, 22), C ∈ [1, P], D ∈ [C, P],
+        // k ∈ [2, 6) and m ∈ [1, k).
+        let spec: Vec<_> = draws
+            .iter()
+            .map(|&x| {
+                let p = 2 + x % 20;
+                let c = 1 + (x >> 8) % p;
+                let k = 2 + (x >> 32) % 4;
+                let d = c + (x >> 16) % (p - c + 1);
+                (p, d, c, (1 + (x >> 40) % (k - 1)) as u32, k as u32)
+            })
+            .collect();
+        assert_matches_oracles(&tick_set(&spec));
     }
 }
 
@@ -133,13 +115,8 @@ fn hand_built_sets_match_the_oracles() {
         // its own point.
         &[(5, 5, 3, 1, 4), (10, 4, 1, 1, 2)][..],
         &[(6, 6, 3, 2, 4), (6, 5, 2, 2, 4)],
-        // A second mandatory job of τ2 misses after its first met (D > P).
-        &[(2, 2, 1, 1, 2), (2, 3, 2, 2, 3)],
-        // First jobs that are optional (m = 0) but would miss.
-        &[(2, 2, 2, 1, 2), (4, 4, 3, 0, 2)],
-        &[(4, 6, 1, 1, 2), (5, 9, 2, 2, 3), (7, 7, 1, 0, 3)],
     ] {
-        assert_matches_oracles(&unchecked_set(spec));
+        assert_matches_oracles(&tick_set(spec));
     }
 }
 

@@ -23,7 +23,7 @@
 //!     Task::from_ms(15, 15, 8, 1, 2)?,
 //! ])?;
 //! assert!(is_schedulable_r_pattern(&ts));
-//! let post = postponement_intervals(&ts, PostponeConfig::default())?;
+//! let post = postponement_intervals(&ts)?;
 //! assert_eq!(post.theta, vec![Time::from_ms(7), Time::from_ms(4)]);
 //! # Ok(())
 //! # }
@@ -40,9 +40,7 @@ pub mod rta;
 /// Commonly used analysis entry points.
 pub mod prelude {
     pub use crate::exact::{exact_sweep, ExactReport};
-    pub use crate::postpone::{
-        postponement_intervals, PostponeConfig, PostponeError, Postponement,
-    };
+    pub use crate::postpone::{postponement_intervals, PostponeError, Postponement};
     pub use crate::rta::{
         analyze, is_schedulable_r_pattern, promotion_times, response_time, InterferenceModel,
         SchedulabilityReport, TaskResponse,

@@ -68,23 +68,11 @@ impl fmt::Display for PostponeError {
 
 impl StdError for PostponeError {}
 
-/// Configuration for [`postponement_intervals`]. The deeply-red pattern
-/// defines which jobs have backups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PostponeConfig {
-    /// If the level-i pattern hyperperiod contains more than this many
-    /// jobs of τ_i, skip the inspecting-point analysis for τ_i and use the
-    /// promotion time `Y_i` (sound, merely less aggressive).
-    pub max_jobs_per_task: u64,
-}
-
-impl Default for PostponeConfig {
-    fn default() -> Self {
-        PostponeConfig {
-            max_jobs_per_task: 2_000,
-        }
-    }
-}
+/// If the level-i pattern hyperperiod contains more than this many jobs
+/// of τ_i, [`postponement_intervals`] skips the inspecting-point analysis
+/// for τ_i and uses the promotion time `Y_i` (sound, merely less
+/// aggressive).
+pub const MAX_JOBS_PER_TASK: u64 = 2_000;
 
 /// Outcome of the raw inspecting-point analysis for one task, before the
 /// promotion-time fallback is applied.
@@ -109,8 +97,8 @@ pub enum RawTheta {
     /// value is not reported: the enumeration stops as soon as the floor
     /// is breached, so a full (and useless) minimum is never computed.
     BelowFloor,
-    /// The level-i pattern hyperperiod exceeded
-    /// [`PostponeConfig::max_jobs_per_task`], so the enumeration was
+    /// The level-i pattern hyperperiod held more than
+    /// [`MAX_JOBS_PER_TASK`] jobs of τ_i, so the enumeration was
     /// skipped and θ_i falls back to `Y_i` (sound, merely conservative).
     NotEnumerated,
 }
@@ -155,7 +143,7 @@ impl Postponement {
 /// τ2 = (15,15,8,1,2) give θ1 = 7 and θ2 = 4.
 ///
 /// ```
-/// use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
+/// use mkss_analysis::postpone::postponement_intervals;
 /// use mkss_core::prelude::*;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -163,18 +151,15 @@ impl Postponement {
 ///     Task::from_ms(10, 10, 3, 2, 3)?,
 ///     Task::from_ms(15, 15, 8, 1, 2)?,
 /// ])?;
-/// let post = postponement_intervals(&ts, PostponeConfig::default())?;
+/// let post = postponement_intervals(&ts)?;
 /// assert_eq!(post.theta, vec![Time::from_ms(7), Time::from_ms(4)]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn postponement_intervals(
-    ts: &TaskSet,
-    config: PostponeConfig,
-) -> Result<Postponement, PostponeError> {
+pub fn postponement_intervals(ts: &TaskSet) -> Result<Postponement, PostponeError> {
     let report = analyze(ts, InterferenceModel::MandatoryOnly);
     let mut points = Vec::new();
-    postpone_with(ts, config, &report, |job, theta, stop_at| {
+    postpone_with(ts, &report, |job, theta, stop_at| {
         theta_for_job(ts, job, theta, stop_at, &mut points)
     })
 }
@@ -194,7 +179,6 @@ struct Job {
 /// [`min_theta_over_jobs`] for `stop_at`.
 fn postpone_with(
     ts: &TaskSet,
-    config: PostponeConfig,
     report: &SchedulabilityReport,
     mut theta_for_job: impl FnMut(Job, &[Time], i128) -> i128,
 ) -> Result<Postponement, PostponeError> {
@@ -220,18 +204,15 @@ fn postpone_with(
         };
 
         let floor = promotion[i.0].ticks() as i128;
-        let raw = if jobs_in_horizon > config.max_jobs_per_task {
+        let raw = if jobs_in_horizon > MAX_JOBS_PER_TASK {
             RawTheta::NotEnumerated
         } else {
             match min_theta_over_jobs(ts, i, jobs_in_horizon, floor, |job, stop_at| {
                 theta_for_job(job, &theta, stop_at)
             }) {
-                // No mandatory job in the horizon (cannot happen for a
-                // valid (m,k) with jobs_in_horizon ≥ k): nothing ran.
-                None => RawTheta::NotEnumerated,
-                Some(t) if t < floor => RawTheta::BelowFloor,
+                t if t < floor => RawTheta::BelowFloor,
                 // t ≥ floor ≥ 0, so the u64 cast is exact.
-                Some(t) => RawTheta::Exact(Time::from_ticks(t as u64)),
+                t => RawTheta::Exact(Time::from_ticks(t as u64)),
             }
         };
         raw_theta.push(raw);
@@ -254,8 +235,8 @@ fn postpone_with(
 
 /// `min_j θ_ij` (Eq. 5) over the mandatory jobs of τ_i in its level-i
 /// pattern hyperperiod, each job's `θ_ij` from `theta_for_job(job,
-/// stop_at)`. Returns `None` if τ_i has no mandatory job in the horizon
-/// (cannot happen for valid (m,k) with `jobs_in_horizon ≥ k`).
+/// stop_at)`. The horizon holds at least `k_i` jobs, and the first is
+/// mandatory (`m_i ≥ 1`), so the minimum is over at least one job.
 ///
 /// Two cutoffs keep the enumeration cheap without changing the effective
 /// θ_i: a job's inspecting-point scan may stop once its running max
@@ -270,9 +251,9 @@ fn min_theta_over_jobs(
     jobs_in_horizon: u64,
     floor: i128,
     mut theta_for_job: impl FnMut(Job, i128) -> i128,
-) -> Option<i128> {
+) -> i128 {
     let task = ts.task(i);
-    let mut min_theta: Option<i128> = None;
+    let mut min_theta = i128::MAX;
     for j in 1..=jobs_in_horizon {
         if !task.mk().is_mandatory(j) {
             continue;
@@ -283,11 +264,8 @@ fn min_theta_over_jobs(
             r,
             d: r + task.deadline(),
         };
-        let stop_at = min_theta.unwrap_or(i128::MAX);
-        let t_ij = theta_for_job(job, stop_at);
-        let new_min = min_theta.map_or(t_ij, |cur| cur.min(t_ij));
-        min_theta = Some(new_min);
-        if new_min < floor {
+        min_theta = min_theta.min(theta_for_job(job, min_theta));
+        if min_theta < floor {
             break;
         }
     }
@@ -398,20 +376,16 @@ fn theta_for_job(
 /// floors from the busy-window walk of every task.
 #[cfg(test)]
 pub(crate) mod by_rows {
-    use super::{jobs_released_before, postpone_with, Job, PostponeError, Postponement};
-    use super::{PostponeConfig, Time};
+    use super::{jobs_released_before, postpone_with, Job, PostponeError, Postponement, Time};
     use crate::rta::{analyze_by_walk, InterferenceModel};
     use mkss_core::mk::MkConstraint;
     use mkss_core::task::TaskSet;
 
     /// [`super::postponement_intervals`] by the old per-job walk.
-    pub(crate) fn postponement_intervals(
-        ts: &TaskSet,
-        config: PostponeConfig,
-    ) -> Result<Postponement, PostponeError> {
+    pub(crate) fn postponement_intervals(ts: &TaskSet) -> Result<Postponement, PostponeError> {
         let report = analyze_by_walk(ts, InterferenceModel::MandatoryOnly);
         let mut rows = Vec::new();
-        postpone_with(ts, config, &report, |job, theta, stop_at| {
+        postpone_with(ts, &report, |job, theta, stop_at| {
             theta_for_job(ts, job, theta, stop_at, &mut rows)
         })
     }
@@ -513,7 +487,7 @@ mod tests {
     fn paper_fig5_example() {
         // τ1 = (10,10,3,2,3), τ2 = (15,15,8,1,2): θ1 = 7, θ2 = 4.
         let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
-        let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+        let post = postponement_intervals(&ts).unwrap();
         assert_eq!(post.theta, vec![Time::from_ms(7), Time::from_ms(4)]);
         assert_eq!(
             post.raw_theta,
@@ -533,7 +507,7 @@ mod tests {
     #[test]
     fn theta_never_below_promotion() {
         let ts = set(&[(5, 4, 3, 2, 4), (10, 10, 3, 1, 2)]);
-        let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+        let post = postponement_intervals(&ts).unwrap();
         for (t, y) in post.theta.iter().zip(&post.promotion) {
             assert!(t >= y, "θ = {t} below promotion time {y}");
         }
@@ -543,7 +517,7 @@ mod tests {
     fn unschedulable_set_errors() {
         let ts = set(&[(4, 4, 3, 2, 3), (6, 6, 3, 2, 3)]);
         assert_eq!(
-            postponement_intervals(&ts, PostponeConfig::default()),
+            postponement_intervals(&ts),
             Err(PostponeError::Unschedulable { task: TaskId(1) })
         );
         assert_eq!(
@@ -554,16 +528,26 @@ mod tests {
 
     #[test]
     fn huge_hyperperiod_falls_back_to_promotion() {
-        let ts = set(&[(10, 10, 3, 2, 3), (15, 15, 8, 1, 2)]);
-        let config = PostponeConfig {
-            max_jobs_per_task: 1, // force the fallback
+        // τ1 = (P₁, P₁, 0.25, 1, 2) and τ2 = (1, 1, 0.5, 1, 2): the level-2
+        // pattern hyperperiod lcm(2·P₁, 2) = 2·P₁ holds 2·P₁ jobs of τ2.
+        let post = |p1_ms| {
+            let tau1 = Task::new(
+                Time::from_ms(p1_ms),
+                Time::from_ms(p1_ms),
+                Time::from_us(250),
+                1,
+                2,
+            );
+            let tau2 = Task::new(Time::from_ms(1), Time::from_ms(1), Time::from_us(500), 1, 2);
+            postponement_intervals(&TaskSet::new(vec![tau1.unwrap(), tau2.unwrap()]).unwrap())
+                .unwrap()
         };
-        let post = postponement_intervals(&ts, config).unwrap();
-        assert_eq!(
-            post.raw_theta,
-            vec![RawTheta::NotEnumerated, RawTheta::NotEnumerated]
-        );
-        assert_eq!(post.theta, post.promotion);
+        // 2 000 jobs are enumerated; 2 002 are not, and θ2 falls back to Y2.
+        assert_ne!(post(1_000).raw_theta[1], RawTheta::NotEnumerated);
+        let over = post(1_001);
+        assert_eq!(over.raw_theta[0], RawTheta::Exact(Time::from_us(1_000_750)));
+        assert_eq!(over.raw_theta[1], RawTheta::NotEnumerated);
+        assert_eq!(over.theta[1], over.promotion[1]);
     }
 
     #[test]
@@ -577,7 +561,7 @@ mod tests {
         // hyperperiod too large to enumerate; it must surface as
         // `BelowFloor` instead, with θ clamped to the promotion time.
         let ts = set(&[(4, 4, 2, 2, 3), (5, 5, 2, 1, 3)]);
-        let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+        let post = postponement_intervals(&ts).unwrap();
         assert_eq!(post.raw_theta[1], RawTheta::BelowFloor);
         assert_eq!(post.theta[1], post.promotion[1]);
         // τ1 is alone on the spare: its slack D − C equals the promotion
@@ -590,7 +574,7 @@ mod tests {
     fn single_task_theta_is_slack() {
         // Alone, a backup can be postponed by D − C for every job.
         let ts = set(&[(10, 8, 3, 1, 2)]);
-        let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+        let post = postponement_intervals(&ts).unwrap();
         assert_eq!(post.theta, vec![Time::from_ms(5)]);
     }
 
@@ -605,7 +589,7 @@ mod tests {
             vec![(5, 5, 1, 1, 3), (7, 7, 2, 2, 3), (14, 14, 3, 1, 2)],
         ] {
             let ts = set(&tasks);
-            let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+            let post = postponement_intervals(&ts).unwrap();
             assert_backups_schedulable(&ts, &post);
         }
     }

@@ -13,17 +13,15 @@
 //!   the paper's Theorem 1).
 //!
 //! The analysis for (m,k) patterns must consider *every* mandatory job
-//! inside the level-i busy window, not just the first. With `Dᵢ ≤ Pᵢ` (every
-//! validated task) a first job that counts and meets its deadline closes
-//! the window before the second release, so one fixed point per task
-//! decides the test. Only a task read without validation (`D > P`, or
-//! `m = 0` making the first job optional) walks the busy window job by
-//! job, with the set's hyperperiod as its cut-off.
+//! inside the level-i busy window, not just the first. Every task has
+//! `Dᵢ ≤ Pᵢ` and `m ≥ 1` by construction, so its first job is mandatory,
+//! and when that job meets its deadline it closes the window before the
+//! second release: one fixed point per task decides the test. The walk
+//! over every job of the busy window is kept only as the test oracle.
 
 use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
 
 /// Which releases of higher-priority tasks are counted as interference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -112,9 +110,9 @@ fn up_to(ts: &TaskSet, task_id: TaskId) -> &[Task] {
 
 /// Fixed-point solve of `R = demand + Σ_j N_j(R)·C_j` for the last task
 /// of `tasks`, summed over all the others, bounded by `horizon`. `demand`
-/// is the total own-task work that must finish (used by the busy-window
-/// walk with multiple own jobs). The others may come in any order (see
-/// [`interfering_work`]).
+/// is the total own-task work that must finish (the test oracle's
+/// busy-window walk passes several own jobs' work). The others may come
+/// in any order (see [`interfering_work`]).
 fn response_time_at(
     tasks: &[Task],
     model: InterferenceModel,
@@ -171,8 +169,9 @@ impl SchedulabilityReport {
     }
 }
 
-/// Analyses every task of `ts` with the busy-window RTA, checking **all**
-/// interfering self-jobs inside the level-i busy window.
+/// Analyses every task of `ts` with the busy-window RTA. Each task's
+/// first job decides its level-i busy window (see the module doc), so this
+/// is [`response_time`] per task.
 ///
 /// For [`InterferenceModel::AllJobs`] this is the classic exact test for
 /// constrained-deadline FP. For
@@ -196,12 +195,11 @@ impl SchedulabilityReport {
 /// # }
 /// ```
 pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
-    let hyperperiod = OnceCell::new();
     let tasks = ts
         .ids()
         .map(|id| TaskResponse {
             task: id,
-            response_time: busy_window_response(ts, id, model, &hyperperiod),
+            response_time: response_time(ts, id, model),
         })
         .collect();
     SchedulabilityReport { model, tasks }
@@ -212,12 +210,11 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 ///
 /// Verdict-only, and always equal to
 /// `analyze(ts, InterferenceModel::MandatoryOnly).schedulable()`:
-/// it runs the same per-task busy-window test, from the lowest-priority
-/// task to the highest, and stops at the first task that misses without
-/// building a report. A generator rejection (the common case when the
-/// workload generator fills high-utilization buckets) almost always fails
-/// the lowest-priority task's first job, so it solves one fixed point and
-/// computes no hyperperiod.
+/// it runs the same per-task test, from the lowest-priority task to the
+/// highest, and stops at the first task that misses without building a
+/// report. A generator rejection (the common case when the workload
+/// generator fills high-utilization buckets) almost always fails the
+/// lowest-priority task's first job, so it solves one fixed point.
 ///
 /// ```
 /// use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
@@ -236,20 +233,18 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 /// # }
 /// ```
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
-    let model = InterferenceModel::MandatoryOnly;
-    let hyperperiod = OnceCell::new();
     (0..ts.len())
         .rev()
-        .all(|i| busy_window_response(ts, TaskId(i), model, &hyperperiod).is_some())
+        .all(|i| response_time(ts, TaskId(i), InterferenceModel::MandatoryOnly).is_some())
 }
 
 /// Whether the **last** task of `tasks` meets its first job's deadline
 /// at the synchronous release under the deeply-red pattern, with every
-/// other task of `tasks` interfering (or whether that job is optional):
-/// the first step of [`is_schedulable_r_pattern`] for one task. The
-/// others may come in any order, so a caller can test the task it will
-/// sort last before it sorts: the workload generator rejects most draws
-/// this way without building a [`TaskSet`].
+/// other task of `tasks` interfering: the step of
+/// [`is_schedulable_r_pattern`] for one task. The others may come in any
+/// order, so a caller can test the task it will sort last before it
+/// sorts: the workload generator rejects most draws this way without
+/// building a [`TaskSet`].
 ///
 /// ```
 /// use mkss_analysis::rta::first_job_meets;
@@ -265,10 +260,7 @@ pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
 /// # }
 /// ```
 pub fn first_job_meets(tasks: &[Task]) -> bool {
-    let model = InterferenceModel::MandatoryOnly;
-    tasks
-        .last()
-        .is_none_or(|task| !counts(model, task, 1) || first_job_response(tasks, model).is_some())
+    tasks.is_empty() || first_job_response(tasks, InterferenceModel::MandatoryOnly).is_some()
 }
 
 /// Response time of the first job of the last task of `tasks` at the
@@ -278,38 +270,9 @@ fn first_job_response(tasks: &[Task], model: InterferenceModel) -> Option<Time> 
     response_time_at(tasks, model, task.wcet(), task.deadline()).filter(|&r| r <= task.deadline())
 }
 
-/// The worst response time over all own (interfering) jobs in the
-/// level-i busy window started at the synchronous release, or `None` on a
-/// deadline miss.
-///
-/// The first job's fixed point decides most tasks alone. When that job
-/// counts and misses, the task misses. When it counts, meets and
-/// `Dᵢ ≤ Pᵢ`, its response `R₁ ≤ Pᵢ` is also the length of the busy
-/// window (up to `R₁` the busy-window equation and the first job's agree,
-/// as no second own job is released yet), so no later job is in it.
-/// Only a task with `Dᵢ > Pᵢ` or an optional first job (`m = 0`), which
-/// only sets read without validation have, walks the whole window.
-/// `hyperperiod` caches `ts.hyperperiod()`, the walk's cut-off, for the
-/// caller's set.
-fn busy_window_response(
-    ts: &TaskSet,
-    task_id: TaskId,
-    model: InterferenceModel,
-    hyperperiod: &OnceCell<Time>,
-) -> Option<Time> {
-    let task = ts.task(task_id);
-    let tasks = up_to(ts, task_id);
-    if counts(model, task, 1) {
-        let first = first_job_response(tasks, model)?;
-        if task.deadline() <= task.period() {
-            return Some(first);
-        }
-    }
-    busy_window_walk(tasks, model, *hyperperiod.get_or_init(|| ts.hyperperiod()))
-}
-
 /// Whether the `job_number`-th (1-based) job of `task` interferes under
 /// `model`.
+#[cfg(test)]
 fn counts(model: InterferenceModel, task: &Task, job_number: u64) -> bool {
     match model {
         InterferenceModel::AllJobs => true,
@@ -317,8 +280,15 @@ fn counts(model: InterferenceModel, task: &Task, job_number: u64) -> bool {
     }
 }
 
-/// [`busy_window_response`] by walking every own job of the busy window
-/// of the last task of `tasks`, cut off at `hyperperiod`.
+/// The worst response time over all own (interfering) jobs in the
+/// level-i busy window of the last task of `tasks`, started at the
+/// synchronous release and cut off at `hyperperiod`, or `None` on a
+/// deadline miss: the job-by-job walk that [`response_time`] replaces.
+/// With `Dᵢ ≤ Pᵢ` and a mandatory first job, that job's response `R₁` is
+/// also the busy window's length (up to `R₁` the busy-window equation and
+/// the first job's agree, as no second own job is released yet), so no
+/// later job is in the window and the two agree.
+#[cfg(test)]
 fn busy_window_walk(tasks: &[Task], model: InterferenceModel, hyperperiod: Time) -> Option<Time> {
     let task = tasks.last()?;
     // Length of the level-i busy window: L = Σ_{j<=i} N_j(L)·C_j.
@@ -379,8 +349,8 @@ fn busy_window_walk(tasks: &[Task], model: InterferenceModel, hyperperiod: Time)
     Some(worst)
 }
 
-/// [`analyze`] by the busy-window walk of every task, with no first-job
-/// shortcut: the differential tests' oracle.
+/// [`analyze`] by the busy-window walk of every task: the differential
+/// tests' oracle.
 #[cfg(test)]
 pub(crate) fn analyze_by_walk(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
     let hyperperiod = ts.hyperperiod();

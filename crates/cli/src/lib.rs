@@ -29,7 +29,7 @@ use std::io::IsTerminal;
 
 use std::sync::Arc;
 
-use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
+use mkss_analysis::postpone::postponement_intervals;
 use mkss_analysis::rta::{analyze, InterferenceModel};
 use mkss_core::flags::{checked_ms, FlagError, Flags};
 use mkss_core::task::TaskSet;
@@ -214,7 +214,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
         }
     }
     if report.schedulable() {
-        let post = postponement_intervals(&ts, PostponeConfig::default()).map_err(input)?;
+        let post = postponement_intervals(&ts).map_err(input)?;
         for (id, _) in ts.iter() {
             out.push_str(&format!(
                 "  {id}: promotion Y = {}, postponement θ = {}\n",

@@ -43,7 +43,8 @@ impl JobOutcome {
 ///
 /// **Invariant.** A ring of `m` slots holds those `m` positions, each
 /// stored plus `m` so that it is never negative (pre-history occupies
-/// `1..=m`). They increase cyclically from the slot at `head`, which holds
+/// `1..=m`). [`MkConstraint`] guarantees `m ≥ 1`, so the ring is never
+/// empty. They increase cyclically from the slot at `head`, which holds
 /// the oldest of them. Recording a met outcome overwrites that oldest slot
 /// with the new job's position and advances `head`; a missed outcome only
 /// bumps the `recorded` counter. [`MkHistory::flexibility_degree`] and
@@ -77,7 +78,7 @@ impl JobOutcome {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MkHistory {
     mk: MkConstraint,
     /// Ring of the positions (plus `m`) of the `m` most recent met
@@ -128,13 +129,10 @@ impl MkHistory {
         self.recorded += 1;
         if outcome.is_met() {
             self.met_total += 1;
-            // With m = 0 the ring is empty: no met outcome is ever needed.
-            if let Some(slot) = self.met_at.get_mut(self.head) {
-                *slot = self.recorded + u64::from(self.mk.m());
-                self.head += 1;
-                if self.head == self.met_at.len() {
-                    self.head = 0;
-                }
+            self.met_at[self.head] = self.recorded + u64::from(self.mk.m());
+            self.head += 1;
+            if self.head == self.met_at.len() {
+                self.head = 0;
             }
         }
     }
@@ -169,13 +167,9 @@ impl MkHistory {
     /// FD = k − L   if L ≤ k − 1,   else 0.
     /// ```
     ///
-    /// `L` is read from the oldest ring slot, so this is O(1). With
-    /// `m = 0` (no constraint; the ring is empty) every miss is
-    /// tolerable, and the degree is `k`.
+    /// `L` is read from the oldest ring slot, so this is O(1).
     pub fn flexibility_degree(&self) -> u32 {
-        let Some(&oldest) = self.met_at.get(self.head) else {
-            return self.mk.k();
-        };
+        let oldest = self.met_at[self.head];
         // Stored positions carry `+ m`, so add it to `recorded` as well.
         let recency = self.recorded + u64::from(self.mk.m()) + 1 - oldest;
         // At most k − m, which fits the constraint's u32.

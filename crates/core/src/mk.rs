@@ -13,18 +13,15 @@
 //! π_ij = 1  iff  1 ≤ j mod k_i ≤ m_i       (j = 1, 2, 3, …)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ValidateTaskError;
 
 /// An (m,k)-firm constraint: at least `m` of any `k` consecutive jobs must
 /// complete by their deadlines.
 ///
-/// The invariant `0 < m < k` is enforced at construction (the paper's system
-/// model uses the same strict form; `m = k` would be a hard real-time task
-/// and `m = 0` no constraint at all). Deserialization is looser in one
-/// respect: it admits `m = 0` (a stored unconstrained task reads back as
-/// one), and rejects `k = 0` and `m ≥ k`.
+/// The invariant `0 < m < k` is enforced at construction, the only way
+/// a constraint is made (the paper's system model uses the same strict
+/// form; `m = k` would be a hard real-time task and `m = 0` no constraint
+/// at all).
 ///
 /// # Examples
 ///
@@ -40,35 +37,10 @@ use crate::error::ValidateTaskError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MkConstraint {
     m: u32,
     k: u32,
-}
-
-impl<'de> Deserialize<'de> for MkConstraint {
-    /// Reads `{"m": .., "k": ..}`; `k = 0` or `m ≥ k` is an
-    /// [`InvalidMkPair`](ValidateTaskError::InvalidMkPair) error.
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_object().is_none() {
-            return Err(serde::Error::expected("object", "MkConstraint", value));
-        }
-        let field = |name| {
-            let member = value
-                .get(name)
-                .ok_or_else(|| serde::Error::missing_field("MkConstraint", name))?;
-            u32::from_value(member)
-                .map_err(|e| serde::Error::custom(format!("MkConstraint.{name}: {e}")))
-        };
-        let (m, k) = (field("m")?, field("k")?);
-        if k == 0 || m >= k {
-            return Err(serde::Error::custom(format!(
-                "MkConstraint: {}",
-                ValidateTaskError::InvalidMkPair { m, k }
-            )));
-        }
-        Ok(MkConstraint { m, k })
-    }
 }
 
 impl MkConstraint {
@@ -180,7 +152,7 @@ impl MkConstraint {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MkMonitor {
     mk: MkConstraint,
     /// Ring buffer of the last `k` outcomes (`true` = met).

@@ -52,7 +52,7 @@ impl fmt::Display for TaskId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     period: Time,
     deadline: Time,
@@ -228,7 +228,7 @@ impl fmt::Display for Task {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }

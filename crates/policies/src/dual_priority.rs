@@ -15,7 +15,7 @@
 //! `θ_i` of Definitions 2–5 as backup delays: on static patterns the job
 //! positions are the ones the θ analysis assumes.
 
-use mkss_analysis::postpone::{postponement_intervals, PostponeConfig};
+use mkss_analysis::postpone::postponement_intervals;
 use mkss_analysis::rta::InterferenceModel;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
@@ -107,7 +107,7 @@ impl MkssDp {
     ///
     /// Same as [`MkssDp::new`].
     pub fn theta(ts: &TaskSet) -> Result<Self, BuildPolicyError> {
-        let delay = postponement_intervals(ts, PostponeConfig::default())
+        let delay = postponement_intervals(ts)
             .map_err(|_| first_unschedulable(ts))?
             .theta;
         Ok(MkssDp { theta: true, delay })

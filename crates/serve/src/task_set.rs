@@ -155,6 +155,7 @@ pub fn ms_to_time(ms: f64, what: &str) -> Result<Time, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(json: &str) -> Result<TaskSetSpec, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
@@ -196,6 +197,87 @@ mod tests {
         );
         for bad in [-1.0, 1e16, 1e300, f64::NAN, f64::INFINITY] {
             assert!(ms_to_time(bad, "x").is_err(), "{bad}");
+        }
+    }
+
+    /// Millisecond values at the boundary: zero, a value that rounds to
+    /// zero ticks, [`MAX_MS`] and past it, negative and non-finite. Draws
+    /// past the table give whole milliseconds 0–53.
+    const EDGE_MS: [f64; 10] = [
+        0.0,
+        0.0004,
+        MAX_MS,
+        2.0 * MAX_MS,
+        -1.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.5,
+        2.5,
+    ];
+
+    /// `m` and `k` values, `0` and `u32::MAX` included.
+    const COUNTS: [u32; 6] = [0, 1, 2, 3, 7, u32::MAX];
+
+    fn drawn_ms(x: u64) -> f64 {
+        let i = (x % 64) as usize;
+        EDGE_MS
+            .get(i)
+            .copied()
+            .unwrap_or_else(|| (i - EDGE_MS.len()) as f64)
+    }
+
+    /// One task entry decoded from the bytes of `x`.
+    fn drawn_spec(x: u64) -> TaskSpec {
+        let mut ms = [drawn_ms(x), drawn_ms(x >> 16), drawn_ms(x >> 24)];
+        // Half the draws order the times as P ≥ D ≥ C.
+        if x >> 48 & 1 == 1 {
+            ms.sort_by(|a, b| b.total_cmp(a));
+        }
+        TaskSpec {
+            period_ms: ms[0],
+            deadline_ms: (x >> 8 & 3 != 0).then_some(ms[1]),
+            wcet_ms: ms[2],
+            m: COUNTS[(x >> 32) as usize % COUNTS.len()],
+            k: COUNTS[(x >> 40) as usize % COUNTS.len()],
+        }
+    }
+
+    /// The task `spec` describes if [`ms_to_time`] accepts its times and
+    /// [`Task::new`] the whole tuple.
+    fn validated(spec: &TaskSpec) -> Option<Task> {
+        let period = ms_to_time(spec.period_ms, "period_ms").ok()?;
+        let deadline = match spec.deadline_ms {
+            Some(d) => ms_to_time(d, "deadline_ms").ok()?,
+            None => period,
+        };
+        let wcet = ms_to_time(spec.wcet_ms, "wcet_ms").ok()?;
+        Task::new(period, deadline, wcet, spec.m, spec.k).ok()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn a_document_converts_exactly_when_every_task_validates(
+            draws in proptest::collection::vec(any::<u64>(), 1..4)
+        ) {
+            let spec = TaskSetSpec { tasks: draws.iter().map(|&x| drawn_spec(x)).collect() };
+            let tasks: Vec<Option<Task>> = spec.tasks.iter().map(validated).collect();
+            match (spec.to_task_set(), tasks.iter().position(Option::is_none)) {
+                (Ok(ts), None) => {
+                    let tasks: Vec<Task> = tasks.into_iter().flatten().collect();
+                    prop_assert_eq!(ts.tasks(), tasks.as_slice());
+                    let back = TaskSetSpec::from_task_set(&ts).to_task_set();
+                    prop_assert_eq!(back, Ok(ts));
+                }
+                (Err(e), Some(i)) => {
+                    prop_assert!(e.starts_with(&format!("task {}: ", i + 1)), "{}", e);
+                }
+                (got, first_invalid) => {
+                    prop_assert!(false, "{:?}, first invalid task {:?}", got, first_invalid);
+                }
+            }
         }
     }
 }

@@ -282,7 +282,7 @@ fn round_to_ticks(x: f64) -> u64 {
 
 /// One (m,k)-utilization interval of the evaluation's x-axis, populated
 /// with schedulable task sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bucket {
     /// Inclusive lower bound of the interval.
     pub lo: f64,

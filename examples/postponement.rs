@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])?;
     println!("{ts}");
 
-    let post = postponement_intervals(&ts, PostponeConfig::default())?;
+    let post = postponement_intervals(&ts)?;
     println!("per-task analysis (deeply-red pattern):");
     for (id, task) in ts.iter() {
         println!(

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "schedulable under R-pattern: {}",
         is_schedulable_r_pattern(&ts)
     );
-    let post = postponement_intervals(&ts, PostponeConfig::default())?;
+    let post = postponement_intervals(&ts)?;
     for (id, _) in ts.iter() {
         println!(
             "  {id}: promotion Y = {}, postponement θ = {}",

@@ -93,6 +93,27 @@ for policy in st dp selective; do
 done
 echo "build-cost smoke ok (st, dp and selective on 1 024 tasks)"
 
+echo "== task-set refusal smoke (invalid tasks never run) =="
+# The millisecond task-set document is the only way a task set enters from
+# JSON, and it validates every task: an m = 0 window and a deadline past
+# the period must each exit nonzero with a diagnostic naming the task.
+echo '{"tasks": [{"period_ms": 10, "wcet_ms": 2, "m": 0, "k": 2}]}' > "$tmpdir/bad-m.json"
+echo '{"tasks": [{"period_ms": 10, "deadline_ms": 12, "wcet_ms": 2, "m": 1, "k": 2}]}' \
+    > "$tmpdir/bad-deadline.json"
+for bad in bad-m bad-deadline; do
+    if cargo run --release -q -p mkss-cli -- simulate "$tmpdir/$bad.json" --policy st \
+        --horizon-ms 10 > /dev/null 2> "$tmpdir/$bad.txt"; then
+        echo "ERROR: mkss-cli simulate ran the invalid set $bad.json" >&2
+        exit 1
+    fi
+    grep -q "task 1" "$tmpdir/$bad.txt" || {
+        echo "ERROR: $bad.json was refused without naming task 1:" >&2
+        cat "$tmpdir/$bad.txt" >&2
+        exit 1
+    }
+done
+echo "refusal smoke ok (m = 0 and D > P refused, naming task 1)"
+
 echo "== examples run (each example exits 0) =="
 # Run from the temp dir, so nothing an example writes lands in the
 # checkout.

@@ -292,11 +292,11 @@ proptest! {
     #[test]
     fn theta_at_least_promotion(seed in 0u64..5_000, util_pct in 15u64..65) {
         let Some(ts) = schedulable_set(seed, util_pct) else { return Ok(()); };
-        let post = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+        let post = postponement_intervals(&ts).unwrap();
         for (theta, y) in post.theta.iter().zip(&post.promotion) {
             prop_assert!(theta >= y);
         }
-        let again = postponement_intervals(&ts, PostponeConfig::default()).unwrap();
+        let again = postponement_intervals(&ts).unwrap();
         prop_assert_eq!(post, again);
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! `is_schedulable_r_pattern` tests the tasks from the lowest priority up
 //! and stops at the first miss; `analyze` reports every task. Both decide
-//! a task by its first job's fixed point when that job is mandatory and
-//! `D ≤ P`, and walk its busy window otherwise. They must agree on a
-//! fixed corpus of generator draws across nine 0.1-wide buckets, and on
-//! hand-built sets that each exercise one exit of the verdict. On the
+//! a task by its first job's fixed point, which every task's `D ≤ P` and
+//! `m ≥ 1` make exact. They must agree on a fixed corpus of generator
+//! draws across nine 0.1-wide buckets, and on hand-built sets that each
+//! exercise one exit of the verdict. On the
 //! corpus, the generator's pre-test (`first_job_meets` on an unsorted
 //! copy) must also decide as the lowest-priority task's test does.
 
@@ -24,19 +24,6 @@ fn full_verdict(ts: &TaskSet) -> bool {
 fn first_jobs_meet(ts: &TaskSet) -> bool {
     ts.ids()
         .all(|id| response_time(ts, id, DEEPLY_RED).is_some())
-}
-
-/// A task set read through serde, which (unlike the constructors) checks
-/// neither `D ≤ P` nor `1 ≤ m < k`. Times are in ticks; `(P, D, C, m, k)`
-/// per task.
-fn unchecked_set(spec: &[(u64, u64, u64, u32, u32)]) -> TaskSet {
-    let tasks: Vec<String> = spec
-        .iter()
-        .map(|&(p, d, c, m, k)| {
-            format!(r#"{{"period":{p},"deadline":{d},"wcet":{c},"mk":{{"m":{m},"k":{k}}}}}"#)
-        })
-        .collect();
-    serde_json::from_str(&format!(r#"{{"tasks":[{}]}}"#, tasks.join(","))).unwrap()
 }
 
 /// The tasks of `ts` out of priority order, higher-priority ones
@@ -60,9 +47,9 @@ fn verdict_matches_full_report_on_a_fixed_corpus() {
             };
             let verdict = is_schedulable_r_pattern(&ts);
             assert_eq!(verdict, full_verdict(&ts), "bucket {lo:.1}: {ts:?}");
-            // Generated sets have D = P, so a task whose first job meets
-            // has a level-i busy window that closes before its second
-            // release: the first-job pass alone decides the verdict.
+            // Every task has D ≤ P and a mandatory first job, so a task
+            // whose first job meets has a level-i busy window that closes
+            // before its second release: the first jobs alone decide.
             assert_eq!(verdict, first_jobs_meet(&ts), "bucket {lo:.1}: {ts:?}");
             // The generator's pre-test: the slice-level first-job test on
             // the unsorted draw, lowest-priority task last, decides as the
@@ -86,24 +73,6 @@ fn verdict_matches_full_report_on_a_fixed_corpus() {
     // Both exits are exercised; the split is pinned so a changed draw or
     // a verdict that moved in both functions at once shows up here too.
     assert_eq!((accepted, rejected), (1156, 1530));
-}
-
-#[test]
-fn a_later_mandatory_job_miss_is_caught_by_the_busy_window_walk() {
-    // Only a deadline past the period lets the level-2 busy window reach
-    // τ2's second release after its first job met: τ2's job 1 finishes at
-    // 3 (deadline 3), while job 2 (released at 2, mandatory under (2,3))
-    // finishes at 6 — 4 units of τ2 work plus τ1's mandatory jobs at 0
-    // and 4 — past its deadline 5.
-    let ts = unchecked_set(&[(2, 2, 1, 1, 2), (2, 3, 2, 2, 3)]);
-    assert!(first_jobs_meet(&ts));
-    assert_eq!(
-        response_time(&ts, TaskId(1), DEEPLY_RED),
-        Some(Time::from_ticks(3))
-    );
-    let report = analyze(&ts, DEEPLY_RED);
-    assert_eq!(report.response_time(TaskId(1)), None);
-    assert!(!is_schedulable_r_pattern(&ts));
 }
 
 #[test]
@@ -154,61 +123,4 @@ fn a_busy_window_longer_than_time_is_unschedulable_not_a_panic() {
     );
     assert_eq!(report.response_time(TaskId(4)), None);
     assert!(!report.schedulable());
-}
-
-#[test]
-fn a_task_without_a_mandatory_first_job_is_not_rejected_by_pass_one() {
-    // serde does not check `1 ≤ m < k` either. With m = 0 no job of τ2 is
-    // mandatory, so the walk never checks its first job, which would miss
-    // (3 own + 2 from τ1 > 4): the set is schedulable.
-    let ts = unchecked_set(&[(2, 2, 2, 1, 2), (4, 4, 3, 0, 2)]);
-    assert_eq!(response_time(&ts, TaskId(1), DEEPLY_RED), None);
-    assert!(full_verdict(&ts));
-    assert!(is_schedulable_r_pattern(&ts));
-}
-
-#[test]
-fn a_task_without_a_mandatory_first_job_simulates_under_every_paper_policy() {
-    // m = 0 means no constraint: every miss of τ2 is tolerable, so its
-    // history must not index an empty ring of met positions.
-    let ts = unchecked_set(&[(2, 2, 2, 1, 2), (4, 4, 3, 0, 2)]);
-    let config = SimConfig::builder()
-        .horizon(Time::from_ticks(40))
-        .faults(FaultConfig::combined(
-            ProcId::PRIMARY,
-            Time::from_ticks(17),
-            0.5,
-            7,
-        ))
-        .build();
-    for kind in PolicyKind::PAPER {
-        let mut policy = kind.build(&ts, &BuildOptions::default()).unwrap();
-        let report = simulate(&ts, &mut policy, &config);
-        assert_eq!(
-            report.stats.met + report.stats.missed,
-            report.stats.released
-        );
-        assert!(
-            report.violations.iter().all(|v| v.task == TaskId(0)),
-            "{kind:?}: the unconstrained task reported a violation"
-        );
-    }
-}
-
-#[test]
-fn a_zero_window_fails_to_deserialize() {
-    let mk: MkConstraint = serde_json::from_str(r#"{"m":0,"k":2}"#).unwrap();
-    assert_eq!((mk.m(), mk.k()), (0, 2));
-    for (mk, pair) in [
-        (r#"{"m":0,"k":0}"#, "(0,0)"),
-        (r#"{"m":2,"k":2}"#, "(2,2)"),
-        (r#"{"m":3,"k":2}"#, "(3,2)"),
-    ] {
-        let err = serde_json::from_str::<MkConstraint>(mk).unwrap_err();
-        assert!(err.to_string().contains(pair), "{err}");
-    }
-    for mk in [r#"{"m":1,"k":0}"#, r#"{"m":2,"k":2}"#] {
-        let task = format!(r#"{{"tasks":[{{"period":4,"deadline":4,"wcet":1,"mk":{mk}}}]}}"#);
-        assert!(serde_json::from_str::<TaskSet>(&task).is_err(), "{mk}");
-    }
 }

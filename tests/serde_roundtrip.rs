@@ -1,9 +1,15 @@
 //! Serde round-trips of every serializable data structure the crates
-//! expose — configurations, task sets, reports, and traces survive a
-//! JSON round-trip bit-for-bit (modulo f64 text formatting, which
-//! serde_json preserves exactly for finite values).
+//! expose — configurations, reports, and traces survive a JSON round-trip
+//! bit-for-bit (modulo f64 text formatting, which serde_json preserves
+//! exactly for finite values).
+//!
+//! Task sets have one JSON form, the millisecond `TaskSetSpec` that
+//! `mkss-cli` and the daemon read, and it enters through the validating
+//! constructors. Tasks, constraints and (m,k) histories have no serde form
+//! of their own.
 
 use mkss::prelude::*;
+use mkss::serve::task_set::TaskSetSpec;
 
 fn roundtrip<T>(value: &T) -> T
 where
@@ -11,6 +17,13 @@ where
 {
     let json = serde_json::to_string(value).expect("serializes");
     serde_json::from_str(&json).expect("deserializes")
+}
+
+/// `ts` written as a `TaskSetSpec` document and read back.
+fn spec_roundtrip(ts: &TaskSet) -> TaskSet {
+    roundtrip(&TaskSetSpec::from_task_set(ts))
+        .to_task_set()
+        .expect("validates")
 }
 
 fn sample_set() -> TaskSet {
@@ -24,29 +37,16 @@ fn sample_set() -> TaskSet {
 #[test]
 fn task_set_roundtrip() {
     let ts = sample_set();
-    assert_eq!(roundtrip(&ts), ts);
+    assert_eq!(spec_roundtrip(&ts), ts);
 }
 
 #[test]
 fn time_and_constraint_roundtrip() {
     let t = Time::from_us(2_500);
     assert_eq!(roundtrip(&t), t);
-    let mk = MkConstraint::new(3, 7).unwrap();
-    assert_eq!(roundtrip(&mk), mk);
-}
-
-#[test]
-fn history_and_monitor_roundtrip() {
-    let mut h = MkHistory::new(MkConstraint::new(2, 5).unwrap());
-    h.record(JobOutcome::Missed);
-    h.record(JobOutcome::Met);
-    let h2 = roundtrip(&h);
-    assert_eq!(h2, h);
-    assert_eq!(h2.flexibility_degree(), h.flexibility_degree());
-
-    let mut mon = MkMonitor::new(MkConstraint::new(1, 2).unwrap());
-    mon.record(false);
-    assert_eq!(roundtrip(&mon), mon);
+    let task = Task::new(Time::from_ms(7), t, t, 3, 7).unwrap();
+    let back = spec_roundtrip(&TaskSet::new(vec![task]).unwrap());
+    assert_eq!(back.task(TaskId(0)).mk(), MkConstraint::new(3, 7).unwrap());
 }
 
 #[test]
