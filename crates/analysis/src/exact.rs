@@ -11,10 +11,9 @@
 
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
-use serde::{Deserialize, Serialize};
 
 /// Result of the exact sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactReport {
     /// Span actually swept.
     pub horizon: Time,

@@ -38,7 +38,6 @@
 
 use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::{lcm_time, Time};
-use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -83,7 +82,7 @@ pub const MAX_JOBS_PER_TASK: u64 = 2_000;
 /// large to enumerate". They answer different questions — the first says
 /// the analysis ran and was beaten by the floor, the second that it never
 /// ran — so they are separate variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[expect(
     clippy::exhaustive_enums,
     reason = "closed variant set: the raw-vs-floored dichotomy is Definition 4's case split; a third case cannot exist"
@@ -104,7 +103,7 @@ pub enum RawTheta {
 }
 
 /// Result of the postponement analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Postponement {
     /// Per-task release postponement interval `θ_i` (already including the
     /// promotion-time fallback), in priority order.

@@ -21,10 +21,9 @@
 
 use mkss_core::task::{Task, TaskId, TaskSet};
 use mkss_core::time::Time;
-use serde::{Deserialize, Serialize};
 
 /// Which releases of higher-priority tasks are counted as interference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[expect(
     clippy::exhaustive_enums,
     reason = "closed variant set: the paper analyzes exactly the all-jobs and mandatory-only interference assumptions; consumers match exhaustively"
@@ -135,7 +134,7 @@ fn response_time_at(
 }
 
 /// Per-task result of a schedulability analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskResponse {
     /// The analysed task.
     pub task: TaskId,
@@ -145,7 +144,7 @@ pub struct TaskResponse {
 }
 
 /// Outcome of analysing a whole task set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulabilityReport {
     /// Interference model used.
     pub model: InterferenceModel,

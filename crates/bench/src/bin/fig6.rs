@@ -5,8 +5,9 @@
 //! ```text
 //! fig6 [--scenario no-fault|permanent|combined|all]
 //!      [--sets N] [--from U] [--to U] [--horizon-ms MS]
-//!      [--seed S] [--policies st,dp,selective,...] [--jobs N]
-//!      [--json FILE] [--metrics-out FILE] [--progress]
+//!      [--seed S] [--policies st,dp,selective,...] [--fault-window LO..HI]
+//!      [--replications N] [--jobs N] [--json FILE] [--metrics-out FILE]
+//!      [--trace-out FILE]
 //! ```
 
 use std::process::ExitCode;
@@ -14,8 +15,8 @@ use std::sync::Arc;
 
 use mkss_bench::cli::{check_utilization_range, or_exit, parse_flags, write_output};
 use mkss_bench::experiment::{
-    metrics_doc, run_experiment_observed, run_replicated_observed, trace_representative,
-    ExperimentConfig, HarnessObs, RunStats, Scenario, StageTimes,
+    metrics_doc, run_experiment_observed, trace_representative, ExperimentConfig, HarnessObs,
+    ReplicatedResult, RunStats, Scenario, StageTimes,
 };
 use mkss_bench::table;
 use mkss_core::par;
@@ -25,24 +26,21 @@ use mkss_policies::PolicyKind;
 const USAGE: &str = "usage: fig6 [--scenario no-fault|permanent|combined|all] [--sets N] \
                      [--from U] [--to U] [--horizon-ms MS] [--seed S] \
                      [--policies st,dp,selective,...] [--fault-window LO..HI] \
-                     [--replications N] [--jobs N] [--json FILE] [--html FILE] \
-                     [--metrics-out FILE] [--trace-out FILE] [--progress]\n\
+                     [--replications N] [--jobs N] [--json FILE] \
+                     [--metrics-out FILE] [--trace-out FILE]\n\
                      --jobs N bounds the worker threads (0 = all cores, the default);\n\
                      results are identical for every value.\n\
                      --metrics-out FILE records engine event counters (backups\n\
                      canceled/postponed, faults, …) and per-stage wall times as JSON.\n\
                      --trace-out FILE flight-records one representative run per\n\
-                     scenario as Chrome Trace Event JSON (open in Perfetto).\n\
-                     --progress streams live per-scenario completion lines on stderr.";
+                     scenario as Chrome Trace Event JSON (open in Perfetto).";
 
 struct Args {
     scenarios: Vec<Scenario>,
     config_template: ExperimentConfig,
     json: Option<String>,
-    html: Option<String>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    progress: bool,
     replications: u32,
     jobs: usize,
 }
@@ -72,10 +70,8 @@ fn parse_args() -> Result<Args, String> {
     let mut scenarios = Scenario::ALL.to_vec();
     let mut template = ExperimentConfig::fig6(Scenario::NoFault);
     let mut json = None;
-    let mut html = None;
     let mut metrics_out = None;
     let mut trace_out = None;
-    let mut progress = false;
     let mut replications = 1u32;
     let mut jobs = 0usize;
     parse_flags(USAGE, |flag, flags| {
@@ -116,10 +112,8 @@ fn parse_args() -> Result<Args, String> {
                 template.permanent_fault_window = (lo, hi);
             }
             "--json" => json = Some(flags.value()?),
-            "--html" => html = Some(flags.value()?),
             "--metrics-out" => metrics_out = Some(flags.value()?),
             "--trace-out" => trace_out = Some(flags.value()?),
-            "--progress" => progress = true,
             "--replications" => {
                 replications = flags.parse()?;
                 if replications == 0 {
@@ -137,10 +131,8 @@ fn parse_args() -> Result<Args, String> {
         scenarios,
         config_template: template,
         json,
-        html,
         metrics_out,
         trace_out,
-        progress,
         replications,
         jobs,
     })
@@ -148,11 +140,13 @@ fn parse_args() -> Result<Args, String> {
 
 fn main() -> ExitCode {
     let args = or_exit(parse_args());
-    let reporter = Arc::new(Reporter::stderr());
-    let registry = args
-        .metrics_out
-        .as_ref()
-        .map(|_| Arc::new(Registry::new(par::effective_jobs(args.jobs))));
+    let reporter = Reporter::stderr();
+    let obs = HarnessObs {
+        registry: args
+            .metrics_out
+            .as_ref()
+            .map(|_| Arc::new(Registry::new(par::effective_jobs(args.jobs)))),
+    };
     let mut stage_totals = StageTimes::default();
     let mut all_results = Vec::new();
     for scenario in &args.scenarios {
@@ -165,27 +159,22 @@ fn main() -> ExitCode {
             config.plan.sets_per_bucket,
             config.horizon,
         ));
-        let obs = HarnessObs {
-            registry: registry.clone(),
-            progress: args.progress.then(|| Arc::clone(&reporter)),
-            label: format!("fig6 {}", scenario.id()),
-        };
+        let mut runs: Vec<_> = (0..args.replications)
+            .map(|r| run_experiment_observed(&config.replication(r), args.jobs, &obs))
+            .collect();
+        for run in &runs {
+            stage_totals.absorb(&run.stats.stages);
+        }
         if args.replications > 1 {
-            let replicated = run_replicated_observed(&config, args.replications, args.jobs, &obs);
+            let replicated = ReplicatedResult::of(&runs);
             report_stats(&reporter, &replicated.stats);
             println!("{}", table::render_replicated(&replicated));
         }
-        let result = run_experiment_observed(&config, args.jobs, &obs);
+        // Replication 0 runs `config` itself: it is the single-run table.
+        let result = runs.swap_remove(0);
         report_stats(&reporter, &result.stats);
-        stage_totals.absorb(&result.stats.stages);
         println!("{}", table::render(&result));
         all_results.push(result);
-    }
-    if let Some(path) = &args.html {
-        let body = mkss_bench::report_html::render_report(&all_results);
-        if !write_output(&reporter, path, body, "") {
-            return ExitCode::FAILURE;
-        }
     }
     if let Some(path) = &args.json {
         match serde_json::to_string_pretty(&all_results) {
@@ -220,7 +209,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
+    if let (Some(path), Some(registry)) = (&args.metrics_out, &obs.registry) {
         let scenario_ids: Vec<&str> = args.scenarios.iter().map(|s| s.id()).collect();
         let doc = metrics_doc(
             "fig6",

@@ -1,6 +1,6 @@
-//! Command-line plumbing shared by the experiment binaries: the flag
+//! Command-line plumbing of the `fig6` and `loadgen` binaries: the flag
 //! loop over [`Flags`], the exit on bad input, output files, and the
-//! `--from/--to` check of the bucketed studies.
+//! `--from/--to` check of the bucketed study.
 
 use mkss_core::flags::Flags;
 use mkss_obs::Reporter;

@@ -3,16 +3,13 @@
 //! `MKSS_ST`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mkss_core::par;
 use mkss_core::task::TaskSet;
 use mkss_core::time::Time;
-use mkss_obs::{
-    Recorder, Registry, Reporter, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY,
-};
+use mkss_obs::{Recorder, Registry, Stopwatch, TraceBuffer, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate_in, SimConfig};
 use mkss_sim::fault::FaultConfig;
@@ -23,10 +20,10 @@ use mkss_workload::{generate_buckets_jobs, BucketPlan, Generator, WorkloadConfig
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The three fault scenarios of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scenario {
     /// Fig. 6(a): no fault occurs within the simulated span.
     NoFault,
@@ -92,7 +89,7 @@ impl std::str::FromStr for Scenario {
 }
 
 /// Full configuration of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentConfig {
     /// Fault scenario.
     pub scenario: Scenario,
@@ -163,10 +160,22 @@ impl ExperimentConfig {
             ),
         }
     }
+
+    /// Replication `r` of this experiment: the same configuration under a
+    /// master seed `r` golden-ratio steps away, so it regenerates its
+    /// workloads and fault plans independently. Replication 0 is this
+    /// configuration itself.
+    pub fn replication(&self, r: u32) -> ExperimentConfig {
+        let mut config = self.clone();
+        config.seed = self
+            .seed
+            .wrapping_add(u64::from(r).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        config
+    }
 }
 
 /// Result row for one utilization bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BucketResult {
     /// Bucket midpoint ((m,k)-utilization).
     pub midpoint: f64,
@@ -183,7 +192,7 @@ pub struct BucketResult {
 }
 
 /// Per-bucket observability counters of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BucketStats {
     /// Bucket midpoint ((m,k)-utilization).
     pub midpoint: f64,
@@ -206,7 +215,7 @@ pub struct BucketStats {
 /// Wall time of the harness pipeline stages, summed across workers (so
 /// under `--jobs > 1` these are CPU-time-like totals, not elapsed time).
 /// Machine-dependent; zeroed by [`RunStats::strip_timing`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StageTimes {
     /// Workload generation (bucket filling).
     pub generate_ms: f64,
@@ -234,34 +243,20 @@ impl StageTimes {
 }
 
 /// Observability wiring for an observed harness run: an optional engine
-/// event registry and an optional live progress reporter. The default
-/// (`HarnessObs::none()`) records nothing and reports nothing, leaving
-/// the hot path untouched.
+/// event registry. The default records nothing, leaving the hot path
+/// untouched.
 #[derive(Debug, Clone, Default)]
 pub struct HarnessObs {
     /// Sink for engine event counters/histograms. Size it to the worker
     /// count (`Registry::new(par::effective_jobs(jobs))`) for a
     /// contention-free shard per worker.
     pub registry: Option<Arc<Registry>>,
-    /// Live progress lines on this single-writer reporter (never
-    /// interleaves across workers).
-    pub progress: Option<Arc<Reporter>>,
-    /// Label prefixed to progress lines (e.g. the scenario id).
-    pub label: String,
 }
 
-impl HarnessObs {
-    /// No recording, no progress output.
-    pub fn none() -> HarnessObs {
-        HarnessObs::default()
-    }
-}
-
-/// Assembles the standard `--metrics-out` document shared by the bench
-/// binaries: the registry snapshot, `binary` plus caller metadata, and
-/// the four harness stage wall-times. A thin wrapper over the
-/// workspace-wide [`mkss_obs::metrics_doc`] entry point that fixes the
-/// stage names to the harness pipeline's.
+/// Assembles the `fig6 --metrics-out` document: the registry snapshot,
+/// `binary` plus caller metadata, and the four harness stage wall-times.
+/// A thin wrapper over the workspace-wide [`mkss_obs::metrics_doc`]
+/// entry point that fixes the stage names to the harness pipeline's.
 pub fn metrics_doc(
     binary: &str,
     registry: &Registry,
@@ -284,7 +279,7 @@ pub fn metrics_doc(
 /// Observability counters of one [`run_experiment_jobs`] call, serialized
 /// alongside the results. Timing fields (and the worker count) depend on
 /// the machine and scheduling; everything else is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunStats {
     /// Worker threads used (resolved from the `jobs` knob).
     pub jobs: usize,
@@ -308,14 +303,31 @@ pub struct RunStats {
     /// Total (m,k)-violations per policy across all buckets.
     pub violations: BTreeMap<PolicyKind, u64>,
     /// Per-stage wall time (generate / build / simulate / fold), summed
-    /// across workers. Absent in older serialized results.
-    #[serde(default)]
+    /// across workers.
     pub stages: StageTimes,
     /// Per-bucket breakdown (every planned bucket, empty ones included).
     pub buckets: Vec<BucketStats>,
 }
 
 impl RunStats {
+    /// Counters of a run that has done nothing yet, on `jobs` workers.
+    fn empty(jobs: usize) -> RunStats {
+        RunStats {
+            jobs,
+            wall_ms: 0.0,
+            sims_per_second: 0.0,
+            buckets_planned: 0,
+            empty_buckets: 0,
+            sets_simulated: 0,
+            sets_generated: 0,
+            skipped_build_errors: 0,
+            skipped_zero_reference: 0,
+            violations: BTreeMap::new(),
+            stages: StageTimes::default(),
+            buckets: Vec::new(),
+        }
+    }
+
     /// Zeroes every machine- or schedule-dependent field (wall times,
     /// throughput, worker count), leaving only deterministic counters —
     /// two runs of the same config then compare equal regardless of the
@@ -364,7 +376,7 @@ impl RunStats {
 }
 
 /// Result of a whole experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentResult {
     /// The configuration that produced it.
     pub config: ExperimentConfig,
@@ -421,12 +433,6 @@ impl ExperimentResult {
     }
 }
 
-/// Runs the experiment with the default worker count (all available
-/// parallelism); see [`run_experiment_jobs`].
-pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    run_experiment_jobs(config, 0)
-}
-
 /// Per-bucket accumulator used while folding simulation outcomes back
 /// into `BucketResult`/`BucketStats` rows.
 #[derive(Default)]
@@ -456,12 +462,12 @@ struct BucketAccumulator {
 /// energy are skipped and counted in [`RunStats`]. Buckets that end up
 /// with no surviving sets are omitted from [`ExperimentResult::buckets`].
 pub fn run_experiment_jobs(config: &ExperimentConfig, jobs: usize) -> ExperimentResult {
-    run_experiment_observed(config, jobs, &HarnessObs::none())
+    run_experiment_observed(config, jobs, &HarnessObs::default())
 }
 
 /// [`run_experiment_jobs`] with observability attached: engine events go
-/// to `obs.registry` (if any), live progress lines to `obs.progress`, and
-/// per-stage wall times land in [`RunStats::stages`] either way.
+/// to `obs.registry` (if any), and per-stage wall times land in
+/// [`RunStats::stages`] either way.
 ///
 /// Recording changes **nothing** about the results: counters aggregate
 /// commutatively, so even the registry totals are identical for every
@@ -500,18 +506,10 @@ pub fn run_experiment_observed(
             .collect(),
         None => Vec::new(),
     };
-    let total_sets = work.len() as u64;
-    let progress_step = (total_sets / 20).max(1);
-    let completed = AtomicU64::new(0);
-    let label_prefix = if obs.label.is_empty() {
-        String::new()
-    } else {
-        format!("{}: ", obs.label)
-    };
     let outcomes = par::map_indexed(jobs, &work, |index, &(bucket_index, set_index, ts)| {
         #[expect(
             clippy::disallowed_methods,
-            reason = "per-set wall timing feeds the progress reporter only"
+            reason = "per-set wall timing lands in BucketStats::wall_ms, a timing field, never in results"
         )]
         let set_start = Instant::now();
         let recorder = if handles.is_empty() {
@@ -527,13 +525,6 @@ pub fn run_experiment_observed(
             recorder,
         );
         let elapsed_ms = set_start.elapsed().as_secs_f64() * 1e3;
-        if let Some(reporter) = &obs.progress {
-            // mkss-lint: ordering — progress tally; only its eventual total matters and workers join before results are read
-            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-            if done.is_multiple_of(progress_step) || done == total_sets {
-                reporter.line(&format!("{label_prefix}{done}/{total_sets} sets simulated"));
-            }
-        }
         (bucket_index, outcome, elapsed_ms, timing)
     });
 
@@ -568,18 +559,9 @@ pub fn run_experiment_observed(
 
     let mut results = Vec::with_capacity(buckets.len());
     let mut stats = RunStats {
-        jobs: par::effective_jobs(jobs),
-        wall_ms: 0.0,
-        sims_per_second: 0.0,
         buckets_planned: buckets.len(),
-        empty_buckets: 0,
-        sets_simulated: 0,
-        sets_generated: 0,
-        skipped_build_errors: 0,
-        skipped_zero_reference: 0,
-        violations: BTreeMap::new(),
-        stages: StageTimes::default(),
         buckets: Vec::with_capacity(buckets.len()),
+        ..RunStats::empty(par::effective_jobs(jobs))
     };
     for (bucket, acc) in buckets.iter().zip(accs) {
         stats.sets_simulated += acc.counted as u64;
@@ -680,7 +662,7 @@ pub fn trace_representative(config: &ExperimentConfig) -> TraceBuffer {
 }
 
 /// Mean-and-spread of one quantity across replications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Spread {
     /// Sample mean.
     pub mean: f64,
@@ -709,16 +691,16 @@ impl Spread {
     }
 }
 
-/// Result of [`run_replicated`]: per-bucket, per-policy mean ± std of the
-/// normalized energy across independent replications (each replication
-/// regenerates its workloads and fault plans from a distinct master
-/// seed).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Per-bucket, per-policy mean ± std of the normalized energy across
+/// independent replications of one experiment (replication `r` runs
+/// [`ExperimentConfig::replication`]`(r)`, which regenerates workloads
+/// and fault plans from a distinct master seed).
+#[derive(Debug, Clone, Serialize)]
 pub struct ReplicatedResult {
     /// The base configuration (its seed is the first replication's).
     pub config: ExperimentConfig,
     /// Replications run.
-    pub replications: u32,
+    pub replications: usize,
     /// Bucket midpoints (same order as the rows). A midpoint appears as
     /// soon as **any** replication produced data for it.
     pub midpoints: Vec<f64>,
@@ -731,141 +713,86 @@ pub struct ReplicatedResult {
     pub stats: RunStats,
 }
 
-/// Runs `replications` independent instances of the experiment with the
-/// default worker count; see [`run_replicated_jobs`].
-pub fn run_replicated(config: &ExperimentConfig, replications: u32) -> ReplicatedResult {
-    run_replicated_jobs(config, replications, 0)
-}
-
-/// Runs `replications` independent instances of the experiment (each
-/// regenerates workloads and fault plans from a distinct master seed,
-/// fanned across up to `jobs` workers) and aggregates the per-bucket
-/// normalized energies.
-///
-/// Buckets are matched **by midpoint**, not position, so a replication
-/// whose low-utilization bucket came up empty cannot shift later
-/// buckets' statistics onto the wrong row.
-///
-/// # Panics
-///
-/// Panics if `replications` is zero.
-///
-/// ```
-/// use mkss_bench::experiment::{run_replicated, ExperimentConfig, Scenario};
-/// use mkss_core::time::Time;
-/// use mkss_policies::PolicyKind;
-///
-/// let mut cfg = ExperimentConfig::fig6(Scenario::NoFault);
-/// cfg.plan.sets_per_bucket = 2;
-/// cfg.plan.from = 0.3;
-/// cfg.plan.to = 0.4;
-/// cfg.horizon = Time::from_ms(200);
-/// let result = run_replicated(&cfg, 3);
-/// assert_eq!(result.replications, 3);
-/// for bucket in &result.spreads {
-///     if let Some(sel) = bucket.get(&PolicyKind::Selective) {
-///         assert!(sel.mean > 0.0 && sel.std >= 0.0);
-///     }
-/// }
-/// ```
-pub fn run_replicated_jobs(
-    config: &ExperimentConfig,
-    replications: u32,
-    jobs: usize,
-) -> ReplicatedResult {
-    run_replicated_observed(config, replications, jobs, &HarnessObs::none())
-}
-
-/// [`run_replicated_jobs`] with observability attached; every replication
-/// reports into the same registry/reporter, with progress lines labelled
-/// by replication index.
-pub fn run_replicated_observed(
-    config: &ExperimentConfig,
-    replications: u32,
-    jobs: usize,
-    obs: &HarnessObs,
-) -> ReplicatedResult {
-    assert!(replications >= 1, "need at least one replication");
-    let configs: Vec<ExperimentConfig> = (0..replications)
-        .map(|r| {
-            let mut cfg = config.clone();
-            cfg.seed = config
-                .seed
-                .wrapping_add(u64::from(r).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            cfg
-        })
-        .collect();
-    // Fan replications across the pool, splitting the budget so the
-    // nested per-set fan-out doesn't oversubscribe.
-    let inner_jobs = (par::effective_jobs(jobs) / replications as usize).max(1);
-    let results = par::map_indexed(jobs, &configs, |r, cfg| {
-        let rep_obs = HarnessObs {
-            registry: obs.registry.clone(),
-            progress: obs.progress.clone(),
-            label: if obs.label.is_empty() {
-                format!("rep {r}")
-            } else {
-                format!("{} rep {r}", obs.label)
-            },
-        };
-        run_experiment_observed(cfg, inner_jobs, &rep_obs)
-    });
-
-    // Key buckets by midpoint bits (midpoints are positive, so the bit
-    // order equals the numeric order in the BTreeMap).
-    let mut per_midpoint: BTreeMap<u64, BTreeMap<PolicyKind, Vec<f64>>> = BTreeMap::new();
-    let mut total_violations = 0;
-    let mut stats = RunStats {
-        jobs: par::effective_jobs(jobs),
-        wall_ms: 0.0,
-        sims_per_second: 0.0,
-        buckets_planned: 0,
-        empty_buckets: 0,
-        sets_simulated: 0,
-        sets_generated: 0,
-        skipped_build_errors: 0,
-        skipped_zero_reference: 0,
-        violations: BTreeMap::new(),
-        stages: StageTimes::default(),
-        buckets: Vec::new(),
-    };
-    for result in &results {
-        total_violations += result.total_violations();
-        stats.absorb(&result.stats);
-        for bucket in &result.buckets {
-            let slot = per_midpoint.entry(bucket.midpoint.to_bits()).or_default();
-            for (&kind, &value) in &bucket.normalized {
-                slot.entry(kind).or_default().push(value);
+impl ReplicatedResult {
+    /// Aggregates the runs of every replication, in replication order,
+    /// into per-bucket normalized-energy spreads. A pure function of
+    /// `runs`.
+    ///
+    /// Buckets are matched **by midpoint**, not position, so a replication
+    /// whose low-utilization bucket came up empty cannot shift later
+    /// buckets' statistics onto the wrong row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `runs` is empty.
+    ///
+    /// ```
+    /// use mkss_bench::experiment::{run_experiment_jobs, ExperimentConfig, ReplicatedResult, Scenario};
+    /// use mkss_core::time::Time;
+    /// use mkss_policies::PolicyKind;
+    ///
+    /// let mut cfg = ExperimentConfig::fig6(Scenario::NoFault);
+    /// cfg.plan.sets_per_bucket = 2;
+    /// cfg.plan.from = 0.3;
+    /// cfg.plan.to = 0.4;
+    /// cfg.horizon = Time::from_ms(200);
+    /// let runs: Vec<_> = (0..3)
+    ///     .map(|r| run_experiment_jobs(&cfg.replication(r), 0))
+    ///     .collect();
+    /// let result = ReplicatedResult::of(&runs);
+    /// assert_eq!(result.replications, 3);
+    /// for bucket in &result.spreads {
+    ///     if let Some(sel) = bucket.get(&PolicyKind::Selective) {
+    ///         assert!(sel.mean > 0.0 && sel.std >= 0.0);
+    ///     }
+    /// }
+    /// ```
+    pub fn of(runs: &[ExperimentResult]) -> ReplicatedResult {
+        let first = runs.first().expect("need at least one replication");
+        let config = &first.config;
+        // Key buckets by midpoint bits (midpoints are positive, so the bit
+        // order equals the numeric order in the BTreeMap).
+        let mut per_midpoint: BTreeMap<u64, BTreeMap<PolicyKind, Vec<f64>>> = BTreeMap::new();
+        let mut total_violations = 0;
+        let mut stats = RunStats::empty(first.stats.jobs);
+        for result in runs {
+            total_violations += result.total_violations();
+            stats.absorb(&result.stats);
+            for bucket in &result.buckets {
+                let slot = per_midpoint.entry(bucket.midpoint.to_bits()).or_default();
+                for (&kind, &value) in &bucket.normalized {
+                    slot.entry(kind).or_default().push(value);
+                }
             }
         }
-    }
-    let mut policy_count = config.policies.len();
-    if !config.policies.contains(&PolicyKind::Static) {
-        policy_count += 1;
-    }
-    stats.sims_per_second = if stats.wall_ms > 0.0 {
-        stats.sets_simulated as f64 * policy_count as f64 / (stats.wall_ms / 1e3)
-    } else {
-        0.0
-    };
-    let mut midpoints = Vec::with_capacity(per_midpoint.len());
-    let mut spreads = Vec::with_capacity(per_midpoint.len());
-    for (bits, policies) in per_midpoint {
-        midpoints.push(f64::from_bits(bits));
-        spreads.push(
-            policies
-                .into_iter()
-                .filter_map(|(k, values)| Spread::of(&values).map(|s| (k, s)))
-                .collect(),
-        );
-    }
-    ReplicatedResult {
-        config: config.clone(),
-        replications,
-        midpoints,
-        spreads,
-        total_violations,
-        stats,
+        let mut policy_count = config.policies.len();
+        if !config.policies.contains(&PolicyKind::Static) {
+            policy_count += 1;
+        }
+        stats.sims_per_second = if stats.wall_ms > 0.0 {
+            stats.sets_simulated as f64 * policy_count as f64 / (stats.wall_ms / 1e3)
+        } else {
+            0.0
+        };
+        let mut midpoints = Vec::with_capacity(per_midpoint.len());
+        let mut spreads = Vec::with_capacity(per_midpoint.len());
+        for (bits, policies) in per_midpoint {
+            midpoints.push(f64::from_bits(bits));
+            spreads.push(
+                policies
+                    .into_iter()
+                    .filter_map(|(k, values)| Spread::of(&values).map(|s| (k, s)))
+                    .collect(),
+            );
+        }
+        ReplicatedResult {
+            config: config.clone(),
+            replications: runs.len(),
+            midpoints,
+            spreads,
+            total_violations,
+            stats,
+        }
     }
 }
 
@@ -1013,7 +940,7 @@ mod tests {
 
     #[test]
     fn no_fault_ordering_matches_paper() {
-        let result = run_experiment(&quick_config(Scenario::NoFault));
+        let result = run_experiment_jobs(&quick_config(Scenario::NoFault), 0);
         assert_eq!(result.total_violations(), 0);
         for bucket in &result.buckets {
             assert!(bucket.sets > 0, "bucket {} empty", bucket.midpoint);
@@ -1039,13 +966,13 @@ mod tests {
 
     #[test]
     fn permanent_fault_scenario_keeps_guarantee() {
-        let result = run_experiment(&quick_config(Scenario::Permanent));
+        let result = run_experiment_jobs(&quick_config(Scenario::Permanent), 0);
         assert_eq!(result.total_violations(), 0);
     }
 
     #[test]
     fn combined_scenario_keeps_guarantee() {
-        let result = run_experiment(&quick_config(Scenario::Combined));
+        let result = run_experiment_jobs(&quick_config(Scenario::Combined), 0);
         assert_eq!(result.total_violations(), 0);
     }
 
@@ -1074,7 +1001,7 @@ mod tests {
         cfg.plan.from = 0.2;
         cfg.plan.to = 0.4;
         cfg.plan.max_generated = 0; // the generator can never fill a bucket
-        let result = run_experiment(&cfg);
+        let result = run_experiment_jobs(&cfg, 0);
         assert!(result.buckets.is_empty());
         assert_eq!(result.stats.buckets_planned, 2);
         assert_eq!(result.stats.empty_buckets, 2);
@@ -1089,7 +1016,11 @@ mod tests {
     fn replicated_handles_all_empty_buckets() {
         let mut cfg = quick_config(Scenario::NoFault);
         cfg.plan.max_generated = 0;
-        let result = run_replicated(&cfg, 2);
+        let runs: Vec<_> = (0..2)
+            .map(|r| run_experiment_jobs(&cfg.replication(r), 0))
+            .collect();
+        let result = ReplicatedResult::of(&runs);
+        assert_eq!(result.replications, 2);
         assert!(result.midpoints.is_empty());
         assert!(result.spreads.is_empty());
         assert_eq!(result.total_violations, 0);
@@ -1097,8 +1028,22 @@ mod tests {
     }
 
     #[test]
+    fn replication_zero_is_the_single_run() {
+        let cfg = quick_config(Scenario::Combined);
+        let mut single = run_experiment_jobs(&cfg, 1);
+        single.stats.strip_timing();
+        let mut rep0 = run_experiment_jobs(&cfg.replication(0), 2);
+        rep0.stats.strip_timing();
+        assert_eq!(
+            serde_json::to_string(&rep0).unwrap(),
+            serde_json::to_string(&single).unwrap()
+        );
+        assert_ne!(cfg.replication(1).seed, cfg.seed);
+    }
+
+    #[test]
     fn run_stats_counters_are_consistent() {
-        let result = run_experiment(&quick_config(Scenario::NoFault));
+        let result = run_experiment_jobs(&quick_config(Scenario::NoFault), 0);
         let stats = &result.stats;
         assert_eq!(stats.buckets_planned, stats.buckets.len());
         assert_eq!(
@@ -1160,7 +1105,7 @@ mod tests {
 
     #[test]
     fn stage_times_are_populated_and_stripped() {
-        let mut result = run_experiment(&quick_config(Scenario::NoFault));
+        let mut result = run_experiment_jobs(&quick_config(Scenario::NoFault), 0);
         let stages = result.stats.stages;
         assert!(stages.simulate_ms > 0.0, "{stages:?}");
         assert!(stages.build_ms > 0.0, "{stages:?}");
@@ -1182,8 +1127,6 @@ mod tests {
             let registry = Arc::new(Registry::new(par::effective_jobs(jobs)));
             let obs = HarnessObs {
                 registry: Some(Arc::clone(&registry)),
-                progress: None,
-                label: String::new(),
             };
             let mut observed = run_experiment_observed(&cfg, jobs, &obs);
             observed.stats.strip_timing();
@@ -1207,42 +1150,5 @@ mod tests {
                 ),
             }
         }
-    }
-
-    #[test]
-    fn progress_reporter_emits_labelled_lines() {
-        use std::io::Write;
-        use std::sync::Mutex;
-
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf::default();
-        let obs = HarnessObs {
-            registry: None,
-            progress: Some(Arc::new(Reporter::with_sink(Box::new(buf.clone())))),
-            label: "unit".to_string(),
-        };
-        let result = run_experiment_observed(&quick_config(Scenario::NoFault), 2, &obs);
-        let bytes = buf.0.lock().unwrap();
-        let text = std::str::from_utf8(&bytes).unwrap();
-        // The work list holds every kept set, whether or not it later
-        // survives simulation (skips still pass through the worker).
-        let total = result.stats.sets_simulated
-            + result.stats.skipped_build_errors
-            + result.stats.skipped_zero_reference;
-        assert!(
-            text.contains(&format!("unit: {total}/{total} sets simulated")),
-            "missing final progress line in {text:?}"
-        );
     }
 }

@@ -10,13 +10,13 @@
 //! energies normalized to the `MKSS_ST` reference.
 //!
 //! ```
-//! use mkss_bench::experiment::{run_experiment, ExperimentConfig, Scenario};
+//! use mkss_bench::experiment::{run_experiment_jobs, ExperimentConfig, Scenario};
 //! use mkss_policies::PolicyKind;
 //!
 //! let mut cfg = ExperimentConfig::fig6(Scenario::NoFault);
 //! cfg.plan.sets_per_bucket = 2; // keep the doctest quick
 //! cfg.plan.to = 0.3;
-//! let result = run_experiment(&cfg);
+//! let result = run_experiment_jobs(&cfg, 0); // 0 = every core
 //! assert_eq!(result.buckets.len(), 2);
 //! // The selective scheme never exceeds the reference.
 //! for bucket in &result.buckets {
@@ -30,5 +30,4 @@
 
 pub mod cli;
 pub mod experiment;
-pub mod report_html;
 pub mod table;

@@ -113,18 +113,20 @@ pub fn render_replicated(result: &ReplicatedResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_experiment, ExperimentConfig, Scenario};
+    use crate::experiment::{run_experiment_jobs, ExperimentConfig, ReplicatedResult, Scenario};
     use mkss_core::time::Time;
 
     #[test]
     fn renders_replicated_spreads() {
-        use crate::experiment::run_replicated;
         let mut cfg = ExperimentConfig::fig6(Scenario::NoFault);
         cfg.plan.sets_per_bucket = 2;
         cfg.plan.from = 0.3;
         cfg.plan.to = 0.4;
         cfg.horizon = Time::from_ms(200);
-        let result = run_replicated(&cfg, 2);
+        let runs: Vec<_> = (0..2)
+            .map(|r| run_experiment_jobs(&cfg.replication(r), 0))
+            .collect();
+        let result = ReplicatedResult::of(&runs);
         let text = render_replicated(&result);
         assert!(text.contains("mean ± std over 2 replications"));
         assert!(text.contains("±"));
@@ -138,7 +140,7 @@ mod tests {
         cfg.plan.from = 0.3;
         cfg.plan.to = 0.5;
         cfg.horizon = Time::from_ms(300);
-        let result = run_experiment(&cfg);
+        let result = run_experiment_jobs(&cfg, 0);
         let text = render(&result);
         assert!(text.contains("Fig. 6(a)"));
         assert!(text.contains("selective"));

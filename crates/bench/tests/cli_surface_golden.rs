@@ -1,6 +1,6 @@
 //! Golden pin of the experiment binaries' command-line surface.
 //!
-//! For `fig6`, `sensitivity` and `loadgen` this pins the
+//! For `fig6` and `loadgen` this pins the
 //! `--help` text, the exit status and stderr of a missing value, an
 //! unparsable value and an unknown flag, and the stdout of one minimal
 //! run where the binary needs no daemon (run stderr carries wall times,
@@ -57,19 +57,6 @@ const CASES: &[Case] = &[
         ],
         Pin::Stdout,
     ),
-    // sensitivity
-    ("sensitivity", &["--help"], Pin::All),
-    ("sensitivity", &["--sets"], Pin::All),
-    ("sensitivity", &["--sets", "x"], Pin::All),
-    ("sensitivity", &["--horizon-ms", "x"], Pin::All),
-    ("sensitivity", &["--seed", "x"], Pin::All),
-    ("sensitivity", &["--jobs", "x"], Pin::All),
-    ("sensitivity", &["--bogus"], Pin::All),
-    (
-        "sensitivity",
-        &["--sets", "1", "--horizon-ms", "100"],
-        Pin::Stdout,
-    ),
     // loadgen
     ("loadgen", &["--help"], Pin::All),
     ("loadgen", &["--clients"], Pin::All),
@@ -84,11 +71,6 @@ const CASES: &[Case] = &[
     // fault past the horizon.
     ("fig6", &["--horizon-ms", "18446744073709552"], Pin::All),
     ("fig6", &["--horizon-ms", "18446744073709551615"], Pin::All),
-    (
-        "sensitivity",
-        &["--horizon-ms", "18446744073709552"],
-        Pin::All,
-    ),
     ("fig6", &["--from", "0.6", "--to", "0.5"], Pin::All),
     ("fig6", &["--from", "nan"], Pin::All),
     ("fig6", &["--to", "inf"], Pin::All),
@@ -125,12 +107,15 @@ const CASES: &[Case] = &[
         ],
         Pin::All,
     ),
+    // The HTML chart report and the live progress stream were removed;
+    // their flags are refused like any unknown flag.
+    ("fig6", &["--html", "out.html"], Pin::All),
+    ("fig6", &["--progress"], Pin::All),
 ];
 
 fn exe(bin: &str) -> &'static str {
     match bin {
         "fig6" => env!("CARGO_BIN_EXE_fig6"),
-        "sensitivity" => env!("CARGO_BIN_EXE_sensitivity"),
         "loadgen" => env!("CARGO_BIN_EXE_loadgen"),
         other => panic!("no binary {other}"),
     }

@@ -36,7 +36,7 @@ pub enum PolicyKind {
 /// Every scheme is built one way (the paper's, except that Selective
 /// backs up with `Y_i`), so the type has no fields; it stays in [`PolicyKind::build`]'s signature for the
 /// callers that pass [`BuildOptions::default`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub struct BuildOptions {}
 

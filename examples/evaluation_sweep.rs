@@ -16,12 +16,11 @@ use mkss_bench::experiment::{run_experiment_observed, ExperimentConfig, HarnessO
 use mkss_bench::table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // MKSS_LOG=summary aggregates engine events across the whole sweep and
-    // prints the counter table at the end; MKSS_LOG=events additionally
-    // streams live per-scenario progress lines on stderr.
-    let log = LogLevel::from_env()?;
-    let registry = log.enabled().then(|| Arc::new(Registry::new(1)));
-    let progress = (log == LogLevel::Events).then(|| Arc::new(Reporter::stderr()));
+    // MKSS_LOG=summary (or events) aggregates engine events across the
+    // whole sweep and prints the counter table at the end.
+    let registry = LogLevel::from_env()?
+        .enabled()
+        .then(|| Arc::new(Registry::new(1)));
     for scenario in Scenario::ALL {
         let mut config = ExperimentConfig::fig6(scenario);
         // Scaled down for example speed; the fig6 binary uses 20 sets per
@@ -32,8 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.horizon = Time::from_ms(400);
         let obs = HarnessObs {
             registry: registry.clone(),
-            progress: progress.clone(),
-            label: format!("sweep {}", scenario.id()),
         };
         let result = run_experiment_observed(&config, 0, &obs);
         println!("{}", table::render(&result));

@@ -128,15 +128,12 @@ done
 echo "examples ok ($(ls examples/*.rs | wc -l) run)"
 
 echo "== experiment binaries smoke (tiny plans, metrics documents, rejected flags) =="
-# fig6 and sensitivity each run a tiny plan
-# and write a metrics document with the four top-level keys. An unknown
-# flag and a --horizon-ms whose microseconds overflow u64 must both be
-# refused with a diagnostic, never run.
+# fig6 runs a tiny plan and writes a metrics document with the four
+# top-level keys. An unknown flag and a --horizon-ms whose microseconds
+# overflow u64 must both be refused with a diagnostic, never run.
 cargo run --release -q -p mkss-bench --bin fig6 -- --scenario no-fault --sets 1 \
     --horizon-ms 100 --to 0.3 --metrics-out "$tmpdir/fig6-metrics.json" > /dev/null
-cargo run --release -q -p mkss-bench --bin sensitivity -- --sets 1 --horizon-ms 100 \
-    --metrics-out "$tmpdir/sensitivity-metrics.json" > /dev/null
-python3 - "$tmpdir"/fig6-metrics.json "$tmpdir"/sensitivity-metrics.json <<'PY'
+python3 - "$tmpdir"/fig6-metrics.json <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     doc = json.load(open(path))
@@ -161,16 +158,12 @@ refuse() {
         exit 1
     }
 }
-for bin in fig6 sensitivity; do
-    refuse "unknown flag" "$bin" -- --no-such-flag
-done
-for bin in fig6 sensitivity; do
-    refuse "out of range" "$bin" -- --horizon-ms 18446744073709552
-done
+refuse "unknown flag" fig6 -- --no-such-flag
+refuse "out of range" fig6 -- --horizon-ms 18446744073709552
 # A bucket outside (0, 1] has no (m,k)-utilization target to draw.
 refuse "outside the (m,k)-utilization range" fig6 -- --to 1.1
 refuse "outside the (m,k)-utilization range" fig6 -- --from -0.1
-echo "experiment binaries ok (2 metrics documents; unknown and overflowing flags refused)"
+echo "experiment binaries ok (1 metrics document; unknown and overflowing flags refused)"
 
 echo "== trace smoke (flight recorder: deterministic Chrome-trace export) =="
 # Two captures of the same workload with different worker counts must be

@@ -13,7 +13,7 @@
 //!   from the paper, which claims a win in *all* intervals.
 
 use mkss::prelude::*;
-use mkss_bench::experiment::{run_experiment, ExperimentConfig, ExperimentResult, Scenario};
+use mkss_bench::experiment::{run_experiment_jobs, ExperimentConfig, ExperimentResult, Scenario};
 
 fn quick(scenario: Scenario) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::fig6(scenario);
@@ -41,7 +41,7 @@ fn gaps(result: &ExperimentResult) -> Vec<(f64, f64)> {
 
 #[test]
 fn fig6a_shape_no_fault() {
-    let result = run_experiment(&quick(Scenario::NoFault));
+    let result = run_experiment_jobs(&quick(Scenario::NoFault), 0);
     assert_eq!(result.total_violations(), 0);
     for bucket in result.buckets.iter().filter(|b| b.sets > 0) {
         let st = bucket.normalized[&PolicyKind::Static];
@@ -80,7 +80,7 @@ fn fig6a_selective_advantage_grows_with_utilization() {
     // duplicated mandatory work, which only exists in quantity once the
     // dual-priority baseline's promotion slack runs out — so the gap
     // *increases* with (m,k)-utilization (crossing zero on the way).
-    let result = run_experiment(&quick(Scenario::NoFault));
+    let result = run_experiment_jobs(&quick(Scenario::NoFault), 0);
     let g = gaps(&result);
     assert!(g.len() >= 4, "too few populated buckets");
     let low = (g[0].1 + g[1].1) / 2.0;
@@ -93,7 +93,7 @@ fn fig6a_selective_advantage_grows_with_utilization() {
 
 #[test]
 fn fig6b_shape_permanent_fault() {
-    let result = run_experiment(&quick(Scenario::Permanent));
+    let result = run_experiment_jobs(&quick(Scenario::Permanent), 0);
     assert_eq!(result.total_violations(), 0);
     for bucket in result.buckets.iter().filter(|b| b.sets > 0) {
         let dp = bucket.normalized[&PolicyKind::DualPriority];
@@ -118,8 +118,8 @@ fn fig6b_late_fault_recovers_no_fault_shape() {
     // in normal dual-processor operation).
     let mut cfg = quick(Scenario::Permanent);
     cfg.permanent_fault_window = (0.9, 1.0);
-    let faulted = run_experiment(&cfg);
-    let clean = run_experiment(&quick(Scenario::NoFault));
+    let faulted = run_experiment_jobs(&cfg, 0);
+    let clean = run_experiment_jobs(&quick(Scenario::NoFault), 0);
     assert_eq!(faulted.total_violations(), 0);
     let f_sel = faulted.mean_normalized(PolicyKind::Selective);
     let c_sel = clean.mean_normalized(PolicyKind::Selective);
@@ -131,11 +131,11 @@ fn fig6b_late_fault_recovers_no_fault_shape() {
 
 #[test]
 fn fig6c_shape_combined_faults() {
-    let result = run_experiment(&quick(Scenario::Combined));
+    let result = run_experiment_jobs(&quick(Scenario::Combined), 0);
     assert_eq!(result.total_violations(), 0);
     // At the paper's 1e-6 transient rate the combined scenario is
     // observationally equivalent to the permanent-only one.
-    let permanent = run_experiment(&quick(Scenario::Permanent));
+    let permanent = run_experiment_jobs(&quick(Scenario::Permanent), 0);
     let a = result.mean_normalized(PolicyKind::Selective);
     let b = permanent.mean_normalized(PolicyKind::Selective);
     assert!((a - b).abs() < 0.02, "combined {a:.3} vs permanent {b:.3}");
@@ -147,7 +147,7 @@ fn ablation_postponement_ladder_on_static_scheme() {
     // Y_alljobs (paper) ≥ energy of θ.
     let mut cfg = quick(Scenario::NoFault);
     cfg.policies = vec![PolicyKind::DualPriority, PolicyKind::DualPriorityTheta];
-    let result = run_experiment(&cfg);
+    let result = run_experiment_jobs(&cfg, 0);
     assert_eq!(result.total_violations(), 0);
     let y = result.mean_normalized(PolicyKind::DualPriority);
     let theta = result.mean_normalized(PolicyKind::DualPriorityTheta);

@@ -1,7 +1,8 @@
 //! Serde round-trips of every serializable data structure the crates
 //! expose — configurations, reports, and traces survive a JSON round-trip
 //! bit-for-bit (modulo f64 text formatting, which serde_json preserves
-//! exactly for finite values).
+//! exactly for finite values). The Fig. 6 result is only ever written,
+//! so its test checks the encoded document instead.
 //!
 //! Task sets have one JSON form, the millisecond `TaskSetSpec` that
 //! `mkss-cli` and the daemon read, and it enters through the validating
@@ -85,20 +86,44 @@ fn workload_config_roundtrip() {
     assert_eq!(roundtrip(&plan), plan);
 }
 
+/// The member of `value` at `path`, one object key per step.
+fn member<'a>(value: &'a serde::Value, path: &[&str]) -> &'a serde::Value {
+    path.iter().fold(value, |v, key| {
+        v.get(key).unwrap_or_else(|| panic!("no member {key}"))
+    })
+}
+
 #[test]
 fn experiment_result_roundtrip() {
-    use mkss_bench::experiment::{run_experiment, ExperimentConfig, Scenario};
+    use mkss_bench::experiment::{run_experiment_jobs, ExperimentConfig, Scenario};
     let mut cfg = ExperimentConfig::fig6(Scenario::Combined);
     cfg.plan.sets_per_bucket = 1;
     cfg.plan.from = 0.3;
     cfg.plan.to = 0.4;
     cfg.horizon = Time::from_ms(200);
-    let result = run_experiment(&cfg);
+    let result = run_experiment_jobs(&cfg, 0);
+    // `fig6 --json` is written, never read back: check the document as
+    // JSON, not through a `Deserialize` of the harness types.
     let json = serde_json::to_string_pretty(&result).expect("serializes");
-    let back: mkss_bench::experiment::ExperimentResult =
-        serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(back.buckets.len(), result.buckets.len());
-    for (a, b) in back.buckets.iter().zip(&result.buckets) {
-        assert_eq!(a.normalized, b.normalized);
+    let doc = serde_json::parse_value(&json).expect("parses");
+    let rows = member(&doc, &["buckets"]).as_array().expect("bucket rows");
+    assert_eq!(rows.len(), result.buckets.len());
+    for (row, bucket) in rows.iter().zip(&result.buckets) {
+        assert_eq!(member(row, &["midpoint"]).as_f64(), Some(bucket.midpoint));
+        assert_eq!(member(row, &["sets"]).as_u64(), Some(bucket.sets as u64));
+        // Policies in `PolicyKind` order, as the `BTreeMap` holds them.
+        let normalized: Vec<f64> = member(row, &["normalized"])
+            .as_object()
+            .expect("per-policy map")
+            .iter()
+            .map(|(_, v)| v.as_f64().expect("energy"))
+            .collect();
+        let expected: Vec<f64> = bucket.normalized.values().copied().collect();
+        assert_eq!(normalized, expected);
     }
+    assert_eq!(
+        member(&doc, &["stats", "sets_simulated"]).as_u64(),
+        Some(result.stats.sets_simulated)
+    );
+    assert_eq!(member(&doc, &["config", "seed"]).as_u64(), Some(cfg.seed));
 }
